@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import (
     BlowupError,
@@ -31,7 +30,7 @@ from .errors import (
     NonsmoothPointError,
 )
 from .hysteresis import HysteresisConfig, PiecewiseLinearSignal, StopCursor
-from .spatial import SFunctional, SpatialDiscretization, evaluate_S, implicit_step_matrix, quad_norm
+from .spatial import _factorize, _imex_step, evaluate_S, quad_norm
 
 __all__ = [
     "ReactionFunction",
@@ -364,22 +363,8 @@ def _check_source(disc, solver, u):
     return u
 
 
-def _factorize(disc, dt):
-    return [spla.splu(implicit_step_matrix(disc, j, dt)) for j in range(disc.n_components)]
-
-
-def _imex_step(disc, lus, dt, y, rhs_field):
-    """One implicit solve per component of (D + dt L) y+ = D (y + dt rhs)."""
-    out = np.zeros_like(y)
-    for j, comp in enumerate(disc.components):
-        act = comp.active
-        rhs = comp.rel_weights * (y[j, act] + dt * rhs_field[j, act])
-        out[j, act] = lus[j].solve(rhs)
-    return out
-
-
 def _guard(y, k, t):
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_GUARD:
+    if not np.abs(y).max() <= BLOWUP_GUARD:  # also true when y holds a nan
         peak = np.max(np.abs(y[np.isfinite(y)])) if np.any(np.isfinite(y)) else math.inf
         raise BlowupError(
             f"state blew up at step {k} (t={t:.6g}): magnitude {peak:.3e} "
@@ -387,54 +372,106 @@ def _guard(y, k, t):
         )
 
 
+# The two loops below step the state and the sensitivity solve alike; a
+# solve differs only in its two per-step rules.  ``rhs(k, y)`` is the explicit
+# right-hand side at step k.  ``advance(k, y)`` guards y_k and records the
+# scalar channel at step k from y_k and the record of step k - 1, so a Picard
+# sweep replays a slice by calling it again, with nothing to restore.
+
+
+def _march(disc, lus, dt, fields, rhs, advance):
+    """Direct IMEX recursion; ``fields[0]`` holds the start, later rows are filled."""
+    y = fields[0]
+    for k in range(fields.shape[0] - 1):
+        y = _imex_step(disc, lus, dt, y, rhs(k, y))
+        advance(k + 1, y)
+        fields[k + 1] = y
+
+
+def _sweep_slice(disc, lus, dt, fields, first, rhs, advance, tol, max_iters):
+    """Picard sweeps of the IMEX recursion over one slice.
+
+    ``fields[0]`` holds the slice start, which is step ``first`` for the
+    rules; the accepted iterate is written into ``fields[1:]``.  Each sweep
+    freezes the right-hand side at the previous iterate, then replays the
+    scalar channel from the new one.  Returns the max-over-steps quadrature
+    norm of each sweep's update.
+    """
+    ns = fields.shape[0] - 1
+    old = np.broadcast_to(fields[0], fields.shape).copy()
+    for i in range(1, ns + 1):
+        advance(first + i, old[i])
+    diffs = []
+    for _ in range(max_iters):
+        new = np.empty_like(old)
+        new[0] = old[0]
+        for i in range(ns):
+            new[i + 1] = _imex_step(disc, lus, dt, new[i], rhs(first + i, old[i]))
+        for i in range(1, ns + 1):
+            advance(first + i, new[i])
+        diffs.append(max(quad_norm(disc, new[i] - old[i]) for i in range(ns + 1)))
+        old = new
+        if diffs[-1] <= tol:
+            fields[1:] = old[1:]
+            return diffs
+    raise NonContractionError(
+        f"Picard sweeps did not contract below {tol:.3e} within {max_iters} "
+        f"iterations (last update {diffs[-1]:.3e}); reduce slice_length "
+        f"(currently {ns} steps) and retry"
+    )
+
+
+def _state_rules(disc, sfun, reaction, cursor, u, dt):
+    """Per-step rules of the state solve over the grid points of ``u``.
+
+    Step 0 is where ``cursor`` stands.  Returns ``rhs``, ``advance`` and the
+    stop values, stop offsets and S-samples they record.
+    """
+    zs, offsets, s_values = (np.empty(u.shape[0]) for _ in range(3))
+    zs[0], offsets[0], s_values[0] = cursor.z, cursor.w, cursor.v
+
+    def rhs(k, y):
+        return reaction.value(y, zs[k]) + u[k]
+
+    def advance(k, y):
+        _guard(y, k, k * dt)
+        s_values[k] = evaluate_S(disc, sfun, y)
+        cursor.w = offsets[k - 1]
+        zs[k] = cursor.advance(s_values[k])
+        offsets[k] = cursor.w
+
+    return rhs, advance, (zs, offsets, s_values)
+
+
 def solve_state(disc, sfun, reaction, hyst_cfg, u, solver) -> Trajectory:
     """Run the coupled solve from y_0 = 0 and return the discrete trajectory."""
     u = _check_source(disc, solver, u)
-    times = solver.times()
     n_steps = solver.n_steps
-    m, n_nodes = disc.n_components, disc.n_nodes
-
-    states = np.zeros((n_steps + 1, m, n_nodes))
-    s_values = np.zeros(n_steps + 1)
-    zs = np.empty(n_steps + 1)
-    offsets = np.empty(n_steps + 1)
-
+    states = np.zeros((n_steps + 1, disc.n_components, disc.n_nodes))
     cursor = StopCursor(hyst_cfg, 0.0)  # v_0 = S y_0 = 0
-    zs[0] = cursor.z
-    offsets[0] = cursor.w
     lus = _factorize(disc, solver.dt)
     picard_log = []
 
+    rhs, advance, (zs, offsets, s_values) = _state_rules(
+        disc, sfun, reaction, cursor, u, solver.dt)
     if solver.scheme == "imex-euler":
-        y = states[0]
-        for k in range(n_steps):
-            rhs = reaction.value(y, zs[k]) + u[k]
-            y = _imex_step(disc, lus, solver.dt, y, rhs)
-            _guard(y, k + 1, times[k + 1])
-            states[k + 1] = y
-            s_values[k + 1] = evaluate_S(disc, sfun, y)
-            zs[k + 1] = cursor.advance(s_values[k + 1])
-            offsets[k + 1] = cursor.w
+        _march(disc, lus, solver.dt, states, rhs, advance)
     else:
-        step = 0
-        slice_steps = solver.slice_steps
-        while step < n_steps:
-            ns = min(slice_steps, n_steps - step)
-            y_slice, z_slice, off_slice, sv_slice, ratios = picard_slice_iterate(
-                disc, sfun, reaction, cursor,
-                states[step], u[step:step + ns + 1],
-                solver.dt, solver.picard_tol, solver.picard_max_iters,
-                lus=lus,
-            )
-            states[step + 1:step + ns + 1] = y_slice[1:]
-            zs[step + 1:step + ns + 1] = z_slice[1:]
-            offsets[step + 1:step + ns + 1] = off_slice[1:]
-            s_values[step + 1:step + ns + 1] = sv_slice[1:]
+        for start in range(0, n_steps, solver.slice_steps):
+            w = slice(start, min(start + solver.slice_steps, n_steps) + 1)
+            try:
+                states[w], zs[w], offsets[w], s_values[w], ratios = picard_slice_iterate(
+                    disc, sfun, reaction, cursor, states[start], u[w],
+                    solver.dt, solver.picard_tol, solver.picard_max_iters, lus=lus,
+                )
+            except BlowupError as exc:
+                raise BlowupError(
+                    f"{exc}; step and time count from the Picard slice that "
+                    f"starts at step {start} (t={start * solver.dt:.6g})"
+                ) from None
             picard_log.append(len(ratios) + 1)
-            step += ns
-        for k in range(n_steps + 1):
-            _guard(states[k], k, times[k])
 
+    times = solver.times()
     return Trajectory(
         times=times,
         states=states,
@@ -457,7 +494,9 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
     states (start included), the stop values, the stop offsets, the
     S-samples, and the per-sweep contraction ratios.  Raises the
     non-contraction error if successive sweeps still differ by more than
-    ``tol`` in max-over-steps quadrature norm after ``max_iters`` sweeps.
+    ``tol`` in max-over-steps quadrature norm after ``max_iters`` sweeps,
+    and the blow-up error, with step and time counted from the slice start,
+    if any sweep iterate leaves the guard.
     """
     u_slice = np.asarray(u_slice, dtype=float)
     ns = u_slice.shape[0] - 1
@@ -466,45 +505,12 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
     if lus is None:
         lus = _factorize(disc, dt)
 
-    m, n_nodes = disc.n_components, disc.n_nodes
-    y_old = np.broadcast_to(y_start, (ns + 1, m, n_nodes)).copy()
-    start_state = (cursor.w, cursor.v, cursor.z)
-
-    def replay(ys):
-        cur = StopCursor.restore(cursor.cfg, *start_state)
-        z = np.empty(ns + 1)
-        off = np.empty(ns + 1)
-        sv = np.empty(ns + 1)
-        z[0], off[0], sv[0] = cur.z, cur.w, cur.v
-        for i in range(1, ns + 1):
-            sv[i] = evaluate_S(disc, sfun, ys[i])
-            z[i] = cur.advance(sv[i])
-            off[i] = cur.w
-        return z, off, sv, cur
-
-    diffs = []
-    z_old, off_old, sv_old, _ = replay(y_old)
-    for _ in range(max_iters):
-        y_new = np.empty_like(y_old)
-        y_new[0] = y_start
-        for i in range(ns):
-            rhs = reaction.value(y_old[i], z_old[i]) + u_slice[i]
-            y_new[i + 1] = _imex_step(disc, lus, dt, y_new[i], rhs)
-        if not np.all(np.isfinite(y_new)) or np.max(np.abs(y_new)) > BLOWUP_GUARD:
-            raise BlowupError("Picard sweep produced a non-finite or huge iterate")
-        diff = max(quad_norm(disc, y_new[i] - y_old[i]) for i in range(ns + 1))
-        diffs.append(diff)
-        y_old = y_new
-        z_old, off_old, sv_old, end_cursor = replay(y_old)
-        if diff <= tol:
-            cursor.w, cursor.v, cursor.z = end_cursor.w, end_cursor.v, end_cursor.z
-            ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
-            return y_old, z_old, off_old, sv_old, ratios
-    raise NonContractionError(
-        f"Picard sweeps did not contract below {tol:.3e} within {max_iters} "
-        f"iterations (last update {diffs[-1]:.3e}); reduce slice_length "
-        f"(currently {ns} steps) and retry"
-    )
+    ys = np.empty((ns + 1, disc.n_components, disc.n_nodes))
+    ys[0] = y_start
+    rhs, advance, channel = _state_rules(disc, sfun, reaction, cursor, u_slice, dt)
+    diffs = _sweep_slice(disc, lus, dt, ys, 0, rhs, advance, tol, max_iters)
+    ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
+    return (ys, *channel, ratios)
 
 
 def boundedness_report(disc, traj: Trajectory, solver: SolverConfig) -> BoundednessReport:

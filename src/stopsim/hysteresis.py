@@ -41,7 +41,6 @@ __all__ = [
     "HysteresisOutput",
     "DerivativeState",
     "StopCursor",
-    "DerivativeCursor",
     "stop_evaluate",
     "play_evaluate",
     "stop_directional_derivative",
@@ -162,59 +161,25 @@ class StopCursor:
         return z
 
 
-class DerivativeCursor:
-    """Stop recursion advanced jointly with its one-sided directional derivative.
+def _stop_derivative_step(cfg: HysteresisConfig, w_prev, v_next, omega, dv_next):
+    """One-sided derivative of one clamp step, carried as omega = zeta - dv.
 
-    The derivative state is carried as omega = zeta - h so scaling the
-    direction rescales every branch outcome without re-rounding the base
-    path; the reported derivative is zeta = omega + h.
+    ``w_prev`` is the base offset before the step and ``v_next`` the base
+    input after it, so the branch is the one ``StopCursor.advance`` takes.
+    Carrying omega instead of zeta lets a scaled direction rescale every
+    branch outcome without re-rounding the base path; zeta = omega + dv.
     """
-
-    __slots__ = ("cfg", "w", "v", "z", "omega", "zeta")
-
-    def __init__(self, cfg: HysteresisConfig, v0: float, h0: float):
-        base = StopCursor(cfg, v0)
-        self.cfg = cfg
-        self.w = base.w
-        self.v = base.v
-        self.z = base.z
-        self.omega = -h0  # zeta starts at 0: the initial state does not move
-        self.zeta = 0.0
-
-    def advance(self, v_next: float, h_next: float):
-        cfg = self.cfg
-        lo = cfg.a - v_next
-        hi = cfg.b - v_next
-        w = self.w
-        omega = self.omega
-        if w < lo:
-            w = lo
-            omega = -h_next
-        elif w == lo:
-            w = lo
-            neg = -h_next
-            if neg > omega:
-                omega = neg
-        elif w > hi:
-            w = hi
-            omega = -h_next
-        elif w == hi:
-            w = hi
-            neg = -h_next
-            if neg < omega:
-                omega = neg
-        self.w = w
-        self.v = v_next
-        self.omega = omega
-        z = w + v_next
-        if z < cfg.a:
-            z = cfg.a
-        elif z > cfg.b:
-            z = cfg.b
-        self.z = z
-        zeta = omega + h_next
-        self.zeta = zeta
-        return z, zeta
+    lo = cfg.a - v_next
+    hi = cfg.b - v_next
+    if w_prev < lo or w_prev > hi:
+        return -dv_next
+    if w_prev == lo:
+        neg = -dv_next
+        return neg if neg > omega else omega
+    if w_prev == hi:
+        neg = -dv_next
+        return neg if neg < omega else omega
+    return omega
 
 
 @dataclass(frozen=True)
@@ -300,13 +265,17 @@ def stop_directional_derivative(
     values = v.values
     rates = h.values
     n = values.size
-    cur = DerivativeCursor(cfg, values[0], rates[0])
+    cur = StopCursor(cfg, values[0])
+    omega = -rates[0]  # zeta starts at 0: the initial state does not move
     stop = np.empty(n)
     zeta = np.empty(n)
     stop[0] = cfg.z0
     zeta[0] = 0.0
     for k in range(1, n):
-        stop[k], zeta[k] = cur.advance(values[k], rates[k])
+        w_prev = cur.w
+        stop[k] = cur.advance(values[k])
+        omega = _stop_derivative_step(cfg, w_prev, values[k], omega, rates[k])
+        zeta[k] = omega + rates[k]
     return DerivativeState(base_stop=stop, derivative=zeta)
 
 

@@ -11,7 +11,8 @@ one-sided clamp rule on the pair (v = S y, dv = S zeta).  Branch decisions
 replay the exact offset states stored on the base trajectory, so the
 linearization follows bitwise the same saturation pattern the base solve
 took.  Starting state is zeta_0 = 0: perturbing the source cannot move the
-fixed initial condition.
+fixed initial condition.  Both schemes run on the state solve's own step and
+sweep loops; only the per-step rules differ.
 
 The finite-difference harnesses quantify how fast difference quotients of
 the full nonlinear solve approach zeta, optionally with an o(lambda)
@@ -26,17 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidConfigError, NonContractionError
-from .evolution import (
-    ReactionFunction,
-    SolverConfig,
-    Trajectory,
-    _factorize,
-    _imex_step,
-    solve_state,
-)
-from .hysteresis import HysteresisConfig
-from .spatial import SFunctional, SpatialDiscretization, evaluate_S, quad_norm, s_operator_norm
+from .errors import BlowupError, GridMismatchError, InvalidConfigError
+from .evolution import ReactionFunction, Trajectory, _march, _sweep_slice, solve_state
+from .hysteresis import HysteresisConfig, _stop_derivative_step
+from .spatial import _factorize, evaluate_S, quad_norm, s_operator_norm
 
 __all__ = [
     "LinearizedProblem",
@@ -64,6 +58,8 @@ class LinearizedProblem:
                 f"direction shape {h.shape} must match base states "
                 f"{self.base.states.shape}"
             )
+        if not np.all(np.isfinite(h)):
+            raise InvalidConfigError("direction must be finite")
         if self.hyst_cfg != self.base.hyst_cfg:
             raise InvalidConfigError("hysteresis config differs from the base trajectory's")
         object.__setattr__(self, "direction", h)
@@ -81,21 +77,6 @@ class SensitivityRecord:
     slice_steps_used: int = 0    # nonzero for the Picard-sliced scheme
 
 
-def _advance_stop_derivative(cfg, w_prev, v_next, omega, dv_next):
-    """One-sided derivative step, branching on the base offset like the stop does."""
-    lo = cfg.a - v_next
-    hi = cfg.b - v_next
-    if w_prev < lo or w_prev > hi:
-        return -dv_next
-    if w_prev == lo:
-        neg = -dv_next
-        return neg if neg > omega else omega
-    if w_prev == hi:
-        neg = -dv_next
-        return neg if neg < omega else omega
-    return omega
-
-
 def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> SensitivityRecord:
     """Integrate the linearized recursion along the base trajectory."""
     base = problem.base
@@ -103,34 +84,38 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
     if base.states.shape[0] != n_steps + 1 or not np.array_equal(base.times, solver.times()):
         raise GridMismatchError("base trajectory was not solved on this solver grid")
 
-    if solver.scheme == "picard-sliced":
-        return _solve_sensitivity_picard(problem, disc, sfun, solver)
-
     h = problem.direction
     reaction = problem.reaction
     cfg = problem.hyst_cfg
-    m, n_nodes = disc.n_components, disc.n_nodes
-
-    zeta = np.zeros((n_steps + 1, m, n_nodes))
+    zeta = np.zeros((n_steps + 1, disc.n_components, disc.n_nodes))
     wz = np.zeros(n_steps + 1)      # derivative of the stop output
     dv = np.zeros(n_steps + 1)      # S zeta
-    omega = 0.0                     # carried as wz - dv; zero since zeta_0 = 0
+    omega = np.zeros(n_steps + 1)   # wz - dv; zero since zeta_0 = 0
+
+    def rhs(k, zk):
+        return reaction.directional(base.states[k], base.stop.values[k], zk, wz[k]) + h[k]
+
+    def advance(k, zk):
+        if not np.all(np.isfinite(zk)):
+            raise BlowupError(
+                f"sensitivity became non-finite at step {k} (t={base.times[k]:.6g})"
+            )
+        dv[k] = evaluate_S(disc, sfun, zk)
+        omega[k] = _stop_derivative_step(
+            cfg, base.stop_offsets[k - 1], base.s_values[k], omega[k - 1], dv[k]
+        )
+        wz[k] = omega[k] + dv[k]
 
     lus = _factorize(disc, solver.dt)
-    zk = zeta[0]
-    for k in range(n_steps):
-        rhs = reaction.directional(base.states[k], base.stop.values[k], zk, wz[k]) + h[k]
-        zk = _imex_step(disc, lus, solver.dt, zk, rhs)
-        if not np.all(np.isfinite(zk)):
-            raise InvalidConfigError(
-                f"sensitivity state became non-finite at step {k + 1}"
-            )
-        zeta[k + 1] = zk
-        dv[k + 1] = evaluate_S(disc, sfun, zk)
-        omega = _advance_stop_derivative(
-            cfg, base.stop_offsets[k], base.s_values[k + 1], omega, dv[k + 1]
-        )
-        wz[k + 1] = omega + dv[k + 1]
+    slice_steps = 0
+    if solver.scheme == "imex-euler":
+        _march(disc, lus, solver.dt, zeta, rhs, advance)
+    else:
+        slice_steps = _capped_slice_steps(disc, sfun, reaction, solver)
+        for start in range(0, n_steps, slice_steps):
+            stop = min(start + slice_steps, n_steps) + 1
+            _sweep_slice(disc, lus, solver.dt, zeta[start:stop], start,
+                         rhs, advance, solver.picard_tol, solver.picard_max_iters)
 
     return SensitivityRecord(
         times=base.times,
@@ -138,6 +123,7 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
         stop_derivative=wz,
         s_values=dv,
         derivative_is_exact=reaction.derivative_is_exact,
+        slice_steps_used=slice_steps,
     )
 
 
@@ -149,81 +135,6 @@ def _capped_slice_steps(disc, sfun, reaction, solver):
         cap = max(1, int(math.floor(0.5 / (l_eff * solver.dt))))
         steps = min(steps, cap)
     return steps
-
-
-def _solve_sensitivity_picard(problem, disc, sfun, solver):
-    """Sliced fixed-point variant: sweeps freeze the linearized source."""
-    base = problem.base
-    h = problem.direction
-    reaction = problem.reaction
-    cfg = problem.hyst_cfg
-    n_steps = solver.n_steps
-    m, n_nodes = disc.n_components, disc.n_nodes
-
-    zeta = np.zeros((n_steps + 1, m, n_nodes))
-    wz = np.zeros(n_steps + 1)
-    dv = np.zeros(n_steps + 1)
-    lus = _factorize(disc, solver.dt)
-    slice_steps = _capped_slice_steps(disc, sfun, reaction, solver)
-
-    def replay(start, ns, zs, omega_start):
-        """Recompute (dv, omega, wz) over a slice from its zeta iterate."""
-        om = omega_start
-        dvs = np.empty(ns + 1)
-        wzs = np.empty(ns + 1)
-        dvs[0] = evaluate_S(disc, sfun, zs[0])
-        wzs[0] = om + dvs[0]
-        for i in range(1, ns + 1):
-            dvs[i] = evaluate_S(disc, sfun, zs[i])
-            om = _advance_stop_derivative(
-                cfg, base.stop_offsets[start + i - 1],
-                base.s_values[start + i], om, dvs[i],
-            )
-            wzs[i] = om + dvs[i]
-        return dvs, wzs, om
-
-    omega = 0.0
-    step = 0
-    while step < n_steps:
-        ns = min(slice_steps, n_steps - step)
-        z_old = np.broadcast_to(zeta[step], (ns + 1, m, n_nodes)).copy()
-        dv_old, wz_old, _ = replay(step, ns, z_old, omega)
-        converged = False
-        for _ in range(solver.picard_max_iters):
-            z_new = np.empty_like(z_old)
-            z_new[0] = zeta[step]
-            for i in range(ns):
-                k = step + i
-                rhs = reaction.directional(
-                    base.states[k], base.stop.values[k], z_old[i], wz_old[i]
-                ) + h[k]
-                z_new[i + 1] = _imex_step(disc, lus, solver.dt, z_new[i], rhs)
-            diff = max(quad_norm(disc, z_new[i] - z_old[i]) for i in range(ns + 1))
-            z_old = z_new
-            dv_old, wz_old, omega_end = replay(step, ns, z_old, omega)
-            if diff <= solver.picard_tol:
-                converged = True
-                break
-        if not converged:
-            raise NonContractionError(
-                f"sensitivity Picard sweeps did not contract within "
-                f"{solver.picard_max_iters} iterations; reduce slice_length "
-                f"(currently {ns} steps)"
-            )
-        zeta[step + 1:step + ns + 1] = z_old[1:]
-        dv[step + 1:step + ns + 1] = dv_old[1:]
-        wz[step + 1:step + ns + 1] = wz_old[1:]
-        omega = omega_end
-        step += ns
-
-    return SensitivityRecord(
-        times=base.times,
-        states=zeta,
-        stop_derivative=wz,
-        s_values=dv,
-        derivative_is_exact=reaction.derivative_is_exact,
-        slice_steps_used=slice_steps,
-    )
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Structured-grid discretization of the diffusion operator, quadrature, and
-the semigroup/fractional-power diagnostic.
+"""Structured-grid discretization of the diffusion operator, quadrature, the
+factorized implicit time step, and the semigroup/fractional-power diagnostic.
 
 Grids are tensor products on an interval or a rectangle with second-order
 central differences.  Per component the assembly stores the symmetric
@@ -338,14 +338,30 @@ def s_operator_norm(disc: SpatialDiscretization, sfun: SFunctional) -> float:
     return float(np.sqrt(np.einsum("ji,ji,i->", w, w, disc.quadrature)))
 
 
-def implicit_step_matrix(disc: SpatialDiscretization, j: int, dt: float) -> sp.csc_matrix:
+def _implicit_step_matrix(disc: SpatialDiscretization, j: int, dt: float) -> sp.csc_matrix:
     comp = disc.components[j]
     return (sp.diags_array(comp.rel_weights) + dt * comp.operator).tocsc()
+
+
+def _factorize(disc: SpatialDiscretization, dt: float):
+    """Sparse LU factors of D + dt L, one per component."""
+    return [spla.splu(_implicit_step_matrix(disc, j, dt)) for j in range(disc.n_components)]
+
+
+def _imex_step(disc: SpatialDiscretization, lus, dt: float, y, rhs_field):
+    """One implicit solve per component of (D + dt L) y+ = D (y + dt rhs)."""
+    out = np.zeros_like(y)
+    for j, comp in enumerate(disc.components):
+        act = comp.active
+        rhs = comp.rel_weights * (y[j, act] + dt * rhs_field[j, act])
+        out[j, act] = lus[j].solve(rhs)
+    return out
 
 
 def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):
     """One backward-Euler semigroup step: solve (D + dt L) y+ = D y per component.
 
+    This is the time stepper's implicit solve with a zero reaction.
     Dirichlet nodes of each component are pinned to zero in the output.
     Raises a numerical-failure error if any solve's relative residual
     exceeds the module tolerance.
@@ -353,18 +369,17 @@ def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidConfigError(f"dt must be positive, got {dt}")
     y = _check_field(disc, y)
-    out = np.zeros_like(y)
+    out = _imex_step(disc, _factorize(disc, dt), dt, y, np.zeros_like(y))
     for j, comp in enumerate(disc.components):
         rhs = comp.rel_weights * y[j, comp.active]
-        mat = implicit_step_matrix(disc, j, dt)
-        x = spla.spsolve(mat, rhs)
+        x = out[j, comp.active]
         denom = float(np.linalg.norm(rhs))
-        residual = float(np.linalg.norm(mat @ x - rhs)) / (denom if denom > 0 else 1.0)
+        lhs = comp.rel_weights * x + dt * (comp.operator @ x)
+        residual = float(np.linalg.norm(lhs - rhs)) / (denom if denom > 0 else 1.0)
         if not np.isfinite(residual) or residual > SOLVER_RESIDUAL_TOL:
             raise NumericalFailureError(
                 f"implicit step solve failed for component {j}", residual=residual
             )
-        out[j, comp.active] = x
     return out
 
 

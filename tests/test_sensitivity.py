@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from stopsim import (
+    BlowupError,
+    BoundarySides,
+    DomainSpec,
     GridMismatchError,
     HysteresisConfig,
     InvalidConfigError,
     LinearizedProblem,
     PiecewiseLinearSignal,
     ReactionFunction,
+    SFunctional,
     SolverConfig,
+    assemble,
     fd_convergence_study,
     hadamard_perturbed_quotient,
     quad_norm,
@@ -145,6 +150,39 @@ class TestLinearizedSolve:
             LinearizedProblem(base=base, direction=np.zeros((3, 2)),
                               reaction=reaction, hyst_cfg=hyst)
 
+    def test_non_finite_direction_is_rejected(self, saturating_setup):
+        disc, sfun, reaction, hyst, u, solver = saturating_setup
+        base = solve_state(disc, sfun, reaction, hyst, u, solver)
+        for bad in (np.nan, np.inf):
+            h = np.zeros_like(u)
+            h[3, 0, 4] = bad
+            with pytest.raises(InvalidConfigError):
+                LinearizedProblem(base=base, direction=h, reaction=reaction,
+                                  hyst_cfg=hyst)
+
+    @pytest.mark.parametrize("scheme, lipschitz, slice_length", [
+        ("imex-euler", None, None),
+        ("picard-sliced", None, 0.2),   # capped to one-step slices
+        ("picard-sliced", 0.1, None),   # one slice over the whole run
+    ])
+    def test_overflowing_sensitivity_is_a_numerical_failure(
+            self, disc_mixed, hyst_cfg, scheme, lipschitz, slice_length):
+        # a finite direction whose sensitivity overflows: both schemes must
+        # stop with the blow-up error (exit code 3), never return inf/nan
+        reaction = ReactionFunction.linear(0.0, 50.0, 0.0,
+                                           lipschitz_constant=lipschitz)
+        solver = SolverConfig(dt=0.02, t_final=1.0, scheme=scheme,
+                              slice_length=slice_length)
+        sfun = constant_sfun(disc_mixed)
+        u = np.zeros((solver.n_steps + 1, 1, disc_mixed.n_nodes))
+        base = solve_state(disc_mixed, sfun, reaction, hyst_cfg, u, solver)
+        problem = LinearizedProblem(base=base, direction=np.full_like(u, 1e308),
+                                    reaction=reaction, hyst_cfg=hyst_cfg)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BlowupError) as excinfo:
+            solve_sensitivity(problem, disc_mixed, sfun, solver)
+        assert excinfo.value.exit_code == 3
+
 
 class TestPicardVariant:
     def test_matches_the_direct_recursion(self, disc_mixed):
@@ -174,6 +212,57 @@ class TestPicardVariant:
                                    rtol=0.0, atol=1e-9)
         assert 1 <= rec_s.slice_steps_used <= sliced.slice_steps
         assert rec_d.slice_steps_used == 0
+
+    def test_matches_the_direct_recursion_at_exact_ties(self):
+        # S reads only component 1, which no source drives.  With f(0, 0) = 0
+        # and z0 = a = 0 it stays exactly zero, so S y is a constant plateau
+        # and every step of the stop is an exact tie at its lower bound.
+        # Component 0 gets a zero-source prefix, a pulse and a zero tail.
+        disc = assemble(
+            DomainSpec(dimension=1, extent=(1.0,), resolution=(13,)),
+            [BoundarySides(left="dirichlet", right="neumann"),
+             BoundarySides(left="neumann", right="neumann")],
+            [0.8, 0.3],
+        )
+        weight = np.zeros((2, disc.n_nodes))
+        weight[1] = 0.5
+        sfun = SFunctional(weight=weight)
+        hyst = HysteresisConfig(a=0.0, b=0.1, z0=0.0)
+        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        direct = SolverConfig(dt=0.02, t_final=1.0)
+        sliced = SolverConfig(dt=0.02, t_final=1.0, scheme="picard-sliced",
+                              slice_length=0.2, picard_tol=1e-13)
+        t = direct.times()
+        x = disc.coords[:, 0]
+        u = np.zeros((t.size, 2, disc.n_nodes))
+        u[(t >= 0.2) & (t < 0.5), 0] = 2.0 * np.sin(np.pi * x)
+        h = np.empty_like(u)
+        h[:, 0] = 0.3 * np.cos(np.pi * x)
+        h[:, 1] = 0.2 + 0.1 * x
+
+        records = {}
+        for solver in (direct, sliced):
+            base = solve_state(disc, sfun, reaction, hyst, u, solver)
+            assert np.abs(base.states[:, 0]).max() > 0.1
+            np.testing.assert_array_equal(base.stop_offsets[:-1],
+                                          hyst.a - base.s_values[1:])
+            for sign in (1.0, -1.0):
+                records[solver.scheme, sign] = solve_sensitivity(
+                    LinearizedProblem(base=base, direction=sign * h,
+                                      reaction=reaction, hyst_cfg=hyst),
+                    disc, sfun, solver)
+        for sign in (1.0, -1.0):
+            rec_d = records["imex-euler", sign]
+            rec_s = records["picard-sliced", sign]
+            np.testing.assert_allclose(rec_s.states, rec_d.states,
+                                       rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(rec_s.stop_derivative,
+                                       rec_d.stop_derivative,
+                                       rtol=0.0, atol=1e-9)
+        plus = records["imex-euler", 1.0]
+        minus = records["imex-euler", -1.0]
+        assert not np.allclose(minus.stop_derivative, -plus.stop_derivative)
+        assert not np.allclose(minus.states, -plus.states)
 
 
 class TestFdStudy:
