@@ -373,7 +373,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # the solvers' guards report overflow and non-finite values themselves
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
     except StopsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -130,6 +130,16 @@ def _boundary_data(disc, spec):
     return nodes, comp.surface_weights
 
 
+def _distributed_modes(disc, spec):
+    modes = spec.spatial_modes
+    if modes.shape[1:] != (disc.n_components, disc.n_nodes):
+        raise GridMismatchError(
+            f"spatial modes shaped {modes.shape[1:]} do not fit the grid "
+            f"({disc.n_components}, {disc.n_nodes})"
+        )
+    return modes
+
+
 def apply_B(disc, spec: ControlSpec, times) -> np.ndarray:
     """Expand control coefficients into a time-sampled source field.
 
@@ -140,12 +150,7 @@ def apply_B(disc, spec: ControlSpec, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     profiles = _time_profiles(spec.time_knots, times)
     if spec.mode == "distributed":
-        modes = spec.spatial_modes
-        if modes.shape[1:] != (disc.n_components, disc.n_nodes):
-            raise GridMismatchError(
-                f"spatial modes shaped {modes.shape[1:]} do not fit the grid "
-                f"({disc.n_components}, {disc.n_nodes})"
-            )
+        modes = _distributed_modes(disc, spec)
         c = spec.coefficients.reshape(spec.time_knots, modes.shape[0])
         return np.einsum("js,jk,smi->kmi", c, profiles, modes)
     nodes, surface = _boundary_data(disc, spec)
@@ -172,7 +177,7 @@ def control_gram(disc, spec: ControlSpec, times) -> np.ndarray:
     profiles = _time_profiles(spec.time_knots, times)
     t_gram = dt * (profiles @ profiles.T)
     if spec.mode == "distributed":
-        modes = spec.spatial_modes
+        modes = _distributed_modes(disc, spec)
         s_gram = np.einsum("smi,tmi,i->st", modes, modes, disc.quadrature)
     else:
         _, surface = _boundary_data(disc, spec)

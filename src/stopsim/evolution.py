@@ -18,6 +18,7 @@ tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,7 @@ _GROWTH_PROBE_SEED = 20260815
 _GROWTH_PROBE_COUNT = 512
 
 REACTION_KINDS = ("linear", "saturating", "logistic-capped", "user-table")
+SCHEMES = ("imex-euler", "picard-sliced")
 
 
 def _clip_directional(x, cap, d):
@@ -64,16 +66,14 @@ class ReactionFunction:
     """Pointwise reaction f(y, z) from a small catalog, with declared bounds.
 
     ``growth_constant`` M must satisfy |f(y, z)| <= M (1 + |y| + |z|);
-    a randomized probe enforces the declaration at construction.
-    ``lipschitz_constant`` L is the declared local Lipschitz modulus used by
-    slice-length heuristics.  For multi-component states the scalar rule is
-    applied componentwise with the shared hysteresis value.
+    a randomized probe enforces the declaration at construction.  For
+    multi-component states the scalar rule is applied componentwise with the
+    shared hysteresis value.
     """
 
     kind: str
     params: tuple = ()
     growth_constant: float = None
-    lipschitz_constant: float = None
     table: tuple = None  # (y_grid, z_grid, values) for kind user-table
 
     def __post_init__(self):
@@ -116,13 +116,9 @@ class ReactionFunction:
                     raise InvalidConfigError("logistic capacity and cap must be positive")
 
         growth = self._default_growth() if self.growth_constant is None else float(self.growth_constant)
-        lips = self._default_lipschitz() if self.lipschitz_constant is None else float(self.lipschitz_constant)
         if not math.isfinite(growth) or growth < 0:
             raise InvalidConfigError("growth constant must be finite and nonnegative")
-        if not math.isfinite(lips) or lips < 0:
-            raise InvalidConfigError("Lipschitz constant must be finite and nonnegative")
         object.__setattr__(self, "growth_constant", growth)
-        object.__setattr__(self, "lipschitz_constant", lips)
         self._probe_growth()
 
     def _default_growth(self):
@@ -135,23 +131,6 @@ class ReactionFunction:
             return max(p[2], abs(p[3]))
         yg, zg, vals = self.table
         return float(np.max(np.abs(vals)))
-
-    def _default_lipschitz(self):
-        p = self.params
-        if self.kind == "linear":
-            return max(abs(p[1]), abs(p[2]))
-        if self.kind == "saturating":
-            return max(abs(p[0] * p[1]), abs(p[2] * p[3]))
-        if self.kind == "logistic-capped":
-            # steepest slope of rate*y*(1-y/capacity) on the band where the
-            # clip is inactive: slope^2 = rate^2 + 4*cap*rate/capacity there
-            rate, capacity, cap, cz = p
-            slope = math.sqrt(rate * rate + 4.0 * cap * abs(rate) / capacity)
-            return max(slope, abs(cz))
-        yg, zg, vals = self.table
-        dy = np.max(np.abs(np.diff(vals, axis=0)) / np.diff(yg)[:, None]) if yg.size > 1 else 0.0
-        dz = np.max(np.abs(np.diff(vals, axis=1)) / np.diff(zg)[None, :]) if zg.size > 1 else 0.0
-        return float(max(dy, dz))
 
     def _probe_growth(self):
         rng = np.random.default_rng(_GROWTH_PROBE_SEED)
@@ -175,30 +154,27 @@ class ReactionFunction:
     # --- catalog ---------------------------------------------------------
 
     @classmethod
-    def linear(cls, constant, state, hysteresis, growth_constant=None, lipschitz_constant=None):
+    def linear(cls, constant, state, hysteresis, growth_constant=None):
         """f(y, z) = constant + state*y + hysteresis*z."""
-        return cls("linear", (constant, state, hysteresis),
-                   growth_constant, lipschitz_constant)
+        return cls("linear", (constant, state, hysteresis), growth_constant)
 
     @classmethod
     def saturating(cls, state_amplitude, state_rate, hysteresis_amplitude,
-                   hysteresis_rate, growth_constant=None, lipschitz_constant=None):
+                   hysteresis_rate, growth_constant=None):
         """f(y, z) = a1*tanh(r1*y) + a2*tanh(r2*z)."""
         return cls("saturating",
                    (state_amplitude, state_rate, hysteresis_amplitude, hysteresis_rate),
-                   growth_constant, lipschitz_constant)
+                   growth_constant)
 
     @classmethod
-    def logistic_capped(cls, rate, capacity, cap, hysteresis,
-                        growth_constant=None, lipschitz_constant=None):
+    def logistic_capped(cls, rate, capacity, cap, hysteresis, growth_constant=None):
         """f(y, z) = clip(rate*y*(1 - y/capacity), -cap, cap) + hysteresis*z."""
-        return cls("logistic-capped", (rate, capacity, cap, hysteresis),
-                   growth_constant, lipschitz_constant)
+        return cls("logistic-capped", (rate, capacity, cap, hysteresis), growth_constant)
 
     @classmethod
-    def from_table(cls, y_grid, z_grid, values, growth_constant=None, lipschitz_constant=None):
+    def from_table(cls, y_grid, z_grid, values, growth_constant=None):
         """Bilinear interpolation of tabulated f values; derivatives are approximate."""
-        return cls("user-table", (), growth_constant, lipschitz_constant,
+        return cls("user-table", (), growth_constant,
                    table=(np.asarray(y_grid, dtype=float),
                           np.asarray(z_grid, dtype=float),
                           np.asarray(values, dtype=float)))
@@ -285,7 +261,7 @@ class SolverConfig:
     picard_max_iters: int = 60
 
     def __post_init__(self):
-        if self.scheme not in ("imex-euler", "picard-sliced"):
+        if self.scheme not in SCHEMES:
             raise InvalidConfigError(
                 f"scheme must be 'imex-euler' or 'picard-sliced', got {self.scheme!r}"
             )
@@ -310,10 +286,15 @@ class SolverConfig:
                     f"slice_length={self.slice_length} must be a positive multiple of dt"
                 )
             object.__setattr__(self, "slice_length", s)
-        if self.picard_tol <= 0:
-            raise InvalidConfigError("picard_tol must be positive")
-        if self.picard_max_iters < 1:
-            raise InvalidConfigError("picard_max_iters must be at least 1")
+        tol, iters = self.picard_tol, self.picard_max_iters
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not math.isfinite(tol) or tol <= 0):
+            raise InvalidConfigError(f"picard_tol must be positive and finite, got {tol!r}")
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+            raise InvalidConfigError(
+                f"picard_max_iters must be an integer of at least 1, got {iters!r}")
+        object.__setattr__(self, "picard_tol", float(tol))
+        object.__setattr__(self, "picard_max_iters", int(iters))
 
     @property
     def n_steps(self):
@@ -372,11 +353,13 @@ def _guard(y, k, t):
         )
 
 
-# The two loops below step the state and the sensitivity solve alike; a
-# solve differs only in its two per-step rules.  ``rhs(k, y)`` is the explicit
+# The loops below step the state and the sensitivity solve alike; a solve
+# differs only in its two per-step rules.  ``rhs(k, y)`` is the explicit
 # right-hand side at step k.  ``advance(k, y)`` guards y_k and records the
 # scalar channel at step k from y_k and the record of step k - 1, so a Picard
 # sweep replays a slice by calling it again, with nothing to restore.
+# ``_integrate`` counts steps from the start of the run, so a guard names the
+# absolute step.
 
 
 def _march(disc, lus, dt, fields, rhs, advance):
@@ -421,6 +404,28 @@ def _sweep_slice(disc, lus, dt, fields, first, rhs, advance, tol, max_iters):
     )
 
 
+def _integrate(disc, solver, fields, rhs, advance):
+    """Run a solve's rules over the whole solver grid with one factorization.
+
+    ``fields[0]`` holds the start and later rows are filled.  The direct
+    scheme marches; the Picard scheme sweeps slices of ``solver.slice_steps``
+    steps in turn.  Returns the sweep count of each slice (empty for the
+    direct scheme).
+    """
+    lus = _factorize(disc, solver.dt)
+    if solver.scheme == "imex-euler":
+        _march(disc, lus, solver.dt, fields, rhs, advance)
+        return []
+    n_steps = solver.n_steps
+    sweeps = []
+    for start in range(0, n_steps, solver.slice_steps):
+        stop = min(start + solver.slice_steps, n_steps) + 1
+        sweeps.append(len(_sweep_slice(
+            disc, lus, solver.dt, fields[start:stop], start, rhs, advance,
+            solver.picard_tol, solver.picard_max_iters)))
+    return sweeps
+
+
 def _state_rules(disc, sfun, reaction, cursor, u, dt):
     """Per-step rules of the state solve over the grid points of ``u``.
 
@@ -446,30 +451,11 @@ def _state_rules(disc, sfun, reaction, cursor, u, dt):
 def solve_state(disc, sfun, reaction, hyst_cfg, u, solver) -> Trajectory:
     """Run the coupled solve from y_0 = 0 and return the discrete trajectory."""
     u = _check_source(disc, solver, u)
-    n_steps = solver.n_steps
-    states = np.zeros((n_steps + 1, disc.n_components, disc.n_nodes))
+    states = np.zeros((solver.n_steps + 1, disc.n_components, disc.n_nodes))
     cursor = StopCursor(hyst_cfg, 0.0)  # v_0 = S y_0 = 0
-    lus = _factorize(disc, solver.dt)
-    picard_log = []
-
     rhs, advance, (zs, offsets, s_values) = _state_rules(
         disc, sfun, reaction, cursor, u, solver.dt)
-    if solver.scheme == "imex-euler":
-        _march(disc, lus, solver.dt, states, rhs, advance)
-    else:
-        for start in range(0, n_steps, solver.slice_steps):
-            w = slice(start, min(start + solver.slice_steps, n_steps) + 1)
-            try:
-                states[w], zs[w], offsets[w], s_values[w], ratios = picard_slice_iterate(
-                    disc, sfun, reaction, cursor, states[start], u[w],
-                    solver.dt, solver.picard_tol, solver.picard_max_iters, lus=lus,
-                )
-            except BlowupError as exc:
-                raise BlowupError(
-                    f"{exc}; step and time count from the Picard slice that "
-                    f"starts at step {start} (t={start * solver.dt:.6g})"
-                ) from None
-            picard_log.append(len(ratios) + 1)
+    sweeps = _integrate(disc, solver, states, rhs, advance)
 
     times = solver.times()
     return Trajectory(
@@ -480,12 +466,12 @@ def solve_state(disc, sfun, reaction, hyst_cfg, u, solver) -> Trajectory:
         stop_offsets=offsets,
         source=u,
         hyst_cfg=hyst_cfg,
-        picard_iterations=picard_log,
+        picard_iterations=sweeps,
     )
 
 
 def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
-                         dt, tol, max_iters, lus=None):
+                         dt, tol, max_iters):
     """Fixed-point sweeps of the backward-Euler recursion over one slice.
 
     ``cursor`` is the stop recursion state at the slice start and is
@@ -502,13 +488,12 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
     ns = u_slice.shape[0] - 1
     if ns < 1:
         raise InvalidConfigError("slice needs at least one step")
-    if lus is None:
-        lus = _factorize(disc, dt)
 
     ys = np.empty((ns + 1, disc.n_components, disc.n_nodes))
     ys[0] = y_start
     rhs, advance, channel = _state_rules(disc, sfun, reaction, cursor, u_slice, dt)
-    diffs = _sweep_slice(disc, lus, dt, ys, 0, rhs, advance, tol, max_iters)
+    diffs = _sweep_slice(disc, _factorize(disc, dt), dt, ys, 0, rhs, advance,
+                         tol, max_iters)
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     return (ys, *channel, ratios)
 

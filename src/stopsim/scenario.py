@@ -18,7 +18,7 @@ import numpy as np
 
 from .control import ControlProblem, ControlSpec, apply_B
 from .errors import ScenarioValidationError
-from .evolution import ReactionFunction, SolverConfig, solve_state
+from .evolution import REACTION_KINDS, SCHEMES, ReactionFunction, SolverConfig, solve_state
 from .hysteresis import HysteresisConfig
 from .spatial import (
     BoundarySides,
@@ -206,33 +206,20 @@ def _parse_hysteresis(cfg, path):
 
 def _parse_reaction(cfg, path):
     cfg = _object(cfg, path)
-    kind = _string(_require(cfg, "kind", path), _join(path, "kind"),
-                   ("linear", "saturating", "logistic-capped", "user-table"))
-    extras = ("growth_constant", "lipschitz_constant")
-    if kind == "user-table":
-        _reject_unknown(cfg, ("kind", "y_grid", "z_grid", "values") + extras, path)
-        y_grid = _array(_require(cfg, "y_grid", path), _join(path, "y_grid"))
-        z_grid = _array(_require(cfg, "z_grid", path), _join(path, "z_grid"))
-        values = _array(_require(cfg, "values", path), _join(path, "values"))
-        kwargs = {}
-    else:
-        names = _REACTION_PARAMS[kind]
-        _reject_unknown(cfg, ("kind",) + names + extras, path)
-        kwargs = {
-            name: _number(_require(cfg, name, path), _join(path, name))
-            for name in names
-        }
-    for name in extras:
-        if name in cfg:
-            kwargs[name] = _number(cfg[name], _join(path, name), exclusive_minimum=0.0)
+    kind = _string(_require(cfg, "kind", path), _join(path, "kind"), REACTION_KINDS)
+    table = kind == "user-table"
+    names = ("y_grid", "z_grid", "values") if table else _REACTION_PARAMS[kind]
+    _reject_unknown(cfg, ("kind",) + names + ("growth_constant",), path)
+    parse = _array if table else _number
+    values = [parse(_require(cfg, name, path), _join(path, name)) for name in names]
+    growth = None
+    if "growth_constant" in cfg:
+        growth = _number(cfg["growth_constant"], _join(path, "growth_constant"),
+                         exclusive_minimum=0.0)
     try:
-        if kind == "linear":
-            return ReactionFunction.linear(**kwargs)
-        if kind == "saturating":
-            return ReactionFunction.saturating(**kwargs)
-        if kind == "logistic-capped":
-            return ReactionFunction.logistic_capped(**kwargs)
-        return ReactionFunction.from_table(y_grid, z_grid, values, **kwargs)
+        if table:
+            return ReactionFunction.from_table(*values, growth)
+        return ReactionFunction(kind, tuple(values), growth)
     except Exception as exc:
         _fail(path, str(exc))
 
@@ -249,8 +236,7 @@ def _parse_solver(cfg, path):
                            exclusive_minimum=0.0),
     }
     if "scheme" in cfg:
-        kwargs["scheme"] = _string(cfg["scheme"], _join(path, "scheme"),
-                                   ("imex-euler", "picard-sliced"))
+        kwargs["scheme"] = _string(cfg["scheme"], _join(path, "scheme"), SCHEMES)
     if "slice_length" in cfg:
         kwargs["slice_length"] = _number(cfg["slice_length"],
                                          _join(path, "slice_length"),
@@ -321,11 +307,14 @@ def _spatial_profile(cfg, disc, path):
     for m in modes:
         if m < 1:
             _fail(_join(path, "mode"), "mode numbers must be at least 1")
+    return _sine_profile(disc, modes)
+
+
+def _sine_profile(disc, modes):
+    """Product over axes of sin(modes[axis] pi x_axis / extent_axis) at the nodes."""
     profile = np.ones(disc.n_nodes)
-    for axis in range(dim):
-        extent = disc.domain.extent[axis]
-        profile = profile * np.sin(modes[axis] * np.pi
-                                   * disc.coords[:, axis] / extent)
+    for axis, extent in enumerate(disc.domain.extent):
+        profile = profile * np.sin(modes[axis] * np.pi * disc.coords[:, axis] / extent)
     return profile
 
 
@@ -395,13 +384,8 @@ def _parse_spatial_modes(cfg, disc, path):
     _reject_unknown(cfg, ("kind", "count", "component"), path)
     count = _integer(_require(cfg, "count", path), _join(path, "count"), minimum=1)
     modes = np.zeros((count, disc.n_components, disc.n_nodes))
-    dim = disc.domain.dimension
     for s in range(1, count + 1):
-        profile = np.ones(disc.n_nodes)
-        for axis in range(dim):
-            extent = disc.domain.extent[axis]
-            profile = profile * np.sin(s * np.pi * disc.coords[:, axis] / extent)
-        modes[s - 1, component, :] = profile
+        modes[s - 1, component, :] = _sine_profile(disc, (s,) * disc.domain.dimension)
     return modes
 
 

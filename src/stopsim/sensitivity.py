@@ -11,8 +11,10 @@ one-sided clamp rule on the pair (v = S y, dv = S zeta).  Branch decisions
 replay the exact offset states stored on the base trajectory, so the
 linearization follows bitwise the same saturation pattern the base solve
 took.  Starting state is zeta_0 = 0: perturbing the source cannot move the
-fixed initial condition.  Both schemes run on the state solve's own step and
-sweep loops; only the per-step rules differ.
+fixed initial condition.  Both schemes run on the state solve's own driver,
+with the same Picard slices: at the converged base the sensitivity's sweep is
+the linearization of the state's, so it contracts wherever the state's does.
+Only the per-step rules differ.
 
 The finite-difference harnesses quantify how fast difference quotients of
 the full nonlinear solve approach zeta, optionally with an o(lambda)
@@ -22,15 +24,14 @@ this notion of derivative from a plain one-sided Gateaux limit.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BlowupError, GridMismatchError, InvalidConfigError
-from .evolution import ReactionFunction, Trajectory, _march, _sweep_slice, solve_state
+from .evolution import ReactionFunction, Trajectory, _integrate, solve_state
 from .hysteresis import HysteresisConfig, _stop_derivative_step
-from .spatial import _factorize, evaluate_S, quad_norm, s_operator_norm
+from .spatial import evaluate_S, quad_norm
 
 __all__ = [
     "LinearizedProblem",
@@ -74,7 +75,7 @@ class SensitivityRecord:
     stop_derivative: np.ndarray  # w_k = directional derivative of z_k
     s_values: np.ndarray         # S zeta_k
     derivative_is_exact: bool    # False when the reaction derivative is tabulated
-    slice_steps_used: int = 0    # nonzero for the Picard-sliced scheme
+    picard_iterations: list = field(default_factory=list)  # per-slice sweep counts
 
 
 def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> SensitivityRecord:
@@ -106,16 +107,7 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
         )
         wz[k] = omega[k] + dv[k]
 
-    lus = _factorize(disc, solver.dt)
-    slice_steps = 0
-    if solver.scheme == "imex-euler":
-        _march(disc, lus, solver.dt, zeta, rhs, advance)
-    else:
-        slice_steps = _capped_slice_steps(disc, sfun, reaction, solver)
-        for start in range(0, n_steps, slice_steps):
-            stop = min(start + slice_steps, n_steps) + 1
-            _sweep_slice(disc, lus, solver.dt, zeta[start:stop], start,
-                         rhs, advance, solver.picard_tol, solver.picard_max_iters)
+    sweeps = _integrate(disc, solver, zeta, rhs, advance)
 
     return SensitivityRecord(
         times=base.times,
@@ -123,18 +115,8 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
         stop_derivative=wz,
         s_values=dv,
         derivative_is_exact=reaction.derivative_is_exact,
-        slice_steps_used=slice_steps,
+        picard_iterations=sweeps,
     )
-
-
-def _capped_slice_steps(disc, sfun, reaction, solver):
-    """Slice length honoring the contraction heuristic L_eff * slice < 1/2."""
-    steps = solver.slice_steps
-    l_eff = reaction.lipschitz_constant * (1.0 + 2.0 * s_operator_norm(disc, sfun))
-    if l_eff > 0:
-        cap = max(1, int(math.floor(0.5 / (l_eff * solver.dt))))
-        steps = min(steps, cap)
-    return steps
 
 
 @dataclass

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import stopsim
 from stopsim import (
     HysteresisConfig,
     PiecewiseLinearSignal,
@@ -14,6 +15,15 @@ from stopsim import (
     stop_evaluate,
 )
 from stopsim.cli import _format_value, main, read_signal_csv
+
+
+def package_env():
+    """Environment whose PYTHONPATH leads with the imported package's parent."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(stopsim.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def small_config(**overrides):
@@ -183,6 +193,34 @@ class TestValidationFailures:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_lipschitz_constant_is_an_unknown_field(self, tmp_path, capsys):
+        cfg = small_config()
+        cfg["reaction"]["lipschitz_constant"] = 0.5
+        path = write_config(tmp_path, cfg)
+        rc = main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "reaction.lipschitz_constant" in err
+
+    def test_overflow_leaves_only_the_error_line(self, tmp_path):
+        # numpy's overflow warnings must not reach stderr ahead of the
+        # guard's own report
+        cfg = small_config(
+            reaction={"kind": "linear", "constant": 0.0, "state": 50.0,
+                      "hysteresis": 0.0},
+            source={"kind": "zero"},
+            direction={"kind": "constant", "value": 1e308},
+        )
+        path = write_config(tmp_path, cfg)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stopsim", "sensitivity", "--config", path,
+             "--out", str(tmp_path), "--quiet"],
+            capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: sensitivity became non-finite at "
+                               "step 2 (t=0.1)\n")
+
     def test_non_contraction_exits_four(self, tmp_path, capsys):
         cfg = small_config(
             reaction={"kind": "linear", "constant": 0.0, "state": 50.0,
@@ -345,6 +383,6 @@ class TestModuleEntryPoint:
     def test_version_flag(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stopsim", "--version"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("0.1.0")

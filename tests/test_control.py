@@ -209,6 +209,20 @@ class TestControlGram:
         np.testing.assert_allclose(gram, np.kron(t_gram, np.eye(1) * 1.0),
                                    rtol=1e-14)
 
+    def test_distributed_modes_must_fit_the_grid(self, affine_problem):
+        problem, _ = affine_problem
+        spec = ControlSpec(mode="distributed", time_knots=1,
+                           coefficients=np.array([1.0]),
+                           spatial_modes=np.ones((1, 1, 5)))
+        with pytest.raises(GridMismatchError):
+            control_gram(problem.disc, spec, problem.solver.times())
+        with pytest.raises(GridMismatchError):
+            reduced_cost(problem, spec)
+        with pytest.raises(GridMismatchError):
+            reduced_cost_directional_derivative(problem, spec, np.ones(1))
+        with pytest.raises(GridMismatchError):
+            optimize(problem, spec, max_iters=1)
+
 
 class TestReducedCost:
     def test_zero_everything_costs_nothing(self, disc_mixed, affine_problem):

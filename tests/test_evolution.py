@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,21 @@ class TestSolverConfig:
             SolverConfig(dt=0.1, t_final=1.0, picard_tol=0.0)
         with pytest.raises(InvalidConfigError):
             SolverConfig(dt=0.1, t_final=1.0, picard_max_iters=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("picard_tol", float("nan")),
+        ("picard_tol", float("inf")),
+        ("picard_tol", -1e-10),
+        ("picard_tol", "1e-10"),
+        ("picard_max_iters", 2.5),
+        ("picard_max_iters", 3.0),
+        ("picard_max_iters", True),
+        ("picard_max_iters", "10"),
+    ])
+    def test_picard_settings_are_validated(self, field, value):
+        with pytest.raises(InvalidConfigError):
+            SolverConfig(dt=0.1, t_final=1.0, scheme="picard-sliced",
+                         **{field: value})
 
 
 class TestStateSolve:
@@ -363,6 +380,22 @@ class TestPicardScheme:
         assert long_ratios and short_ratios
         assert max(long_ratios) < 1.0
         assert max(short_ratios) < max(long_ratios)
+
+    def test_blowup_in_a_later_slice_names_the_absolute_step(
+            self, disc_mixed, hyst_cfg):
+        reaction = ReactionFunction.linear(0.0, 24.0, 0.0)
+        solver = SolverConfig(dt=0.05, t_final=3.0, scheme="picard-sliced",
+                              slice_length=0.5)
+        u = np.ones((solver.n_steps + 1, 1, disc_mixed.n_nodes))
+        with pytest.raises(BlowupError) as excinfo:
+            solve_state(disc_mixed, constant_sfun(disc_mixed), reaction,
+                        hyst_cfg, u, solver)
+        message = str(excinfo.value)
+        match = re.match(r"state blew up at step (\d+) \(t=([^)]*)\)", message)
+        step = int(match.group(1))
+        assert 40 < step <= 50  # inside the fifth ten-step slice
+        assert match.group(2) == f"{step * solver.dt:.6g}"
+        assert "slice" not in message
 
     def test_non_contraction_raises(self, disc_mixed, hyst_cfg):
         reaction = ReactionFunction.linear(0.0, 50.0, 0.0)

@@ -160,17 +160,16 @@ class TestLinearizedSolve:
                 LinearizedProblem(base=base, direction=h, reaction=reaction,
                                   hyst_cfg=hyst)
 
-    @pytest.mark.parametrize("scheme, lipschitz, slice_length", [
-        ("imex-euler", None, None),
-        ("picard-sliced", None, 0.2),   # capped to one-step slices
-        ("picard-sliced", 0.1, None),   # one slice over the whole run
+    @pytest.mark.parametrize("scheme, slice_length", [
+        ("imex-euler", None),
+        ("picard-sliced", 0.2),    # ten-step slices
+        ("picard-sliced", None),   # one slice over the whole run
     ])
     def test_overflowing_sensitivity_is_a_numerical_failure(
-            self, disc_mixed, hyst_cfg, scheme, lipschitz, slice_length):
+            self, disc_mixed, hyst_cfg, scheme, slice_length):
         # a finite direction whose sensitivity overflows: both schemes must
         # stop with the blow-up error (exit code 3), never return inf/nan
-        reaction = ReactionFunction.linear(0.0, 50.0, 0.0,
-                                           lipschitz_constant=lipschitz)
+        reaction = ReactionFunction.linear(0.0, 50.0, 0.0)
         solver = SolverConfig(dt=0.02, t_final=1.0, scheme=scheme,
                               slice_length=slice_length)
         sfun = constant_sfun(disc_mixed)
@@ -210,8 +209,38 @@ class TestPicardVariant:
         np.testing.assert_allclose(rec_s.stop_derivative,
                                    rec_d.stop_derivative,
                                    rtol=0.0, atol=1e-9)
-        assert 1 <= rec_s.slice_steps_used <= sliced.slice_steps
-        assert rec_d.slice_steps_used == 0
+        assert len(rec_s.picard_iterations) == 5
+        assert rec_d.picard_iterations == []
+
+    @pytest.mark.parametrize("slice_length, n_slices", [
+        (0.3, 4),    # uneven tail slice
+        (None, 1),   # one slice over the whole run
+    ])
+    def test_sweeps_the_state_solve_slices(self, disc_mixed, slice_length,
+                                           n_slices):
+        hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
+        sfun = constant_sfun(disc_mixed, 0.6)
+        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        direct = SolverConfig(dt=0.02, t_final=1.0)
+        sliced = SolverConfig(dt=0.02, t_final=1.0, scheme="picard-sliced",
+                              slice_length=slice_length, picard_tol=1e-13)
+        u = sine_source(disc_mixed, direct)
+        h = pulse_direction(disc_mixed, direct)
+        base = solve_state(disc_mixed, sfun, reaction, hyst, u, sliced)
+        rec = solve_sensitivity(
+            LinearizedProblem(base=base, direction=h, reaction=reaction,
+                              hyst_cfg=hyst),
+            disc_mixed, sfun, sliced)
+        assert len(base.picard_iterations) == n_slices
+        assert len(rec.picard_iterations) == n_slices
+        assert all(sweeps >= 1 for sweeps in rec.picard_iterations)
+        rec_d = solve_sensitivity(
+            LinearizedProblem(
+                base=solve_state(disc_mixed, sfun, reaction, hyst, u, direct),
+                direction=h, reaction=reaction, hyst_cfg=hyst),
+            disc_mixed, sfun, direct)
+        np.testing.assert_allclose(rec.states, rec_d.states,
+                                   rtol=0.0, atol=1e-9)
 
     def test_matches_the_direct_recursion_at_exact_ties(self):
         # S reads only component 1, which no source drives.  With f(0, 0) = 0
