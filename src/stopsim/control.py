@@ -7,10 +7,14 @@ nodes, scaled by the boundary quadrature weight).  The reduced cost is
 
     J(c) = 1/2 sum_k dt |y_k - yd_k|_quad^2  +  kappa/2 <c, N c>
 
-with N the control Gram matrix in the mode-appropriate measure.  Gradients
-are assembled forward: one linearized solve per basis direction, plus one
-more along the actual descent candidate so the Armijo test uses the honest
-one-sided derivative even where hysteresis switching makes J nonsmooth.
+with N the control Gram matrix in the mode-appropriate measure.  The
+optimizer's coordinate derivatives J'(c; e_i) come from one backward
+(adjoint) sweep of the linearized recursion wherever J'(c; .) is linear in
+the direction: the direct scheme, no exact stop tie on the base path and a
+reaction derivative linear in the direction.  Elsewhere they are assembled
+forward, one linearized solve per basis direction plus one more along the
+descent candidate, so the Armijo test uses the honest one-sided derivative
+where hysteresis switching makes J nonsmooth.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .errors import EmptyBoundaryError, GridMismatchError, InvalidConfigError
 from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
 from .hysteresis import HysteresisConfig
-from .sensitivity import LinearizedProblem, solve_sensitivity
+from .sensitivity import LinearizedProblem, _adjoint_sweep, solve_sensitivity
 from .spatial import SFunctional, SpatialDiscretization, quad_norm, s_operator_norm
 
 __all__ = [
@@ -166,6 +170,16 @@ def apply_B(disc, spec: ControlSpec, times) -> np.ndarray:
     return u
 
 
+def _apply_B_transpose(disc, spec: ControlSpec, times, g) -> np.ndarray:
+    """Transpose of ``apply_B``: sum_k <(B e_i)_k, g_k> for every coefficient i."""
+    profiles = _time_profiles(spec.time_knots, np.asarray(times, dtype=float))
+    if spec.mode == "distributed":
+        modes = _distributed_modes(disc, spec)
+        return np.einsum("jk,smi,kmi->js", profiles, modes, g).ravel()
+    nodes, surface = _boundary_data(disc, spec)
+    return ((profiles @ g[:, spec.component, nodes]) * surface).ravel()
+
+
 def control_gram(disc, spec: ControlSpec, times) -> np.ndarray:
     """Gram matrix N of the basis in the control measure, time-quadrature dt.
 
@@ -259,6 +273,23 @@ def _directional(problem, spec, direction, base, gram):
     return track + problem.kappa * float(spec.coefficients @ gram @ direction)
 
 
+def _gradient(problem, spec, base, gram):
+    """J'(c; e_i) for every coefficient i, and whether J'(c; .) is linear.
+
+    Where it is linear, one adjoint sweep gives all of them and they form
+    the gradient; elsewhere each takes one forward sensitivity solve.
+    """
+    seed = problem.solver.dt * (base.states - problem.target) * problem.disc.quadrature
+    g_h = _adjoint_sweep(base, seed, problem.reaction, problem.disc, problem.sfun,
+                         problem.solver)
+    if g_h is None:
+        basis = np.eye(spec.n_coefficients)
+        return np.array([_directional(problem, spec, e, base, gram) for e in basis]), False
+    c = spec.coefficients
+    grad = _apply_B_transpose(problem.disc, spec, base.times, g_h)
+    return grad + problem.kappa * (c @ gram), True
+
+
 def reduced_cost_directional_derivative(
     problem: ControlProblem, spec: ControlSpec, direction
 ) -> float:
@@ -282,32 +313,29 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
              max_halvings: int = 40) -> OptimizeResult:
     """Steepest descent on the reduced cost with Armijo backtracking.
 
-    The gradient is assembled componentwise from forward sensitivities; the
-    predicted decrease for the line search is the one-sided derivative along
-    the candidate step itself.  A failed line search (or an ascent-only
-    corner) reports status 'stalled' and returns the best iterate; accepted
-    steps produce a non-increasing cost history.
+    Each iteration takes the coordinate derivatives J'(c; e_i) as its
+    gradient.  Where J'(c; .) is linear in the direction (direct scheme, no
+    exact stop tie on the base path, a reaction derivative linear in the
+    direction) one adjoint sweep gives them, and the predicted decrease along
+    -grad is -grad . grad.  Elsewhere each takes one forward sensitivity
+    solve, and the predicted decrease is the one-sided derivative along the
+    candidate step itself, from one more solve.  The accepted trial's state
+    solve is the next iteration's base.  A failed line search (or an
+    ascent-only corner) reports status 'stalled' and returns the best
+    iterate; accepted steps produce a non-increasing cost history.
     """
     if max_iters < 1:
         raise InvalidConfigError("max_iters must be at least 1")
     gram = control_gram(problem.disc, spec, problem.solver.times())
-    n = spec.n_coefficients
     history = []
     step = float(initial_step)
-    best_spec, best_cost = spec, math.inf
+    base = _solve(problem, spec)
+    cost = _cost_of(problem, spec, base, gram)
+    best_spec, best_cost = spec, cost
     status = "max-iterations"
 
     for it in range(max_iters):
-        base = _solve(problem, spec)
-        cost = _cost_of(problem, spec, base, gram)
-        if cost < best_cost:
-            best_spec, best_cost = spec, cost
-
-        grad = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            grad[i] = _directional(problem, spec, e, base, gram)
+        grad, linear = _gradient(problem, spec, base, gram)
         grad_inf = float(np.max(np.abs(grad)))
 
         if grad_inf <= tol:
@@ -315,7 +343,10 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
             status = "converged"
             break
 
-        predicted = _directional(problem, spec, -grad, base, gram)
+        if linear:
+            predicted = -float(grad @ grad)
+        else:
+            predicted = _directional(problem, spec, -grad, base, gram)
         if predicted >= 0.0:
             history.append((it, cost, grad_inf, 0.0))
             status = "stalled"
@@ -325,9 +356,10 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
         t = step
         for _ in range(max_halvings + 1):
             trial = spec.with_coefficients(spec.coefficients - t * grad)
-            trial_cost = reduced_cost(problem, trial)
+            trial_base = _solve(problem, trial)
+            trial_cost = _cost_of(problem, trial, trial_base, gram)
             if trial_cost <= cost + armijo_c1 * t * predicted:
-                accepted = (trial, trial_cost, t)
+                accepted = (trial, trial_base, trial_cost, t)
                 break
             t *= 0.5
         if accepted is None:
@@ -335,7 +367,7 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
             status = "stalled"
             break
 
-        spec, cost, t = accepted
+        spec, base, cost, t = accepted
         if cost < best_cost:
             best_spec, best_cost = spec, cost
         history.append((it, cost, grad_inf, t))

@@ -179,6 +179,22 @@ class ReactionFunction:
                           np.asarray(z_grid, dtype=float),
                           np.asarray(values, dtype=float)))
 
+    def _logistic_inner(self, y):
+        rate, capacity = self.params[0], self.params[1]
+        return rate * y * (1.0 - y / capacity)
+
+    def directional_is_linear(self, y):
+        """Whether ``directional`` is linear in the direction at every entry of ``y``.
+
+        True for the linear and saturating kinds, and for logistic-capped
+        unless an entry sits exactly at the cap, where the clip's derivative
+        is one-sided.  False for tables: their quotient step scales with the
+        direction.
+        """
+        if self.kind == "logistic-capped":
+            return not np.any(np.abs(self._logistic_inner(y)) == self.params[2])
+        return self.kind != "user-table"
+
     @property
     def derivative_is_exact(self):
         return self.kind != "user-table"
@@ -212,9 +228,8 @@ class ReactionFunction:
         if self.kind == "saturating":
             return p[0] * np.tanh(p[1] * y) + p[2] * np.tanh(p[3] * np.asarray(z))
         if self.kind == "logistic-capped":
-            rate, capacity, cap, cz = p
-            inner = rate * y * (1.0 - y / capacity)
-            return np.clip(inner, -cap, cap) + cz * np.asarray(z)
+            cap, cz = p[2], p[3]
+            return np.clip(self._logistic_inner(y), -cap, cap) + cz * np.asarray(z)
         return self._table_value(y, z)
 
     def directional(self, y, z, dy, dz):
@@ -234,9 +249,8 @@ class ReactionFunction:
             return p[0] * p[1] * (1.0 - ty * ty) * dy + p[2] * p[3] * (1.0 - tz * tz) * np.asarray(dz)
         if self.kind == "logistic-capped":
             rate, capacity, cap, cz = p
-            inner = rate * y * (1.0 - y / capacity)
             d_inner = rate * (1.0 - 2.0 * y / capacity) * dy
-            return _clip_directional(inner, cap, d_inner) + cz * np.asarray(dz)
+            return _clip_directional(self._logistic_inner(y), cap, d_inner) + cz * np.asarray(dz)
         # user-table: symmetric quotient along the direction, scale-normalized
         z = np.broadcast_to(np.asarray(z, dtype=float), y.shape)
         dz = np.broadcast_to(np.asarray(dz, dtype=float), y.shape)

@@ -41,10 +41,11 @@ __all__ = [
     "HysteresisOutput",
     "DerivativeState",
     "StopCursor",
+    "BranchCensus",
     "stop_evaluate",
-    "play_evaluate",
     "stop_directional_derivative",
     "stop_concatenate",
+    "branch_census",
 ]
 
 
@@ -182,6 +183,45 @@ def _stop_derivative_step(cfg: HysteresisConfig, w_prev, v_next, omega, dv_next)
     return omega
 
 
+INTERIOR, AT_A, AT_B, TIE = range(4)
+
+
+@dataclass(frozen=True)
+class BranchCensus:
+    """Branch of the one-sided clamp derivative rule at each step of a path.
+
+    ``steps[k - 1]`` is the branch of step k: ``INTERIOR`` (the derivative
+    passes through), ``AT_A`` or ``AT_B`` (the base input pushes the state
+    strictly past that bound, so the derivative resets), or ``TIE`` (the
+    carried offset sits exactly on a moving bound, where the derivative is
+    only positively homogeneous in the direction).  The counts follow.
+    """
+
+    steps: np.ndarray
+    interior: int
+    at_a: int
+    at_b: int
+    tie: int
+
+
+def branch_census(cfg: HysteresisConfig, offsets, inputs) -> BranchCensus:
+    """Branches that ``_stop_derivative_step`` takes along a stored base path.
+
+    ``offsets`` are the carried offsets w_k and ``inputs`` the inputs v_k of
+    the base recursion, as a ``Trajectory`` stores them; step k compares
+    w_{k-1} with the bounds moved by v_k, with the same predicates.
+    """
+    w_prev = np.asarray(offsets, dtype=float)[:-1]
+    v_next = np.asarray(inputs, dtype=float)[1:]
+    lo = cfg.a - v_next
+    hi = cfg.b - v_next
+    steps = np.full(w_prev.size, INTERIOR)
+    steps[w_prev < lo] = AT_A
+    steps[w_prev > hi] = AT_B
+    steps[(w_prev == lo) | (w_prev == hi)] = TIE
+    return BranchCensus(steps, *(int(n) for n in np.bincount(steps, minlength=4)))
+
+
 @dataclass(frozen=True)
 class HysteresisOutput:
     """Stop and play signals plus the continuation state for concatenation.
@@ -243,11 +283,6 @@ def stop_evaluate(v: PiecewiseLinearSignal, cfg: HysteresisConfig) -> Hysteresis
         resume_input=cur.v,
         play_offset=play_offset,
     )
-
-
-def play_evaluate(v: PiecewiseLinearSignal, cfg: HysteresisConfig) -> PiecewiseLinearSignal:
-    """The play component of the decomposition; see ``stop_evaluate``."""
-    return stop_evaluate(v, cfg).play
 
 
 def stop_directional_derivative(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,12 +319,35 @@ def _sine_profile(disc, modes):
     return profile
 
 
+def _physical_memory():
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):  # no sysconf on this platform
+        return math.inf
+
+
+def _field_array(shape, path):
+    """Zero array of ``shape``; a validation error naming ``path`` if it cannot fit.
+
+    Sizes above physical memory are refused before allocating, so a lazily
+    committed allocation cannot run the machine out of memory later.
+    """
+    nbytes = 8 * math.prod(shape)
+    if nbytes <= _physical_memory():
+        try:
+            return np.zeros(shape)
+        except MemoryError:
+            pass
+    _fail(path, f"needs a {shape} array (time points, components, nodes) of "
+                f"{nbytes:.3g} bytes, more than this machine can allocate")
+
+
 def _parse_field_source(cfg, disc, solver, path):
     """Time-sampled source field (N+1, components, nodes) from a source block."""
     cfg = _object(cfg, path)
     kind = _string(_require(cfg, "kind", path), _join(path, "kind"), _TIME_KINDS)
+    u = _field_array((solver.n_steps + 1, disc.n_components, disc.n_nodes), path)
     times = solver.times()
-    u = np.zeros((times.size, disc.n_components, disc.n_nodes))
     if kind == "zero":
         _reject_unknown(cfg, ("kind",), path)
         return u

@@ -14,7 +14,10 @@ took.  Starting state is zeta_0 = 0: perturbing the source cannot move the
 fixed initial condition.  Both schemes run on the state solve's own driver,
 with the same Picard slices: at the converged base the sensitivity's sweep is
 the linearization of the state's, so it contracts wherever the state's does.
-Only the per-step rules differ.
+Only the per-step rules differ.  Where the direct recursion is linear in h,
+one backward (adjoint) sweep gives sum_k <seed_k, zeta_k> as a linear form
+in h for a fixed weight field ``seed``; the optimizer takes its gradient from
+it.
 
 The finite-difference harnesses quantify how fast difference quotients of
 the full nonlinear solve approach zeta, optionally with an o(lambda)
@@ -30,8 +33,8 @@ import numpy as np
 
 from .errors import BlowupError, GridMismatchError, InvalidConfigError
 from .evolution import ReactionFunction, Trajectory, _integrate, solve_state
-from .hysteresis import HysteresisConfig, _stop_derivative_step
-from .spatial import evaluate_S, quad_norm
+from .hysteresis import INTERIOR, HysteresisConfig, _stop_derivative_step, branch_census
+from .spatial import _factorize, _imex_adjoint_step, evaluate_S, quad_norm
 
 __all__ = [
     "LinearizedProblem",
@@ -117,6 +120,53 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
         derivative_is_exact=reaction.derivative_is_exact,
         picard_iterations=sweeps,
     )
+
+
+def _adjoint_sweep(base: Trajectory, seed, reaction, disc, sfun, solver):
+    """Backward sweep of the direct linearized recursion along ``base``.
+
+    Returns the source-shaped g with sum_k <g_k, h_k> = sum_k <seed_k, zeta_k>
+    (plain sums over components and nodes) for every direction h, where zeta
+    is ``solve_sensitivity``'s path along h.  Returns None where that path is
+    not linear in h: on the Picard scheme, whose sensitivity is a fixed point
+    of the recursion only to the Picard tolerance; at an exact stop tie on
+    the base path; and where the reaction's directional derivative is not
+    linear in the direction.  The scalar adjoint of omega passes through
+    interior steps and resets at a bound, as omega itself does forward.  Each
+    step solves with the transposed implicit step, which reuses the forward
+    factors.
+    """
+    census = branch_census(base.hyst_cfg, base.stop_offsets, base.s_values)
+    states = base.states
+    if (solver.scheme != "imex-euler" or census.tie
+            or not reaction.directional_is_linear(states)):
+        return None
+    n_steps = solver.n_steps
+    dt = solver.dt
+    z = base.stop.values[:, None, None]
+    f_y = np.broadcast_to(reaction.directional(states, z, 1.0, 0.0), states.shape)
+    f_z = np.broadcast_to(reaction.directional(states, z, 0.0, 1.0), states.shape)
+    interior = census.steps == INTERIOR
+    s_field = sfun.weight * disc.quadrature  # S zeta = sum(s_field * zeta)
+    lus = _factorize(disc, dt)
+
+    grad = np.zeros_like(states)
+    lam = np.array(seed[n_steps], dtype=float)  # adjoint of zeta_{k+1}
+    mu = 0.0                                     # adjoint of omega_{k+1}
+    for k in range(n_steps - 1, -1, -1):
+        if not interior[k]:  # omega_{k+1} = -S zeta_{k+1}
+            lam = lam - mu * s_field
+            mu = 0.0
+        x_bar = _imex_adjoint_step(disc, lus, lam)
+        if not np.all(np.isfinite(x_bar)):
+            raise BlowupError(
+                f"adjoint became non-finite at step {k} (t={base.times[k]:.6g})"
+            )
+        grad[k] = dt * x_bar
+        wz_bar = float(np.sum(f_z[k] * grad[k]))  # wz_k = omega_k + S zeta_k
+        mu += wz_bar
+        lam = x_bar + f_y[k] * grad[k] + wz_bar * s_field + seed[k]
+    return grad
 
 
 @dataclass

@@ -47,7 +47,6 @@ __all__ = [
     "evaluate_S",
     "s_operator_norm",
     "quad_norm",
-    "quad_inner",
 ]
 
 _SIDES_1D = ("left", "right")
@@ -298,12 +297,6 @@ def quad_norm(disc: SpatialDiscretization, y) -> float:
     return float(np.sqrt(np.einsum("ji,ji,i->", y, y, disc.quadrature)))
 
 
-def quad_inner(disc: SpatialDiscretization, y1, y2) -> float:
-    y1 = _check_field(disc, y1)
-    y2 = _check_field(disc, y2)
-    return float(np.einsum("ji,ji,i->", y1, y2, disc.quadrature))
-
-
 @dataclass(frozen=True)
 class SFunctional:
     """Quadrature-weighted linear functional S y = sum_j sum_i q_i w_ji y_ji."""
@@ -356,6 +349,19 @@ def _imex_step(disc: SpatialDiscretization, lus, dt: float, y, rhs_field):
         rhs = comp.rel_weights * (y[j, act] + dt * rhs_field[j, act])
         out[j, act] = lus[j].solve(rhs)
     return out
+
+
+def _imex_adjoint_step(disc: SpatialDiscretization, lus, x):
+    """Transpose of the solve in ``_imex_step``: D (D + dt L)^{-1} x per component.
+
+    D + dt L is symmetric, so the factors of the forward step serve.  The
+    result is zero on Dirichlet nodes, which the forward step never reads.
+    """
+    phi = np.zeros_like(x)
+    for j, comp in enumerate(disc.components):
+        act = comp.active
+        phi[j, act] = comp.rel_weights * lus[j].solve(x[j, act])
+    return phi
 
 
 def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):

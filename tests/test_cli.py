@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -220,6 +221,39 @@ class TestValidationFailures:
         assert proc.returncode == 3
         assert proc.stderr == ("error: sensitivity became non-finite at "
                                "step 2 (t=0.1)\n")
+
+    def test_oversized_scenario_names_the_field(self, tmp_path, capsys):
+        # the source alone would take (12000001, 1, 100001) float64 values,
+        # several TiB, so it is refused before anything is allocated
+        text = resources.files("stopsim").joinpath(
+            "scenarios", "saturating.json").read_text()
+        cfg = json.loads(text)
+        cfg["domain"]["resolution"] = [100001]
+        cfg["solver"]["dt"] = 1e-7
+        path = write_config(tmp_path, cfg)
+        rc = main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: source: needs a (12000001, 1, 100001) array")
+
+    def test_non_finite_adjoint_leaves_only_the_error_line(self, tmp_path):
+        cfg = small_config(
+            reaction={"kind": "linear", "constant": 0.0, "state": 1e200,
+                      "hysteresis": 0.0},
+            source={"kind": "zero"},
+            control={"mode": "distributed", "time_knots": 1,
+                     "spatial_modes": {"kind": "sine", "count": 1},
+                     "kappa": 0.1, "target": {"kind": "constant", "value": 1.0}},
+        )
+        path = write_config(tmp_path, cfg)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stopsim", "optimize", "--config", path,
+             "--out", str(tmp_path), "--quiet"],
+            capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: adjoint became non-finite at step")
+        assert proc.stderr.count("\n") == 1
 
     def test_non_contraction_exits_four(self, tmp_path, capsys):
         cfg = small_config(

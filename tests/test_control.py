@@ -1,6 +1,10 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
+import stopsim.control as control_module
 from stopsim import (
     BoundarySides,
     ControlProblem,
@@ -15,7 +19,10 @@ from stopsim import (
     SolverConfig,
     apply_B,
     assemble,
+    branch_census,
+    build_control_problem,
     control_gram,
+    load_scenario,
     optimize,
     quad_norm,
     reduced_cost,
@@ -23,6 +30,7 @@ from stopsim import (
     solve_state,
     stability_study,
 )
+from stopsim.control import _gradient
 
 from conftest import constant_sfun
 from oracles import normal_equation_coefficients, response_model
@@ -420,3 +428,218 @@ class TestStabilityStudy:
         report = stability_study(problem, spec, perturbed)
         assert np.all(report.bound_satisfied)
         assert np.all(report.state_deviation > 0)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls ``stopsim.control`` makes to one of its solve functions."""
+    calls = []
+    inner = getattr(control_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(control_module, name, counted)
+    return calls
+
+
+def bundled_problem(name, **blocks):
+    """Control problem of a bundled scenario with some top-level blocks replaced."""
+    text = resources.files("stopsim").joinpath("scenarios", name + ".json").read_text()
+    cfg = {**json.loads(text), **blocks}
+    return build_control_problem(load_scenario(cfg, needs=("state", "control")))
+
+
+def saturating_problem(disc, sfun, solver, target=None, reaction=None):
+    """Narrow stop band [-0.05, 0.05] and, unless given, a saturating reaction."""
+    return ControlProblem(
+        disc=disc, sfun=sfun,
+        reaction=reaction or ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9),
+        hyst_cfg=HysteresisConfig(a=-0.05, b=0.05, z0=0.0), solver=solver,
+        target=(np.zeros((solver.n_steps + 1, disc.n_components, disc.n_nodes))
+                if target is None else target),
+        kappa=0.05)
+
+
+def forward_gradient(problem, spec):
+    return np.array([reduced_cost_directional_derivative(problem, spec, e)
+                     for e in np.eye(spec.n_coefficients)])
+
+
+def census_of(problem, spec):
+    base = control_module._solve(problem, spec)
+    return branch_census(problem.hyst_cfg, base.stop_offsets, base.s_values)
+
+
+class TestAdjointGradient:
+    """The adjoint sweep against one forward sensitivity solve per coefficient."""
+
+    def assert_matches_forward(self, monkeypatch, problem, spec):
+        gram = control_gram(problem.disc, spec, problem.solver.times())
+        base = control_module._solve(problem, spec)
+        calls = count_calls(monkeypatch, "solve_sensitivity")
+        grad, linear = _gradient(problem, spec, base, gram)
+        assert linear and calls == []
+        expected = forward_gradient(problem, spec)
+        assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_saturating_1d_with_many_steps_at_a_bound(self, monkeypatch,
+                                                      disc_mixed):
+        solver = SolverConfig(dt=0.02, t_final=0.6)
+        spec = ControlSpec(mode="distributed", time_knots=2,
+                           coefficients=np.array([2.0, -1.0, 1.5, 0.5]),
+                           spatial_modes=sine_modes(disc_mixed, 2))
+        problem = saturating_problem(disc_mixed, constant_sfun(disc_mixed, 0.6),
+                                     solver)
+        census = census_of(problem, spec)
+        assert census.at_a + census.at_b >= 10 and census.tie == 0
+        self.assert_matches_forward(monkeypatch, problem, spec)
+
+    def test_two_components_in_2d(self, monkeypatch):
+        disc = assemble(
+            DomainSpec(dimension=2, extent=(1.0, 1.5), resolution=(7, 6)),
+            [BoundarySides(left="dirichlet", right="neumann",
+                           bottom="neumann", top="dirichlet"),
+             BoundarySides(left="neumann", right="neumann",
+                           bottom="neumann", top="neumann")],
+            [1.2, 0.4])
+        rng = np.random.default_rng(44)
+        modes = rng.uniform(0.0, 1.0, (3, 2, disc.n_nodes))
+        sfun = SFunctional(weight=rng.uniform(0.2, 1.0, (2, disc.n_nodes)))
+        solver = SolverConfig(dt=0.05, t_final=1.0)
+        spec = ControlSpec(mode="distributed", time_knots=2,
+                           coefficients=rng.uniform(-2.0, 2.0, 6),
+                           spatial_modes=modes)
+        target = np.full((solver.n_steps + 1, 2, disc.n_nodes), 0.1)
+        problem = saturating_problem(disc, sfun, solver, target=target)
+        census = census_of(problem, spec)
+        assert census.at_a + census.at_b >= 5 and census.tie == 0
+        self.assert_matches_forward(monkeypatch, problem, spec)
+
+    def test_boundary_control(self, monkeypatch, disc_mixed):
+        solver = SolverConfig(dt=0.02, t_final=0.6)
+        spec = ControlSpec(mode="boundary", time_knots=3,
+                           coefficients=np.array([3.0, -2.0, 1.0]))
+        problem = saturating_problem(disc_mixed, constant_sfun(disc_mixed, 0.6),
+                                     solver, target=np.full((31, 1, 17), 0.2))
+        assert census_of(problem, spec).tie == 0
+        self.assert_matches_forward(monkeypatch, problem, spec)
+
+    def test_linear_reaction(self, monkeypatch, affine_problem):
+        problem, spec = affine_problem
+        narrow = ControlProblem(
+            disc=problem.disc, sfun=problem.sfun, reaction=problem.reaction,
+            hyst_cfg=HysteresisConfig(a=-0.02, b=0.02, z0=0.0),
+            solver=problem.solver, target=problem.target, kappa=problem.kappa)
+        at_c = spec.with_coefficients(np.array([0.8, -0.3, 0.5, 0.2, -0.4, 0.6]))
+        census = census_of(narrow, at_c)
+        assert census.at_a + census.at_b > 0 and census.tie == 0
+        self.assert_matches_forward(monkeypatch, narrow, at_c)
+
+    def test_logistic_capped_away_from_its_cap(self, monkeypatch, disc_mixed):
+        solver = SolverConfig(dt=0.02, t_final=0.6)
+        spec = ControlSpec(mode="distributed", time_knots=2,
+                           coefficients=np.array([2.0, -1.0, 1.5, 0.5]),
+                           spatial_modes=sine_modes(disc_mixed, 2))
+        reaction = ReactionFunction.logistic_capped(0.9, 2.0, 0.3, 0.6)
+        problem = saturating_problem(disc_mixed, constant_sfun(disc_mixed, 0.6),
+                                     solver, reaction=reaction)
+        base = control_module._solve(problem, spec)
+        inner = 0.9 * base.states * (1.0 - base.states / 2.0)
+        assert np.abs(inner).max() > 0.3  # the clip is active somewhere
+        assert reaction.directional_is_linear(base.states)
+        self.assert_matches_forward(monkeypatch, problem, spec)
+
+    def test_logistic_capped_at_its_cap_is_not_linear(self):
+        reaction = ReactionFunction.logistic_capped(1.0, 2.0, 0.5, 0.6)
+        assert reaction.directional_is_linear(np.array([0.1, 0.5, 3.0]))
+        assert not reaction.directional_is_linear(np.array([0.1, 1.0]))
+        table = ReactionFunction.from_table([-1.0, 1.0], [-1.0, 1.0],
+                                            np.zeros((2, 2)))
+        assert not table.directional_is_linear(np.zeros(3))
+
+
+@pytest.fixture
+def tie_problem():
+    """Every step of the zero-control path is an exact stop tie.
+
+    z0 = b and f(0, b) = 0, so y stays 0 and the carried offset sits on the
+    upper moving bound at every step.
+    """
+    disc = assemble(DomainSpec(dimension=1, extent=(1.0,), resolution=(41,)),
+                    [BoundarySides(left="dirichlet", right="neumann")], [0.8])
+    solver = SolverConfig(dt=0.01, t_final=1.0)
+    spec = ControlSpec(mode="distributed", time_knots=4,
+                       coefficients=np.zeros(12),
+                       spatial_modes=sine_modes(disc, 3))
+    reaction = ReactionFunction.linear(-0.015, -0.5, 0.3)
+    hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.05)
+    c_target = np.array([0.5, -0.4, 0.3, 0.2, 0.6, -0.2,
+                         -0.5, 0.1, 0.4, 0.3, -0.3, 0.2])
+    u_target = apply_B(disc, spec.with_coefficients(c_target), solver.times())
+    sfun = constant_sfun(disc, 0.6)
+    target = solve_state(disc, sfun, reaction, hyst, u_target, solver).states
+    problem = ControlProblem(disc=disc, sfun=sfun, reaction=reaction,
+                             hyst_cfg=hyst, solver=solver, target=target,
+                             kappa=1e-3)
+    return problem, spec
+
+
+class TestGradientPath:
+    def test_exact_ties_take_the_forward_path(self, monkeypatch, tie_problem):
+        problem, spec = tie_problem
+        assert census_of(problem, spec).tie == 100
+        plus = forward_gradient(problem, spec)
+        minus = np.array([reduced_cost_directional_derivative(problem, spec, -e)
+                          for e in np.eye(12)])
+        assert np.max(np.abs(plus + minus)) > 1e-5  # J'(c; .) is not linear here
+        calls = count_calls(monkeypatch, "solve_sensitivity")
+        result = optimize(problem, spec, max_iters=1)
+        assert result.history[0][2] == np.max(np.abs(plus))
+        assert len(calls) == 12 + 1  # coordinates, then the candidate
+
+    def test_bundled_linear_quadratic_runs_no_sensitivity_solve(self,
+                                                                 monkeypatch):
+        problem, spec, opts = bundled_problem("linear_quadratic")
+        sens = count_calls(monkeypatch, "solve_sensitivity")
+        states = count_calls(monkeypatch, "solve_state")
+        result = optimize(problem, spec, **opts)
+        assert result.status == "converged"
+        assert len(result.history) == 24
+        assert sens == []
+        # one base solve, then one per line-search trial: each iteration
+        # starts at twice the last accepted step and halves down to its own,
+        # and the accepted trial is the next iteration's base
+        trials, start = 0, opts["initial_step"]
+        for _, _, _, t in result.history[:-1]:
+            trials += 1 + round(np.log2(start / t))
+            start = 2.0 * t
+        assert len(states) == 1 + trials
+
+    @pytest.mark.parametrize("name, blocks", [
+        ("linear_quadratic", {"solver": {"dt": 0.02, "t_final": 1.0,
+                                         "scheme": "picard-sliced",
+                                         "slice_length": 0.1}}),
+        ("saturating", {
+            "reaction": {"kind": "user-table",
+                         "y_grid": [-4.0, -1.0, 0.0, 1.0, 4.0],
+                         "z_grid": [-0.05, 0.0, 0.05],
+                         "values": [[2.5, 2.6, 2.7], [0.7, 0.8, 0.9],
+                                    [-0.1, 0.0, 0.1], [-0.9, -0.8, -0.7],
+                                    [-2.7, -2.6, -2.5]]},
+            "source": {"kind": "zero"},
+            "control": {"mode": "distributed", "time_knots": 3,
+                        "spatial_modes": {"kind": "sine", "count": 2},
+                        "kappa": 0.01,
+                        "target": {"kind": "constant", "value": 0.3}}}),
+    ])
+    def test_picard_and_tables_take_the_forward_path(self, monkeypatch,
+                                                       name, blocks):
+        problem, spec, _ = bundled_problem(name, **blocks)
+        n = spec.n_coefficients
+        first = np.max(np.abs(forward_gradient(problem, spec)))
+        sens = count_calls(monkeypatch, "solve_sensitivity")
+        result = optimize(problem, spec, max_iters=2)
+        assert result.status == "max-iterations"
+        assert len(sens) == 2 * (n + 1)
+        assert result.history[0][2] == first

@@ -4,16 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopsim import (
+    BranchCensus,
     GridMismatchError,
     HysteresisConfig,
     InvalidConfigError,
     InvalidSignalError,
     PiecewiseLinearSignal,
-    play_evaluate,
+    StopCursor,
+    branch_census,
     stop_concatenate,
     stop_directional_derivative,
     stop_evaluate,
 )
+from stopsim.hysteresis import AT_A, AT_B, INTERIOR, TIE, _stop_derivative_step
 
 from conftest import random_signal
 from oracles import (
@@ -286,6 +289,55 @@ class TestDirectionalDerivative:
             2.0 * stop_directional_derivative(v, h, hyst_cfg).derivative)
 
 
+def carried_offsets(values, cfg):
+    """Offsets w_k of the stop recursion along ``values``, w_0 included."""
+    cur = StopCursor(cfg, values[0])
+    offsets = [cur.w]
+    for v in values[1:]:
+        cur.advance(v)
+        offsets.append(cur.w)
+    return np.array(offsets)
+
+
+class TestBranchCensus:
+    def test_frozen_path(self, hyst_cfg):
+        values = np.array([0.0, 1.0, 0.5, 2.0, -0.5, -1.0, -3.0])
+        census = branch_census(hyst_cfg, carried_offsets(values, hyst_cfg), values)
+        np.testing.assert_array_equal(
+            census.steps, [TIE, INTERIOR, AT_B, AT_A, AT_A, AT_A])
+        assert (census.interior, census.at_a, census.at_b, census.tie) == (1, 3, 1, 1)
+        assert isinstance(census, BranchCensus)
+
+    def test_takes_the_branches_of_the_derivative_rule(self, hyst_cfg):
+        # On a half-integer grid the offsets land exactly on the moving
+        # bounds often.  Probing the rule with omega = +1 and -1 and a zero
+        # input rate tells its four branches apart: interior keeps both,
+        # a reset drops both, a tie keeps only the inward one.
+        rng = np.random.default_rng(21)
+        outcomes = {INTERIOR: (1.0, -1.0), AT_A: (0.0, 0.0), AT_B: (0.0, 0.0)}
+        seen = set()
+        for _ in range(20):
+            values = 0.5 * rng.integers(-6, 7, 30).astype(float)
+            offsets = carried_offsets(values, hyst_cfg)
+            stop = stop_evaluate(signal(np.arange(30.0), values), hyst_cfg).stop.values
+            census = branch_census(hyst_cfg, offsets, values)
+            assert census.interior + census.at_a + census.at_b + census.tie == 29
+            for k, branch in enumerate(census.steps, start=1):
+                probe = tuple(_stop_derivative_step(hyst_cfg, offsets[k - 1],
+                                                    values[k], omega, 0.0)
+                              for omega in (1.0, -1.0))
+                if branch == TIE:
+                    assert probe in ((1.0, 0.0), (0.0, -1.0))
+                else:
+                    assert probe == outcomes[branch]
+                if branch == AT_A:
+                    assert stop[k] == hyst_cfg.a
+                if branch == AT_B:
+                    assert stop[k] == hyst_cfg.b
+                seen.add(int(branch))
+        assert seen == {INTERIOR, AT_A, AT_B, TIE}
+
+
 @st.composite
 def short_signals(draw):
     n = draw(st.integers(min_value=1, max_value=12))
@@ -375,7 +427,9 @@ class TestValidation:
             out.stop.values[0] = 3.0
 
 
-def test_play_evaluate_shortcut(hyst_cfg):
+def test_play_is_the_input_minus_the_stop(hyst_cfg):
     sig = signal([0.0, 1.0, 2.0], [0.0, 2.0, -2.0])
-    np.testing.assert_array_equal(play_evaluate(sig, hyst_cfg).values,
-                                  stop_evaluate(sig, hyst_cfg).play.values)
+    out = stop_evaluate(sig, hyst_cfg)
+    np.testing.assert_array_equal(out.play.values, [0.0, 1.0, -1.0])
+    np.testing.assert_array_equal(out.play.values,
+                                  (sig.values - out.stop.values) + out.play_offset)
