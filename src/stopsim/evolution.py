@@ -31,7 +31,7 @@ from .errors import (
     NonsmoothPointError,
 )
 from .hysteresis import HysteresisConfig, PiecewiseLinearSignal, StopCursor
-from .spatial import _factorize, _imex_step, evaluate_S, quad_norm
+from .spatial import _check_step_residual, _factorize, _imex_step, evaluate_S, quad_norm
 
 __all__ = [
     "ReactionFunction",
@@ -368,24 +368,26 @@ def _guard(y, k, t):
 
 
 # The loops below step the state and the sensitivity solve alike; a solve
-# differs only in its two per-step rules.  ``rhs(k, y)`` is the explicit
-# right-hand side at step k.  ``advance(k, y)`` guards y_k and records the
-# scalar channel at step k from y_k and the record of step k - 1, so a Picard
-# sweep replays a slice by calling it again, with nothing to restore.
+# differs only in its two per-step rules.  ``step(y, f)`` is the factorized
+# implicit step from y with explicit right-hand side f.  ``rhs(k, y)`` is the
+# explicit right-hand side at step k.  ``advance(k, y)`` guards y_k and
+# records the scalar channel at step k from y_k and the record of step k - 1,
+# so a Picard sweep replays a slice by calling it again, with nothing to
+# restore.
 # ``_integrate`` counts steps from the start of the run, so a guard names the
 # absolute step.
 
 
-def _march(disc, lus, dt, fields, rhs, advance):
+def _march(step, fields, rhs, advance):
     """Direct IMEX recursion; ``fields[0]`` holds the start, later rows are filled."""
     y = fields[0]
     for k in range(fields.shape[0] - 1):
-        y = _imex_step(disc, lus, dt, y, rhs(k, y))
+        y = step(y, rhs(k, y))
         advance(k + 1, y)
         fields[k + 1] = y
 
 
-def _sweep_slice(disc, lus, dt, fields, first, rhs, advance, tol, max_iters):
+def _sweep_slice(disc, step, fields, first, rhs, advance, tol, max_iters):
     """Picard sweeps of the IMEX recursion over one slice.
 
     ``fields[0]`` holds the slice start, which is step ``first`` for the
@@ -403,7 +405,7 @@ def _sweep_slice(disc, lus, dt, fields, first, rhs, advance, tol, max_iters):
         new = np.empty_like(old)
         new[0] = old[0]
         for i in range(ns):
-            new[i + 1] = _imex_step(disc, lus, dt, new[i], rhs(first + i, old[i]))
+            new[i + 1] = step(new[i], rhs(first + i, old[i]))
         for i in range(1, ns + 1):
             advance(first + i, new[i])
         diffs.append(max(quad_norm(disc, new[i] - old[i]) for i in range(ns + 1)))
@@ -423,20 +425,31 @@ def _integrate(disc, solver, fields, rhs, advance):
 
     ``fields[0]`` holds the start and later rows are filled.  The direct
     scheme marches; the Picard scheme sweeps slices of ``solver.slice_steps``
-    steps in turn.  Returns the sweep count of each slice (empty for the
-    direct scheme).
+    steps in turn.  The last step taken (the direct march's last, or the
+    last of the accepted sweep of the final slice) has its solve checked
+    against the module residual tolerance.  Returns the sweep count of each
+    slice (empty for the direct scheme).
     """
-    lus = _factorize(disc, solver.dt)
-    if solver.scheme == "imex-euler":
-        _march(disc, lus, solver.dt, fields, rhs, advance)
-        return []
-    n_steps = solver.n_steps
+    dt = solver.dt
+    lus = _factorize(disc, dt)
+    last = []
+
+    def step(y, f):
+        out = _imex_step(disc, lus, dt, y, f)
+        last[:] = (y, f, out)
+        return out
+
     sweeps = []
-    for start in range(0, n_steps, solver.slice_steps):
-        stop = min(start + solver.slice_steps, n_steps) + 1
-        sweeps.append(len(_sweep_slice(
-            disc, lus, solver.dt, fields[start:stop], start, rhs, advance,
-            solver.picard_tol, solver.picard_max_iters)))
+    if solver.scheme == "imex-euler":
+        _march(step, fields, rhs, advance)
+    else:
+        n_steps = solver.n_steps
+        for start in range(0, n_steps, solver.slice_steps):
+            stop = min(start + solver.slice_steps, n_steps) + 1
+            sweeps.append(len(_sweep_slice(
+                disc, step, fields[start:stop], start, rhs, advance,
+                solver.picard_tol, solver.picard_max_iters)))
+    _check_step_residual(disc, dt, *last)
     return sweeps
 
 
@@ -506,8 +519,9 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
     ys = np.empty((ns + 1, disc.n_components, disc.n_nodes))
     ys[0] = y_start
     rhs, advance, channel = _state_rules(disc, sfun, reaction, cursor, u_slice, dt)
-    diffs = _sweep_slice(disc, _factorize(disc, dt), dt, ys, 0, rhs, advance,
-                         tol, max_iters)
+    lus = _factorize(disc, dt)
+    diffs = _sweep_slice(disc, lambda y, f: _imex_step(disc, lus, dt, y, f), ys, 0,
+                         rhs, advance, tol, max_iters)
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     return (ys, *channel, ratios)
 

@@ -15,6 +15,7 @@ from stopsim import (
     solve_state,
     stop_evaluate,
 )
+from stopsim import evolution
 from stopsim.cli import _format_value, main, read_signal_csv
 
 
@@ -102,6 +103,30 @@ class TestSimulate:
                        "--out", str(tmp_path / sub), "--quiet"])
             assert rc == 0
         for name in ("trajectory.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() \
+                == (tmp_path / "b" / name).read_bytes()
+
+    def test_2d_reruns_are_byte_identical(self, tmp_path):
+        # each run in a fresh process with the BLAS library's own thread
+        # count, since the 2D step multiplies by dense axis eigenbases
+        cfg = small_config(
+            domain={"dimension": 2, "extent": [1.0, 0.8],
+                    "resolution": [65, 49]},
+            boundaries=[{"left": "dirichlet", "right": "neumann",
+                         "bottom": "neumann", "top": "dirichlet"}],
+            solver={"dt": 0.01, "t_final": 0.2},
+        )
+        path = write_config(tmp_path, cfg)
+        env = package_env()
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        for sub in ("a", "b"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "stopsim", "simulate", "--config", path,
+                 "--out", str(tmp_path / sub), "--snapshot", "--quiet"],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        for name in ("trajectory.csv", "state.bin"):
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
 
@@ -254,6 +279,30 @@ class TestValidationFailures:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: adjoint became non-finite at step")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("solver", [
+        {"dt": 0.05, "t_final": 0.5},
+        {"dt": 0.05, "t_final": 0.5, "scheme": "picard-sliced",
+         "slice_length": 0.2},
+    ])
+    def test_inexact_solve_exits_three(self, tmp_path, capsys, monkeypatch,
+                                       solver):
+        class Perturbed:
+            def __init__(self, solver):
+                self.solver = solver
+
+            def solve(self, rhs):
+                return self.solver.solve(rhs) * (1.0 + 1e-6)
+
+        factorize = evolution._factorize
+        monkeypatch.setattr(evolution, "_factorize", lambda disc, dt: [
+            Perturbed(s) for s in factorize(disc, dt)])
+        path = write_config(tmp_path, small_config(solver=solver))
+        rc = main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: implicit step solve failed for component 0")
 
     def test_non_contraction_exits_four(self, tmp_path, capsys):
         cfg = small_config(

@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from stopsim import (
     BoundarySides,
     DomainSpec,
     GridMismatchError,
     InvalidConfigError,
+    NumericalFailureError,
     SFunctional,
     UnsupportedConfigurationError,
     apply_semigroup_step,
@@ -15,6 +19,15 @@ from stopsim import (
     fractional_power_diagnostic,
     quad_norm,
     s_operator_norm,
+)
+from stopsim.spatial import (
+    DENSE_EIG_LIMIT,
+    SOLVER_RESIDUAL_TOL,
+    _check_step_residual,
+    _factorize,
+    _imex_adjoint_step,
+    _imex_step,
+    _implicit_step_matrix,
 )
 
 from conftest import constant_sfun
@@ -309,6 +322,84 @@ class TestSemigroupStep:
             apply_semigroup_step(disc_mixed, y, 0.0)
         with pytest.raises(GridMismatchError):
             apply_semigroup_step(disc_mixed, np.zeros((1, 3)), 0.1)
+
+
+def two_d_disc(labels, resolution=(7, 9), extent=(1.3, 0.7), diffusion=(0.8, 2.5)):
+    """Two components on a box: ``labels`` for the first, reversed for the second."""
+    sides = [BoundarySides(*labels), BoundarySides(*labels[::-1])]
+    return assemble(DomainSpec(dimension=2, extent=extent, resolution=resolution),
+                    sides, diffusion)
+
+
+def rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestProductSolve:
+    """The 2D product-eigenbasis solve against SuperLU on the same matrices."""
+
+    @pytest.mark.parametrize("labels", list(itertools.product(
+        ("dirichlet", "neumann"), repeat=4)))
+    def test_steps_match_superlu(self, labels):
+        disc = two_d_disc(labels)
+        dt = 0.013
+        solvers = _factorize(disc, dt)
+        assert not any(isinstance(s, spla.SuperLU) for s in solvers)
+        lus = [spla.splu(_implicit_step_matrix(disc, j, dt)) for j in range(2)]
+        rng = np.random.default_rng(31)
+        y, f, x = (rng.standard_normal((2, disc.n_nodes)) for _ in range(3))
+        for j, comp in enumerate(disc.components):
+            y[j, comp.dirichlet_mask] = 0.0
+        assert rel_diff(_imex_step(disc, solvers, dt, y, f),
+                        _imex_step(disc, lus, dt, y, f)) <= 1e-12
+        assert rel_diff(_imex_adjoint_step(disc, solvers, x),
+                        _imex_adjoint_step(disc, lus, x)) <= 1e-12
+
+    def test_superlu_serves_1d_and_long_axes(self, disc_mixed):
+        assert isinstance(_factorize(disc_mixed, 0.1)[0], spla.SuperLU)
+        n = DENSE_EIG_LIMIT + 1
+        neumann = ("neumann",) * 4
+        long_axis = two_d_disc(neumann, resolution=(n, 3), extent=(1.0, 1.0))
+        assert all(isinstance(s, spla.SuperLU) for s in _factorize(long_axis, 0.1))
+        # one Dirichlet end brings the active axis to the limit
+        pinned = two_d_disc(("dirichlet", "neumann", "neumann", "neumann"),
+                            resolution=(n, 3), extent=(1.0, 1.0))
+        solvers = _factorize(pinned, 0.1)
+        assert not isinstance(solvers[0], spla.SuperLU)
+        assert isinstance(solvers[1], spla.SuperLU)
+
+    def test_pure_neumann_step_conserves_quadrature_mass(self):
+        disc = two_d_disc(("neumann",) * 4, resolution=(23, 17))
+        rng = np.random.default_rng(32)
+        y = rng.standard_normal((2, disc.n_nodes))
+        stepped = apply_semigroup_step(disc, y, 0.5)
+        mass = y @ disc.quadrature
+        np.testing.assert_allclose(stepped @ disc.quadrature, mass,
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(mass)))
+
+
+class TestStepResidualCheck:
+    def test_stiff_solve_passes_where_the_plain_residual_is_large(self):
+        n, dt = 20001, 1.0
+        disc = assemble(DomainSpec(dimension=1, extent=(1.0,), resolution=(n,)),
+                        [BoundarySides(left="neumann", right="neumann")], [10.0])
+        comp = disc.components[0]
+        y = np.cos(np.pi * disc.coords[:, 0])[None, :]
+        zero = np.zeros_like(y)
+        out = _imex_step(disc, _factorize(disc, dt), dt, y, zero)
+        b = comp.rel_weights * y[0]
+        A = _implicit_step_matrix(disc, 0, dt)
+        plain = np.linalg.norm(A @ out[0] - b) / np.linalg.norm(b)
+        assert plain > SOLVER_RESIDUAL_TOL
+        _check_step_residual(disc, dt, y, zero, out)
+
+    def test_perturbed_solution_is_refused(self, disc_2d):
+        rng = np.random.default_rng(33)
+        y, f = (rng.standard_normal((1, disc_2d.n_nodes)) for _ in range(2))
+        out = _imex_step(disc_2d, _factorize(disc_2d, 0.05), 0.05, y, f)
+        _check_step_residual(disc_2d, 0.05, y, f, out)
+        with pytest.raises(NumericalFailureError, match="component 0"):
+            _check_step_residual(disc_2d, 0.05, y, f, out * (1 + 1e-6))
 
 
 class TestMultiComponent:
