@@ -233,10 +233,9 @@ def _solve(problem: ControlProblem, spec: ControlSpec) -> Trajectory:
 
 
 def _tracking_term(problem, traj):
-    dt = problem.solver.dt
     mis = traj.states - problem.target
-    total = sum(quad_norm(problem.disc, mk) ** 2 for mk in mis)
-    return 0.5 * dt * total
+    total = float(np.einsum("kji,kji,i->", mis, mis, problem.disc.quadrature))
+    return 0.5 * problem.solver.dt * total
 
 
 def _cost_of(problem, spec, traj, gram):

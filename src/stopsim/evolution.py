@@ -368,23 +368,22 @@ def _guard(y, k, t):
 
 
 # The loops below step the state and the sensitivity solve alike; a solve
-# differs only in its two per-step rules.  ``step(y, f)`` is the factorized
-# implicit step from y with explicit right-hand side f.  ``rhs(k, y)`` is the
-# explicit right-hand side at step k.  ``advance(k, y)`` guards y_k and
-# records the scalar channel at step k from y_k and the record of step k - 1,
-# so a Picard sweep replays a slice by calling it again, with nothing to
-# restore.
+# differs only in its two per-step rules.  ``step(y, f, out)`` is the
+# factorized implicit step from y with explicit right-hand side f, written
+# into the active nodes of the path row ``out``, whose Dirichlet nodes are
+# zero.  ``rhs(k, y)`` is the explicit right-hand side at step k.
+# ``advance(k, y)`` guards y_k and records the scalar channel at step k from
+# y_k and the record of step k - 1, so a Picard sweep replays a slice by
+# calling it again, with nothing to restore.
 # ``_integrate`` counts steps from the start of the run, so a guard names the
 # absolute step.
 
 
 def _march(step, fields, rhs, advance):
     """Direct IMEX recursion; ``fields[0]`` holds the start, later rows are filled."""
-    y = fields[0]
     for k in range(fields.shape[0] - 1):
-        y = step(y, rhs(k, y))
-        advance(k + 1, y)
-        fields[k + 1] = y
+        step(fields[k], rhs(k, fields[k]), fields[k + 1])
+        advance(k + 1, fields[k + 1])
 
 
 def _sweep_slice(disc, step, fields, first, rhs, advance, tol, max_iters):
@@ -402,10 +401,10 @@ def _sweep_slice(disc, step, fields, first, rhs, advance, tol, max_iters):
         advance(first + i, old[i])
     diffs = []
     for _ in range(max_iters):
-        new = np.empty_like(old)
+        new = np.zeros_like(old)
         new[0] = old[0]
         for i in range(ns):
-            new[i + 1] = step(new[i], rhs(first + i, old[i]))
+            step(new[i], rhs(first + i, old[i]), new[i + 1])
         for i in range(1, ns + 1):
             advance(first + i, new[i])
         diffs.append(max(quad_norm(disc, new[i] - old[i]) for i in range(ns + 1)))
@@ -423,21 +422,20 @@ def _sweep_slice(disc, step, fields, first, rhs, advance, tol, max_iters):
 def _integrate(disc, solver, fields, rhs, advance):
     """Run a solve's rules over the whole solver grid with one factorization.
 
-    ``fields[0]`` holds the start and later rows are filled.  The direct
-    scheme marches; the Picard scheme sweeps slices of ``solver.slice_steps``
-    steps in turn.  The last step taken (the direct march's last, or the
-    last of the accepted sweep of the final slice) has its solve checked
-    against the module residual tolerance.  Returns the sweep count of each
-    slice (empty for the direct scheme).
+    ``fields[0]`` holds the start and later rows, zero on Dirichlet nodes,
+    are filled.  The direct scheme marches; the Picard scheme sweeps slices
+    of ``solver.slice_steps`` steps in turn.  The last step taken (the
+    direct march's last, or the last of the accepted sweep of the final
+    slice) has its solve checked against the module residual tolerance.
+    Returns the sweep count of each slice (empty for the direct scheme).
     """
     dt = solver.dt
     lus = _factorize(disc, dt)
     last = []
 
-    def step(y, f):
-        out = _imex_step(disc, lus, dt, y, f)
+    def step(y, f, out):
+        _imex_step(disc, lus, dt, y, f, out)
         last[:] = (y, f, out)
-        return out
 
     sweeps = []
     if solver.scheme == "imex-euler":
@@ -520,8 +518,8 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
     ys[0] = y_start
     rhs, advance, channel = _state_rules(disc, sfun, reaction, cursor, u_slice, dt)
     lus = _factorize(disc, dt)
-    diffs = _sweep_slice(disc, lambda y, f: _imex_step(disc, lus, dt, y, f), ys, 0,
-                         rhs, advance, tol, max_iters)
+    diffs = _sweep_slice(disc, lambda y, f, out: _imex_step(disc, lus, dt, y, f, out),
+                         ys, 0, rhs, advance, tol, max_iters)
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     return (ys, *channel, ratios)
 

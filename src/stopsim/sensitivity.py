@@ -34,7 +34,13 @@ import numpy as np
 from .errors import BlowupError, GridMismatchError, InvalidConfigError
 from .evolution import ReactionFunction, Trajectory, _integrate, solve_state
 from .hysteresis import INTERIOR, HysteresisConfig, _stop_derivative_step, branch_census
-from .spatial import _factorize, _imex_adjoint_step, evaluate_S, quad_norm
+from .spatial import (
+    _check_adjoint_residual,
+    _factorize,
+    _imex_adjoint_step,
+    evaluate_S,
+    quad_norm,
+)
 
 __all__ = [
     "LinearizedProblem",
@@ -151,13 +157,14 @@ def _adjoint_sweep(base: Trajectory, seed, reaction, disc, sfun, solver):
     lus = _factorize(disc, dt)
 
     grad = np.zeros_like(states)
+    x_bar = np.zeros_like(states[0])  # Dirichlet nodes stay zero
     lam = np.array(seed[n_steps], dtype=float)  # adjoint of zeta_{k+1}
     mu = 0.0                                     # adjoint of omega_{k+1}
     for k in range(n_steps - 1, -1, -1):
         if not interior[k]:  # omega_{k+1} = -S zeta_{k+1}
             lam = lam - mu * s_field
             mu = 0.0
-        x_bar = _imex_adjoint_step(disc, lus, lam)
+        _imex_adjoint_step(disc, lus, lam, x_bar)
         if not np.all(np.isfinite(x_bar)):
             raise BlowupError(
                 f"adjoint became non-finite at step {k} (t={base.times[k]:.6g})"
@@ -165,7 +172,9 @@ def _adjoint_sweep(base: Trajectory, seed, reaction, disc, sfun, solver):
         grad[k] = dt * x_bar
         wz_bar = float(np.sum(f_z[k] * grad[k]))  # wz_k = omega_k + S zeta_k
         mu += wz_bar
+        last_rhs = lam
         lam = x_bar + f_y[k] * grad[k] + wz_bar * s_field + seed[k]
+    _check_adjoint_residual(disc, dt, last_rhs, x_bar)
     return grad
 
 

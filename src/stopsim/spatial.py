@@ -18,15 +18,20 @@ nodes pinned to zero, and each component's operator acts on its active
 (non-Dirichlet) nodes.  A 2D corner between a Dirichlet and a Neumann side
 is Dirichlet.
 
+Each side is wholly Dirichlet or wholly Neumann, so a component's active
+nodes are a box: one index range per axis (``ComponentOperator.box``).  The
+time steppers read and write a field's active nodes through that box as
+basic-slicing views of the grid-shaped field.
+
 Every time stepper solves D + dt L through ``_factorize``, once per solve.
-In 1D that is a sparse LU (SuperLU) of the tridiagonal matrix.  In 2D each
-side is wholly Dirichlet or wholly Neumann, so the active nodes are the
-product of one index range per axis, and D + dt L on them is a Kronecker sum
-of 1D operators: it is diagonal in the product of two per-axis generalized
-eigenbases, and a solve is four small dense products (fast diagonalization).
-Grids with an active axis longer than ``DENSE_EIG_LIMIT`` keep SuperLU.  The
-time steppers check the last step of each state and sensitivity solve with
-``_check_step_residual``.
+In 1D that is LAPACK's tridiagonal LU (``dgttrf`` once, ``dgttrs`` per
+solve).  In 2D D + dt L on the box is a Kronecker sum of 1D operators: it is
+diagonal in the product of two per-axis generalized eigenbases, and a solve
+is four small dense products (fast diagonalization).  SuperLU serves 2D grids
+with an active axis longer than ``DENSE_EIG_LIMIT`` and 1D systems of fewer
+than 3 nodes, which ``dgttrf``'s wrapper refuses.  The time steppers check
+the last step of each state and sensitivity solve, and the last step of the
+adjoint sweep, with ``_check_step_residual`` and ``_check_adjoint_residual``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     GridMismatchError,
@@ -133,6 +139,7 @@ class ComponentOperator:
     """Assembled operator data for one component, restricted to active nodes."""
 
     active: np.ndarray          # full-grid indices of non-Dirichlet nodes
+    box: tuple                  # per-axis slices whose product is ``active``
     operator: sp.csr_matrix     # symmetric PSD form L on active nodes
     rel_weights: np.ndarray     # relative trapezoid weights D on active nodes
     dirichlet_mask: np.ndarray  # full-grid boolean
@@ -152,6 +159,13 @@ def _axis_rel_weights(n: int) -> np.ndarray:
     w = np.ones(n)
     w[0] = w[-1] = 0.5
     return w
+
+
+def _active_box(labels, resolution):
+    """Per-axis slice of non-Dirichlet nodes; a mixed corner is Dirichlet."""
+    axes = (("left", "right"), ("bottom", "top"))
+    return tuple(slice(int(labels[lo] == "dirichlet"), n - (labels[hi] == "dirichlet"))
+                 for n, (lo, hi) in zip(resolution, axes))
 
 
 def _boundary_node_sets(domain: DomainSpec):
@@ -273,6 +287,7 @@ def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization
         components.append(
             ComponentOperator(
                 active=active,
+                box=_active_box(labels, domain.resolution),
                 operator=L,
                 rel_weights=rel[active].copy(),
                 dirichlet_mask=dirichlet_mask,
@@ -375,77 +390,128 @@ class _ProductSolve:
         return (vx @ ((vx.T @ b @ vy) * self.scale) @ vy.T).ravel()
 
 
+class _TridiagonalSolve:
+    """LAPACK tridiagonal LU of D + dt L for one 1D component of 3 or more nodes.
+
+    ``dgttrf`` factors once (partial pivoting) and ``dgttrs`` solves, both in
+    O(n); the bands come from the weights and L's diagonals.
+    """
+
+    def __init__(self, comp: ComponentOperator, dt: float):
+        L = comp.operator
+        off = dt * L.diagonal(1)
+        *self.factors, info = dgttrf(off, comp.rel_weights + dt * L.diagonal(), off)
+        if info != 0:
+            raise NumericalFailureError(
+                f"tridiagonal factorization failed (LAPACK info {info})")
+
+    def solve(self, rhs):
+        return dgttrs(*self.factors, rhs)[0]
+
+
 def _factorize(disc: SpatialDiscretization, dt: float):
     """One solver of D + dt L per component, each with a SuperLU-style ``solve``.
 
-    In 1D this is SuperLU: the matrix is tridiagonal and its solve is O(n).
-    In 2D each side is wholly Dirichlet or wholly Neumann and a mixed corner
-    is Dirichlet, so a component's active nodes are the product of one index
-    range per axis and its operator is a Kronecker sum; a ``_ProductSolve``
-    built from two per-axis eigenbases serves when both active ranges are at
-    most ``DENSE_EIG_LIMIT`` long, and SuperLU otherwise.
+    ``solve`` takes the D-weighted right-hand side on the active nodes as a
+    flat (x-major) vector and returns the solution in the same layout.  In 1D
+    the matrix is tridiagonal and LAPACK's tridiagonal LU serves; its wrapper
+    refuses fewer than 3 nodes, which SuperLU takes.  In 2D the operator on
+    the box is a Kronecker sum, and a ``_ProductSolve`` built from two
+    per-axis eigenbases serves when both active ranges are at most
+    ``DENSE_EIG_LIMIT`` long, and SuperLU otherwise.
     """
     res, spacings = disc.domain.resolution, disc.domain.spacings
     solvers = []
-    for j, d in enumerate(disc.diffusion):
-        if disc.domain.dimension == 2:
-            labels = disc.boundaries[j].labels(2)
-            keeps = [slice(int(labels[lo] == "dirichlet"), n - (labels[hi] == "dirichlet"))
-                     for n, lo, hi in zip(res, ("left", "bottom"), ("right", "top"))]
-            if all(k.stop - k.start <= DENSE_EIG_LIMIT for k in keeps):
-                bases = map(_axis_basis, res, spacings, keeps)
-                solvers.append(_ProductSolve(*bases, d, dt))
-                continue
-        solvers.append(spla.splu(_implicit_step_matrix(disc, j, dt)))
+    for j, (comp, d) in enumerate(zip(disc.components, disc.diffusion)):
+        sizes = [k.stop - k.start for k in comp.box]
+        if len(sizes) == 1 and sizes[0] >= 3:
+            solvers.append(_TridiagonalSolve(comp, dt))
+        elif len(sizes) == 2 and max(sizes) <= DENSE_EIG_LIMIT:
+            solvers.append(_ProductSolve(*map(_axis_basis, res, spacings, comp.box), d, dt))
+        else:
+            solvers.append(spla.splu(_implicit_step_matrix(disc, j, dt)))
     return solvers
 
 
-def _imex_step(disc: SpatialDiscretization, lus, dt: float, y, rhs_field):
-    """One implicit solve per component of (D + dt L) y+ = D (y + dt rhs)."""
-    out = np.zeros_like(y)
+def _grid_views(disc: SpatialDiscretization, *fields):
+    """(m, n_nodes) fields as (m, *resolution), so ``(j, *box)`` indexes a view."""
+    grid = (len(disc.components),) + disc.domain.resolution
+    return [field.reshape(grid) for field in fields]
+
+
+def _imex_step(disc: SpatialDiscretization, lus, dt: float, y, rhs_field, out):
+    """One implicit solve per component of (D + dt L) y+ = D (y + dt rhs), into ``out``.
+
+    Only the active nodes of ``out`` are written, so its Dirichlet nodes keep
+    what the caller put there (zero).  ``out`` must be C-contiguous, as a row
+    of the solves' path arrays is, so that its grid view writes through.
+    Returns ``out``.
+    """
+    ys, fs, outs = _grid_views(disc, y, rhs_field, out)
     for j, comp in enumerate(disc.components):
-        act = comp.active
-        rhs = comp.rel_weights * (y[j, act] + dt * rhs_field[j, act])
-        out[j, act] = lus[j].solve(rhs)
+        at = (j, *comp.box)
+        v = ys[at] + dt * fs[at]
+        outs[at] = lus[j].solve(comp.rel_weights * v.ravel()).reshape(v.shape)
     return out
 
 
-def _imex_adjoint_step(disc: SpatialDiscretization, lus, x):
+def _imex_adjoint_step(disc: SpatialDiscretization, lus, x, out):
     """Transpose of the solve in ``_imex_step``: D (D + dt L)^{-1} x per component.
 
-    D + dt L is symmetric, so the factors of the forward step serve.  The
-    result is zero on Dirichlet nodes, which the forward step never reads.
+    D + dt L is symmetric, so the factors of the forward step serve.  Writes
+    the active nodes of ``out`` (C-contiguous), whose Dirichlet nodes the
+    forward step never reads.  Returns ``out``.
     """
-    phi = np.zeros_like(x)
+    xs, outs = _grid_views(disc, x, out)
     for j, comp in enumerate(disc.components):
-        act = comp.active
-        phi[j, act] = comp.rel_weights * lus[j].solve(x[j, act])
-    return phi
+        at = (j, *comp.box)
+        xb = xs[at]
+        outs[at] = (comp.rel_weights * lus[j].solve(xb.ravel())).reshape(xb.shape)
+    return out
 
 
-def _check_step_residual(disc: SpatialDiscretization, dt: float, y, rhs_field, out):
-    """Check that ``out`` solves ``_imex_step``'s systems for ``y`` and ``rhs_field``.
+def _check_solves(disc: SpatialDiscretization, dt: float, pairs, what: str):
+    """Check per component that x solves (D + dt L) x = b, for (x, b) in ``pairs``.
 
-    Per component the measure is the normwise backward error
-    |A x - b| / (|A| |x| + |b|) in the max norm, with A = D + dt L: a
+    The measure is the normwise backward error |A x - b| / (|A| |x| + |b|)
+    in the max norm, with A = D + dt L on the active nodes: a
     backward-stable solve keeps it near machine precision however stiff A
     is, where the plain relative residual grows with |A|.  L has no positive
     off-diagonal entry and no negative row sum, so max(D + 2 dt diag L)
     bounds |A|.  Raises a numerical-failure error when the measure exceeds
     the module tolerance or is not finite.
     """
-    for j, comp in enumerate(disc.components):
-        act = comp.active
-        b = comp.rel_weights * (y[j, act] + dt * rhs_field[j, act])
-        x = out[j, act]
+    for j, (comp, (x, b)) in enumerate(zip(disc.components, pairs)):
         r = comp.rel_weights * x + dt * (comp.operator @ x) - b
         a_norm = np.max(comp.rel_weights + 2.0 * dt * comp.operator.diagonal())
         denom = a_norm * np.max(np.abs(x)) + np.max(np.abs(b))
         residual = float(np.max(np.abs(r)) / (denom if denom > 0 else 1.0))
         if not np.isfinite(residual) or residual > SOLVER_RESIDUAL_TOL:
             raise NumericalFailureError(
-                f"implicit step solve failed for component {j}", residual=residual
+                f"{what} solve failed for component {j}", residual=residual
             )
+
+
+def _check_step_residual(disc: SpatialDiscretization, dt: float, y, rhs_field, out):
+    """Check that ``out`` solves ``_imex_step``'s systems for ``y`` and ``rhs_field``."""
+    ys, fs, outs = _grid_views(disc, y, rhs_field, out)
+    boxes = [(j, *comp.box) for j, comp in enumerate(disc.components)]
+    _check_solves(disc, dt, [
+        (outs[at].ravel(), comp.rel_weights * (ys[at] + dt * fs[at]).ravel())
+        for comp, at in zip(disc.components, boxes)], "implicit step")
+
+
+def _check_adjoint_residual(disc: SpatialDiscretization, dt: float, x, out):
+    """Check that ``out`` is ``_imex_adjoint_step``'s result for ``x``.
+
+    ``out`` holds D s for the solution s of (D + dt L) s = x; the weights
+    are powers of two, so dividing by them recovers s exactly.
+    """
+    xs, outs = _grid_views(disc, x, out)
+    boxes = [(j, *comp.box) for j, comp in enumerate(disc.components)]
+    _check_solves(disc, dt, [
+        (outs[at].ravel() / comp.rel_weights, xs[at].ravel())
+        for comp, at in zip(disc.components, boxes)], "adjoint step")
 
 
 def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):
@@ -460,7 +526,7 @@ def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):
         raise InvalidConfigError(f"dt must be positive, got {dt}")
     y = _check_field(disc, y)
     zero = np.zeros_like(y)
-    out = _imex_step(disc, _factorize(disc, dt), dt, y, zero)
+    out = _imex_step(disc, _factorize(disc, dt), dt, y, zero, np.zeros_like(y))
     _check_step_residual(disc, dt, y, zero, out)
     return out
 

@@ -6,6 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import stopsim
 from stopsim import (
@@ -15,8 +16,9 @@ from stopsim import (
     solve_state,
     stop_evaluate,
 )
-from stopsim import evolution
+from stopsim import evolution, sensitivity
 from stopsim.cli import _format_value, main, read_signal_csv
+from stopsim.spatial import _implicit_step_matrix
 
 
 def package_env():
@@ -105,6 +107,30 @@ class TestSimulate:
         for name in ("trajectory.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("left", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("right", ["dirichlet", "neumann"])
+    def test_tiny_grids_match_superlu(self, tmp_path, monkeypatch, n, left,
+                                      right):
+        cfg = small_config(domain={"dimension": 1, "extent": [1.0],
+                                   "resolution": [n]},
+                           boundaries=[{"left": left, "right": right}])
+        path = write_config(tmp_path, cfg)
+
+        def states(out):
+            rc = main(["simulate", "--config", path, "--out", str(out),
+                       "--snapshot", "--quiet"])
+            assert rc == 0
+            raw = (out / "state.bin").read_bytes()
+            return np.frombuffer(raw[4 * 8:], dtype=np.float64)
+
+        ours = states(tmp_path / "ours")
+        monkeypatch.setattr(evolution, "_factorize", lambda disc, dt: [
+            spla.splu(_implicit_step_matrix(disc, j, dt))
+            for j in range(disc.n_components)])
+        lu = states(tmp_path / "lu")
+        assert np.max(np.abs(ours - lu)) <= 1e-12 * np.max(np.abs(lu))
 
     def test_2d_reruns_are_byte_identical(self, tmp_path):
         # each run in a fresh process with the BLAS library's own thread
@@ -303,6 +329,29 @@ class TestValidationFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: implicit step solve failed for component 0")
+
+    def test_inexact_adjoint_solve_exits_three(self, tmp_path, capsys,
+                                               monkeypatch):
+        class Perturbed:
+            def __init__(self, solver):
+                self.solver = solver
+
+            def solve(self, rhs):
+                return self.solver.solve(rhs) * (1.0 + 1e-6)
+
+        factorize = sensitivity._factorize
+        monkeypatch.setattr(sensitivity, "_factorize", lambda disc, dt: [
+            Perturbed(s) for s in factorize(disc, dt)])
+        cfg = small_config(
+            control={"mode": "distributed", "time_knots": 1,
+                     "spatial_modes": {"kind": "sine", "count": 1},
+                     "kappa": 0.1, "target": {"kind": "constant", "value": 1.0}})
+        path = write_config(tmp_path, cfg)
+        rc = main(["optimize", "--config", path, "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: adjoint step solve failed for component 0")
 
     def test_non_contraction_exits_four(self, tmp_path, capsys):
         cfg = small_config(

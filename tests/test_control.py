@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from stopsim import (
     solve_state,
     stability_study,
 )
-from stopsim.control import _gradient
+from stopsim.control import _gradient, _tracking_term
 
 from conftest import constant_sfun
 from oracles import normal_equation_coefficients, response_model
@@ -253,6 +254,20 @@ class TestReducedCost:
         assert reduced_cost(problem, spec) == pytest.approx(expected,
                                                             rel=1e-14)
         assert reduced_cost(problem, spec) > 0
+
+    def test_tracking_term_sums_every_component_in_2d(self):
+        disc = assemble(DomainSpec(dimension=2, extent=(1.0, 0.7),
+                                   resolution=(6, 5)),
+                        [BoundarySides("dirichlet", "neumann", "neumann",
+                                       "neumann")] * 2, [1.0, 2.0])
+        rng = np.random.default_rng(5)
+        states, target = rng.standard_normal((2, 9, 2, disc.n_nodes))
+        problem = SimpleNamespace(disc=disc, target=target,
+                                  solver=SimpleNamespace(dt=0.1))
+        expected = 0.5 * 0.1 * sum(quad_norm(disc, y - yd) ** 2
+                                   for y, yd in zip(states, target))
+        got = _tracking_term(problem, SimpleNamespace(states=states))
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_matches_the_quadratic_model(self, affine_problem):
         problem, spec = affine_problem

@@ -294,6 +294,52 @@ class TestPicardVariant:
         assert not np.allclose(minus.states, -plus.states)
 
 
+def two_component_2d_disc():
+    """Two components on a box with Dirichlet sides on different axes."""
+    return assemble(
+        DomainSpec(dimension=2, extent=(1.3, 0.7), resolution=(9, 7)),
+        [BoundarySides(left="dirichlet", right="neumann",
+                       bottom="neumann", top="dirichlet"),
+         BoundarySides(left="neumann", right="neumann",
+                       bottom="dirichlet", top="dirichlet")],
+        [0.8, 2.5])
+
+
+class TestInPlaceSteps:
+    """The steps write each path row's active nodes in place."""
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    def test_dirichlet_nodes_stay_zero_and_slices_agree(self, disc_mixed, two_d):
+        disc = two_component_2d_disc() if two_d else disc_mixed
+        hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
+        sfun = constant_sfun(disc, 0.6)
+        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        tol = 1e-11
+        solvers = [SolverConfig(dt=0.02, t_final=0.6, **kw) for kw in (
+            {},
+            {"scheme": "picard-sliced", "slice_length": 0.2, "picard_tol": tol},
+            {"scheme": "picard-sliced", "picard_tol": tol})]
+        shape = (solvers[0].n_steps + 1, disc.n_components, disc.n_nodes)
+        # source and direction are non-zero on Dirichlet nodes too
+        u = np.broadcast_to(sine_source(disc, solvers[0]) + 0.3, shape)
+        h = np.broadcast_to(pulse_direction(disc, solvers[0]) + 0.1, shape)
+        paths = []
+        for solver in solvers:
+            base = solve_state(disc, sfun, reaction, hyst, u, solver)
+            record = solve_sensitivity(
+                LinearizedProblem(base=base, direction=h, reaction=reaction,
+                                  hyst_cfg=hyst),
+                disc, sfun, solver)
+            for states in (base.states, record.states):
+                for j, comp in enumerate(disc.components):
+                    assert np.all(states[:, j, comp.dirichlet_mask] == 0.0)
+                    assert np.any(states[:, j, ~comp.dirichlet_mask] != 0.0)
+            paths.append((base.states, record.states))
+        # slices of 10 steps against one whole-run slice
+        for sliced, whole in zip(paths[1], paths[2]):
+            assert max(quad_norm(disc, a - b) for a, b in zip(sliced, whole)) <= tol
+
+
 class TestFdStudy:
     def test_errors_decrease_on_a_saturating_run(self, saturating_setup):
         disc, sfun, reaction, hyst, u, solver = saturating_setup

@@ -23,6 +23,7 @@ from stopsim import (
 from stopsim.spatial import (
     DENSE_EIG_LIMIT,
     SOLVER_RESIDUAL_TOL,
+    _check_adjoint_residual,
     _check_step_residual,
     _factorize,
     _imex_adjoint_step,
@@ -350,13 +351,12 @@ class TestProductSolve:
         y, f, x = (rng.standard_normal((2, disc.n_nodes)) for _ in range(3))
         for j, comp in enumerate(disc.components):
             y[j, comp.dirichlet_mask] = 0.0
-        assert rel_diff(_imex_step(disc, solvers, dt, y, f),
-                        _imex_step(disc, lus, dt, y, f)) <= 1e-12
-        assert rel_diff(_imex_adjoint_step(disc, solvers, x),
-                        _imex_adjoint_step(disc, lus, x)) <= 1e-12
+        assert rel_diff(_imex_step(disc, solvers, dt, y, f, np.zeros_like(y)),
+                        _imex_step(disc, lus, dt, y, f, np.zeros_like(y))) <= 1e-12
+        assert rel_diff(_imex_adjoint_step(disc, solvers, x, np.zeros_like(x)),
+                        _imex_adjoint_step(disc, lus, x, np.zeros_like(x))) <= 1e-12
 
-    def test_superlu_serves_1d_and_long_axes(self, disc_mixed):
-        assert isinstance(_factorize(disc_mixed, 0.1)[0], spla.SuperLU)
+    def test_superlu_serves_long_axes(self):
         n = DENSE_EIG_LIMIT + 1
         neumann = ("neumann",) * 4
         long_axis = two_d_disc(neumann, resolution=(n, 3), extent=(1.0, 1.0))
@@ -378,6 +378,74 @@ class TestProductSolve:
                                    rtol=0.0, atol=1e-13 * np.max(np.abs(mass)))
 
 
+LABEL_PAIRS = list(itertools.product(("dirichlet", "neumann"), repeat=2))
+
+
+def one_d_disc(n, labels, d=0.8):
+    return assemble(DomainSpec(dimension=1, extent=(1.0,), resolution=(n,)),
+                    [BoundarySides(*labels)], [d])
+
+
+@pytest.mark.parametrize("labels", LABEL_PAIRS + list(itertools.product(
+    ("dirichlet", "neumann"), repeat=4)))
+def test_box_is_the_active_set(labels):
+    disc = one_d_disc(6, labels) if len(labels) == 2 else two_d_disc(labels)
+    nodes = np.arange(disc.n_nodes).reshape(disc.domain.resolution)
+    for comp in disc.components:
+        np.testing.assert_array_equal(nodes[comp.box].ravel(), comp.active)
+
+
+class TestTridiagonalSolve:
+    """The 1D LAPACK tridiagonal solve against SuperLU on the same matrices."""
+
+    def test_1d_uses_it_and_superlu_below_three_nodes(self):
+        for n, labels, tridiagonal in [(3, ("dirichlet", "dirichlet"), False),
+                                       (4, ("dirichlet", "dirichlet"), False),
+                                       (3, ("dirichlet", "neumann"), False),
+                                       (4, ("neumann", "dirichlet"), True),
+                                       (3, ("neumann", "neumann"), True),
+                                       (17, ("dirichlet", "neumann"), True)]:
+            (solver,) = _factorize(one_d_disc(n, labels), 0.1)
+            assert isinstance(solver, spla.SuperLU) != tridiagonal, (n, labels)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("labels", LABEL_PAIRS)
+    def test_tiny_grids_match_superlu(self, n, labels):
+        disc = one_d_disc(n, labels)
+        dt = 0.07
+        lus = [spla.splu(_implicit_step_matrix(disc, 0, dt))]
+        rng = np.random.default_rng(41)
+        y, f, x = (rng.standard_normal((1, n)) for _ in range(3))
+        y[0, disc.components[0].dirichlet_mask] = 0.0
+        solvers = _factorize(disc, dt)
+        assert rel_diff(_imex_step(disc, solvers, dt, y, f, np.zeros_like(y)),
+                        _imex_step(disc, lus, dt, y, f, np.zeros_like(y))) <= 1e-12
+        assert rel_diff(_imex_adjoint_step(disc, solvers, x, np.zeros_like(x)),
+                        _imex_adjoint_step(disc, lus, x, np.zeros_like(x))) <= 1e-12
+        assert rel_diff(apply_semigroup_step(disc, y, dt),
+                        _imex_step(disc, lus, dt, y, np.zeros_like(y),
+                                   np.zeros_like(y))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [41, 501, 2001, 20001])
+    @pytest.mark.parametrize("dt,d", [(0.01, 0.5), (1.0, 10.0)])
+    @pytest.mark.parametrize("labels", LABEL_PAIRS[:3])
+    def test_matches_superlu_and_is_backward_stable(self, n, dt, d, labels):
+        disc = one_d_disc(n, labels, d)
+        comp = disc.components[0]
+        rng = np.random.default_rng(42)
+        y, f = (rng.standard_normal((1, n)) for _ in range(2))
+        y[0, comp.dirichlet_mask] = 0.0
+        ours = _imex_step(disc, _factorize(disc, dt), dt, y, f, np.zeros_like(y))
+        lu = _imex_step(disc, [spla.splu(_implicit_step_matrix(disc, 0, dt))],
+                        dt, y, f, np.zeros_like(y))
+        _check_step_residual(disc, dt, y, f, ours)
+        _check_step_residual(disc, dt, y, f, lu)
+        # D + dt L is diagonally dominant by D >= 1/2 in every row, so the
+        # max-norm condition number is at most 2 max(D + 2 dt diag L)
+        kappa = 2.0 * np.max(comp.rel_weights + 2.0 * dt * comp.operator.diagonal())
+        assert rel_diff(ours, lu) <= 8 * np.finfo(float).eps * kappa
+
+
 class TestStepResidualCheck:
     def test_stiff_solve_passes_where_the_plain_residual_is_large(self):
         n, dt = 20001, 1.0
@@ -386,7 +454,7 @@ class TestStepResidualCheck:
         comp = disc.components[0]
         y = np.cos(np.pi * disc.coords[:, 0])[None, :]
         zero = np.zeros_like(y)
-        out = _imex_step(disc, _factorize(disc, dt), dt, y, zero)
+        out = _imex_step(disc, _factorize(disc, dt), dt, y, zero, np.zeros_like(y))
         b = comp.rel_weights * y[0]
         A = _implicit_step_matrix(disc, 0, dt)
         plain = np.linalg.norm(A @ out[0] - b) / np.linalg.norm(b)
@@ -396,10 +464,20 @@ class TestStepResidualCheck:
     def test_perturbed_solution_is_refused(self, disc_2d):
         rng = np.random.default_rng(33)
         y, f = (rng.standard_normal((1, disc_2d.n_nodes)) for _ in range(2))
-        out = _imex_step(disc_2d, _factorize(disc_2d, 0.05), 0.05, y, f)
+        out = _imex_step(disc_2d, _factorize(disc_2d, 0.05), 0.05, y, f, np.zeros_like(y))
         _check_step_residual(disc_2d, 0.05, y, f, out)
         with pytest.raises(NumericalFailureError, match="component 0"):
             _check_step_residual(disc_2d, 0.05, y, f, out * (1 + 1e-6))
+
+    @pytest.mark.parametrize("disc_name", ["disc_mixed", "disc_2d"])
+    def test_perturbed_adjoint_solution_is_refused(self, request, disc_name):
+        disc = request.getfixturevalue(disc_name)
+        x = np.random.default_rng(34).standard_normal((1, disc.n_nodes))
+        out = _imex_adjoint_step(disc, _factorize(disc, 0.05), x, np.zeros_like(x))
+        _check_adjoint_residual(disc, 0.05, x, out)
+        with pytest.raises(NumericalFailureError,
+                           match="adjoint step solve failed for component 0"):
+            _check_adjoint_residual(disc, 0.05, x, out * (1 + 1e-6))
 
 
 class TestMultiComponent:
