@@ -36,7 +36,7 @@ from .sensitivity import (
     fd_convergence_study,
     solve_sensitivity,
 )
-from .spatial import fractional_power_diagnostic, quad_norm
+from .spatial import _path_norms, fractional_power_diagnostic
 
 __all__ = ["main"]
 
@@ -210,11 +210,8 @@ def _cmd_simulate(args):
     run.resolve_seed(scn.seed)
     traj = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                        scn.source, scn.solver)
-    rows = [
-        (traj.times[k], traj.stop.values[k], traj.s_values[k],
-         quad_norm(scn.disc, traj.states[k]))
-        for k in range(traj.times.size)
-    ]
+    rows = list(zip(traj.times, traj.stop.values, traj.s_values,
+                    _path_norms(scn.disc, traj.states)))
     run.emit_csv("trajectory.csv", "t,z,S_y,norm_y", rows)
     if args.snapshot:
         run.emit_bytes("state.bin", _snapshot_bytes(scn.disc, traj.states))
@@ -251,11 +248,8 @@ def _cmd_sensitivity(args):
     scn = load_scenario(run.cfg, needs=("state", "direction"))
     run.resolve_seed(scn.seed)
     _, record = _solve_base_and_record(scn)
-    rows = [
-        (record.times[k], record.stop_derivative[k], record.s_values[k],
-         quad_norm(scn.disc, record.states[k]))
-        for k in range(record.times.size)
-    ]
+    rows = list(zip(record.times, record.stop_derivative, record.s_values,
+                    _path_norms(scn.disc, record.states)))
     run.emit_csv("sensitivity.csv", "t,stop_derivative,S_zeta,norm_zeta", rows)
     if not record.derivative_is_exact:
         run.say("note: reaction derivative is a finite-difference approximation")

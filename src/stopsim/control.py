@@ -28,7 +28,7 @@ from .errors import EmptyBoundaryError, GridMismatchError, InvalidConfigError
 from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
 from .hysteresis import HysteresisConfig
 from .sensitivity import LinearizedProblem, _adjoint_sweep, solve_sensitivity
-from .spatial import SFunctional, SpatialDiscretization, quad_norm, s_operator_norm
+from .spatial import SFunctional, SpatialDiscretization, _path_norms, s_operator_norm
 
 __all__ = [
     "ControlSpec",
@@ -397,11 +397,7 @@ def stability_study(problem: ControlProblem, spec: ControlSpec,
     state_dev, stop_dev = [], []
     for coeffs in perturbed_coefficients:
         traj = _solve(problem, spec.with_coefficients(coeffs))
-        dev = max(
-            quad_norm(problem.disc, traj.states[k] - base.states[k])
-            for k in range(len(base.times))
-        )
-        state_dev.append(dev)
+        state_dev.append(_path_norms(problem.disc, traj.states - base.states).max())
         stop_dev.append(float(np.max(np.abs(traj.stop.values - base.stop.values))))
     state_dev = np.asarray(state_dev)
     stop_dev = np.asarray(stop_dev)

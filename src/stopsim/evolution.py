@@ -31,7 +31,7 @@ from .errors import (
     NonsmoothPointError,
 )
 from .hysteresis import HysteresisConfig, PiecewiseLinearSignal, StopCursor
-from .spatial import _check_step_residual, _factorize, _imex_step, evaluate_S, quad_norm
+from .spatial import _path_norms, _Stepper
 
 __all__ = [
     "ReactionFunction",
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e12  # abort when any node magnitude exceeds this
+# per step, a sum of squares at most this (one dot; false for a nan) clears
+# the guard with room for rounding; other states go to ``_guard``'s test
+_GUARD_SQ = (BLOWUP_GUARD / 2) ** 2
 _GROWTH_PROBE_SEED = 20260815
 _GROWTH_PROBE_COUNT = 512
 
@@ -368,7 +371,7 @@ def _guard(y, k, t):
 
 
 # The loops below step the state and the sensitivity solve alike; a solve
-# differs only in its two per-step rules.  ``step(y, f, out)`` is the
+# differs only in its two per-step rules.  ``stepper.step(y, f, out)`` is the
 # factorized implicit step from y with explicit right-hand side f, written
 # into the active nodes of the path row ``out``, whose Dirichlet nodes are
 # zero.  ``rhs(k, y)`` is the explicit right-hand side at step k.
@@ -379,14 +382,14 @@ def _guard(y, k, t):
 # absolute step.
 
 
-def _march(step, fields, rhs, advance):
+def _march(stepper, fields, rhs, advance):
     """Direct IMEX recursion; ``fields[0]`` holds the start, later rows are filled."""
     for k in range(fields.shape[0] - 1):
-        step(fields[k], rhs(k, fields[k]), fields[k + 1])
+        stepper.step(fields[k], rhs(k, fields[k]), fields[k + 1])
         advance(k + 1, fields[k + 1])
 
 
-def _sweep_slice(disc, step, fields, first, rhs, advance, tol, max_iters):
+def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
     """Picard sweeps of the IMEX recursion over one slice.
 
     ``fields[0]`` holds the slice start, which is step ``first`` for the
@@ -404,10 +407,10 @@ def _sweep_slice(disc, step, fields, first, rhs, advance, tol, max_iters):
         new = np.zeros_like(old)
         new[0] = old[0]
         for i in range(ns):
-            step(new[i], rhs(first + i, old[i]), new[i + 1])
+            stepper.step(new[i], rhs(first + i, old[i]), new[i + 1])
         for i in range(1, ns + 1):
             advance(first + i, new[i])
-        diffs.append(max(quad_norm(disc, new[i] - old[i]) for i in range(ns + 1)))
+        diffs.append(float(_path_norms(stepper.disc, new - old).max()))
         old = new
         if diffs[-1] <= tol:
             fields[1:] = old[1:]
@@ -419,8 +422,8 @@ def _sweep_slice(disc, step, fields, first, rhs, advance, tol, max_iters):
     )
 
 
-def _integrate(disc, solver, fields, rhs, advance):
-    """Run a solve's rules over the whole solver grid with one factorization.
+def _integrate(stepper, solver, fields, rhs, advance):
+    """Run a solve's rules over the whole solver grid with one ``_Stepper``.
 
     ``fields[0]`` holds the start and later rows, zero on Dirichlet nodes,
     are filled.  The direct scheme marches; the Picard scheme sweeps slices
@@ -429,34 +432,27 @@ def _integrate(disc, solver, fields, rhs, advance):
     slice) has its solve checked against the module residual tolerance.
     Returns the sweep count of each slice (empty for the direct scheme).
     """
-    dt = solver.dt
-    lus = _factorize(disc, dt)
-    last = []
-
-    def step(y, f, out):
-        _imex_step(disc, lus, dt, y, f, out)
-        last[:] = (y, f, out)
-
     sweeps = []
     if solver.scheme == "imex-euler":
-        _march(step, fields, rhs, advance)
+        _march(stepper, fields, rhs, advance)
     else:
         n_steps = solver.n_steps
         for start in range(0, n_steps, solver.slice_steps):
             stop = min(start + solver.slice_steps, n_steps) + 1
             sweeps.append(len(_sweep_slice(
-                disc, step, fields[start:stop], start, rhs, advance,
+                stepper, fields[start:stop], start, rhs, advance,
                 solver.picard_tol, solver.picard_max_iters)))
-    _check_step_residual(disc, dt, *last)
+    stepper.check(fields[-1])  # both schemes write their last step there
     return sweeps
 
 
-def _state_rules(disc, sfun, reaction, cursor, u, dt):
+def _state_rules(stepper, reaction, cursor, u):
     """Per-step rules of the state solve over the grid points of ``u``.
 
     Step 0 is where ``cursor`` stands.  Returns ``rhs``, ``advance`` and the
     stop values, stop offsets and S-samples they record.
     """
+    dt = stepper.dt
     zs, offsets, s_values = (np.empty(u.shape[0]) for _ in range(3))
     zs[0], offsets[0], s_values[0] = cursor.z, cursor.w, cursor.v
 
@@ -464,8 +460,10 @@ def _state_rules(disc, sfun, reaction, cursor, u, dt):
         return reaction.value(y, zs[k]) + u[k]
 
     def advance(k, y):
-        _guard(y, k, k * dt)
-        s_values[k] = evaluate_S(disc, sfun, y)
+        yf = y.ravel()
+        if not yf @ yf <= _GUARD_SQ:
+            _guard(y, k, k * dt)
+        s_values[k] = stepper.S(yf)
         cursor.w = offsets[k - 1]
         zs[k] = cursor.advance(s_values[k])
         offsets[k] = cursor.w
@@ -478,9 +476,9 @@ def solve_state(disc, sfun, reaction, hyst_cfg, u, solver) -> Trajectory:
     u = _check_source(disc, solver, u)
     states = np.zeros((solver.n_steps + 1, disc.n_components, disc.n_nodes))
     cursor = StopCursor(hyst_cfg, 0.0)  # v_0 = S y_0 = 0
-    rhs, advance, (zs, offsets, s_values) = _state_rules(
-        disc, sfun, reaction, cursor, u, solver.dt)
-    sweeps = _integrate(disc, solver, states, rhs, advance)
+    stepper = _Stepper(disc, solver.dt, sfun)
+    rhs, advance, (zs, offsets, s_values) = _state_rules(stepper, reaction, cursor, u)
+    sweeps = _integrate(stepper, solver, states, rhs, advance)
 
     times = solver.times()
     return Trajectory(
@@ -516,10 +514,9 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
 
     ys = np.empty((ns + 1, disc.n_components, disc.n_nodes))
     ys[0] = y_start
-    rhs, advance, channel = _state_rules(disc, sfun, reaction, cursor, u_slice, dt)
-    lus = _factorize(disc, dt)
-    diffs = _sweep_slice(disc, lambda y, f, out: _imex_step(disc, lus, dt, y, f, out),
-                         ys, 0, rhs, advance, tol, max_iters)
+    stepper = _Stepper(disc, dt, sfun)
+    rhs, advance, channel = _state_rules(stepper, reaction, cursor, u_slice)
+    diffs = _sweep_slice(stepper, ys, 0, rhs, advance, tol, max_iters)
     ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
     return (ys, *channel, ratios)
 
@@ -527,8 +524,8 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
 def boundedness_report(disc, traj: Trajectory, solver: SolverConfig) -> BoundednessReport:
     """Ratio of the peak state norm to 1 + the source's time-quadrature norm."""
     dt = solver.dt
-    max_state = max(quad_norm(disc, y) for y in traj.states)
-    src_sq = sum(quad_norm(disc, uk) ** 2 for uk in traj.source)
+    max_state = _path_norms(disc, traj.states).max()
+    src_sq = sum(n ** 2 for n in _path_norms(disc, traj.source).tolist())
     src_norm = math.sqrt(dt * src_sq)
     return BoundednessReport(
         max_state_norm=float(max_state),

@@ -382,7 +382,7 @@ def _parse_field_source(cfg, disc, solver, path):
                   f"must be less than {disc.n_components}")
         targets = (component,)
     for comp in targets:
-        u[:, comp, :] = amp[:, None] * profile[None, :]
+        np.multiply(amp[:, None], profile[None, :], out=u[:, comp, :])
     return u
 
 

@@ -27,6 +27,7 @@ this notion of derivative from a plain one-sided Gateaux limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,13 +35,7 @@ import numpy as np
 from .errors import BlowupError, GridMismatchError, InvalidConfigError
 from .evolution import ReactionFunction, Trajectory, _integrate, solve_state
 from .hysteresis import INTERIOR, HysteresisConfig, _stop_derivative_step, branch_census
-from .spatial import (
-    _check_adjoint_residual,
-    _factorize,
-    _imex_adjoint_step,
-    evaluate_S,
-    quad_norm,
-)
+from .spatial import _check_field, _path_norms, _Stepper
 
 __all__ = [
     "LinearizedProblem",
@@ -93,6 +88,7 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
     n_steps = solver.n_steps
     if base.states.shape[0] != n_steps + 1 or not np.array_equal(base.times, solver.times()):
         raise GridMismatchError("base trajectory was not solved on this solver grid")
+    _check_field(disc, base.states[0], "base state")
 
     h = problem.direction
     reaction = problem.reaction
@@ -101,22 +97,24 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
     wz = np.zeros(n_steps + 1)      # derivative of the stop output
     dv = np.zeros(n_steps + 1)      # S zeta
     omega = np.zeros(n_steps + 1)   # wz - dv; zero since zeta_0 = 0
+    stepper = _Stepper(disc, solver.dt, sfun)
 
     def rhs(k, zk):
         return reaction.directional(base.states[k], base.stop.values[k], zk, wz[k]) + h[k]
 
     def advance(k, zk):
-        if not np.all(np.isfinite(zk)):
+        zf = zk.ravel()
+        if not math.isfinite(zf @ zf) and not np.all(np.isfinite(zk)):
             raise BlowupError(
                 f"sensitivity became non-finite at step {k} (t={base.times[k]:.6g})"
             )
-        dv[k] = evaluate_S(disc, sfun, zk)
+        dv[k] = stepper.S(zf)
         omega[k] = _stop_derivative_step(
             cfg, base.stop_offsets[k - 1], base.s_values[k], omega[k - 1], dv[k]
         )
         wz[k] = omega[k] + dv[k]
 
-    sweeps = _integrate(disc, solver, zeta, rhs, advance)
+    sweeps = _integrate(stepper, solver, zeta, rhs, advance)
 
     return SensitivityRecord(
         times=base.times,
@@ -139,8 +137,7 @@ def _adjoint_sweep(base: Trajectory, seed, reaction, disc, sfun, solver):
     the base path; and where the reaction's directional derivative is not
     linear in the direction.  The scalar adjoint of omega passes through
     interior steps and resets at a bound, as omega itself does forward.  Each
-    step solves with the transposed implicit step, which reuses the forward
-    factors.
+    step solves with the stepper's transposed implicit step.
     """
     census = branch_census(base.hyst_cfg, base.stop_offsets, base.s_values)
     states = base.states
@@ -149,32 +146,36 @@ def _adjoint_sweep(base: Trajectory, seed, reaction, disc, sfun, solver):
         return None
     n_steps = solver.n_steps
     dt = solver.dt
+    _check_field(disc, states[0], "base state")
+    stepper = _Stepper(disc, dt, sfun)
     z = base.stop.values[:, None, None]
-    f_y = np.broadcast_to(reaction.directional(states, z, 1.0, 0.0), states.shape)
-    f_z = np.broadcast_to(reaction.directional(states, z, 0.0, 1.0), states.shape)
+    # the explicit step's partials, 1 + dt f_y and dt f_z, over the whole path
+    gy = np.broadcast_to(1.0 + dt * reaction.directional(states, z, 1.0, 0.0), states.shape)
+    gz = np.broadcast_to(dt * reaction.directional(states, z, 0.0, 1.0), states.shape)
     interior = census.steps == INTERIOR
-    s_field = sfun.weight * disc.quadrature  # S zeta = sum(s_field * zeta)
-    lus = _factorize(disc, dt)
+    s_field = stepper.s_field  # S zeta = sum(s_field * zeta)
 
     grad = np.zeros_like(states)
     x_bar = np.zeros_like(states[0])  # Dirichlet nodes stay zero
+    x_flat = x_bar.ravel()
     lam = np.array(seed[n_steps], dtype=float)  # adjoint of zeta_{k+1}
     mu = 0.0                                     # adjoint of omega_{k+1}
     for k in range(n_steps - 1, -1, -1):
         if not interior[k]:  # omega_{k+1} = -S zeta_{k+1}
-            lam = lam - mu * s_field
+            lam -= mu * s_field
             mu = 0.0
-        _imex_adjoint_step(disc, lus, lam, x_bar)
-        if not np.all(np.isfinite(x_bar)):
+        stepper.adjoint(lam, x_bar)
+        if not math.isfinite(x_flat @ x_flat) and not np.all(np.isfinite(x_bar)):
             raise BlowupError(
                 f"adjoint became non-finite at step {k} (t={base.times[k]:.6g})"
             )
-        grad[k] = dt * x_bar
-        wz_bar = float(np.sum(f_z[k] * grad[k]))  # wz_k = omega_k + S zeta_k
+        np.multiply(x_bar, dt, out=grad[k])
+        wz_bar = float(gz[k].ravel() @ x_flat)  # wz_k = omega_k + S zeta_k
         mu += wz_bar
-        last_rhs = lam
-        lam = x_bar + f_y[k] * grad[k] + wz_bar * s_field + seed[k]
-    _check_adjoint_residual(disc, dt, last_rhs, x_bar)
+        np.multiply(gy[k], x_bar, out=lam)
+        lam += wz_bar * s_field
+        lam += seed[k]
+    stepper.check(x_bar)
     return grad
 
 
@@ -236,8 +237,6 @@ def hadamard_perturbed_quotient(disc, sfun, reaction, hyst_cfg, u, h,
             u_pert = u_pert + r
         pert = solve_state(disc, sfun, reaction, hyst_cfg, u_pert, solver)
         quot = (pert.states - base.states) / s
-        errors[i] = max(
-            quad_norm(disc, quot[k] - record.states[k]) for k in range(len(base.times))
-        )
+        errors[i] = _path_norms(disc, quot - record.states).max()
 
     return FdStudy(lambdas=lam, errors=errors, record=record, base=base)

@@ -19,19 +19,19 @@ nodes pinned to zero, and each component's operator acts on its active
 is Dirichlet.
 
 Each side is wholly Dirichlet or wholly Neumann, so a component's active
-nodes are a box: one index range per axis (``ComponentOperator.box``).  The
-time steppers read and write a field's active nodes through that box as
-basic-slicing views of the grid-shaped field.
+nodes are a box: one index range per axis (``ComponentOperator.box``).
 
-Every time stepper solves D + dt L through ``_factorize``, once per solve.
-In 1D that is LAPACK's tridiagonal LU (``dgttrf`` once, ``dgttrs`` per
-solve).  In 2D D + dt L on the box is a Kronecker sum of 1D operators: it is
-diagonal in the product of two per-axis generalized eigenbases, and a solve
-is four small dense products (fast diagonalization).  SuperLU serves 2D grids
-with an active axis longer than ``DENSE_EIG_LIMIT`` and 1D systems of fewer
-than 3 nodes, which ``dgttrf``'s wrapper refuses.  The time steppers check
-the last step of each state and sensitivity solve, and the last step of the
-adjoint sweep, with ``_check_step_residual`` and ``_check_adjoint_residual``.
+Every time stepper steps through one ``_Stepper`` per solve.  It forms each
+right-hand side in one reused buffer, reads it through per-component box
+views (basic slicing of the grid-shaped field) and solves in place in the box
+view of the destination.  In 1D the solve is LAPACK's tridiagonal LU
+(``dgttrf`` once, ``dgttrs`` per step).  In 2D D + dt L on the box is a
+Kronecker sum of 1D operators, diagonal in the product of two per-axis
+generalized eigenbases, and a solve is four small dense products (fast
+diagonalization).  SuperLU serves only 2D grids with an active axis longer
+than ``DENSE_EIG_LIMIT`` and 1D systems of 1 or 2 nodes, which ``dgttrf``'s
+wrapper refuses.  ``_Stepper.check`` measures the last step of every state,
+sensitivity and adjoint solve.
 """
 
 from __future__ import annotations
@@ -322,6 +322,13 @@ def quad_norm(disc: SpatialDiscretization, y) -> float:
     return float(np.sqrt(np.einsum("ji,ji,i->", y, y, disc.quadrature)))
 
 
+def _path_norms(disc: SpatialDiscretization, path) -> np.ndarray:
+    """``quad_norm`` of each (m, n_nodes) field of a path array, in one pass."""
+    path = np.asarray(path, dtype=float)
+    _check_field(disc, path[0], "path field")
+    return np.sqrt(np.einsum("kji,kji,i->k", path, path, disc.quadrature))
+
+
 @dataclass(frozen=True)
 class SFunctional:
     """Quadrature-weighted linear functional S y = sum_j sum_i q_i w_ji y_ji."""
@@ -347,7 +354,7 @@ def evaluate_S(disc: SpatialDiscretization, sfun: SFunctional, y) -> float:
         raise GridMismatchError(
             f"S weight shape {sfun.weight.shape} does not match field shape {y.shape}"
         )
-    return float(np.einsum("ji,ji,i->", sfun.weight, y, disc.quadrature))
+    return float((sfun.weight * disc.quadrature).ravel() @ y.ravel())
 
 
 def s_operator_norm(disc: SpatialDiscretization, sfun: SFunctional) -> float:
@@ -371,30 +378,11 @@ def _axis_basis(n: int, h: float, keep: slice):
     return eigh(K, np.diag(_axis_rel_weights(n)[keep]))
 
 
-class _ProductSolve:
-    """Solve of D + dt L for one component on a box, in a product eigenbasis.
-
-    On active nodes D + dt L = Rx (x) Ry + dt d (Kx (x) Ry + Rx (x) Ky), so
-    with Kx Vx = Rx Vx diag(lx) and Vx^T Rx Vx = I (likewise in y) its
-    inverse is (Vx (x) Vy) diag(1 / (1 + dt d (lx_i + ly_j))) (Vx (x) Vy)^T.
-    ``solve`` takes the active vector in x-major order, as SuperLU does.
-    """
-
-    def __init__(self, x_axis, y_axis, d, dt):
-        (lx, self.vx), (ly, self.vy) = x_axis, y_axis
-        self.scale = 1.0 / (1.0 + dt * d * (lx[:, None] + ly[None, :]))
-
-    def solve(self, rhs):
-        vx, vy = self.vx, self.vy
-        b = rhs.reshape(vx.shape[0], vy.shape[0])
-        return (vx @ ((vx.T @ b @ vy) * self.scale) @ vy.T).ravel()
-
-
 class _TridiagonalSolve:
     """LAPACK tridiagonal LU of D + dt L for one 1D component of 3 or more nodes.
 
-    ``dgttrf`` factors once (partial pivoting) and ``dgttrs`` solves, both in
-    O(n); the bands come from the weights and L's diagonals.
+    ``dgttrf`` factors once (partial pivoting) and ``dgttrs`` solves in place,
+    both in O(n); the bands come from the weights and L's diagonals.
     """
 
     def __init__(self, comp: ComponentOperator, dt: float):
@@ -405,113 +393,138 @@ class _TridiagonalSolve:
             raise NumericalFailureError(
                 f"tridiagonal factorization failed (LAPACK info {info})")
 
-    def solve(self, rhs):
-        return dgttrs(*self.factors, rhs)[0]
+    def solve(self, b):
+        x = dgttrs(*self.factors, b, overwrite_b=1)[0]
+        if x is not b:  # dgttrs solved a copy of a non-contiguous b
+            b[...] = x
 
 
-def _factorize(disc: SpatialDiscretization, dt: float):
-    """One solver of D + dt L per component, each with a SuperLU-style ``solve``.
+class _ProductSolve:
+    """Solve of D + dt L for one component on a box, in a product eigenbasis.
 
-    ``solve`` takes the D-weighted right-hand side on the active nodes as a
-    flat (x-major) vector and returns the solution in the same layout.  In 1D
-    the matrix is tridiagonal and LAPACK's tridiagonal LU serves; its wrapper
-    refuses fewer than 3 nodes, which SuperLU takes.  In 2D the operator on
-    the box is a Kronecker sum, and a ``_ProductSolve`` built from two
-    per-axis eigenbases serves when both active ranges are at most
+    On active nodes D + dt L = Rx (x) Ry + dt d (Kx (x) Ry + Rx (x) Ky), so
+    with Kx Vx = Rx Vx diag(lx) and Vx^T Rx Vx = I (likewise in y) its
+    inverse is (Vx (x) Vy) diag(1 / (1 + dt d (lx_i + ly_j))) (Vx (x) Vy)^T:
+    four dense products on the box-shaped array, through reused buffers.
+    """
+
+    def __init__(self, x_axis, y_axis, d, dt):
+        (lx, self.vx), (ly, self.vy) = x_axis, y_axis
+        self.scale = 1.0 / (1.0 + dt * d * (lx[:, None] + ly[None, :]))
+        self.t, self.c = np.empty(self.scale.shape), np.empty(self.scale.shape)
+
+    def solve(self, b):
+        vx, vy, t, c = self.vx, self.vy, self.t, self.c
+        np.matmul(vx.T, b, out=t)
+        np.matmul(t, vy, out=c)
+        c *= self.scale
+        np.matmul(vx, c, out=t)
+        np.matmul(t, vy.T, out=b)
+
+
+class _SuperLUSolve:
+    """SuperLU of D + dt L for one component, on its x-major active vector."""
+
+    def __init__(self, disc: SpatialDiscretization, j: int, dt: float):
+        self.lu = spla.splu(_implicit_step_matrix(disc, j, dt))
+
+    def solve(self, b):
+        b[...] = self.lu.solve(b.ravel()).reshape(b.shape)
+
+
+def _component_solver(disc: SpatialDiscretization, j: int, dt: float):
+    """The solver of D + dt L for component ``j``.
+
+    In 1D the matrix is tridiagonal and LAPACK's tridiagonal LU serves; its
+    wrapper refuses fewer than 3 nodes, which SuperLU takes.  In 2D the
+    operator on the box is a Kronecker sum, and a ``_ProductSolve`` built
+    from two per-axis eigenbases serves when both active ranges are at most
     ``DENSE_EIG_LIMIT`` long, and SuperLU otherwise.
     """
-    res, spacings = disc.domain.resolution, disc.domain.spacings
-    solvers = []
-    for j, (comp, d) in enumerate(zip(disc.components, disc.diffusion)):
-        sizes = [k.stop - k.start for k in comp.box]
-        if len(sizes) == 1 and sizes[0] >= 3:
-            solvers.append(_TridiagonalSolve(comp, dt))
-        elif len(sizes) == 2 and max(sizes) <= DENSE_EIG_LIMIT:
-            solvers.append(_ProductSolve(*map(_axis_basis, res, spacings, comp.box), d, dt))
-        else:
-            solvers.append(spla.splu(_implicit_step_matrix(disc, j, dt)))
-    return solvers
+    comp = disc.components[j]
+    sizes = [k.stop - k.start for k in comp.box]
+    if len(sizes) == 1 and sizes[0] >= 3:
+        return _TridiagonalSolve(comp, dt)
+    if len(sizes) == 2 and max(sizes) <= DENSE_EIG_LIMIT:
+        axes = map(_axis_basis, disc.domain.resolution, disc.domain.spacings, comp.box)
+        return _ProductSolve(*axes, disc.diffusion[j], dt)
+    return _SuperLUSolve(disc, j, dt)
 
 
-def _grid_views(disc: SpatialDiscretization, *fields):
-    """(m, n_nodes) fields as (m, *resolution), so ``(j, *box)`` indexes a view."""
-    grid = (len(disc.components),) + disc.domain.resolution
-    return [field.reshape(grid) for field in fields]
+class _Stepper:
+    """The implicit step of one solve, factored once for ``(disc, dt)``.
 
-
-def _imex_step(disc: SpatialDiscretization, lus, dt: float, y, rhs_field, out):
-    """One implicit solve per component of (D + dt L) y+ = D (y + dt rhs), into ``out``.
-
-    Only the active nodes of ``out`` are written, so its Dirichlet nodes keep
-    what the caller put there (zero).  ``out`` must be C-contiguous, as a row
-    of the solves' path arrays is, so that its grid view writes through.
-    Returns ``out``.
+    ``step(y, f, out)`` solves (D + dt L) y+ = D (y + dt f) per component and
+    ``adjoint(x, out)``, its transpose, gives D (D + dt L)^{-1} x (D + dt L
+    is symmetric, so the same factors serve).  Both take (m, n_nodes) fields
+    and write only the active nodes of ``out``, so its Dirichlet nodes keep
+    what the caller put there (zero); ``out`` must be C-contiguous, as a row
+    of a path array is.  Each call keeps its right-hand side in one buffer
+    for ``check``; each solver solves in place in the box view of ``out``.
+    With an ``sfun``, ``S(y)`` is one dot with the weight times quadrature.
     """
-    ys, fs, outs = _grid_views(disc, y, rhs_field, out)
-    for j, comp in enumerate(disc.components):
-        at = (j, *comp.box)
-        v = ys[at] + dt * fs[at]
-        outs[at] = lus[j].solve(comp.rel_weights * v.ravel()).reshape(v.shape)
-    return out
 
+    def __init__(self, disc: SpatialDiscretization, dt: float, sfun=None):
+        self.disc, self.dt = disc, dt
+        self._grid = (disc.n_components,) + disc.domain.resolution
+        self._boxes = [(j, *comp.box) for j, comp in enumerate(disc.components)]
+        self.solvers = [_component_solver(disc, j, dt) for j in range(disc.n_components)]
+        self._flat = disc.zero_field()
+        buf = self._flat.reshape(self._grid)
+        self._views = [buf[at] for at in self._boxes]
+        self._weights = [comp.rel_weights.reshape(v.shape)
+                         for comp, v in zip(disc.components, self._views)]
+        if sfun is not None:
+            self.s_field = _check_field(disc, sfun.weight, "S weight") * disc.quadrature
+            self._s = self.s_field.ravel()
 
-def _imex_adjoint_step(disc: SpatialDiscretization, lus, x, out):
-    """Transpose of the solve in ``_imex_step``: D (D + dt L)^{-1} x per component.
+    def S(self, y):
+        return self._s @ y.ravel()
 
-    D + dt L is symmetric, so the factors of the forward step serve.  Writes
-    the active nodes of ``out`` (C-contiguous), whose Dirichlet nodes the
-    forward step never reads.  Returns ``out``.
-    """
-    xs, outs = _grid_views(disc, x, out)
-    for j, comp in enumerate(disc.components):
-        at = (j, *comp.box)
-        xb = xs[at]
-        outs[at] = (comp.rel_weights * lus[j].solve(xb.ravel())).reshape(xb.shape)
-    return out
+    def step(self, y, f, out):
+        np.multiply(f, self.dt, out=self._flat)
+        self._flat += y
+        self._adjoint = False
+        grid = out.reshape(self._grid)
+        for at, solver, v, w in zip(self._boxes, self.solvers, self._views, self._weights):
+            solver.solve(np.multiply(w, v, out=grid[at]))
+        return out
 
+    def adjoint(self, x, out):
+        np.copyto(self._flat, x)
+        self._adjoint = True
+        grid = out.reshape(self._grid)
+        for at, solver, v, w in zip(self._boxes, self.solvers, self._views, self._weights):
+            b = grid[at]
+            np.copyto(b, v)
+            solver.solve(b)
+            b *= w
+        return out
 
-def _check_solves(disc: SpatialDiscretization, dt: float, pairs, what: str):
-    """Check per component that x solves (D + dt L) x = b, for (x, b) in ``pairs``.
+    def check(self, out):
+        """Check that ``out`` holds the result of the last ``step`` or ``adjoint``.
 
-    The measure is the normwise backward error |A x - b| / (|A| |x| + |b|)
-    in the max norm, with A = D + dt L on the active nodes: a
-    backward-stable solve keeps it near machine precision however stiff A
-    is, where the plain relative residual grows with |A|.  L has no positive
-    off-diagonal entry and no negative row sum, so max(D + 2 dt diag L)
-    bounds |A|.  Raises a numerical-failure error when the measure exceeds
-    the module tolerance or is not finite.
-    """
-    for j, (comp, (x, b)) in enumerate(zip(disc.components, pairs)):
-        r = comp.rel_weights * x + dt * (comp.operator @ x) - b
-        a_norm = np.max(comp.rel_weights + 2.0 * dt * comp.operator.diagonal())
-        denom = a_norm * np.max(np.abs(x)) + np.max(np.abs(b))
-        residual = float(np.max(np.abs(r)) / (denom if denom > 0 else 1.0))
-        if not np.isfinite(residual) or residual > SOLVER_RESIDUAL_TOL:
-            raise NumericalFailureError(
-                f"{what} solve failed for component {j}", residual=residual
-            )
-
-
-def _check_step_residual(disc: SpatialDiscretization, dt: float, y, rhs_field, out):
-    """Check that ``out`` solves ``_imex_step``'s systems for ``y`` and ``rhs_field``."""
-    ys, fs, outs = _grid_views(disc, y, rhs_field, out)
-    boxes = [(j, *comp.box) for j, comp in enumerate(disc.components)]
-    _check_solves(disc, dt, [
-        (outs[at].ravel(), comp.rel_weights * (ys[at] + dt * fs[at]).ravel())
-        for comp, at in zip(disc.components, boxes)], "implicit step")
-
-
-def _check_adjoint_residual(disc: SpatialDiscretization, dt: float, x, out):
-    """Check that ``out`` is ``_imex_adjoint_step``'s result for ``x``.
-
-    ``out`` holds D s for the solution s of (D + dt L) s = x; the weights
-    are powers of two, so dividing by them recovers s exactly.
-    """
-    xs, outs = _grid_views(disc, x, out)
-    boxes = [(j, *comp.box) for j, comp in enumerate(disc.components)]
-    _check_solves(disc, dt, [
-        (outs[at].ravel() / comp.rel_weights, xs[at].ravel())
-        for comp, at in zip(disc.components, boxes)], "adjoint step")
+        The measure, per component, is the max-norm backward error
+        |A s - b| / (|A| |s| + |b|) of A s = b, A = D + dt L on the active
+        nodes; it stays near machine precision for a backward-stable solve
+        however stiff A is.  L has no positive off-diagonal entry and no
+        negative row sum, so max(D + 2 dt diag L) bounds |A|.  After
+        ``adjoint``, s is ``out`` divided by the weights (powers of two, so
+        exactly).  Raises a numerical-failure error above the module tolerance.
+        """
+        what = "adjoint step" if self._adjoint else "implicit step"
+        grid = out.reshape(self._grid)
+        for j, (at, comp, v) in enumerate(zip(self._boxes, self.disc.components, self._views)):
+            s, b, w = grid[at].ravel(), v.ravel(), comp.rel_weights
+            s, b = (s / w, b) if self._adjoint else (s, w * b)
+            r = w * s + self.dt * (comp.operator @ s) - b
+            a_norm = np.max(w + 2.0 * self.dt * comp.operator.diagonal())
+            denom = a_norm * np.max(np.abs(s)) + np.max(np.abs(b))
+            residual = float(np.max(np.abs(r)) / (denom if denom > 0 else 1.0))
+            if not np.isfinite(residual) or residual > SOLVER_RESIDUAL_TOL:
+                raise NumericalFailureError(
+                    f"{what} solve failed for component {j}", residual=residual
+                )
 
 
 def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):
@@ -525,9 +538,9 @@ def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):
     if not np.isfinite(dt) or dt <= 0:
         raise InvalidConfigError(f"dt must be positive, got {dt}")
     y = _check_field(disc, y)
-    zero = np.zeros_like(y)
-    out = _imex_step(disc, _factorize(disc, dt), dt, y, zero, np.zeros_like(y))
-    _check_step_residual(disc, dt, y, zero, out)
+    stepper = _Stepper(disc, dt)
+    out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
+    stepper.check(out)
     return out
 
 

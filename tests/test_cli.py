@@ -6,7 +6,6 @@ from importlib import resources
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 import stopsim
 from stopsim import (
@@ -16,9 +15,8 @@ from stopsim import (
     solve_state,
     stop_evaluate,
 )
-from stopsim import evolution, sensitivity
+from stopsim import spatial
 from stopsim.cli import _format_value, main, read_signal_csv
-from stopsim.spatial import _implicit_step_matrix
 
 
 def package_env():
@@ -46,6 +44,18 @@ def small_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+PICARD = {"dt": 0.05, "t_final": 0.5, "scheme": "picard-sliced",
+          "slice_length": 0.2}
+BIG_SOURCE = {"kind": "constant", "value": 1e10}
+UNIT_CONTROL = {"mode": "distributed", "time_knots": 1,
+                "spatial_modes": {"kind": "sine", "count": 1},
+                "kappa": 0.1, "target": {"kind": "constant", "value": 1.0}}
+OVERFLOW = ("error: state blew up at step 9 (t=0.45): magnitude 1.418e+13 "
+            "exceeds guard 1.0e+12 or is not finite\n")
+NAN = ("error: state blew up at step 2 (t=0.1): magnitude 0.000e+00 "
+       "exceeds guard 1.0e+12 or is not finite\n")
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -126,9 +136,7 @@ class TestSimulate:
             return np.frombuffer(raw[4 * 8:], dtype=np.float64)
 
         ours = states(tmp_path / "ours")
-        monkeypatch.setattr(evolution, "_factorize", lambda disc, dt: [
-            spla.splu(_implicit_step_matrix(disc, j, dt))
-            for j in range(disc.n_components)])
+        monkeypatch.setattr(spatial, "_component_solver", spatial._SuperLUSolve)
         lu = states(tmp_path / "lu")
         assert np.max(np.abs(ours - lu)) <= 1e-12 * np.max(np.abs(lu))
 
@@ -306,6 +314,32 @@ class TestValidationFailures:
         assert proc.stderr.startswith("error: adjoint became non-finite at step")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("subcommand,overrides,message", [
+        ("simulate", {"state": 3000.0}, OVERFLOW),
+        ("simulate", {"state": 3000.0, "solver": PICARD}, OVERFLOW),
+        ("simulate", {"state": 1e300, "source": BIG_SOURCE}, NAN),
+        ("simulate", {"state": 1e300, "source": BIG_SOURCE, "solver": PICARD}, NAN),
+        ("sensitivity", {"state": 50.0, "source": {"kind": "zero"},
+                         "direction": {"kind": "constant", "value": 1e308},
+                         "solver": PICARD},
+         "error: sensitivity became non-finite at step 2 (t=0.1)\n"),
+        ("optimize", {"state": 1e200, "source": {"kind": "zero"},
+                      "control": UNIT_CONTROL},
+         "error: adjoint became non-finite at step 7 (t=0.35)\n"),
+    ], ids=["overflow", "overflow-picard", "nan", "nan-picard",
+            "sensitivity-picard", "adjoint"])
+    def test_numerical_failure_names_its_step(self, tmp_path, capsys,
+                                              subcommand, overrides, message):
+        overrides = dict(overrides)
+        overrides["reaction"] = {"kind": "linear", "constant": 0.0,
+                                 "state": overrides.pop("state"),
+                                 "hysteresis": 0.0}
+        path = write_config(tmp_path, small_config(**overrides))
+        rc = main([subcommand, "--config", path, "--out", str(tmp_path),
+                   "--quiet"])
+        assert rc == 3
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("solver", [
         {"dt": 0.05, "t_final": 0.5},
         {"dt": 0.05, "t_final": 0.5, "scheme": "picard-sliced",
@@ -313,16 +347,14 @@ class TestValidationFailures:
     ])
     def test_inexact_solve_exits_three(self, tmp_path, capsys, monkeypatch,
                                        solver):
-        class Perturbed:
-            def __init__(self, solver):
-                self.solver = solver
+        step = spatial._Stepper.step
 
-            def solve(self, rhs):
-                return self.solver.solve(rhs) * (1.0 + 1e-6)
+        def perturbed(self, y, f, out):
+            step(self, y, f, out)
+            out *= 1.0 + 1e-6
+            return out
 
-        factorize = evolution._factorize
-        monkeypatch.setattr(evolution, "_factorize", lambda disc, dt: [
-            Perturbed(s) for s in factorize(disc, dt)])
+        monkeypatch.setattr(spatial._Stepper, "step", perturbed)
         path = write_config(tmp_path, small_config(solver=solver))
         rc = main(["simulate", "--config", path, "--out", str(tmp_path)])
         assert rc == 3
@@ -332,16 +364,14 @@ class TestValidationFailures:
 
     def test_inexact_adjoint_solve_exits_three(self, tmp_path, capsys,
                                                monkeypatch):
-        class Perturbed:
-            def __init__(self, solver):
-                self.solver = solver
+        adjoint = spatial._Stepper.adjoint
 
-            def solve(self, rhs):
-                return self.solver.solve(rhs) * (1.0 + 1e-6)
+        def perturbed(self, x, out):
+            adjoint(self, x, out)
+            out *= 1.0 + 1e-6
+            return out
 
-        factorize = sensitivity._factorize
-        monkeypatch.setattr(sensitivity, "_factorize", lambda disc, dt: [
-            Perturbed(s) for s in factorize(disc, dt)])
+        monkeypatch.setattr(spatial._Stepper, "adjoint", perturbed)
         cfg = small_config(
             control={"mode": "distributed", "time_knots": 1,
                      "spatial_modes": {"kind": "sine", "count": 1},

@@ -20,6 +20,9 @@ from stopsim import (
     solve_state,
 )
 
+from stopsim.evolution import BLOWUP_GUARD, _state_rules
+from stopsim.spatial import _Stepper
+
 from conftest import constant_sfun
 from oracles import generator_dense_1d, imex_reference_1d, quad_weights_1d
 
@@ -269,6 +272,24 @@ class TestStateSolve:
                         linear_reaction, hyst_cfg,
                         np.zeros((3, 1, disc_mixed.n_nodes)), solver_short)
 
+    def test_guard_admits_the_bound_and_refuses_beyond_it(self, disc_mixed,
+                                                          hyst_cfg,
+                                                          linear_reaction):
+        stepper = _Stepper(disc_mixed, 0.1, constant_sfun(disc_mixed))
+        u = np.zeros((4, 1, disc_mixed.n_nodes))
+        _, advance, _ = _state_rules(stepper, linear_reaction,
+                                     StopCursor(hyst_cfg, 0.0), u)
+        y = np.zeros((1, disc_mixed.n_nodes))
+        y[0, 5], y[0, 6] = BLOWUP_GUARD, -BLOWUP_GUARD
+        advance(1, y)
+        beyond = np.nextafter(BLOWUP_GUARD, np.inf)
+        for bad in (beyond, -beyond, np.nan, np.inf):
+            z = y.copy()
+            z[0, 7] = bad
+            with pytest.raises(BlowupError, match=re.escape(
+                    "state blew up at step 2 (t=0.2): magnitude ")):
+                advance(2, z)
+
     def test_blowup_raises(self, disc_mixed, hyst_cfg):
         reaction = ReactionFunction.linear(0.0, 50.0, 0.0)
         solver = SolverConfig(dt=0.1, t_final=5.0)
@@ -408,6 +429,19 @@ class TestPicardScheme:
 
 
 class TestBoundednessReport:
+    def test_norms_equal_the_per_step_quadrature_norms(self, disc_mixed,
+                                                       hyst_cfg,
+                                                       saturating_reaction,
+                                                       solver_short):
+        u = sine_source(disc_mixed, solver_short)
+        traj = solve_state(disc_mixed, constant_sfun(disc_mixed),
+                           saturating_reaction, hyst_cfg, u, solver_short)
+        report = boundedness_report(disc_mixed, traj, solver_short)
+        assert report.max_state_norm == max(quad_norm(disc_mixed, y)
+                                            for y in traj.states)
+        assert report.source_norm == np.sqrt(solver_short.dt * sum(
+            quad_norm(disc_mixed, uk) ** 2 for uk in u))
+
     def test_zero_run_reports_zero(self, disc_mixed, hyst_cfg, solver_short):
         reaction = ReactionFunction.linear(0.0, 0.0, 0.0)
         traj = solve_state(disc_mixed, constant_sfun(disc_mixed), reaction,

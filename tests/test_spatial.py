@@ -1,8 +1,8 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from stopsim import (
     BoundarySides,
@@ -23,12 +23,12 @@ from stopsim import (
 from stopsim.spatial import (
     DENSE_EIG_LIMIT,
     SOLVER_RESIDUAL_TOL,
-    _check_adjoint_residual,
-    _check_step_residual,
-    _factorize,
-    _imex_adjoint_step,
-    _imex_step,
     _implicit_step_matrix,
+    _path_norms,
+    _ProductSolve,
+    _Stepper,
+    _SuperLUSolve,
+    _TridiagonalSolve,
 )
 
 from conftest import constant_sfun
@@ -336,6 +336,18 @@ def rel_diff(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def superlu_stepper(disc, dt):
+    """A stepper that solves every component with SuperLU, as the reference."""
+    stepper = _Stepper(disc, dt)
+    stepper.solvers = [_SuperLUSolve(disc, j, dt) for j in range(disc.n_components)]
+    return stepper
+
+
+def both_steps(stepper, y, f, x):
+    return (stepper.step(y, f, np.zeros_like(y)).copy(),
+            stepper.adjoint(x, np.zeros_like(x)).copy())
+
+
 class TestProductSolve:
     """The 2D product-eigenbasis solve against SuperLU on the same matrices."""
 
@@ -344,29 +356,28 @@ class TestProductSolve:
     def test_steps_match_superlu(self, labels):
         disc = two_d_disc(labels)
         dt = 0.013
-        solvers = _factorize(disc, dt)
-        assert not any(isinstance(s, spla.SuperLU) for s in solvers)
-        lus = [spla.splu(_implicit_step_matrix(disc, j, dt)) for j in range(2)]
+        ours = _Stepper(disc, dt)
+        assert all(isinstance(s, _ProductSolve) for s in ours.solvers)
         rng = np.random.default_rng(31)
         y, f, x = (rng.standard_normal((2, disc.n_nodes)) for _ in range(3))
         for j, comp in enumerate(disc.components):
             y[j, comp.dirichlet_mask] = 0.0
-        assert rel_diff(_imex_step(disc, solvers, dt, y, f, np.zeros_like(y)),
-                        _imex_step(disc, lus, dt, y, f, np.zeros_like(y))) <= 1e-12
-        assert rel_diff(_imex_adjoint_step(disc, solvers, x, np.zeros_like(x)),
-                        _imex_adjoint_step(disc, lus, x, np.zeros_like(x))) <= 1e-12
+        step, adjoint = both_steps(ours, y, f, x)
+        step_lu, adjoint_lu = both_steps(superlu_stepper(disc, dt), y, f, x)
+        assert rel_diff(step, step_lu) <= 1e-12
+        assert rel_diff(adjoint, adjoint_lu) <= 1e-12
 
     def test_superlu_serves_long_axes(self):
         n = DENSE_EIG_LIMIT + 1
         neumann = ("neumann",) * 4
         long_axis = two_d_disc(neumann, resolution=(n, 3), extent=(1.0, 1.0))
-        assert all(isinstance(s, spla.SuperLU) for s in _factorize(long_axis, 0.1))
+        assert all(isinstance(s, _SuperLUSolve) for s in _Stepper(long_axis, 0.1).solvers)
         # one Dirichlet end brings the active axis to the limit
         pinned = two_d_disc(("dirichlet", "neumann", "neumann", "neumann"),
                             resolution=(n, 3), extent=(1.0, 1.0))
-        solvers = _factorize(pinned, 0.1)
-        assert not isinstance(solvers[0], spla.SuperLU)
-        assert isinstance(solvers[1], spla.SuperLU)
+        solvers = _Stepper(pinned, 0.1).solvers
+        assert not isinstance(solvers[0], _SuperLUSolve)
+        assert isinstance(solvers[1], _SuperLUSolve)
 
     def test_pure_neumann_step_conserves_quadrature_mass(self):
         disc = two_d_disc(("neumann",) * 4, resolution=(23, 17))
@@ -405,26 +416,25 @@ class TestTridiagonalSolve:
                                        (4, ("neumann", "dirichlet"), True),
                                        (3, ("neumann", "neumann"), True),
                                        (17, ("dirichlet", "neumann"), True)]:
-            (solver,) = _factorize(one_d_disc(n, labels), 0.1)
-            assert isinstance(solver, spla.SuperLU) != tridiagonal, (n, labels)
+            (solver,) = _Stepper(one_d_disc(n, labels), 0.1).solvers
+            assert isinstance(solver, _SuperLUSolve) != tridiagonal, (n, labels)
+            assert isinstance(solver, _TridiagonalSolve) == tridiagonal, (n, labels)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("labels", LABEL_PAIRS)
     def test_tiny_grids_match_superlu(self, n, labels):
         disc = one_d_disc(n, labels)
         dt = 0.07
-        lus = [spla.splu(_implicit_step_matrix(disc, 0, dt))]
+        ref = superlu_stepper(disc, dt)
         rng = np.random.default_rng(41)
         y, f, x = (rng.standard_normal((1, n)) for _ in range(3))
         y[0, disc.components[0].dirichlet_mask] = 0.0
-        solvers = _factorize(disc, dt)
-        assert rel_diff(_imex_step(disc, solvers, dt, y, f, np.zeros_like(y)),
-                        _imex_step(disc, lus, dt, y, f, np.zeros_like(y))) <= 1e-12
-        assert rel_diff(_imex_adjoint_step(disc, solvers, x, np.zeros_like(x)),
-                        _imex_adjoint_step(disc, lus, x, np.zeros_like(x))) <= 1e-12
+        step, adjoint = both_steps(_Stepper(disc, dt), y, f, x)
+        step_lu, adjoint_lu = both_steps(ref, y, f, x)
+        assert rel_diff(step, step_lu) <= 1e-12
+        assert rel_diff(adjoint, adjoint_lu) <= 1e-12
         assert rel_diff(apply_semigroup_step(disc, y, dt),
-                        _imex_step(disc, lus, dt, y, np.zeros_like(y),
-                                   np.zeros_like(y))) <= 1e-12
+                        ref.step(y, np.zeros_like(y), np.zeros_like(y))) <= 1e-12
 
     @pytest.mark.parametrize("n", [41, 501, 2001, 20001])
     @pytest.mark.parametrize("dt,d", [(0.01, 0.5), (1.0, 10.0)])
@@ -435,15 +445,77 @@ class TestTridiagonalSolve:
         rng = np.random.default_rng(42)
         y, f = (rng.standard_normal((1, n)) for _ in range(2))
         y[0, comp.dirichlet_mask] = 0.0
-        ours = _imex_step(disc, _factorize(disc, dt), dt, y, f, np.zeros_like(y))
-        lu = _imex_step(disc, [spla.splu(_implicit_step_matrix(disc, 0, dt))],
-                        dt, y, f, np.zeros_like(y))
-        _check_step_residual(disc, dt, y, f, ours)
-        _check_step_residual(disc, dt, y, f, lu)
+        stepper, ref = _Stepper(disc, dt), superlu_stepper(disc, dt)
+        ours = stepper.step(y, f, np.zeros_like(y))
+        lu = ref.step(y, f, np.zeros_like(y))
+        stepper.check(ours)
+        ref.check(lu)
         # D + dt L is diagonally dominant by D >= 1/2 in every row, so the
         # max-norm condition number is at most 2 max(D + 2 dt diag L)
         kappa = 2.0 * np.max(comp.rel_weights + 2.0 * dt * comp.operator.diagonal())
         assert rel_diff(ours, lu) <= 8 * np.finfo(float).eps * kappa
+
+
+STEPPER_CASES = {
+    "tridiagonal": (lambda: one_d_disc(41, ("dirichlet", "neumann")), _TridiagonalSolve),
+    "superlu-1-node": (lambda: one_d_disc(3, ("dirichlet", "dirichlet")), _SuperLUSolve),
+    "superlu-2-nodes": (lambda: one_d_disc(4, ("dirichlet", "dirichlet")), _SuperLUSolve),
+    "product": (lambda: two_d_disc(("dirichlet", "neumann", "neumann", "dirichlet")),
+                _ProductSolve),
+    "superlu-long-axis": (lambda: two_d_disc(("neumann", "dirichlet", "neumann", "neumann"),
+                                             resolution=(DENSE_EIG_LIMIT + 2, 3),
+                                             extent=(1.0, 1.0)), _SuperLUSolve),
+}
+
+
+class TestStepper:
+    """The step object's fast paths against plain references."""
+
+    @pytest.mark.parametrize("case", list(STEPPER_CASES))
+    def test_adjoint_is_the_transpose_of_the_step(self, case):
+        make, kind = STEPPER_CASES[case]
+        disc = make()
+        stepper = _Stepper(disc, 0.03)
+        assert all(isinstance(s, kind) for s in stepper.solvers)
+        # positive fields against the positive inverse of an M-matrix: no
+        # cancellation, so the relative bound is a fair one
+        rng = np.random.default_rng(51)
+        x, y = (rng.uniform(0.5, 1.5, (disc.n_components, disc.n_nodes))
+                for _ in range(2))
+        lhs = np.sum(x * stepper.step(y, np.zeros_like(y), np.zeros_like(y)))
+        rhs = np.sum(stepper.adjoint(x, np.zeros_like(x)) * y)
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    @pytest.mark.parametrize("disc_name", ["disc_mixed", "disc_2d", "two_components"])
+    def test_s_is_evaluate_s_and_a_plain_sum(self, request, disc_name):
+        disc = (two_d_disc(("dirichlet", "neumann", "neumann", "neumann"))
+                if disc_name == "two_components" else request.getfixturevalue(disc_name))
+        rng = np.random.default_rng(52)
+        shape = (disc.n_components, disc.n_nodes)
+        sfun = SFunctional(weight=rng.standard_normal(shape))
+        stepper = _Stepper(disc, 0.1, sfun)
+        for _ in range(5):
+            y = rng.standard_normal(shape)
+            terms = (sfun.weight * disc.quadrature * y).ravel()
+            assert stepper.S(y) == evaluate_S(disc, sfun, y)
+            assert abs(stepper.S(y) - math.fsum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+
+    def test_s_weight_shape_is_checked(self, disc_mixed):
+        with pytest.raises(GridMismatchError):
+            _Stepper(disc_mixed, 0.1, SFunctional(weight=np.ones((2, disc_mixed.n_nodes))))
+
+    @pytest.mark.parametrize("resolution", [(41,), (13, 9)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_path_norms_equal_the_per_field_norms(self, resolution, m):
+        labels = ("dirichlet", "neumann") * len(resolution)
+        disc = assemble(DomainSpec(dimension=len(resolution), extent=(1.0,) * len(resolution),
+                                   resolution=resolution),
+                        [BoundarySides(*labels)] * m, [1.0] * m)
+        path = np.random.default_rng(53).standard_normal((61, m, disc.n_nodes))
+        np.testing.assert_array_equal(_path_norms(disc, path),
+                                      [quad_norm(disc, y) for y in path])
+        with pytest.raises(GridMismatchError):
+            _path_norms(disc, path[:, :, 1:])
 
 
 class TestStepResidualCheck:
@@ -453,31 +525,34 @@ class TestStepResidualCheck:
                         [BoundarySides(left="neumann", right="neumann")], [10.0])
         comp = disc.components[0]
         y = np.cos(np.pi * disc.coords[:, 0])[None, :]
-        zero = np.zeros_like(y)
-        out = _imex_step(disc, _factorize(disc, dt), dt, y, zero, np.zeros_like(y))
+        stepper = _Stepper(disc, dt)
+        out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
         b = comp.rel_weights * y[0]
         A = _implicit_step_matrix(disc, 0, dt)
         plain = np.linalg.norm(A @ out[0] - b) / np.linalg.norm(b)
         assert plain > SOLVER_RESIDUAL_TOL
-        _check_step_residual(disc, dt, y, zero, out)
+        stepper.check(out)
 
     def test_perturbed_solution_is_refused(self, disc_2d):
         rng = np.random.default_rng(33)
         y, f = (rng.standard_normal((1, disc_2d.n_nodes)) for _ in range(2))
-        out = _imex_step(disc_2d, _factorize(disc_2d, 0.05), 0.05, y, f, np.zeros_like(y))
-        _check_step_residual(disc_2d, 0.05, y, f, out)
-        with pytest.raises(NumericalFailureError, match="component 0"):
-            _check_step_residual(disc_2d, 0.05, y, f, out * (1 + 1e-6))
+        stepper = _Stepper(disc_2d, 0.05)
+        out = stepper.step(y, f, np.zeros_like(y))
+        stepper.check(out)
+        with pytest.raises(NumericalFailureError,
+                           match="implicit step solve failed for component 0"):
+            stepper.check(out * (1 + 1e-6))
 
     @pytest.mark.parametrize("disc_name", ["disc_mixed", "disc_2d"])
     def test_perturbed_adjoint_solution_is_refused(self, request, disc_name):
         disc = request.getfixturevalue(disc_name)
         x = np.random.default_rng(34).standard_normal((1, disc.n_nodes))
-        out = _imex_adjoint_step(disc, _factorize(disc, 0.05), x, np.zeros_like(x))
-        _check_adjoint_residual(disc, 0.05, x, out)
+        stepper = _Stepper(disc, 0.05)
+        out = stepper.adjoint(x, np.zeros_like(x))
+        stepper.check(out)
         with pytest.raises(NumericalFailureError,
                            match="adjoint step solve failed for component 0"):
-            _check_adjoint_residual(disc, 0.05, x, out * (1 + 1e-6))
+            stepper.check(out * (1 + 1e-6))
 
 
 class TestMultiComponent:
