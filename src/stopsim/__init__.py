@@ -69,13 +69,11 @@ from .control import (
     ControlProblem,
     ControlSpec,
     OptimizeResult,
-    StabilityReport,
     apply_B,
     control_gram,
     optimize,
     reduced_cost,
     reduced_cost_directional_derivative,
-    stability_study,
 )
 from .scenario import (
     ControlSetup,
@@ -139,13 +137,11 @@ __all__ = [
     "ControlSpec",
     "ControlProblem",
     "OptimizeResult",
-    "StabilityReport",
     "apply_B",
     "control_gram",
     "reduced_cost",
     "reduced_cost_directional_derivative",
     "optimize",
-    "stability_study",
     "Scenario",
     "ControlSetup",
     "load_scenario",

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -312,7 +313,9 @@ def _cmd_diagnose_semigroup(args):
     return run.finish("diagnose-semigroup")
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="stopsim",
         description="Hysteresis-coupled reaction-diffusion simulation toolkit.",

@@ -28,19 +28,17 @@ from .errors import EmptyBoundaryError, GridMismatchError, InvalidConfigError
 from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
 from .hysteresis import HysteresisConfig
 from .sensitivity import LinearizedProblem, _adjoint_sweep, solve_sensitivity
-from .spatial import SFunctional, SpatialDiscretization, _path_norms, s_operator_norm
+from .spatial import SFunctional, SpatialDiscretization
 
 __all__ = [
     "ControlSpec",
     "ControlProblem",
     "OptimizeResult",
-    "StabilityReport",
     "apply_B",
     "control_gram",
     "reduced_cost",
     "reduced_cost_directional_derivative",
     "optimize",
-    "stability_study",
 ]
 
 
@@ -373,39 +371,3 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
         step = 2.0 * t
 
     return OptimizeResult(spec=best_spec, cost=best_cost, history=history, status=status)
-
-
-@dataclass
-class StabilityReport:
-    """Deviations of state and hysteresis output under control perturbations."""
-
-    state_deviation: np.ndarray  # max_k |G(B u_n) - G(B u)|_quad
-    stop_deviation: np.ndarray   # max_k |z_n - z|
-    stop_bound: np.ndarray       # 2 ||S|| * state deviation
-    bound_satisfied: np.ndarray
-
-
-def stability_study(problem: ControlProblem, spec: ControlSpec,
-                    perturbed_coefficients) -> StabilityReport:
-    """Solve at ``spec`` and at each perturbed coefficient vector, compare.
-
-    The hysteresis deviation is checked against twice the S operator norm
-    times the state deviation (the stop's Lipschitz bound pushed through S).
-    """
-    base = _solve(problem, spec)
-    s_norm = s_operator_norm(problem.disc, problem.sfun)
-    state_dev, stop_dev = [], []
-    for coeffs in perturbed_coefficients:
-        traj = _solve(problem, spec.with_coefficients(coeffs))
-        state_dev.append(_path_norms(problem.disc, traj.states - base.states).max())
-        stop_dev.append(float(np.max(np.abs(traj.stop.values - base.stop.values))))
-    state_dev = np.asarray(state_dev)
-    stop_dev = np.asarray(stop_dev)
-    bound = 2.0 * s_norm * state_dev
-    slack = 1e-12 * (1.0 + bound)
-    return StabilityReport(
-        state_deviation=state_dev,
-        stop_deviation=stop_dev,
-        stop_bound=bound,
-        bound_satisfied=stop_dev <= bound + slack,
-    )

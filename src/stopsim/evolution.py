@@ -54,6 +54,12 @@ REACTION_KINDS = ("linear", "saturating", "logistic-capped", "user-table")
 SCHEMES = ("imex-euler", "picard-sliced")
 
 
+def _as_float(z):
+    """A float ``z`` (numpy's float64 is one) as a numpy float, anything else as
+    a float array."""
+    return np.float64(z) if isinstance(z, float) else np.asarray(z, dtype=float)
+
+
 def _clip_directional(x, cap, d):
     """One-sided directional derivative of clip(x, -cap, cap) in direction d."""
     inner = np.where(np.abs(x) < cap, d, 0.0)
@@ -223,17 +229,22 @@ class ReactionFunction:
                 + v01 * (1 - ty) * tz + v11 * ty * tz)
 
     def value(self, y, z):
-        """f(y, z) elementwise over ``y`` with scalar (or broadcast) ``z``."""
+        """f(y, z) elementwise over ``y`` with scalar (or broadcast) ``z``.
+
+        The z-part of a catalog kind is evaluated once, as a numpy scalar
+        when ``z`` is a scalar.
+        """
         y = np.asarray(y, dtype=float)
         p = self.params
+        if self.kind == "user-table":
+            return self._table_value(y, z)
+        z = _as_float(z)
         if self.kind == "linear":
-            return p[0] + p[1] * y + p[2] * np.asarray(z)
+            return p[0] + p[1] * y + p[2] * z
         if self.kind == "saturating":
-            return p[0] * np.tanh(p[1] * y) + p[2] * np.tanh(p[3] * np.asarray(z))
-        if self.kind == "logistic-capped":
-            cap, cz = p[2], p[3]
-            return np.clip(self._logistic_inner(y), -cap, cap) + cz * np.asarray(z)
-        return self._table_value(y, z)
+            return p[0] * np.tanh(p[1] * y) + p[2] * np.tanh(p[3] * z)
+        cap, cz = p[2], p[3]
+        return np.clip(self._logistic_inner(y), -cap, cap) + cz * z
 
     def directional(self, y, z, dy, dz):
         """One-sided directional derivative f'[(y, z); (dy, dz)] elementwise.
@@ -244,16 +255,18 @@ class ReactionFunction:
         y = np.asarray(y, dtype=float)
         dy = np.asarray(dy, dtype=float)
         p = self.params
+        if self.kind != "user-table":
+            dz = _as_float(dz)
         if self.kind == "linear":
-            return p[1] * dy + p[2] * np.asarray(dz)
+            return p[1] * dy + p[2] * dz
         if self.kind == "saturating":
             ty = np.tanh(p[1] * y)
-            tz = np.tanh(p[3] * np.asarray(z))
-            return p[0] * p[1] * (1.0 - ty * ty) * dy + p[2] * p[3] * (1.0 - tz * tz) * np.asarray(dz)
+            tz = np.tanh(p[3] * _as_float(z))
+            return p[0] * p[1] * (1.0 - ty * ty) * dy + p[2] * p[3] * (1.0 - tz * tz) * dz
         if self.kind == "logistic-capped":
             rate, capacity, cap, cz = p
             d_inner = rate * (1.0 - 2.0 * y / capacity) * dy
-            return _clip_directional(self._logistic_inner(y), cap, d_inner) + cz * np.asarray(dz)
+            return _clip_directional(self._logistic_inner(y), cap, d_inner) + cz * dz
         # user-table: symmetric quotient along the direction, scale-normalized
         z = np.broadcast_to(np.asarray(z, dtype=float), y.shape)
         dz = np.broadcast_to(np.asarray(dz, dtype=float), y.shape)

@@ -19,30 +19,34 @@ nodes pinned to zero, and each component's operator acts on its active
 is Dirichlet.
 
 Each side is wholly Dirichlet or wholly Neumann, so a component's active
-nodes are a box: one index range per axis (``ComponentOperator.box``).
+nodes are a box: one index range per axis (``ComponentOperator.box``), and
+the assembly stores the operator per axis (``AxisOperator``: the diagonals
+of the tridiagonal stiffness and the weights on the box), with no sparse
+matrix.  L on a box is d K in 1D and the Kronecker sum d (Kx (x) Ry +
+Rx (x) Ky) in 2D.
 
 Every time stepper steps through one ``_Stepper`` per solve.  It forms each
 right-hand side in one reused buffer, reads it through per-component box
-views (basic slicing of the grid-shaped field) and solves in place in the box
-view of the destination.  In 1D the solve is LAPACK's tridiagonal LU
-(``dgttrf`` once, ``dgttrs`` per step).  In 2D D + dt L on the box is a
-Kronecker sum of 1D operators, diagonal in the product of two per-axis
-generalized eigenbases, and a solve is four small dense products (fast
-diagonalization).  SuperLU serves only 2D grids with an active axis longer
-than ``DENSE_EIG_LIMIT`` and 1D systems of 1 or 2 nodes, which ``dgttrf``'s
-wrapper refuses.  ``_Stepper.check`` measures the last step of every state,
-sensitivity and adjoint solve.
+views (basic slicing of the grid-shaped field) and writes each solve into
+the box view of the destination.  D + dt L on a box is diagonal in the
+product of its per-axis generalized eigenbases (fast diagonalization), and
+each axis's basis is the sampled sines or cosines of the uniform grid,
+cached per axis.  So with NumPy alone a 1D solve is two dots and a 2D solve
+four small dense products (``_ProductSolve``), for every 1D box of at most
+``AXIS_EIG_LIMIT`` nodes and every 2D box whose axes are at most
+``DENSE_EIG_LIMIT`` long.  Longer 1D boxes solve with LAPACK's tridiagonal
+LU (``dgttrf`` once, ``dgttrs`` per step), which is faster there, and 2D
+boxes with a longer axis with SuperLU; only these two import scipy, when
+they are built.  ``_Stepper.check`` measures the last step of every state,
+sensitivity and adjoint solve from the per-axis data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     GridMismatchError,
@@ -71,6 +75,7 @@ _LABELS = ("dirichlet", "neumann")
 
 SOLVER_RESIDUAL_TOL = 1e-10  # backward-error bound for implicit solves
 DENSE_EIG_LIMIT = 500  # dense eigendecompositions refused above this size
+AXIS_EIG_LIMIT = 64  # longest 1D box solved in its eigenbasis; dgttrs is faster beyond
 
 
 @dataclass(frozen=True)
@@ -135,24 +140,88 @@ class BoundarySides:
 
 
 @dataclass(frozen=True)
+class AxisOperator:
+    """One axis of a component's operator on its active node range ``keep``.
+
+    ``main`` and ``off`` are the diagonals of the axis stiffness / h^2 (rows
+    (-1, 2, -1), ends (1, -1)) and ``weights`` the relative trapezoid
+    weights, all restricted to ``keep``.
+    """
+
+    n: int
+    h: float
+    keep: slice
+    main: np.ndarray
+    off: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def build(cls, n: int, h: float, keep: slice):
+        main = np.full(n, 2.0)
+        main[0] = main[-1] = 1.0
+        size = keep.stop - keep.start
+        return cls(n, h, keep, main[keep] / (h * h), np.full(size - 1, -1.0) / (h * h),
+                   _axis_rel_weights(n)[keep])
+
+    def basis(self):
+        return _axis_basis(self.n, self.h, self.keep.start, self.keep.stop)
+
+    def apply(self, s):
+        """(stiffness / h^2) s along the first axis of the box-shaped ``s``."""
+        shape = (-1,) + (1,) * (s.ndim - 1)
+        off = self.off.reshape(shape)
+        r = self.main.reshape(shape) * s
+        r[1:] += off * s[:-1]
+        r[:-1] += off * s[1:]
+        return r
+
+
+@dataclass(frozen=True)
 class ComponentOperator:
-    """Assembled operator data for one component, restricted to active nodes."""
+    """Assembled operator data for one component, restricted to active nodes.
+
+    L = d K on a 1D box and d (Kx (x) Ry + Rx (x) Ky) on a 2D box, from the
+    per-axis stiffness K and weights R of ``axes``.
+    """
 
     active: np.ndarray          # full-grid indices of non-Dirichlet nodes
     box: tuple                  # per-axis slices whose product is ``active``
-    operator: sp.csr_matrix     # symmetric PSD form L on active nodes
+    axes: tuple                 # one AxisOperator per axis, on the box
+    diffusion: float            # d
     rel_weights: np.ndarray     # relative trapezoid weights D on active nodes
     dirichlet_mask: np.ndarray  # full-grid boolean
     neumann_nodes: np.ndarray   # full-grid indices of Neumann boundary nodes
     surface_weights: np.ndarray  # boundary quadrature weight per Neumann node
 
+    @cached_property
+    def operator(self):
+        """L as a sparse matrix on the x-major active vector, built on first use.
 
-def _axis_stiffness(n: int) -> sp.csr_matrix:
-    """Unit-spacing 1D stiffness: rows (-1, 2, -1), ends (1, -1); symmetric."""
-    main = np.full(n, 2.0)
-    main[0] = main[-1] = 1.0
-    off = np.full(n - 1, -1.0)
-    return sp.diags_array([off, main, off], offsets=[-1, 0, 1]).tocsr()
+        No solve or check reads it; it imports scipy.
+        """
+        import scipy.sparse as sp
+
+        k = [sp.diags_array([a.off, a.main, a.off], offsets=[-1, 0, 1]) for a in self.axes]
+        if len(k) == 1:
+            return (self.diffusion * k[0]).tocsr()
+        (kx, ky), (ax, ay) = k, self.axes
+        return (self.diffusion * (sp.kron(kx, sp.diags_array(ay.weights), format="csr")
+                                  + sp.kron(sp.diags_array(ax.weights), ky, format="csr"))).tocsr()
+
+    def apply(self, s):
+        """L s for a box-shaped ``s``."""
+        if len(self.axes) == 1:
+            return self.diffusion * self.axes[0].apply(s)
+        ax, ay = self.axes
+        return self.diffusion * (ax.apply(s) * ay.weights
+                                 + ax.weights[:, None] * ay.apply(s.T).T)
+
+    def diagonal(self):
+        """The diagonal of L, box-shaped."""
+        if len(self.axes) == 1:
+            return self.diffusion * self.axes[0].main
+        ax, ay = self.axes
+        return self.diffusion * (np.outer(ax.main, ay.weights) + np.outer(ax.weights, ay.main))
 
 
 def _axis_rel_weights(n: int) -> np.ndarray:
@@ -240,7 +309,6 @@ def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization
         rel = _axis_rel_weights(n)
         quadrature = rel * h
         cell_volume = h
-        base_L = _axis_stiffness(n) / (h * h)  # K/h divided by cell volume h
     else:
         nx, ny = domain.resolution
         hx, hy = domain.spacings
@@ -252,12 +320,6 @@ def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization
         rel = np.outer(rx, ry).ravel()
         cell_volume = hx * hy
         quadrature = rel * cell_volume
-        lx = _axis_stiffness(nx) / (hx * hx)
-        ly = _axis_stiffness(ny) / (hy * hy)
-        base_L = (
-            sp.kron(lx, sp.diags_array(ry), format="csr")
-            + sp.kron(sp.diags_array(rx), ly, format="csr")
-        ).tocsr()
 
     side_nodes = _boundary_node_sets(domain)
     side_weights = _surface_weight_arrays(domain)
@@ -283,12 +345,13 @@ def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization
         on_neumann &= ~dirichlet_mask
         neumann_nodes = np.flatnonzero(on_neumann)
 
-        L = (d * base_L)[active][:, active].tocsr()
+        box = _active_box(labels, domain.resolution)
         components.append(
             ComponentOperator(
                 active=active,
-                box=_active_box(labels, domain.resolution),
-                operator=L,
+                box=box,
+                axes=tuple(map(AxisOperator.build, domain.resolution, domain.spacings, box)),
+                diffusion=d,
                 rel_weights=rel[active].copy(),
                 dirichlet_mask=dirichlet_mask,
                 neumann_nodes=neumann_nodes,
@@ -363,92 +426,163 @@ def s_operator_norm(disc: SpatialDiscretization, sfun: SFunctional) -> float:
     return float(np.sqrt(np.einsum("ji,ji,i->", w, w, disc.quadrature)))
 
 
-def _implicit_step_matrix(disc: SpatialDiscretization, j: int, dt: float) -> sp.csc_matrix:
+def _implicit_step_matrix(disc: SpatialDiscretization, j: int, dt: float):
+    """D + dt L of component ``j`` as a sparse CSC matrix (imports scipy)."""
+    import scipy.sparse as sp
+
     comp = disc.components[j]
     return (sp.diags_array(comp.rel_weights) + dt * comp.operator).tocsc()
 
 
-def _axis_basis(n: int, h: float, keep: slice):
-    """Generalized eigenpairs of one axis's (stiffness / h^2, weights) on ``keep``.
+@lru_cache(maxsize=32)
+def _axis_basis(n: int, h: float, start: int, stop: int):
+    """Generalized eigenpairs of one axis's (stiffness / h^2, weights R) on nodes
+    ``start``..``stop - 1``, the axis's active range.
 
-    ``keep`` is the axis's active node range.  The eigenvectors V satisfy
-    V^T R V = I.
+    Each end of the axis is Dirichlet (dropped from the range) or Neumann
+    (half weight), and the eigenvectors are the sampled modes of the
+    continuous problem: with N = n - 1, v_k(i) = sin(theta_k i) where the
+    low end is Dirichlet and cos(theta_k i) where it is Neumann, theta_k =
+    k pi / N where both ends are alike and (k + 1/2) pi / N where they
+    differ, and lam_k = 4 sin^2(theta_k / 2) / h^2 (K v = lam R v holds
+    row by row, ends included).  Arguments are reduced in integers, columns
+    scaled so that V^T R V = I.  The arrays are read-only: every solve on an
+    equal axis shares them.
     """
-    K = _axis_stiffness(n)[keep, keep].toarray() / (h * h)
-    return eigh(K, np.diag(_axis_rel_weights(n)[keep]))
+    nodes = np.arange(start, stop)
+    if (start == 0) == (stop == n):  # Dirichlet-Dirichlet or Neumann-Neumann
+        freq, period = nodes, n - 1
+    else:
+        freq, period = 2 * np.arange(stop - start) + 1, 2 * (n - 1)
+    wave = np.sin if start == 1 else np.cos
+    v = wave(np.pi / period * (np.outer(nodes, freq) % (2 * period)))
+    v /= np.sqrt(_axis_rel_weights(n)[start:stop] @ (v * v))
+    lam = (2.0 / h * np.sin(np.pi / (2 * period) * freq)) ** 2
+    lam.setflags(write=False)
+    v.setflags(write=False)
+    return lam, v
 
 
-class _TridiagonalSolve:
-    """LAPACK tridiagonal LU of D + dt L for one 1D component of 3 or more nodes.
+class _FactoredSolve:
+    """A solver of D + dt L that factors the matrix and solves in place.
+
+    ``step(v, b)`` writes (D + dt L)^{-1} D v and ``adjoint(v, b)`` writes
+    D (D + dt L)^{-1} v into ``b``; both take box-shaped arrays.
+    """
+
+    def step(self, v, b):
+        self.solve(np.multiply(self.w, v, out=b))
+
+    def adjoint(self, v, b):
+        np.copyto(b, v)
+        self.solve(b)
+        b *= self.w
+
+
+class _TridiagonalSolve(_FactoredSolve):
+    """LAPACK tridiagonal LU of D + dt L for one 1D component (imports scipy).
 
     ``dgttrf`` factors once (partial pivoting) and ``dgttrs`` solves in place,
-    both in O(n); the bands come from the weights and L's diagonals.
+    both in O(n); the bands come from the weights and the axis diagonals.
     """
 
     def __init__(self, comp: ComponentOperator, dt: float):
-        L = comp.operator
-        off = dt * L.diagonal(1)
-        *self.factors, info = dgttrf(off, comp.rel_weights + dt * L.diagonal(), off)
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        (axis,) = comp.axes
+        d = comp.diffusion
+        self.w, self._dgttrs = comp.rel_weights, dgttrs
+        off = dt * (d * axis.off)
+        *self.factors, info = dgttrf(off, self.w + dt * (d * axis.main), off)
         if info != 0:
             raise NumericalFailureError(
                 f"tridiagonal factorization failed (LAPACK info {info})")
 
     def solve(self, b):
-        x = dgttrs(*self.factors, b, overwrite_b=1)[0]
+        x = self._dgttrs(*self.factors, b, overwrite_b=1)[0]
         if x is not b:  # dgttrs solved a copy of a non-contiguous b
             b[...] = x
 
 
-class _ProductSolve:
-    """Solve of D + dt L for one component on a box, in a product eigenbasis.
-
-    On active nodes D + dt L = Rx (x) Ry + dt d (Kx (x) Ry + Rx (x) Ky), so
-    with Kx Vx = Rx Vx diag(lx) and Vx^T Rx Vx = I (likewise in y) its
-    inverse is (Vx (x) Vy) diag(1 / (1 + dt d (lx_i + ly_j))) (Vx (x) Vy)^T:
-    four dense products on the box-shaped array, through reused buffers.
-    """
-
-    def __init__(self, x_axis, y_axis, d, dt):
-        (lx, self.vx), (ly, self.vy) = x_axis, y_axis
-        self.scale = 1.0 / (1.0 + dt * d * (lx[:, None] + ly[None, :]))
-        self.t, self.c = np.empty(self.scale.shape), np.empty(self.scale.shape)
-
-    def solve(self, b):
-        vx, vy, t, c = self.vx, self.vy, self.t, self.c
-        np.matmul(vx.T, b, out=t)
-        np.matmul(t, vy, out=c)
-        c *= self.scale
-        np.matmul(vx, c, out=t)
-        np.matmul(t, vy.T, out=b)
-
-
-class _SuperLUSolve:
-    """SuperLU of D + dt L for one component, on its x-major active vector."""
+class _SuperLUSolve(_FactoredSolve):
+    """SuperLU of D + dt L for one component, on its x-major active vector
+    (imports scipy)."""
 
     def __init__(self, disc: SpatialDiscretization, j: int, dt: float):
-        self.lu = spla.splu(_implicit_step_matrix(disc, j, dt))
+        from scipy.sparse.linalg import splu
+
+        comp = disc.components[j]
+        self.w = comp.rel_weights.reshape([k.stop - k.start for k in comp.box])
+        self.lu = splu(_implicit_step_matrix(disc, j, dt))
 
     def solve(self, b):
         b[...] = self.lu.solve(b.ravel()).reshape(b.shape)
 
 
+class _ProductSolve:
+    """Solve of D + dt L for one component on a box, in a product eigenbasis.
+
+    On a 1D box D + dt L = R + dt d K, and with K V = R V diag(lam) and
+    V^T R V = I its inverse is V diag(s) V^T, s = 1 / (1 + dt d lam).  A step
+    is two dots, V (F v) with the forward basis F = diag(s) V^T R, and the
+    adjoint is the transposed pair, F^T (V^T v).  On a 2D box D + dt L =
+    Rx (x) Ry + dt d (Kx (x) Ry + Rx (x) Ky) is diagonal in Vx (x) Vy, with
+    scale 1 / (1 + dt d (lx_i + ly_j)); a solve is four dense products on
+    the box-shaped array through reused buffers, the weights folded into
+    the forward bases Rx Vx and Ry Vy.  The weights are powers of two, so
+    folding them in is exact.
+    """
+
+    def __init__(self, comp: ComponentOperator, dt: float):
+        d = comp.diffusion
+        bases = [axis.basis() for axis in comp.axes]
+        self.fwd = None
+        if len(bases) == 1:
+            ((lam, v),), (axis,) = bases, comp.axes
+            s = 1.0 / (1.0 + dt * d * lam)
+            self.fwd, self.back = np.ascontiguousarray((v.T * axis.weights) * s[:, None]), v
+            return
+        (lx, self.vx), (ly, self.vy) = bases
+        self.px, self.py = (v * axis.weights[:, None] for (_, v), axis in zip(bases, comp.axes))
+        self.scale = 1.0 / (1.0 + dt * d * (lx[:, None] + ly[None, :]))
+        self.t, self.c = np.empty(self.scale.shape), np.empty(self.scale.shape)
+
+    def step(self, v, b):
+        if self.fwd is not None:
+            np.dot(self.back, np.dot(self.fwd, v), out=b)
+        else:
+            self._solve(v, b, self.px.T, self.py, self.vx, self.vy.T)
+
+    def adjoint(self, v, b):
+        if self.fwd is not None:
+            np.dot(self.fwd.T, np.dot(self.back.T, v), out=b)
+        else:
+            self._solve(v, b, self.vx.T, self.vy, self.px, self.py.T)
+
+    def _solve(self, v, b, left_in, right_in, left_out, right_out):
+        t, c = self.t, self.c
+        np.matmul(left_in, v, out=t)
+        np.matmul(t, right_in, out=c)
+        c *= self.scale
+        np.matmul(left_out, c, out=t)
+        np.matmul(t, right_out, out=b)
+
+
 def _component_solver(disc: SpatialDiscretization, j: int, dt: float):
     """The solver of D + dt L for component ``j``.
 
-    In 1D the matrix is tridiagonal and LAPACK's tridiagonal LU serves; its
-    wrapper refuses fewer than 3 nodes, which SuperLU takes.  In 2D the
-    operator on the box is a Kronecker sum, and a ``_ProductSolve`` built
-    from two per-axis eigenbases serves when both active ranges are at most
-    ``DENSE_EIG_LIMIT`` long, and SuperLU otherwise.
+    A product eigenbasis (NumPy only) serves every box whose axes are at
+    most ``AXIS_EIG_LIMIT`` long in 1D and ``DENSE_EIG_LIMIT`` long in 2D.
+    Longer 1D boxes take LAPACK's tridiagonal LU (faster beyond that size)
+    and 2D boxes with a longer axis SuperLU; both import scipy.
     """
     comp = disc.components[j]
     sizes = [k.stop - k.start for k in comp.box]
-    if len(sizes) == 1 and sizes[0] >= 3:
+    if len(sizes) == 1 and sizes[0] > AXIS_EIG_LIMIT:
         return _TridiagonalSolve(comp, dt)
-    if len(sizes) == 2 and max(sizes) <= DENSE_EIG_LIMIT:
-        axes = map(_axis_basis, disc.domain.resolution, disc.domain.spacings, comp.box)
-        return _ProductSolve(*axes, disc.diffusion[j], dt)
-    return _SuperLUSolve(disc, j, dt)
+    if max(sizes) > DENSE_EIG_LIMIT:
+        return _SuperLUSolve(disc, j, dt)
+    return _ProductSolve(comp, dt)
 
 
 class _Stepper:
@@ -460,8 +594,8 @@ class _Stepper:
     and write only the active nodes of ``out``, so its Dirichlet nodes keep
     what the caller put there (zero); ``out`` must be C-contiguous, as a row
     of a path array is.  Each call keeps its right-hand side in one buffer
-    for ``check``; each solver solves in place in the box view of ``out``.
-    With an ``sfun``, ``S(y)`` is one dot with the weight times quadrature.
+    for ``check``; each solver writes into the box view of ``out``.  With an
+    ``sfun``, ``S(y)`` is one dot with the weight times quadrature.
     """
 
     def __init__(self, disc: SpatialDiscretization, dt: float, sfun=None):
@@ -474,6 +608,9 @@ class _Stepper:
         self._views = [buf[at] for at in self._boxes]
         self._weights = [comp.rel_weights.reshape(v.shape)
                          for comp, v in zip(disc.components, self._views)]
+        # max(D + 2 dt diag L) bounds |D + dt L| in the max norm (see check)
+        self._a_norms = [np.max(w + 2.0 * dt * comp.diagonal())
+                         for comp, w in zip(disc.components, self._weights)]
         if sfun is not None:
             self.s_field = _check_field(disc, sfun.weight, "S weight") * disc.quadrature
             self._s = self.s_field.ravel()
@@ -486,19 +623,16 @@ class _Stepper:
         self._flat += y
         self._adjoint = False
         grid = out.reshape(self._grid)
-        for at, solver, v, w in zip(self._boxes, self.solvers, self._views, self._weights):
-            solver.solve(np.multiply(w, v, out=grid[at]))
+        for at, solver, v in zip(self._boxes, self.solvers, self._views):
+            solver.step(v, grid[at])
         return out
 
     def adjoint(self, x, out):
         np.copyto(self._flat, x)
         self._adjoint = True
         grid = out.reshape(self._grid)
-        for at, solver, v, w in zip(self._boxes, self.solvers, self._views, self._weights):
-            b = grid[at]
-            np.copyto(b, v)
-            solver.solve(b)
-            b *= w
+        for at, solver, v in zip(self._boxes, self.solvers, self._views):
+            solver.adjoint(v, grid[at])
         return out
 
     def check(self, out):
@@ -510,15 +644,17 @@ class _Stepper:
         however stiff A is.  L has no positive off-diagonal entry and no
         negative row sum, so max(D + 2 dt diag L) bounds |A|.  After
         ``adjoint``, s is ``out`` divided by the weights (powers of two, so
-        exactly).  Raises a numerical-failure error above the module tolerance.
+        exactly).  A s comes from the per-axis operator data.  Raises a
+        numerical-failure error above the module tolerance.
         """
         what = "adjoint step" if self._adjoint else "implicit step"
         grid = out.reshape(self._grid)
-        for j, (at, comp, v) in enumerate(zip(self._boxes, self.disc.components, self._views)):
-            s, b, w = grid[at].ravel(), v.ravel(), comp.rel_weights
+        for j, (at, comp, v, w, a_norm) in enumerate(zip(
+                self._boxes, self.disc.components, self._views, self._weights,
+                self._a_norms)):
+            s, b = grid[at], v
             s, b = (s / w, b) if self._adjoint else (s, w * b)
-            r = w * s + self.dt * (comp.operator @ s) - b
-            a_norm = np.max(w + 2.0 * self.dt * comp.operator.diagonal())
+            r = w * s + self.dt * comp.apply(s) - b
             denom = a_norm * np.max(np.abs(s)) + np.max(np.abs(b))
             residual = float(np.max(np.abs(r)) / (denom if denom > 0 else 1.0))
             if not np.isfinite(residual) or residual > SOLVER_RESIDUAL_TOL:
@@ -548,7 +684,9 @@ def component_spectrum(disc: SpatialDiscretization, j: int = 0):
     """Generalized symmetric eigenvalues/vectors of (L, D) on active nodes.
 
     These are the eigenvalues of the realized generator D^{-1} L; real and
-    nonnegative since L is symmetric PSD and D is positive diagonal.
+    nonnegative since L is symmetric PSD and D is positive diagonal.  They
+    come from the per-axis bases of ``_axis_basis``: d lam in 1D, and in 2D
+    d (lx_i + ly_j) with the eigenvectors Vx (x) Vy, in ascending order.
     """
     comp = disc.components[j]
     n = comp.active.size
@@ -556,12 +694,14 @@ def component_spectrum(disc: SpatialDiscretization, j: int = 0):
         raise UnsupportedConfigurationError(
             f"dense eigendecomposition limited to {DENSE_EIG_LIMIT} nodes, got {n}"
         )
-    L = comp.operator
-    asym = abs(L - L.T)
-    if asym.nnz and asym.max() > 0:
-        raise UnsupportedConfigurationError("component operator is not symmetric")
-    lam, vec = eigh(L.toarray(), np.diag(comp.rel_weights))
-    return np.maximum(lam, 0.0), vec
+    bases = [axis.basis() for axis in comp.axes]
+    if len(bases) == 1:
+        ((lam, vec),) = bases
+        return comp.diffusion * lam, vec.copy()
+    (lx, vx), (ly, vy) = bases
+    lam = comp.diffusion * (lx[:, None] + ly[None, :]).ravel()
+    order = np.argsort(lam, kind="stable")
+    return lam[order], np.kron(vx, vy)[:, order]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from stopsim import (
     stop_evaluate,
 )
 from stopsim import spatial
-from stopsim.cli import _format_value, main, read_signal_csv
+from stopsim.cli import _build_parser, _format_value, main, read_signal_csv
 
 
 def package_env():
@@ -199,6 +199,25 @@ class TestSimulate:
               "--seed", "7", "--quiet"])
         manifest = json.loads((tmp_path / "y" / "manifest.json").read_text())
         assert manifest["seed"] == 7
+
+    def test_consecutive_calls_share_the_parser_but_no_state(self, tmp_path, capsys):
+        cfg = small_config(direction={"kind": "constant", "value": 0.1,
+                                      "profile": {"kind": "sine", "mode": 1}})
+        path = write_config(tmp_path, cfg)
+        runs = [(["simulate", "--snapshot", "--seed", "7", "--quiet"],
+                 7, ["trajectory.csv", "state.bin"]),
+                (["sensitivity", "--quiet"], 3, ["sensitivity.csv"]),
+                (["simulate"], 3, ["trajectory.csv"])]
+        for k, (argv, seed, artifacts) in enumerate(runs):
+            out = tmp_path / f"run{k}"
+            assert main(argv + ["--config", path, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["subcommand"] == argv[0]
+            assert manifest["seed"] == seed
+            assert manifest["artifacts"] == artifacts
+            assert sorted(p.name for p in out.iterdir()) == sorted(artifacts + ["manifest.json"])
+        assert capsys.readouterr().out.count("wrote") == 2  # only the last run speaks
+        assert _build_parser() is _build_parser()
 
     def test_quiet_silences_stdout(self, tmp_path, capsys):
         main(["simulate", "--config", "bundled:zero",
@@ -548,3 +567,73 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("0.1.0")
+
+
+SCIPY_FREE_RUNS = """
+import json, sys
+from stopsim.cli import main
+
+out, configs = sys.argv[1], json.loads(sys.argv[2])
+codes = []
+for config in configs:
+    for sub in ("simulate", "sensitivity", "fd-check", "optimize",
+                "diagnose-semigroup"):
+        codes.append(main([sub, "--config", config, "--out", out, "--quiet"]))
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+
+import numpy as np
+from stopsim import BoundarySides, DomainSpec, apply_semigroup_step, assemble
+
+# a 2D axis over the dense limit and a 1D box over the eigenbasis limit
+for resolution in ((503, 3), (301,)):
+    dim = len(resolution)
+    disc = assemble(DomainSpec(dimension=dim, extent=(1.0,) * dim, resolution=resolution),
+                    [BoundarySides(*("neumann",) * 2 * dim)], [1.0])
+    y = np.cos(np.arange(disc.n_nodes))[None, :]
+    stepped = apply_semigroup_step(disc, y, 0.1)
+    assert abs(stepped @ disc.quadrature - y @ disc.quadrature).max() <= 1e-12
+print(json.dumps({"codes": codes, "before": loaded,
+                  "after": "scipy.sparse.linalg" in sys.modules
+                           and "scipy.linalg" in sys.modules}))
+"""
+
+
+class TestScipyFreeRuns:
+    def test_bundled_and_2d_runs_never_import_scipy(self, tmp_path):
+        box = small_config(
+            domain={"dimension": 2, "extent": [1.0, 0.7], "resolution": [13, 9]},
+            boundaries=[{"left": "dirichlet", "right": "neumann",
+                         "bottom": "neumann", "top": "dirichlet"},
+                        {"left": "neumann", "right": "neumann",
+                         "bottom": "dirichlet", "top": "neumann"}],
+            diffusion=[0.8, 2.5],
+            direction={"kind": "constant", "value": 0.1,
+                       "profile": {"kind": "sine", "mode": 1}},
+            lambdas=[0.1, 0.01],
+            control=UNIT_CONTROL,
+            diagnostic={"theta": 0.25, "t_count": 20},
+        )
+        grid = small_config(
+            domain={"dimension": 2, "extent": [1.0, 1.0], "resolution": [121, 121]},
+            boundaries=[{"left": "neumann", "right": "neumann",
+                         "bottom": "neumann", "top": "neumann"}],
+            solver={"dt": 0.01, "t_final": 0.05},
+        )
+        configs = ["bundled:" + name for name in
+                   ("saturating", "linear_quadratic", "neumann_conservation", "zero")]
+        configs += [write_config(tmp_path, box, "box.json"),
+                    write_config(tmp_path, grid, "grid.json")]
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_FREE_RUNS, str(tmp_path / "out"),
+             json.dumps(configs)],
+            capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        # each bundled scenario and the 2D box run at least simulate and
+        # sensitivity; the others exit 2 where a block is missing
+        codes = np.reshape(result["codes"], (len(configs), 5))
+        assert set(codes.ravel()) <= {0, 2}
+        assert np.all(codes[:, 0] == 0) and np.all(codes[4, :] == 0)
+        assert codes[1, 3] == 0  # optimize on linear_quadratic
+        assert result["before"] == []
+        assert result["after"]  # the long axes solved with scipy, imported then

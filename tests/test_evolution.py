@@ -20,7 +20,7 @@ from stopsim import (
     solve_state,
 )
 
-from stopsim.evolution import BLOWUP_GUARD, _state_rules
+from stopsim.evolution import BLOWUP_GUARD, _clip_directional, _state_rules
 from stopsim.spatial import _Stepper
 
 from conftest import constant_sfun
@@ -124,6 +124,58 @@ class TestReactionCatalog:
         with pytest.raises(InvalidConfigError):
             ReactionFunction.from_table([0.0, 0.0], [0.0, 1.0],
                                         np.zeros((2, 2)))
+
+
+def zero_d_value(f, y, z):
+    """``ReactionFunction.value`` with the z-part on 0-d arrays, as it was."""
+    p = f.params
+    if f.kind == "linear":
+        return p[0] + p[1] * y + p[2] * np.asarray(z)
+    if f.kind == "saturating":
+        return p[0] * np.tanh(p[1] * y) + p[2] * np.tanh(p[3] * np.asarray(z))
+    return np.clip(p[0] * y * (1.0 - y / p[1]), -p[2], p[2]) + p[3] * np.asarray(z)
+
+
+def zero_d_directional(f, y, z, dy, dz):
+    """``ReactionFunction.directional`` with the z-part on 0-d arrays, as it was."""
+    p = f.params
+    if f.kind == "linear":
+        return p[1] * dy + p[2] * np.asarray(dz)
+    if f.kind == "saturating":
+        ty, tz = np.tanh(p[1] * y), np.tanh(p[3] * np.asarray(z))
+        return (p[0] * p[1] * (1.0 - ty * ty) * dy
+                + p[2] * p[3] * (1.0 - tz * tz) * np.asarray(dz))
+    inner = p[0] * y * (1.0 - y / p[1])
+    d_inner = p[0] * (1.0 - 2.0 * y / p[1]) * dy
+    return _clip_directional(inner, p[2], d_inner) + p[3] * np.asarray(dz)
+
+
+class TestReactionZPart:
+    """The z-part evaluated once as a numpy scalar gives the 0-d array results."""
+
+    @pytest.mark.parametrize("f", [
+        ReactionFunction.linear(0.3, -0.5, 0.8),
+        ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9),
+        ReactionFunction.logistic_capped(4.0, 2.0, 1.5, 0.6),
+    ], ids=lambda f: f.kind)
+    def test_bitwise_equal_to_zero_d_arrays(self, f):
+        rng = np.random.default_rng(36)
+        for _ in range(50):
+            y, dy = rng.uniform(-3, 3, (2, 1, 41))
+            z, dz = rng.uniform(-3, 3, 2)
+            for zz, dzz in ((z, dz), (np.float64(z), np.float64(dz)),
+                            (np.asarray(z), np.asarray(dz))):
+                value = f.value(y, zz)
+                directional = f.directional(y, zz, dy, dzz)
+                assert value.shape == directional.shape == y.shape
+                np.testing.assert_array_equal(value, zero_d_value(f, y, z))
+                np.testing.assert_array_equal(
+                    directional, zero_d_directional(f, y, z, dy, dz))
+            zs = rng.uniform(-3, 3, (7, 1, 1))  # broadcast over a step axis
+            ys = np.broadcast_to(y, (7, 1, 41))
+            np.testing.assert_array_equal(f.value(ys, zs), zero_d_value(f, ys, zs))
+            np.testing.assert_array_equal(f.directional(ys, zs, 1.0, 0.0),
+                                          zero_d_directional(f, ys, zs, 1.0, 0.0))
 
 
 class TestSolverConfig:

@@ -21,6 +21,7 @@ from stopsim import (
     s_operator_norm,
 )
 from stopsim.spatial import (
+    AXIS_EIG_LIMIT,
     DENSE_EIG_LIMIT,
     SOLVER_RESIDUAL_TOL,
     _implicit_step_matrix,
@@ -29,6 +30,7 @@ from stopsim.spatial import (
     _Stepper,
     _SuperLUSolve,
     _TridiagonalSolve,
+    _axis_basis,
 )
 
 from conftest import constant_sfun
@@ -343,6 +345,13 @@ def superlu_stepper(disc, dt):
     return stepper
 
 
+def stepper_with(disc, dt, solver):
+    """A stepper whose one component solves with ``solver(comp, dt)``."""
+    stepper = _Stepper(disc, dt)
+    stepper.solvers = [solver(disc.components[0], dt)]
+    return stepper
+
+
 def both_steps(stepper, y, f, x):
     return (stepper.step(y, f, np.zeros_like(y)).copy(),
             stepper.adjoint(x, np.zeros_like(x)).copy())
@@ -406,18 +415,40 @@ def test_box_is_the_active_set(labels):
         np.testing.assert_array_equal(nodes[comp.box].ravel(), comp.active)
 
 
-class TestTridiagonalSolve:
-    """The 1D LAPACK tridiagonal solve against SuperLU on the same matrices."""
+def n_dirichlet(labels):
+    return sum(label == "dirichlet" for label in labels)
 
-    def test_1d_uses_it_and_superlu_below_three_nodes(self):
-        for n, labels, tridiagonal in [(3, ("dirichlet", "dirichlet"), False),
-                                       (4, ("dirichlet", "dirichlet"), False),
-                                       (3, ("dirichlet", "neumann"), False),
-                                       (4, ("neumann", "dirichlet"), True),
-                                       (3, ("neumann", "neumann"), True),
-                                       (17, ("dirichlet", "neumann"), True)]:
+
+@pytest.mark.parametrize("labels", LABEL_PAIRS + list(itertools.product(
+    ("dirichlet", "neumann"), repeat=4)))
+def test_per_axis_data_is_the_sparse_operator(labels):
+    disc = one_d_disc(6, labels) if len(labels) == 2 else two_d_disc(labels)
+    rng = np.random.default_rng(44)
+    for comp in disc.components:
+        shape = [k.stop - k.start for k in comp.box]
+        s = rng.standard_normal(shape)
+        np.testing.assert_allclose(comp.apply(s).ravel(), comp.operator @ s.ravel(),
+                                   rtol=1e-14, atol=1e-14 * np.max(np.abs(comp.operator)))
+        np.testing.assert_array_equal(comp.diagonal().ravel(), comp.operator.diagonal())
+
+
+class TestTridiagonalSolve:
+    """The 1D solvers against SuperLU on the same matrices."""
+
+    def test_1d_uses_the_eigenbasis_up_to_the_limit_and_no_superlu(self):
+        cases = [(3, ("dirichlet", "dirichlet"), False),
+                 (4, ("dirichlet", "dirichlet"), False),
+                 (3, ("dirichlet", "neumann"), False),
+                 (4, ("neumann", "dirichlet"), False),
+                 (3, ("neumann", "neumann"), False),
+                 (17, ("dirichlet", "neumann"), False)]
+        for labels in LABEL_PAIRS:
+            n = AXIS_EIG_LIMIT + n_dirichlet(labels)  # the box is at the limit
+            cases += [(n, labels, False), (n + 1, labels, True)]
+        for n, labels, tridiagonal in cases:
             (solver,) = _Stepper(one_d_disc(n, labels), 0.1).solvers
-            assert isinstance(solver, _SuperLUSolve) != tridiagonal, (n, labels)
+            assert not isinstance(solver, _SuperLUSolve), (n, labels)
+            assert isinstance(solver, _ProductSolve) != tridiagonal, (n, labels)
             assert isinstance(solver, _TridiagonalSolve) == tridiagonal, (n, labels)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -456,10 +487,68 @@ class TestTridiagonalSolve:
         assert rel_diff(ours, lu) <= 8 * np.finfo(float).eps * kappa
 
 
+class TestAxisEigenbasis:
+    """The NumPy eigenbasis solve of 1D boxes against the LU references."""
+
+    @pytest.mark.parametrize("size", [3, 4, 25, 41, "limit-1", "limit+1"])
+    @pytest.mark.parametrize("labels", LABEL_PAIRS)
+    def test_matches_tridiagonal_and_superlu(self, size, labels):
+        n = (size if isinstance(size, int)
+             else AXIS_EIG_LIMIT + int(size[-2:]) + n_dirichlet(labels))
+        disc = one_d_disc(n, labels)
+        dt = 0.07
+        rng = np.random.default_rng(43)
+        y, f, x = (rng.standard_normal((1, n)) for _ in range(3))
+        y[0, disc.components[0].dirichlet_mask] = 0.0
+        ours = stepper_with(disc, dt, _ProductSolve)
+        step, adjoint = both_steps(ours, y, f, x)
+        ours.check(ours.adjoint(x, np.zeros_like(x)))
+        ours.check(ours.step(y, f, np.zeros_like(y)))
+        references = [superlu_stepper(disc, dt)]
+        if disc.components[0].active.size >= 3:  # dgttrf's wrapper refuses fewer
+            references.append(stepper_with(disc, dt, _TridiagonalSolve))
+        for ref in references:
+            step_ref, adjoint_ref = both_steps(ref, y, f, x)
+            assert rel_diff(step, step_ref) <= 1e-12
+            assert rel_diff(adjoint, adjoint_ref) <= 1e-12
+
+    @pytest.mark.parametrize("labels", LABEL_PAIRS)
+    def test_basis_is_weight_orthonormal_and_diagonalizes_the_axis(self, labels):
+        disc = one_d_disc(AXIS_EIG_LIMIT + n_dirichlet(labels), labels)
+        (axis,) = disc.components[0].axes
+        lam, v = axis.basis()
+        r = np.diag(axis.weights)
+        k = np.diag(axis.main) + np.diag(axis.off, 1) + np.diag(axis.off, -1)
+        np.testing.assert_allclose(v.T @ r @ v, np.eye(lam.size), rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(k @ v, r @ v * lam, rtol=0.0,
+                                   atol=1e-12 * np.max(lam))
+        assert np.all(lam >= 0.0)
+
+    def test_bases_are_cached_read_only_and_shared_by_equal_axes(self):
+        disc = two_d_disc(("neumann",) * 4, resolution=(21, 21), extent=(1.0, 1.0))
+        first, second = disc.components[0].axes
+        assert first.basis() is second.basis()
+        assert _axis_basis(21, 0.05, 0, 21) is first.basis()
+        lam, v = first.basis()
+        assert not lam.flags.writeable and not v.flags.writeable
+        solvers = _Stepper(disc, 0.1).solvers
+        assert solvers[0].vx is solvers[1].vy
+
+    def test_component_spectrum_comes_from_the_axis_bases(self, disc_2d):
+        lam, vec = component_spectrum(disc_2d)
+        comp = disc_2d.components[0]
+        L = comp.operator.toarray()
+        assert np.all(np.diff(lam) >= 0)
+        np.testing.assert_allclose(L @ vec, comp.rel_weights[:, None] * vec * lam,
+                                   rtol=0.0, atol=1e-12 * np.max(lam))
+
+
 STEPPER_CASES = {
-    "tridiagonal": (lambda: one_d_disc(41, ("dirichlet", "neumann")), _TridiagonalSolve),
-    "superlu-1-node": (lambda: one_d_disc(3, ("dirichlet", "dirichlet")), _SuperLUSolve),
-    "superlu-2-nodes": (lambda: one_d_disc(4, ("dirichlet", "dirichlet")), _SuperLUSolve),
+    "tridiagonal": (lambda: one_d_disc(AXIS_EIG_LIMIT + 2, ("dirichlet", "neumann")),
+                    _TridiagonalSolve),
+    "eigenbasis-1d": (lambda: one_d_disc(41, ("dirichlet", "neumann")), _ProductSolve),
+    "eigenbasis-1-node": (lambda: one_d_disc(3, ("dirichlet", "dirichlet")), _ProductSolve),
+    "eigenbasis-2-nodes": (lambda: one_d_disc(4, ("dirichlet", "dirichlet")), _ProductSolve),
     "product": (lambda: two_d_disc(("dirichlet", "neumann", "neumann", "dirichlet")),
                 _ProductSolve),
     "superlu-long-axis": (lambda: two_d_disc(("neumann", "dirichlet", "neumann", "neumann"),
@@ -542,6 +631,34 @@ class TestStepResidualCheck:
         with pytest.raises(NumericalFailureError,
                            match="implicit step solve failed for component 0"):
             stepper.check(out * (1 + 1e-6))
+
+    def test_bound_on_the_matrix_scales_with_the_step(self, disc_dirichlet):
+        # at dt 1e-6, |A| is about 1; a bound without dt (about 4 d / h^2)
+        # would pass this perturbation
+        y = np.sin(np.pi * disc_dirichlet.coords[:, 0])[None, :]
+        stepper = _Stepper(disc_dirichlet, 1e-6)
+        out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
+        stepper.check(out)
+        with pytest.raises(NumericalFailureError):
+            stepper.check(out * (1 + 1e-8))
+
+    @pytest.mark.parametrize("labels", LABEL_PAIRS)
+    def test_stiff_eigenbasis_solve_passes_and_a_perturbed_one_is_refused(self, labels):
+        disc = one_d_disc(AXIS_EIG_LIMIT + n_dirichlet(labels), labels, d=10.0)
+        stepper = _Stepper(disc, 1.0)
+        assert isinstance(stepper.solvers[0], _ProductSolve)
+        rng = np.random.default_rng(35)
+        y, f, x = (rng.standard_normal((1, disc.n_nodes)) for _ in range(3))
+        for what, solve in (("implicit step", lambda: stepper.step(y, f, np.zeros_like(y))),
+                            ("adjoint step", lambda: stepper.adjoint(x, np.zeros_like(x)))):
+            out = solve()
+            stepper.check(out)
+            # a scaled solution is consistent with a scaled right-hand side
+            # to within the stiff |A|; one wrong node is not
+            out[0, disc.n_nodes // 2] += 1e-6 * np.max(np.abs(out))
+            with pytest.raises(NumericalFailureError,
+                               match=f"{what} solve failed for component 0"):
+                stepper.check(out)
 
     @pytest.mark.parametrize("disc_name", ["disc_mixed", "disc_2d"])
     def test_perturbed_adjoint_solution_is_refused(self, request, disc_name):
