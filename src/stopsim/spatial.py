@@ -31,14 +31,18 @@ views (basic slicing of the grid-shaped field) and writes each solve into
 the box view of the destination.  D + dt L on a box is diagonal in the
 product of its per-axis generalized eigenbases (fast diagonalization), and
 each axis's basis is the sampled sines or cosines of the uniform grid,
-cached per axis.  So with NumPy alone a 1D solve is two dots and a 2D solve
-four small dense products (``_ProductSolve``), for every 1D box of at most
-``AXIS_EIG_LIMIT`` nodes and every 2D box whose axes are at most
-``DENSE_EIG_LIMIT`` long.  Longer 1D boxes solve with LAPACK's tridiagonal
+cached per axis.  So with NumPy alone a 1D solve is two dots
+(``_ProductSolve``), for every 1D box of at most ``AXIS_EIG_LIMIT`` nodes.
+On every 2D box whose axes are at most ``DENSE_EIG_LIMIT`` long, each axis
+transform folds the basis's mirror-paired modes (``_folded_basis``), the
+first stage of a fast sine/cosine transform: two half-size dense products
+and one add/sub butterfly.  Longer 1D boxes solve with LAPACK's tridiagonal
 LU (``dgttrf`` once, ``dgttrs`` per step), which is faster there, and 2D
 boxes with a longer axis with SuperLU; only these two import scipy, when
 they are built.  ``_Stepper.check`` measures the last step of every state,
-sensitivity and adjoint solve from the per-axis data.
+sensitivity and adjoint solve from the per-axis data.  The spectral
+diagnostic needs only the eigenvalues, the axis sums in 2D, so it too
+serves every box whose axes are at most ``DENSE_EIG_LIMIT`` long.
 """
 
 from __future__ import annotations
@@ -165,6 +169,9 @@ class AxisOperator:
 
     def basis(self):
         return _axis_basis(self.n, self.h, self.keep.start, self.keep.stop)
+
+    def folded(self):
+        return _folded_basis(self.n, self.h, self.keep.start, self.keep.stop)
 
     def apply(self, s):
         """(stiffness / h^2) s along the first axis of the box-shaped ``s``."""
@@ -463,6 +470,41 @@ def _axis_basis(n: int, h: float, start: int, stop: int):
     return lam, v
 
 
+@lru_cache(maxsize=32)
+def _folded_basis(n: int, h: float, start: int, stop: int):
+    """``_axis_basis`` split by mirror pairs, for the 2D solve.
+
+    On a box axis of m nodes, column m - 1 - k of V is column k times
+    +-(-1)^r, r the local row index, one sign per pair.  So with
+    half = ceil(m / 2) the low columns k < half carry all of V: a transform
+    V^T a is e + o for mode k and +-(e - o) for mode m - 1 - k, where e and
+    o are the products of the even and the odd rows of ``a`` with the low
+    columns, and V c is the same butterfly run backwards.  The pair sign
+    cancels between a forward and an inverse transform, so it is never
+    formed.  Modes are in folded order: k < half, then m - 1 - k.  When m is
+    odd the middle mode is its own pair and the last slot repeats it; its
+    eigenvalue there is inf, so a scale 1 / (1 + dt d lam) drops that slot.
+
+    Returns the folded eigenvalues and the (even rows, odd rows) blocks of
+    the low columns of V and of R V, read-only and shared like the basis.
+    """
+    lam, v = _axis_basis(n, h, start, stop)
+    m, half = stop - start, (stop - start + 1) // 2
+    lam = np.concatenate([lam[:half], lam[::-1][:half]])
+    lam[half + m // 2:] = np.inf
+    p = v * _axis_rel_weights(n)[start:stop, None]
+    blocks = [tuple(np.ascontiguousarray(a[r::2, :half]) for r in (0, 1)) for a in (v, p)]
+    for a in (lam, *blocks[0], *blocks[1]):
+        a.setflags(write=False)
+    return lam, *blocks
+
+
+def _butterfly(a, b, out):
+    """out[0] = a + b and out[1] = a - b."""
+    np.add(a, b, out=out[0])
+    np.subtract(a, b, out=out[1])
+
+
 class _FactoredSolve:
     """A solver of D + dt L that factors the matrix and solves in place.
 
@@ -527,45 +569,70 @@ class _ProductSolve:
     is two dots, V (F v) with the forward basis F = diag(s) V^T R, and the
     adjoint is the transposed pair, F^T (V^T v).  On a 2D box D + dt L =
     Rx (x) Ry + dt d (Kx (x) Ry + Rx (x) Ky) is diagonal in Vx (x) Vy, with
-    scale 1 / (1 + dt d (lx_i + ly_j)); a solve is four dense products on
-    the box-shaped array through reused buffers, the weights folded into
-    the forward bases Rx Vx and Ry Vy.  The weights are powers of two, so
-    folding them in is exact.
+    scale 1 / (1 + dt d (lx_i + ly_j)).  A step transforms with the forward
+    bases Rx Vx and Ry Vy, scales and transforms back with Vx and Vy; the
+    adjoint swaps the two roles.  Each transform is folded by mirror pairs
+    (``_folded_basis``): two half-size products and a butterfly, through
+    two reused buffers, the scale in folded order.  The weights are powers
+    of two, so folding them into the bases is exact.
     """
 
     def __init__(self, comp: ComponentOperator, dt: float):
         d = comp.diffusion
-        bases = [axis.basis() for axis in comp.axes]
         self.fwd = None
-        if len(bases) == 1:
-            ((lam, v),), (axis,) = bases, comp.axes
+        if len(comp.axes) == 1:
+            (axis,) = comp.axes
+            lam, v = axis.basis()
             s = 1.0 / (1.0 + dt * d * lam)
             self.fwd, self.back = np.ascontiguousarray((v.T * axis.weights) * s[:, None]), v
             return
-        (lx, self.vx), (ly, self.vy) = bases
-        self.px, self.py = (v * axis.weights[:, None] for (_, v), axis in zip(bases, comp.axes))
-        self.scale = 1.0 / (1.0 + dt * d * (lx[:, None] + ly[None, :]))
-        self.t, self.c = np.empty(self.scale.shape), np.empty(self.scale.shape)
+        (lx, *self.x), (ly, *self.y) = (axis.folded() for axis in comp.axes)
+        hx, hy = lx.size // 2, ly.size // 2
+        # indexed (y half, x half, y mode, x mode) like the coefficients
+        self.scale = 1.0 / (1.0 + dt * d * (lx.reshape(1, 2, 1, hx) + ly.reshape(2, 1, hy, 1)))
+        self.t, self.c = np.empty(self.scale.size), np.empty(self.scale.size)
 
     def step(self, v, b):
         if self.fwd is not None:
             np.dot(self.back, np.dot(self.fwd, v), out=b)
         else:
-            self._solve(v, b, self.px.T, self.py, self.vx, self.vy.T)
+            (vx, px), (vy, py) = self.x, self.y
+            self._solve(v, b, px, py, vx, vy)
 
     def adjoint(self, v, b):
         if self.fwd is not None:
             np.dot(self.fwd.T, np.dot(self.back.T, v), out=b)
         else:
-            self._solve(v, b, self.vx.T, self.vy, self.px, self.py.T)
+            (vx, px), (vy, py) = self.x, self.y
+            self._solve(v, b, vx, vy, px, py)
 
-    def _solve(self, v, b, left_in, right_in, left_out, right_out):
+    def _solve(self, v, b, x_in, y_in, x_out, y_out):
+        # Each transform: two half-size products of the even and the odd
+        # rows of its input into t, then one butterfly of the two halves
+        # into c (the inverse transforms run this backwards).  c may hold
+        # the input: the products have read it by then.  The x transforms
+        # keep y on the rows, so every product splits rows, never columns,
+        # and NumPy keeps it on BLAS.
         t, c = self.t, self.c
-        np.matmul(left_in, v, out=t)
-        np.matmul(t, right_in, out=c)
-        c *= self.scale
-        np.matmul(left_out, c, out=t)
-        np.matmul(t, right_out, out=b)
+        coef = c.reshape(self.scale.shape)  # (y half, x half, y mode, x mode)
+        _, _, hy, hx = coef.shape
+        xs = c[:2 * v.shape[1] * hx].reshape(2, v.shape[1], hx)  # (x half, y, x mode)
+        halves = t[:xs.size].reshape(xs.shape)
+        np.matmul(v[0::2].T, x_in[0], out=halves[0])
+        np.matmul(v[1::2].T, x_in[1], out=halves[1])
+        _butterfly(halves[0], halves[1], xs)
+        halves = t.reshape(coef.shape)
+        np.matmul(y_in[0].T, xs[:, 0::2], out=halves[0])
+        np.matmul(y_in[1].T, xs[:, 1::2], out=halves[1])
+        _butterfly(halves[0], halves[1], coef)
+        coef *= self.scale
+        _butterfly(coef[0], coef[1], halves)
+        np.matmul(y_out[0], halves[0], out=xs[:, 0::2])
+        np.matmul(y_out[1], halves[1], out=xs[:, 1::2])
+        halves = t[:xs.size].reshape(xs.shape)
+        _butterfly(xs[0], xs[1], halves)
+        np.matmul(x_out[0], halves[0].T, out=b[0::2])
+        np.matmul(x_out[1], halves[1].T, out=b[1::2])
 
 
 def _component_solver(disc: SpatialDiscretization, j: int, dt: float):
@@ -680,6 +747,23 @@ def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):
     return out
 
 
+def _component_eigenvalues(comp: ComponentOperator):
+    """Eigenvalues of the realized generator D^{-1} L of one component: d lam
+    in 1D and the sums d (lx_i + ly_j) in 2D, unsorted, from the per-axis
+    bases, each axis at most ``DENSE_EIG_LIMIT`` long."""
+    size = max(k.stop - k.start for k in comp.box)
+    if size > DENSE_EIG_LIMIT:
+        raise UnsupportedConfigurationError(
+            f"dense eigendecomposition limited to {DENSE_EIG_LIMIT} nodes"
+            f"{' per axis' if len(comp.box) == 2 else ''}, got {size}"
+        )
+    lams = [axis.basis()[0] for axis in comp.axes]
+    if len(lams) == 1:
+        return comp.diffusion * lams[0]
+    lx, ly = lams
+    return comp.diffusion * (lx[:, None] + ly[None, :]).ravel()
+
+
 def component_spectrum(disc: SpatialDiscretization, j: int = 0):
     """Generalized symmetric eigenvalues/vectors of (L, D) on active nodes.
 
@@ -694,14 +778,12 @@ def component_spectrum(disc: SpatialDiscretization, j: int = 0):
         raise UnsupportedConfigurationError(
             f"dense eigendecomposition limited to {DENSE_EIG_LIMIT} nodes, got {n}"
         )
-    bases = [axis.basis() for axis in comp.axes]
-    if len(bases) == 1:
-        ((lam, vec),) = bases
-        return comp.diffusion * lam, vec.copy()
-    (lx, vx), (ly, vy) = bases
-    lam = comp.diffusion * (lx[:, None] + ly[None, :]).ravel()
+    lam = _component_eigenvalues(comp)
+    vecs = [axis.basis()[1] for axis in comp.axes]
+    if len(vecs) == 1:
+        return lam, vecs[0].copy()
     order = np.argsort(lam, kind="stable")
-    return lam[order], np.kron(vx, vy)[:, order]
+    return lam[order], np.kron(*vecs)[:, order]
 
 
 @dataclass(frozen=True)
@@ -728,9 +810,11 @@ def fractional_power_diagnostic(
 ) -> FractionalPowerReport:
     """Spectral check of the smoothing bound for the analytic semigroup.
 
-    Computes ||(A+1)^theta exp(-A t)|| over ``t_grid`` via the generalized
-    eigendecomposition and reports the sup of norm * t^theta * exp(-(1-gamma) t).
-    Finite and attained away from t -> 0 for a symmetric nonnegative operator.
+    Computes ||(A+1)^theta exp(-A t)|| over ``t_grid`` from the eigenvalues
+    of the generator (no eigenvectors: the norm is a max over modes, so a 2D
+    box needs only each axis within ``DENSE_EIG_LIMIT``) and reports the sup
+    of norm * t^theta * exp(-(1-gamma) t).  Finite and attained away from
+    t -> 0 for a symmetric nonnegative operator.
     """
     theta = float(theta)
     if not 0.0 <= theta < 1.0:
@@ -743,7 +827,7 @@ def fractional_power_diagnostic(
     if not np.all(np.diff(t_grid) > 0):
         raise InvalidConfigError("t_grid must be strictly increasing")
 
-    lam, _ = component_spectrum(disc, component)
+    lam = _component_eigenvalues(disc.components[component])
     growth = np.power(lam + 1.0, theta)
     norms = np.array([float(np.max(growth * np.exp(-lam * t))) for t in t_grid])
     weighted = norms * t_grid**theta * np.exp(-(1.0 - gamma) * t_grid)

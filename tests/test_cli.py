@@ -635,5 +635,6 @@ class TestScipyFreeRuns:
         assert set(codes.ravel()) <= {0, 2}
         assert np.all(codes[:, 0] == 0) and np.all(codes[4, :] == 0)
         assert codes[1, 3] == 0  # optimize on linear_quadratic
+        assert codes[5, 4] == 0  # diagnose-semigroup on the 121x121 grid
         assert result["before"] == []
         assert result["after"]  # the long axes solved with scipy, imported then

@@ -1,0 +1,30 @@
+"""The benchmark's result line, as a traced run of each gated workload prints it."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("workload", ["control-1d", "grid-2d"])
+def test_traced_run_ends_with_a_strict_json_result(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+         "--workload", workload, "--seconds", "2", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the result is the last line: nothing printed after it, no bare NaN
+    # or Infinity (json.dumps writes non-finite floats unquoted)
+    *_, last, after = proc.stdout.split("\n")
+    assert after == ""
+    result = json.loads(last, parse_constant=refuse)
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,10 +361,12 @@ def both_steps(stepper, y, f, x):
 class TestProductSolve:
     """The 2D product-eigenbasis solve against SuperLU on the same matrices."""
 
+    # box axes of 1 and 2 nodes, odd and even, from all 16 label sets
+    @pytest.mark.parametrize("resolution", [(7, 9), (3, 4), (4, 5), (5, 3), (12, 13)])
     @pytest.mark.parametrize("labels", list(itertools.product(
         ("dirichlet", "neumann"), repeat=4)))
-    def test_steps_match_superlu(self, labels):
-        disc = two_d_disc(labels)
+    def test_steps_match_superlu(self, labels, resolution):
+        disc = two_d_disc(labels, resolution)
         dt = 0.013
         ours = _Stepper(disc, dt)
         assert all(isinstance(s, _ProductSolve) for s in ours.solvers)
@@ -375,6 +378,27 @@ class TestProductSolve:
         step_lu, adjoint_lu = both_steps(superlu_stepper(disc, dt), y, f, x)
         assert rel_diff(step, step_lu) <= 1e-12
         assert rel_diff(adjoint, adjoint_lu) <= 1e-12
+        ours.check(ours.step(y, f, np.zeros_like(y)))
+        ours.check(ours.adjoint(x, np.zeros_like(x)))
+
+    def test_step_and_adjoint_allocate_no_box_sized_array(self):
+        disc = two_d_disc(("neumann", "dirichlet", "neumann", "neumann"),
+                          resolution=(41, 37))
+        stepper = _Stepper(disc, 0.02)
+        rng = np.random.default_rng(36)
+        y, f, x = (rng.standard_normal((2, disc.n_nodes)) for _ in range(3))
+        out = np.zeros_like(y)
+        stepper.step(y, f, out)  # warm-up
+        stepper.adjoint(x, out)
+        box_bytes = 8 * min(comp.active.size for comp in disc.components)
+        tracemalloc.start()
+        try:
+            stepper.step(y, f, out)
+            stepper.adjoint(x, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < box_bytes / 4
 
     def test_superlu_serves_long_axes(self):
         n = DENSE_EIG_LIMIT + 1
@@ -531,8 +555,33 @@ class TestAxisEigenbasis:
         assert _axis_basis(21, 0.05, 0, 21) is first.basis()
         lam, v = first.basis()
         assert not lam.flags.writeable and not v.flags.writeable
+        assert first.folded() is second.folded()
+        assert all(not a.flags.writeable for a in (first.folded()[0], *first.folded()[1]))
         solvers = _Stepper(disc, 0.1).solvers
-        assert solvers[0].vx is solvers[1].vy
+        assert solvers[0].x[0] is solvers[1].y[0] and solvers[0].x[1] is solvers[1].y[1]
+
+    # every box axis of 1-10 and 120-121 nodes that a grid of 3 or more has
+    @pytest.mark.parametrize("size,labels", [
+        (size, labels) for labels in LABEL_PAIRS for size in [*range(1, 11), 120, 121]
+        if size + n_dirichlet(labels) >= 3])
+    def test_mirror_modes_pair_up_and_fold(self, size, labels):
+        (axis,) = one_d_disc(size + n_dirichlet(labels), labels).components[0].axes
+        lam, v = axis.basis()
+        sign = (-1.0) ** np.arange(size)
+        for k in range((size + 1) // 2):  # the middle mode pairs with itself
+            mirror = v[:, size - 1 - k]
+            pair = np.sign(mirror @ (sign * v[:, k]))
+            assert pair in (1.0, -1.0)
+            np.testing.assert_allclose(mirror, pair * sign * v[:, k], rtol=0.0, atol=1e-13)
+        half = (size + 1) // 2
+        lam_f, (v_even, v_odd), (p_even, p_odd) = axis.folded()
+        np.testing.assert_array_equal(lam_f[:half], lam[:half])
+        np.testing.assert_array_equal(lam_f[half:half + size // 2], lam[::-1][:size // 2])
+        assert lam_f.size == 2 * half and np.all(lam_f[half + size // 2:] == np.inf)
+        np.testing.assert_array_equal(v_even, v[0::2, :half])
+        np.testing.assert_array_equal(v_odd, v[1::2, :half])
+        np.testing.assert_array_equal(p_even, (axis.weights[:, None] * v)[0::2, :half])
+        np.testing.assert_array_equal(p_odd, (axis.weights[:, None] * v)[1::2, :half])
 
     def test_component_spectrum_comes_from_the_axis_bases(self, disc_2d):
         lam, vec = component_spectrum(disc_2d)
@@ -551,6 +600,10 @@ STEPPER_CASES = {
     "eigenbasis-2-nodes": (lambda: one_d_disc(4, ("dirichlet", "dirichlet")), _ProductSolve),
     "product": (lambda: two_d_disc(("dirichlet", "neumann", "neumann", "dirichlet")),
                 _ProductSolve),
+    "product-even-odd": (lambda: two_d_disc(("neumann", "neumann", "dirichlet", "neumann"),
+                                            resolution=(12, 13)), _ProductSolve),
+    "product-1-node-axis": (lambda: two_d_disc(("dirichlet", "dirichlet", "neumann", "neumann"),
+                                               resolution=(3, 4)), _ProductSolve),
     "superlu-long-axis": (lambda: two_d_disc(("neumann", "dirichlet", "neumann", "neumann"),
                                              resolution=(DENSE_EIG_LIMIT + 2, 3),
                                              extent=(1.0, 1.0)), _SuperLUSolve),
@@ -732,6 +785,32 @@ class TestFractionalPowerDiagnostic:
         np.testing.assert_allclose(
             r2.weighted, r1.norms * r1.t_grid**0.5 * np.exp(-0.75 * r1.t_grid),
             rtol=1e-13)
+
+    def test_2d_grid_beyond_the_dense_limit_uses_the_axis_sums(self):
+        n, theta, gamma = 121, 0.4, 0.5
+        disc = assemble(DomainSpec(dimension=2, extent=(1.0, 2.0), resolution=(n, n)),
+                        [BoundarySides(left="dirichlet", right="dirichlet",
+                                       bottom="neumann", top="neumann")], [0.7])
+        assert disc.components[0].active.size > DENSE_EIG_LIMIT
+        t = np.logspace(-4.0, 1.0, 120)
+        report = fractional_power_diagnostic(disc, theta, t_grid=t, gamma=gamma)
+        lam = (dirichlet_eigenvalues_1d(n, 1.0, 0.7)[:, None]
+               + neumann_eigenvalues_1d(n, 2.0, 0.7)[None, :]).ravel()
+        norms = np.array([np.max((lam + 1.0) ** theta * np.exp(-lam * tk)) for tk in t])
+        weighted = norms * t**theta * np.exp(-(1.0 - gamma) * t)
+        np.testing.assert_allclose(report.norms, norms, rtol=1e-11)
+        assert report.sup_value == pytest.approx(np.max(weighted), rel=1e-11)
+        assert report.t_at_sup == t[np.argmax(weighted)]
+        assert report.attained_interior
+        with pytest.raises(UnsupportedConfigurationError):
+            component_spectrum(disc)  # the vectors keep the total-size limit
+
+    def test_axis_beyond_the_dense_limit_is_refused(self):
+        disc = assemble(DomainSpec(dimension=2, extent=(1.0, 1.0),
+                                   resolution=(DENSE_EIG_LIMIT + 1, 3)),
+                        [BoundarySides(*("neumann",) * 4)], [1.0])
+        with pytest.raises(UnsupportedConfigurationError, match="per axis, got 501"):
+            fractional_power_diagnostic(disc, 0.5)
 
     def test_rejects_bad_theta_and_bad_grid(self, disc_dirichlet):
         with pytest.raises(InvalidConfigError):
