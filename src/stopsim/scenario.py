@@ -499,7 +499,7 @@ def _parse_control(cfg, disc, path):
                         optimizer=optimizer)
 
 
-def _parse_diagnostic(cfg, path):
+def _parse_diagnostic(cfg, disc, path):
     defaults = {"theta": 0.5, "gamma": 0.5, "component": 0,
                 "t_min": 1e-3, "t_max": 20.0, "t_count": 400}
     if cfg is None:
@@ -519,6 +519,8 @@ def _parse_diagnostic(cfg, path):
     if "component" in cfg:
         out["component"] = _integer(cfg["component"], _join(path, "component"),
                                     minimum=0)
+        if disc is not None and out["component"] >= disc.n_components:
+            _fail(_join(path, "component"), f"must be less than {disc.n_components}")
     if "t_min" in cfg:
         out["t_min"] = _number(cfg["t_min"], _join(path, "t_min"),
                                exclusive_minimum=0.0)
@@ -619,7 +621,7 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
                                      "control")
 
     if "diagnostic" in needs or "diagnostic" in cfg:
-        scn.diagnostic = _parse_diagnostic(cfg.get("diagnostic"), "diagnostic")
+        scn.diagnostic = _parse_diagnostic(cfg.get("diagnostic"), scn.disc, "diagnostic")
 
     return scn
 

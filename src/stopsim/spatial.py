@@ -36,11 +36,10 @@ cached per axis.  So with NumPy alone a 1D solve is two dots
 On every 2D box whose axes are at most ``DENSE_EIG_LIMIT`` long, each axis
 transform folds the basis's mirror-paired modes (``_folded_basis``), the
 first stage of a fast sine/cosine transform: two half-size dense products
-and one add/sub butterfly.  Longer 1D boxes solve with LAPACK's tridiagonal
-LU (``dgttrf`` once, ``dgttrs`` per step), which is faster there, and 2D
-boxes with a longer axis with SuperLU; only these two import scipy, when
-they are built.  ``_Stepper.check`` measures the last step of every state,
-sensitivity and adjoint solve from the per-axis data.  The spectral
+and one add/sub butterfly.  A box with a longer axis, in 1D or 2D, solves
+with SuperLU, factored once per solve, the one solver that imports scipy
+(when it is built).  ``_Stepper.check`` measures the last step of every
+state, sensitivity and adjoint solve from the per-axis data.  The spectral
 diagnostic needs only the eigenvalues, the axis sums in 2D, so it too
 serves every box whose axes are at most ``DENSE_EIG_LIMIT`` long.
 """
@@ -79,7 +78,7 @@ _LABELS = ("dirichlet", "neumann")
 
 SOLVER_RESIDUAL_TOL = 1e-10  # backward-error bound for implicit solves
 DENSE_EIG_LIMIT = 500  # dense eigendecompositions refused above this size
-AXIS_EIG_LIMIT = 64  # longest 1D box solved in its eigenbasis; dgttrs is faster beyond
+AXIS_EIG_LIMIT = 128  # longest 1D box solved in its eigenbasis; SuperLU is faster beyond
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,9 @@ class ComponentOperator:
     def operator(self):
         """L as a sparse matrix on the x-major active vector, built on first use.
 
-        No solve or check reads it; it imports scipy.
+        Only the SuperLU solve reads it (through ``_implicit_step_matrix``);
+        the eigenbasis solves and the step check use the per-axis data.  It
+        imports scipy.
         """
         import scipy.sparse as sp
 
@@ -505,50 +506,13 @@ def _butterfly(a, b, out):
     np.subtract(a, b, out=out[1])
 
 
-class _FactoredSolve:
-    """A solver of D + dt L that factors the matrix and solves in place.
+class _SuperLUSolve:
+    """SuperLU of D + dt L for one component, on its x-major active vector
+    (imports scipy), for a box too long for a dense eigenbasis.
 
     ``step(v, b)`` writes (D + dt L)^{-1} D v and ``adjoint(v, b)`` writes
     D (D + dt L)^{-1} v into ``b``; both take box-shaped arrays.
     """
-
-    def step(self, v, b):
-        self.solve(np.multiply(self.w, v, out=b))
-
-    def adjoint(self, v, b):
-        np.copyto(b, v)
-        self.solve(b)
-        b *= self.w
-
-
-class _TridiagonalSolve(_FactoredSolve):
-    """LAPACK tridiagonal LU of D + dt L for one 1D component (imports scipy).
-
-    ``dgttrf`` factors once (partial pivoting) and ``dgttrs`` solves in place,
-    both in O(n); the bands come from the weights and the axis diagonals.
-    """
-
-    def __init__(self, comp: ComponentOperator, dt: float):
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
-        (axis,) = comp.axes
-        d = comp.diffusion
-        self.w, self._dgttrs = comp.rel_weights, dgttrs
-        off = dt * (d * axis.off)
-        *self.factors, info = dgttrf(off, self.w + dt * (d * axis.main), off)
-        if info != 0:
-            raise NumericalFailureError(
-                f"tridiagonal factorization failed (LAPACK info {info})")
-
-    def solve(self, b):
-        x = self._dgttrs(*self.factors, b, overwrite_b=1)[0]
-        if x is not b:  # dgttrs solved a copy of a non-contiguous b
-            b[...] = x
-
-
-class _SuperLUSolve(_FactoredSolve):
-    """SuperLU of D + dt L for one component, on its x-major active vector
-    (imports scipy)."""
 
     def __init__(self, disc: SpatialDiscretization, j: int, dt: float):
         from scipy.sparse.linalg import splu
@@ -557,8 +521,11 @@ class _SuperLUSolve(_FactoredSolve):
         self.w = comp.rel_weights.reshape([k.stop - k.start for k in comp.box])
         self.lu = splu(_implicit_step_matrix(disc, j, dt))
 
-    def solve(self, b):
-        b[...] = self.lu.solve(b.ravel()).reshape(b.shape)
+    def step(self, v, b):
+        b[...] = self.lu.solve((self.w * v).ravel()).reshape(b.shape)
+
+    def adjoint(self, v, b):
+        np.multiply(self.w, self.lu.solve(v.ravel()).reshape(b.shape), out=b)
 
 
 class _ProductSolve:
@@ -590,7 +557,13 @@ class _ProductSolve:
         hx, hy = lx.size // 2, ly.size // 2
         # indexed (y half, x half, y mode, x mode) like the coefficients
         self.scale = 1.0 / (1.0 + dt * d * (lx.reshape(1, 2, 1, hx) + ly.reshape(2, 1, hy, 1)))
-        self.t, self.c = np.empty(self.scale.size), np.empty(self.scale.size)
+        t, c = np.empty(self.scale.size), np.empty(self.scale.size)
+        # views of the two buffers: the coefficients and the y-transform
+        # halves, and the x-transformed box (x half, y, x mode) and its halves
+        self.coef, self.y_halves = c.reshape(self.scale.shape), t.reshape(self.scale.shape)
+        my = comp.box[1].stop - comp.box[1].start
+        self.xs = c[:2 * my * hx].reshape(2, my, hx)
+        self.x_halves = t[:self.xs.size].reshape(self.xs.shape)
 
     def step(self, v, b):
         if self.fwd is not None:
@@ -613,41 +586,32 @@ class _ProductSolve:
         # the input: the products have read it by then.  The x transforms
         # keep y on the rows, so every product splits rows, never columns,
         # and NumPy keeps it on BLAS.
-        t, c = self.t, self.c
-        coef = c.reshape(self.scale.shape)  # (y half, x half, y mode, x mode)
-        _, _, hy, hx = coef.shape
-        xs = c[:2 * v.shape[1] * hx].reshape(2, v.shape[1], hx)  # (x half, y, x mode)
-        halves = t[:xs.size].reshape(xs.shape)
-        np.matmul(v[0::2].T, x_in[0], out=halves[0])
-        np.matmul(v[1::2].T, x_in[1], out=halves[1])
-        _butterfly(halves[0], halves[1], xs)
-        halves = t.reshape(coef.shape)
-        np.matmul(y_in[0].T, xs[:, 0::2], out=halves[0])
-        np.matmul(y_in[1].T, xs[:, 1::2], out=halves[1])
-        _butterfly(halves[0], halves[1], coef)
+        coef, xs, x_halves, y_halves = self.coef, self.xs, self.x_halves, self.y_halves
+        np.matmul(v[0::2].T, x_in[0], out=x_halves[0])
+        np.matmul(v[1::2].T, x_in[1], out=x_halves[1])
+        _butterfly(x_halves[0], x_halves[1], xs)
+        np.matmul(y_in[0].T, xs[:, 0::2], out=y_halves[0])
+        np.matmul(y_in[1].T, xs[:, 1::2], out=y_halves[1])
+        _butterfly(y_halves[0], y_halves[1], coef)
         coef *= self.scale
-        _butterfly(coef[0], coef[1], halves)
-        np.matmul(y_out[0], halves[0], out=xs[:, 0::2])
-        np.matmul(y_out[1], halves[1], out=xs[:, 1::2])
-        halves = t[:xs.size].reshape(xs.shape)
-        _butterfly(xs[0], xs[1], halves)
-        np.matmul(x_out[0], halves[0].T, out=b[0::2])
-        np.matmul(x_out[1], halves[1].T, out=b[1::2])
+        _butterfly(coef[0], coef[1], y_halves)
+        np.matmul(y_out[0], y_halves[0], out=xs[:, 0::2])
+        np.matmul(y_out[1], y_halves[1], out=xs[:, 1::2])
+        _butterfly(xs[0], xs[1], x_halves)
+        np.matmul(x_out[0], x_halves[0].T, out=b[0::2])
+        np.matmul(x_out[1], x_halves[1].T, out=b[1::2])
 
 
 def _component_solver(disc: SpatialDiscretization, j: int, dt: float):
     """The solver of D + dt L for component ``j``.
 
     A product eigenbasis (NumPy only) serves every box whose axes are at
-    most ``AXIS_EIG_LIMIT`` long in 1D and ``DENSE_EIG_LIMIT`` long in 2D.
-    Longer 1D boxes take LAPACK's tridiagonal LU (faster beyond that size)
-    and 2D boxes with a longer axis SuperLU; both import scipy.
+    most ``AXIS_EIG_LIMIT`` long in 1D and ``DENSE_EIG_LIMIT`` long in 2D;
+    a box with a longer axis takes SuperLU, which imports scipy.
     """
     comp = disc.components[j]
-    sizes = [k.stop - k.start for k in comp.box]
-    if len(sizes) == 1 and sizes[0] > AXIS_EIG_LIMIT:
-        return _TridiagonalSolve(comp, dt)
-    if max(sizes) > DENSE_EIG_LIMIT:
+    limit = AXIS_EIG_LIMIT if len(comp.box) == 1 else DENSE_EIG_LIMIT
+    if max(k.stop - k.start for k in comp.box) > limit:
         return _SuperLUSolve(disc, j, dt)
     return _ProductSolve(comp, dt)
 
@@ -747,10 +711,14 @@ def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):
     return out
 
 
-def _component_eigenvalues(comp: ComponentOperator):
-    """Eigenvalues of the realized generator D^{-1} L of one component: d lam
+def _component_eigenvalues(disc: SpatialDiscretization, j: int):
+    """Eigenvalues of the realized generator D^{-1} L of component ``j``: d lam
     in 1D and the sums d (lx_i + ly_j) in 2D, unsorted, from the per-axis
-    bases, each axis at most ``DENSE_EIG_LIMIT`` long."""
+    bases, each axis at most ``DENSE_EIG_LIMIT`` long.  An index outside
+    ``range(n_components)`` is refused, not wrapped."""
+    if not 0 <= j < disc.n_components:
+        raise InvalidConfigError(f"component must lie in [0, {disc.n_components}), got {j}")
+    comp = disc.components[j]
     size = max(k.stop - k.start for k in comp.box)
     if size > DENSE_EIG_LIMIT:
         raise UnsupportedConfigurationError(
@@ -772,13 +740,13 @@ def component_spectrum(disc: SpatialDiscretization, j: int = 0):
     come from the per-axis bases of ``_axis_basis``: d lam in 1D, and in 2D
     d (lx_i + ly_j) with the eigenvectors Vx (x) Vy, in ascending order.
     """
+    lam = _component_eigenvalues(disc, j)
     comp = disc.components[j]
     n = comp.active.size
     if n > DENSE_EIG_LIMIT:
         raise UnsupportedConfigurationError(
             f"dense eigendecomposition limited to {DENSE_EIG_LIMIT} nodes, got {n}"
         )
-    lam = _component_eigenvalues(comp)
     vecs = [axis.basis()[1] for axis in comp.axes]
     if len(vecs) == 1:
         return lam, vecs[0].copy()
@@ -827,7 +795,7 @@ def fractional_power_diagnostic(
     if not np.all(np.diff(t_grid) > 0):
         raise InvalidConfigError("t_grid must be strictly increasing")
 
-    lam = _component_eigenvalues(disc.components[component])
+    lam = _component_eigenvalues(disc, component)
     growth = np.power(lam + 1.0, theta)
     norms = np.array([float(np.max(growth * np.exp(-lam * t))) for t in t_grid])
     weighted = norms * t_grid**theta * np.exp(-(1.0 - gamma) * t_grid)

@@ -559,6 +559,18 @@ class TestDiagnoseSemigroup:
                    "--out", str(tmp_path), "--quiet"])
         assert rc == 0
 
+    def test_out_of_range_component_names_the_field(self, tmp_path, capsys):
+        text = resources.files("stopsim").joinpath(
+            "scenarios", "saturating.json").read_text()
+        cfg = json.loads(text)
+        cfg["diagnostic"] = {"component": 3}
+        path = write_config(tmp_path, cfg)
+        rc = main(["diagnose-semigroup", "--config", path,
+                   "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: diagnostic.component: must be less than 1\n")
+
 
 class TestModuleEntryPoint:
     def test_version_flag(self):

@@ -1,6 +1,7 @@
 """The benchmark's result line, as a traced run of each gated workload prints it."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,3 +29,11 @@ def test_traced_run_ends_with_a_strict_json_result(workload):
     result = json.loads(last, parse_constant=refuse)
     assert result["correct"] is True
     assert result["failed"] == 0
+    # a traced name that is gone from the package turns its metric null
+    # while the run still succeeds: every gated per-layer metric is a number
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    for name in names:
+        assert name in result["metrics"], name
+        value = result["metrics"][name]["value"]
+        assert type(value) in (int, float) and math.isfinite(value), (name, value)

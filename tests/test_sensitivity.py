@@ -14,6 +14,7 @@ from stopsim import (
     SFunctional,
     SolverConfig,
     assemble,
+    branch_census,
     fd_convergence_study,
     hadamard_perturbed_quotient,
     quad_norm,
@@ -243,32 +244,9 @@ class TestPicardVariant:
                                    rtol=0.0, atol=1e-9)
 
     def test_matches_the_direct_recursion_at_exact_ties(self):
-        # S reads only component 1, which no source drives.  With f(0, 0) = 0
-        # and z0 = a = 0 it stays exactly zero, so S y is a constant plateau
-        # and every step of the stop is an exact tie at its lower bound.
-        # Component 0 gets a zero-source prefix, a pulse and a zero tail.
-        disc = assemble(
-            DomainSpec(dimension=1, extent=(1.0,), resolution=(13,)),
-            [BoundarySides(left="dirichlet", right="neumann"),
-             BoundarySides(left="neumann", right="neumann")],
-            [0.8, 0.3],
-        )
-        weight = np.zeros((2, disc.n_nodes))
-        weight[1] = 0.5
-        sfun = SFunctional(weight=weight)
-        hyst = HysteresisConfig(a=0.0, b=0.1, z0=0.0)
-        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
-        direct = SolverConfig(dt=0.02, t_final=1.0)
-        sliced = SolverConfig(dt=0.02, t_final=1.0, scheme="picard-sliced",
-                              slice_length=0.2, picard_tol=1e-13)
-        t = direct.times()
-        x = disc.coords[:, 0]
-        u = np.zeros((t.size, 2, disc.n_nodes))
-        u[(t >= 0.2) & (t < 0.5), 0] = 2.0 * np.sin(np.pi * x)
-        h = np.empty_like(u)
-        h[:, 0] = 0.3 * np.cos(np.pi * x)
-        h[:, 1] = 0.2 + 0.1 * x
-
+        disc = two_component_1d_disc()
+        sfun, hyst, reaction, u, h = exact_tie_setup(disc)
+        direct, sliced = TIE_SOLVERS
         records = {}
         for solver in (direct, sliced):
             base = solve_state(disc, sfun, reaction, hyst, u, solver)
@@ -292,6 +270,44 @@ class TestPicardVariant:
         minus = records["imex-euler", -1.0]
         assert not np.allclose(minus.stop_derivative, -plus.stop_derivative)
         assert not np.allclose(minus.states, -plus.states)
+
+
+TIE_SOLVERS = (SolverConfig(dt=0.02, t_final=1.0),
+               SolverConfig(dt=0.02, t_final=1.0, scheme="picard-sliced",
+                            slice_length=0.2, picard_tol=1e-13))
+
+
+def exact_tie_setup(disc):
+    """S, stop, reaction, source and direction whose base path ties at every step.
+
+    S reads only component 1, which no source drives.  With f(0, 0) = 0
+    and z0 = a = 0 it stays exactly zero, so S y is a constant plateau and
+    every step of the stop is an exact tie at its lower bound.  Component 0
+    gets a zero-source prefix, a pulse and a zero tail; the direction moves
+    both components.
+    """
+    weight = np.zeros((2, disc.n_nodes))
+    weight[1] = 0.5
+    sfun = SFunctional(weight=weight)
+    hyst = HysteresisConfig(a=0.0, b=0.1, z0=0.0)
+    reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+    t = TIE_SOLVERS[0].times()
+    x = disc.coords[:, 0] / disc.domain.extent[0]
+    u = np.zeros((t.size, 2, disc.n_nodes))
+    u[(t >= 0.2) & (t < 0.5), 0] = 2.0 * np.sin(np.pi * x)
+    h = np.empty_like(u)
+    h[:, 0] = 0.3 * np.cos(np.pi * x)
+    h[:, 1] = 0.2 + 0.1 * x
+    return sfun, hyst, reaction, u, h
+
+
+def two_component_1d_disc():
+    return assemble(
+        DomainSpec(dimension=1, extent=(1.0,), resolution=(13,)),
+        [BoundarySides(left="dirichlet", right="neumann"),
+         BoundarySides(left="neumann", right="neumann")],
+        [0.8, 0.3],
+    )
 
 
 def two_component_2d_disc():
@@ -398,6 +414,27 @@ class TestFdStudy:
             hadamard_perturbed_quotient(
                 disc, sfun, reaction, hyst, u, u,
                 lambda lam: np.zeros(3), np.array([1e-2, 1e-3]), solver)
+
+
+class TestForcedTies:
+    """One-sided difference quotients where every stop step is an exact tie."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("scheme", ["imex-euler", "picard-sliced"])
+    @pytest.mark.parametrize("make_disc", [two_component_1d_disc,
+                                           two_component_2d_disc])
+    def test_one_sided_quotients_converge(self, make_disc, scheme, sign):
+        disc = make_disc()
+        sfun, hyst, reaction, u, h = exact_tie_setup(disc)
+        (solver,) = (s for s in TIE_SOLVERS if s.scheme == scheme)
+        lambdas = np.array([1e-2, 1e-3, 1e-4])
+        study = fd_convergence_study(disc, sfun, reaction, hyst, u, sign * h,
+                                     lambdas, solver)
+        base = study.base
+        assert branch_census(hyst, base.stop_offsets, base.s_values).tie > 0
+        assert np.all(study.errors[1:] * 5.0 <= study.errors[:-1])
+        scale = max(quad_norm(disc, z) for z in study.record.states)
+        assert study.errors[-1] <= 1e-6 * scale
 
 
 class TestTableReaction:

@@ -30,7 +30,6 @@ from stopsim.spatial import (
     _ProductSolve,
     _Stepper,
     _SuperLUSolve,
-    _TridiagonalSolve,
     _axis_basis,
 )
 
@@ -174,6 +173,14 @@ class TestSpectrum:
         )
         with pytest.raises(UnsupportedConfigurationError):
             component_spectrum(disc)
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_component_index_outside_the_range_is_refused(self, j):
+        disc = two_d_disc(("dirichlet", "neumann", "neumann", "neumann"))
+        with pytest.raises(InvalidConfigError, match=rf"\[0, 2\), got {j}"):
+            component_spectrum(disc, j)
+        with pytest.raises(InvalidConfigError, match=rf"\[0, 2\), got {j}"):
+            fractional_power_diagnostic(disc, 0.5, component=j)
 
 
 class TestQuadrature:
@@ -456,10 +463,10 @@ def test_per_axis_data_is_the_sparse_operator(labels):
         np.testing.assert_array_equal(comp.diagonal().ravel(), comp.operator.diagonal())
 
 
-class TestTridiagonalSolve:
-    """The 1D solvers against SuperLU on the same matrices."""
+class TestOneDimensionalSolve:
+    """The 1D solvers against SuperLU and dense references."""
 
-    def test_1d_uses_the_eigenbasis_up_to_the_limit_and_no_superlu(self):
+    def test_1d_uses_the_eigenbasis_up_to_the_limit_and_superlu_beyond(self):
         cases = [(3, ("dirichlet", "dirichlet"), False),
                  (4, ("dirichlet", "dirichlet"), False),
                  (3, ("dirichlet", "neumann"), False),
@@ -469,11 +476,10 @@ class TestTridiagonalSolve:
         for labels in LABEL_PAIRS:
             n = AXIS_EIG_LIMIT + n_dirichlet(labels)  # the box is at the limit
             cases += [(n, labels, False), (n + 1, labels, True)]
-        for n, labels, tridiagonal in cases:
+        for n, labels, superlu in cases:
             (solver,) = _Stepper(one_d_disc(n, labels), 0.1).solvers
-            assert not isinstance(solver, _SuperLUSolve), (n, labels)
-            assert isinstance(solver, _ProductSolve) != tridiagonal, (n, labels)
-            assert isinstance(solver, _TridiagonalSolve) == tridiagonal, (n, labels)
+            assert isinstance(solver, _ProductSolve) != superlu, (n, labels)
+            assert isinstance(solver, _SuperLUSolve) == superlu, (n, labels)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("labels", LABEL_PAIRS)
@@ -494,29 +500,33 @@ class TestTridiagonalSolve:
     @pytest.mark.parametrize("n", [41, 501, 2001, 20001])
     @pytest.mark.parametrize("dt,d", [(0.01, 0.5), (1.0, 10.0)])
     @pytest.mark.parametrize("labels", LABEL_PAIRS[:3])
-    def test_matches_superlu_and_is_backward_stable(self, n, dt, d, labels):
+    def test_matches_a_dense_reference_and_is_backward_stable(self, n, dt, d, labels):
         disc = one_d_disc(n, labels, d)
         comp = disc.components[0]
         rng = np.random.default_rng(42)
         y, f = (rng.standard_normal((1, n)) for _ in range(2))
         y[0, comp.dirichlet_mask] = 0.0
-        stepper, ref = _Stepper(disc, dt), superlu_stepper(disc, dt)
+        stepper = _Stepper(disc, dt)
         ours = stepper.step(y, f, np.zeros_like(y))
-        lu = ref.step(y, f, np.zeros_like(y))
         stepper.check(ours)
-        ref.check(lu)
+        if n > 2001:  # too long for a dense reference; the check stands alone
+            return
+        # the hand-stencil generator A = D^{-1} L: (I + dt A)^{-1} is the step
+        A, active = generator_dense_1d(n, 1.0, d, *labels)
+        dense = np.zeros_like(y)
+        dense[0, active] = semigroup_step_dense(A, (f * dt + y)[0, active], dt)
         # D + dt L is diagonally dominant by D >= 1/2 in every row, so the
         # max-norm condition number is at most 2 max(D + 2 dt diag L)
         kappa = 2.0 * np.max(comp.rel_weights + 2.0 * dt * comp.operator.diagonal())
-        assert rel_diff(ours, lu) <= 8 * np.finfo(float).eps * kappa
+        assert rel_diff(ours, dense) <= 8 * np.finfo(float).eps * kappa
 
 
 class TestAxisEigenbasis:
-    """The NumPy eigenbasis solve of 1D boxes against the LU references."""
+    """The NumPy eigenbasis solve of 1D boxes against the SuperLU reference."""
 
     @pytest.mark.parametrize("size", [3, 4, 25, 41, "limit-1", "limit+1"])
     @pytest.mark.parametrize("labels", LABEL_PAIRS)
-    def test_matches_tridiagonal_and_superlu(self, size, labels):
+    def test_matches_superlu(self, size, labels):
         n = (size if isinstance(size, int)
              else AXIS_EIG_LIMIT + int(size[-2:]) + n_dirichlet(labels))
         disc = one_d_disc(n, labels)
@@ -528,13 +538,9 @@ class TestAxisEigenbasis:
         step, adjoint = both_steps(ours, y, f, x)
         ours.check(ours.adjoint(x, np.zeros_like(x)))
         ours.check(ours.step(y, f, np.zeros_like(y)))
-        references = [superlu_stepper(disc, dt)]
-        if disc.components[0].active.size >= 3:  # dgttrf's wrapper refuses fewer
-            references.append(stepper_with(disc, dt, _TridiagonalSolve))
-        for ref in references:
-            step_ref, adjoint_ref = both_steps(ref, y, f, x)
-            assert rel_diff(step, step_ref) <= 1e-12
-            assert rel_diff(adjoint, adjoint_ref) <= 1e-12
+        step_lu, adjoint_lu = both_steps(superlu_stepper(disc, dt), y, f, x)
+        assert rel_diff(step, step_lu) <= 1e-12
+        assert rel_diff(adjoint, adjoint_lu) <= 1e-12
 
     @pytest.mark.parametrize("labels", LABEL_PAIRS)
     def test_basis_is_weight_orthonormal_and_diagonalizes_the_axis(self, labels):
@@ -593,8 +599,8 @@ class TestAxisEigenbasis:
 
 
 STEPPER_CASES = {
-    "tridiagonal": (lambda: one_d_disc(AXIS_EIG_LIMIT + 2, ("dirichlet", "neumann")),
-                    _TridiagonalSolve),
+    "superlu-1d": (lambda: one_d_disc(AXIS_EIG_LIMIT + 2, ("dirichlet", "neumann")),
+                   _SuperLUSolve),
     "eigenbasis-1d": (lambda: one_d_disc(41, ("dirichlet", "neumann")), _ProductSolve),
     "eigenbasis-1-node": (lambda: one_d_disc(3, ("dirichlet", "dirichlet")), _ProductSolve),
     "eigenbasis-2-nodes": (lambda: one_d_disc(4, ("dirichlet", "dirichlet")), _ProductSolve),
