@@ -52,6 +52,7 @@ from .evolution import (
     BoundednessReport,
     ReactionFunction,
     SolverConfig,
+    Source,
     Trajectory,
     boundedness_report,
     picard_slice_iterate,
@@ -123,6 +124,7 @@ __all__ = [
     "fractional_power_diagnostic",
     "ReactionFunction",
     "SolverConfig",
+    "Source",
     "Trajectory",
     "BoundednessReport",
     "solve_state",

@@ -8,11 +8,13 @@ explicitly:
 
     (D + dt L) y[k+1] = D (y[k] + dt (f(y[k], z[k]) + u[k]))
 
-with z advanced by the stop recursion after each step.  The Picard-sliced
-scheme solves the same recursion slice by slice as a fixed point: each sweep
-freezes reaction and hysteresis at the previous iterate, so the fixed point
-satisfies the IMEX recursion exactly and the two schemes agree to the Picard
-tolerance.
+with z advanced by the stop recursion after each step.  The source u is a
+dense (N+1, m, n_nodes) path or a ``Source``, kept as a time amplitude times
+a spatial profile; the rules read only u[k], so both take the same code.
+The Picard-sliced scheme solves the same recursion slice by slice as a fixed
+point: each sweep freezes reaction and hysteresis at the previous iterate, so
+the fixed point satisfies the IMEX recursion exactly and the two schemes
+agree to the Picard tolerance.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .spatial import _path_norms, _Stepper
 __all__ = [
     "ReactionFunction",
     "SolverConfig",
+    "Source",
     "Trajectory",
     "BoundednessReport",
     "solve_state",
@@ -340,9 +343,79 @@ class SolverConfig:
         return self.dt * np.arange(self.n_steps + 1)
 
 
+@dataclass(frozen=True)
+class Source:
+    """A source path kept as its two factors: u_k = amplitude[k] * profile.
+
+    The rules read ``source[k]``, step k's field; ``np.asarray(source)`` forms
+    the dense (N+1, m, n_nodes) path for the consumers that need it.
+    ``component`` names the one component the source acts on (None: all of
+    them).  The profile must be zero on the others, whose rows are +0.0
+    whatever the amplitude's sign, as when the targeted rows are written into
+    zeros; so both forms are bitwise the path a scenario once built densely.
+    """
+
+    amplitude: np.ndarray  # (N+1,)
+    profile: np.ndarray    # (m, n_nodes)
+    component: int = None
+
+    def __post_init__(self):
+        amplitude = np.asarray(self.amplitude, dtype=float)
+        profile = np.asarray(self.profile, dtype=float)
+        if amplitude.ndim != 1 or profile.ndim != 2:
+            raise GridMismatchError(f"source needs a 1-D amplitude and a 2-D profile, "
+                                    f"got {amplitude.shape} and {profile.shape}")
+        c = self.component
+        if c is not None:
+            if not 0 <= c < profile.shape[0]:
+                raise InvalidConfigError(
+                    f"source component must be in [0, {profile.shape[0]}), got {c}")
+            if np.any(np.delete(profile, c, axis=0)):
+                raise InvalidConfigError(
+                    f"source profile must be zero off component {c}")
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "profile", profile)
+
+    @property
+    def shape(self):
+        return (self.amplitude.size, *self.profile.shape)
+
+    def __getitem__(self, k):
+        """The field at step ``k``."""
+        return self._field(self.amplitude[k])
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a Source has no dense array to share")
+        u = self._field(self.amplitude[:, None, None])
+        return u if dtype is None else u.astype(dtype, copy=False)
+
+    def is_finite(self):
+        """Whether every entry of the field is finite, read from the factors.
+
+        An entry overflows exactly when the product of the two factors'
+        largest magnitudes does, and a non-finite factor makes that product
+        inf or nan.
+        """
+        return math.isfinite(float(np.abs(self.amplitude).max())
+                             * float(np.abs(self.profile).max()))
+
+    def _field(self, amp):
+        """``amp * profile`` on the targeted rows and +0.0 on the others."""
+        if self.component is None:
+            return amp * self.profile
+        rows = slice(self.component, self.component + 1)
+        u = np.zeros(np.broadcast_shapes(np.shape(amp), self.profile.shape))
+        np.multiply(amp, self.profile[rows], out=u[..., rows, :])
+        return u
+
+
 @dataclass
 class Trajectory:
     """Discrete state path: fields y_k, hysteresis output z, and the source.
+
+    ``source`` is the source as given to the solve: a ``Source`` keeps its
+    factors, anything else is its float array.
 
     ``stop_offsets`` stores the internal offset state w_k of the stop
     recursion at every step; the sensitivity solver replays branch decisions
@@ -354,7 +427,7 @@ class Trajectory:
     stop: PiecewiseLinearSignal
     s_values: np.ndarray      # v_k = S y_k
     stop_offsets: np.ndarray  # w_k = z_k - v_k as carried by the recursion
-    source: np.ndarray        # (N+1, m, n_nodes)
+    source: Source            # or a (N+1, m, n_nodes) array
     hyst_cfg: HysteresisConfig
     picard_iterations: list = field(default_factory=list)  # per-slice sweep counts
 
@@ -366,8 +439,13 @@ class BoundednessReport:
     ratio: float         # max_state_norm / (1 + source_norm)
 
 
+def _as_path(u):
+    """``u`` as the solves read it: a ``Source`` as it is, else a float array."""
+    return u if isinstance(u, Source) else np.asarray(u, dtype=float)
+
+
 def _check_source(disc, solver, u):
-    u = np.asarray(u, dtype=float)
+    u = _as_path(u)
     expected = (solver.n_steps + 1, disc.n_components, disc.n_nodes)
     if u.shape != expected:
         raise GridMismatchError(f"source must have shape {expected}, got {u.shape}")
@@ -538,7 +616,7 @@ def boundedness_report(disc, traj: Trajectory, solver: SolverConfig) -> Boundedn
     """Ratio of the peak state norm to 1 + the source's time-quadrature norm."""
     dt = solver.dt
     max_state = _path_norms(disc, traj.states).max()
-    src_sq = sum(n ** 2 for n in _path_norms(disc, traj.source).tolist())
+    src_sq = sum(n ** 2 for n in _path_norms(disc, np.asarray(traj.source)).tolist())
     src_norm = math.sqrt(dt * src_sq)
     return BoundednessReport(
         max_state_norm=float(max_state),

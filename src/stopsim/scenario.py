@@ -5,7 +5,9 @@ diffusion, the S functional weight, the hysteresis bounds, the reaction
 term, the solver, and optionally a source, a perturbation direction, a
 control problem block, and diagnostic options.  Validation reports every
 problem with the dotted path of the offending field (for example
-``hysteresis.a``) and never partially constructs a scenario.
+``hysteresis.a``) and never partially constructs a scenario.  A source or
+direction block becomes an ``evolution.Source``: its time amplitude and its
+spatial profile, never the dense (N+1, components, nodes) path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import numpy as np
 
 from .control import ControlProblem, ControlSpec, apply_B
 from .errors import ScenarioValidationError
-from .evolution import REACTION_KINDS, SCHEMES, ReactionFunction, SolverConfig, solve_state
+from .evolution import (
+    REACTION_KINDS,
+    SCHEMES,
+    ReactionFunction,
+    SolverConfig,
+    Source,
+    solve_state,
+)
 from .hysteresis import HysteresisConfig
 from .spatial import (
     BoundarySides,
@@ -146,8 +155,8 @@ class Scenario:
     reaction: ReactionFunction = None
     hyst_cfg: HysteresisConfig = None
     solver: SolverConfig = None
-    source: np.ndarray = None
-    direction: np.ndarray = None
+    source: Source = None
+    direction: Source = None
     lambdas: tuple = DEFAULT_LAMBDAS
     control: ControlSetup = None
     diagnostic: dict = field(default_factory=dict)
@@ -326,31 +335,29 @@ def _physical_memory():
         return math.inf
 
 
-def _field_array(shape, path):
-    """Zero array of ``shape``; a validation error naming ``path`` if it cannot fit.
+def _check_field_size(shape, path):
+    """A validation error naming ``path`` if a float field of ``shape`` cannot fit.
 
-    Sizes above physical memory are refused before allocating, so a lazily
-    committed allocation cannot run the machine out of memory later.
+    Nothing is allocated: the run's own path arrays have this shape, so a
+    size above physical memory is refused before a lazily committed
+    allocation could run the machine out of memory later.
     """
     nbytes = 8 * math.prod(shape)
-    if nbytes <= _physical_memory():
-        try:
-            return np.zeros(shape)
-        except MemoryError:
-            pass
-    _fail(path, f"needs a {shape} array (time points, components, nodes) of "
-                f"{nbytes:.3g} bytes, more than this machine can allocate")
+    if nbytes > _physical_memory():
+        _fail(path, f"needs a {shape} array (time points, components, nodes) of "
+                    f"{nbytes:.3g} bytes, more than this machine can allocate")
 
 
 def _parse_field_source(cfg, disc, solver, path):
-    """Time-sampled source field (N+1, components, nodes) from a source block."""
+    """Source path from a source block: a time amplitude times a spatial profile."""
     cfg = _object(cfg, path)
     kind = _string(_require(cfg, "kind", path), _join(path, "kind"), _TIME_KINDS)
-    u = _field_array((solver.n_steps + 1, disc.n_components, disc.n_nodes), path)
+    shape = (solver.n_steps + 1, disc.n_components, disc.n_nodes)
+    _check_field_size(shape, path)
     times = solver.times()
     if kind == "zero":
         _reject_unknown(cfg, ("kind",), path)
-        return u
+        return Source(np.zeros(times.size), np.zeros(shape[1:]))
 
     common = ("kind", "profile", "component")
     if kind == "constant":
@@ -374,16 +381,13 @@ def _parse_field_source(cfg, disc, solver, path):
     profile = _spatial_profile(cfg.get("profile"), disc, _join(path, "profile"))
     component = cfg.get("component", "all")
     if component == "all":
-        targets = range(disc.n_components)
-    else:
-        component = _integer(component, _join(path, "component"), minimum=0)
-        if component >= disc.n_components:
-            _fail(_join(path, "component"),
-                  f"must be less than {disc.n_components}")
-        targets = (component,)
-    for comp in targets:
-        np.multiply(amp[:, None], profile[None, :], out=u[:, comp, :])
-    return u
+        return Source(amp, np.tile(profile, (disc.n_components, 1)))
+    component = _integer(component, _join(path, "component"), minimum=0)
+    if component >= disc.n_components:
+        _fail(_join(path, "component"), f"must be less than {disc.n_components}")
+    profiles = np.zeros(shape[1:])
+    profiles[component] = profile
+    return Source(amp, profiles, component)
 
 
 def _parse_spatial_modes(cfg, disc, path):
@@ -633,8 +637,8 @@ def build_control_problem(scn: Scenario):
     target runs one state solve at the given coefficients.
     """
     setup = scn.control
-    n_times = scn.solver.n_steps + 1
-    shape = (n_times, scn.disc.n_components, scn.disc.n_nodes)
+    shape = (scn.solver.n_steps + 1, scn.disc.n_components, scn.disc.n_nodes)
+    _check_field_size(shape, "control.target")
     if setup.target_kind == "zero":
         target = np.zeros(shape)
     elif setup.target_kind == "constant":

@@ -33,7 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowupError, GridMismatchError, InvalidConfigError
-from .evolution import ReactionFunction, Trajectory, _integrate, solve_state
+from .evolution import (
+    ReactionFunction,
+    Source,
+    Trajectory,
+    _as_path,
+    _integrate,
+    solve_state,
+)
 from .hysteresis import INTERIOR, HysteresisConfig, _stop_derivative_step, branch_census
 from .spatial import _check_field, _path_norms, _Stepper
 
@@ -49,21 +56,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearizedProblem:
-    """Base trajectory, perturbation direction, and the reaction derivative rule."""
+    """Base trajectory, perturbation direction, and the reaction derivative rule.
+
+    A ``Source`` direction is kept as its factors and checked on them.
+    """
 
     base: Trajectory
-    direction: np.ndarray  # (N+1, m, n_nodes) source direction h
+    direction: Source  # or a (N+1, m, n_nodes) array: the source direction h
     reaction: ReactionFunction
     hyst_cfg: HysteresisConfig
 
     def __post_init__(self):
-        h = np.asarray(self.direction, dtype=float)
+        h = _as_path(self.direction)
         if h.shape != self.base.states.shape:
             raise GridMismatchError(
                 f"direction shape {h.shape} must match base states "
                 f"{self.base.states.shape}"
             )
-        if not np.all(np.isfinite(h)):
+        if not (h.is_finite() if isinstance(h, Source) else np.all(np.isfinite(h))):
             raise InvalidConfigError("direction must be finite")
         if self.hyst_cfg != self.base.hyst_cfg:
             raise InvalidConfigError("hysteresis config differs from the base trajectory's")
@@ -212,6 +222,8 @@ def hadamard_perturbed_quotient(disc, sfun, reaction, hyst_cfg, u, h,
     ``remainder`` maps lambda to a source-shaped array with r(lambda)/lambda -> 0
     (or is None for the plain study).  Convergence of e(lambda) despite the
     remainder is what distinguishes the derivative from a directional limit.
+    ``u`` and ``h`` may be ``Source``s; the perturbed sources need their
+    dense paths, so the study forms them.
     """
     lam = _check_lambdas(lambdas)
     u = np.asarray(u, dtype=float)

@@ -315,6 +315,17 @@ class TestValidationFailures:
         assert err.count("\n") == 1
         assert err.startswith("error: source: needs a (12000001, 1, 100001) array")
 
+    def test_direction_overflowing_in_its_products_exits_two(self, tmp_path, capsys):
+        # each factor is finite, but 1e308 * 10.0 is not
+        values = [1.0] * 9
+        values[4] = 10.0
+        direction = {"kind": "constant", "value": 1e308,
+                     "profile": {"kind": "values", "values": values}}
+        path = write_config(tmp_path, small_config(direction=direction))
+        rc = main(["sensitivity", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: direction must be finite\n"
+
     def test_non_finite_adjoint_leaves_only_the_error_line(self, tmp_path):
         cfg = small_config(
             reaction={"kind": "linear", "constant": 0.0, "state": 1e200,

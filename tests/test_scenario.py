@@ -1,20 +1,27 @@
 import copy
 import importlib.resources
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stopsim import (
     HysteresisConfig,
+    InvalidConfigError,
+    LinearizedProblem,
     ScenarioValidationError,
+    Source,
     apply_B,
     build_control_problem,
     load_hysteresis_config,
     load_scenario,
     loads,
+    solve_sensitivity,
     solve_state,
 )
+from stopsim import scenario as scenario_module
 
 
 def bundled(name):
@@ -158,7 +165,7 @@ class TestSourceParsing:
         cfg["source"] = {"kind": "pulse", "value": 3.0, "start": 0.1,
                          "stop": 0.3}
         scn = load_scenario(cfg)
-        amp = scn.source[:, 0, 0]
+        amp = np.asarray(scn.source)[:, 0, 0]
         np.testing.assert_array_equal(amp, [0.0, 3.0, 3.0, 0.0, 0.0, 0.0])
 
     def test_pulse_needs_a_forward_window(self):
@@ -186,6 +193,172 @@ class TestSourceParsing:
         assert scn.direction.shape == scn.source.shape
         cfg2 = base_scenario()
         expect_error(cfg2, "direction", needs=("state", "direction"))
+
+
+def two_component_scenario(source, direction=None, scheme="imex-euler"):
+    """A two-component box whose components have Dirichlet sides on different axes."""
+    cfg = base_scenario()
+    cfg["domain"] = {"dimension": 2, "extent": [1.3, 0.7], "resolution": [9, 7]}
+    cfg["boundaries"] = [
+        {"left": "dirichlet", "right": "neumann", "bottom": "neumann", "top": "dirichlet"},
+        {"left": "neumann", "right": "neumann", "bottom": "dirichlet", "top": "dirichlet"}]
+    cfg["diffusion"] = [0.8, 2.5]
+    cfg["hysteresis"] = {"a": -0.05, "b": 0.05, "z0": 0.0}
+    cfg["reaction"] = {"kind": "saturating", "state_amplitude": -0.7, "state_rate": 1.1,
+                       "hysteresis_amplitude": -0.8, "hysteresis_rate": 0.9}
+    cfg["solver"] = {"dt": 0.05, "t_final": 1.0, "scheme": scheme}
+    if scheme == "picard-sliced":
+        cfg["solver"]["slice_length"] = 0.25
+    cfg["source"] = source
+    if direction is not None:
+        cfg["direction"] = direction
+    return cfg
+
+
+def dense_field(amp, profile, targets, shape):
+    """The source path built densely: each targeted component's products written into zeros."""
+    u = np.zeros(shape)
+    for comp in targets:
+        np.multiply(amp[:, None], profile[None, :], out=u[:, comp, :])
+    return u
+
+
+# negative amplitudes, so untargeted rows would read -0.0 if formed as amp * 0.0
+SOURCE_KINDS = {
+    "zero": ({"kind": "zero"}, None),
+    "constant": ({"kind": "constant", "value": -1.5}, lambda t: np.full(t.size, -1.5)),
+    "pulse": ({"kind": "pulse", "value": -3.0, "start": 0.1, "stop": 0.3},
+              lambda t: np.where((t >= 0.1) & (t < 0.3), -3.0, 0.0)),
+    "sine": ({"kind": "sine", "amplitude": -2.0, "omega": 4.0},
+             lambda t: -2.0 * np.sin(4.0 * t)),
+}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLowRankSources:
+    """Scenario sources and directions are kept as amplitude x profile."""
+
+    @pytest.mark.parametrize("kind", sorted(SOURCE_KINDS))
+    @pytest.mark.parametrize("component", ["all", 0, 1])
+    def test_dense_form_is_bitwise_the_dense_construction(self, kind, component):
+        block, amp = SOURCE_KINDS[kind]
+        block = dict(block)
+        if kind != "zero":
+            block["profile"] = {"kind": "sine", "mode": [1, 2]}
+            block["component"] = component
+        scn = load_scenario(two_component_scenario(block))
+        source = scn.source
+        assert isinstance(source, Source)
+        t = scn.solver.times()
+        x, y = scn.disc.coords[:, 0], scn.disc.coords[:, 1]
+        if kind == "zero":
+            amp_t, profile, targets = np.zeros(t.size), np.zeros(x.size), ()
+        else:
+            amp_t = amp(t)
+            profile = np.ones(x.size) * np.sin(1 * np.pi * x / 1.3) * np.sin(2 * np.pi * y / 0.7)
+            targets = (0, 1) if component == "all" else (component,)
+        expected = dense_field(amp_t, profile, targets, source.shape)
+        assert source.shape == (t.size, 2, scn.disc.n_nodes)
+        assert same_bits(np.asarray(source), expected)
+        assert all(same_bits(source[k], expected[k]) for k in range(t.size))
+        if component != "all" and kind != "zero":
+            # the amplitude is negative somewhere, yet the other component is +0.0
+            assert not np.signbit(np.asarray(source)[:, 1 - component]).any()
+
+    @pytest.mark.parametrize("scheme", ["imex-euler", "picard-sliced"])
+    @pytest.mark.parametrize("component", ["all", 1])
+    def test_solves_on_factors_match_the_dense_path_bitwise(self, scheme, component):
+        cfg = two_component_scenario(
+            {"kind": "sine", "amplitude": -2.0, "omega": 4.0, "component": component,
+             "profile": {"kind": "sine", "mode": [1, 2]}},
+            {"kind": "pulse", "value": -0.3, "start": 0.0, "stop": 0.3,
+             "component": 0 if component == 1 else "all"},
+            scheme)
+        scn = load_scenario(cfg, needs=("state", "direction"))
+        args = (scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg)
+        runs = []
+        for as_given in (lambda s: s, np.asarray):
+            base = solve_state(*args, as_given(scn.source), scn.solver)
+            problem = LinearizedProblem(base=base, direction=as_given(scn.direction),
+                                        reaction=scn.reaction, hyst_cfg=scn.hyst_cfg)
+            runs.append((base, solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver)))
+        (base, record), (dense_base, dense_record) = runs
+        assert isinstance(base.source, Source)
+        for name in ("states", "s_values", "stop_offsets"):
+            assert same_bits(getattr(base, name), getattr(dense_base, name)), name
+        assert same_bits(base.stop.values, dense_base.stop.values)
+        assert base.picard_iterations == dense_base.picard_iterations
+        for name in ("states", "stop_derivative", "s_values"):
+            assert same_bits(getattr(record, name), getattr(dense_record, name)), name
+        assert np.any(record.states != 0.0)
+
+    def test_loading_and_solving_allocate_no_second_path(self):
+        cfg = base_scenario()
+        cfg["domain"] = {"dimension": 2, "extent": [1.0, 1.0], "resolution": [41, 41]}
+        cfg["boundaries"] = [{"left": "dirichlet", "right": "neumann",
+                              "bottom": "dirichlet", "top": "neumann"}]
+        cfg["solver"] = {"dt": 0.005, "t_final": 1.0}
+        cfg["source"] = {"kind": "sine", "amplitude": 3.0, "omega": 6.0,
+                         "profile": {"kind": "sine", "mode": 1}}
+        def load_and_solve():
+            scn = load_scenario(cfg)
+            return solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
+                               scn.source, scn.solver)
+
+        load_and_solve()  # warm-up: cached bases and imports
+        tracemalloc.start()
+        try:
+            traj = load_and_solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.states.nbytes == 201 * 41 * 41 * 8
+        assert peak < 1.5 * traj.states.nbytes
+
+    def test_direction_overflowing_only_in_its_products_is_refused(self):
+        cfg = base_scenario()
+        values = [1.0] * 9
+        values[4] = 10.0
+        cfg["direction"] = {"kind": "constant", "value": 1e308,
+                            "profile": {"kind": "values", "values": values}}
+        scn = load_scenario(cfg, needs=("state", "direction"))
+        assert np.all(np.isfinite(scn.direction.amplitude))
+        assert np.all(np.isfinite(scn.direction.profile))
+        base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
+                           scn.source, scn.solver)
+        with pytest.raises(InvalidConfigError, match="direction must be finite"):
+            LinearizedProblem(base=base, direction=scn.direction,
+                              reaction=scn.reaction, hyst_cfg=scn.hyst_cfg)
+        values[4] = 1.0  # the largest product is 1e308 itself
+        scn = load_scenario(cfg, needs=("state", "direction"))
+        LinearizedProblem(base=base, direction=scn.direction,
+                          reaction=scn.reaction, hyst_cfg=scn.hyst_cfg)
+
+    def test_profile_must_vanish_off_the_targeted_component(self):
+        Source(np.ones(3), [[1.0, 2.0], [0.0, 0.0]], component=0)
+        with pytest.raises(InvalidConfigError, match="zero off component 1"):
+            Source(np.ones(3), [[1.0, 2.0], [0.0, 0.0]], component=1)
+        with pytest.raises(InvalidConfigError, match="component"):
+            Source(np.ones(3), [[1.0, 2.0]], component=1)
+
+    def test_control_target_is_size_checked_without_allocating(self, monkeypatch):
+        cfg = base_scenario()
+        cfg["control"] = {"mode": "distributed", "time_knots": 1,
+                          "spatial_modes": {"kind": "constant"}, "kappa": 0.1,
+                          "target": {"kind": "constant", "value": 0.4}}
+        scn = load_scenario(cfg, needs=("state", "control"))
+        shape = (scn.solver.n_steps + 1, 1, scn.disc.n_nodes)
+        monkeypatch.setattr(scenario_module, "_physical_memory",
+                            lambda: 8 * math.prod(shape) - 1)
+        for kind in ({"kind": "zero"}, {"kind": "constant", "value": 0.4}):
+            scn.control.target_kind = kind["kind"]
+            with pytest.raises(ScenarioValidationError) as err:
+                build_control_problem(scn)
+            assert str(err.value).startswith(f"control.target: needs a {shape} array")
 
 
 class TestLambdas:
