@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .control import apply_B, optimize as run_optimize
+from .control import optimize as run_optimize
 from .errors import InvalidSignalError, ScenarioValidationError, StopsimError
 from .evolution import solve_state
 from .hysteresis import PiecewiseLinearSignal, stop_evaluate
@@ -71,24 +71,16 @@ def _write_csv(path, header, rows):
     _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _jsonable(value):
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+def _json_default(value):
+    """An array or numpy scalar as the Python list or scalar it holds; a
+    float64 is a float already, so only other numpy types get here."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path, obj):
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
     _write_atomic(path, (text + "\n").encode("utf-8"))
 
 

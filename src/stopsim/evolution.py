@@ -481,31 +481,31 @@ def _march(stepper, fields, rhs, advance):
 
 
 def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
-    """Picard sweeps of the IMEX recursion over one slice.
+    """Picard sweeps of the IMEX recursion over one slice, in place.
 
     ``fields[0]`` holds the slice start, which is step ``first`` for the
-    rules; the accepted iterate is written into ``fields[1:]``.  Each sweep
-    freezes the right-hand side at the previous iterate, then replays the
-    scalar channel from the new one.  Returns the max-over-steps quadrature
-    norm of each sweep's update.
+    rules; each sweep writes its iterate into ``fields[1:]``, whose Dirichlet
+    nodes are zero.  ``prev``, the one other slice-sized buffer, holds the
+    previous iterate (first the constant one), at which the sweep freezes
+    the right-hand side before it replays the scalar channel from the new
+    iterate; then ``prev`` takes the update.  Returns the max-over-steps
+    quadrature norm of each sweep's update.
     """
     ns = fields.shape[0] - 1
-    old = np.broadcast_to(fields[0], fields.shape).copy()
+    prev = np.broadcast_to(fields[0], fields.shape).copy()
     for i in range(1, ns + 1):
-        advance(first + i, old[i])
+        advance(first + i, prev[i])
     diffs = []
     for _ in range(max_iters):
-        new = np.zeros_like(old)
-        new[0] = old[0]
         for i in range(ns):
-            stepper.step(new[i], rhs(first + i, old[i]), new[i + 1])
+            stepper.step(fields[i], rhs(first + i, prev[i]), fields[i + 1])
         for i in range(1, ns + 1):
-            advance(first + i, new[i])
-        diffs.append(float(_path_norms(stepper.disc, new - old).max()))
-        old = new
+            advance(first + i, fields[i])
+        np.subtract(fields, prev, out=prev)
+        diffs.append(float(_path_norms(stepper.disc, prev).max()))
         if diffs[-1] <= tol:
-            fields[1:] = old[1:]
             return diffs
+        np.copyto(prev, fields)
     raise NonContractionError(
         f"Picard sweeps did not contract below {tol:.3e} within {max_iters} "
         f"iterations (last update {diffs[-1]:.3e}); reduce slice_length "
@@ -603,7 +603,7 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
     if ns < 1:
         raise InvalidConfigError("slice needs at least one step")
 
-    ys = np.empty((ns + 1, disc.n_components, disc.n_nodes))
+    ys = np.zeros((ns + 1, disc.n_components, disc.n_nodes))
     ys[0] = y_start
     stepper = _Stepper(disc, dt, sfun)
     rhs, advance, channel = _state_rules(stepper, reaction, cursor, u_slice)

@@ -17,6 +17,10 @@ a selection among already-rounded floats, with no arithmetic on the state.
 Consequently inserting collinear breakpoints or splitting a signal at a grid
 point reproduces the one-pass results bit for bit, which the z-form
 recursion (regrouped increment sums) does not achieve in floating point.
+One loop runs the recursion over a whole signal: ``stop_evaluate`` continues
+the one-point evaluation at the first grid point, ``stop_concatenate``
+continues a prefix, and the directional derivative reads the offsets that
+loop carried.
 
 The directional derivative of the stop obeys the one-sided rule of the
 clamp: the derivative state passes through unchanged while the base state is
@@ -131,15 +135,6 @@ class StopCursor:
         self.w = w
         self.v = v0
         self.z = cfg.z0
-
-    @classmethod
-    def restore(cls, cfg: HysteresisConfig, w: float, v: float, z: float) -> "StopCursor":
-        cur = cls.__new__(cls)
-        cur.cfg = cfg
-        cur.w = w
-        cur.v = v
-        cur.z = z
-        return cur
 
     def advance(self, v_next: float) -> float:
         cfg = self.cfg
@@ -260,29 +255,38 @@ class DerivativeState:
         object.__setattr__(self, "derivative", der)
 
 
+def _stop_path(cfg: HysteresisConfig, w, values):
+    """The stop recursion from the carried offset ``w`` at ``values[0]``: the
+    stop values at ``values[1:]`` and the offsets at every point.  This is the
+    one loop that advances a cursor over a signal."""
+    cur = StopCursor(cfg, values[0])
+    cur.w = w
+    advance = cur.advance
+    stop, offsets = [], [w]
+    for v in values[1:].tolist():
+        stop.append(advance(v))
+        offsets.append(cur.w)
+    return np.array(stop), np.array(offsets)
+
+
 def stop_evaluate(v: PiecewiseLinearSignal, cfg: HysteresisConfig) -> HysteresisOutput:
     """Evaluate stop and play along ``v``.
 
     The stop starts at z0 and is confined to [a, b]; the play is
     v - stop + (z0 - v[0]), zero at the first grid point by construction.
+    This is the continuation of the one-point evaluation at ``v``'s first
+    grid point, whose play (v0 - z0) + (z0 - v0) is exactly +0.0.
     """
-    values = v.values
-    n = values.size
-    cur = StopCursor(cfg, values[0])
-    stop = np.empty(n)
-    stop[0] = cfg.z0
-    for k in range(1, n):
-        stop[k] = cur.advance(values[k])
-    play_offset = cfg.z0 - values[0]
-    play = (values - stop) + play_offset
-    return HysteresisOutput(
-        stop=PiecewiseLinearSignal(v.times, stop),
-        play=PiecewiseLinearSignal(v.times, play),
+    v0 = v.values[0]
+    start = HysteresisOutput(
+        stop=PiecewiseLinearSignal(v.times[:1], [cfg.z0]),
+        play=PiecewiseLinearSignal(v.times[:1], [0.0]),
         cfg=cfg,
-        resume_offset=cur.w,
-        resume_input=cur.v,
-        play_offset=play_offset,
+        resume_offset=StopCursor(cfg, v0).w,
+        resume_input=v0,
+        play_offset=cfg.z0 - v0,
     )
+    return stop_concatenate(start, v, cfg)
 
 
 def stop_directional_derivative(
@@ -293,25 +297,21 @@ def stop_directional_derivative(
     Returns the base stop values and the derivative signal zeta with
     zeta[0] = 0.  The recursion differentiates each clamp step one-sidedly,
     so the result is the limit of (stop(v + lam*h) - stop(v))/lam as
-    lam decreases to 0 from above.
+    lam decreases to 0 from above.  Each step reads the offset w_{k-1} the
+    base pass carried.
     """
     if not np.array_equal(v.times, h.times):
         raise GridMismatchError("direction must share the base signal's time grid")
     values = v.values
     rates = h.values
-    n = values.size
-    cur = StopCursor(cfg, values[0])
+    stop, offsets = _stop_path(cfg, StopCursor(cfg, values[0]).w, values)
     omega = -rates[0]  # zeta starts at 0: the initial state does not move
-    stop = np.empty(n)
-    zeta = np.empty(n)
-    stop[0] = cfg.z0
-    zeta[0] = 0.0
-    for k in range(1, n):
-        w_prev = cur.w
-        stop[k] = cur.advance(values[k])
-        omega = _stop_derivative_step(cfg, w_prev, values[k], omega, rates[k])
-        zeta[k] = omega + rates[k]
-    return DerivativeState(base_stop=stop, derivative=zeta)
+    zeta = [0.0]
+    for w_prev, v_next, dv in zip(offsets[:-1].tolist(), values[1:].tolist(),
+                                  rates[1:].tolist()):
+        omega = _stop_derivative_step(cfg, w_prev, v_next, omega, dv)
+        zeta.append(omega + dv)
+    return DerivativeState(base_stop=np.concatenate(([cfg.z0], stop)), derivative=zeta)
 
 
 def stop_concatenate(
@@ -339,14 +339,8 @@ def stop_concatenate(
     if len(v_tail) == 1:
         return prefix
 
-    cur = StopCursor.restore(
-        cfg, prefix.resume_offset, prefix.resume_input, prefix.stop.values[-1]
-    )
     tail_values = v_tail.values
-    n = tail_values.size
-    stop_tail = np.empty(n - 1)
-    for k in range(1, n):
-        stop_tail[k - 1] = cur.advance(tail_values[k])
+    stop_tail, offsets = _stop_path(cfg, prefix.resume_offset, tail_values)
     play_tail = (tail_values[1:] - stop_tail) + prefix.play_offset
 
     times = np.concatenate([prefix.stop.times, v_tail.times[1:]])
@@ -356,7 +350,7 @@ def stop_concatenate(
         stop=PiecewiseLinearSignal(times, stop),
         play=PiecewiseLinearSignal(times, play),
         cfg=cfg,
-        resume_offset=cur.w,
-        resume_input=cur.v,
+        resume_offset=offsets[-1],
+        resume_input=tail_values[-1],
         play_offset=prefix.play_offset,
     )

@@ -238,17 +238,22 @@ def hadamard_perturbed_quotient(disc, sfun, reaction, hyst_cfg, u, h,
     )
 
     errors = np.empty(lam.size)
+    u_pert = np.empty_like(u)  # u + s h (+ r), rebuilt for each lambda
     for i, s in enumerate(lam):
-        u_pert = u + s * h
+        np.multiply(h, s, out=u_pert)
+        u_pert += u
         if remainder is not None:
             r = np.asarray(remainder(s), dtype=float)
             if r.shape != u.shape:
                 raise GridMismatchError(
                     f"remainder shape {r.shape} must match source {u.shape}"
                 )
-            u_pert = u_pert + r
-        pert = solve_state(disc, sfun, reaction, hyst_cfg, u_pert, solver)
-        quot = (pert.states - base.states) / s
-        errors[i] = _path_norms(disc, quot - record.states).max()
+            u_pert += r
+        # the quotient's error, formed in the perturbed path's own states
+        quot = solve_state(disc, sfun, reaction, hyst_cfg, u_pert, solver).states
+        quot -= base.states
+        quot /= s
+        quot -= record.states
+        errors[i] = _path_norms(disc, quot).max()
 
     return FdStudy(lambdas=lam, errors=errors, record=record, base=base)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,29 @@ def random_signal(rng, n_points=40, t_max=4.0, amplitude=2.0):
 
 def constant_sfun(disc, value=0.5):
     return SFunctional(weight=np.full((disc.n_components, disc.n_nodes), value))
+
+
+def box_41():
+    """A 41x41 unit box with a Dirichlet side on each axis, for memory bounds."""
+    return assemble(
+        DomainSpec(dimension=2, extent=(1.0, 1.0), resolution=(41, 41)),
+        [BoundarySides(left="dirichlet", right="neumann",
+                       bottom="dirichlet", top="neumann")],
+        [0.8],
+    )
+
+
+def traced_peak(run):
+    """``run()``'s result and its peak traced allocation, after a warm-up call
+    (cached bases and imports)."""
+    run()
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

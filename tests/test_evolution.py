@@ -23,7 +23,7 @@ from stopsim import (
 from stopsim.evolution import BLOWUP_GUARD, _clip_directional, _state_rules
 from stopsim.spatial import _Stepper
 
-from conftest import constant_sfun
+from conftest import box_41, constant_sfun, traced_peak
 from oracles import generator_dense_1d, imex_reference_1d, quad_weights_1d
 
 
@@ -453,6 +453,17 @@ class TestPicardScheme:
         assert long_ratios and short_ratios
         assert max(long_ratios) < 1.0
         assert max(short_ratios) < max(long_ratios)
+
+    def test_whole_interval_slice_holds_one_second_path(self):
+        disc = box_41()
+        hyst, sfun, reaction = self.scenario(disc)
+        solver = SolverConfig(dt=0.005, t_final=1.0, scheme="picard-sliced")
+        u = sine_source(disc, solver)
+        traj, peak = traced_peak(
+            lambda: solve_state(disc, sfun, reaction, hyst, u, solver))
+        assert len(traj.picard_iterations) == 1
+        # the path, the sweeps' previous iterate and per-step temporaries
+        assert peak <= 2.5 * traj.states.nbytes
 
     def test_blowup_in_a_later_slice_names_the_absolute_step(
             self, disc_mixed, hyst_cfg):

@@ -348,6 +348,49 @@ def short_signals(draw):
     return np.arange(n, dtype=float), np.asarray(values)
 
 
+@st.composite
+def replay_cases(draw):
+    """A signal, a direction and a config for the cursor replay.
+
+    Half the signals sit on a half-integer grid with half-integer bounds, so
+    offsets land exactly on the moving bounds; the directions mix +0.0 and
+    -0.0 with other rates, and a may be -0.0.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        steps = st.integers(min_value=-6, max_value=6).map(lambda i: 0.5 * i)
+    else:
+        steps = st.floats(min_value=-10.0, max_value=10.0,
+                          allow_nan=False, allow_infinity=False)
+    values = np.array(draw(st.lists(steps, min_size=n, max_size=n)), dtype=float)
+    rates = np.array(draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+        | st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+        min_size=n, max_size=n)), dtype=float)
+    a = draw(st.sampled_from([-1.0, -0.5, -0.0]))
+    b = a + draw(st.sampled_from([0.5, 1.0, 2.0]))
+    z0 = draw(st.sampled_from([a, b, 0.5 * (a + b)]))
+    return values, rates, HysteresisConfig(a=a, b=b, z0=z0)
+
+
+def cursor_replay(cfg, values, rates):
+    """Stop values, carried offsets and derivative, one cursor step at a time."""
+    cur = StopCursor(cfg, values[0])
+    stop, offsets, zeta = [cfg.z0], [cur.w], [0.0]
+    omega = -rates[0]
+    for k in range(1, values.size):
+        w_prev = cur.w
+        stop.append(cur.advance(values[k]))
+        offsets.append(cur.w)
+        omega = _stop_derivative_step(cfg, w_prev, values[k], omega, rates[k])
+        zeta.append(omega + rates[k])
+    return np.array(stop), np.array(offsets), np.array(zeta)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 class TestPropertyBased:
     @given(short_signals())
     @settings(max_examples=200, deadline=None)
@@ -381,6 +424,34 @@ class TestPropertyBased:
         np.testing.assert_allclose(
             out.stop.values + out.play.values,
             values + (cfg.z0 - values[0]), rtol=0.0, atol=1e-12)
+
+    @given(replay_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_whole_signal_functions_match_the_cursor_replay(self, case):
+        values, rates, cfg = case
+        times = np.arange(values.size, dtype=float)
+        stop, offsets, zeta = cursor_replay(cfg, values, rates)
+        play = (values - stop) + (cfg.z0 - values[0])
+
+        def check(out, k):
+            """``out`` is the evaluation along the first k + 1 points."""
+            assert bits(out.stop.values) == bits(stop[:k + 1])
+            assert bits(out.play.values) == bits(play[:k + 1])
+            assert bits(out.stop.times) == bits(times[:k + 1])
+            assert bits(out.resume_offset) == bits(offsets[k])
+            assert bits(out.resume_input) == bits(values[k])
+
+        n = values.size
+        check(stop_evaluate(PiecewiseLinearSignal(times, values), cfg), n - 1)
+        for k in range(n):
+            prefix = stop_evaluate(PiecewiseLinearSignal(times[:k + 1], values[:k + 1]), cfg)
+            check(prefix, k)
+            check(stop_concatenate(prefix, PiecewiseLinearSignal(times[k:], values[k:]), cfg),
+                  n - 1)
+        der = stop_directional_derivative(PiecewiseLinearSignal(times, values),
+                                          PiecewiseLinearSignal(times, rates), cfg)
+        assert bits(der.base_stop) == bits(stop)
+        assert bits(der.derivative) == bits(zeta)
 
 
 class TestValidation:

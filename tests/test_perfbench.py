@@ -1,4 +1,9 @@
-"""The benchmark's result line, as a traced run of each gated workload prints it."""
+"""The benchmark's result line, as a traced run of each workload prints it.
+
+Besides the two gated workloads, this runs `picard-fd-1d` and `hyst-csv`,
+which take the Picard sweeps, the difference-quotient study and the
+whole-signal stop loop through the CLI; each run checks its own output.
+"""
 
 import json
 import math
@@ -15,7 +20,7 @@ def refuse(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-@pytest.mark.parametrize("workload", ["control-1d", "grid-2d"])
+@pytest.mark.parametrize("workload", ["control-1d", "grid-2d", "picard-fd-1d", "hyst-csv"])
 def test_traced_run_ends_with_a_strict_json_result(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),

@@ -13,6 +13,7 @@ from stopsim import (
     ReactionFunction,
     SFunctional,
     SolverConfig,
+    Source,
     assemble,
     branch_census,
     fd_convergence_study,
@@ -23,7 +24,7 @@ from stopsim import (
     stop_directional_derivative,
 )
 
-from conftest import constant_sfun
+from conftest import box_41, constant_sfun, traced_peak
 
 
 def sine_source(disc, solver, amplitude=2.0, omega=4.0):
@@ -393,6 +394,24 @@ class TestFdStudy:
         scale = max(quad_norm(disc, z) for z in plain.record.states)
         bound = plain.errors + 1.1 * lambdas * scale + 1e-12
         assert np.all(perturbed.errors <= bound)
+
+    def test_quotients_are_formed_in_the_perturbed_paths(self):
+        disc = box_41()
+        hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
+        sfun = constant_sfun(disc, 0.6)
+        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        solver = SolverConfig(dt=0.005, t_final=1.0)
+        t = solver.times()
+        x = disc.coords[:, 0]
+        # factored, as a scenario gives them: the study forms the dense paths
+        u = Source(2.0 * np.sin(4.0 * t), np.sin(np.pi * x)[None, :])
+        h = Source(0.2 * ((t >= 0.1) & (t < 0.9)), np.sin(2.0 * np.pi * x)[None, :])
+        study, peak = traced_peak(lambda: fd_convergence_study(
+            disc, sfun, reaction, hyst, u, h, np.array([1e-1, 1e-2, 1e-3]), solver))
+        assert np.all(np.diff(study.errors) < 0)
+        # the dense u and h, the perturbed source, and the base, sensitivity
+        # and perturbed paths, with the solves' temporaries
+        assert peak <= 7.5 * study.base.states.nbytes
 
     def test_lambda_sequence_is_validated(self, saturating_setup):
         disc, sfun, reaction, hyst, u, solver = saturating_setup
