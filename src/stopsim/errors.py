@@ -6,6 +6,20 @@ inputs or configuration, 3 for numerical failures, 4 for a Picard iteration
 that refuses to contract.
 """
 
+__all__ = [
+    "StopsimError",
+    "InvalidSignalError",
+    "InvalidConfigError",
+    "GridMismatchError",
+    "ScenarioValidationError",
+    "UnsupportedConfigurationError",
+    "EmptyBoundaryError",
+    "NumericalFailureError",
+    "BlowupError",
+    "NonsmoothPointError",
+    "NonContractionError",
+]
+
 
 class StopsimError(Exception):
     exit_code = 1

@@ -314,7 +314,8 @@ class SolverConfig:
         if self.slice_length is not None:
             s = float(self.slice_length)
             k = s / dt
-            if not math.isfinite(s) or s <= 0 or abs(k - round(k)) > 1e-9 * max(1.0, k):
+            if (not math.isfinite(s) or s <= 0 or round(k) < 1
+                    or abs(k - round(k)) > 1e-9 * max(1.0, k)):
                 raise InvalidConfigError(
                     f"slice_length={self.slice_length} must be a positive multiple of dt"
                 )

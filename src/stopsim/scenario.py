@@ -40,9 +40,11 @@ from .spatial import (
 
 __all__ = [
     "Scenario",
+    "ControlSetup",
     "load_scenario",
     "load_hysteresis_config",
     "build_control_problem",
+    "loads",
     "DEFAULT_LAMBDAS",
 ]
 
@@ -119,12 +121,19 @@ def _string(value, path, choices=None):
     return value
 
 
-def _array(value, path, *, dtype=float):
+def _array(value, path):
     if not isinstance(value, list):
         _fail(path, "expected an array")
+    stack = [value]
+    while stack:  # every leaf a JSON number: no strings, booleans or nulls
+        for x in stack.pop():
+            if isinstance(x, list):
+                stack.append(x)
+            elif isinstance(x, bool) or not isinstance(x, (int, float)):
+                _fail(path, "expected an array of numbers")
     try:
-        arr = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged, too deep, or an int beyond float
         _fail(path, "expected an array of numbers")
     if not np.all(np.isfinite(arr)):
         _fail(path, "entries must be finite")
@@ -147,7 +156,6 @@ class ControlSetup:
 class Scenario:
     """Validated scenario with constructed module objects."""
 
-    raw: dict
     seed: int = None
     metadata: dict = field(default_factory=dict)
     disc: SpatialDiscretization = None
@@ -181,6 +189,7 @@ def _parse_domain(cfg, path):
     res = tuple(
         _integer(r, f"{path}.resolution[{i}]", minimum=3) for i, r in enumerate(res)
     )
+    _check_field_size(res, _join(path, "resolution"), "nodes per axis")
     return DomainSpec(dimension=dim, extent=extent, resolution=res)
 
 
@@ -317,6 +326,8 @@ def _spatial_profile(cfg, disc, path):
     for m in modes:
         if m < 1:
             _fail(_join(path, "mode"), "mode numbers must be at least 1")
+        if m >= 2**53:  # past the integers that floats hold exactly
+            _fail(_join(path, "mode"), "mode numbers must be less than 2**53")
     return _sine_profile(disc, modes)
 
 
@@ -335,17 +346,19 @@ def _physical_memory():
         return math.inf
 
 
-def _check_field_size(shape, path):
-    """A validation error naming ``path`` if a float field of ``shape`` cannot fit.
+def _check_field_size(shape, path, axes="time points, components, nodes"):
+    """A validation error naming ``path`` if a float array of ``shape`` cannot fit.
 
-    Nothing is allocated: the run's own path arrays have this shape, so a
-    size above physical memory is refused before a lazily committed
-    allocation could run the machine out of memory later.
+    ``axes`` names the dimensions of ``shape`` in the message.  Nothing is
+    allocated: the run's own arrays have this shape, so a size above
+    physical memory is refused before a lazily committed allocation could
+    run the machine out of memory later.
     """
     nbytes = 8 * math.prod(shape)
     if nbytes > _physical_memory():
-        _fail(path, f"needs a {shape} array (time points, components, nodes) of "
-                    f"{nbytes:.3g} bytes, more than this machine can allocate")
+        size = f"{nbytes:.3g}" if nbytes < 1e300 else "over 1e300"  # floats end at 1.8e308
+        _fail(path, f"needs a {shape} array ({axes}) of {size} bytes, "
+                    f"more than this machine can allocate")
 
 
 def _parse_field_source(cfg, disc, solver, path):
@@ -411,6 +424,8 @@ def _parse_spatial_modes(cfg, disc, path):
         return modes
     _reject_unknown(cfg, ("kind", "count", "component"), path)
     count = _integer(_require(cfg, "count", path), _join(path, "count"), minimum=1)
+    _check_field_size((count, disc.n_components, disc.n_nodes), _join(path, "count"),
+                      "modes, components, nodes")
     modes = np.zeros((count, disc.n_components, disc.n_nodes))
     for s in range(1, count + 1):
         modes[s - 1, component, :] = _sine_profile(disc, (s,) * disc.domain.dimension)
@@ -449,6 +464,7 @@ def _parse_control(cfg, disc, path):
         n_spatial = n_neumann
 
     n_coeff = time_knots * n_spatial
+    _check_field_size((n_coeff,), _join(path, "time_knots"), "coefficients")
     if "coefficients" in cfg:
         coeffs = _array(cfg["coefficients"], _join(path, "coefficients"))
         if coeffs.shape != (n_coeff,):
@@ -535,6 +551,7 @@ def _parse_diagnostic(cfg, disc, path):
         _fail(_join(path, "t_max"), "must be greater than t_min")
     if "t_count" in cfg:
         out["t_count"] = _integer(cfg["t_count"], _join(path, "t_count"), minimum=2)
+        _check_field_size((out["t_count"],), _join(path, "t_count"), "times")
     return out
 
 
@@ -562,7 +579,7 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
     cfg = _object(cfg, "")
     needs = frozenset(needs)
     _reject_unknown(cfg, _TOP_LEVEL, "")
-    scn = Scenario(raw=cfg)
+    scn = Scenario()
 
     if "seed" in cfg:
         scn.seed = _integer(cfg["seed"], "seed", minimum=0)
@@ -639,6 +656,10 @@ def build_control_problem(scn: Scenario):
     setup = scn.control
     shape = (scn.solver.n_steps + 1, scn.disc.n_components, scn.disc.n_nodes)
     _check_field_size(shape, "control.target")
+    # the optimizer's Gram matrix and the time profiles of the control basis
+    n, knots = setup.spec.n_coefficients, setup.spec.time_knots
+    _check_field_size((n, n), "control.time_knots", "coefficients, coefficients")
+    _check_field_size((knots, shape[0]), "control.time_knots", "knots, time points")
     if setup.target_kind == "zero":
         target = np.zeros(shape)
     elif setup.target_kind == "constant":

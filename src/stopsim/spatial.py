@@ -19,11 +19,13 @@ nodes pinned to zero, and each component's operator acts on its active
 is Dirichlet.
 
 Each side is wholly Dirichlet or wholly Neumann, so a component's active
-nodes are a box: one index range per axis (``ComponentOperator.box``), and
-the assembly stores the operator per axis (``AxisOperator``: the diagonals
-of the tridiagonal stiffness and the weights on the box), with no sparse
-matrix.  L on a box is d K in 1D and the Kronecker sum d (Kx (x) Ry +
-Rx (x) Ky) in 2D.
+nodes are a box: one index range per axis (``ComponentOperator.box``).
+Every node set of the component is read off that box: its active nodes,
+Dirichlet mask and weights, and its Neumann boundary nodes with their
+surface weights.  The assembly stores the operator per axis
+(``AxisOperator``: the diagonals of the tridiagonal stiffness and the
+weights on the box), with no sparse matrix.  L on a box is d K in 1D and
+the Kronecker sum d (Kx (x) Ry + Rx (x) Ky) in 2D.
 
 Every time stepper steps through one ``_Stepper`` per solve.  It forms each
 right-hand side in one reused buffer, reads it through per-component box
@@ -42,12 +44,17 @@ with SuperLU, factored once per solve, the one solver that imports scipy
 state, sensitivity and adjoint solve from the per-axis data.  The spectral
 diagnostic needs only the eigenvalues, the axis sums in 2D, so it too
 serves every box whose axes are at most ``DENSE_EIG_LIMIT`` long.
+
+The module's surface is ``__all__``.  The step and the spectrum have no
+public wrappers: the solves step through ``_Stepper``, and
+``fractional_power_diagnostic`` reads ``_component_eigenvalues``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -64,11 +71,9 @@ __all__ = [
     "SpatialDiscretization",
     "SFunctional",
     "assemble",
-    "apply_semigroup_step",
     "fractional_power_diagnostic",
     "FractionalPowerReport",
     "evaluate_S",
-    "s_operator_norm",
     "quad_norm",
 ]
 
@@ -111,7 +116,7 @@ class DomainSpec:
 
     @property
     def n_nodes(self):
-        return int(np.prod(self.resolution))
+        return math.prod(self.resolution)
 
 
 @dataclass(frozen=True)
@@ -245,40 +250,11 @@ def _active_box(labels, resolution):
                  for n, (lo, hi) in zip(resolution, axes))
 
 
-def _boundary_node_sets(domain: DomainSpec):
-    """Full-grid node index array per side."""
-    if domain.dimension == 1:
-        (n,) = domain.resolution
-        return {"left": np.array([0]), "right": np.array([n - 1])}
-    nx, ny = domain.resolution
-    ix, iy = np.arange(nx), np.arange(ny)
-    return {
-        "left": 0 * ny + iy,                # ix = 0
-        "right": (nx - 1) * ny + iy,        # ix = nx-1
-        "bottom": ix * ny + 0,              # iy = 0
-        "top": ix * ny + (ny - 1),          # iy = ny-1
-    }
-
-
-def _surface_weight_arrays(domain: DomainSpec):
-    """1D boundary quadrature weight per node, per side (1.0 for interval ends)."""
-    if domain.dimension == 1:
-        return {"left": np.array([1.0]), "right": np.array([1.0])}
-    nx, ny = domain.resolution
-    hx, hy = domain.spacings
-    wx = _axis_rel_weights(nx) * hx
-    wy = _axis_rel_weights(ny) * hy
-    return {"left": wy, "right": wy, "bottom": wx, "top": wx}
-
-
 @dataclass(frozen=True)
 class SpatialDiscretization:
     domain: DomainSpec
-    boundaries: tuple
-    diffusion: tuple
     coords: np.ndarray       # (n_nodes, dimension) node coordinates
     quadrature: np.ndarray   # (n_nodes,) trapezoid weights
-    cell_volume: float
     components: tuple
 
     @property
@@ -310,72 +286,48 @@ def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization
     if any(not np.isfinite(d) or d <= 0 for d in diffusion):
         raise InvalidConfigError("diffusion coefficients must be positive")
 
-    if domain.dimension == 1:
-        (n,) = domain.resolution
-        (h,) = domain.spacings
-        coords = (np.arange(n) * h).reshape(-1, 1)
-        rel = _axis_rel_weights(n)
-        quadrature = rel * h
-        cell_volume = h
-    else:
-        nx, ny = domain.resolution
-        hx, hy = domain.spacings
-        x = np.arange(nx) * hx
-        y = np.arange(ny) * hy
-        xx, yy = np.meshgrid(x, y, indexing="ij")
-        coords = np.column_stack([xx.ravel(), yy.ravel()])
-        rx, ry = _axis_rel_weights(nx), _axis_rel_weights(ny)
-        rel = np.outer(rx, ry).ravel()
-        cell_volume = hx * hy
-        quadrature = rel * cell_volume
-
-    side_nodes = _boundary_node_sets(domain)
-    side_weights = _surface_weight_arrays(domain)
+    dim, res, spacings = domain.dimension, domain.resolution, domain.spacings
+    grids = np.meshgrid(*(np.arange(n) * h for n, h in zip(res, spacings)), indexing="ij")
+    coords = np.stack(grids, axis=-1).reshape(-1, dim)
+    weights = [_axis_rel_weights(n) for n in res]
+    rel = reduce(np.multiply.outer, weights)  # grid-shaped
+    quadrature = rel.ravel() * math.prod(spacings)
+    # boundary quadrature along the sides of each axis: the other axis's
+    # trapezoid weights in 2D, 1.0 at an interval end
+    edge_weights = [1.0] if dim == 1 else [weights[1] * spacings[1], weights[0] * spacings[0]]
+    nodes = np.arange(domain.n_nodes).reshape(res)
 
     components = []
-    for j, (sides, d) in enumerate(zip(boundaries, diffusion)):
-        labels = sides.labels(domain.dimension)
-        dirichlet_mask = np.zeros(domain.n_nodes, dtype=bool)
-        for side, label in labels.items():
-            if label == "dirichlet":
-                dirichlet_mask[side_nodes[side]] = True
-        active = np.flatnonzero(~dirichlet_mask)
-
-        # Neumann boundary nodes and their surface weights; a node on two
-        # Neumann sides (2D corner) accumulates both edge weights
-        surface = np.zeros(domain.n_nodes)
-        on_neumann = np.zeros(domain.n_nodes, dtype=bool)
-        for side, label in labels.items():
+    for sides, d in zip(boundaries, diffusion):
+        labels = sides.labels(dim)
+        box = _active_box(labels, res)
+        dirichlet = np.ones(res, dtype=bool)
+        dirichlet[box] = False
+        # one edge per Neumann side, in side order: a node on two Neumann
+        # sides (2D corner) accumulates both edge weights
+        surface = np.zeros(res)
+        for k, label in enumerate(labels.values()):
             if label == "neumann":
-                idx = side_nodes[side]
-                surface[idx] += side_weights[side]
-                on_neumann[idx] = True
-        on_neumann &= ~dirichlet_mask
-        neumann_nodes = np.flatnonzero(on_neumann)
-
-        box = _active_box(labels, domain.resolution)
+                axis, end = divmod(k, 2)
+                edge = [slice(None)] * dim
+                edge[axis] = -end  # the first or the last node line
+                surface[tuple(edge)] += edge_weights[axis]
+        on_neumann = surface[box] > 0
         components.append(
             ComponentOperator(
-                active=active,
+                active=nodes[box].ravel(),
                 box=box,
-                axes=tuple(map(AxisOperator.build, domain.resolution, domain.spacings, box)),
+                axes=tuple(map(AxisOperator.build, res, spacings, box)),
                 diffusion=d,
-                rel_weights=rel[active].copy(),
-                dirichlet_mask=dirichlet_mask,
-                neumann_nodes=neumann_nodes,
-                surface_weights=surface[neumann_nodes].copy(),
+                rel_weights=rel[box].flatten(),
+                dirichlet_mask=dirichlet.ravel(),
+                neumann_nodes=nodes[box][on_neumann],
+                surface_weights=surface[box][on_neumann],
             )
         )
 
-    return SpatialDiscretization(
-        domain=domain,
-        boundaries=boundaries,
-        diffusion=diffusion,
-        coords=coords,
-        quadrature=quadrature,
-        cell_volume=cell_volume,
-        components=tuple(components),
-    )
+    return SpatialDiscretization(domain=domain, coords=coords, quadrature=quadrature,
+                                 components=tuple(components))
 
 
 def _check_field(disc: SpatialDiscretization, y, name="field"):
@@ -426,12 +378,6 @@ def evaluate_S(disc: SpatialDiscretization, sfun: SFunctional, y) -> float:
             f"S weight shape {sfun.weight.shape} does not match field shape {y.shape}"
         )
     return float((sfun.weight * disc.quadrature).ravel() @ y.ravel())
-
-
-def s_operator_norm(disc: SpatialDiscretization, sfun: SFunctional) -> float:
-    """Operator norm of S against the quadrature norm (Cauchy-Schwarz is tight)."""
-    w = _check_field(disc, sfun.weight, "S weight")
-    return float(np.sqrt(np.einsum("ji,ji,i->", w, w, disc.quadrature)))
 
 
 def _implicit_step_matrix(disc: SpatialDiscretization, j: int, dt: float):
@@ -694,23 +640,6 @@ class _Stepper:
                 )
 
 
-def apply_semigroup_step(disc: SpatialDiscretization, y, dt: float):
-    """One backward-Euler semigroup step: solve (D + dt L) y+ = D y per component.
-
-    This is the time stepper's implicit solve with a zero reaction.
-    Dirichlet nodes of each component are pinned to zero in the output.
-    Raises a numerical-failure error if any solve's backward error
-    exceeds the module tolerance.
-    """
-    if not np.isfinite(dt) or dt <= 0:
-        raise InvalidConfigError(f"dt must be positive, got {dt}")
-    y = _check_field(disc, y)
-    stepper = _Stepper(disc, dt)
-    out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
-    stepper.check(out)
-    return out
-
-
 def _component_eigenvalues(disc: SpatialDiscretization, j: int):
     """Eigenvalues of the realized generator D^{-1} L of component ``j``: d lam
     in 1D and the sums d (lx_i + ly_j) in 2D, unsorted, from the per-axis
@@ -730,28 +659,6 @@ def _component_eigenvalues(disc: SpatialDiscretization, j: int):
         return comp.diffusion * lams[0]
     lx, ly = lams
     return comp.diffusion * (lx[:, None] + ly[None, :]).ravel()
-
-
-def component_spectrum(disc: SpatialDiscretization, j: int = 0):
-    """Generalized symmetric eigenvalues/vectors of (L, D) on active nodes.
-
-    These are the eigenvalues of the realized generator D^{-1} L; real and
-    nonnegative since L is symmetric PSD and D is positive diagonal.  They
-    come from the per-axis bases of ``_axis_basis``: d lam in 1D, and in 2D
-    d (lx_i + ly_j) with the eigenvectors Vx (x) Vy, in ascending order.
-    """
-    lam = _component_eigenvalues(disc, j)
-    comp = disc.components[j]
-    n = comp.active.size
-    if n > DENSE_EIG_LIMIT:
-        raise UnsupportedConfigurationError(
-            f"dense eigendecomposition limited to {DENSE_EIG_LIMIT} nodes, got {n}"
-        )
-    vecs = [axis.basis()[1] for axis in comp.axes]
-    if len(vecs) == 1:
-        return lam, vecs[0].copy()
-    order = np.argsort(lam, kind="stable")
-    return lam[order], np.kron(*vecs)[:, order]
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,45 @@ def generator_dense_1d(n, length, diffusion, left, right):
     return A[np.ix_(active, active)], active
 
 
+def node_sets_2d(nx, ny, lx_len, ly_len, labels):
+    """Node data of one 2D component, node by node in x-major order.
+
+    A node on a Dirichlet side (a mixed corner included) is pinned; every
+    other node is active, with relative trapezoid weight 1/2 per axis on
+    which it is an end node.  An active node on a Neumann side is a boundary
+    node whose surface weight sums, side by side in the order left, right,
+    bottom, top, the 1D trapezoid weight of the side's edge at that node.
+    Returns (active, rel_weights, neumann_nodes, surface_weights).
+    """
+    hx, hy = lx_len / (nx - 1), ly_len / (ny - 1)
+    active, rel, nodes, surface = [], [], [], []
+    for ix in range(nx):
+        for iy in range(ny):
+            x_end, y_end = ix in (0, nx - 1), iy in (0, ny - 1)
+            on = {"left": ix == 0, "right": ix == nx - 1,
+                  "bottom": iy == 0, "top": iy == ny - 1}
+            if any(on[side] and labels[side] == "dirichlet" for side in on):
+                continue
+            active.append(ix * ny + iy)
+            rel.append((0.5 if x_end else 1.0) * (0.5 if y_end else 1.0))
+            weight = 0.0
+            for side in ("left", "right", "bottom", "top"):
+                if on[side]:
+                    # left/right edges run along y, bottom/top along x
+                    end, h = (y_end, hy) if side in ("left", "right") else (x_end, hx)
+                    weight += h / 2 if end else h
+            if any(on.values()):
+                nodes.append(ix * ny + iy)
+                surface.append(weight)
+    return np.array(active), np.array(rel), np.array(nodes, dtype=int), np.array(surface)
+
+
+def s_operator_norm(weight, quadrature):
+    """Norm of y -> sum_j sum_i q_i w_ji y_ji against the quadrature norm:
+    sqrt(sum q w^2), attained at y = w (Cauchy-Schwarz)."""
+    return float(np.sqrt(np.einsum("ji,ji,i->", weight, weight, quadrature)))
+
+
 def semigroup_step_dense(A_active, y_active, dt):
     """One implicit Euler step (I + dt*A)^{-1} y by dense solve."""
     n = A_active.shape[0]

@@ -225,6 +225,49 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
 
 
+# inputs that once ended in a traceback or ran: each exits 2 with one line
+SIDES_2D = [{"left": "dirichlet", "right": "neumann", "bottom": "neumann", "top": "neumann"}]
+REFUSED_INPUTS = {
+    # a slice that rounds to zero steps
+    "slice-length": ("simulate", {"solver": {"dt": 0.02, "t_final": 1.2, "scheme": "picard-sliced",
+                                             "slice_length": 1e-300}},
+                     "error: solver: slice_length=1e-300 must be a positive multiple of dt\n"),
+    # arrays that one scenario number sizes, each past any machine's memory
+    "t-count": ("diagnose-semigroup", {"diagnostic": {"t_count": 10**15}},
+                "error: diagnostic.t_count: needs a (1000000000000000,) array (times)"),
+    "time-knots": ("optimize", {"control": dict(UNIT_CONTROL, time_knots=10**15)},
+                   "error: control.time_knots: needs a (1000000000000000,) array"),
+    "mode-count": ("optimize", {"control": dict(UNIT_CONTROL, spatial_modes={
+                       "kind": "sine", "count": 10**15})},
+                   "error: control.spatial_modes.count: needs a (1000000000000000, 1, 9) array"),
+    "resolution": ("diagnose-semigroup", {"domain": {"dimension": 2, "extent": [1.0, 1.0],
+                                                     "resolution": [10**8, 10**8]},
+                                          "boundaries": SIDES_2D},
+                   "error: domain.resolution: needs a (100000000, 100000000) array"),
+    # the node count wraps to 0 in int64
+    "resolution-2**64": ("diagnose-semigroup", {"domain": {"dimension": 2, "extent": [1.0, 1.0],
+                                                           "resolution": [2**32, 2**32]},
+                                                "boundaries": SIDES_2D},
+                         "error: domain.resolution: needs a (4294967296, 4294967296) array"),
+    # a mode number past float range
+    "huge-mode": ("simulate", {"source": {"kind": "constant", "value": 1.0, "profile": {
+                      "kind": "sine", "mode": 10**400}}},
+                  "error: source.profile.mode: mode numbers must be less than 2**53\n"),
+    # array entries that are not numbers
+    "string-lambdas": ("fd-check", {"lambdas": ["0.1", "0.01"],
+                                    "direction": {"kind": "constant", "value": 0.1}},
+                       "error: lambdas: expected an array of numbers\n"),
+    "integer-past-float": ("fd-check", {"lambdas": [10**400],
+                                        "direction": {"kind": "constant", "value": 0.1}},
+                           "error: lambdas: expected an array of numbers\n"),
+    "string-profile": ("simulate", {"source": {"kind": "constant", "value": 1.0, "profile": {
+                           "kind": "values", "values": ["1"] * 9}}},
+                       "error: source.profile.values: expected an array of numbers\n"),
+    "boolean-diffusion": ("simulate", {"diffusion": [True]},
+                          "error: diffusion: expected an array of numbers\n"),
+}
+
+
 class TestValidationFailures:
     def test_inverted_band_names_the_field(self, tmp_path, capsys):
         cfg = small_config(hysteresis={"a": 0.5, "b": -0.5, "z0": 0.0})
@@ -314,6 +357,14 @@ class TestValidationFailures:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: source: needs a (12000001, 1, 100001) array")
+
+    @pytest.mark.parametrize("case", list(REFUSED_INPUTS))
+    def test_refused_input_leaves_one_error_line(self, case, tmp_path, capsys):
+        sub, overrides, expected = REFUSED_INPUTS[case]
+        path = write_config(tmp_path, small_config(**overrides))
+        assert main([sub, "--config", path, "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(expected), err
 
     def test_direction_overflowing_in_its_products_exits_two(self, tmp_path, capsys):
         # each factor is finite, but 1e308 * 10.0 is not
@@ -605,7 +656,8 @@ for config in configs:
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 
 import numpy as np
-from stopsim import BoundarySides, DomainSpec, apply_semigroup_step, assemble
+from stopsim import BoundarySides, DomainSpec, assemble
+from conftest import semigroup_step
 
 # a 2D axis over the dense limit and a 1D box over the eigenbasis limit
 for resolution in ((503, 3), (301,)):
@@ -613,7 +665,7 @@ for resolution in ((503, 3), (301,)):
     disc = assemble(DomainSpec(dimension=dim, extent=(1.0,) * dim, resolution=resolution),
                     [BoundarySides(*("neumann",) * 2 * dim)], [1.0])
     y = np.cos(np.arange(disc.n_nodes))[None, :]
-    stepped = apply_semigroup_step(disc, y, 0.1)
+    stepped = semigroup_step(disc, y, 0.1)
     assert abs(stepped @ disc.quadrature - y @ disc.quadrature).max() <= 1e-12
 print(json.dumps({"codes": codes, "before": loaded,
                   "after": "scipy.sparse.linalg" in sys.modules
@@ -646,10 +698,12 @@ class TestScipyFreeRuns:
                    ("saturating", "linear_quadratic", "neumann_conservation", "zero")]
         configs += [write_config(tmp_path, box, "box.json"),
                     write_config(tmp_path, grid, "grid.json")]
+        env = package_env()  # with the tests' own helpers importable
+        env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
         proc = subprocess.run(
             [sys.executable, "-c", SCIPY_FREE_RUNS, str(tmp_path / "out"),
              json.dumps(configs)],
-            capture_output=True, text=True, env=package_env())
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         # each bundled scenario and the 2D box run at least simulate and

@@ -28,14 +28,13 @@ from stopsim import (
     quad_norm,
     reduced_cost,
     reduced_cost_directional_derivative,
-    s_operator_norm,
     solve_state,
 )
 from stopsim.control import _gradient, _solve, _tracking_term
 from stopsim.spatial import _path_norms
 
 from conftest import constant_sfun
-from oracles import normal_equation_coefficients, response_model
+from oracles import normal_equation_coefficients, response_model, s_operator_norm
 
 
 def sine_modes(disc, count):
@@ -423,7 +422,7 @@ def stability_deviations(problem, spec, perturbed_coefficients):
         state_dev.append(_path_norms(problem.disc, traj.states - base.states).max())
         stop_dev.append(np.max(np.abs(traj.stop.values - base.stop.values)))
     state_dev, stop_dev = np.array(state_dev), np.array(stop_dev)
-    bound = 2.0 * s_operator_norm(problem.disc, problem.sfun) * state_dev
+    bound = 2.0 * s_operator_norm(problem.sfun.weight, problem.disc.quadrature) * state_dev
     return state_dev, stop_dev, bound
 
 

@@ -214,6 +214,7 @@ class TestSolverConfig:
         ("picard_max_iters", 3.0),
         ("picard_max_iters", True),
         ("picard_max_iters", "10"),
+        ("slice_length", 1e-300),  # rounds to zero steps within the slack
     ])
     def test_picard_settings_are_validated(self, field, value):
         with pytest.raises(InvalidConfigError):

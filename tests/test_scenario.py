@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stopsim import (
     HysteresisConfig,
@@ -361,6 +363,22 @@ class TestLowRankSources:
             assert str(err.value).startswith(f"control.target: needs a {shape} array")
 
 
+    def test_gram_matrix_and_time_profiles_are_size_checked(self, monkeypatch):
+        cfg = base_scenario()
+        cfg["solver"] = {"dt": 0.1, "t_final": 2.0}
+        cfg["control"] = {"mode": "distributed", "time_knots": 20,
+                          "spatial_modes": {"kind": "constant"}, "kappa": 0.1,
+                          "target": {"kind": "zero"}}
+        scn = load_scenario(cfg, needs=("state", "control"))
+        # the target holds 21 * 9 values, the Gram matrix 20 * 20 and the
+        # time profiles 20 * 21
+        for entries, shape in ((399, (20, 20)), (419, (20, 21))):
+            monkeypatch.setattr(scenario_module, "_physical_memory",
+                                lambda entries=entries: 8 * entries)
+            with pytest.raises(ScenarioValidationError) as err:
+                build_control_problem(scn)
+            assert str(err.value).startswith(f"control.time_knots: needs a {shape} array")
+
 class TestLambdas:
     def test_must_decrease(self):
         cfg = base_scenario()
@@ -551,3 +569,123 @@ class TestTextEntryPoints:
         wrapped = load_hysteresis_config(
             {"hysteresis": {"a": -2.0, "b": 3.0, "z0": 0.5}})
         assert bare == HysteresisConfig(a=-2.0, b=3.0, z0=0.5) == wrapped
+
+
+# the blocks each subcommand asks ``load_scenario`` for (``cli._cmd_*``)
+SUBCOMMAND_NEEDS = {
+    "simulate": ("state",),
+    "sensitivity": ("state", "direction"),
+    "fd-check": ("state", "direction", "lambdas"),
+    "optimize": ("state", "control"),
+    "diagnose-semigroup": ("spatial", "diagnostic"),
+}
+
+TWO_COMPONENT_BOX = {
+    "domain": {"dimension": 2, "extent": [1.0, 0.7], "resolution": [7, 5]},
+    "boundaries": [{"left": "dirichlet", "right": "neumann",
+                    "bottom": "neumann", "top": "dirichlet"},
+                   {"left": "neumann", "right": "neumann",
+                    "bottom": "dirichlet", "top": "neumann"}],
+    "diffusion": [0.8, 2.5],
+    "s_weight": {"kind": "constant", "value": 0.5},
+    "hysteresis": {"a": -0.1, "b": 0.1, "z0": 0.0},
+    "reaction": {"kind": "linear", "constant": 0.0, "state": -0.5, "hysteresis": 0.3},
+    "solver": {"dt": 0.05, "t_final": 0.5},
+    "source": {"kind": "constant", "value": 1.0, "component": 1,
+               "profile": {"kind": "sine", "mode": [1, 2]}},
+    "direction": {"kind": "pulse", "value": 0.1, "start": 0.0, "stop": 0.2},
+    "control": {"mode": "boundary", "component": 1, "time_knots": 2, "kappa": 0.1,
+                "target": {"kind": "from-control", "coefficients": [0.1] * 26}},
+    "diagnostic": {"theta": 0.25, "t_count": 20},
+}
+
+FUZZ_BASES = [bundled(name) for name in
+              ("saturating", "linear_quadratic", "neumann_conservation", "zero")]
+FUZZ_BASES.append(TWO_COMPONENT_BOX)
+
+# every number is small or so large that it is refused before anything is
+# allocated: integers from 0..64 or from 10**15 up, floats of magnitude
+# 0.01..64 or 1e15 and beyond, and the non-finite floats
+FUZZ_NUMBERS = st.one_of(
+    st.integers(0, 64), st.integers(min_value=10**15),
+    st.floats(0.01, 64.0), st.floats(-64.0, -0.01),
+    st.sampled_from([0.0, 1e15, -1e15, 1e300, math.inf, -math.inf, math.nan]))
+FUZZ_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), FUZZ_NUMBERS, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def json_paths(node, path=()):
+    """The path of every value in a JSON tree, the root's () included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            yield from json_paths(node[key], path + (key,))
+
+
+def json_at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario or the box, with one or two mutations, each at a
+    value anywhere in the tree: an unknown key (an entry, in a list) added
+    to a container, or the value deleted or replaced by a random JSON value."""
+    cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(json_paths(cfg))))
+        node = json_at(cfg, path)
+        if isinstance(node, (dict, list)) and (not path or draw(st.booleans())):
+            value = draw(FUZZ_VALUES)
+            if isinstance(node, dict):
+                node["unknown_" + draw(st.text(max_size=3))] = value
+            else:
+                node.append(value)
+        elif draw(st.booleans()):
+            del json_at(cfg, path[:-1])[path[-1]]
+        else:  # a number most often by a number, to get past the type checks
+            number = isinstance(node, (int, float)) and draw(st.booleans())
+            json_at(cfg, path[:-1])[path[-1]] = draw(FUZZ_NUMBERS if number else FUZZ_VALUES)
+    return cfg
+
+
+class TestFuzzedScenarios:
+    @pytest.mark.parametrize("base", range(len(FUZZ_BASES)))
+    def test_every_base_loads_for_the_subcommands_it_serves(self, base):
+        served = [sub for sub, needs in SUBCOMMAND_NEEDS.items()
+                  if all(n in ("state", "spatial") or n in FUZZ_BASES[base] for n in needs)]
+        assert "simulate" in served
+        for sub in served:
+            load_scenario(copy.deepcopy(FUZZ_BASES[base]), SUBCOMMAND_NEEDS[sub])
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=mutated_scenarios(), sub=st.sampled_from(sorted(SUBCOMMAND_NEEDS)))
+    def test_a_mutated_scenario_loads_or_fails_validation(self, cfg, sub):
+        try:
+            load_scenario(cfg, SUBCOMMAND_NEEDS[sub])
+        except ScenarioValidationError:
+            pass
+
+
+class TestArrayEntries:
+    @pytest.mark.parametrize("entries", [["0.1", "0.01"], [True, 0.01], [0.1, None],
+                                         [0.1, [0.01]], [0.1, {}], [10**400]])
+    def test_every_entry_must_be_a_number(self, entries):
+        cfg = base_scenario()
+        cfg["lambdas"] = entries
+        expect_error(cfg, "lambdas: expected an array of numbers")
+
+    def test_integers_and_floats_are_numbers(self):
+        cfg = base_scenario()
+        cfg["lambdas"] = [1, 0.5, 10**-3]
+        assert load_scenario(cfg).lambdas == (1.0, 0.5, 1e-3)
+        cfg["source"] = {"kind": "constant", "value": 1.0,
+                         "profile": {"kind": "values", "values": [0, 1] * 4 + [1.5]}}
+        load_scenario(cfg)
+        cfg["source"]["profile"]["values"][3] = "1"
+        expect_error(cfg, "source.profile.values: expected an array of numbers")

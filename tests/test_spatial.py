@@ -13,13 +13,10 @@ from stopsim import (
     NumericalFailureError,
     SFunctional,
     UnsupportedConfigurationError,
-    apply_semigroup_step,
     assemble,
-    component_spectrum,
     evaluate_S,
     fractional_power_diagnostic,
     quad_norm,
-    s_operator_norm,
 )
 from stopsim.spatial import (
     AXIS_EIG_LIMIT,
@@ -31,14 +28,17 @@ from stopsim.spatial import (
     _Stepper,
     _SuperLUSolve,
     _axis_basis,
+    _component_eigenvalues,
 )
 
-from conftest import constant_sfun
+from conftest import constant_sfun, semigroup_step
 from oracles import (
     dirichlet_eigenvalues_1d,
     generator_dense_1d,
     neumann_eigenvalues_1d,
+    node_sets_2d,
     quad_weights_1d,
+    s_operator_norm,
     semigroup_step_dense,
 )
 
@@ -97,6 +97,15 @@ def realized_generator(disc, j=0):
     return comp.operator.toarray() / comp.rel_weights[:, None]
 
 
+def spectrum(disc, j=0):
+    """Eigenvalues of component ``j``'s generator, ascending, and the matching
+    eigenvectors: the axis basis in 1D, the Kronecker product of both in 2D."""
+    lam = _component_eigenvalues(disc, j)
+    bases = [axis.basis()[1] for axis in disc.components[j].axes]
+    order = np.argsort(lam, kind="stable")
+    return lam[order], (bases[0] if len(bases) == 1 else np.kron(*bases))[:, order]
+
+
 class TestAssembly1D:
     def test_dirichlet_interior_stencil(self, disc_dirichlet):
         comp = disc_dirichlet.components[0]
@@ -130,18 +139,18 @@ class TestAssembly1D:
 
     def test_operator_is_positive_semidefinite(self, disc_neumann, disc_mixed):
         for disc in (disc_neumann, disc_mixed):
-            lam, _ = component_spectrum(disc)
+            lam = _component_eigenvalues(disc, 0)
             assert lam.min() >= -1e-12
 
 
 class TestSpectrum:
     def test_dirichlet_eigenvalues_closed_form(self, disc_dirichlet):
-        lam, _ = component_spectrum(disc_dirichlet)
+        lam = _component_eigenvalues(disc_dirichlet, 0)
         expected = np.sort(dirichlet_eigenvalues_1d(21, 1.0, 1.0))
         np.testing.assert_allclose(np.sort(lam), expected, rtol=1e-12)
 
     def test_neumann_eigenvalues_closed_form_with_zero_mode(self, disc_neumann):
-        lam, _ = component_spectrum(disc_neumann)
+        lam = _component_eigenvalues(disc_neumann, 0)
         expected = np.sort(neumann_eigenvalues_1d(25, 2.0, 0.5))
         np.testing.assert_allclose(np.sort(lam), expected, rtol=1e-11, atol=1e-12)
         assert lam.min() == 0.0
@@ -153,7 +162,7 @@ class TestSpectrum:
                            bottom="dirichlet", top="dirichlet")],
             [1.5],
         )
-        lam, _ = component_spectrum(disc)
+        lam = _component_eigenvalues(disc, 0)
         lx = dirichlet_eigenvalues_1d(6, 1.0, 1.5)
         ly = dirichlet_eigenvalues_1d(5, 2.0, 1.5)
         expected = np.sort((lx[:, None] + ly[None, :]).ravel())
@@ -161,7 +170,7 @@ class TestSpectrum:
 
     def test_eigenvectors_are_weight_orthonormal(self, disc_mixed):
         comp = disc_mixed.components[0]
-        _, vec = component_spectrum(disc_mixed)
+        _, vec = spectrum(disc_mixed)
         gram = vec.T @ np.diag(comp.rel_weights) @ vec
         np.testing.assert_allclose(gram, np.eye(comp.active.size), atol=1e-10)
 
@@ -172,13 +181,13 @@ class TestSpectrum:
             [1.0],
         )
         with pytest.raises(UnsupportedConfigurationError):
-            component_spectrum(disc)
+            _component_eigenvalues(disc, 0)
 
     @pytest.mark.parametrize("j", [-1, 2])
     def test_component_index_outside_the_range_is_refused(self, j):
         disc = two_d_disc(("dirichlet", "neumann", "neumann", "neumann"))
         with pytest.raises(InvalidConfigError, match=rf"\[0, 2\), got {j}"):
-            component_spectrum(disc, j)
+            _component_eigenvalues(disc, j)
         with pytest.raises(InvalidConfigError, match=rf"\[0, 2\), got {j}"):
             fractional_power_diagnostic(disc, 0.5, component=j)
 
@@ -238,15 +247,15 @@ class TestSFunctional:
         assert evaluate_S(disc_mixed, sfun, 2.0 * y - 3.0 * w) == pytest.approx(
             2.0 * evaluate_S(disc_mixed, sfun, y)
             - 3.0 * evaluate_S(disc_mixed, sfun, w), rel=1e-12)
-        bound = s_operator_norm(disc_mixed, sfun) * quad_norm(disc_mixed, y)
+        bound = s_operator_norm(sfun.weight, disc_mixed.quadrature) * quad_norm(disc_mixed, y)
         assert abs(evaluate_S(disc_mixed, sfun, y)) <= bound * (1 + 1e-12)
 
     def test_operator_norm_is_attained_on_the_weight(self, disc_mixed):
         sfun = constant_sfun(disc_mixed, 0.7)
         w = np.asarray(sfun.weight)
         attained = evaluate_S(disc_mixed, sfun, w) / quad_norm(disc_mixed, w)
-        assert attained == pytest.approx(s_operator_norm(disc_mixed, sfun),
-                                         rel=1e-12)
+        assert attained == pytest.approx(
+            s_operator_norm(sfun.weight, disc_mixed.quadrature), rel=1e-12)
 
 
 class TestSemigroupStep:
@@ -265,7 +274,7 @@ class TestSemigroupStep:
         rng = np.random.default_rng(22)
         y = rng.standard_normal((1, res))
         y[0, ~active] = 0.0
-        stepped = apply_semigroup_step(disc, y, 0.07)
+        stepped = semigroup_step(disc, y, 0.07)
         expected = np.zeros(res)
         expected[active] = semigroup_step_dense(A, y[0, active], 0.07)
         np.testing.assert_allclose(stepped[0], expected, rtol=0.0, atol=1e-12)
@@ -277,7 +286,7 @@ class TestSemigroupStep:
         rng = np.random.default_rng(23)
         y = rng.standard_normal((1, disc_2d.n_nodes))
         y[0, ~active] = 0.0
-        stepped = apply_semigroup_step(disc_2d, y, 0.03)
+        stepped = semigroup_step(disc_2d, y, 0.03)
         expected = np.zeros(disc_2d.n_nodes)
         expected[active] = semigroup_step_dense(A, y[0, active], 0.03)
         np.testing.assert_allclose(stepped[0], expected, rtol=0.0, atol=1e-12)
@@ -290,14 +299,14 @@ class TestSemigroupStep:
 
     def test_first_order_consistency_with_exponential(self, disc_dirichlet):
         comp = disc_dirichlet.components[0]
-        lam, vec = component_spectrum(disc_dirichlet)
+        lam, vec = spectrum(disc_dirichlet)
         lowest = int(np.argmin(lam))
         y = np.zeros((1, disc_dirichlet.n_nodes))
         y[0, comp.active] = vec[:, lowest]
 
         errors = []
         for dt in (0.01, 0.005, 0.0025):
-            stepped = apply_semigroup_step(disc_dirichlet, y, dt)
+            stepped = semigroup_step(disc_dirichlet, y, dt)
             exact = np.exp(-lam[lowest] * dt) * vec[:, lowest]
             errors.append(np.abs(stepped[0, comp.active] - exact).max())
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
@@ -311,28 +320,21 @@ class TestSemigroupStep:
                 y = rng.standard_normal((1, disc.n_nodes))
                 for comp in disc.components:
                     y[0, comp.dirichlet_mask] = 0.0
-                assert quad_norm(disc, apply_semigroup_step(disc, y, dt)) \
+                assert quad_norm(disc, semigroup_step(disc, y, dt)) \
                     <= quad_norm(disc, y) * (1 + 1e-13)
 
     def test_constant_field_is_a_neumann_fixed_point(self, disc_neumann):
         y = np.full((1, disc_neumann.n_nodes), 0.8)
-        stepped = apply_semigroup_step(disc_neumann, y, 0.3)
+        stepped = semigroup_step(disc_neumann, y, 0.3)
         np.testing.assert_allclose(stepped, y, rtol=0.0, atol=1e-13)
 
     def test_neumann_step_conserves_quadrature_mass(self, disc_neumann):
         rng = np.random.default_rng(26)
         y = rng.standard_normal((1, disc_neumann.n_nodes))
         mass = float(np.sum(disc_neumann.quadrature * y[0]))
-        stepped = apply_semigroup_step(disc_neumann, y, 0.5)
+        stepped = semigroup_step(disc_neumann, y, 0.5)
         mass_after = float(np.sum(disc_neumann.quadrature * stepped[0]))
         assert abs(mass_after - mass) <= 1e-12 * max(1.0, abs(mass))
-
-    def test_rejects_bad_dt_and_bad_shape(self, disc_mixed):
-        y = np.zeros((1, disc_mixed.n_nodes))
-        with pytest.raises(InvalidConfigError):
-            apply_semigroup_step(disc_mixed, y, 0.0)
-        with pytest.raises(GridMismatchError):
-            apply_semigroup_step(disc_mixed, np.zeros((1, 3)), 0.1)
 
 
 def two_d_disc(labels, resolution=(7, 9), extent=(1.3, 0.7), diffusion=(0.8, 2.5)):
@@ -423,7 +425,7 @@ class TestProductSolve:
         disc = two_d_disc(("neumann",) * 4, resolution=(23, 17))
         rng = np.random.default_rng(32)
         y = rng.standard_normal((2, disc.n_nodes))
-        stepped = apply_semigroup_step(disc, y, 0.5)
+        stepped = semigroup_step(disc, y, 0.5)
         mass = y @ disc.quadrature
         np.testing.assert_allclose(stepped @ disc.quadrature, mass,
                                    rtol=0.0, atol=1e-13 * np.max(np.abs(mass)))
@@ -444,6 +446,19 @@ def test_box_is_the_active_set(labels):
     nodes = np.arange(disc.n_nodes).reshape(disc.domain.resolution)
     for comp in disc.components:
         np.testing.assert_array_equal(nodes[comp.box].ravel(), comp.active)
+
+
+@pytest.mark.parametrize("labels", list(itertools.product(("dirichlet", "neumann"), repeat=4)))
+def test_node_data_matches_a_node_by_node_construction(labels):
+    disc = two_d_disc(labels)
+    for comp, sides in zip(disc.components, (labels, labels[::-1])):
+        active, rel, nodes, surface = node_sets_2d(
+            7, 9, 1.3, 0.7, dict(zip(("left", "right", "bottom", "top"), sides)))
+        np.testing.assert_array_equal(comp.active, active)
+        np.testing.assert_array_equal(np.flatnonzero(~comp.dirichlet_mask), active)
+        np.testing.assert_array_equal(comp.rel_weights, rel)
+        np.testing.assert_array_equal(comp.neumann_nodes, nodes)
+        np.testing.assert_array_equal(comp.surface_weights, surface)
 
 
 def n_dirichlet(labels):
@@ -494,7 +509,7 @@ class TestOneDimensionalSolve:
         step_lu, adjoint_lu = both_steps(ref, y, f, x)
         assert rel_diff(step, step_lu) <= 1e-12
         assert rel_diff(adjoint, adjoint_lu) <= 1e-12
-        assert rel_diff(apply_semigroup_step(disc, y, dt),
+        assert rel_diff(semigroup_step(disc, y, dt),
                         ref.step(y, np.zeros_like(y), np.zeros_like(y))) <= 1e-12
 
     @pytest.mark.parametrize("n", [41, 501, 2001, 20001])
@@ -589,8 +604,8 @@ class TestAxisEigenbasis:
         np.testing.assert_array_equal(p_even, (axis.weights[:, None] * v)[0::2, :half])
         np.testing.assert_array_equal(p_odd, (axis.weights[:, None] * v)[1::2, :half])
 
-    def test_component_spectrum_comes_from_the_axis_bases(self, disc_2d):
-        lam, vec = component_spectrum(disc_2d)
+    def test_2d_spectrum_comes_from_the_axis_bases(self, disc_2d):
+        lam, vec = spectrum(disc_2d)
         comp = disc_2d.components[0]
         L = comp.operator.toarray()
         assert np.all(np.diff(lam) >= 0)
@@ -742,8 +757,8 @@ class TestMultiComponent:
         assert disc.n_components == 2
         assert disc.components[0].active.size == 9
         assert disc.components[1].active.size == 11
-        lam0, _ = component_spectrum(disc, 0)
-        lam1, _ = component_spectrum(disc, 1)
+        lam0 = _component_eigenvalues(disc, 0)
+        lam1 = _component_eigenvalues(disc, 1)
         np.testing.assert_allclose(
             np.sort(lam0), np.sort(dirichlet_eigenvalues_1d(11, 1.0, 1.0)),
             rtol=1e-12)
@@ -808,8 +823,6 @@ class TestFractionalPowerDiagnostic:
         assert report.sup_value == pytest.approx(np.max(weighted), rel=1e-11)
         assert report.t_at_sup == t[np.argmax(weighted)]
         assert report.attained_interior
-        with pytest.raises(UnsupportedConfigurationError):
-            component_spectrum(disc)  # the vectors keep the total-size limit
 
     def test_axis_beyond_the_dense_limit_is_refused(self):
         disc = assemble(DomainSpec(dimension=2, extent=(1.0, 1.0),
