@@ -53,7 +53,12 @@ _GUARD_SQ = (BLOWUP_GUARD / 2) ** 2
 _GROWTH_PROBE_SEED = 20260815
 _GROWTH_PROBE_COUNT = 512
 
-REACTION_KINDS = ("linear", "saturating", "logistic-capped", "user-table")
+_REACTION_PARAMS = {  # each catalog reaction's parameter names, in ``params`` order
+    "linear": ("constant", "state", "hysteresis"),
+    "saturating": ("state_amplitude", "state_rate", "hysteresis_amplitude", "hysteresis_rate"),
+    "logistic-capped": ("rate", "capacity", "cap", "hysteresis"),
+}
+REACTION_KINDS = (*_REACTION_PARAMS, "user-table")
 SCHEMES = ("imex-euler", "picard-sliced")
 
 
@@ -118,7 +123,7 @@ class ReactionFunction:
                 a.setflags(write=False)
             object.__setattr__(self, "table", (yg, zg, vals))
         else:
-            expected = {"linear": 3, "saturating": 4, "logistic-capped": 4}[self.kind]
+            expected = len(_REACTION_PARAMS[self.kind])
             if len(params) != expected:
                 raise InvalidConfigError(
                     f"{self.kind} reaction takes {expected} parameters, got {len(params)}"
@@ -305,6 +310,8 @@ class SolverConfig:
         if not math.isfinite(t_final) or t_final < dt:
             raise InvalidConfigError("t_final must be at least one step")
         n = t_final / dt
+        if not n <= 2**53:  # past that, steps are not counted exactly
+            raise InvalidConfigError(f"t_final={t_final} / dt={dt} is {n:.3g} steps, over 2**53")
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise InvalidConfigError(
                 f"t_final={t_final} must be an integer multiple of dt={dt}"

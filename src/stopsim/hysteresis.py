@@ -26,8 +26,9 @@ The directional derivative of the stop obeys the one-sided rule of the
 clamp: the derivative state passes through unchanged while the base state is
 strictly interior, is reset to the bound's own rate when the base state sits
 strictly outside a moving bound, and takes the one-sided max/min exactly at
-a bound.  Tie predicates are evaluated on the same w values the base
-recursion uses, so the derivative pass takes bitwise the same branches.
+a bound.  ``branch_census`` is the one statement of which branch each step
+takes, from the same w values the base recursion carried; every derivative
+pass reads it and carries omega through ``_omega_step``.
 """
 
 from __future__ import annotations
@@ -157,28 +158,7 @@ class StopCursor:
         return z
 
 
-def _stop_derivative_step(cfg: HysteresisConfig, w_prev, v_next, omega, dv_next):
-    """One-sided derivative of one clamp step, carried as omega = zeta - dv.
-
-    ``w_prev`` is the base offset before the step and ``v_next`` the base
-    input after it, so the branch is the one ``StopCursor.advance`` takes.
-    Carrying omega instead of zeta lets a scaled direction rescale every
-    branch outcome without re-rounding the base path; zeta = omega + dv.
-    """
-    lo = cfg.a - v_next
-    hi = cfg.b - v_next
-    if w_prev < lo or w_prev > hi:
-        return -dv_next
-    if w_prev == lo:
-        neg = -dv_next
-        return neg if neg > omega else omega
-    if w_prev == hi:
-        neg = -dv_next
-        return neg if neg < omega else omega
-    return omega
-
-
-INTERIOR, AT_A, AT_B, TIE = range(4)
+INTERIOR, AT_A, AT_B, TIE_A, TIE_B = range(5)
 
 
 @dataclass(frozen=True)
@@ -187,9 +167,10 @@ class BranchCensus:
 
     ``steps[k - 1]`` is the branch of step k: ``INTERIOR`` (the derivative
     passes through), ``AT_A`` or ``AT_B`` (the base input pushes the state
-    strictly past that bound, so the derivative resets), or ``TIE`` (the
-    carried offset sits exactly on a moving bound, where the derivative is
-    only positively homogeneous in the direction).  The counts follow.
+    strictly past that bound, so the derivative resets), or ``TIE_A`` or
+    ``TIE_B`` (the carried offset sits exactly on that moving bound, where
+    the derivative is only positively homogeneous in the direction).  The
+    counts follow; ``tie`` counts both tie codes.
     """
 
     steps: np.ndarray
@@ -200,11 +181,12 @@ class BranchCensus:
 
 
 def branch_census(cfg: HysteresisConfig, offsets, inputs) -> BranchCensus:
-    """Branches that ``_stop_derivative_step`` takes along a stored base path.
+    """Branches of the stop derivative along a stored base path.
 
     ``offsets`` are the carried offsets w_k and ``inputs`` the inputs v_k of
     the base recursion, as a ``Trajectory`` stores them; step k compares
-    w_{k-1} with the bounds moved by v_k, with the same predicates.
+    w_{k-1} with the bounds moved by v_k.  Where a - v_k and b - v_k round
+    to the same float, a's tie wins.
     """
     w_prev = np.asarray(offsets, dtype=float)[:-1]
     v_next = np.asarray(inputs, dtype=float)[1:]
@@ -213,8 +195,25 @@ def branch_census(cfg: HysteresisConfig, offsets, inputs) -> BranchCensus:
     steps = np.full(w_prev.size, INTERIOR)
     steps[w_prev < lo] = AT_A
     steps[w_prev > hi] = AT_B
-    steps[(w_prev == lo) | (w_prev == hi)] = TIE
-    return BranchCensus(steps, *(int(n) for n in np.bincount(steps, minlength=4)))
+    steps[w_prev == hi] = TIE_B
+    steps[w_prev == lo] = TIE_A
+    interior, at_a, at_b, tie_a, tie_b = np.bincount(steps, minlength=5).tolist()
+    return BranchCensus(steps, interior, at_a, at_b, tie_a + tie_b)
+
+
+def _omega_step(branch, omega, dv):
+    """One step of the stop derivative on its census ``branch``, carried as
+    omega = zeta - dv, where dv is the direction's input at the step.
+    Carrying omega instead of zeta lets a scaled direction rescale every
+    branch outcome without re-rounding the base path; zeta = omega + dv."""
+    if branch == INTERIOR:
+        return omega
+    neg = -dv
+    if branch == TIE_A:
+        return neg if neg > omega else omega
+    if branch == TIE_B:
+        return neg if neg < omega else omega
+    return neg
 
 
 @dataclass(frozen=True)
@@ -297,8 +296,8 @@ def stop_directional_derivative(
     Returns the base stop values and the derivative signal zeta with
     zeta[0] = 0.  The recursion differentiates each clamp step one-sidedly,
     so the result is the limit of (stop(v + lam*h) - stop(v))/lam as
-    lam decreases to 0 from above.  Each step reads the offset w_{k-1} the
-    base pass carried.
+    lam decreases to 0 from above.  Each step takes the branch that the
+    census of the base pass's offsets records.
     """
     if not np.array_equal(v.times, h.times):
         raise GridMismatchError("direction must share the base signal's time grid")
@@ -307,9 +306,9 @@ def stop_directional_derivative(
     stop, offsets = _stop_path(cfg, StopCursor(cfg, values[0]).w, values)
     omega = -rates[0]  # zeta starts at 0: the initial state does not move
     zeta = [0.0]
-    for w_prev, v_next, dv in zip(offsets[:-1].tolist(), values[1:].tolist(),
-                                  rates[1:].tolist()):
-        omega = _stop_derivative_step(cfg, w_prev, v_next, omega, dv)
+    for branch, dv in zip(branch_census(cfg, offsets, values).steps.tolist(),
+                          rates[1:].tolist()):
+        omega = _omega_step(branch, omega, dv)
         zeta.append(omega + dv)
     return DerivativeState(base_stop=np.concatenate(([cfg.z0], stop)), derivative=zeta)
 

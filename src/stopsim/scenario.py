@@ -22,6 +22,7 @@ import numpy as np
 from .control import ControlProblem, ControlSpec, apply_B
 from .errors import ScenarioValidationError
 from .evolution import (
+    _REACTION_PARAMS,
     REACTION_KINDS,
     SCHEMES,
     ReactionFunction,
@@ -31,6 +32,9 @@ from .evolution import (
 )
 from .hysteresis import HysteresisConfig
 from .spatial import (
+    _LABELS,
+    _SIDES_1D,
+    _SIDES_2D,
     BoundarySides,
     DomainSpec,
     SFunctional,
@@ -50,18 +54,11 @@ __all__ = [
 
 DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
-_BOUNDARY_LABELS = ("dirichlet", "neumann")
 _TIME_KINDS = ("zero", "constant", "pulse", "sine")
 _PROFILE_KINDS = ("constant", "sine", "values")
 _WEIGHT_KINDS = ("constant", "values")
 _MODE_KINDS = ("constant", "sine", "values")
 _TARGET_KINDS = ("zero", "constant", "from-control")
-_REACTION_PARAMS = {
-    "linear": ("constant", "state", "hysteresis"),
-    "saturating": ("state_amplitude", "state_rate",
-                   "hysteresis_amplitude", "hysteresis_rate"),
-    "logistic-capped": ("rate", "capacity", "cap", "hysteresis"),
-}
 
 
 def _fail(path, message):
@@ -189,21 +186,20 @@ def _parse_domain(cfg, path):
     res = tuple(
         _integer(r, f"{path}.resolution[{i}]", minimum=3) for i, r in enumerate(res)
     )
-    _check_field_size(res, _join(path, "resolution"), "nodes per axis")
     return DomainSpec(dimension=dim, extent=extent, resolution=res)
 
 
 def _parse_boundaries(cfg, dim, path):
     if not isinstance(cfg, list) or not cfg:
         _fail(path, "expected a nonempty array of per-component side labels")
-    sides = ("left", "right") if dim == 1 else ("left", "right", "bottom", "top")
+    sides = _SIDES_1D if dim == 1 else _SIDES_2D
     out = []
     for j, entry in enumerate(cfg):
         epath = f"{path}[{j}]"
         entry = _object(entry, epath)
         _reject_unknown(entry, sides, epath)
         labels = {
-            s: _string(_require(entry, s, epath), _join(epath, s), _BOUNDARY_LABELS)
+            s: _string(_require(entry, s, epath), _join(epath, s), _LABELS)
             for s in sides
         }
         out.append(BoundarySides(**labels))
@@ -346,15 +342,15 @@ def _physical_memory():
         return math.inf
 
 
-def _check_field_size(shape, path, axes="time points, components, nodes"):
-    """A validation error naming ``path`` if a float array of ``shape`` cannot fit.
+def _check_field_size(shape, path, axes="time points, components, nodes", doubles=1):
+    """A validation error naming ``path`` if ``doubles`` float arrays of ``shape`` cannot fit.
 
     ``axes`` names the dimensions of ``shape`` in the message.  Nothing is
     allocated: the run's own arrays have this shape, so a size above
     physical memory is refused before a lazily committed allocation could
     run the machine out of memory later.
     """
-    nbytes = 8 * math.prod(shape)
+    nbytes = 8 * doubles * math.prod(shape)
     if nbytes > _physical_memory():
         size = f"{nbytes:.3g}" if nbytes < 1e300 else "over 1e300"  # floats end at 1.8e308
         _fail(path, f"needs a {shape} array ({axes}) of {size} bytes, "
@@ -561,10 +557,10 @@ _TOP_LEVEL = ("domain", "boundaries", "diffusion", "s_weight", "hysteresis",
 
 
 def load_hysteresis_config(cfg) -> HysteresisConfig:
-    """Hysteresis config from a bare {a, b, z0} object or a full scenario."""
+    """Hysteresis config from a bare {a, b, z0} object or a full scenario, validated whole."""
     cfg = _object(cfg, "")
     if "hysteresis" in cfg:
-        return _parse_hysteresis(cfg["hysteresis"], "hysteresis")
+        return load_scenario(cfg, needs=()).hyst_cfg
     return _parse_hysteresis(cfg, "hysteresis")
 
 
@@ -596,6 +592,10 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
         domain = _parse_domain(_require(cfg, "domain", ""), "domain")
         boundaries = _parse_boundaries(_require(cfg, "boundaries", ""),
                                        domain.dimension, "boundaries")
+        # assemble's peak in doubles per node (tracemalloc): 6 + 4 m in 1D, 9 + m in 2D
+        doubles = 7 + 4 * len(boundaries)
+        _check_field_size(domain.resolution, "domain.resolution",
+                          f"nodes per axis, {doubles} doubles per node", doubles)
         diffusion = _array(_require(cfg, "diffusion", ""), "diffusion")
         if diffusion.ndim != 1 or diffusion.size != len(boundaries):
             _fail("diffusion",

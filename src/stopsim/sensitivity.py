@@ -8,7 +8,7 @@ the sensitivity zeta solves the linearization of the IMEX recursion:
 
 where w is the directional derivative of the stop output, advanced by the
 one-sided clamp rule on the pair (v = S y, dv = S zeta).  Branch decisions
-replay the exact offset states stored on the base trajectory, so the
+are the census of the offset states stored on the base trajectory, so the
 linearization follows bitwise the same saturation pattern the base solve
 took.  Starting state is zeta_0 = 0: perturbing the source cannot move the
 fixed initial condition.  Both schemes run on the state solve's own driver,
@@ -41,7 +41,7 @@ from .evolution import (
     _integrate,
     solve_state,
 )
-from .hysteresis import INTERIOR, HysteresisConfig, _stop_derivative_step, branch_census
+from .hysteresis import INTERIOR, HysteresisConfig, _omega_step, branch_census
 from .spatial import _check_field, _path_norms, _Stepper
 
 __all__ = [
@@ -102,12 +102,12 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
 
     h = problem.direction
     reaction = problem.reaction
-    cfg = problem.hyst_cfg
     zeta = np.zeros((n_steps + 1, disc.n_components, disc.n_nodes))
     wz = np.zeros(n_steps + 1)      # derivative of the stop output
     dv = np.zeros(n_steps + 1)      # S zeta
     omega = np.zeros(n_steps + 1)   # wz - dv; zero since zeta_0 = 0
     stepper = _Stepper(disc, solver.dt, sfun)
+    branches = branch_census(problem.hyst_cfg, base.stop_offsets, base.s_values).steps.tolist()
 
     def rhs(k, zk):
         return reaction.directional(base.states[k], base.stop.values[k], zk, wz[k]) + h[k]
@@ -119,9 +119,7 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
                 f"sensitivity became non-finite at step {k} (t={base.times[k]:.6g})"
             )
         dv[k] = stepper.S(zf)
-        omega[k] = _stop_derivative_step(
-            cfg, base.stop_offsets[k - 1], base.s_values[k], omega[k - 1], dv[k]
-        )
+        omega[k] = _omega_step(branches[k - 1], omega[k - 1], dv[k])
         wz[k] = omega[k] + dv[k]
 
     sweeps = _integrate(stepper, solver, zeta, rhs, advance)

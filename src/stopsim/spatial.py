@@ -19,10 +19,10 @@ nodes pinned to zero, and each component's operator acts on its active
 is Dirichlet.
 
 Each side is wholly Dirichlet or wholly Neumann, so a component's active
-nodes are a box: one index range per axis (``ComponentOperator.box``).
-Every node set of the component is read off that box: its active nodes,
-Dirichlet mask and weights, and its Neumann boundary nodes with their
-surface weights.  The assembly stores the operator per axis
+nodes are a box: one index range per axis (``ComponentOperator.box``), the
+one statement of which nodes are active.  Every other node set of the
+component is read off that box: its weights, and its Neumann boundary nodes
+with their surface weights.  The assembly stores the operator per axis
 (``AxisOperator``: the diagonals of the tridiagonal stiffness and the
 weights on the box), with no sparse matrix.  L on a box is d K in 1D and
 the Kronecker sum d (Kx (x) Ry + Rx (x) Ky) in 2D.
@@ -40,10 +40,11 @@ transform folds the basis's mirror-paired modes (``_folded_basis``), the
 first stage of a fast sine/cosine transform: two half-size dense products
 and one add/sub butterfly.  A box with a longer axis, in 1D or 2D, solves
 with SuperLU, factored once per solve, the one solver that imports scipy
-(when it is built).  ``_Stepper.check`` measures the last step of every
-state, sensitivity and adjoint solve from the per-axis data.  The spectral
-diagnostic needs only the eigenvalues, the axis sums in 2D, so it too
-serves every box whose axes are at most ``DENSE_EIG_LIMIT`` long.
+and the one place that builds a sparse D + dt L (when it is built).
+``_Stepper.check`` measures the last step of every state, sensitivity and
+adjoint solve from the per-axis data.  The spectral diagnostic needs only
+the eigenvalues, each axis's closed form (``_axis_eigenvalues``) summed in
+2D, so it serves a box of any size.
 
 The module's surface is ``__all__``.  The step and the spectrum have no
 public wrappers: the solves step through ``_Stepper``, and
@@ -54,16 +55,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    InvalidConfigError,
-    NumericalFailureError,
-    UnsupportedConfigurationError,
-)
+from .errors import GridMismatchError, InvalidConfigError, NumericalFailureError
 
 __all__ = [
     "DomainSpec",
@@ -82,7 +78,7 @@ _SIDES_2D = ("left", "right", "bottom", "top")
 _LABELS = ("dirichlet", "neumann")
 
 SOLVER_RESIDUAL_TOL = 1e-10  # backward-error bound for implicit solves
-DENSE_EIG_LIMIT = 500  # dense eigendecompositions refused above this size
+DENSE_EIG_LIMIT = 500  # longest 2D box axis solved in its eigenbasis; SuperLU beyond
 AXIS_EIG_LIMIT = 128  # longest 1D box solved in its eigenbasis; SuperLU is faster beyond
 
 
@@ -129,7 +125,7 @@ class BoundarySides:
     top: str | None = None
 
     def __post_init__(self):
-        for side in ("left", "right", "bottom", "top"):
+        for side in _SIDES_2D:
             label = getattr(self, side)
             if label is not None and label not in _LABELS:
                 raise InvalidConfigError(
@@ -195,31 +191,12 @@ class ComponentOperator:
     per-axis stiffness K and weights R of ``axes``.
     """
 
-    active: np.ndarray          # full-grid indices of non-Dirichlet nodes
-    box: tuple                  # per-axis slices whose product is ``active``
+    box: tuple                  # per-axis slices of the active (non-Dirichlet) nodes
     axes: tuple                 # one AxisOperator per axis, on the box
     diffusion: float            # d
     rel_weights: np.ndarray     # relative trapezoid weights D on active nodes
-    dirichlet_mask: np.ndarray  # full-grid boolean
     neumann_nodes: np.ndarray   # full-grid indices of Neumann boundary nodes
     surface_weights: np.ndarray  # boundary quadrature weight per Neumann node
-
-    @cached_property
-    def operator(self):
-        """L as a sparse matrix on the x-major active vector, built on first use.
-
-        Only the SuperLU solve reads it (through ``_implicit_step_matrix``);
-        the eigenbasis solves and the step check use the per-axis data.  It
-        imports scipy.
-        """
-        import scipy.sparse as sp
-
-        k = [sp.diags_array([a.off, a.main, a.off], offsets=[-1, 0, 1]) for a in self.axes]
-        if len(k) == 1:
-            return (self.diffusion * k[0]).tocsr()
-        (kx, ky), (ax, ay) = k, self.axes
-        return (self.diffusion * (sp.kron(kx, sp.diags_array(ay.weights), format="csr")
-                                  + sp.kron(sp.diags_array(ax.weights), ky, format="csr"))).tocsr()
 
     def apply(self, s):
         """L s for a box-shaped ``s``."""
@@ -245,9 +222,9 @@ def _axis_rel_weights(n: int) -> np.ndarray:
 
 def _active_box(labels, resolution):
     """Per-axis slice of non-Dirichlet nodes; a mixed corner is Dirichlet."""
-    axes = (("left", "right"), ("bottom", "top"))
-    return tuple(slice(int(labels[lo] == "dirichlet"), n - (labels[hi] == "dirichlet"))
-                 for n, (lo, hi) in zip(resolution, axes))
+    pinned = [label == "dirichlet" for label in labels.values()]  # in side order
+    return tuple(slice(int(lo), n - hi)
+                 for n, lo, hi in zip(resolution, pinned[0::2], pinned[1::2]))
 
 
 @dataclass(frozen=True)
@@ -301,8 +278,6 @@ def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization
     for sides, d in zip(boundaries, diffusion):
         labels = sides.labels(dim)
         box = _active_box(labels, res)
-        dirichlet = np.ones(res, dtype=bool)
-        dirichlet[box] = False
         # one edge per Neumann side, in side order: a node on two Neumann
         # sides (2D corner) accumulates both edge weights
         surface = np.zeros(res)
@@ -315,12 +290,10 @@ def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization
         on_neumann = surface[box] > 0
         components.append(
             ComponentOperator(
-                active=nodes[box].ravel(),
                 box=box,
                 axes=tuple(map(AxisOperator.build, res, spacings, box)),
                 diffusion=d,
                 rel_weights=rel[box].flatten(),
-                dirichlet_mask=dirichlet.ravel(),
                 neumann_nodes=nodes[box][on_neumann],
                 surface_weights=surface[box][on_neumann],
             )
@@ -380,38 +353,39 @@ def evaluate_S(disc: SpatialDiscretization, sfun: SFunctional, y) -> float:
     return float((sfun.weight * disc.quadrature).ravel() @ y.ravel())
 
 
-def _implicit_step_matrix(disc: SpatialDiscretization, j: int, dt: float):
-    """D + dt L of component ``j`` as a sparse CSC matrix (imports scipy)."""
-    import scipy.sparse as sp
+def _axis_eigenvalues(n: int, h: float, start: int, stop: int):
+    """Generalized eigenvalues of one axis's (stiffness / h^2, weights R) on
+    nodes ``start``..``stop - 1``, the axis's active range, in closed form.
 
-    comp = disc.components[j]
-    return (sp.diags_array(comp.rel_weights) + dt * comp.operator).tocsc()
+    Each end of the axis is Dirichlet (dropped from the range) or Neumann
+    (half weight).  With N = n - 1, theta_k = k pi / N where both ends are
+    alike and (k + 1/2) pi / N where they differ, and lam_k =
+    4 sin^2(theta_k / 2) / h^2.  Returns lam and theta_k = pi freq_k /
+    period as the integers (freq, period).
+    """
+    if (start == 0) == (stop == n):  # Dirichlet-Dirichlet or Neumann-Neumann
+        freq, period = np.arange(start, stop), n - 1
+    else:
+        freq, period = 2 * np.arange(stop - start) + 1, 2 * (n - 1)
+    return (2.0 / h * np.sin(np.pi / (2 * period) * freq)) ** 2, freq, period
 
 
 @lru_cache(maxsize=32)
 def _axis_basis(n: int, h: float, start: int, stop: int):
-    """Generalized eigenpairs of one axis's (stiffness / h^2, weights R) on nodes
-    ``start``..``stop - 1``, the axis's active range.
+    """Generalized eigenpairs of one axis on its active range (see
+    ``_axis_eigenvalues``).
 
-    Each end of the axis is Dirichlet (dropped from the range) or Neumann
-    (half weight), and the eigenvectors are the sampled modes of the
-    continuous problem: with N = n - 1, v_k(i) = sin(theta_k i) where the
-    low end is Dirichlet and cos(theta_k i) where it is Neumann, theta_k =
-    k pi / N where both ends are alike and (k + 1/2) pi / N where they
-    differ, and lam_k = 4 sin^2(theta_k / 2) / h^2 (K v = lam R v holds
-    row by row, ends included).  Arguments are reduced in integers, columns
-    scaled so that V^T R V = I.  The arrays are read-only: every solve on an
-    equal axis shares them.
+    The eigenvectors are the sampled modes of the continuous problem:
+    v_k(i) = sin(theta_k i) where the low end is Dirichlet and
+    cos(theta_k i) where it is Neumann (K v = lam R v holds row by row, ends
+    included).  Arguments are reduced in integers, columns scaled so that
+    V^T R V = I.  The arrays are read-only: every solve on an equal axis
+    shares them.
     """
-    nodes = np.arange(start, stop)
-    if (start == 0) == (stop == n):  # Dirichlet-Dirichlet or Neumann-Neumann
-        freq, period = nodes, n - 1
-    else:
-        freq, period = 2 * np.arange(stop - start) + 1, 2 * (n - 1)
+    lam, freq, period = _axis_eigenvalues(n, h, start, stop)
     wave = np.sin if start == 1 else np.cos
-    v = wave(np.pi / period * (np.outer(nodes, freq) % (2 * period)))
+    v = wave(np.pi / period * (np.outer(np.arange(start, stop), freq) % (2 * period)))
     v /= np.sqrt(_axis_rel_weights(n)[start:stop] @ (v * v))
-    lam = (2.0 / h * np.sin(np.pi / (2 * period) * freq)) ** 2
     lam.setflags(write=False)
     v.setflags(write=False)
     return lam, v
@@ -461,11 +435,19 @@ class _SuperLUSolve:
     """
 
     def __init__(self, disc: SpatialDiscretization, j: int, dt: float):
+        import scipy.sparse as sp
         from scipy.sparse.linalg import splu
 
         comp = disc.components[j]
         self.w = comp.rel_weights.reshape([k.stop - k.start for k in comp.box])
-        self.lu = splu(_implicit_step_matrix(disc, j, dt))
+        # L = d K in 1D and d (Kx (x) Ry + Rx (x) Ky) in 2D, then D + dt L
+        k = [sp.diags_array([a.off, a.main, a.off], offsets=[-1, 0, 1]) for a in comp.axes]
+        if len(k) == 2:
+            (kx, ky), (ax, ay) = k, comp.axes
+            k = [sp.kron(kx, sp.diags_array(ay.weights), format="csr")
+                 + sp.kron(sp.diags_array(ax.weights), ky, format="csr")]
+        op = (comp.diffusion * k[0]).tocsr()
+        self.lu = splu((sp.diags_array(comp.rel_weights) + dt * op).tocsc())
 
     def step(self, v, b):
         b[...] = self.lu.solve((self.w * v).ravel()).reshape(b.shape)
@@ -571,11 +553,11 @@ class _Stepper:
     and write only the active nodes of ``out``, so its Dirichlet nodes keep
     what the caller put there (zero); ``out`` must be C-contiguous, as a row
     of a path array is.  Each call keeps its right-hand side in one buffer
-    for ``check``; each solver writes into the box view of ``out``.  With an
-    ``sfun``, ``S(y)`` is one dot with the weight times quadrature.
+    for ``check``; each solver writes into the box view of ``out``.
+    ``S(y)`` is one dot with ``sfun``'s weight times quadrature.
     """
 
-    def __init__(self, disc: SpatialDiscretization, dt: float, sfun=None):
+    def __init__(self, disc: SpatialDiscretization, dt: float, sfun):
         self.disc, self.dt = disc, dt
         self._grid = (disc.n_components,) + disc.domain.resolution
         self._boxes = [(j, *comp.box) for j, comp in enumerate(disc.components)]
@@ -588,9 +570,8 @@ class _Stepper:
         # max(D + 2 dt diag L) bounds |D + dt L| in the max norm (see check)
         self._a_norms = [np.max(w + 2.0 * dt * comp.diagonal())
                          for comp, w in zip(disc.components, self._weights)]
-        if sfun is not None:
-            self.s_field = _check_field(disc, sfun.weight, "S weight") * disc.quadrature
-            self._s = self.s_field.ravel()
+        self.s_field = _check_field(disc, sfun.weight, "S weight") * disc.quadrature
+        self._s = self.s_field.ravel()
 
     def S(self, y):
         return self._s @ y.ravel()
@@ -643,18 +624,12 @@ class _Stepper:
 def _component_eigenvalues(disc: SpatialDiscretization, j: int):
     """Eigenvalues of the realized generator D^{-1} L of component ``j``: d lam
     in 1D and the sums d (lx_i + ly_j) in 2D, unsorted, from the per-axis
-    bases, each axis at most ``DENSE_EIG_LIMIT`` long.  An index outside
+    closed form, with no eigenvectors.  An index outside
     ``range(n_components)`` is refused, not wrapped."""
     if not 0 <= j < disc.n_components:
         raise InvalidConfigError(f"component must lie in [0, {disc.n_components}), got {j}")
     comp = disc.components[j]
-    size = max(k.stop - k.start for k in comp.box)
-    if size > DENSE_EIG_LIMIT:
-        raise UnsupportedConfigurationError(
-            f"dense eigendecomposition limited to {DENSE_EIG_LIMIT} nodes"
-            f"{' per axis' if len(comp.box) == 2 else ''}, got {size}"
-        )
-    lams = [axis.basis()[0] for axis in comp.axes]
+    lams = [_axis_eigenvalues(a.n, a.h, a.keep.start, a.keep.stop)[0] for a in comp.axes]
     if len(lams) == 1:
         return comp.diffusion * lams[0]
     lx, ly = lams
@@ -685,9 +660,9 @@ def fractional_power_diagnostic(
 ) -> FractionalPowerReport:
     """Spectral check of the smoothing bound for the analytic semigroup.
 
-    Computes ||(A+1)^theta exp(-A t)|| over ``t_grid`` from the eigenvalues
-    of the generator (no eigenvectors: the norm is a max over modes, so a 2D
-    box needs only each axis within ``DENSE_EIG_LIMIT``) and reports the sup
+    Computes ||(A+1)^theta exp(-A t)|| over ``t_grid`` from the closed-form
+    eigenvalues of the generator (the norm is a max over modes, so no
+    eigenvectors and no size limit) and reports the sup
     of norm * t^theta * exp(-(1-gamma) t).  Finite and attained away from
     t -> 0 for a symmetric nonnegative operator.
     """

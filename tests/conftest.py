@@ -33,10 +33,18 @@ def semigroup_step(disc, y, dt):
     """One backward-Euler semigroup step, (D + dt L) y+ = D y per component:
     the solves' implicit step with a zero right-hand side, backward-error
     checked.  Dirichlet nodes of the result are zero."""
-    stepper = _Stepper(disc, dt)
+    stepper = _Stepper(disc, dt, constant_sfun(disc))
     out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
     stepper.check(out)
     return out
+
+
+def active_mask(disc, j=0):
+    """Full-grid boolean mask of component ``j``'s active (non-Dirichlet)
+    nodes, read off its box; ``~active_mask`` is its Dirichlet mask."""
+    mask = np.zeros(disc.domain.resolution, dtype=bool)
+    mask[disc.components[j].box] = True
+    return mask.ravel()
 
 
 def box_41():

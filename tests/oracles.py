@@ -45,6 +45,24 @@ def stop_derivative_reference(v, h, a, b, z0):
     return d
 
 
+def stop_derivative_step(a, b, w_prev, v_next, omega, dv_next):
+    """One step of the stop derivative in offset coordinates, omega = zeta - dv,
+    by scalar predicates on the base offset ``w_prev`` and the bounds moved by
+    ``v_next``: a reset strictly outside, the one-sided max/min on a bound
+    (a's first where both bounds round alike), pass-through inside."""
+    lo = a - v_next
+    hi = b - v_next
+    if w_prev < lo or w_prev > hi:
+        return -dv_next
+    if w_prev == lo:
+        neg = -dv_next
+        return neg if neg > omega else omega
+    if w_prev == hi:
+        neg = -dv_next
+        return neg if neg < omega else omega
+    return omega
+
+
 def insert_midpoints(times, values, segments):
     """Insert the midpoint of each listed segment; the path is unchanged."""
     times = list(map(float, times))
@@ -100,6 +118,17 @@ def generator_dense_1d(n, length, diffusion, left, right):
     if right == "dirichlet":
         active[-1] = False
     return A[np.ix_(active, active)], active
+
+
+def generator_dense_2d(nx, ny, lx_len, ly_len, diffusion, labels):
+    """Dense realized generator of one 2D component on its active nodes, in
+    x-major order: the Kronecker sum Ax (x) I + I (x) Ay of the two axes' 1D
+    generators.  ``labels`` maps each side to its label.  Returns
+    (A_active, active_mask)."""
+    ax, x_active = generator_dense_1d(nx, lx_len, diffusion, labels["left"], labels["right"])
+    ay, y_active = generator_dense_1d(ny, ly_len, diffusion, labels["bottom"], labels["top"])
+    a = np.kron(ax, np.eye(ay.shape[0])) + np.kron(np.eye(ax.shape[0]), ay)
+    return a, np.outer(x_active, y_active).ravel()
 
 
 def node_sets_2d(nx, ny, lx_len, ly_len, labels):

@@ -265,6 +265,16 @@ REFUSED_INPUTS = {
                        "error: source.profile.values: expected an array of numbers\n"),
     "boolean-diffusion": ("simulate", {"diffusion": [True]},
                           "error: diffusion: expected an array of numbers\n"),
+    # a full scenario given to hysteresis-eval is validated whole
+    "eval-seed": ("hysteresis-eval", {"seed": "not-a-seed"},
+                  "error: seed: expected an integer\n"),
+    "eval-unknown-field": ("hysteresis-eval", {"seed": "not-a-seed", "bogus": 1},
+                           "error: bogus: unknown field\n"),
+    # a step count past 2**53, or infinite
+    "dt-denormal": ("simulate", {"solver": {"dt": 5e-324, "t_final": 0.5}},
+                    "error: solver: t_final=0.5 / dt=5e-324 is inf steps, over 2**53\n"),
+    "dt-tiny": ("simulate", {"solver": {"dt": 1e-300, "t_final": 0.5}},
+                "error: solver: t_final=0.5 / dt=1e-300 is 5e+299 steps, over 2**53\n"),
 }
 
 
@@ -362,7 +372,10 @@ class TestValidationFailures:
     def test_refused_input_leaves_one_error_line(self, case, tmp_path, capsys):
         sub, overrides, expected = REFUSED_INPUTS[case]
         path = write_config(tmp_path, small_config(**overrides))
-        assert main([sub, "--config", path, "--out", str(tmp_path), "--quiet"]) == 2
+        argv = [sub, "--config", path, "--out", str(tmp_path), "--quiet"]
+        if sub == "hysteresis-eval":  # refused before the signal is read
+            argv += ["--input", str(tmp_path / "absent.csv")]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(expected), err
 

@@ -205,6 +205,12 @@ class TestSolverConfig:
         with pytest.raises(InvalidConfigError):
             SolverConfig(dt=0.1, t_final=1.0, picard_max_iters=0)
 
+    @pytest.mark.parametrize("dt", [5e-324, 1e-300, 1.2 / (2**53 + 2)])
+    def test_a_step_count_past_2_53_names_dt_and_t_final(self, dt):
+        with pytest.raises(InvalidConfigError, match=rf"t_final=1.2 / dt={dt} is .* over 2\*\*53"):
+            SolverConfig(dt=dt, t_final=1.2)
+        assert SolverConfig(dt=1.0 / 2**50, t_final=1.0).n_steps == 2**50
+
     @pytest.mark.parametrize("field, value", [
         ("picard_tol", float("nan")),
         ("picard_tol", float("inf")),

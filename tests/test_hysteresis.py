@@ -16,13 +16,14 @@ from stopsim import (
     stop_directional_derivative,
     stop_evaluate,
 )
-from stopsim.hysteresis import AT_A, AT_B, INTERIOR, TIE, _stop_derivative_step
+from stopsim.hysteresis import AT_A, AT_B, INTERIOR, TIE_A, TIE_B, _omega_step
 
 from conftest import random_signal
 from oracles import (
     insert_midpoints,
     play_reference,
     stop_derivative_reference,
+    stop_derivative_step,
     stop_reference,
 )
 
@@ -304,17 +305,19 @@ class TestBranchCensus:
         values = np.array([0.0, 1.0, 0.5, 2.0, -0.5, -1.0, -3.0])
         census = branch_census(hyst_cfg, carried_offsets(values, hyst_cfg), values)
         np.testing.assert_array_equal(
-            census.steps, [TIE, INTERIOR, AT_B, AT_A, AT_A, AT_A])
+            census.steps, [TIE_B, INTERIOR, AT_B, AT_A, AT_A, AT_A])
         assert (census.interior, census.at_a, census.at_b, census.tie) == (1, 3, 1, 1)
         assert isinstance(census, BranchCensus)
 
     def test_takes_the_branches_of_the_derivative_rule(self, hyst_cfg):
         # On a half-integer grid the offsets land exactly on the moving
-        # bounds often.  Probing the rule with omega = +1 and -1 and a zero
-        # input rate tells its four branches apart: interior keeps both,
-        # a reset drops both, a tie keeps only the inward one.
+        # bounds often.  Probing the scalar rule with omega = +1 and -1 and
+        # a zero input rate tells its branches apart: interior keeps both,
+        # a reset drops both, a tie keeps only the inward one.  The carry
+        # rule on the census codes gives the same outcomes.
         rng = np.random.default_rng(21)
-        outcomes = {INTERIOR: (1.0, -1.0), AT_A: (0.0, 0.0), AT_B: (0.0, 0.0)}
+        outcomes = {INTERIOR: (1.0, -1.0), AT_A: (0.0, 0.0), AT_B: (0.0, 0.0),
+                    TIE_A: (1.0, 0.0), TIE_B: (0.0, -1.0)}
         seen = set()
         for _ in range(20):
             values = 0.5 * rng.integers(-6, 7, 30).astype(float)
@@ -323,19 +326,17 @@ class TestBranchCensus:
             census = branch_census(hyst_cfg, offsets, values)
             assert census.interior + census.at_a + census.at_b + census.tie == 29
             for k, branch in enumerate(census.steps, start=1):
-                probe = tuple(_stop_derivative_step(hyst_cfg, offsets[k - 1],
-                                                    values[k], omega, 0.0)
+                probe = tuple(stop_derivative_step(hyst_cfg.a, hyst_cfg.b, offsets[k - 1],
+                                                   values[k], omega, 0.0)
                               for omega in (1.0, -1.0))
-                if branch == TIE:
-                    assert probe in ((1.0, 0.0), (0.0, -1.0))
-                else:
-                    assert probe == outcomes[branch]
+                assert probe == outcomes[branch]
+                assert tuple(_omega_step(branch, omega, 0.0) for omega in (1.0, -1.0)) == probe
                 if branch == AT_A:
                     assert stop[k] == hyst_cfg.a
                 if branch == AT_B:
                     assert stop[k] == hyst_cfg.b
                 seen.add(int(branch))
-        assert seen == {INTERIOR, AT_A, AT_B, TIE}
+        assert seen == {INTERIOR, AT_A, AT_B, TIE_A, TIE_B}
 
 
 @st.composite
@@ -352,29 +353,38 @@ def short_signals(draw):
 def replay_cases(draw):
     """A signal, a direction and a config for the cursor replay.
 
-    Half the signals sit on a half-integer grid with half-integer bounds, so
-    offsets land exactly on the moving bounds; the directions mix +0.0 and
+    Some signals sit on a half-integer grid with half-integer bounds, so
+    offsets land exactly on the moving bounds; some repeat values near
+    1e20 with bounds +-0.05, where a - v and b - v round to the same float
+    and a tie sits on both bounds at once.  The directions mix +0.0 and
     -0.0 with other rates, and a may be -0.0.
     """
     n = draw(st.integers(min_value=1, max_value=12))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["grid", "float", "huge"]))
+    if kind == "grid":
         steps = st.integers(min_value=-6, max_value=6).map(lambda i: 0.5 * i)
-    else:
+    elif kind == "float":
         steps = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
+    else:
+        steps = st.sampled_from([1e20, -1e20, 1e20 + 2**14, 3e20, 0.0])
     values = np.array(draw(st.lists(steps, min_size=n, max_size=n)), dtype=float)
     rates = np.array(draw(st.lists(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
         | st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
         min_size=n, max_size=n)), dtype=float)
-    a = draw(st.sampled_from([-1.0, -0.5, -0.0]))
-    b = a + draw(st.sampled_from([0.5, 1.0, 2.0]))
+    if kind == "huge":
+        a, b = -0.05, 0.05
+    else:
+        a = draw(st.sampled_from([-1.0, -0.5, -0.0]))
+        b = a + draw(st.sampled_from([0.5, 1.0, 2.0]))
     z0 = draw(st.sampled_from([a, b, 0.5 * (a + b)]))
     return values, rates, HysteresisConfig(a=a, b=b, z0=z0)
 
 
 def cursor_replay(cfg, values, rates):
-    """Stop values, carried offsets and derivative, one cursor step at a time."""
+    """Stop values, carried offsets and derivative, one cursor step at a time,
+    the derivative by the oracle's scalar rule."""
     cur = StopCursor(cfg, values[0])
     stop, offsets, zeta = [cfg.z0], [cur.w], [0.0]
     omega = -rates[0]
@@ -382,7 +392,7 @@ def cursor_replay(cfg, values, rates):
         w_prev = cur.w
         stop.append(cur.advance(values[k]))
         offsets.append(cur.w)
-        omega = _stop_derivative_step(cfg, w_prev, values[k], omega, rates[k])
+        omega = stop_derivative_step(cfg.a, cfg.b, w_prev, values[k], omega, rates[k])
         zeta.append(omega + rates[k])
     return np.array(stop), np.array(offsets), np.array(zeta)
 

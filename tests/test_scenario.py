@@ -25,6 +25,8 @@ from stopsim import (
 )
 from stopsim import scenario as scenario_module
 
+from conftest import active_mask, traced_peak
+
 
 def bundled(name):
     root = importlib.resources.files("stopsim") / "scenarios"
@@ -78,8 +80,7 @@ class TestBundledScenarios:
 
     def test_neumann_scenario_loads(self):
         scn = load_scenario(bundled("neumann_conservation"))
-        comp = scn.disc.components[0]
-        assert not comp.dirichlet_mask.any()
+        assert active_mask(scn.disc).all()
         assert scn.solver.n_steps == 1010
 
 
@@ -379,6 +380,30 @@ class TestLowRankSources:
                 build_control_problem(scn)
             assert str(err.value).startswith(f"control.time_knots: needs a {shape} array")
 
+    @pytest.mark.parametrize("resolution", [[20001], [101, 101]])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_resolution_check_covers_what_assemble_holds(self, monkeypatch, resolution, m):
+        dim = len(resolution)
+        sides = dict(zip(("left", "right", "bottom", "top"), ("dirichlet", "neumann") * dim))
+        cfg = {"domain": {"dimension": dim, "extent": [1.0] * dim, "resolution": resolution},
+               "boundaries": [sides] * m, "diffusion": [1.0] * m}
+        _, peak = traced_peak(lambda: load_scenario(cfg, needs=("spatial",)))
+        # refused below the loading peak, and loads with twice that
+        monkeypatch.setattr(scenario_module, "_physical_memory", lambda: peak - 1)
+        expect_error(cfg, f"domain.resolution: needs a {tuple(resolution)} array",
+                     needs=("spatial",))
+        monkeypatch.setattr(scenario_module, "_physical_memory", lambda: 2 * peak)
+        load_scenario(cfg, needs=("spatial",))
+
+    def test_resolution_check_counts_the_components(self, monkeypatch):
+        cfg = base_scenario()  # 9 nodes
+        monkeypatch.setattr(scenario_module, "_physical_memory", lambda: 8 * 11 * 9)
+        load_scenario(cfg)
+        cfg["boundaries"] *= 2
+        cfg["diffusion"] *= 2
+        err = expect_error(cfg, "domain.resolution: needs a (9,) array")
+        assert "(nodes per axis, 15 doubles per node) of 1.08e+03 bytes" in str(err)
+
 class TestLambdas:
     def test_must_decrease(self):
         cfg = base_scenario()
@@ -570,6 +595,12 @@ class TestTextEntryPoints:
             {"hysteresis": {"a": -2.0, "b": 3.0, "z0": 0.5}})
         assert bare == HysteresisConfig(a=-2.0, b=3.0, z0=0.5) == wrapped
 
+    @pytest.mark.parametrize("extra,message", [({"seed": "not-a-seed"}, "seed: expected an integer"),
+                                               ({"bogus": 1}, "bogus: unknown field")])
+    def test_a_full_scenario_is_validated_whole(self, extra, message):
+        with pytest.raises(ScenarioValidationError, match=message):
+            load_hysteresis_config({"hysteresis": {"a": -0.5, "b": 0.5, "z0": 0}, **extra})
+
 
 # the blocks each subcommand asks ``load_scenario`` for (``cli._cmd_*``)
 SUBCOMMAND_NEEDS = {
@@ -578,6 +609,7 @@ SUBCOMMAND_NEEDS = {
     "fd-check": ("state", "direction", "lambdas"),
     "optimize": ("state", "control"),
     "diagnose-semigroup": ("spatial", "diagnostic"),
+    "hysteresis-eval": (),  # a full scenario, through ``load_hysteresis_config``
 }
 
 TWO_COMPONENT_BOX = {

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stopsim import (
     BlowupError,
@@ -24,7 +26,8 @@ from stopsim import (
     stop_directional_derivative,
 )
 
-from conftest import box_41, constant_sfun, traced_peak
+from conftest import active_mask, box_41, constant_sfun, traced_peak
+from oracles import stop_derivative_step
 
 
 def sine_source(disc, solver, amplitude=2.0, omega=4.0):
@@ -348,9 +351,9 @@ class TestInPlaceSteps:
                                   hyst_cfg=hyst),
                 disc, sfun, solver)
             for states in (base.states, record.states):
-                for j, comp in enumerate(disc.components):
-                    assert np.all(states[:, j, comp.dirichlet_mask] == 0.0)
-                    assert np.any(states[:, j, ~comp.dirichlet_mask] != 0.0)
+                for j in range(disc.n_components):
+                    assert np.all(states[:, j, ~active_mask(disc, j)] == 0.0)
+                    assert np.any(states[:, j, active_mask(disc, j)] != 0.0)
             paths.append((base.states, record.states))
         # slices of 10 steps against one whole-run slice
         for sliced, whole in zip(paths[1], paths[2]):
@@ -454,6 +457,69 @@ class TestForcedTies:
         assert np.all(study.errors[1:] * 5.0 <= study.errors[:-1])
         scale = max(quad_norm(disc, z) for z in study.record.states)
         assert study.errors[-1] <= 1e-6 * scale
+
+
+@st.composite
+def stop_rule_cases(draw):
+    """Hysteresis band, reaction, S weight and source amplitudes for the
+    stop-derivative rule on ``two_component_1d_disc``, with dt = 1/2.
+
+    With f = c - 2 y, one step maps a pure-Neumann component with no source
+    to the constant c / 2 exactly from step 1 on (c - 2 y is exact near y =
+    c / 2), so an S that reads only that component is a plateau V: the stop
+    ties at every step where it sits on a bound.  A band of width 5e-324
+    puts a - V and b - V on the same float.
+    """
+    band = draw(st.sampled_from([(0.0, 0.1), (-0.1, 0.0), (-0.05, 0.05),
+                                 (0.0, 5e-324), (-5e-324, 0.0)]))
+    c = draw(st.sampled_from([0.0, 0.5, -0.5, 1.0]))
+    saturating = draw(st.booleans())
+    plateau = draw(st.booleans())
+    source = draw(st.sampled_from([0.0, 2.0]) | st.floats(-3.0, 3.0))
+    rates = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0])
+                          | st.floats(-2.0, 2.0), min_size=11, max_size=11))
+    return band, c, saturating, plateau, source, np.array(rates)
+
+
+class TestStopDerivativeRule:
+    @settings(max_examples=40, deadline=None)
+    @given(stop_rule_cases())
+    def test_both_schemes_follow_the_scalar_rule_bitwise(self, case):
+        (a, b), c, saturating, plateau, source, rates = case
+        disc = two_component_1d_disc()
+        hyst = HysteresisConfig(a=a, b=b, z0=0.0)
+        reaction = (ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9) if saturating
+                    else ReactionFunction.linear(c, -2.0, 0.0))
+        weight = np.full((2, disc.n_nodes), 0.5)
+        if plateau:
+            weight[0] = 0.0
+        sfun = SFunctional(weight=weight)
+        profile = np.zeros((2, disc.n_nodes))
+        profile[0] = np.sin(np.pi * disc.coords[:, 0])
+        u = Source(np.full(11, source), profile)
+        h = rates[:, None, None] * np.cos(np.pi * disc.coords[:, 0])
+        for solver in (SolverConfig(dt=0.5, t_final=5.0),
+                       SolverConfig(dt=0.5, t_final=5.0, scheme="picard-sliced",
+                                    slice_length=1.5, picard_tol=1e-13)):
+            base = solve_state(disc, sfun, reaction, hyst, u, solver)
+            record = solve_sensitivity(
+                LinearizedProblem(base=base, direction=np.broadcast_to(h, (11, 2, disc.n_nodes)),
+                                  reaction=reaction, hyst_cfg=hyst),
+                disc, sfun, solver)
+            omega, expected = 0.0, [0.0]
+            for k in range(1, 11):
+                dv = record.s_values[k]
+                omega = stop_derivative_step(a, b, base.stop_offsets[k - 1], base.s_values[k],
+                                             omega, dv)
+                expected.append(omega + dv)
+            assert np.array(expected).tobytes() == record.stop_derivative.tobytes()
+            if plateau and not saturating and c != 0.0:
+                # ties from step 2 on; in the thin bands on both bounds at once
+                assert np.all(base.s_values[2:] == base.s_values[1])
+                census = branch_census(hyst, base.stop_offsets, base.s_values)
+                assert census.tie == 9
+                if b - a < 1e-300:
+                    assert np.all(a - base.s_values[1:] == b - base.s_values[1:])
 
 
 class TestTableReaction:

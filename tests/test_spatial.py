@@ -12,7 +12,6 @@ from stopsim import (
     InvalidConfigError,
     NumericalFailureError,
     SFunctional,
-    UnsupportedConfigurationError,
     assemble,
     evaluate_S,
     fractional_power_diagnostic,
@@ -22,7 +21,6 @@ from stopsim.spatial import (
     AXIS_EIG_LIMIT,
     DENSE_EIG_LIMIT,
     SOLVER_RESIDUAL_TOL,
-    _implicit_step_matrix,
     _path_norms,
     _ProductSolve,
     _Stepper,
@@ -31,10 +29,11 @@ from stopsim.spatial import (
     _component_eigenvalues,
 )
 
-from conftest import constant_sfun, semigroup_step
+from conftest import active_mask, constant_sfun, semigroup_step
 from oracles import (
     dirichlet_eigenvalues_1d,
     generator_dense_1d,
+    generator_dense_2d,
     neumann_eigenvalues_1d,
     node_sets_2d,
     quad_weights_1d,
@@ -43,58 +42,21 @@ from oracles import (
 )
 
 
-def generator_dense_2d(nx, ny, lx_len, ly_len, d, labels):
-    """Hand-stencil realized generator for one 2D component."""
-    hx, hy = lx_len / (nx - 1), ly_len / (ny - 1)
-    n = nx * ny
-
-    def idx(ix, iy):
-        return ix * ny + iy
-
-    A = np.zeros((n, n))
-    for ix in range(nx):
-        for iy in range(ny):
-            i = idx(ix, iy)
-            cx = d / hx**2
-            if ix == 0:
-                A[i, idx(0, iy)] += 2 * cx
-                A[i, idx(1, iy)] -= 2 * cx
-            elif ix == nx - 1:
-                A[i, idx(nx - 1, iy)] += 2 * cx
-                A[i, idx(nx - 2, iy)] -= 2 * cx
-            else:
-                A[i, i] += 2 * cx
-                A[i, idx(ix - 1, iy)] -= cx
-                A[i, idx(ix + 1, iy)] -= cx
-            cy = d / hy**2
-            if iy == 0:
-                A[i, idx(ix, 0)] += 2 * cy
-                A[i, idx(ix, 1)] -= 2 * cy
-            elif iy == ny - 1:
-                A[i, idx(ix, ny - 1)] += 2 * cy
-                A[i, idx(ix, ny - 2)] -= 2 * cy
-            else:
-                A[i, i] += 2 * cy
-                A[i, idx(ix, iy - 1)] -= cy
-                A[i, idx(ix, iy + 1)] -= cy
-    dirichlet = np.zeros(n, dtype=bool)
-    for iy in range(ny):
-        if labels["left"] == "dirichlet":
-            dirichlet[idx(0, iy)] = True
-        if labels["right"] == "dirichlet":
-            dirichlet[idx(nx - 1, iy)] = True
-    for ix in range(nx):
-        if labels["bottom"] == "dirichlet":
-            dirichlet[idx(ix, 0)] = True
-        if labels["top"] == "dirichlet":
-            dirichlet[idx(ix, ny - 1)] = True
-    active = ~dirichlet
-    return A[np.ix_(active, active)], active
+def operator_dense(comp):
+    """L of a component as a dense matrix on its x-major box vector, column
+    by column from the per-axis data (``comp.apply``)."""
+    shape = [k.stop - k.start for k in comp.box]
+    eye = np.eye(math.prod(shape))
+    return np.stack([comp.apply(e.reshape(shape)).ravel() for e in eye], axis=1)
 
 
 def realized_generator(disc, j=0):
     comp = disc.components[j]
-    return comp.operator.toarray() / comp.rel_weights[:, None]
+    return operator_dense(comp) / comp.rel_weights[:, None]
+
+
+def new_stepper(disc, dt):
+    return _Stepper(disc, dt, constant_sfun(disc))
 
 
 def spectrum(disc, j=0):
@@ -110,11 +72,11 @@ class TestAssembly1D:
     def test_dirichlet_interior_stencil(self, disc_dirichlet):
         comp = disc_dirichlet.components[0]
         h = disc_dirichlet.domain.spacings[0]
-        n_act = comp.active.size
+        n_act = comp.rel_weights.size
         expected = (np.diag(np.full(n_act, 2.0))
                     + np.diag(np.full(n_act - 1, -1.0), 1)
                     + np.diag(np.full(n_act - 1, -1.0), -1)) / h**2
-        np.testing.assert_allclose(comp.operator.toarray(), expected, rtol=1e-14)
+        np.testing.assert_allclose(operator_dense(comp), expected, rtol=1e-14)
         np.testing.assert_array_equal(comp.rel_weights, np.ones(n_act))
 
     def test_neumann_end_rows_reflect(self, disc_neumann):
@@ -123,18 +85,17 @@ class TestAssembly1D:
 
     def test_mixed_active_set_excludes_pinned_end(self, disc_mixed):
         comp = disc_mixed.components[0]
-        np.testing.assert_array_equal(comp.active, np.arange(1, 17))
-        assert comp.dirichlet_mask[0] and not comp.dirichlet_mask[1:].any()
+        np.testing.assert_array_equal(np.flatnonzero(active_mask(disc_mixed)), np.arange(1, 17))
         np.testing.assert_array_equal(comp.neumann_nodes, [16])
         np.testing.assert_array_equal(comp.surface_weights, [1.0])
 
     def test_operator_is_exactly_symmetric(self, disc_mixed, disc_neumann):
         for disc in (disc_mixed, disc_neumann):
-            L = disc.components[0].operator
-            assert abs(L - L.T).nnz == 0
+            L = operator_dense(disc.components[0])
+            np.testing.assert_array_equal(L, L.T)
 
     def test_pure_neumann_row_sums_vanish_exactly(self, disc_neumann):
-        L = disc_neumann.components[0].operator.toarray()
+        L = operator_dense(disc_neumann.components[0])
         np.testing.assert_array_equal(L.sum(axis=1), np.zeros(L.shape[0]))
 
     def test_operator_is_positive_semidefinite(self, disc_neumann, disc_mixed):
@@ -172,16 +133,7 @@ class TestSpectrum:
         comp = disc_mixed.components[0]
         _, vec = spectrum(disc_mixed)
         gram = vec.T @ np.diag(comp.rel_weights) @ vec
-        np.testing.assert_allclose(gram, np.eye(comp.active.size), atol=1e-10)
-
-    def test_dense_limit_is_enforced(self):
-        disc = assemble(
-            DomainSpec(dimension=1, extent=(1.0,), resolution=(501,)),
-            [BoundarySides(left="neumann", right="neumann")],
-            [1.0],
-        )
-        with pytest.raises(UnsupportedConfigurationError):
-            _component_eigenvalues(disc, 0)
+        np.testing.assert_allclose(gram, np.eye(comp.rel_weights.size), atol=1e-10)
 
     @pytest.mark.parametrize("j", [-1, 2])
     def test_component_index_outside_the_range_is_refused(self, j):
@@ -283,6 +235,7 @@ class TestSemigroupStep:
         labels = {"left": "dirichlet", "right": "neumann",
                   "bottom": "neumann", "top": "dirichlet"}
         A, active = generator_dense_2d(7, 6, 1.0, 1.5, 1.2, labels)
+        np.testing.assert_array_equal(active, active_mask(disc_2d))
         rng = np.random.default_rng(23)
         y = rng.standard_normal((1, disc_2d.n_nodes))
         y[0, ~active] = 0.0
@@ -301,14 +254,15 @@ class TestSemigroupStep:
         comp = disc_dirichlet.components[0]
         lam, vec = spectrum(disc_dirichlet)
         lowest = int(np.argmin(lam))
+        active = active_mask(disc_dirichlet)
         y = np.zeros((1, disc_dirichlet.n_nodes))
-        y[0, comp.active] = vec[:, lowest]
+        y[0, active] = vec[:, lowest]
 
         errors = []
         for dt in (0.01, 0.005, 0.0025):
             stepped = semigroup_step(disc_dirichlet, y, dt)
             exact = np.exp(-lam[lowest] * dt) * vec[:, lowest]
-            errors.append(np.abs(stepped[0, comp.active] - exact).max())
+            errors.append(np.abs(stepped[0, active] - exact).max())
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all(ratios > 3.4) and np.all(ratios < 4.6)
 
@@ -318,8 +272,7 @@ class TestSemigroupStep:
         for disc in (disc_neumann, disc_mixed, disc_2d):
             for dt in (1e-3, 0.1, 5.0):
                 y = rng.standard_normal((1, disc.n_nodes))
-                for comp in disc.components:
-                    y[0, comp.dirichlet_mask] = 0.0
+                y[0, ~active_mask(disc)] = 0.0
                 assert quad_norm(disc, semigroup_step(disc, y, dt)) \
                     <= quad_norm(disc, y) * (1 + 1e-13)
 
@@ -350,14 +303,14 @@ def rel_diff(a, b):
 
 def superlu_stepper(disc, dt):
     """A stepper that solves every component with SuperLU, as the reference."""
-    stepper = _Stepper(disc, dt)
+    stepper = new_stepper(disc, dt)
     stepper.solvers = [_SuperLUSolve(disc, j, dt) for j in range(disc.n_components)]
     return stepper
 
 
 def stepper_with(disc, dt, solver):
     """A stepper whose one component solves with ``solver(comp, dt)``."""
-    stepper = _Stepper(disc, dt)
+    stepper = new_stepper(disc, dt)
     stepper.solvers = [solver(disc.components[0], dt)]
     return stepper
 
@@ -377,12 +330,12 @@ class TestProductSolve:
     def test_steps_match_superlu(self, labels, resolution):
         disc = two_d_disc(labels, resolution)
         dt = 0.013
-        ours = _Stepper(disc, dt)
+        ours = new_stepper(disc, dt)
         assert all(isinstance(s, _ProductSolve) for s in ours.solvers)
         rng = np.random.default_rng(31)
         y, f, x = (rng.standard_normal((2, disc.n_nodes)) for _ in range(3))
-        for j, comp in enumerate(disc.components):
-            y[j, comp.dirichlet_mask] = 0.0
+        for j in range(disc.n_components):
+            y[j, ~active_mask(disc, j)] = 0.0
         step, adjoint = both_steps(ours, y, f, x)
         step_lu, adjoint_lu = both_steps(superlu_stepper(disc, dt), y, f, x)
         assert rel_diff(step, step_lu) <= 1e-12
@@ -393,13 +346,13 @@ class TestProductSolve:
     def test_step_and_adjoint_allocate_no_box_sized_array(self):
         disc = two_d_disc(("neumann", "dirichlet", "neumann", "neumann"),
                           resolution=(41, 37))
-        stepper = _Stepper(disc, 0.02)
+        stepper = new_stepper(disc, 0.02)
         rng = np.random.default_rng(36)
         y, f, x = (rng.standard_normal((2, disc.n_nodes)) for _ in range(3))
         out = np.zeros_like(y)
         stepper.step(y, f, out)  # warm-up
         stepper.adjoint(x, out)
-        box_bytes = 8 * min(comp.active.size for comp in disc.components)
+        box_bytes = 8 * min(comp.rel_weights.size for comp in disc.components)
         tracemalloc.start()
         try:
             stepper.step(y, f, out)
@@ -413,11 +366,11 @@ class TestProductSolve:
         n = DENSE_EIG_LIMIT + 1
         neumann = ("neumann",) * 4
         long_axis = two_d_disc(neumann, resolution=(n, 3), extent=(1.0, 1.0))
-        assert all(isinstance(s, _SuperLUSolve) for s in _Stepper(long_axis, 0.1).solvers)
+        assert all(isinstance(s, _SuperLUSolve) for s in new_stepper(long_axis, 0.1).solvers)
         # one Dirichlet end brings the active axis to the limit
         pinned = two_d_disc(("dirichlet", "neumann", "neumann", "neumann"),
                             resolution=(n, 3), extent=(1.0, 1.0))
-        solvers = _Stepper(pinned, 0.1).solvers
+        solvers = new_stepper(pinned, 0.1).solvers
         assert not isinstance(solvers[0], _SuperLUSolve)
         assert isinstance(solvers[1], _SuperLUSolve)
 
@@ -432,6 +385,7 @@ class TestProductSolve:
 
 
 LABEL_PAIRS = list(itertools.product(("dirichlet", "neumann"), repeat=2))
+SIDES = ("left", "right", "bottom", "top")
 
 
 def one_d_disc(n, labels, d=0.8):
@@ -442,20 +396,21 @@ def one_d_disc(n, labels, d=0.8):
 @pytest.mark.parametrize("labels", LABEL_PAIRS + list(itertools.product(
     ("dirichlet", "neumann"), repeat=4)))
 def test_box_is_the_active_set(labels):
-    disc = one_d_disc(6, labels) if len(labels) == 2 else two_d_disc(labels)
-    nodes = np.arange(disc.n_nodes).reshape(disc.domain.resolution)
-    for comp in disc.components:
-        np.testing.assert_array_equal(nodes[comp.box].ravel(), comp.active)
+    if len(labels) == 2:
+        disc, (_, active) = one_d_disc(6, labels), generator_dense_1d(6, 1.0, 0.8, *labels)
+    else:
+        disc = two_d_disc(labels)
+        _, active = generator_dense_2d(7, 9, 1.3, 0.7, 0.8, dict(zip(SIDES, labels)))
+    np.testing.assert_array_equal(active_mask(disc), active)
 
 
 @pytest.mark.parametrize("labels", list(itertools.product(("dirichlet", "neumann"), repeat=4)))
 def test_node_data_matches_a_node_by_node_construction(labels):
     disc = two_d_disc(labels)
-    for comp, sides in zip(disc.components, (labels, labels[::-1])):
+    for j, (comp, sides) in enumerate(zip(disc.components, (labels, labels[::-1]))):
         active, rel, nodes, surface = node_sets_2d(
-            7, 9, 1.3, 0.7, dict(zip(("left", "right", "bottom", "top"), sides)))
-        np.testing.assert_array_equal(comp.active, active)
-        np.testing.assert_array_equal(np.flatnonzero(~comp.dirichlet_mask), active)
+            7, 9, 1.3, 0.7, dict(zip(SIDES, sides)))
+        np.testing.assert_array_equal(np.flatnonzero(active_mask(disc, j)), active)
         np.testing.assert_array_equal(comp.rel_weights, rel)
         np.testing.assert_array_equal(comp.neumann_nodes, nodes)
         np.testing.assert_array_equal(comp.surface_weights, surface)
@@ -467,15 +422,21 @@ def n_dirichlet(labels):
 
 @pytest.mark.parametrize("labels", LABEL_PAIRS + list(itertools.product(
     ("dirichlet", "neumann"), repeat=4)))
-def test_per_axis_data_is_the_sparse_operator(labels):
+def test_per_axis_data_is_the_stencil_operator(labels):
     disc = one_d_disc(6, labels) if len(labels) == 2 else two_d_disc(labels)
     rng = np.random.default_rng(44)
-    for comp in disc.components:
+    for j, (comp, d) in enumerate(zip(disc.components, (0.8, 2.5))):
+        sides = labels if j == 0 else labels[::-1]
+        if len(labels) == 2:
+            A, _ = generator_dense_1d(6, 1.0, d, *sides)
+        else:
+            A, _ = generator_dense_2d(7, 9, 1.3, 0.7, d, dict(zip(SIDES, sides)))
+        L = comp.rel_weights[:, None] * A  # L = D A
         shape = [k.stop - k.start for k in comp.box]
         s = rng.standard_normal(shape)
-        np.testing.assert_allclose(comp.apply(s).ravel(), comp.operator @ s.ravel(),
-                                   rtol=1e-14, atol=1e-14 * np.max(np.abs(comp.operator)))
-        np.testing.assert_array_equal(comp.diagonal().ravel(), comp.operator.diagonal())
+        np.testing.assert_allclose(comp.apply(s).ravel(), L @ s.ravel(),
+                                   rtol=1e-14, atol=1e-14 * np.max(np.abs(L)))
+        np.testing.assert_allclose(comp.diagonal().ravel(), np.diag(L), rtol=1e-14)
 
 
 class TestOneDimensionalSolve:
@@ -492,7 +453,7 @@ class TestOneDimensionalSolve:
             n = AXIS_EIG_LIMIT + n_dirichlet(labels)  # the box is at the limit
             cases += [(n, labels, False), (n + 1, labels, True)]
         for n, labels, superlu in cases:
-            (solver,) = _Stepper(one_d_disc(n, labels), 0.1).solvers
+            (solver,) = new_stepper(one_d_disc(n, labels), 0.1).solvers
             assert isinstance(solver, _ProductSolve) != superlu, (n, labels)
             assert isinstance(solver, _SuperLUSolve) == superlu, (n, labels)
 
@@ -504,8 +465,8 @@ class TestOneDimensionalSolve:
         ref = superlu_stepper(disc, dt)
         rng = np.random.default_rng(41)
         y, f, x = (rng.standard_normal((1, n)) for _ in range(3))
-        y[0, disc.components[0].dirichlet_mask] = 0.0
-        step, adjoint = both_steps(_Stepper(disc, dt), y, f, x)
+        y[0, ~active_mask(disc)] = 0.0
+        step, adjoint = both_steps(new_stepper(disc, dt), y, f, x)
         step_lu, adjoint_lu = both_steps(ref, y, f, x)
         assert rel_diff(step, step_lu) <= 1e-12
         assert rel_diff(adjoint, adjoint_lu) <= 1e-12
@@ -520,8 +481,8 @@ class TestOneDimensionalSolve:
         comp = disc.components[0]
         rng = np.random.default_rng(42)
         y, f = (rng.standard_normal((1, n)) for _ in range(2))
-        y[0, comp.dirichlet_mask] = 0.0
-        stepper = _Stepper(disc, dt)
+        y[0, ~active_mask(disc)] = 0.0
+        stepper = new_stepper(disc, dt)
         ours = stepper.step(y, f, np.zeros_like(y))
         stepper.check(ours)
         if n > 2001:  # too long for a dense reference; the check stands alone
@@ -532,7 +493,7 @@ class TestOneDimensionalSolve:
         dense[0, active] = semigroup_step_dense(A, (f * dt + y)[0, active], dt)
         # D + dt L is diagonally dominant by D >= 1/2 in every row, so the
         # max-norm condition number is at most 2 max(D + 2 dt diag L)
-        kappa = 2.0 * np.max(comp.rel_weights + 2.0 * dt * comp.operator.diagonal())
+        kappa = 2.0 * np.max(comp.rel_weights + 2.0 * dt * comp.diagonal())
         assert rel_diff(ours, dense) <= 8 * np.finfo(float).eps * kappa
 
 
@@ -548,7 +509,7 @@ class TestAxisEigenbasis:
         dt = 0.07
         rng = np.random.default_rng(43)
         y, f, x = (rng.standard_normal((1, n)) for _ in range(3))
-        y[0, disc.components[0].dirichlet_mask] = 0.0
+        y[0, ~active_mask(disc)] = 0.0
         ours = stepper_with(disc, dt, _ProductSolve)
         step, adjoint = both_steps(ours, y, f, x)
         ours.check(ours.adjoint(x, np.zeros_like(x)))
@@ -578,7 +539,7 @@ class TestAxisEigenbasis:
         assert not lam.flags.writeable and not v.flags.writeable
         assert first.folded() is second.folded()
         assert all(not a.flags.writeable for a in (first.folded()[0], *first.folded()[1]))
-        solvers = _Stepper(disc, 0.1).solvers
+        solvers = new_stepper(disc, 0.1).solvers
         assert solvers[0].x[0] is solvers[1].y[0] and solvers[0].x[1] is solvers[1].y[1]
 
     # every box axis of 1-10 and 120-121 nodes that a grid of 3 or more has
@@ -606,11 +567,11 @@ class TestAxisEigenbasis:
 
     def test_2d_spectrum_comes_from_the_axis_bases(self, disc_2d):
         lam, vec = spectrum(disc_2d)
-        comp = disc_2d.components[0]
-        L = comp.operator.toarray()
+        labels = {"left": "dirichlet", "right": "neumann",
+                  "bottom": "neumann", "top": "dirichlet"}
+        A, _ = generator_dense_2d(7, 6, 1.0, 1.5, 1.2, labels)
         assert np.all(np.diff(lam) >= 0)
-        np.testing.assert_allclose(L @ vec, comp.rel_weights[:, None] * vec * lam,
-                                   rtol=0.0, atol=1e-12 * np.max(lam))
+        np.testing.assert_allclose(A @ vec, vec * lam, rtol=0.0, atol=1e-12 * np.max(lam))
 
 
 STEPPER_CASES = {
@@ -638,7 +599,7 @@ class TestStepper:
     def test_adjoint_is_the_transpose_of_the_step(self, case):
         make, kind = STEPPER_CASES[case]
         disc = make()
-        stepper = _Stepper(disc, 0.03)
+        stepper = new_stepper(disc, 0.03)
         assert all(isinstance(s, kind) for s in stepper.solvers)
         # positive fields against the positive inverse of an M-matrix: no
         # cancellation, so the relative bound is a fair one
@@ -688,18 +649,18 @@ class TestStepResidualCheck:
                         [BoundarySides(left="neumann", right="neumann")], [10.0])
         comp = disc.components[0]
         y = np.cos(np.pi * disc.coords[:, 0])[None, :]
-        stepper = _Stepper(disc, dt)
+        stepper = new_stepper(disc, dt)
         out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
         b = comp.rel_weights * y[0]
-        A = _implicit_step_matrix(disc, 0, dt)
-        plain = np.linalg.norm(A @ out[0] - b) / np.linalg.norm(b)
+        a_out = comp.rel_weights * out[0] + dt * comp.apply(out[0])  # (D + dt L) out
+        plain = np.linalg.norm(a_out - b) / np.linalg.norm(b)
         assert plain > SOLVER_RESIDUAL_TOL
         stepper.check(out)
 
     def test_perturbed_solution_is_refused(self, disc_2d):
         rng = np.random.default_rng(33)
         y, f = (rng.standard_normal((1, disc_2d.n_nodes)) for _ in range(2))
-        stepper = _Stepper(disc_2d, 0.05)
+        stepper = new_stepper(disc_2d, 0.05)
         out = stepper.step(y, f, np.zeros_like(y))
         stepper.check(out)
         with pytest.raises(NumericalFailureError,
@@ -710,7 +671,7 @@ class TestStepResidualCheck:
         # at dt 1e-6, |A| is about 1; a bound without dt (about 4 d / h^2)
         # would pass this perturbation
         y = np.sin(np.pi * disc_dirichlet.coords[:, 0])[None, :]
-        stepper = _Stepper(disc_dirichlet, 1e-6)
+        stepper = new_stepper(disc_dirichlet, 1e-6)
         out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
         stepper.check(out)
         with pytest.raises(NumericalFailureError):
@@ -719,7 +680,7 @@ class TestStepResidualCheck:
     @pytest.mark.parametrize("labels", LABEL_PAIRS)
     def test_stiff_eigenbasis_solve_passes_and_a_perturbed_one_is_refused(self, labels):
         disc = one_d_disc(AXIS_EIG_LIMIT + n_dirichlet(labels), labels, d=10.0)
-        stepper = _Stepper(disc, 1.0)
+        stepper = new_stepper(disc, 1.0)
         assert isinstance(stepper.solvers[0], _ProductSolve)
         rng = np.random.default_rng(35)
         y, f, x = (rng.standard_normal((1, disc.n_nodes)) for _ in range(3))
@@ -738,7 +699,7 @@ class TestStepResidualCheck:
     def test_perturbed_adjoint_solution_is_refused(self, request, disc_name):
         disc = request.getfixturevalue(disc_name)
         x = np.random.default_rng(34).standard_normal((1, disc.n_nodes))
-        stepper = _Stepper(disc, 0.05)
+        stepper = new_stepper(disc, 0.05)
         out = stepper.adjoint(x, np.zeros_like(x))
         stepper.check(out)
         with pytest.raises(NumericalFailureError,
@@ -755,8 +716,8 @@ class TestMultiComponent:
             [1.0, 2.0],
         )
         assert disc.n_components == 2
-        assert disc.components[0].active.size == 9
-        assert disc.components[1].active.size == 11
+        assert disc.components[0].rel_weights.size == 9
+        assert disc.components[1].rel_weights.size == 11
         lam0 = _component_eigenvalues(disc, 0)
         lam1 = _component_eigenvalues(disc, 1)
         np.testing.assert_allclose(
@@ -812,7 +773,7 @@ class TestFractionalPowerDiagnostic:
         disc = assemble(DomainSpec(dimension=2, extent=(1.0, 2.0), resolution=(n, n)),
                         [BoundarySides(left="dirichlet", right="dirichlet",
                                        bottom="neumann", top="neumann")], [0.7])
-        assert disc.components[0].active.size > DENSE_EIG_LIMIT
+        assert disc.components[0].rel_weights.size > DENSE_EIG_LIMIT
         t = np.logspace(-4.0, 1.0, 120)
         report = fractional_power_diagnostic(disc, theta, t_grid=t, gamma=gamma)
         lam = (dirichlet_eigenvalues_1d(n, 1.0, 0.7)[:, None]
@@ -824,12 +785,23 @@ class TestFractionalPowerDiagnostic:
         assert report.t_at_sup == t[np.argmax(weighted)]
         assert report.attained_interior
 
-    def test_axis_beyond_the_dense_limit_is_refused(self):
-        disc = assemble(DomainSpec(dimension=2, extent=(1.0, 1.0),
-                                   resolution=(DENSE_EIG_LIMIT + 1, 3)),
-                        [BoundarySides(*("neumann",) * 4)], [1.0])
-        with pytest.raises(UnsupportedConfigurationError, match="per axis, got 501"):
-            fractional_power_diagnostic(disc, 0.5)
+    @pytest.mark.parametrize("resolution", [(600,), (5, 520)])
+    def test_boxes_beyond_the_old_dense_limit_use_the_closed_form(self, resolution):
+        # x Dirichlet at both ends, y (in 2D) Neumann at both
+        labels = ("dirichlet", "dirichlet") + ("neumann", "neumann") * (len(resolution) - 1)
+        extent = (1.0, 2.0)[:len(resolution)]
+        disc = assemble(DomainSpec(dimension=len(resolution), extent=extent,
+                                   resolution=resolution), [BoundarySides(*labels)], [0.7])
+        lam = dirichlet_eigenvalues_1d(resolution[0], 1.0, 0.7)
+        if len(resolution) == 2:
+            lam = (lam[:, None] + neumann_eigenvalues_1d(resolution[1], 2.0, 0.7)).ravel()
+        assert max(k.stop - k.start for k in disc.components[0].box) > DENSE_EIG_LIMIT
+        np.testing.assert_allclose(np.sort(_component_eigenvalues(disc, 0)), np.sort(lam),
+                                   rtol=1e-11, atol=1e-12)
+        t = np.logspace(-4.0, 1.0, 60)
+        report = fractional_power_diagnostic(disc, 0.4, t_grid=t)
+        norms = np.array([np.max((lam + 1.0) ** 0.4 * np.exp(-lam * tk)) for tk in t])
+        np.testing.assert_allclose(report.norms, norms, rtol=1e-11)
 
     def test_rejects_bad_theta_and_bad_grid(self, disc_dirichlet):
         with pytest.raises(InvalidConfigError):
