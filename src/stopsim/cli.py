@@ -37,17 +37,11 @@ from .sensitivity import (
     fd_convergence_study,
     solve_sensitivity,
 )
-from .spatial import _path_norms, fractional_power_diagnostic
+from .spatial import fractional_power_diagnostic
 
 __all__ = ["main"]
 
 _BUNDLED_PREFIX = "bundled:"
-
-
-def _format_value(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
 
 
 def _write_atomic(path, data: bytes):
@@ -65,9 +59,12 @@ def _write_atomic(path, data: bytes):
         raise
 
 
-def _write_csv(path, header, rows):
-    lines = [header]
-    lines.extend(",".join(_format_value(x) for x in row) for row in rows)
+def _write_csv(path, header, columns):
+    """Write equal-length ``columns`` under ``header``, one row format for all
+    rows: integer columns as ``str(int)``, the others with 17 significant digits."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns)
+    lines = [header, *(row % tuple(r) for r in np.column_stack(columns).tolist())]
     _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -133,9 +130,9 @@ class _Run:
         if not self.args.quiet:
             print(message)
 
-    def emit_csv(self, name, header, rows):
+    def emit_csv(self, name, header, *columns):
         path = self.path(name)
-        _write_csv(path, header, rows)
+        _write_csv(path, header, columns)
         self.artifacts.append(name)
         self.say(f"wrote {path}")
 
@@ -202,10 +199,9 @@ def _cmd_simulate(args):
     scn = load_scenario(run.cfg, needs=("state",))
     run.resolve_seed(scn.seed)
     traj = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
-                       scn.source, scn.solver)
-    rows = list(zip(traj.times, traj.stop.values, traj.s_values,
-                    _path_norms(scn.disc, traj.states)))
-    run.emit_csv("trajectory.csv", "t,z,S_y,norm_y", rows)
+                       scn.source, scn.solver, keep_states=args.snapshot)
+    run.emit_csv("trajectory.csv", "t,z,S_y,norm_y",
+                 traj.times, traj.stop.values, traj.s_values, traj.norms)
     if args.snapshot:
         run.emit_bytes("state.bin", _snapshot_bytes(scn.disc, traj.states))
     return run.finish("simulate")
@@ -217,33 +213,27 @@ def _cmd_hysteresis_eval(args):
     run.resolve_seed(run.cfg.get("seed"))
     signal = read_signal_csv(args.input)
     out = stop_evaluate(signal, cfg)
-    rows = list(zip(signal.times, out.stop.values, out.play.values))
+    columns = (signal.times, out.stop.values, out.play.values)
     if args.output:
-        _write_csv(args.output, "t,stop,play", rows)
+        _write_csv(args.output, "t,stop,play", columns)
         run.artifacts.append(os.path.abspath(args.output))
         run.say(f"wrote {args.output}")
     else:
-        run.emit_csv("hysteresis.csv", "t,stop,play", rows)
+        run.emit_csv("hysteresis.csv", "t,stop,play", *columns)
     return run.finish("hysteresis-eval")
-
-
-def _solve_base_and_record(scn):
-    base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
-                       scn.source, scn.solver)
-    problem = LinearizedProblem(base=base, direction=scn.direction,
-                                reaction=scn.reaction, hyst_cfg=scn.hyst_cfg)
-    record = solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver)
-    return base, record
 
 
 def _cmd_sensitivity(args):
     run = _Run(args)
     scn = load_scenario(run.cfg, needs=("state", "direction"))
     run.resolve_seed(scn.seed)
-    _, record = _solve_base_and_record(scn)
-    rows = list(zip(record.times, record.stop_derivative, record.s_values,
-                    _path_norms(scn.disc, record.states)))
-    run.emit_csv("sensitivity.csv", "t,stop_derivative,S_zeta,norm_zeta", rows)
+    base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
+                       scn.source, scn.solver)
+    problem = LinearizedProblem(base=base, direction=scn.direction,
+                                reaction=scn.reaction, hyst_cfg=scn.hyst_cfg)
+    record = solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver, keep_states=False)
+    run.emit_csv("sensitivity.csv", "t,stop_derivative,S_zeta,norm_zeta",
+                 record.times, record.stop_derivative, record.s_values, record.norms)
     if not record.derivative_is_exact:
         run.say("note: reaction derivative is a finite-difference approximation")
     return run.finish("sensitivity")
@@ -256,8 +246,7 @@ def _cmd_fd_check(args):
     study = fd_convergence_study(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                                  scn.source, scn.direction, scn.lambdas,
                                  scn.solver)
-    rows = list(zip(study.lambdas, study.errors))
-    run.emit_csv("fd_check.csv", "lambda,error", rows)
+    run.emit_csv("fd_check.csv", "lambda,error", study.lambdas, study.errors)
     return run.finish("fd-check")
 
 
@@ -268,7 +257,7 @@ def _cmd_optimize(args):
     problem, spec, opts = build_control_problem(scn)
     result = run_optimize(problem, spec, **opts)
     run.emit_csv("history.csv", "iter,J,grad_inf,step",
-                 [(int(it), J, g, s) for (it, J, g, s) in result.history])
+                 *(np.array(c) for c in zip(*result.history)))
     run.emit_json("coefficients.json", {
         "mode": result.spec.mode,
         "time_knots": result.spec.time_knots,

@@ -418,12 +418,26 @@ class Source:
         return u
 
 
+class _NoPath:
+    """The ``shape`` of a path that a solve did not keep; reading it is refused."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __getitem__(self, *args, **kwargs):
+        raise InvalidConfigError("the solve kept no path; solve with keep_states=True")
+
+    __array__ = __getitem__
+
+
 @dataclass
 class Trajectory:
     """Discrete state path: fields y_k, hysteresis output z, and the source.
 
-    ``source`` is the source as given to the solve: a ``Source`` keeps its
-    factors, anything else is its float array.
+    ``states`` is the path, or a ``_NoPath`` when the solve kept none;
+    ``norms`` holds the quadrature norm of every y_k either way.  ``source``
+    is the source as given to the solve: a ``Source`` keeps its factors,
+    anything else is its float array.
 
     ``stop_offsets`` stores the internal offset state w_k of the stop
     recursion at every step; the sensitivity solver replays branch decisions
@@ -431,7 +445,8 @@ class Trajectory:
     """
 
     times: np.ndarray
-    states: np.ndarray        # (N+1, m, n_nodes)
+    states: np.ndarray        # (N+1, m, n_nodes), or a ``_NoPath``
+    norms: np.ndarray         # |y_k|_quad
     stop: PiecewiseLinearSignal
     s_values: np.ndarray      # v_k = S y_k
     stop_offsets: np.ndarray  # w_k = z_k - v_k as carried by the recursion
@@ -472,7 +487,7 @@ def _guard(y, k, t):
 # The loops below step the state and the sensitivity solve alike; a solve
 # differs only in its two per-step rules.  ``stepper.step(y, f, out)`` is the
 # factorized implicit step from y with explicit right-hand side f, written
-# into the active nodes of the path row ``out``, whose Dirichlet nodes are
+# into the active nodes of the window row ``out``, whose Dirichlet nodes are
 # zero.  ``rhs(k, y)`` is the explicit right-hand side at step k.
 # ``advance(k, y)`` guards y_k and records the scalar channel at step k from
 # y_k and the record of step k - 1, so a Picard sweep replays a slice by
@@ -481,11 +496,11 @@ def _guard(y, k, t):
 # absolute step.
 
 
-def _march(stepper, fields, rhs, advance):
-    """Direct IMEX recursion; ``fields[0]`` holds the start, later rows are filled."""
-    for k in range(fields.shape[0] - 1):
-        stepper.step(fields[k], rhs(k, fields[k]), fields[k + 1])
-        advance(k + 1, fields[k + 1])
+def _march(stepper, fields, first, rhs, advance):
+    """Direct IMEX recursion; ``fields[0]`` holds step ``first``, later rows are filled."""
+    for i in range(fields.shape[0] - 1):
+        stepper.step(fields[i], rhs(first + i, fields[i]), fields[i + 1])
+        advance(first + i + 1, fields[i + 1])
 
 
 def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
@@ -521,28 +536,39 @@ def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
     )
 
 
-def _integrate(stepper, solver, fields, rhs, advance):
-    """Run a solve's rules over the whole solver grid with one ``_Stepper``.
+def _integrate(stepper, solver, rhs, advance, keep):
+    """Run a solve's rules over the whole solver grid from a zero start.
 
-    ``fields[0]`` holds the start and later rows, zero on Dirichlet nodes,
-    are filled.  The direct scheme marches; the Picard scheme sweeps slices
-    of ``solver.slice_steps`` steps in turn.  The last step taken (the
-    direct march's last, or the last of the accepted sweep of the final
-    slice) has its solve checked against the module residual tolerance.
-    Returns the sweep count of each slice (empty for the direct scheme).
+    A window slides along the run: Picard slices of ``solver.slice_steps``
+    steps, or for the direct march the whole run (``keep``) or one step.
+    With ``keep`` the windows are rows of the (N+1)-row path; else they share
+    one buffer whose last row carries into the next window.  Each window adds
+    its new rows' quadrature norms to the norms channel.  The last step taken
+    has its solve checked against the module residual tolerance.  Returns
+    the path (or ``_NoPath`` of its shape), the per-step norms, and each
+    slice's sweep count (empty for the direct scheme).
     """
+    disc, n_steps = stepper.disc, solver.n_steps
+    shape = (n_steps + 1, disc.n_components, disc.n_nodes)
+    direct = solver.scheme == "imex-euler"
+    span = (n_steps if keep else 1) if direct else min(n_steps, solver.slice_steps)
+    fields = np.zeros(shape if keep else (span + 1, *shape[1:]))
+    norms = np.zeros(n_steps + 1)  # the zero start has norm 0
     sweeps = []
-    if solver.scheme == "imex-euler":
-        _march(stepper, fields, rhs, advance)
-    else:
-        n_steps = solver.n_steps
-        for start in range(0, n_steps, solver.slice_steps):
-            stop = min(start + solver.slice_steps, n_steps) + 1
+    for start in range(0, n_steps, span):
+        stop = min(start + span, n_steps)
+        window = fields[start:stop + 1] if keep else fields[:stop - start + 1]
+        if direct:
+            _march(stepper, window, start, rhs, advance)
+        else:
             sweeps.append(len(_sweep_slice(
-                stepper, fields[start:stop], start, rhs, advance,
+                stepper, window, start, rhs, advance,
                 solver.picard_tol, solver.picard_max_iters)))
-    stepper.check(fields[-1])  # both schemes write their last step there
-    return sweeps
+        norms[start + 1:stop + 1] = _path_norms(disc, window[1:])
+        if not keep:
+            fields[0] = window[-1]
+    stepper.check(window[-1])
+    return (fields if keep else _NoPath(shape)), norms, sweeps
 
 
 def _state_rules(stepper, reaction, cursor, u):
@@ -570,19 +596,23 @@ def _state_rules(stepper, reaction, cursor, u):
     return rhs, advance, (zs, offsets, s_values)
 
 
-def solve_state(disc, sfun, reaction, hyst_cfg, u, solver) -> Trajectory:
-    """Run the coupled solve from y_0 = 0 and return the discrete trajectory."""
+def solve_state(disc, sfun, reaction, hyst_cfg, u, solver, keep_states=True) -> Trajectory:
+    """Run the coupled solve from y_0 = 0 and return the discrete trajectory.
+
+    Without ``keep_states`` the solve holds a few state rows at a time and
+    keeps no path; the trajectory still has every per-step channel.
+    """
     u = _check_source(disc, solver, u)
-    states = np.zeros((solver.n_steps + 1, disc.n_components, disc.n_nodes))
     cursor = StopCursor(hyst_cfg, 0.0)  # v_0 = S y_0 = 0
     stepper = _Stepper(disc, solver.dt, sfun)
     rhs, advance, (zs, offsets, s_values) = _state_rules(stepper, reaction, cursor, u)
-    sweeps = _integrate(stepper, solver, states, rhs, advance)
+    states, norms, sweeps = _integrate(stepper, solver, rhs, advance, keep_states)
 
     times = solver.times()
     return Trajectory(
         times=times,
         states=states,
+        norms=norms,
         stop=PiecewiseLinearSignal(times, zs),
         s_values=s_values,
         stop_offsets=offsets,
@@ -621,9 +651,12 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
 
 
 def boundedness_report(disc, traj: Trajectory, solver: SolverConfig) -> BoundednessReport:
-    """Ratio of the peak state norm to 1 + the source's time-quadrature norm."""
+    """Ratio of the peak state norm to 1 + the source's time-quadrature norm.
+
+    The state term reads the norms channel, so no state path is needed.
+    """
     dt = solver.dt
-    max_state = _path_norms(disc, traj.states).max()
+    max_state = traj.norms.max()
     src_sq = sum(n ** 2 for n in _path_norms(disc, np.asarray(traj.source)).tolist())
     src_norm = math.sqrt(dt * src_sq)
     return BoundednessReport(

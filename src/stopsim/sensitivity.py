@@ -85,15 +85,18 @@ class SensitivityRecord:
     """Discrete sensitivity path and the hysteresis-output derivative."""
 
     times: np.ndarray
-    states: np.ndarray           # zeta_k, (N+1, m, n_nodes)
+    states: np.ndarray           # zeta_k, (N+1, m, n_nodes), or a ``_NoPath``
+    norms: np.ndarray            # |zeta_k|_quad, kept path or not
     stop_derivative: np.ndarray  # w_k = directional derivative of z_k
     s_values: np.ndarray         # S zeta_k
     derivative_is_exact: bool    # False when the reaction derivative is tabulated
     picard_iterations: list = field(default_factory=list)  # per-slice sweep counts
 
 
-def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> SensitivityRecord:
-    """Integrate the linearized recursion along the base trajectory."""
+def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver,
+                      keep_states=True) -> SensitivityRecord:
+    """Integrate the linearized recursion along the base trajectory (keeping
+    the zeta path only with ``keep_states``, as ``solve_state``)."""
     base = problem.base
     n_steps = solver.n_steps
     if base.states.shape[0] != n_steps + 1 or not np.array_equal(base.times, solver.times()):
@@ -102,7 +105,6 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
 
     h = problem.direction
     reaction = problem.reaction
-    zeta = np.zeros((n_steps + 1, disc.n_components, disc.n_nodes))
     wz = np.zeros(n_steps + 1)      # derivative of the stop output
     dv = np.zeros(n_steps + 1)      # S zeta
     omega = np.zeros(n_steps + 1)   # wz - dv; zero since zeta_0 = 0
@@ -122,11 +124,12 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver) -> Sensiti
         omega[k] = _omega_step(branches[k - 1], omega[k - 1], dv[k])
         wz[k] = omega[k] + dv[k]
 
-    sweeps = _integrate(stepper, solver, zeta, rhs, advance)
+    zeta, norms, sweeps = _integrate(stepper, solver, rhs, advance, keep_states)
 
     return SensitivityRecord(
         times=base.times,
         states=zeta,
+        norms=norms,
         stop_derivative=wz,
         s_values=dv,
         derivative_is_exact=reaction.derivative_is_exact,

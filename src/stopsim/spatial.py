@@ -559,6 +559,7 @@ class _Stepper:
 
     def __init__(self, disc: SpatialDiscretization, dt: float, sfun):
         self.disc, self.dt = disc, dt
+        self._adjoint = False
         self._grid = (disc.n_components,) + disc.domain.resolution
         self._boxes = [(j, *comp.box) for j, comp in enumerate(disc.components)]
         self.solvers = [_component_solver(disc, j, dt) for j in range(disc.n_components)]

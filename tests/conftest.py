@@ -1,4 +1,7 @@
+import copy
+import json
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -55,6 +58,49 @@ def box_41():
                        bottom="dirichlet", top="neumann")],
         [0.8],
     )
+
+
+def bundled_config(name):
+    """A bundled scenario's config dict."""
+    root = resources.files("stopsim") / "scenarios"
+    return json.loads((root / f"{name}.json").read_text())
+
+
+def _streamed_scenarios():
+    """Name -> config: the bundled scenarios, a 2-D copy of ``saturating``
+    and a two-component box, each also on the Picard scheme in 5-step slices."""
+    plain = {name: bundled_config(name) for name in
+             ("saturating", "linear_quadratic", "neumann_conservation", "zero")}
+    grid = copy.deepcopy(plain["saturating"])
+    grid["domain"] = {"dimension": 2, "extent": [1.0, 1.0], "resolution": [25, 17]}
+    grid["boundaries"] = [{"left": "dirichlet", "right": "neumann",
+                           "bottom": "dirichlet", "top": "neumann"}]
+    plain["saturating-2d"] = grid
+    plain["two-component"] = {
+        "domain": {"dimension": 2, "extent": [1.0, 0.7], "resolution": [7, 5]},
+        "boundaries": [{"left": "dirichlet", "right": "neumann",
+                        "bottom": "neumann", "top": "dirichlet"},
+                       {"left": "neumann", "right": "neumann",
+                        "bottom": "dirichlet", "top": "neumann"}],
+        "diffusion": [0.8, 2.5],
+        "s_weight": {"kind": "constant", "value": 0.5},
+        "hysteresis": {"a": -0.1, "b": 0.1, "z0": 0.0},
+        "reaction": {"kind": "linear", "constant": 0.0, "state": -0.5, "hysteresis": 0.3},
+        "solver": {"dt": 0.05, "t_final": 0.5},
+        "source": {"kind": "constant", "value": 1.0, "component": 1,
+                   "profile": {"kind": "sine", "mode": [1, 2]}},
+        "direction": {"kind": "pulse", "value": 0.1, "start": 0.0, "stop": 0.2},
+    }
+    scenarios = dict(plain)
+    for name, cfg in plain.items():
+        picard = copy.deepcopy(cfg)
+        dt = picard["solver"]["dt"]
+        picard["solver"].update(scheme="picard-sliced", slice_length=5 * dt)
+        scenarios[name + "-picard"] = picard
+    return scenarios
+
+
+STREAMED_SCENARIOS = _streamed_scenarios()
 
 
 def traced_peak(run):

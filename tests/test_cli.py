@@ -16,7 +16,9 @@ from stopsim import (
     stop_evaluate,
 )
 from stopsim import spatial
-from stopsim.cli import _build_parser, _format_value, main, read_signal_csv
+from stopsim.cli import _build_parser, _write_csv, main, read_signal_csv
+
+from conftest import traced_peak
 
 
 def package_env():
@@ -48,6 +50,7 @@ def small_config(**overrides):
 
 PICARD = {"dt": 0.05, "t_final": 0.5, "scheme": "picard-sliced",
           "slice_length": 0.2}
+PICARD_SLICES = {"scheme": "picard-sliced", "slice_length": 0.05}
 BIG_SOURCE = {"kind": "constant", "value": 1e10}
 UNIT_CONTROL = {"mode": "distributed", "time_knots": 1,
                 "spatial_modes": {"kind": "sine", "count": 1},
@@ -77,18 +80,26 @@ def no_temp_litter(root):
     return leftovers == []
 
 
-class TestFormatting:
-    def test_seventeen_digit_floats(self):
-        assert _format_value(0.05) == "0.050000000000000003"
-        assert _format_value(1.0) == "1"
-        assert _format_value(np.float64(0.1)) == "0.10000000000000001"
-        assert _format_value(3) == "3"
-        assert _format_value(np.int64(-2)) == "-2"
+def csv_text(tmp_path, *columns):
+    """The lines below the header that ``_write_csv`` writes for ``columns``."""
+    path = tmp_path / "out.csv"
+    _write_csv(str(path), "h", columns)
+    return path.read_text().split("\n")[1:-1]
 
-    def test_round_trip_is_exact(self):
+
+class TestFormatting:
+    def test_seventeen_digit_floats(self, tmp_path):
+        assert csv_text(tmp_path, [0.05, 1.0, np.float64(0.1)]) \
+            == ["0.050000000000000003", "1", "0.10000000000000001"]
+        assert csv_text(tmp_path, np.array([3, -2]), [0.5, -0.0]) \
+            == ["3,0.5", "-2,-0"]
+        assert csv_text(tmp_path, [np.nan, np.inf], [-np.inf, 0.0]) \
+            == ["nan,-inf", "inf,0"]
+
+    def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(50)
-        for x in rng.standard_normal(200):
-            assert float(_format_value(x)) == x
+        xs = rng.standard_normal(200)
+        assert [float(line) for line in csv_text(tmp_path, xs)] == xs.tolist()
 
 
 class TestSimulate:
@@ -188,6 +199,38 @@ class TestSimulate:
               "--quiet"])
         text = (tmp_path / "trajectory.csv").read_text()
         assert "0.050000000000000003" in text
+
+    @staticmethod
+    def grid_config(t_final, scheme):
+        return small_config(
+            domain={"dimension": 2, "extent": [1.0, 1.0], "resolution": [41, 41]},
+            boundaries=[{"left": "dirichlet", "right": "neumann",
+                         "bottom": "dirichlet", "top": "neumann"}],
+            solver={"dt": 0.01, "t_final": t_final, **scheme})
+
+    @pytest.mark.parametrize("scheme", [{}, PICARD_SLICES])
+    def test_a_run_without_snapshot_holds_no_state_path(self, tmp_path, scheme):
+        peaks, path_bytes = [], []
+        for t_final in (1.0, 2.0):
+            path = write_config(tmp_path, self.grid_config(t_final, scheme))
+            rc, peak = traced_peak(lambda: main(
+                ["simulate", "--config", path, "--out", str(tmp_path), "--quiet"]))
+            assert rc == 0
+            peaks.append(peak)
+            path_bytes.append((round(t_final / 0.01) + 1) * 41 * 41 * 8)
+        assert peaks[0] < path_bytes[0]
+        # the scalar channels and the CSV lines grow with the step count,
+        # a state path by 1.3 MB
+        assert peaks[1] - peaks[0] < path_bytes[0] / 20
+
+    @pytest.mark.parametrize("scheme", [{}, PICARD_SLICES])
+    def test_trajectory_is_the_same_with_and_without_snapshot(self, tmp_path, scheme):
+        path = write_config(tmp_path, self.grid_config(0.3, scheme))
+        for sub, extra in (("plain", []), ("snap", ["--snapshot"])):
+            assert main(["simulate", "--config", path, "--out",
+                         str(tmp_path / sub), "--quiet", *extra]) == 0
+        assert (tmp_path / "plain" / "trajectory.csv").read_bytes() \
+            == (tmp_path / "snap" / "trajectory.csv").read_bytes()
 
     def test_seed_override_and_scenario_seed(self, tmp_path):
         path = write_config(tmp_path, small_config())

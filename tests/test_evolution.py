@@ -15,15 +15,16 @@ from stopsim import (
     StopCursor,
     boundedness_report,
     evaluate_S,
+    load_scenario,
     picard_slice_iterate,
     quad_norm,
     solve_state,
 )
 
 from stopsim.evolution import BLOWUP_GUARD, _clip_directional, _state_rules
-from stopsim.spatial import _Stepper
+from stopsim.spatial import _path_norms, _Stepper
 
-from conftest import box_41, constant_sfun, traced_peak
+from conftest import STREAMED_SCENARIOS, box_41, constant_sfun, traced_peak
 from oracles import generator_dense_1d, imex_reference_1d, quad_weights_1d
 
 
@@ -498,7 +499,42 @@ class TestPicardScheme:
                         hyst_cfg, u, solver)
 
 
+def solve_scenario(cfg, keep_states=True):
+    scn = load_scenario(cfg)
+    traj = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
+                       scn.source, scn.solver, keep_states=keep_states)
+    return scn, traj
+
+
+class TestStreamedSolve:
+    """A solve that keeps no path reports every per-step channel bitwise."""
+
+    @pytest.mark.parametrize("name", list(STREAMED_SCENARIOS))
+    def test_norms_are_the_path_norms_kept_or_not(self, name):
+        scn, kept = solve_scenario(STREAMED_SCENARIOS[name])
+        _, streamed = solve_scenario(STREAMED_SCENARIOS[name], keep_states=False)
+        np.testing.assert_array_equal(kept.norms, _path_norms(scn.disc, kept.states))
+        for channel in ("norms", "s_values", "stop_offsets"):
+            np.testing.assert_array_equal(getattr(streamed, channel), getattr(kept, channel))
+        np.testing.assert_array_equal(streamed.stop.values, kept.stop.values)
+        assert streamed.picard_iterations == kept.picard_iterations
+        assert streamed.states.shape == kept.states.shape
+
+    def test_a_trajectory_without_a_path_refuses_reads_by_name(self):
+        _, traj = solve_scenario(STREAMED_SCENARIOS["saturating"], keep_states=False)
+        for read in (lambda: traj.states[3], lambda: np.asarray(traj.states),
+                     lambda: traj.states - np.zeros(traj.states.shape)):
+            with pytest.raises(InvalidConfigError, match="kept no path"):
+                read()
+
+
 class TestBoundednessReport:
+    def test_a_trajectory_without_a_path_reports_alike(self):
+        scn, kept = solve_scenario(STREAMED_SCENARIOS["saturating-2d"])
+        _, streamed = solve_scenario(STREAMED_SCENARIOS["saturating-2d"], keep_states=False)
+        assert boundedness_report(scn.disc, streamed, scn.solver) \
+            == boundedness_report(scn.disc, kept, scn.solver)
+
     def test_norms_equal_the_per_step_quadrature_norms(self, disc_mixed,
                                                        hyst_cfg,
                                                        saturating_reaction,

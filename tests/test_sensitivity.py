@@ -20,13 +20,16 @@ from stopsim import (
     branch_census,
     fd_convergence_study,
     hadamard_perturbed_quotient,
+    load_scenario,
     quad_norm,
     solve_sensitivity,
     solve_state,
     stop_directional_derivative,
 )
 
-from conftest import active_mask, box_41, constant_sfun, traced_peak
+from stopsim.spatial import _path_norms
+
+from conftest import STREAMED_SCENARIOS, active_mask, box_41, constant_sfun, traced_peak
 from oracles import stop_derivative_step
 
 
@@ -63,6 +66,39 @@ def run_pair(setup, h):
                           hyst_cfg=hyst),
         disc, sfun, solver)
     return base, record
+
+
+def scenario_problem(name, keep_states=True):
+    scn = load_scenario(STREAMED_SCENARIOS[name], needs=("state", "direction"))
+    base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
+                       scn.source, scn.solver, keep_states=keep_states)
+    return scn, base, dict(direction=scn.direction, reaction=scn.reaction,
+                           hyst_cfg=scn.hyst_cfg)
+
+
+class TestStreamedSensitivity:
+    """A sensitivity solve that keeps no zeta path reports every channel bitwise."""
+
+    @pytest.mark.parametrize("name", [name for name, cfg in STREAMED_SCENARIOS.items()
+                                      if "direction" in cfg])
+    def test_norms_are_the_path_norms_kept_or_not(self, name):
+        scn, base, rest = scenario_problem(name)
+        problem = LinearizedProblem(base=base, **rest)
+        kept = solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver)
+        streamed = solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver,
+                                     keep_states=False)
+        np.testing.assert_array_equal(kept.norms, _path_norms(scn.disc, kept.states))
+        for channel in ("norms", "stop_derivative", "s_values"):
+            np.testing.assert_array_equal(getattr(streamed, channel), getattr(kept, channel))
+        assert streamed.picard_iterations == kept.picard_iterations
+        with pytest.raises(InvalidConfigError, match="kept no path"):
+            streamed.states[0]
+
+    def test_a_base_without_a_path_is_refused(self):
+        scn, base, rest = scenario_problem("saturating", keep_states=False)
+        problem = LinearizedProblem(base=base, **rest)
+        with pytest.raises(InvalidConfigError, match="kept no path"):
+            solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver)
 
 
 class TestLinearizedSolve:

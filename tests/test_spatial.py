@@ -643,6 +643,9 @@ class TestStepper:
 
 
 class TestStepResidualCheck:
+    def test_check_before_any_step_passes(self, disc_2d):
+        new_stepper(disc_2d, 0.1).check(disc_2d.zero_field())
+
     def test_stiff_solve_passes_where_the_plain_residual_is_large(self):
         n, dt = 20001, 1.0
         disc = assemble(DomainSpec(dimension=1, extent=(1.0,), resolution=(n,)),
