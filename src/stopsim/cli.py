@@ -44,12 +44,14 @@ __all__ = ["main"]
 _BUNDLED_PREFIX = "bundled:"
 
 
-def _write_atomic(path, data: bytes):
+def _write_atomic(path, *chunks):
+    """Write the buffers ``chunks`` in turn to a temporary file renamed onto ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -142,9 +144,9 @@ class _Run:
         self.artifacts.append(name)
         self.say(f"wrote {path}")
 
-    def emit_bytes(self, name, data):
+    def emit_bytes(self, name, *chunks):
         path = self.path(name)
-        _write_atomic(path, data)
+        _write_atomic(path, *chunks)
         self.artifacts.append(name)
         self.say(f"wrote {path}")
 
@@ -186,14 +188,6 @@ def read_signal_csv(path) -> PiecewiseLinearSignal:
     return PiecewiseLinearSignal(times=np.asarray(times), values=np.asarray(values))
 
 
-def _snapshot_bytes(disc, states):
-    """Binary snapshot: int64 header (dims, components, steps), float64 states."""
-    header = [disc.domain.dimension, *disc.domain.resolution,
-              disc.n_components, states.shape[0] - 1]
-    return (np.asarray(header, dtype=np.int64).tobytes()
-            + np.ascontiguousarray(states, dtype=np.float64).tobytes())
-
-
 def _cmd_simulate(args):
     run = _Run(args)
     scn = load_scenario(run.cfg, needs=("state",))
@@ -202,8 +196,10 @@ def _cmd_simulate(args):
                        scn.source, scn.solver, keep_states=args.snapshot)
     run.emit_csv("trajectory.csv", "t,z,S_y,norm_y",
                  traj.times, traj.stop.values, traj.s_values, traj.norms)
-    if args.snapshot:
-        run.emit_bytes("state.bin", _snapshot_bytes(scn.disc, traj.states))
+    if args.snapshot:  # int64 header (dims, components, steps), then the path's own buffer
+        domain = scn.disc.domain
+        header = [domain.dimension, *domain.resolution, scn.disc.n_components, scn.solver.n_steps]
+        run.emit_bytes("state.bin", np.array(header, dtype=np.int64).tobytes(), traj.states)
     return run.finish("simulate")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import EmptyBoundaryError, GridMismatchError, InvalidConfigError
 from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
 from .hysteresis import HysteresisConfig
 from .sensitivity import LinearizedProblem, _adjoint_sweep, solve_sensitivity
-from .spatial import SFunctional, SpatialDiscretization
+from .spatial import SFunctional, SpatialDiscretization, _Stepper
 
 __all__ = [
     "ControlSpec",
@@ -107,16 +108,15 @@ class ControlSpec:
         return self.coefficients.size
 
 
-def _time_profiles(time_knots, times):
-    """Hat-function values on the solver grid; a single knot means constant 1."""
-    if time_knots == 1:
-        return np.ones((1, times.size))
+@lru_cache(maxsize=8)
+def _time_profiles(time_knots, grid):
+    """Hat-function values on the solver grid, given as its float64 bytes (a
+    single knot means constant 1); read-only and cached, so an optimizer run
+    forms them once."""
+    times = np.frombuffer(grid)
     knots = np.linspace(times[0], times[-1], time_knots)
-    profiles = np.empty((time_knots, times.size))
-    for j in range(time_knots):
-        e = np.zeros(time_knots)
-        e[j] = 1.0
-        profiles[j] = np.interp(times, knots, e)
+    profiles = np.array([np.interp(times, knots, e) for e in np.eye(time_knots)])
+    profiles.setflags(write=False)
     return profiles
 
 
@@ -150,11 +150,12 @@ def apply_B(disc, spec: ControlSpec, times) -> np.ndarray:
     nodes of the chosen component (weight 1 at an interval end).
     """
     times = np.asarray(times, dtype=float)
-    profiles = _time_profiles(spec.time_knots, times)
+    profiles = _time_profiles(spec.time_knots, times.tobytes())
     if spec.mode == "distributed":
         modes = _distributed_modes(disc, spec)
         c = spec.coefficients.reshape(spec.time_knots, modes.shape[0])
-        return np.einsum("js,jk,smi->kmi", c, profiles, modes)
+        return ((profiles.T @ c) @ modes.reshape(modes.shape[0], -1)).reshape(
+            times.size, *modes.shape[1:])
     nodes, surface = _boundary_data(disc, spec)
     if spec.coefficients.size != spec.time_knots * nodes.size:
         raise InvalidConfigError(
@@ -170,10 +171,11 @@ def apply_B(disc, spec: ControlSpec, times) -> np.ndarray:
 
 def _apply_B_transpose(disc, spec: ControlSpec, times, g) -> np.ndarray:
     """Transpose of ``apply_B``: sum_k <(B e_i)_k, g_k> for every coefficient i."""
-    profiles = _time_profiles(spec.time_knots, np.asarray(times, dtype=float))
+    profiles = _time_profiles(spec.time_knots, np.asarray(times, dtype=float).tobytes())
     if spec.mode == "distributed":
         modes = _distributed_modes(disc, spec)
-        return np.einsum("jk,smi,kmi->js", profiles, modes, g).ravel()
+        flat = modes.reshape(modes.shape[0], -1)
+        return (profiles @ (g.reshape(g.shape[0], -1) @ flat.T)).ravel()
     nodes, surface = _boundary_data(disc, spec)
     return ((profiles @ g[:, spec.component, nodes]) * surface).ravel()
 
@@ -186,7 +188,7 @@ def control_gram(disc, spec: ControlSpec, times) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     dt = times[1] - times[0]
-    profiles = _time_profiles(spec.time_knots, times)
+    profiles = _time_profiles(spec.time_knots, times.tobytes())
     t_gram = dt * (profiles @ profiles.T)
     if spec.mode == "distributed":
         modes = _distributed_modes(disc, spec)
@@ -270,15 +272,14 @@ def _directional(problem, spec, direction, base, gram):
     return track + problem.kappa * float(spec.coefficients @ gram @ direction)
 
 
-def _gradient(problem, spec, base, gram):
+def _gradient(problem, spec, base, gram, stepper):
     """J'(c; e_i) for every coefficient i, and whether J'(c; .) is linear.
 
-    Where it is linear, one adjoint sweep gives all of them and they form
-    the gradient; elsewhere each takes one forward sensitivity solve.
+    Where it is linear, one adjoint sweep (on ``stepper``) gives all of them
+    and they form the gradient; elsewhere each takes one forward solve.
     """
     seed = problem.solver.dt * (base.states - problem.target) * problem.disc.quadrature
-    g_h = _adjoint_sweep(base, seed, problem.reaction, problem.disc, problem.sfun,
-                         problem.solver)
+    g_h = _adjoint_sweep(base, seed, problem.reaction, stepper, problem.solver)
     if g_h is None:
         basis = np.eye(spec.n_coefficients)
         return np.array([_directional(problem, spec, e, base, gram) for e in basis]), False
@@ -324,6 +325,7 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
     if max_iters < 1:
         raise InvalidConfigError("max_iters must be at least 1")
     gram = control_gram(problem.disc, spec, problem.solver.times())
+    stepper = _Stepper(problem.disc, problem.solver.dt, problem.sfun)  # for the adjoint
     history = []
     step = float(initial_step)
     base = _solve(problem, spec)
@@ -332,7 +334,7 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
     status = "max-iterations"
 
     for it in range(max_iters):
-        grad, linear = _gradient(problem, spec, base, gram)
+        grad, linear = _gradient(problem, spec, base, gram, stepper)
         grad_inf = float(np.max(np.abs(grad)))
 
         if grad_inf <= tol:

@@ -10,7 +10,7 @@ explicitly:
 
 with z advanced by the stop recursion after each step.  The source u is a
 dense (N+1, m, n_nodes) path or a ``Source``, kept as a time amplitude times
-a spatial profile; the rules read only u[k], so both take the same code.
+a spatial profile; the rules only add u[k], so both take the same code.
 The Picard-sliced scheme solves the same recursion slice by slice as a fixed
 point: each sweep freezes reaction and hysteresis at the previous iterate, so
 the fixed point satisfies the IMEX recursion exactly and the two schemes
@@ -68,14 +68,11 @@ def _as_float(z):
     return np.float64(z) if isinstance(z, float) else np.asarray(z, dtype=float)
 
 
-def _clip_directional(x, cap, d):
-    """One-sided directional derivative of clip(x, -cap, cap) in direction d."""
-    inner = np.where(np.abs(x) < cap, d, 0.0)
-    at_hi = x == cap
-    at_lo = x == -cap
-    inner = np.where(at_hi, np.minimum(d, 0.0), inner)
-    inner = np.where(at_lo, np.maximum(d, 0.0), inner)
-    return inner
+def _filled(out, f):
+    """``f``, or ``out`` holding it."""
+    if out is not None:
+        out[...] = f
+    return f if out is None else out
 
 
 @dataclass(frozen=True)
@@ -236,8 +233,8 @@ class ReactionFunction:
         return (v00 * (1 - ty) * (1 - tz) + v10 * ty * (1 - tz)
                 + v01 * (1 - ty) * tz + v11 * ty * tz)
 
-    def value(self, y, z):
-        """f(y, z) elementwise over ``y`` with scalar (or broadcast) ``z``.
+    def value(self, y, z, out=None):
+        """f(y, z) elementwise over ``y`` with scalar (or broadcast) ``z``, into ``out`` if given.
 
         The z-part of a catalog kind is evaluated once, as a numpy scalar
         when ``z`` is a scalar.
@@ -245,17 +242,23 @@ class ReactionFunction:
         y = np.asarray(y, dtype=float)
         p = self.params
         if self.kind == "user-table":
-            return self._table_value(y, z)
+            return _filled(out, self._table_value(y, z))
         z = _as_float(z)
-        if self.kind == "linear":
-            return p[0] + p[1] * y + p[2] * z
-        if self.kind == "saturating":
-            return p[0] * np.tanh(p[1] * y) + p[2] * np.tanh(p[3] * z)
-        cap, cz = p[2], p[3]
-        return np.clip(self._logistic_inner(y), -cap, cap) + cz * z
+        out = np.empty_like(y) if out is None else out
+        if self.kind == "linear":  # p0 + p1 y + p2 z
+            np.add(np.multiply(y, p[1], out=out), p[0], out=out)
+            out += p[2] * z
+        elif self.kind == "saturating":  # a1 tanh(r1 y) + a2 tanh(r2 z)
+            np.tanh(np.multiply(y, p[1], out=out), out=out)
+            out *= p[0]
+            out += p[2] * np.tanh(p[3] * z)
+        else:
+            np.clip(self._logistic_inner(y), -p[2], p[2], out=out)
+            out += p[3] * z
+        return out
 
-    def directional(self, y, z, dy, dz):
-        """One-sided directional derivative f'[(y, z); (dy, dz)] elementwise.
+    def directional(self, y, z, dy, dz, out=None):
+        """One-sided directional derivative f'[(y, z); (dy, dz)], into ``out`` if given.
 
         Analytic for catalog kinds (right-sided at the logistic cap);
         central finite differences with step 1e-6*(1+|y|+|z|) for tables.
@@ -263,18 +266,30 @@ class ReactionFunction:
         y = np.asarray(y, dtype=float)
         dy = np.asarray(dy, dtype=float)
         p = self.params
+        if self.kind == "linear":  # p1 dy + p2 dz, which reads neither y nor z
+            return np.add(np.multiply(dy, p[1], out=out), p[2] * _as_float(dz), out=out)
         if self.kind != "user-table":
             dz = _as_float(dz)
-        if self.kind == "linear":
-            return p[1] * dy + p[2] * dz
-        if self.kind == "saturating":
-            ty = np.tanh(p[1] * y)
+            out = np.empty(np.broadcast_shapes(y.shape, dy.shape)) if out is None else out
+        if self.kind == "saturating":  # a1 r1 (1 - ty^2) dy + a2 r2 (1 - tz^2) dz
+            ty = np.tanh(np.multiply(y, p[1], out=out), out=out)
+            np.subtract(1.0, np.multiply(ty, ty, out=out), out=out)
+            out *= p[0] * p[1]
+            out *= dy
             tz = np.tanh(p[3] * _as_float(z))
-            return p[0] * p[1] * (1.0 - ty * ty) * dy + p[2] * p[3] * (1.0 - tz * tz) * dz
+            out += p[2] * p[3] * (1.0 - tz * tz) * dz
+            return out
         if self.kind == "logistic-capped":
             rate, capacity, cap, cz = p
-            d_inner = rate * (1.0 - 2.0 * y / capacity) * dy
-            return _clip_directional(self._logistic_inner(y), cap, d_inner) + cz * dz
+            np.subtract(1.0, np.divide(np.multiply(y, 2.0, out=out), capacity, out=out), out=out)
+            out *= rate
+            out *= dy  # the inner derivative, then the clip's: one-sided at a cap, 0 beyond
+            x = self._logistic_inner(y)
+            np.minimum(out, 0.0, out=out, where=x == cap)
+            np.maximum(out, 0.0, out=out, where=x == -cap)
+            np.copyto(out, 0.0, where=~(np.abs(x) <= cap))
+            out += cz * dz
+            return out
         # user-table: symmetric quotient along the direction, scale-normalized
         z = np.broadcast_to(np.asarray(z, dtype=float), y.shape)
         dz = np.broadcast_to(np.asarray(dz, dtype=float), y.shape)
@@ -284,7 +299,7 @@ class ReactionFunction:
         f_plus = self._table_value(y + step * dy, z + step * dz, "derivative")
         f_minus = self._table_value(y - step * dy, z - step * dz, "derivative")
         quot = (f_plus - f_minus) / (2.0 * step)
-        return np.where(scale > 0, quot, 0.0)
+        return _filled(out, np.where(scale > 0, quot, 0.0))
 
 
 @dataclass(frozen=True)
@@ -355,8 +370,9 @@ class SolverConfig:
 class Source:
     """A source path kept as its two factors: u_k = amplitude[k] * profile.
 
-    The rules read ``source[k]``, step k's field; ``np.asarray(source)`` forms
-    the dense (N+1, m, n_nodes) path for the consumers that need it.
+    ``source[k]`` is step k's field, which the rules add row by row from the
+    factors; ``np.asarray(source)`` forms the dense (N+1, m, n_nodes) path
+    for the consumers that need it.
     ``component`` names the one component the source acts on (None: all of
     them).  The profile must be zero on the others, whose rows are +0.0
     whatever the amplitude's sign, as when the targeted rows are written into
@@ -467,6 +483,15 @@ def _as_path(u):
     return u if isinstance(u, Source) else np.asarray(u, dtype=float)
 
 
+def _add_source(u, k, out):
+    """``out += u[k]``; a ``Source`` adds row by row from its factors (+0.0 off its component)."""
+    if not isinstance(u, Source):
+        out += u[k]
+        return
+    for j, row in enumerate(out):
+        row += u.amplitude[k] * u.profile[j] if u.component in (None, j) else 0.0
+
+
 def _check_source(disc, solver, u):
     u = _as_path(u)
     expected = (solver.n_steps + 1, disc.n_components, disc.n_nodes)
@@ -485,22 +510,24 @@ def _guard(y, k, t):
 
 
 # The loops below step the state and the sensitivity solve alike; a solve
-# differs only in its two per-step rules.  ``stepper.step(y, f, out)`` is the
-# factorized implicit step from y with explicit right-hand side f, written
+# differs only in its two per-step rules.  ``rhs(k, y, stepper.buf)`` writes
+# the explicit right-hand side at step k, at y, into the stepper's buffer;
+# ``stepper.step(y, out)`` then takes the factorized implicit step from y
 # into the active nodes of the window row ``out``, whose Dirichlet nodes are
-# zero.  ``rhs(k, y)`` is the explicit right-hand side at step k.
-# ``advance(k, y)`` guards y_k and records the scalar channel at step k from
-# y_k and the record of step k - 1, so a Picard sweep replays a slice by
-# calling it again, with nothing to restore.
-# ``_integrate`` counts steps from the start of the run, so a guard names the
-# absolute step.
+# zero.  ``advance(k, y)`` guards y_k and records the scalar channel at step
+# k from y_k and the record of step k - 1, so a Picard sweep replays a slice
+# by calling it again, with nothing to restore.  ``_integrate`` counts steps
+# from the start of the run, so a guard names the absolute step.
 
 
-def _march(stepper, fields, first, rhs, advance):
-    """Direct IMEX recursion; ``fields[0]`` holds step ``first``, later rows are filled."""
-    for i in range(fields.shape[0] - 1):
-        stepper.step(fields[i], rhs(first + i, fields[i]), fields[i + 1])
-        advance(first + i + 1, fields[i + 1])
+def _march(stepper, fields, first, stop, rhs, advance):
+    """Direct IMEX steps ``first`` to ``stop``, step k in row k mod the row count."""
+    rows, buf = fields.shape[0], stepper.buf
+    for k in range(first, stop):
+        y, out = fields[k % rows], fields[(k + 1) % rows]
+        rhs(k, y, buf)
+        stepper.step(y, out)
+        advance(k + 1, out)
 
 
 def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
@@ -521,7 +548,8 @@ def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
     diffs = []
     for _ in range(max_iters):
         for i in range(ns):
-            stepper.step(fields[i], rhs(first + i, prev[i]), fields[i + 1])
+            rhs(first + i, prev[i], stepper.buf)
+            stepper.step(fields[i], fields[i + 1])
         for i in range(1, ns + 1):
             advance(first + i, fields[i])
         np.subtract(fields, prev, out=prev)
@@ -541,12 +569,12 @@ def _integrate(stepper, solver, rhs, advance, keep):
 
     A window slides along the run: Picard slices of ``solver.slice_steps``
     steps, or for the direct march the whole run (``keep``) or one step.
-    With ``keep`` the windows are rows of the (N+1)-row path; else they share
-    one buffer whose last row carries into the next window.  Each window adds
-    its new rows' quadrature norms to the norms channel.  The last step taken
-    has its solve checked against the module residual tolerance.  Returns
-    the path (or ``_NoPath`` of its shape), the per-step norms, and each
-    slice's sweep count (empty for the direct scheme).
+    With ``keep`` the windows are rows of the (N+1)-row path; else the direct
+    march alternates two rows, and Picard slices share one buffer whose last
+    row carries into the next.  Each window adds its new rows' quadrature
+    norms to the norms channel.  The last step taken has its solve checked
+    against the module residual tolerance.  Returns the path (or ``_NoPath``
+    of its shape), the per-step norms, and each slice's sweep count.
     """
     disc, n_steps = stepper.disc, solver.n_steps
     shape = (n_steps + 1, disc.n_components, disc.n_nodes)
@@ -557,17 +585,19 @@ def _integrate(stepper, solver, rhs, advance, keep):
     sweeps = []
     for start in range(0, n_steps, span):
         stop = min(start + span, n_steps)
-        window = fields[start:stop + 1] if keep else fields[:stop - start + 1]
         if direct:
-            _march(stepper, window, start, rhs, advance)
+            _march(stepper, fields, start, stop, rhs, advance)
+            new = fields[start + 1:stop + 1] if keep else fields[stop % 2:stop % 2 + 1]
         else:
+            window = fields[start:stop + 1] if keep else fields[:stop - start + 1]
             sweeps.append(len(_sweep_slice(
                 stepper, window, start, rhs, advance,
                 solver.picard_tol, solver.picard_max_iters)))
-        norms[start + 1:stop + 1] = _path_norms(disc, window[1:])
-        if not keep:
-            fields[0] = window[-1]
-    stepper.check(window[-1])
+            new = window[1:]
+            if not keep:
+                fields[0] = window[-1]
+        norms[start + 1:stop + 1] = _path_norms(disc, new)
+    stepper.check(new[-1])
     return (fields if keep else _NoPath(shape)), norms, sweeps
 
 
@@ -581,12 +611,13 @@ def _state_rules(stepper, reaction, cursor, u):
     zs, offsets, s_values = (np.empty(u.shape[0]) for _ in range(3))
     zs[0], offsets[0], s_values[0] = cursor.z, cursor.w, cursor.v
 
-    def rhs(k, y):
-        return reaction.value(y, zs[k]) + u[k]
+    def rhs(k, y, out):
+        reaction.value(y, zs[k], out=out)
+        _add_source(u, k, out)
 
     def advance(k, y):
         yf = y.ravel()
-        if not yf @ yf <= _GUARD_SQ:
+        if not yf.dot(yf) <= _GUARD_SQ:
             _guard(y, k, k * dt)
         s_values[k] = stepper.S(yf)
         cursor.w = offsets[k - 1]

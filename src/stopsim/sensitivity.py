@@ -37,6 +37,7 @@ from .evolution import (
     ReactionFunction,
     Source,
     Trajectory,
+    _add_source,
     _as_path,
     _integrate,
     solve_state,
@@ -111,12 +112,13 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver,
     stepper = _Stepper(disc, solver.dt, sfun)
     branches = branch_census(problem.hyst_cfg, base.stop_offsets, base.s_values).steps.tolist()
 
-    def rhs(k, zk):
-        return reaction.directional(base.states[k], base.stop.values[k], zk, wz[k]) + h[k]
+    def rhs(k, zk, out):
+        reaction.directional(base.states[k], base.stop.values[k], zk, wz[k], out=out)
+        _add_source(h, k, out)
 
     def advance(k, zk):
         zf = zk.ravel()
-        if not math.isfinite(zf @ zf) and not np.all(np.isfinite(zk)):
+        if not math.isfinite(zf.dot(zf)) and not np.all(np.isfinite(zk)):
             raise BlowupError(
                 f"sensitivity became non-finite at step {k} (t={base.times[k]:.6g})"
             )
@@ -137,7 +139,7 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver,
     )
 
 
-def _adjoint_sweep(base: Trajectory, seed, reaction, disc, sfun, solver):
+def _adjoint_sweep(base: Trajectory, seed, reaction, stepper, solver):
     """Backward sweep of the direct linearized recursion along ``base``.
 
     Returns the source-shaped g with sum_k <g_k, h_k> = sum_k <seed_k, zeta_k>
@@ -148,7 +150,8 @@ def _adjoint_sweep(base: Trajectory, seed, reaction, disc, sfun, solver):
     the base path; and where the reaction's directional derivative is not
     linear in the direction.  The scalar adjoint of omega passes through
     interior steps and resets at a bound, as omega itself does forward.  Each
-    step solves with the stepper's transposed implicit step.
+    step solves with ``stepper``'s transposed step (for the base's grid and
+    ``solver.dt``) from its buffer, which holds the adjoint of zeta.
     """
     census = branch_census(base.hyst_cfg, base.stop_offsets, base.s_values)
     states = base.states
@@ -157,8 +160,7 @@ def _adjoint_sweep(base: Trajectory, seed, reaction, disc, sfun, solver):
         return None
     n_steps = solver.n_steps
     dt = solver.dt
-    _check_field(disc, states[0], "base state")
-    stepper = _Stepper(disc, dt, sfun)
+    _check_field(stepper.disc, states[0], "base state")
     z = base.stop.values[:, None, None]
     # the explicit step's partials, 1 + dt f_y and dt f_z, over the whole path
     gy = np.broadcast_to(1.0 + dt * reaction.directional(states, z, 1.0, 0.0), states.shape)
@@ -169,23 +171,26 @@ def _adjoint_sweep(base: Trajectory, seed, reaction, disc, sfun, solver):
     grad = np.zeros_like(states)
     x_bar = np.zeros_like(states[0])  # Dirichlet nodes stay zero
     x_flat = x_bar.ravel()
-    lam = np.array(seed[n_steps], dtype=float)  # adjoint of zeta_{k+1}
-    mu = 0.0                                     # adjoint of omega_{k+1}
+    scaled = np.empty_like(x_bar)  # s_field times a scalar
+    lam = stepper.buf  # adjoint of zeta_{k+1}
+    np.copyto(lam, seed[n_steps])
+    mu = 0.0           # adjoint of omega_{k+1}
     for k in range(n_steps - 1, -1, -1):
         if not interior[k]:  # omega_{k+1} = -S zeta_{k+1}
-            lam -= mu * s_field
+            lam -= np.multiply(s_field, mu, out=scaled)
             mu = 0.0
-        stepper.adjoint(lam, x_bar)
-        if not math.isfinite(x_flat @ x_flat) and not np.all(np.isfinite(x_bar)):
+        stepper.adjoint(x_bar)
+        if not math.isfinite(x_flat.dot(x_flat)) and not np.all(np.isfinite(x_bar)):
             raise BlowupError(
                 f"adjoint became non-finite at step {k} (t={base.times[k]:.6g})"
             )
         np.multiply(x_bar, dt, out=grad[k])
-        wz_bar = float(gz[k].ravel() @ x_flat)  # wz_k = omega_k + S zeta_k
+        wz_bar = float(gz[k].ravel().dot(x_flat))  # wz_k = omega_k + S zeta_k
         mu += wz_bar
-        np.multiply(gy[k], x_bar, out=lam)
-        lam += wz_bar * s_field
-        lam += seed[k]
+        if k:  # lam_0 is unused; the buffer keeps the last solve's for check
+            np.multiply(gy[k], x_bar, out=lam)
+            lam += np.multiply(s_field, wz_bar, out=scaled)
+            lam += seed[k]
     stepper.check(x_bar)
     return grad
 

@@ -27,11 +27,11 @@ with their surface weights.  The assembly stores the operator per axis
 weights on the box), with no sparse matrix.  L on a box is d K in 1D and
 the Kronecker sum d (Kx (x) Ry + Rx (x) Ky) in 2D.
 
-Every time stepper steps through one ``_Stepper`` per solve.  It forms each
-right-hand side in one reused buffer, reads it through per-component box
-views (basic slicing of the grid-shaped field) and writes each solve into
-the box view of the destination.  D + dt L on a box is diagonal in the
-product of its per-axis generalized eigenbases (fast diagonalization), and
+Every time stepper steps through one ``_Stepper`` per solve.  A solve's
+rule writes each right-hand side into its one buffer, which the step reads
+through per-component box views (basic slicing of the grid-shaped field);
+each solve writes into the box view of the destination.  D + dt L on a box
+is diagonal in the product of its per-axis generalized eigenbases (fast diagonalization), and
 each axis's basis is the sampled sines or cosines of the uniform grid,
 cached per axis.  So with NumPy alone a 1D solve is two dots
 (``_ProductSolve``), for every 1D box of at most ``AXIS_EIG_LIMIT`` nodes.
@@ -495,14 +495,14 @@ class _ProductSolve:
 
     def step(self, v, b):
         if self.fwd is not None:
-            np.dot(self.back, np.dot(self.fwd, v), out=b)
+            self.back.dot(self.fwd.dot(v), out=b)
         else:
             (vx, px), (vy, py) = self.x, self.y
             self._solve(v, b, px, py, vx, vy)
 
     def adjoint(self, v, b):
         if self.fwd is not None:
-            np.dot(self.fwd.T, np.dot(self.back.T, v), out=b)
+            self.fwd.T.dot(self.back.T.dot(v), out=b)
         else:
             (vx, px), (vy, py) = self.x, self.y
             self._solve(v, b, vx, vy, px, py)
@@ -547,14 +547,15 @@ def _component_solver(disc: SpatialDiscretization, j: int, dt: float):
 class _Stepper:
     """The implicit step of one solve, factored once for ``(disc, dt)``.
 
-    ``step(y, f, out)`` solves (D + dt L) y+ = D (y + dt f) per component and
-    ``adjoint(x, out)``, its transpose, gives D (D + dt L)^{-1} x (D + dt L
-    is symmetric, so the same factors serve).  Both take (m, n_nodes) fields
-    and write only the active nodes of ``out``, so its Dirichlet nodes keep
-    what the caller put there (zero); ``out`` must be C-contiguous, as a row
-    of a path array is.  Each call keeps its right-hand side in one buffer
-    for ``check``; each solver writes into the box view of ``out``.
-    ``S(y)`` is one dot with ``sfun``'s weight times quadrature.
+    A solve's rule writes f into ``buf``, the (m, n_nodes) right-hand side;
+    ``step(y, out)`` scales it by dt, adds y and solves (D + dt L) y+ =
+    D (y + dt f) per component.  ``adjoint(out)``, the transpose, gives
+    D (D + dt L)^{-1} x for the x in ``buf`` (D + dt L is symmetric, so the
+    same factors serve).  Both write only the active nodes of ``out``, so its
+    Dirichlet nodes keep what the caller put there (zero); ``out`` must be
+    C-contiguous, as a row of a path array is.  ``buf`` keeps the last
+    right-hand side for ``check``.  ``S(y)`` is one dot with ``sfun``'s
+    weight times quadrature.
     """
 
     def __init__(self, disc: SpatialDiscretization, dt: float, sfun):
@@ -563,9 +564,9 @@ class _Stepper:
         self._grid = (disc.n_components,) + disc.domain.resolution
         self._boxes = [(j, *comp.box) for j, comp in enumerate(disc.components)]
         self.solvers = [_component_solver(disc, j, dt) for j in range(disc.n_components)]
-        self._flat = disc.zero_field()
-        buf = self._flat.reshape(self._grid)
-        self._views = [buf[at] for at in self._boxes]
+        self.buf = disc.zero_field()
+        grid = self.buf.reshape(self._grid)
+        self._views = [grid[at] for at in self._boxes]
         self._weights = [comp.rel_weights.reshape(v.shape)
                          for comp, v in zip(disc.components, self._views)]
         # max(D + 2 dt diag L) bounds |D + dt L| in the max norm (see check)
@@ -575,19 +576,18 @@ class _Stepper:
         self._s = self.s_field.ravel()
 
     def S(self, y):
-        return self._s @ y.ravel()
+        return self._s.dot(y.ravel())
 
-    def step(self, y, f, out):
-        np.multiply(f, self.dt, out=self._flat)
-        self._flat += y
+    def step(self, y, out):
+        self.buf *= self.dt
+        self.buf += y
         self._adjoint = False
         grid = out.reshape(self._grid)
         for at, solver, v in zip(self._boxes, self.solvers, self._views):
             solver.step(v, grid[at])
         return out
 
-    def adjoint(self, x, out):
-        np.copyto(self._flat, x)
+    def adjoint(self, out):
         self._adjoint = True
         grid = out.reshape(self._grid)
         for at, solver, v in zip(self._boxes, self.solvers, self._views):
@@ -603,8 +603,10 @@ class _Stepper:
         however stiff A is.  L has no positive off-diagonal entry and no
         negative row sum, so max(D + 2 dt diag L) bounds |A|.  After
         ``adjoint``, s is ``out`` divided by the weights (powers of two, so
-        exactly).  A s comes from the per-axis operator data.  Raises a
-        numerical-failure error above the module tolerance.
+        exactly).  A s comes from the per-axis operator data.  The
+        denominator is at least 2**-1022, so an absolute rounding of a
+        subnormal, 2**-1074, counts as 2**-52.  Raises a numerical-failure
+        error above the module tolerance.
         """
         what = "adjoint step" if self._adjoint else "implicit step"
         grid = out.reshape(self._grid)
@@ -615,7 +617,7 @@ class _Stepper:
             s, b = (s / w, b) if self._adjoint else (s, w * b)
             r = w * s + self.dt * comp.apply(s) - b
             denom = a_norm * np.max(np.abs(s)) + np.max(np.abs(b))
-            residual = float(np.max(np.abs(r)) / (denom if denom > 0 else 1.0))
+            residual = float(np.max(np.abs(r)) / max(denom, np.finfo(float).tiny))
             if not np.isfinite(residual) or residual > SOLVER_RESIDUAL_TOL:
                 raise NumericalFailureError(
                     f"{what} solve failed for component {j}", residual=residual

@@ -37,9 +37,22 @@ def semigroup_step(disc, y, dt):
     the solves' implicit step with a zero right-hand side, backward-error
     checked.  Dirichlet nodes of the result are zero."""
     stepper = _Stepper(disc, dt, constant_sfun(disc))
-    out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
+    out = step_with(stepper, y, np.zeros_like(y), np.zeros_like(y))
     stepper.check(out)
     return out
+
+
+def step_with(stepper, y, f, out):
+    """``stepper``'s implicit step from y with right-hand side f, into ``out``,
+    as a solve's rule and step take it: f written into the stepper's buffer."""
+    np.copyto(stepper.buf, f)
+    return stepper.step(y, out)
+
+
+def adjoint_of(stepper, x, out):
+    """``stepper``'s transposed step of x, into ``out``."""
+    np.copyto(stepper.buf, x)
+    return stepper.adjoint(out)
 
 
 def active_mask(disc, j=0):

@@ -235,3 +235,106 @@ def normal_equation_coefficients(problem, spec, solve, gram):
     """Minimizer of the quadratic model: (M + kappa N) c = b."""
     M, b, _ = response_model(problem, spec, solve)
     return np.linalg.solve(M + problem.kappa * gram, b)
+
+
+# --- the step rules as allocating expressions -------------------------------
+# Each rule below returns a fresh array, as the solves' rules once did.  The
+# marches take the package's step object duck-typed: a right-hand-side
+# buffer ``buf`` that ``step(y, out)`` and ``adjoint(out)`` solve from.
+
+
+def clip_directional_reference(x, cap, d):
+    """One-sided derivative of clip(x, -cap, cap) along d, by masks."""
+    inner = np.where(np.abs(x) < cap, d, 0.0)
+    inner = np.where(x == cap, np.minimum(d, 0.0), inner)
+    return np.where(x == -cap, np.maximum(d, 0.0), inner)
+
+
+def reaction_value_reference(kind, p, y, z):
+    """f(y, z) of a catalog reaction as one expression."""
+    if kind == "linear":
+        return p[0] + p[1] * y + p[2] * z
+    if kind == "saturating":
+        return p[0] * np.tanh(p[1] * y) + p[2] * np.tanh(p[3] * z)
+    return np.clip(p[0] * y * (1.0 - y / p[1]), -p[2], p[2]) + p[3] * z
+
+
+def reaction_directional_reference(kind, p, y, z, dy, dz):
+    """f'[(y, z); (dy, dz)] of a catalog reaction as one expression."""
+    if kind == "linear":
+        return p[1] * dy + p[2] * dz
+    if kind == "saturating":
+        ty, tz = np.tanh(p[1] * y), np.tanh(p[3] * z)
+        return p[0] * p[1] * (1.0 - ty * ty) * dy + p[2] * p[3] * (1.0 - tz * tz) * dz
+    inner = p[0] * y * (1.0 - y / p[1])
+    d_inner = p[0] * (1.0 - 2.0 * y / p[1]) * dy
+    return clip_directional_reference(inner, p[2], d_inner) + p[3] * dz
+
+
+def reference_march(stepper, n_steps, rhs, advance, quadrature, slicing=None):
+    """The IMEX recursion over the whole path with an allocating ``rhs(k, y)``,
+    whose result is copied into the stepper's buffer before each step.
+
+    ``advance(k, y)`` records step k.  ``slicing`` is None for the direct
+    march, else (slice_steps, tol, max_iters) of Picard sweeps: each freezes
+    the right-hand side at the previous iterate (first the constant slice
+    start), and the slice ends once the largest quadrature norm of a step's
+    update is at most tol.  Returns the path and the per-slice sweep counts.
+    """
+    path = np.zeros((n_steps + 1, *stepper.buf.shape))
+
+    def step(k, y, at, out):
+        stepper.buf[...] = rhs(k, at)
+        stepper.step(y, out)
+
+    if slicing is None:
+        for k in range(n_steps):
+            step(k, path[k], path[k], path[k + 1])
+            advance(k + 1, path[k + 1])
+        return path, []
+    span, tol, max_iters = slicing
+    sweeps = []
+    for start in range(0, n_steps, span):
+        window = path[start:min(start + span, n_steps) + 1]
+        prev = np.repeat(window[:1], len(window), axis=0)
+        for i in range(1, len(window)):
+            advance(start + i, prev[i])
+        for sweep in range(1, max_iters + 1):
+            for i in range(len(window) - 1):
+                step(start + i, window[i], prev[i], window[i + 1])
+            for i in range(1, len(window)):
+                advance(start + i, window[i])
+            d = window - prev
+            if np.sqrt(np.einsum("kji,kji,i->k", d, d, quadrature)).max() <= tol:
+                break
+            prev = window.copy()
+        else:
+            raise RuntimeError(f"slice at step {start} did not contract")
+        sweeps.append(sweep)
+    return path, sweeps
+
+
+def reference_adjoint(stepper, seed, gy, gz, interior, s_field, dt):
+    """The backward sweep with an allocated adjoint, copied into the stepper's
+    buffer at every step.  ``gy`` and ``gz`` are the explicit step's partials
+    1 + dt f_y and dt f_z per step, ``interior[k]`` whether step k + 1 leaves
+    the stop's offset inside its band.  Raises FloatingPointError naming the
+    first step whose solve is not finite."""
+    n_steps = seed.shape[0] - 1
+    grad = np.zeros_like(seed)
+    x_bar = np.zeros_like(seed[0])
+    lam = np.array(seed[n_steps])
+    mu = 0.0
+    for k in range(n_steps - 1, -1, -1):
+        if not interior[k]:
+            lam = lam - mu * s_field
+            mu = 0.0
+        stepper.buf[...] = lam
+        stepper.adjoint(x_bar)
+        if not np.all(np.isfinite(x_bar)):
+            raise FloatingPointError(k)
+        grad[k] = x_bar * dt
+        wz_bar = float(gz[k].ravel() @ x_bar.ravel())
+        mu += wz_bar
+        lam = gy[k] * x_bar + wz_bar * s_field + seed[k]
+    return grad

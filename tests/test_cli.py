@@ -223,6 +223,16 @@ class TestSimulate:
         # a state path by 1.3 MB
         assert peaks[1] - peaks[0] < path_bytes[0] / 20
 
+    def test_a_snapshot_holds_the_state_path_once(self, tmp_path):
+        # the header and then the path's own buffer go to the file in turn:
+        # the run peaks at 1.10 times the path (41x41, 200 steps), where
+        # joining them into one bytes object peaked at 3.04 times
+        path = write_config(tmp_path, self.grid_config(2.0, {}))
+        rc, peak = traced_peak(lambda: main(["simulate", "--config", path, "--out",
+                                             str(tmp_path), "--quiet", "--snapshot"]))
+        assert rc == 0
+        assert peak < 1.3 * 201 * 41 * 41 * 8
+
     @pytest.mark.parametrize("scheme", [{}, PICARD_SLICES])
     def test_trajectory_is_the_same_with_and_without_snapshot(self, tmp_path, scheme):
         path = write_config(tmp_path, self.grid_config(0.3, scheme))
@@ -486,8 +496,8 @@ class TestValidationFailures:
                                        solver):
         step = spatial._Stepper.step
 
-        def perturbed(self, y, f, out):
-            step(self, y, f, out)
+        def perturbed(self, y, out):
+            step(self, y, out)
             out *= 1.0 + 1e-6
             return out
 
@@ -503,8 +513,8 @@ class TestValidationFailures:
                                                monkeypatch):
         adjoint = spatial._Stepper.adjoint
 
-        def perturbed(self, x, out):
-            adjoint(self, x, out)
+        def perturbed(self, out):
+            adjoint(self, out)
             out *= 1.0 + 1e-6
             return out
 

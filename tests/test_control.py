@@ -31,7 +31,7 @@ from stopsim import (
     solve_state,
 )
 from stopsim.control import _gradient, _solve, _tracking_term
-from stopsim.spatial import _path_norms
+from stopsim.spatial import _path_norms, _Stepper
 
 from conftest import constant_sfun
 from oracles import normal_equation_coefficients, response_model, s_operator_norm
@@ -506,7 +506,8 @@ class TestAdjointGradient:
         gram = control_gram(problem.disc, spec, problem.solver.times())
         base = control_module._solve(problem, spec)
         calls = count_calls(monkeypatch, "solve_sensitivity")
-        grad, linear = _gradient(problem, spec, base, gram)
+        stepper = _Stepper(problem.disc, problem.solver.dt, problem.sfun)
+        grad, linear = _gradient(problem, spec, base, gram, stepper)
         assert linear and calls == []
         expected = forward_gradient(problem, spec)
         assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -643,6 +644,17 @@ class TestGradientPath:
             trials += 1 + round(np.log2(start / t))
             start = 2.0 * t
         assert len(states) == 1 + trials
+
+    def test_picard_linear_quadratic_stalls_at_its_gradient_floor(self):
+        # each Picard solve stops somewhere within picard_tol (default 1e-10),
+        # and below a gradient of about 2e-8 the Armijo test finds no
+        # decrease: the run stalls after 19 iterations at 2.08e-8
+        problem, spec, opts = bundled_problem(
+            "linear_quadratic", solver={"dt": 0.02, "t_final": 1.0,
+                                        "scheme": "picard-sliced", "slice_length": 0.2})
+        result = optimize(problem, spec, **opts)
+        assert result.status == "stalled"
+        assert 1e-8 <= result.history[-1][2] <= 1e-7
 
     @pytest.mark.parametrize("name, blocks", [
         ("linear_quadratic", {"solver": {"dt": 0.02, "t_final": 1.0,

@@ -21,11 +21,16 @@ from stopsim import (
     solve_state,
 )
 
-from stopsim.evolution import BLOWUP_GUARD, _clip_directional, _state_rules
+from stopsim.evolution import BLOWUP_GUARD, _state_rules
 from stopsim.spatial import _path_norms, _Stepper
 
 from conftest import STREAMED_SCENARIOS, box_41, constant_sfun, traced_peak
-from oracles import generator_dense_1d, imex_reference_1d, quad_weights_1d
+from oracles import (
+    clip_directional_reference,
+    generator_dense_1d,
+    imex_reference_1d,
+    quad_weights_1d,
+)
 
 
 def zero_source(disc, solver):
@@ -148,7 +153,7 @@ def zero_d_directional(f, y, z, dy, dz):
                 + p[2] * p[3] * (1.0 - tz * tz) * np.asarray(dz))
     inner = p[0] * y * (1.0 - y / p[1])
     d_inner = p[0] * (1.0 - 2.0 * y / p[1]) * dy
-    return _clip_directional(inner, p[2], d_inner) + p[3] * np.asarray(dz)
+    return clip_directional_reference(inner, p[2], d_inner) + p[3] * np.asarray(dz)
 
 
 class TestReactionZPart:

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stopsim import (
@@ -27,10 +29,19 @@ from stopsim import (
     stop_directional_derivative,
 )
 
-from stopsim.spatial import _path_norms
+from stopsim.evolution import _add_source, _state_rules
+from stopsim.hysteresis import INTERIOR, StopCursor
+from stopsim.sensitivity import _adjoint_sweep
+from stopsim.spatial import _path_norms, _Stepper
 
 from conftest import STREAMED_SCENARIOS, active_mask, box_41, constant_sfun, traced_peak
-from oracles import stop_derivative_step
+from oracles import (
+    reaction_directional_reference,
+    reaction_value_reference,
+    reference_adjoint,
+    reference_march,
+    stop_derivative_step,
+)
 
 
 def sine_source(disc, solver, amplitude=2.0, omega=4.0):
@@ -361,6 +372,169 @@ def two_component_2d_disc():
         [0.8, 2.5])
 
 
+def _table_reaction():
+    yg, zg = np.linspace(-10.0, 10.0, 21), np.linspace(-1.0, 1.0, 5)
+    return ReactionFunction.from_table(yg, zg, np.tanh(yg)[:, None] * (1.0 - zg[None, :] ** 2))
+
+
+RULE_REACTIONS = {
+    "linear": ReactionFunction.linear(0.3, -0.5, 0.8),
+    # f is -0.0 wherever y and z are +0.0
+    "negative-zero": ReactionFunction.linear(-0.0, -1.0, -0.5),
+    "saturating": ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9),
+    # 4 y (1 - y / 2) is the cap 2.0 exactly at y = 1
+    "logistic-capped": ReactionFunction.logistic_capped(4.0, 2.0, 2.0, 0.6),
+    "user-table": _table_reaction(),
+}
+
+
+def allocating_rules(reaction):
+    """``value(y, z)`` and ``directional(y, z, dy, dz)`` as one allocating
+    expression each; a table's are its own calls without ``out``."""
+    if reaction.kind == "user-table":
+        return reaction.value, reaction.directional
+    kind, p = reaction.kind, reaction.params
+    return (lambda y, z: reaction_value_reference(kind, p, y, z),
+            lambda y, z, dy, dz: reaction_directional_reference(kind, p, y, z, dy, dz))
+
+
+def rule_source(disc, solver, kind, scale):
+    """A source on both components (dense or factored), or on component 1
+    only; its amplitude is a signed zero at t = 0."""
+    x = disc.coords[:, 0]
+    profile = np.zeros((2, disc.n_nodes))
+    profile[1] = np.cos(np.pi * x)
+    if kind != "component":
+        profile[0] = np.sin(np.pi * x)
+    source = Source(scale * np.sin(4.0 * solver.times()), profile,
+                    1 if kind == "component" else None)
+    return np.asarray(source) if kind == "dense" else source
+
+
+class TestInPlaceRules:
+    """Each rule writes into the stepper's buffer exactly what the allocating
+    expression gives, and the solves match a march of those expressions."""
+
+    @pytest.mark.parametrize("name", RULE_REACTIONS)
+    def test_reactions_write_the_allocating_values(self, name):
+        f = RULE_REACTIONS[name]
+        value, directional = allocating_rules(f)
+        y = np.array([[0.0, -0.0, 1.0, 1.0, 1.0, 0.5, -2.0, 3.0],
+                      [1.0, -1.0, 0.25, 2.0, -0.0, 1.0, 7.0, -7.5]])
+        dy = np.array([[1.0, -1.0, 0.5, -0.5, -0.0, 0.0, 2.0, -3.0],
+                       [-0.0, 0.0, 1.0, -1.0, 0.3, -0.2, 0.0, 1.0]])
+        out = np.full_like(y, np.nan)
+        for z in map(np.float64, (0.0, -0.0, 0.04, -0.9)):
+            assert f.value(y, z, out=out) is out
+            assert out.tobytes() == np.broadcast_to(value(y, z), y.shape).tobytes()
+            for d_y, dz in ((dy, -0.0), (dy, 1.5), (-dy, 0.0), (0.0 * dy, -2.0)):
+                assert f.directional(y, z, d_y, np.float64(dz), out=out) is out
+                expected = directional(y, z, d_y, np.float64(dz))
+                assert out.tobytes() == np.broadcast_to(expected, y.shape).tobytes()
+
+    @pytest.mark.parametrize("component", [None, 0, 1])
+    def test_sources_add_their_dense_rows(self, component):
+        disc = two_component_1d_disc()
+        profile = np.zeros((2, disc.n_nodes))
+        for j in ((0, 1) if component is None else (component,)):
+            profile[j] = np.sin((j + 1) * np.pi * disc.coords[:, 0])
+        source = Source(np.array([1.5, -0.0, 0.0, -2.0]), profile, component)
+        dense = np.asarray(source)
+        for k in range(4):
+            for fill in (-0.0, 0.0, 0.25):
+                out = np.full((2, disc.n_nodes), fill)
+                expected = out + dense[k]
+                _add_source(source, k, out)
+                assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["imex-euler", "picard-sliced"])
+    @pytest.mark.parametrize("source", ["dense", "factored", "component"])
+    @pytest.mark.parametrize("name", RULE_REACTIONS)
+    @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
+    def test_solves_match_the_allocating_march(self, two_d, name, source, scheme):
+        disc = two_component_2d_disc() if two_d else two_component_1d_disc()
+        reaction = RULE_REACTIONS[name]
+        value, directional = allocating_rules(reaction)
+        hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
+        sfun = constant_sfun(disc, 0.6)
+        solver = SolverConfig(dt=0.05, t_final=0.5, scheme=scheme,
+                              **({} if scheme == "imex-euler"
+                                 else {"slice_length": 0.15, "picard_tol": 1e-12}))
+        slicing = (None if scheme == "imex-euler"
+                   else (solver.slice_steps, solver.picard_tol, solver.picard_max_iters))
+        n, dt, q = solver.n_steps, solver.dt, disc.quadrature
+        u, h = (rule_source(disc, solver, source, scale) for scale in (3.0, -0.3))
+        stepper = _Stepper(disc, dt, sfun)
+
+        # the state: the package's advance, an allocating right-hand side
+        base = solve_state(disc, sfun, reaction, hyst, u, solver)
+        _, advance, channel = _state_rules(stepper, reaction, StopCursor(hyst, 0.0), u)
+        zs, dense_u = channel[0], np.asarray(u)
+        path, sweeps = reference_march(stepper, n, lambda k, y: value(y, zs[k]) + dense_u[k],
+                                       advance, q, slicing)
+        assert base.states.tobytes() == path.tobytes()
+        for ours, theirs in zip((base.stop.values, base.stop_offsets, base.s_values), channel):
+            assert ours.tobytes() == theirs.tobytes()
+        assert base.picard_iterations == sweeps
+
+        # the forward sensitivity, with the scalar stop-derivative rule
+        record = solve_sensitivity(LinearizedProblem(base=base, direction=h, reaction=reaction,
+                                                     hyst_cfg=hyst), disc, sfun, solver)
+        wz, dv, omega = np.zeros((3, n + 1))
+
+        def advance_zeta(k, zk):
+            dv[k] = stepper.S(zk)
+            omega[k] = stop_derivative_step(hyst.a, hyst.b, base.stop_offsets[k - 1],
+                                            base.s_values[k], omega[k - 1], dv[k])
+            wz[k] = omega[k] + dv[k]
+
+        dense_h = np.asarray(h)
+        zeta, zeta_sweeps = reference_march(
+            stepper, n,
+            lambda k, zk: directional(base.states[k], base.stop.values[k], zk, wz[k]) + dense_h[k],
+            advance_zeta, q, slicing)
+        assert record.states.tobytes() == zeta.tobytes()
+        assert record.stop_derivative.tobytes() == wz.tobytes()
+        assert record.s_values.tobytes() == dv.tobytes()
+        assert record.picard_iterations == zeta_sweeps
+
+        # the adjoint gradient, where the recursion is linear in the direction
+        seed = dt * (base.states - 0.1) * q
+        grad = _adjoint_sweep(base, seed, reaction, _Stepper(disc, dt, sfun), solver)
+        census = branch_census(hyst, base.stop_offsets, base.s_values)
+        linear = (scheme == "imex-euler" and not census.tie
+                  and reaction.directional_is_linear(base.states))
+        assert (grad is not None) == linear
+        if linear:
+            z = base.stop.values[:, None, None]
+            gy = np.broadcast_to(1.0 + dt * directional(base.states, z, 1.0, 0.0), seed.shape)
+            gz = np.broadcast_to(dt * directional(base.states, z, 0.0, 1.0), seed.shape)
+            expected = reference_adjoint(stepper, seed, gy, gz, census.steps == INTERIOR,
+                                         stepper.s_field, dt)
+            assert grad.tobytes() == expected.tobytes()
+
+    def test_a_non_finite_adjoint_names_the_reference_step(self):
+        disc = two_component_1d_disc()
+        reaction = ReactionFunction.linear(0.0, 1e200, 0.0)
+        hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
+        sfun = constant_sfun(disc, 0.6)
+        solver = SolverConfig(dt=0.05, t_final=0.5)
+        base = solve_state(disc, sfun, reaction, hyst,
+                           np.zeros((11, 2, disc.n_nodes)), solver)
+        seed = np.full(base.states.shape, solver.dt)
+        stepper = _Stepper(disc, solver.dt, sfun)
+        census = branch_census(hyst, base.stop_offsets, base.s_values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError) as reference:
+                reference_adjoint(stepper, seed, np.full(seed.shape, 1.0 + 0.05 * 1e200),
+                                  np.zeros(seed.shape), census.steps == INTERIOR,
+                                  stepper.s_field, solver.dt)
+            k = reference.value.args[0]
+            message = f"adjoint became non-finite at step {k} (t={base.times[k]:.6g})"
+            with pytest.raises(BlowupError, match=re.escape(message)):
+                _adjoint_sweep(base, seed, reaction, stepper, solver)
+
+
 class TestInPlaceSteps:
     """The steps write each path row's active nodes in place."""
 
@@ -520,6 +694,8 @@ def stop_rule_cases(draw):
 class TestStopDerivativeRule:
     @settings(max_examples=40, deadline=None)
     @given(stop_rule_cases())
+    # a subnormal state, whose solves' residual once read 1.7e-10
+    @example(((0.0, 0.1), 0.0, False, False, 2.2250738585e-313, np.zeros(11)))
     def test_both_schemes_follow_the_scalar_rule_bitwise(self, case):
         (a, b), c, saturating, plateau, source, rates = case
         disc = two_component_1d_disc()

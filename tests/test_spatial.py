@@ -29,7 +29,7 @@ from stopsim.spatial import (
     _component_eigenvalues,
 )
 
-from conftest import active_mask, constant_sfun, semigroup_step
+from conftest import active_mask, adjoint_of, constant_sfun, semigroup_step, step_with
 from oracles import (
     dirichlet_eigenvalues_1d,
     generator_dense_1d,
@@ -316,8 +316,8 @@ def stepper_with(disc, dt, solver):
 
 
 def both_steps(stepper, y, f, x):
-    return (stepper.step(y, f, np.zeros_like(y)).copy(),
-            stepper.adjoint(x, np.zeros_like(x)).copy())
+    return (step_with(stepper, y, f, np.zeros_like(y)).copy(),
+            adjoint_of(stepper, x, np.zeros_like(x)).copy())
 
 
 class TestProductSolve:
@@ -340,8 +340,8 @@ class TestProductSolve:
         step_lu, adjoint_lu = both_steps(superlu_stepper(disc, dt), y, f, x)
         assert rel_diff(step, step_lu) <= 1e-12
         assert rel_diff(adjoint, adjoint_lu) <= 1e-12
-        ours.check(ours.step(y, f, np.zeros_like(y)))
-        ours.check(ours.adjoint(x, np.zeros_like(x)))
+        ours.check(step_with(ours, y, f, np.zeros_like(y)))
+        ours.check(adjoint_of(ours, x, np.zeros_like(x)))
 
     def test_step_and_adjoint_allocate_no_box_sized_array(self):
         disc = two_d_disc(("neumann", "dirichlet", "neumann", "neumann"),
@@ -350,13 +350,13 @@ class TestProductSolve:
         rng = np.random.default_rng(36)
         y, f, x = (rng.standard_normal((2, disc.n_nodes)) for _ in range(3))
         out = np.zeros_like(y)
-        stepper.step(y, f, out)  # warm-up
-        stepper.adjoint(x, out)
+        step_with(stepper, y, f, out)  # warm-up
+        adjoint_of(stepper, x, out)
         box_bytes = 8 * min(comp.rel_weights.size for comp in disc.components)
         tracemalloc.start()
         try:
-            stepper.step(y, f, out)
-            stepper.adjoint(x, out)
+            step_with(stepper, y, f, out)
+            adjoint_of(stepper, x, out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -471,7 +471,7 @@ class TestOneDimensionalSolve:
         assert rel_diff(step, step_lu) <= 1e-12
         assert rel_diff(adjoint, adjoint_lu) <= 1e-12
         assert rel_diff(semigroup_step(disc, y, dt),
-                        ref.step(y, np.zeros_like(y), np.zeros_like(y))) <= 1e-12
+                        step_with(ref, y, np.zeros_like(y), np.zeros_like(y))) <= 1e-12
 
     @pytest.mark.parametrize("n", [41, 501, 2001, 20001])
     @pytest.mark.parametrize("dt,d", [(0.01, 0.5), (1.0, 10.0)])
@@ -483,7 +483,7 @@ class TestOneDimensionalSolve:
         y, f = (rng.standard_normal((1, n)) for _ in range(2))
         y[0, ~active_mask(disc)] = 0.0
         stepper = new_stepper(disc, dt)
-        ours = stepper.step(y, f, np.zeros_like(y))
+        ours = step_with(stepper, y, f, np.zeros_like(y))
         stepper.check(ours)
         if n > 2001:  # too long for a dense reference; the check stands alone
             return
@@ -512,8 +512,8 @@ class TestAxisEigenbasis:
         y[0, ~active_mask(disc)] = 0.0
         ours = stepper_with(disc, dt, _ProductSolve)
         step, adjoint = both_steps(ours, y, f, x)
-        ours.check(ours.adjoint(x, np.zeros_like(x)))
-        ours.check(ours.step(y, f, np.zeros_like(y)))
+        ours.check(adjoint_of(ours, x, np.zeros_like(x)))
+        ours.check(step_with(ours, y, f, np.zeros_like(y)))
         step_lu, adjoint_lu = both_steps(superlu_stepper(disc, dt), y, f, x)
         assert rel_diff(step, step_lu) <= 1e-12
         assert rel_diff(adjoint, adjoint_lu) <= 1e-12
@@ -606,8 +606,8 @@ class TestStepper:
         rng = np.random.default_rng(51)
         x, y = (rng.uniform(0.5, 1.5, (disc.n_components, disc.n_nodes))
                 for _ in range(2))
-        lhs = np.sum(x * stepper.step(y, np.zeros_like(y), np.zeros_like(y)))
-        rhs = np.sum(stepper.adjoint(x, np.zeros_like(x)) * y)
+        lhs = np.sum(x * step_with(stepper, y, np.zeros_like(y), np.zeros_like(y)))
+        rhs = np.sum(adjoint_of(stepper, x, np.zeros_like(x)) * y)
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
     @pytest.mark.parametrize("disc_name", ["disc_mixed", "disc_2d", "two_components"])
@@ -653,7 +653,7 @@ class TestStepResidualCheck:
         comp = disc.components[0]
         y = np.cos(np.pi * disc.coords[:, 0])[None, :]
         stepper = new_stepper(disc, dt)
-        out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
+        out = step_with(stepper, y, np.zeros_like(y), np.zeros_like(y))
         b = comp.rel_weights * y[0]
         a_out = comp.rel_weights * out[0] + dt * comp.apply(out[0])  # (D + dt L) out
         plain = np.linalg.norm(a_out - b) / np.linalg.norm(b)
@@ -664,7 +664,7 @@ class TestStepResidualCheck:
         rng = np.random.default_rng(33)
         y, f = (rng.standard_normal((1, disc_2d.n_nodes)) for _ in range(2))
         stepper = new_stepper(disc_2d, 0.05)
-        out = stepper.step(y, f, np.zeros_like(y))
+        out = step_with(stepper, y, f, np.zeros_like(y))
         stepper.check(out)
         with pytest.raises(NumericalFailureError,
                            match="implicit step solve failed for component 0"):
@@ -675,7 +675,7 @@ class TestStepResidualCheck:
         # would pass this perturbation
         y = np.sin(np.pi * disc_dirichlet.coords[:, 0])[None, :]
         stepper = new_stepper(disc_dirichlet, 1e-6)
-        out = stepper.step(y, np.zeros_like(y), np.zeros_like(y))
+        out = step_with(stepper, y, np.zeros_like(y), np.zeros_like(y))
         stepper.check(out)
         with pytest.raises(NumericalFailureError):
             stepper.check(out * (1 + 1e-8))
@@ -687,8 +687,8 @@ class TestStepResidualCheck:
         assert isinstance(stepper.solvers[0], _ProductSolve)
         rng = np.random.default_rng(35)
         y, f, x = (rng.standard_normal((1, disc.n_nodes)) for _ in range(3))
-        for what, solve in (("implicit step", lambda: stepper.step(y, f, np.zeros_like(y))),
-                            ("adjoint step", lambda: stepper.adjoint(x, np.zeros_like(x)))):
+        for what, solve in (("implicit step", lambda: step_with(stepper, y, f, np.zeros_like(y))),
+                            ("adjoint step", lambda: adjoint_of(stepper, x, np.zeros_like(x)))):
             out = solve()
             stepper.check(out)
             # a scaled solution is consistent with a scaled right-hand side
@@ -698,12 +698,26 @@ class TestStepResidualCheck:
                                match=f"{what} solve failed for component 0"):
                 stepper.check(out)
 
+    @pytest.mark.parametrize("dt", [0.5, 0.05])
+    def test_a_subnormal_solve_passes_and_a_doubled_one_is_refused(self, disc_mixed, dt):
+        # each rounding of a subnormal is an absolute 2**-1074, which without
+        # the measure's floor read as 1.7e-10 (dt 0.5) and 1.0e-9 (dt 0.05)
+        f = 2.2250738585e-313 * np.sin(np.pi * disc_mixed.coords[:, 0])[None, :]
+        stepper = new_stepper(disc_mixed, dt)
+        for what, solve in (("implicit step", lambda: step_with(stepper, 0 * f, f, 0 * f)),
+                            ("adjoint step", lambda: adjoint_of(stepper, f, 0 * f))):
+            out = solve()
+            stepper.check(out)
+            with pytest.raises(NumericalFailureError,
+                               match=f"{what} solve failed for component 0"):
+                stepper.check(2.0 * out)
+
     @pytest.mark.parametrize("disc_name", ["disc_mixed", "disc_2d"])
     def test_perturbed_adjoint_solution_is_refused(self, request, disc_name):
         disc = request.getfixturevalue(disc_name)
         x = np.random.default_rng(34).standard_normal((1, disc.n_nodes))
         stepper = new_stepper(disc, 0.05)
-        out = stepper.adjoint(x, np.zeros_like(x))
+        out = adjoint_of(stepper, x, np.zeros_like(x))
         stepper.check(out)
         with pytest.raises(NumericalFailureError,
                            match="adjoint step solve failed for component 0"):
