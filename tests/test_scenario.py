@@ -2,6 +2,8 @@ import copy
 import importlib.resources
 import json
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -631,9 +633,53 @@ TWO_COMPONENT_BOX = {
     "diagnostic": {"theta": 0.25, "t_count": 20},
 }
 
-FUZZ_BASES = [bundled(name) for name in
-              ("saturating", "linear_quadratic", "neumann_conservation", "zero")]
-FUZZ_BASES.append(TWO_COMPONENT_BOX)
+# the kinds and optional fields the bundled scenarios and the box leave out
+TABLE_PICARD = {
+    "domain": {"dimension": 1, "extent": [1.0], "resolution": [5]},
+    "boundaries": [{"left": "neumann", "right": "dirichlet"}],
+    "diffusion": [0.6],
+    "s_weight": {"kind": "values", "values": [[0.2, 0.4, 0.6, 0.4, 0.2]]},
+    "hysteresis": {"a": -0.2, "b": 0.3, "z0": 0.1},
+    "reaction": {"kind": "user-table", "y_grid": [-10.0, 0.0, 10.0], "z_grid": [-1.0, 1.0],
+                 "values": [[0.5, -0.5], [0.0, 0.2], [-0.5, 0.5]], "growth_constant": 2.0},
+    "solver": {"dt": 0.05, "t_final": 0.2, "scheme": "picard-sliced", "slice_length": 0.1,
+               "picard_tol": 1e-9, "picard_max_iters": 30},
+    "source": {"kind": "sine", "amplitude": 1.0, "omega": 3.0, "component": 0,
+               "profile": {"kind": "values", "values": [0.0, 0.5, 1.0, 0.5, 0.0]}},
+    "direction": {"kind": "constant", "value": 0.1, "profile": {"kind": "constant"}},
+    "lambdas": [0.1, 0.01],
+    "control": {"mode": "distributed", "time_knots": 2,
+                "spatial_modes": {"kind": "values", "values": [[[0.0, 1.0, 1.0, 1.0, 0.0]]]},
+                "coefficients": [0.1, -0.1], "kappa": 0.05, "target": {"kind": "zero"},
+                "optimizer": {"max_iters": 3, "tol": 1e-6, "initial_step": 0.5,
+                              "armijo_c1": 1e-3, "max_halvings": 8}},
+    "diagnostic": {"theta": 0.5, "gamma": 0.25, "component": 0, "t_min": 0.01,
+                   "t_max": 2.0, "t_count": 10},
+    "alpha": 0.25,
+    "p": 2.0,
+    "seed": 5,
+}
+LOGISTIC_CONSTANT = {
+    "domain": {"dimension": 1, "extent": [2.0], "resolution": [6]},
+    "boundaries": [{"left": "dirichlet", "right": "dirichlet"},
+                   {"left": "neumann", "right": "neumann"}],
+    "diffusion": [1.0, 0.3],
+    "s_weight": {"kind": "constant", "value": -0.3},
+    "hysteresis": {"a": 0.0, "b": 1.0, "z0": 1.0},
+    "reaction": {"kind": "logistic-capped", "rate": 0.5, "capacity": 2.0, "cap": 3.0,
+                 "hysteresis": 0.2},
+    "solver": {"dt": 0.1, "t_final": 0.3, "scheme": "imex-euler"},
+    "source": {"kind": "pulse", "value": 0.5, "start": 0.1, "stop": 0.2, "component": "all",
+               "profile": {"kind": "sine", "mode": [2]}},
+    "control": {"mode": "distributed", "time_knots": 1,
+                "spatial_modes": {"kind": "constant", "component": 1}, "kappa": 1.0,
+                "target": {"kind": "constant", "value": 0.5}},
+}
+
+FUZZ_NAMES = ("saturating", "linear_quadratic", "neumann_conservation", "zero")
+FUZZ_BASES = [bundled(name) for name in FUZZ_NAMES]
+FUZZ_BASES += [TWO_COMPONENT_BOX, TABLE_PICARD, LOGISTIC_CONSTANT]
+FUZZ_NAMES += ("box", "table-picard", "logistic-constant")
 
 # every number is small or so large that it is refused before anything is
 # allocated: integers from 0..64 or from 10**15 up, floats of magnitude
@@ -704,6 +750,94 @@ class TestFuzzedScenarios:
             pass
 
 
+# single faults: at every path of every base, the value deleted, an unknown
+# key (a copy of the last entry, in a list) added, or the value replaced by
+# each of these
+FAULT_MENU = (None, True, "x", -1, 0, 1, 2, 3, 0.5, -0.5, 1e15, 1e300, math.nan, math.inf,
+              [], {}, [1.0], [[1.0]], ["x"], {"kind": "constant"})
+SINGLE_FAULT_GOLDEN = os.path.join(os.path.dirname(__file__), "single_fault_verdicts.json")
+SINGLE_FAULT_STRIDE = 7  # tier-1 checks every 7th case
+
+
+def path_name(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def single_faults():
+    """(case name, build) for every single fault of every base, in a fixed
+    order; ``build()`` returns the faulty scenario."""
+    def build(base, path, fault, value=None):
+        cfg = copy.deepcopy(base)
+        if not path:
+            return copy.deepcopy(value)
+        parent, key = json_at(cfg, path[:-1]), path[-1]
+        if fault == "delete":
+            del parent[key]
+        elif fault == "add" and isinstance(parent[key], dict):
+            parent[key]["unknown"] = 1
+        elif fault == "add":
+            parent[key].append(copy.deepcopy(parent[key][-1]))
+        else:
+            parent[key] = copy.deepcopy(value)
+        return cfg
+
+    for name, base in zip(FUZZ_NAMES, FUZZ_BASES):
+        for path in json_paths(base):
+            node = json_at(base, path)
+            where = f"{name} {path_name(path) or '<root>'}"
+            if path:
+                yield f"{where} delete", lambda b=base, p=path: build(b, p, "delete")
+            if isinstance(node, (dict, list)) and path:
+                yield f"{where} add", lambda b=base, p=path: build(b, p, "add")
+            for value in FAULT_MENU:
+                yield (f"{where} = {json.dumps(value)}",
+                       lambda b=base, p=path, v=value: build(b, p, "replace", v))
+
+
+def load_verdict(cfg, sub):
+    """'ok', or the validation message, of ``sub`` loading ``cfg``."""
+    try:
+        if sub == "hysteresis-eval":
+            load_hysteresis_config(cfg)
+        else:
+            load_scenario(cfg, SUBCOMMAND_NEEDS[sub])
+    except ScenarioValidationError as exc:
+        return str(exc)
+    return "ok"
+
+
+def single_fault_verdicts(stride=1):
+    """Each strided case's verdict: one string when every subcommand gives
+    it, else a verdict per subcommand."""
+    out = {}
+    for i, (case, build) in enumerate(single_faults()):
+        if i % stride == 0:
+            cfg = build()
+            verdicts = {sub: load_verdict(cfg, sub) for sub in sorted(SUBCOMMAND_NEEDS)}
+            same = len(set(verdicts.values())) == 1
+            out[case] = next(iter(verdicts.values())) if same else verdicts
+    return out
+
+
+class TestSingleFaults:
+    """Every single fault's verdict is pinned in ``single_fault_verdicts.json``.
+
+    ``python tests/test_scenario.py`` compares every case, not only the
+    stride tier-1 runs, and prints the ones that differ;
+    ``python tests/test_scenario.py --write`` rewrites the file."""
+
+    def test_the_golden_file_names_every_case(self):
+        with open(SINGLE_FAULT_GOLDEN) as fh:
+            golden = json.load(fh)
+        assert [case for case, _ in single_faults()] == list(golden)
+
+    def test_every_strided_verdict_matches_the_golden_file(self):
+        with open(SINGLE_FAULT_GOLDEN) as fh:
+            golden = json.load(fh)
+        for case, verdict in single_fault_verdicts(SINGLE_FAULT_STRIDE).items():
+            assert verdict == golden[case], case
+
+
 class TestArrayEntries:
     @pytest.mark.parametrize("entries", [["0.1", "0.01"], [True, 0.01], [0.1, None],
                                          [0.1, [0.01]], [0.1, {}], [10**400]])
@@ -721,3 +855,19 @@ class TestArrayEntries:
         load_scenario(cfg)
         cfg["source"]["profile"]["values"][3] = "1"
         expect_error(cfg, "source.profile.values: expected an array of numbers")
+
+
+if __name__ == "__main__":
+    verdicts = single_fault_verdicts()
+    if sys.argv[1:] == ["--write"]:
+        lines = (f"{json.dumps(case)}: {json.dumps(v, allow_nan=False)}"
+                 for case, v in verdicts.items())
+        with open(SINGLE_FAULT_GOLDEN, "w") as fh:
+            fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    else:
+        with open(SINGLE_FAULT_GOLDEN) as fh:
+            golden = json.load(fh)
+        differ = [case for case in verdicts if verdicts[case] != golden.get(case)]
+        for case in differ:
+            print(f"{case}\n  golden: {golden.get(case)}\n  now:    {verdicts[case]}")
+        print(f"{len(verdicts)} cases x {len(SUBCOMMAND_NEEDS)} subcommands, {len(differ)} differ")
