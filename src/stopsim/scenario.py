@@ -3,8 +3,11 @@
 A scenario file is one JSON object describing the grid, boundary labels,
 diffusion, the S functional weight, the hysteresis bounds, the reaction
 term, the solver, and optionally a source, a perturbation direction, a
-control problem block, and diagnostic options.  Validation reports every
-problem with the dotted path of the offending field (for example
+control problem block, and diagnostic options.  Each block is declared
+once, as a table of ``_Field``s; a block with a ``kind`` (the control: a
+``mode``) has one table per kind.  The builders below the tables make the
+module objects and run the checks that span fields.  Validation reports
+every problem with the dotted path of the offending field (for example
 ``hysteresis.a``) and never partially constructs a scenario.  A source or
 direction block becomes an ``evolution.Source``: its time amplitude and its
 spatial profile, never the dense (N+1, components, nodes) path.
@@ -16,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +27,6 @@ from .control import ControlProblem, ControlSpec, apply_B
 from .errors import ScenarioValidationError
 from .evolution import (
     _REACTION_PARAMS,
-    REACTION_KINDS,
     SCHEMES,
     ReactionFunction,
     SolverConfig,
@@ -53,12 +56,7 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
-
-_TIME_KINDS = ("zero", "constant", "pulse", "sine")
-_PROFILE_KINDS = ("constant", "sine", "values")
-_WEIGHT_KINDS = ("constant", "values")
-_MODE_KINDS = ("constant", "sine", "values")
-_TARGET_KINDS = ("zero", "constant", "from-control")
+_REQUIRED = object()  # the default of a field that must be given
 
 
 def _fail(path, message):
@@ -81,44 +79,59 @@ def _require(obj, key, path):
     return obj[key]
 
 
-def _reject_unknown(obj, allowed, path):
-    for key in obj:
-        if key not in allowed:
-            _fail(_join(path, key), "unknown field")
+class _Field(NamedTuple):
+    """One field of a block.  ``type`` is its checker (``_number``,
+    ``_integer``, ``_string``, ``_array``), or "any" or a nested table or
+    ``_Variants``, which its builder checks.  ``default`` is ``_REQUIRED``,
+    ``None`` (optional, left out when absent) or an absent field's value."""
+
+    type: object
+    default: object = _REQUIRED
+    minimum: float = None            # "must be at least"
+    exclusive_minimum: float = None  # "must be greater than"
+    below: float = None              # "must be less than"
+    choices: tuple = None
 
 
-def _number(value, path, *, minimum=None, exclusive_minimum=None, maximum=None):
+class _Variants(NamedTuple):
+    """A block whose ``key`` field names which of ``tables`` it follows."""
+
+    key: str
+    tables: dict
+
+
+def _number(value, path, f):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
     value = float(value)
     if not math.isfinite(value):
         _fail(path, "must be finite")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be at least {minimum}")
-    if exclusive_minimum is not None and value <= exclusive_minimum:
-        _fail(path, f"must be greater than {exclusive_minimum}")
-    if maximum is not None and value > maximum:
-        _fail(path, f"must be at most {maximum}")
+    if f.minimum is not None and value < f.minimum:
+        _fail(path, f"must be at least {f.minimum}")
+    if f.exclusive_minimum is not None and value <= f.exclusive_minimum:
+        _fail(path, f"must be greater than {f.exclusive_minimum}")
+    if f.below is not None and value >= f.below:
+        _fail(path, f"must be less than {f.below}")
     return value
 
 
-def _integer(value, path, *, minimum=None):
+def _integer(value, path, f):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, "expected an integer")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be at least {minimum}")
+    if f.minimum is not None and value < f.minimum:
+        _fail(path, f"must be at least {f.minimum}")
     return value
 
 
-def _string(value, path, choices=None):
+def _string(value, path, f):
     if not isinstance(value, str):
         _fail(path, "expected a string")
-    if choices is not None and value not in choices:
-        _fail(path, f"must be one of {', '.join(choices)}")
+    if f.choices is not None and value not in f.choices:
+        _fail(path, f"must be one of {', '.join(f.choices)}")
     return value
 
 
-def _array(value, path):
+def _array(value, path, f):
     if not isinstance(value, list):
         _fail(path, "expected an array")
     stack = [value]
@@ -135,6 +148,122 @@ def _array(value, path):
     if not np.all(np.isfinite(arr)):
         _fail(path, "entries must be finite")
     return arr
+
+
+def _fields(cfg, path, spec):
+    """The fields of ``cfg`` that the table ``spec`` declares: undeclared names
+    are refused first, then each field is checked in table order."""
+    cfg = _object(cfg, path)
+    for key in cfg:
+        if key not in spec:
+            _fail(_join(path, key), "unknown field")
+    out = {}
+    for name, f in spec.items():
+        if name in cfg:
+            out[name] = f.type(cfg[name], _join(path, name), f) if callable(f.type) else cfg[name]
+        elif f.default is _REQUIRED:
+            _fail(_join(path, name), "required field is missing")
+        elif f.default is not None:
+            out[name] = f.default
+    return out
+
+
+def _variant(cfg, path, variants):
+    """The fields of the table that ``cfg``'s kind (or mode) names, that name included."""
+    key = variants.key
+    kind = _string(_require(_object(cfg, path), key, path), _join(path, key),
+                   _Field(_string, choices=tuple(variants.tables)))
+    return _fields(cfg, path, {key: _ANY, **variants.tables[kind]})
+
+
+def _axes(value, path, dim, f, expected):
+    """One ``f`` per axis, from a list of ``dim`` entries."""
+    if not isinstance(value, list) or len(value) != dim:
+        _fail(path, f"expected {expected}")
+    return tuple(f.type(v, f"{path}[{i}]", f) for i, v in enumerate(value))
+
+
+_ANY = _Field("any")
+_NUMBER = _Field(_number)
+_POSITIVE = _Field(_number, exclusive_minimum=0.0)
+_ARRAY = _Field(_array)
+_INDEX = _Field(_integer, 0, minimum=0)  # a component, below the component count
+
+_DOMAIN = {"dimension": _Field(_integer), "extent": _ANY, "resolution": _ANY}
+_SIDES = {side: _Field(_string, choices=_LABELS) for side in _SIDES_2D}
+_HYSTERESIS = {"a": _NUMBER, "b": _NUMBER, "z0": _NUMBER}
+_GROWTH = _Field(_number, None, exclusive_minimum=0.0)
+_REACTIONS = _Variants("kind", {
+    **{kind: {**dict.fromkeys(names, _NUMBER), "growth_constant": _GROWTH}
+       for kind, names in _REACTION_PARAMS.items()},
+    "user-table": {"y_grid": _ARRAY, "z_grid": _ARRAY, "values": _ARRAY,
+                   "growth_constant": _GROWTH},
+})
+_SOLVER = {
+    "dt": _POSITIVE,
+    "t_final": _POSITIVE,
+    "scheme": _Field(_string, None, choices=SCHEMES),
+    "slice_length": _Field(_number, None, exclusive_minimum=0.0),
+    "picard_tol": _Field(_number, None, exclusive_minimum=0.0),
+    "picard_max_iters": _Field(_integer, None, minimum=1),
+}
+_WEIGHTS = _Variants("kind", {"constant": {"value": _NUMBER}, "values": {"values": _ARRAY}})
+# a sine profile's ``mode`` is one integer for every axis, or a list of one per axis
+_PROFILES = _Variants("kind", {"constant": {}, "sine": {"mode": _ANY},
+                               "values": {"values": _ARRAY}})
+_PLACEMENT = {"profile": _Field(_PROFILES, None), "component": _Field("any", "all")}
+_SOURCES = _Variants("kind", {
+    "zero": {},
+    "constant": {"value": _NUMBER, **_PLACEMENT},
+    "pulse": {"value": _NUMBER, "start": _Field(_number, minimum=0.0), "stop": _NUMBER,
+              **_PLACEMENT},
+    "sine": {"amplitude": _NUMBER, "omega": _NUMBER, **_PLACEMENT},
+})
+_MODES = _Variants("kind", {
+    "constant": {"component": _INDEX},
+    "sine": {"component": _INDEX, "count": _Field(_integer, minimum=1)},
+    "values": {"values": _ARRAY},
+})
+_TARGETS = _Variants("kind", {"zero": {}, "constant": {"value": _NUMBER},
+                              "from-control": {"coefficients": _ARRAY}})
+_OPTIMIZER = {
+    "max_iters": _Field(_integer, 100, minimum=1),
+    "tol": _Field(_number, 1e-8, exclusive_minimum=0.0),
+    "initial_step": _Field(_number, 1.0, exclusive_minimum=0.0),
+    "armijo_c1": _Field(_number, 1e-4, exclusive_minimum=0.0),
+    "max_halvings": _Field(_integer, 40, minimum=1),
+}
+_CONTROL = {"time_knots": _Field(_integer, minimum=1), "kappa": _POSITIVE,
+            "coefficients": _Field(_array, None), "target": _Field(_TARGETS),
+            "optimizer": _Field(_OPTIMIZER, {})}
+_CONTROLS = _Variants("mode", {"distributed": {**_CONTROL, "spatial_modes": _Field(_MODES)},
+                               "boundary": {**_CONTROL, "component": _INDEX}})
+_DIAGNOSTIC = {
+    "theta": _Field(_number, 0.5, minimum=0.0, below=1),
+    "gamma": _Field(_number, 0.5, exclusive_minimum=0.0, below=1),
+    "component": _INDEX,
+    "t_min": _Field(_number, 1e-3, exclusive_minimum=0.0),
+    "t_max": _Field(_number, 20.0, exclusive_minimum=0.0),
+    "t_count": _Field(_integer, 400, minimum=2),
+}
+# ``needs`` says which blocks are required; the arrays are checked after the grid
+_SCENARIO = {
+    "seed": _Field(_integer, None, minimum=0),
+    "p": _Field(_number, None, minimum=1.0),
+    "alpha": _Field(_number, None, exclusive_minimum=0.0),
+    "domain": _Field(_DOMAIN, None),
+    "boundaries": _Field("any", None),  # a nonempty list of _SIDES tables
+    "diffusion": _Field("any", None),
+    "hysteresis": _Field(_HYSTERESIS, None),
+    "solver": _Field(_SOLVER, None),
+    "reaction": _Field(_REACTIONS, None),
+    "s_weight": _Field(_WEIGHTS, None),
+    "source": _Field(_SOURCES, None),
+    "direction": _Field(_SOURCES, None),
+    "lambdas": _Field("any", None),
+    "control": _Field(_CONTROLS, None),
+    "diagnostic": _Field(_DIAGNOSTIC, None),
+}
 
 
 @dataclass
@@ -167,51 +296,46 @@ class Scenario:
     diagnostic: dict = field(default_factory=dict)
 
 
-def _parse_domain(cfg, path):
-    cfg = _object(cfg, path)
-    _reject_unknown(cfg, ("dimension", "extent", "resolution"), path)
-    dim = _integer(_require(cfg, "dimension", path), _join(path, "dimension"))
+def _build(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, any error it raises reported at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except Exception as exc:
+        _fail(path, str(exc))
+
+
+def _check_entries(values, n, path):
+    if values.shape != (n,):
+        _fail(path, f"expected {n} entries, got shape {values.shape}")
+
+
+def _check_component(component, disc, path):
+    if component >= disc.n_components:
+        _fail(path, f"must be less than {disc.n_components}")
+
+
+def _domain(cfg, path):
+    cfg = _fields(cfg, path, _DOMAIN)
+    dim = cfg["dimension"]
     if dim not in (1, 2):
         _fail(_join(path, "dimension"), "must be 1 or 2")
-    extent = _require(cfg, "extent", path)
-    if not isinstance(extent, list) or len(extent) != dim:
-        _fail(_join(path, "extent"), f"expected {dim} positive numbers")
-    extent = tuple(
-        _number(e, f"{path}.extent[{i}]", exclusive_minimum=0.0)
-        for i, e in enumerate(extent)
-    )
-    res = _require(cfg, "resolution", path)
-    if not isinstance(res, list) or len(res) != dim:
-        _fail(_join(path, "resolution"), f"expected {dim} integers")
-    res = tuple(
-        _integer(r, f"{path}.resolution[{i}]", minimum=3) for i, r in enumerate(res)
-    )
+    extent = _axes(cfg["extent"], _join(path, "extent"), dim, _POSITIVE,
+                   f"{dim} positive numbers")
+    res = _axes(cfg["resolution"], _join(path, "resolution"), dim, _Field(_integer, minimum=3),
+                f"{dim} integers")
     return DomainSpec(dimension=dim, extent=extent, resolution=res)
 
 
-def _parse_boundaries(cfg, dim, path):
+def _boundaries(cfg, dim, path):
     if not isinstance(cfg, list) or not cfg:
         _fail(path, "expected a nonempty array of per-component side labels")
-    sides = _SIDES_1D if dim == 1 else _SIDES_2D
-    out = []
-    for j, entry in enumerate(cfg):
-        epath = f"{path}[{j}]"
-        entry = _object(entry, epath)
-        _reject_unknown(entry, sides, epath)
-        labels = {
-            s: _string(_require(entry, s, epath), _join(epath, s), _LABELS)
-            for s in sides
-        }
-        out.append(BoundarySides(**labels))
-    return out
+    sides = {s: _SIDES[s] for s in (_SIDES_1D if dim == 1 else _SIDES_2D)}
+    return [BoundarySides(**_fields(entry, f"{path}[{j}]", sides))
+            for j, entry in enumerate(cfg)]
 
 
-def _parse_hysteresis(cfg, path):
-    cfg = _object(cfg, path)
-    _reject_unknown(cfg, ("a", "b", "z0"), path)
-    a = _number(_require(cfg, "a", path), _join(path, "a"))
-    b = _number(_require(cfg, "b", path), _join(path, "b"))
-    z0 = _number(_require(cfg, "z0", path), _join(path, "z0"))
+def _hysteresis(cfg, path):
+    a, b, z0 = _fields(cfg, path, _HYSTERESIS).values()
     if not a < b:
         _fail(_join(path, "a"), f"must be strictly less than {_join(path, 'b')}")
     if not (a <= z0 <= b):
@@ -219,106 +343,43 @@ def _parse_hysteresis(cfg, path):
     return HysteresisConfig(a=a, b=b, z0=z0)
 
 
-def _parse_reaction(cfg, path):
-    cfg = _object(cfg, path)
-    kind = _string(_require(cfg, "kind", path), _join(path, "kind"), REACTION_KINDS)
-    table = kind == "user-table"
-    names = ("y_grid", "z_grid", "values") if table else _REACTION_PARAMS[kind]
-    _reject_unknown(cfg, ("kind",) + names + ("growth_constant",), path)
-    parse = _array if table else _number
-    values = [parse(_require(cfg, name, path), _join(path, name)) for name in names]
-    growth = None
-    if "growth_constant" in cfg:
-        growth = _number(cfg["growth_constant"], _join(path, "growth_constant"),
-                         exclusive_minimum=0.0)
-    try:
-        if table:
-            return ReactionFunction.from_table(*values, growth)
-        return ReactionFunction(kind, tuple(values), growth)
-    except Exception as exc:
-        _fail(path, str(exc))
+def _reaction(cfg, path):
+    cfg = _variant(cfg, path, _REACTIONS)
+    kind, growth = cfg.pop("kind"), cfg.pop("growth_constant", None)
+    # the remaining values are the kind's parameters, in table order
+    if kind == "user-table":
+        return _build(path, ReactionFunction.from_table, *cfg.values(), growth)
+    return _build(path, ReactionFunction, kind, tuple(cfg.values()), growth)
 
 
-def _parse_solver(cfg, path):
-    cfg = _object(cfg, path)
-    allowed = ("dt", "t_final", "scheme", "slice_length", "picard_tol",
-               "picard_max_iters")
-    _reject_unknown(cfg, allowed, path)
-    kwargs = {
-        "dt": _number(_require(cfg, "dt", path), _join(path, "dt"),
-                      exclusive_minimum=0.0),
-        "t_final": _number(_require(cfg, "t_final", path), _join(path, "t_final"),
-                           exclusive_minimum=0.0),
-    }
-    if "scheme" in cfg:
-        kwargs["scheme"] = _string(cfg["scheme"], _join(path, "scheme"), SCHEMES)
-    if "slice_length" in cfg:
-        kwargs["slice_length"] = _number(cfg["slice_length"],
-                                         _join(path, "slice_length"),
-                                         exclusive_minimum=0.0)
-    if "picard_tol" in cfg:
-        kwargs["picard_tol"] = _number(cfg["picard_tol"], _join(path, "picard_tol"),
-                                       exclusive_minimum=0.0)
-    if "picard_max_iters" in cfg:
-        kwargs["picard_max_iters"] = _integer(cfg["picard_max_iters"],
-                                              _join(path, "picard_max_iters"),
-                                              minimum=1)
-    try:
-        return SolverConfig(**kwargs)
-    except Exception as exc:
-        _fail(path, str(exc))
-
-
-def _parse_s_weight(cfg, disc, path):
-    cfg = _object(cfg, path)
-    kind = _string(_require(cfg, "kind", path), _join(path, "kind"), _WEIGHT_KINDS)
-    if kind == "constant":
-        _reject_unknown(cfg, ("kind", "value"), path)
-        value = _number(_require(cfg, "value", path), _join(path, "value"))
-        if value == 0.0:
+def _s_weight(cfg, disc, path):
+    cfg = _variant(cfg, path, _WEIGHTS)
+    shape = (disc.n_components, disc.n_nodes)
+    if cfg["kind"] == "constant":
+        if cfg["value"] == 0.0:
             _fail(_join(path, "value"), "must be nonzero")
-        weight = np.full((disc.n_components, disc.n_nodes), value)
+        weight = np.full(shape, cfg["value"])
     else:
-        _reject_unknown(cfg, ("kind", "values"), path)
-        weight = _array(_require(cfg, "values", path), _join(path, "values"))
-        if weight.shape != (disc.n_components, disc.n_nodes):
-            _fail(_join(path, "values"),
-                  f"expected shape ({disc.n_components}, {disc.n_nodes}), "
-                  f"got {weight.shape}")
-    try:
-        return SFunctional(weight=weight)
-    except Exception as exc:
-        _fail(path, str(exc))
+        weight = cfg["values"]
+        if weight.shape != shape:
+            _fail(_join(path, "values"), f"expected shape {shape}, got {weight.shape}")
+    return _build(path, SFunctional, weight=weight)
 
 
 def _spatial_profile(cfg, disc, path):
     """Per-node profile values from a profile sub-object."""
-    if cfg is None:
+    cfg = {"kind": "constant"} if cfg is None else _variant(cfg, path, _PROFILES)
+    if cfg["kind"] == "constant":
         return np.ones(disc.n_nodes)
-    cfg = _object(cfg, path)
-    kind = _string(_require(cfg, "kind", path), _join(path, "kind"), _PROFILE_KINDS)
-    if kind == "constant":
-        _reject_unknown(cfg, ("kind",), path)
-        return np.ones(disc.n_nodes)
-    if kind == "values":
-        _reject_unknown(cfg, ("kind", "values"), path)
-        values = _array(_require(cfg, "values", path), _join(path, "values"))
-        if values.shape != (disc.n_nodes,):
-            _fail(_join(path, "values"),
-                  f"expected {disc.n_nodes} entries, got shape {values.shape}")
-        return values
-    _reject_unknown(cfg, ("kind", "mode"), path)
-    mode = _require(cfg, "mode", path)
-    dim = disc.domain.dimension
+    if cfg["kind"] == "values":
+        _check_entries(cfg["values"], disc.n_nodes, _join(path, "values"))
+        return cfg["values"]
+    mode, dim = cfg["mode"], disc.domain.dimension
     if isinstance(mode, int) and not isinstance(mode, bool):
         modes = (mode,) * dim
-    elif isinstance(mode, list) and len(mode) == dim:
-        modes = tuple(
-            _integer(m, f"{path}.mode[{i}]", minimum=1) for i, m in enumerate(mode)
-        )
     else:
-        _fail(_join(path, "mode"),
-              f"expected an integer or an array of {dim} integers")
+        modes = _axes(mode, _join(path, "mode"), dim, _Field(_integer, minimum=1),
+                      f"an integer or an array of {dim} integers")
     for m in modes:
         if m < 1:
             _fail(_join(path, "mode"), "mode numbers must be at least 1")
@@ -357,203 +418,95 @@ def _check_field_size(shape, path, axes="time points, components, nodes", double
                     f"more than this machine can allocate")
 
 
-def _parse_field_source(cfg, disc, solver, path):
+def _field_source(cfg, disc, solver, path):
     """Source path from a source block: a time amplitude times a spatial profile."""
-    cfg = _object(cfg, path)
-    kind = _string(_require(cfg, "kind", path), _join(path, "kind"), _TIME_KINDS)
+    cfg = _variant(cfg, path, _SOURCES)
     shape = (solver.n_steps + 1, disc.n_components, disc.n_nodes)
     _check_field_size(shape, path)
     times = solver.times()
+    kind = cfg["kind"]
     if kind == "zero":
-        _reject_unknown(cfg, ("kind",), path)
         return Source(np.zeros(times.size), np.zeros(shape[1:]))
-
-    common = ("kind", "profile", "component")
     if kind == "constant":
-        _reject_unknown(cfg, common + ("value",), path)
-        amp = np.full(times.size,
-                      _number(_require(cfg, "value", path), _join(path, "value")))
+        amp = np.full(times.size, cfg["value"])
     elif kind == "pulse":
-        _reject_unknown(cfg, common + ("value", "start", "stop"), path)
-        value = _number(_require(cfg, "value", path), _join(path, "value"))
-        start = _number(_require(cfg, "start", path), _join(path, "start"), minimum=0.0)
-        stop = _number(_require(cfg, "stop", path), _join(path, "stop"))
-        if stop <= start:
+        if cfg["stop"] <= cfg["start"]:
             _fail(_join(path, "stop"), "must be greater than start")
-        amp = np.where((times >= start) & (times < stop), value, 0.0)
+        amp = np.where((times >= cfg["start"]) & (times < cfg["stop"]), cfg["value"], 0.0)
     else:
-        _reject_unknown(cfg, common + ("amplitude", "omega"), path)
-        amplitude = _number(_require(cfg, "amplitude", path), _join(path, "amplitude"))
-        omega = _number(_require(cfg, "omega", path), _join(path, "omega"))
-        amp = amplitude * np.sin(omega * times)
+        amp = cfg["amplitude"] * np.sin(cfg["omega"] * times)
 
     profile = _spatial_profile(cfg.get("profile"), disc, _join(path, "profile"))
-    component = cfg.get("component", "all")
+    component = cfg["component"]
     if component == "all":
         return Source(amp, np.tile(profile, (disc.n_components, 1)))
-    component = _integer(component, _join(path, "component"), minimum=0)
-    if component >= disc.n_components:
-        _fail(_join(path, "component"), f"must be less than {disc.n_components}")
+    component = _integer(component, _join(path, "component"), _INDEX)
+    _check_component(component, disc, _join(path, "component"))
     profiles = np.zeros(shape[1:])
     profiles[component] = profile
     return Source(amp, profiles, component)
 
 
-def _parse_spatial_modes(cfg, disc, path):
-    cfg = _object(cfg, path)
-    kind = _string(_require(cfg, "kind", path), _join(path, "kind"), _MODE_KINDS)
-    if kind == "values":
-        _reject_unknown(cfg, ("kind", "values"), path)
-        modes = _array(_require(cfg, "values", path), _join(path, "values"))
-        if modes.ndim != 3 or modes.shape[1:] != (disc.n_components, disc.n_nodes):
-            _fail(_join(path, "values"),
-                  f"expected shape (n_modes, {disc.n_components}, {disc.n_nodes})")
+def _spatial_modes(cfg, disc, path):
+    cfg = _variant(cfg, path, _MODES)
+    shape = (disc.n_components, disc.n_nodes)
+    if cfg["kind"] == "values":
+        modes = cfg["values"]
+        if modes.ndim != 3 or modes.shape[1:] != shape:
+            _fail(_join(path, "values"), f"expected shape (n_modes, {shape[0]}, {shape[1]})")
         return modes
-    component = cfg.get("component", 0)
-    component = _integer(component, _join(path, "component"), minimum=0)
-    if component >= disc.n_components:
-        _fail(_join(path, "component"), f"must be less than {disc.n_components}")
-    if kind == "constant":
-        _reject_unknown(cfg, ("kind", "component"), path)
-        modes = np.zeros((1, disc.n_components, disc.n_nodes))
+    component = cfg["component"]
+    _check_component(component, disc, _join(path, "component"))
+    if cfg["kind"] == "constant":
+        modes = np.zeros((1, *shape))
         modes[0, component, :] = 1.0
         return modes
-    _reject_unknown(cfg, ("kind", "count", "component"), path)
-    count = _integer(_require(cfg, "count", path), _join(path, "count"), minimum=1)
-    _check_field_size((count, disc.n_components, disc.n_nodes), _join(path, "count"),
-                      "modes, components, nodes")
-    modes = np.zeros((count, disc.n_components, disc.n_nodes))
+    count = cfg["count"]
+    _check_field_size((count, *shape), _join(path, "count"), "modes, components, nodes")
+    modes = np.zeros((count, *shape))
     for s in range(1, count + 1):
         modes[s - 1, component, :] = _sine_profile(disc, (s,) * disc.domain.dimension)
     return modes
 
 
-def _parse_control(cfg, disc, path):
-    cfg = _object(cfg, path)
-    allowed = ("mode", "time_knots", "spatial_modes", "component",
-               "coefficients", "kappa", "target", "optimizer")
-    _reject_unknown(cfg, allowed, path)
-    mode = _string(_require(cfg, "mode", path), _join(path, "mode"),
-                   ("distributed", "boundary"))
-    time_knots = _integer(_require(cfg, "time_knots", path),
-                          _join(path, "time_knots"), minimum=1)
-    kappa = _number(_require(cfg, "kappa", path), _join(path, "kappa"),
-                    exclusive_minimum=0.0)
-
-    if mode == "distributed":
-        if "spatial_modes" not in cfg:
-            _fail(_join(path, "spatial_modes"), "required field is missing")
-        modes = _parse_spatial_modes(cfg["spatial_modes"], disc,
-                                     _join(path, "spatial_modes"))
-        component = 0
-        n_spatial = modes.shape[0]
+def _control(cfg, disc, path):
+    cfg = _variant(cfg, path, _CONTROLS)
+    if cfg["mode"] == "distributed":
+        modes = _spatial_modes(cfg["spatial_modes"], disc, _join(path, "spatial_modes"))
+        component, n_spatial = 0, modes.shape[0]
     else:
-        modes = None
-        component = _integer(cfg.get("component", 0), _join(path, "component"),
-                             minimum=0)
-        if component >= disc.n_components:
-            _fail(_join(path, "component"), f"must be less than {disc.n_components}")
-        n_neumann = disc.components[component].neumann_nodes.size
-        if n_neumann == 0:
+        modes, component = None, cfg["component"]
+        _check_component(component, disc, _join(path, "component"))
+        n_spatial = disc.components[component].neumann_nodes.size
+        if n_spatial == 0:
             _fail(_join(path, "component"),
                   "component has no Neumann boundary nodes to control")
-        n_spatial = n_neumann
 
-    n_coeff = time_knots * n_spatial
+    n_coeff = cfg["time_knots"] * n_spatial
     _check_field_size((n_coeff,), _join(path, "time_knots"), "coefficients")
-    if "coefficients" in cfg:
-        coeffs = _array(cfg["coefficients"], _join(path, "coefficients"))
-        if coeffs.shape != (n_coeff,):
-            _fail(_join(path, "coefficients"),
-                  f"expected {n_coeff} entries, got shape {coeffs.shape}")
-    else:
-        coeffs = np.zeros(n_coeff)
-    try:
-        spec = ControlSpec(mode=mode, time_knots=time_knots, coefficients=coeffs,
-                           spatial_modes=modes, component=component)
-    except Exception as exc:
-        _fail(path, str(exc))
+    coeffs = cfg.get("coefficients", np.zeros(n_coeff))
+    _check_entries(coeffs, n_coeff, _join(path, "coefficients"))
+    spec = _build(path, ControlSpec, mode=cfg["mode"], time_knots=cfg["time_knots"],
+                  coefficients=coeffs, spatial_modes=modes, component=component)
 
-    target = _object(_require(cfg, "target", path), _join(path, "target"))
-    tkind = _string(_require(target, "kind", _join(path, "target")),
-                    _join(path, "target.kind"), _TARGET_KINDS)
-    tvalue, tcoeffs = 0.0, None
-    if tkind == "constant":
-        _reject_unknown(target, ("kind", "value"), _join(path, "target"))
-        tvalue = _number(_require(target, "value", _join(path, "target")),
-                         _join(path, "target.value"))
-    elif tkind == "from-control":
-        _reject_unknown(target, ("kind", "coefficients"), _join(path, "target"))
-        tcoeffs = _array(_require(target, "coefficients", _join(path, "target")),
-                         _join(path, "target.coefficients"))
-        if tcoeffs.shape != (n_coeff,):
-            _fail(_join(path, "target.coefficients"),
-                  f"expected {n_coeff} entries, got shape {tcoeffs.shape}")
-    else:
-        _reject_unknown(target, ("kind",), _join(path, "target"))
-
-    opt_defaults = {"max_iters": 100, "tol": 1e-8, "initial_step": 1.0,
-                    "armijo_c1": 1e-4, "max_halvings": 40}
-    optimizer = dict(opt_defaults)
-    if "optimizer" in cfg:
-        opt = _object(cfg["optimizer"], _join(path, "optimizer"))
-        _reject_unknown(opt, tuple(opt_defaults), _join(path, "optimizer"))
-        opath = _join(path, "optimizer")
-        if "max_iters" in opt:
-            optimizer["max_iters"] = _integer(opt["max_iters"],
-                                              _join(opath, "max_iters"), minimum=1)
-        if "max_halvings" in opt:
-            optimizer["max_halvings"] = _integer(opt["max_halvings"],
-                                                 _join(opath, "max_halvings"),
-                                                 minimum=1)
-        for name in ("tol", "initial_step", "armijo_c1"):
-            if name in opt:
-                optimizer[name] = _number(opt[name], _join(opath, name),
-                                          exclusive_minimum=0.0)
-    return ControlSetup(spec=spec, kappa=kappa, target_kind=tkind,
-                        target_value=tvalue, target_coefficients=tcoeffs,
-                        optimizer=optimizer)
+    target = _variant(cfg["target"], _join(path, "target"), _TARGETS)
+    if target["kind"] == "from-control":
+        _check_entries(target["coefficients"], n_coeff, _join(path, "target.coefficients"))
+    return ControlSetup(spec=spec, kappa=cfg["kappa"], target_kind=target["kind"],
+                        target_value=target.get("value", 0.0),
+                        target_coefficients=target.get("coefficients"),
+                        optimizer=_fields(cfg["optimizer"], _join(path, "optimizer"),
+                                          _OPTIMIZER))
 
 
-def _parse_diagnostic(cfg, disc, path):
-    defaults = {"theta": 0.5, "gamma": 0.5, "component": 0,
-                "t_min": 1e-3, "t_max": 20.0, "t_count": 400}
-    if cfg is None:
-        return defaults
-    cfg = _object(cfg, path)
-    _reject_unknown(cfg, tuple(defaults), path)
-    out = dict(defaults)
-    if "theta" in cfg:
-        out["theta"] = _number(cfg["theta"], _join(path, "theta"), minimum=0.0)
-        if out["theta"] >= 1.0:
-            _fail(_join(path, "theta"), "must be less than 1")
-    if "gamma" in cfg:
-        out["gamma"] = _number(cfg["gamma"], _join(path, "gamma"),
-                               exclusive_minimum=0.0)
-        if out["gamma"] >= 1.0:
-            _fail(_join(path, "gamma"), "must be less than 1")
-    if "component" in cfg:
-        out["component"] = _integer(cfg["component"], _join(path, "component"),
-                                    minimum=0)
-        if disc is not None and out["component"] >= disc.n_components:
-            _fail(_join(path, "component"), f"must be less than {disc.n_components}")
-    if "t_min" in cfg:
-        out["t_min"] = _number(cfg["t_min"], _join(path, "t_min"),
-                               exclusive_minimum=0.0)
-    if "t_max" in cfg:
-        out["t_max"] = _number(cfg["t_max"], _join(path, "t_max"),
-                               exclusive_minimum=0.0)
+def _diagnostic(cfg, disc, path):
+    out = _fields({} if cfg is None else cfg, path, _DIAGNOSTIC)
+    if disc is not None:
+        _check_component(out["component"], disc, _join(path, "component"))
     if out["t_max"] <= out["t_min"]:
         _fail(_join(path, "t_max"), "must be greater than t_min")
-    if "t_count" in cfg:
-        out["t_count"] = _integer(cfg["t_count"], _join(path, "t_count"), minimum=2)
-        _check_field_size((out["t_count"],), _join(path, "t_count"), "times")
+    _check_field_size((out["t_count"],), _join(path, "t_count"), "times")
     return out
-
-
-_TOP_LEVEL = ("domain", "boundaries", "diffusion", "s_weight", "hysteresis",
-              "reaction", "solver", "source", "direction", "lambdas", "control",
-              "diagnostic", "seed", "alpha", "p")
 
 
 def load_hysteresis_config(cfg) -> HysteresisConfig:
@@ -561,7 +514,7 @@ def load_hysteresis_config(cfg) -> HysteresisConfig:
     cfg = _object(cfg, "")
     if "hysteresis" in cfg:
         return load_scenario(cfg, needs=()).hyst_cfg
-    return _parse_hysteresis(cfg, "hysteresis")
+    return _hysteresis(cfg, "hysteresis")
 
 
 def load_scenario(cfg, needs=("state",)) -> Scenario:
@@ -572,63 +525,51 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
     'diagnostic'.  Everything present in the file is validated; ``needs``
     only controls which blocks are required to be present.
     """
-    cfg = _object(cfg, "")
+    cfg = _fields(cfg, "", _SCENARIO)
     needs = frozenset(needs)
-    _reject_unknown(cfg, _TOP_LEVEL, "")
-    scn = Scenario()
-
-    if "seed" in cfg:
-        scn.seed = _integer(cfg["seed"], "seed", minimum=0)
-    if "p" in cfg:
-        scn.metadata["p"] = _number(cfg["p"], "p", minimum=1.0)
-    if "alpha" in cfg:
-        alpha = _number(cfg["alpha"], "alpha", exclusive_minimum=0.0)
-        if "control" in cfg and alpha >= 0.5:
-            _fail("alpha", "must be less than 1/2 when a control block is present")
-        scn.metadata["alpha"] = alpha
+    if "control" in cfg and cfg.get("alpha", 0.0) >= 0.5:
+        _fail("alpha", "must be less than 1/2 when a control block is present")
+    scn = Scenario(seed=cfg.get("seed"),
+                   metadata={key: cfg[key] for key in ("p", "alpha") if key in cfg})
 
     spatial_needed = bool(needs & {"spatial", "state", "control", "direction"})
     if spatial_needed or "domain" in cfg:
-        domain = _parse_domain(_require(cfg, "domain", ""), "domain")
-        boundaries = _parse_boundaries(_require(cfg, "boundaries", ""),
-                                       domain.dimension, "boundaries")
+        domain = _domain(_require(cfg, "domain", ""), "domain")
+        boundaries = _boundaries(_require(cfg, "boundaries", ""),
+                                 domain.dimension, "boundaries")
         # assemble's peak in doubles per node (tracemalloc): 6 + 4 m in 1D, 9 + m in 2D
         doubles = 7 + 4 * len(boundaries)
         _check_field_size(domain.resolution, "domain.resolution",
                           f"nodes per axis, {doubles} doubles per node", doubles)
-        diffusion = _array(_require(cfg, "diffusion", ""), "diffusion")
+        diffusion = _array(_require(cfg, "diffusion", ""), "diffusion", _ARRAY)
         if diffusion.ndim != 1 or diffusion.size != len(boundaries):
             _fail("diffusion",
                   f"expected {len(boundaries)} coefficients (one per component)")
         if np.any(diffusion <= 0.0):
             _fail("diffusion", "coefficients must be positive")
-        try:
-            scn.disc = assemble(domain, boundaries, diffusion)
-        except Exception as exc:
-            _fail("domain", str(exc))
+        scn.disc = _build("domain", assemble, domain, boundaries, diffusion)
 
     state_needed = "state" in needs or "control" in needs
     if state_needed or "hysteresis" in cfg:
-        scn.hyst_cfg = _parse_hysteresis(_require(cfg, "hysteresis", ""),
-                                         "hysteresis")
+        scn.hyst_cfg = _hysteresis(_require(cfg, "hysteresis", ""), "hysteresis")
     if state_needed or "solver" in cfg:
-        scn.solver = _parse_solver(_require(cfg, "solver", ""), "solver")
+        scn.solver = _build("solver", SolverConfig,
+                            **_fields(_require(cfg, "solver", ""), "solver", _SOLVER))
     if state_needed or "reaction" in cfg:
-        scn.reaction = _parse_reaction(_require(cfg, "reaction", ""), "reaction")
+        scn.reaction = _reaction(_require(cfg, "reaction", ""), "reaction")
     if (state_needed or "s_weight" in cfg) and scn.disc is not None:
-        scn.sfun = _parse_s_weight(_require(cfg, "s_weight", ""), scn.disc,
-                                   "s_weight")
+        scn.sfun = _s_weight(_require(cfg, "s_weight", ""), scn.disc, "s_weight")
 
     if scn.disc is not None and scn.solver is not None:
         if state_needed or "source" in cfg:
-            scn.source = _parse_field_source(
+            scn.source = _field_source(
                 _require(cfg, "source", ""), scn.disc, scn.solver, "source")
         if "direction" in needs or "direction" in cfg:
-            scn.direction = _parse_field_source(
+            scn.direction = _field_source(
                 _require(cfg, "direction", ""), scn.disc, scn.solver, "direction")
 
     if "lambdas" in cfg:
-        lam = _array(cfg["lambdas"], "lambdas")
+        lam = _array(cfg["lambdas"], "lambdas", _ARRAY)
         if lam.ndim != 1 or lam.size == 0:
             _fail("lambdas", "expected a nonempty array of step sizes")
         if np.any(lam <= 0.0) or np.any(np.diff(lam) >= 0.0):
@@ -638,11 +579,10 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
     if "control" in needs or "control" in cfg:
         if scn.disc is None:
             _fail("control", "requires domain, boundaries, and diffusion")
-        scn.control = _parse_control(_require(cfg, "control", ""), scn.disc,
-                                     "control")
+        scn.control = _control(_require(cfg, "control", ""), scn.disc, "control")
 
     if "diagnostic" in needs or "diagnostic" in cfg:
-        scn.diagnostic = _parse_diagnostic(cfg.get("diagnostic"), scn.disc, "diagnostic")
+        scn.diagnostic = _diagnostic(cfg.get("diagnostic"), scn.disc, "diagnostic")
 
     return scn
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import stopsim
 from stopsim import (
     HysteresisConfig,
     PiecewiseLinearSignal,
+    ScenarioValidationError,
     load_scenario,
     solve_state,
     stop_evaluate,
@@ -19,6 +21,7 @@ from stopsim import spatial
 from stopsim.cli import _build_parser, _write_csv, main, read_signal_csv
 
 from conftest import traced_peak
+from test_scenario import SUBCOMMAND_NEEDS, single_faults
 
 
 def package_env():
@@ -328,6 +331,14 @@ REFUSED_INPUTS = {
                     "error: solver: t_final=0.5 / dt=5e-324 is inf steps, over 2**53\n"),
     "dt-tiny": ("simulate", {"solver": {"dt": 1e-300, "t_final": 0.5}},
                 "error: solver: t_final=0.5 / dt=1e-300 is 5e+299 steps, over 2**53\n"),
+    # a field that only the other control mode reads
+    "distributed-component": ("optimize", {"control": dict(UNIT_CONTROL, component="garbage")},
+                              "error: control.component: unknown field\n"),
+    "boundary-spatial-modes": ("optimize", {"control": {
+                                   "mode": "boundary", "time_knots": 1, "kappa": 0.1,
+                                   "target": {"kind": "zero"},
+                                   "spatial_modes": {"kind": "nonsense"}}},
+                               "error: control.spatial_modes: unknown field\n"),
 }
 
 
@@ -542,6 +553,50 @@ class TestValidationFailures:
         rc = main(["simulate", "--config", path, "--out", str(tmp_path)])
         assert rc == 4
         assert "error:" in capsys.readouterr().err
+
+
+# whole runs of single-fault scenarios (``test_scenario.single_faults``) under
+# these subcommands; runtime caps, not part of the fault: at most 3 optimizer
+# iterations, and no grid over 2e5 node-steps
+FUZZ_SUBCOMMANDS = ("simulate", "sensitivity", "fd-check", "diagnose-semigroup", "optimize")
+CLI_FUZZ_STRIDE = 53  # tier-1 runs every 53rd case
+MAX_NODE_STEPS = 2e5
+
+
+def fuzz_runs(stride):
+    """(case, subcommand, scenario) of every ``stride``-th single fault under
+    each subcommand, the scenario capped to run briefly; runs whose grid is
+    over the cap are left out."""
+    for i, (case, build) in enumerate(single_faults()):
+        if i % stride:
+            continue
+        cfg = build()
+        control = cfg.get("control") if isinstance(cfg, dict) else None
+        if isinstance(control, dict) and isinstance(control.get("optimizer", {}), dict):
+            optimizer = control.setdefault("optimizer", {})
+            if type(optimizer.get("max_iters", 100)) is int and optimizer.get("max_iters", 100) > 3:
+                optimizer["max_iters"] = 3
+        for sub in FUZZ_SUBCOMMANDS:
+            try:
+                scn = load_scenario(copy.deepcopy(cfg), SUBCOMMAND_NEEDS[sub])
+                too_big = scn.solver and scn.disc.n_nodes * scn.solver.n_steps > MAX_NODE_STEPS
+            except ScenarioValidationError:
+                too_big = False
+            if not too_big:
+                yield case, sub, cfg
+
+
+class TestFuzzedRuns:
+    def test_a_single_fault_run_exits_with_at_most_one_error_line(self, tmp_path, capsys):
+        runs = 0
+        for case, sub, cfg in fuzz_runs(CLI_FUZZ_STRIDE):
+            out = tmp_path / str(runs)
+            rc = main([sub, "--config", write_config(tmp_path, cfg), "--out", str(out), "--quiet"])
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3, 4), (case, sub)
+            assert rc == 0 or (err.count("\n") == 1 and err.startswith("error: ")), (case, sub, err)
+            runs += 1
+        assert runs > 500
 
 
 class TestHysteresisEval:

@@ -709,11 +709,67 @@ def json_at(node, path):
     return node
 
 
+Field, Variants = scenario_module._Field, scenario_module._Variants
+
+
+def tables_of(block):
+    return list(block.tables.values()) if isinstance(block, Variants) else [block]
+
+
+def schema_blocks(spec=scenario_module._SCENARIO):
+    """Every table and ``_Variants`` that the scenario tables reach from ``spec``."""
+    yield spec
+    for table in tables_of(spec):
+        for f in table.values():
+            if isinstance(f.type, (dict, Variants)):
+                yield from schema_blocks(f.type)
+
+
+VARIANT_NAMES = sorted({kind for block in schema_blocks() if isinstance(block, Variants)
+                        for kind in block.tables})
+
+
+def declared_field(cfg, path):
+    """The ``_Field`` that the tables declare for the value at ``path`` of
+    ``cfg``, or None: the root, a list entry, or an undeclared name."""
+    spec, node, f = scenario_module._SCENARIO, cfg, None
+    for key in path:
+        if not isinstance(node, dict):
+            return None
+        if isinstance(spec, Variants):
+            kind = node.get(spec.key)
+            table = spec.tables.get(kind, {}) if isinstance(kind, str) else {}
+            spec = {spec.key: Field(scenario_module._string, choices=tuple(spec.tables)),
+                    **table}
+        if not isinstance(spec, dict) or key not in spec:
+            return None
+        f, node, spec = spec[key], node[key], spec[key].type
+    return f
+
+
+def field_values(f):
+    """Values of ``f``'s declared type: numbers at and just past each bound,
+    integers around the minimum, each choice, an undeclared string and the
+    variant names; JSON values of any type for arrays and blocks."""
+    if f.type is scenario_module._number:
+        bounds = [b for b in (f.minimum, f.exclusive_minimum, f.below) if b is not None]
+        near = [x for b in bounds
+                for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+        return st.one_of(st.sampled_from(near), FUZZ_NUMBERS) if near else FUZZ_NUMBERS
+    if f.type is scenario_module._integer:
+        low = f.minimum or 0
+        return st.one_of(st.integers(low - 2, low + 2), FUZZ_NUMBERS)
+    if f.type is scenario_module._string:
+        return st.sampled_from([*(f.choices or ()), "undeclared", *VARIANT_NAMES])
+    return FUZZ_VALUES
+
+
 @st.composite
 def mutated_scenarios(draw):
-    """A bundled scenario or the box, with one or two mutations, each at a
-    value anywhere in the tree: an unknown key (an entry, in a list) added
-    to a container, or the value deleted or replaced by a random JSON value."""
+    """A base scenario with one or two mutations, each at a value anywhere in
+    the tree: an unknown key (an entry, in a list) added to a container, or
+    the value deleted or replaced, most often by a value of the type the
+    tables declare for it (of a number, by a number), else by any JSON value."""
     cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(list(json_paths(cfg))))
@@ -726,9 +782,13 @@ def mutated_scenarios(draw):
                 node.append(value)
         elif draw(st.booleans()):
             del json_at(cfg, path[:-1])[path[-1]]
-        else:  # a number most often by a number, to get past the type checks
-            number = isinstance(node, (int, float)) and draw(st.booleans())
-            json_at(cfg, path[:-1])[path[-1]] = draw(FUZZ_NUMBERS if number else FUZZ_VALUES)
+        else:
+            declared, values = declared_field(cfg, path), FUZZ_VALUES
+            if declared is not None and draw(st.booleans()):
+                values = field_values(declared)
+            elif isinstance(node, (int, float)) and draw(st.booleans()):
+                values = FUZZ_NUMBERS
+            json_at(cfg, path[:-1])[path[-1]] = draw(values)
     return cfg
 
 
@@ -748,6 +808,54 @@ class TestFuzzedScenarios:
             load_scenario(cfg, SUBCOMMAND_NEEDS[sub])
         except ScenarioValidationError:
             pass
+
+    def test_the_fuzzer_reads_the_declared_fields(self):
+        box = TWO_COMPONENT_BOX
+        assert declared_field(box, ("solver", "dt")).exclusive_minimum == 0.0
+        assert declared_field(box, ("control", "target", "kind")).choices == (
+            "zero", "constant", "from-control")
+        assert declared_field(box, ("control", "component")).minimum == 0
+        for path in [(), ("domain", "extent", 0), ("control", "spatial_modes"), ("bogus",)]:
+            assert declared_field(box, path) is None
+
+    def test_a_field_of_another_variant_is_refused(self):
+        seen = set()
+        for cfg in FUZZ_BASES:
+            for path, variants in variant_blocks(cfg):
+                kind = json_at(cfg, path)[variants.key]
+                seen.add((id(variants), kind))
+                foreign = {name for table in tables_of(variants) for name in table}
+                for name in sorted(foreign - set(variants.tables[kind])):
+                    bad = copy.deepcopy(cfg)
+                    json_at(bad, path)[name] = 1
+                    expect_error(bad, f"{path_name(path)}.{name}: unknown field")
+        every_kind = {(id(block), kind) for block in schema_blocks()
+                      if isinstance(block, Variants) for kind in block.tables}
+        assert seen == every_kind  # the bases hold every kind of every block
+
+
+def variant_blocks(node, spec=scenario_module._SCENARIO, path=()):
+    """(path, ``_Variants``) of every block of ``node`` that has a kind (or mode)."""
+    if isinstance(spec, Variants):
+        yield path, spec
+        spec = spec.tables[node[spec.key]]
+    if isinstance(spec, dict):
+        for key, f in spec.items():
+            if key in node:
+                yield from variant_blocks(node[key], f.type, path + (key,))
+
+
+def test_readme_names_every_declared_field():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text[text.index("## Scenario files"):text.index("## Artifact formats")]
+    names = set(scenario_module._SIDES)
+    for block in schema_blocks():
+        names.update(name for table in tables_of(block) for name in table)
+        if isinstance(block, Variants):
+            names.add(block.key)
+    assert [n for n in sorted(names) if f"`{n}`" not in section and f'"{n}"' not in section] == []
 
 
 # single faults: at every path of every base, the value deleted, an unknown
