@@ -1,12 +1,11 @@
 """Command line entry point.
 
-Subcommands: ``simulate``, ``hysteresis-eval``, ``sensitivity``, ``fd-check``,
-``optimize``, ``diagnose-semigroup``.  Every run writes its artifacts plus a
-``manifest.json`` (config hash, seed, artifact list) into the output
+Each subcommand is declared once, in ``_SUBCOMMANDS``; one driver runs it and
+writes a ``manifest.json`` (config hash, seed, artifact list) into the output
 directory.  Files are written atomically (temp file, then rename) and floats
 are serialized with 17 significant digits, so identical config and seed give
-byte-identical artifacts.  Exit codes: 0 success, 2 validation, 3 numerical
-failure, 4 non-contraction.
+byte-identical artifacts.  Exit codes: 0 success, 2 validation, an unreadable
+input or an unwritable output, 3 numerical failure, 4 non-contraction.
 """
 
 from __future__ import annotations
@@ -19,12 +18,14 @@ import sys
 import tempfile
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .control import optimize as run_optimize
-from .errors import InvalidSignalError, ScenarioValidationError, StopsimError
+from .errors import InvalidConfigError, InvalidSignalError, ScenarioValidationError, StopsimError
 from .evolution import solve_state
 from .hysteresis import PiecewiseLinearSignal, stop_evaluate
 from .scenario import (
@@ -42,6 +43,19 @@ from .spatial import fractional_power_diagnostic
 __all__ = ["main"]
 
 _BUNDLED_PREFIX = "bundled:"
+
+
+def _io(verb, path, action, *args, **kwargs):
+    """``action(*args, **kwargs)``.  A failure to read or write is bad input
+    (exit 2), reported under ``path``, the name the user gave (never the
+    name of a temporary file behind it)."""
+    try:
+        return action(*args, **kwargs)
+    except OSError as exc:
+        reason = OSError(exc.errno, exc.strerror, path)
+    except UnicodeDecodeError as exc:
+        reason = f"{path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise InvalidConfigError(f"cannot {verb}: {reason}")
 
 
 def _write_atomic(path, *chunks):
@@ -90,16 +104,11 @@ def _read_config(config_arg):
         res = resources.files("stopsim").joinpath("scenarios", name + ".json")
         try:
             text = res.read_text(encoding="utf-8")
-        except (FileNotFoundError, OSError):
+        except OSError:
             raise ScenarioValidationError(
                 "", f"unknown bundled scenario {name!r}") from None
     else:
-        try:
-            with open(config_arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ScenarioValidationError(
-                "", f"cannot read config file: {exc}") from exc
+        text = _io("read config file", config_arg, Path(config_arg).read_text, encoding="utf-8")
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -109,70 +118,10 @@ def _read_config(config_arg):
     return cfg, text
 
 
-class _Run:
-    """Output directory, manifest bookkeeping, and quiet-aware logging."""
-
-    def __init__(self, args):
-        self.args = args
-        self.out_dir = args.out
-        os.makedirs(self.out_dir, exist_ok=True)
-        self.cfg, text = _read_config(args.config)
-        self.config_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.artifacts = []
-        self.seed = args.seed
-
-    def resolve_seed(self, scenario_seed):
-        if self.seed is None:
-            self.seed = scenario_seed
-
-    def path(self, name):
-        return os.path.join(self.out_dir, name)
-
-    def say(self, message):
-        if not self.args.quiet:
-            print(message)
-
-    def emit_csv(self, name, header, *columns):
-        path = self.path(name)
-        _write_csv(path, header, columns)
-        self.artifacts.append(name)
-        self.say(f"wrote {path}")
-
-    def emit_json(self, name, obj):
-        path = self.path(name)
-        _write_json(path, obj)
-        self.artifacts.append(name)
-        self.say(f"wrote {path}")
-
-    def emit_bytes(self, name, *chunks):
-        path = self.path(name)
-        _write_atomic(path, *chunks)
-        self.artifacts.append(name)
-        self.say(f"wrote {path}")
-
-    def finish(self, subcommand):
-        manifest = {
-            "subcommand": subcommand,
-            "config": self.args.config,
-            "config_sha256": self.config_sha256,
-            "seed": self.seed,
-            "artifacts": list(self.artifacts),
-            "package_version": __version__,
-        }
-        path = self.path("manifest.json")
-        _write_json(path, manifest)
-        self.say(f"wrote {path}")
-        return 0
-
-
 def read_signal_csv(path) -> PiecewiseLinearSignal:
     """Signal file: header ``t,v`` then one ``time,value`` row per point."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-    except OSError as exc:
-        raise InvalidSignalError(f"cannot read signal file: {exc}") from exc
-    lines = [line for line in lines if line]
+    text = _io("read signal file", path, Path(path).read_text, encoding="utf-8")
+    lines = [line for line in (line.strip() for line in text.split("\n")) if line]
     if not lines or lines[0].replace(" ", "") != "t,v":
         raise InvalidSignalError(f"{path}: expected header 't,v'")
     times, values = [], []
@@ -188,73 +137,70 @@ def read_signal_csv(path) -> PiecewiseLinearSignal:
     return PiecewiseLinearSignal(times=np.asarray(times), values=np.asarray(values))
 
 
-def _cmd_simulate(args):
-    run = _Run(args)
-    scn = load_scenario(run.cfg, needs=("state",))
-    run.resolve_seed(scn.seed)
+class _Run:
+    """One run's parsed arguments and the artifacts it has written."""
+
+    def __init__(self, args):
+        self.args = args
+        self.artifacts = []
+
+    def emit(self, name, write, *args, path=None):
+        """``write(target, *args)``: the artifact ``name`` in the output
+        directory, or at ``path`` (listed by its absolute path) when given."""
+        target = path or os.path.join(self.args.out, name)
+        _io("write", target, write, target, *args)
+        self.artifacts.append(os.path.abspath(path) if path else name)
+        if not self.args.quiet:
+            print(f"wrote {target}")
+
+
+# Each handler runs its solve on what its subcommand loaded, writes its
+# artifacts and returns a line to print after them, or None.
+
+def _simulate(run, scn):
+    snapshot = run.args.snapshot
     traj = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
-                       scn.source, scn.solver, keep_states=args.snapshot)
-    run.emit_csv("trajectory.csv", "t,z,S_y,norm_y",
-                 traj.times, traj.stop.values, traj.s_values, traj.norms)
-    if args.snapshot:  # int64 header (dims, components, steps), then the path's own buffer
+                       scn.source, scn.solver, keep_states=snapshot)
+    run.emit("trajectory.csv", _write_csv, "t,z,S_y,norm_y",
+             (traj.times, traj.stop.values, traj.s_values, traj.norms))
+    if snapshot:  # int64 header (dims, components, steps), then the path's own buffer
         domain = scn.disc.domain
         header = [domain.dimension, *domain.resolution, scn.disc.n_components, scn.solver.n_steps]
-        run.emit_bytes("state.bin", np.array(header, dtype=np.int64).tobytes(), traj.states)
-    return run.finish("simulate")
+        run.emit("state.bin", _write_atomic, np.array(header, dtype=np.int64).tobytes(),
+                 traj.states)
 
 
-def _cmd_hysteresis_eval(args):
-    run = _Run(args)
-    cfg = load_hysteresis_config(run.cfg)
-    run.resolve_seed(run.cfg.get("seed"))
-    signal = read_signal_csv(args.input)
-    out = stop_evaluate(signal, cfg)
-    columns = (signal.times, out.stop.values, out.play.values)
-    if args.output:
-        _write_csv(args.output, "t,stop,play", columns)
-        run.artifacts.append(os.path.abspath(args.output))
-        run.say(f"wrote {args.output}")
-    else:
-        run.emit_csv("hysteresis.csv", "t,stop,play", *columns)
-    return run.finish("hysteresis-eval")
+def _hysteresis_eval(run, hyst_cfg):
+    signal = read_signal_csv(run.args.input)
+    out = stop_evaluate(signal, hyst_cfg)
+    run.emit("hysteresis.csv", _write_csv, "t,stop,play",
+             (signal.times, out.stop.values, out.play.values), path=run.args.output)
 
 
-def _cmd_sensitivity(args):
-    run = _Run(args)
-    scn = load_scenario(run.cfg, needs=("state", "direction"))
-    run.resolve_seed(scn.seed)
+def _sensitivity(run, scn):
     base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                        scn.source, scn.solver)
     problem = LinearizedProblem(base=base, direction=scn.direction,
                                 reaction=scn.reaction, hyst_cfg=scn.hyst_cfg)
     record = solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver, keep_states=False)
-    run.emit_csv("sensitivity.csv", "t,stop_derivative,S_zeta,norm_zeta",
-                 record.times, record.stop_derivative, record.s_values, record.norms)
+    run.emit("sensitivity.csv", _write_csv, "t,stop_derivative,S_zeta,norm_zeta",
+             (record.times, record.stop_derivative, record.s_values, record.norms))
     if not record.derivative_is_exact:
-        run.say("note: reaction derivative is a finite-difference approximation")
-    return run.finish("sensitivity")
+        return "note: reaction derivative is a finite-difference approximation"
 
 
-def _cmd_fd_check(args):
-    run = _Run(args)
-    scn = load_scenario(run.cfg, needs=("state", "direction", "lambdas"))
-    run.resolve_seed(scn.seed)
+def _fd_check(run, scn):
     study = fd_convergence_study(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                                  scn.source, scn.direction, scn.lambdas,
                                  scn.solver)
-    run.emit_csv("fd_check.csv", "lambda,error", study.lambdas, study.errors)
-    return run.finish("fd-check")
+    run.emit("fd_check.csv", _write_csv, "lambda,error", (study.lambdas, study.errors))
 
 
-def _cmd_optimize(args):
-    run = _Run(args)
-    scn = load_scenario(run.cfg, needs=("state", "control"))
-    run.resolve_seed(scn.seed)
+def _optimize(run, scn):
     problem, spec, opts = build_control_problem(scn)
     result = run_optimize(problem, spec, **opts)
-    run.emit_csv("history.csv", "iter,J,grad_inf,step",
-                 *(np.array(c) for c in zip(*result.history)))
-    run.emit_json("coefficients.json", {
+    run.emit("history.csv", _write_csv, "iter,J,grad_inf,step", zip(*result.history))
+    run.emit("coefficients.json", _write_json, {
         "mode": result.spec.mode,
         "time_knots": result.spec.time_knots,
         "coefficients": result.spec.coefficients,
@@ -262,32 +208,78 @@ def _cmd_optimize(args):
         "status": result.status,
         "iterations": len(result.history),
     })
-    run.say(f"optimize: status {result.status}, cost {result.cost:.6e}")
-    return run.finish("optimize")
+    return f"optimize: status {result.status}, cost {result.cost:.6e}"
 
 
-def _cmd_diagnose_semigroup(args):
-    run = _Run(args)
-    scn = load_scenario(run.cfg, needs=("spatial", "diagnostic"))
-    run.resolve_seed(scn.seed)
+def _diagnose_semigroup(run, scn):
     opts = scn.diagnostic
     t_grid = np.logspace(np.log10(opts["t_min"]), np.log10(opts["t_max"]),
                          opts["t_count"])
     report = fractional_power_diagnostic(
         scn.disc, opts["theta"], t_grid=t_grid,
         component=opts["component"], gamma=opts["gamma"])
-    run.emit_json("semigroup_report.json", {
-        "theta": report.theta,
-        "gamma": report.gamma,
-        "component": opts["component"],
-        "sup_value": report.sup_value,
-        "t_at_sup": report.t_at_sup,
-        "attained_interior": report.attained_interior,
-        "t_grid": report.t_grid,
-        "weighted": report.weighted,
-        "norms": report.norms,
+    run.emit("semigroup_report.json", _write_json, {
+        **vars(report), "component": opts["component"],
+        "attained_interior": report.attained_interior})
+
+
+class _Subcommand(NamedTuple):
+    needs: tuple  # ``load_scenario``'s tokens; None loads the hysteresis config only
+    handler: object
+    help: str
+    flags: dict = {}  # flag -> ``add_argument`` keywords
+
+
+_SUBCOMMANDS = {
+    "simulate": _Subcommand(
+        ("state",), _simulate, "solve the state equation, write trajectory.csv",
+        {"--snapshot": dict(action="store_true",
+                            help="also write the full state history to state.bin")}),
+    "hysteresis-eval": _Subcommand(
+        None, _hysteresis_eval, "evaluate stop and play on a signal CSV",
+        {"--input": dict(required=True, help="input CSV with header t,v"),
+         "--output": dict(help="output CSV path (default: <out>/hysteresis.csv)")}),
+    "sensitivity": _Subcommand(
+        ("state", "direction"), _sensitivity,
+        "solve the linearized equation, write sensitivity.csv"),
+    "fd-check": _Subcommand(
+        ("state", "direction", "lambdas"), _fd_check,
+        "difference-quotient convergence table, fd_check.csv"),
+    "optimize": _Subcommand(
+        ("state", "control"), _optimize,
+        "descent on the tracking cost, history.csv + coefficients.json"),
+    "diagnose-semigroup": _Subcommand(
+        ("spatial", "diagnostic"), _diagnose_semigroup,
+        "fractional-power diagnostic, semigroup_report.json"),
+}
+
+
+def _load(subcommand, cfg):
+    """What ``subcommand`` reads from the parsed config ``cfg``, validated."""
+    needs = _SUBCOMMANDS[subcommand].needs
+    return load_hysteresis_config(cfg) if needs is None else load_scenario(cfg, needs)
+
+
+def _drive(args):
+    """One run of ``args.subcommand``: the steps every subcommand shares, around its handler."""
+    _io("create output directory", args.out, os.makedirs, args.out, exist_ok=True)
+    cfg, text = _read_config(args.config)
+    loaded = _load(args.subcommand, cfg)
+    # the load step validated any seed the config holds
+    seed = cfg.get("seed") if args.seed is None else args.seed
+    run = _Run(args)
+    note = _SUBCOMMANDS[args.subcommand].handler(run, loaded)
+    if note and not args.quiet:
+        print(note)
+    run.emit("manifest.json", _write_json, {
+        "subcommand": args.subcommand,
+        "config": args.config,
+        "config_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "seed": seed,
+        "artifacts": list(run.artifacts),
+        "package_version": __version__,
     })
-    return run.finish("diagnose-semigroup")
+    return 0
 
 
 @lru_cache(maxsize=None)
@@ -310,46 +302,19 @@ def _build_parser():
                         help="suppress informational output")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="solve the state equation, write trajectory.csv")
-    p.add_argument("--snapshot", action="store_true",
-                   help="also write the full state history to state.bin")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("hysteresis-eval", parents=[common],
-                       help="evaluate stop and play on a signal CSV")
-    p.add_argument("--input", required=True, help="input CSV with header t,v")
-    p.add_argument("--output", default=None,
-                   help="output CSV path (default: <out>/hysteresis.csv)")
-    p.set_defaults(handler=_cmd_hysteresis_eval)
-
-    p = sub.add_parser("sensitivity", parents=[common],
-                       help="solve the linearized equation, write sensitivity.csv")
-    p.set_defaults(handler=_cmd_sensitivity)
-
-    p = sub.add_parser("fd-check", parents=[common],
-                       help="difference-quotient convergence table, fd_check.csv")
-    p.set_defaults(handler=_cmd_fd_check)
-
-    p = sub.add_parser("optimize", parents=[common],
-                       help="descent on the tracking cost, history.csv + "
-                            "coefficients.json")
-    p.set_defaults(handler=_cmd_optimize)
-
-    p = sub.add_parser("diagnose-semigroup", parents=[common],
-                       help="fractional-power diagnostic, semigroup_report.json")
-    p.set_defaults(handler=_cmd_diagnose_semigroup)
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=spec.help)
+        for flag, options in spec.flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         # the solvers' guards report overflow and non-finite values themselves
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.handler(args)
+            return _drive(args)
     except StopsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -12,7 +12,6 @@ __all__ = [
     "InvalidConfigError",
     "GridMismatchError",
     "ScenarioValidationError",
-    "UnsupportedConfigurationError",
     "EmptyBoundaryError",
     "NumericalFailureError",
     "BlowupError",
@@ -53,12 +52,6 @@ class ScenarioValidationError(StopsimError):
         super().__init__(f"{field_path}: {message}" if field_path else message)
 
 
-class UnsupportedConfigurationError(StopsimError):
-    """Requested operation is outside the supported envelope (size, symmetry)."""
-
-    exit_code = 2
-
-
 class EmptyBoundaryError(StopsimError):
     """Boundary control requested but no component has Neumann boundary nodes."""
 
@@ -78,15 +71,9 @@ class NumericalFailureError(StopsimError):
 class BlowupError(NumericalFailureError):
     """State exceeded the magnitude guard or became non-finite."""
 
-    def __init__(self, message):
-        super().__init__(message)
-
 
 class NonsmoothPointError(NumericalFailureError):
     """A reaction derivative was probed where it is undefined."""
-
-    def __init__(self, message):
-        super().__init__(message)
 
 
 class NonContractionError(StopsimError):

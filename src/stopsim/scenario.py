@@ -211,7 +211,7 @@ _WEIGHTS = _Variants("kind", {"constant": {"value": _NUMBER}, "values": {"values
 # a sine profile's ``mode`` is one integer for every axis, or a list of one per axis
 _PROFILES = _Variants("kind", {"constant": {}, "sine": {"mode": _ANY},
                                "values": {"values": _ARRAY}})
-_PLACEMENT = {"profile": _Field(_PROFILES, None), "component": _Field("any", "all")}
+_PLACEMENT = {"profile": _Field(_PROFILES, {"kind": "constant"}), "component": _Field("any", "all")}
 _SOURCES = _Variants("kind", {
     "zero": {},
     "constant": {"value": _NUMBER, **_PLACEMENT},
@@ -368,7 +368,7 @@ def _s_weight(cfg, disc, path):
 
 def _spatial_profile(cfg, disc, path):
     """Per-node profile values from a profile sub-object."""
-    cfg = {"kind": "constant"} if cfg is None else _variant(cfg, path, _PROFILES)
+    cfg = _variant(cfg, path, _PROFILES)
     if cfg["kind"] == "constant":
         return np.ones(disc.n_nodes)
     if cfg["kind"] == "values":
@@ -436,7 +436,7 @@ def _field_source(cfg, disc, solver, path):
     else:
         amp = cfg["amplitude"] * np.sin(cfg["omega"] * times)
 
-    profile = _spatial_profile(cfg.get("profile"), disc, _join(path, "profile"))
+    profile = _spatial_profile(cfg["profile"], disc, _join(path, "profile"))
     component = cfg["component"]
     if component == "all":
         return Source(amp, np.tile(profile, (disc.n_components, 1)))
@@ -500,7 +500,7 @@ def _control(cfg, disc, path):
 
 
 def _diagnostic(cfg, disc, path):
-    out = _fields({} if cfg is None else cfg, path, _DIAGNOSTIC)
+    out = _fields(cfg, path, _DIAGNOSTIC)
     if disc is not None:
         _check_component(out["component"], disc, _join(path, "component"))
     if out["t_max"] <= out["t_min"]:
@@ -510,9 +510,12 @@ def _diagnostic(cfg, disc, path):
 
 
 def load_hysteresis_config(cfg) -> HysteresisConfig:
-    """Hysteresis config from a bare {a, b, z0} object or a full scenario, validated whole."""
+    """Hysteresis config from a bare {a, b, z0} object or a full scenario,
+    validated whole: an object with any scenario field is a full scenario,
+    and its ``hysteresis`` block is required."""
     cfg = _object(cfg, "")
-    if "hysteresis" in cfg:
+    if cfg.keys() & _SCENARIO.keys():
+        _require(cfg, "hysteresis", "")
         return load_scenario(cfg, needs=()).hyst_cfg
     return _hysteresis(cfg, "hysteresis")
 
@@ -582,7 +585,7 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
         scn.control = _control(_require(cfg, "control", ""), scn.disc, "control")
 
     if "diagnostic" in needs or "diagnostic" in cfg:
-        scn.diagnostic = _diagnostic(cfg.get("diagnostic"), scn.disc, "diagnostic")
+        scn.diagnostic = _diagnostic(cfg.get("diagnostic", {}), scn.disc, "diagnostic")
 
     return scn
 

@@ -18,10 +18,10 @@ from stopsim import (
     stop_evaluate,
 )
 from stopsim import spatial
-from stopsim.cli import _build_parser, _write_csv, main, read_signal_csv
+from stopsim.cli import _SUBCOMMANDS, _build_parser, _load, _write_csv, main, read_signal_csv
 
 from conftest import traced_peak
-from test_scenario import SUBCOMMAND_NEEDS, single_faults
+from test_scenario import single_faults
 
 
 def package_env():
@@ -556,9 +556,10 @@ class TestValidationFailures:
 
 
 # whole runs of single-fault scenarios (``test_scenario.single_faults``) under
-# these subcommands; runtime caps, not part of the fault: at most 3 optimizer
-# iterations, and no grid over 2e5 node-steps
-FUZZ_SUBCOMMANDS = ("simulate", "sensitivity", "fd-check", "diagnose-semigroup", "optimize")
+# every subcommand but hysteresis-eval, which also reads a signal; runtime
+# caps, not part of the fault: at most 3 optimizer iterations, and no grid
+# over 2e5 node-steps
+FUZZ_SUBCOMMANDS = [sub for sub, spec in _SUBCOMMANDS.items() if spec.needs is not None]
 CLI_FUZZ_STRIDE = 53  # tier-1 runs every 53rd case
 MAX_NODE_STEPS = 2e5
 
@@ -578,7 +579,7 @@ def fuzz_runs(stride):
                 optimizer["max_iters"] = 3
         for sub in FUZZ_SUBCOMMANDS:
             try:
-                scn = load_scenario(copy.deepcopy(cfg), SUBCOMMAND_NEEDS[sub])
+                scn = _load(sub, copy.deepcopy(cfg))
                 too_big = scn.solver and scn.disc.n_nodes * scn.solver.n_steps > MAX_NODE_STEPS
             except ScenarioValidationError:
                 too_big = False
@@ -597,6 +598,49 @@ class TestFuzzedRuns:
             assert rc == 0 or (err.count("\n") == 1 and err.startswith("error: ")), (case, sub, err)
             runs += 1
         assert runs > 500
+
+
+def test_readme_lists_every_subcommand():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    table = text[text.index("| Subcommand |"):]
+    rows = table[:table.index("\n\n")].splitlines()[2:]
+    assert [row.split("`")[1] for row in rows] == list(_SUBCOMMANDS)
+
+
+class TestFileErrors:
+    """An input that cannot be read, or an output that cannot be written,
+    exits 2 with one error line naming the file as given and leaves no
+    temporary file behind."""
+
+    @pytest.mark.parametrize("case", ["config", "signal", "out under a file", "out is a file",
+                                      "output in a missing directory", "output is a directory"])
+    def test_exits_two_naming_the_file(self, case, tmp_path, capsys):
+        config = write_config(tmp_path, {"a": -1.0, "b": 1.0, "z0": 0.0})
+        signal = tmp_path / "signal.csv"
+        signal.write_text("t,v\n0,0\n1,1\n")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = {"--config": config, "--input": str(signal), "--out": str(tmp_path / "run")}
+        flag, named = {
+            "config": ("--config", config),
+            "signal": ("--input", str(signal)),
+            "out under a file": ("--out", str(blocker / "run")),
+            "out is a file": ("--out", str(blocker)),
+            "output in a missing directory": ("--output", str(tmp_path / "missing" / "x.csv")),
+            "output is a directory": ("--output", str(tmp_path)),
+        }[case]
+        args[flag] = named
+        if flag in ("--config", "--input"):  # a byte that starts no UTF-8 sequence
+            with open(named, "ab") as fh:
+                fh.write(b"\xff")
+        argv = ["hysteresis-eval", "--quiet", *(x for item in args.items() for x in item)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: cannot "), err
+        assert repr(named) in err and ".tmp-" not in err
+        assert no_temp_litter(tmp_path)
 
 
 class TestHysteresisEval:

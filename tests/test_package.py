@@ -17,7 +17,7 @@ SURFACE = {
     "__version__",
     # errors
     "StopsimError", "InvalidSignalError", "InvalidConfigError", "GridMismatchError",
-    "ScenarioValidationError", "UnsupportedConfigurationError", "EmptyBoundaryError",
+    "ScenarioValidationError", "EmptyBoundaryError",
     "NumericalFailureError", "BlowupError", "NonsmoothPointError", "NonContractionError",
     # hysteresis
     "PiecewiseLinearSignal", "HysteresisConfig", "HysteresisOutput", "DerivativeState",

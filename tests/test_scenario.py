@@ -26,6 +26,7 @@ from stopsim import (
     solve_state,
 )
 from stopsim import scenario as scenario_module
+from stopsim.cli import _SUBCOMMANDS, _load
 
 from conftest import active_mask, traced_peak
 
@@ -142,6 +143,16 @@ class TestStructuralValidation:
     def test_non_object_input(self):
         with pytest.raises(ScenarioValidationError):
             load_scenario([1, 2, 3])
+
+    @pytest.mark.parametrize("path", [("source", "profile"), ("direction", "profile"),
+                                      ("diagnostic",)])
+    def test_null_is_not_an_absent_block(self, path):
+        cfg = base_scenario()
+        cfg["source"] = {"kind": "sine", "amplitude": 1.0, "omega": 2.0,
+                         "profile": {"kind": "sine", "mode": 1}}
+        cfg["direction"] = {"kind": "constant", "value": 1.0}
+        json_at(cfg, path[:-1])[path[-1]] = None
+        expect_error(cfg, f"{'.'.join(path)}: expected an object")
 
     def test_seed_parsing(self):
         cfg = base_scenario()
@@ -597,22 +608,21 @@ class TestTextEntryPoints:
             {"hysteresis": {"a": -2.0, "b": 3.0, "z0": 0.5}})
         assert bare == HysteresisConfig(a=-2.0, b=3.0, z0=0.5) == wrapped
 
+    @pytest.mark.parametrize("cfg,message", [
+        ({k: v for k, v in base_scenario().items() if k != "hysteresis"},
+         "hysteresis: required field is missing"),
+        ({"seed": 1, "a": -1.0, "b": 1.0, "z0": 0.0}, "hysteresis: required field is missing"),
+        ({"a": -1.0, "b": 1.0, "z0": 0.0, "bogus": 1}, "hysteresis.bogus: unknown field")])
+    def test_an_object_with_a_scenario_field_is_a_full_scenario(self, cfg, message):
+        with pytest.raises(ScenarioValidationError, match=message):
+            load_hysteresis_config(cfg)
+
     @pytest.mark.parametrize("extra,message", [({"seed": "not-a-seed"}, "seed: expected an integer"),
                                                ({"bogus": 1}, "bogus: unknown field")])
     def test_a_full_scenario_is_validated_whole(self, extra, message):
         with pytest.raises(ScenarioValidationError, match=message):
             load_hysteresis_config({"hysteresis": {"a": -0.5, "b": 0.5, "z0": 0}, **extra})
 
-
-# the blocks each subcommand asks ``load_scenario`` for (``cli._cmd_*``)
-SUBCOMMAND_NEEDS = {
-    "simulate": ("state",),
-    "sensitivity": ("state", "direction"),
-    "fd-check": ("state", "direction", "lambdas"),
-    "optimize": ("state", "control"),
-    "diagnose-semigroup": ("spatial", "diagnostic"),
-    "hysteresis-eval": (),  # a full scenario, through ``load_hysteresis_config``
-}
 
 TWO_COMPONENT_BOX = {
     "domain": {"dimension": 2, "extent": [1.0, 0.7], "resolution": [7, 5]},
@@ -795,17 +805,18 @@ def mutated_scenarios(draw):
 class TestFuzzedScenarios:
     @pytest.mark.parametrize("base", range(len(FUZZ_BASES)))
     def test_every_base_loads_for_the_subcommands_it_serves(self, base):
-        served = [sub for sub, needs in SUBCOMMAND_NEEDS.items()
-                  if all(n in ("state", "spatial") or n in FUZZ_BASES[base] for n in needs)]
-        assert "simulate" in served
+        served = [sub for sub, spec in _SUBCOMMANDS.items()
+                  if all(n in ("state", "spatial") or n in FUZZ_BASES[base]
+                         for n in spec.needs or ())]
+        assert "simulate" in served and "hysteresis-eval" in served
         for sub in served:
-            load_scenario(copy.deepcopy(FUZZ_BASES[base]), SUBCOMMAND_NEEDS[sub])
+            _load(sub, copy.deepcopy(FUZZ_BASES[base]))
 
     @settings(max_examples=300, deadline=None)
-    @given(cfg=mutated_scenarios(), sub=st.sampled_from(sorted(SUBCOMMAND_NEEDS)))
+    @given(cfg=mutated_scenarios(), sub=st.sampled_from(sorted(_SUBCOMMANDS)))
     def test_a_mutated_scenario_loads_or_fails_validation(self, cfg, sub):
         try:
-            load_scenario(cfg, SUBCOMMAND_NEEDS[sub])
+            _load(sub, cfg)
         except ScenarioValidationError:
             pass
 
@@ -903,12 +914,9 @@ def single_faults():
 
 
 def load_verdict(cfg, sub):
-    """'ok', or the validation message, of ``sub`` loading ``cfg``."""
+    """'ok', or the validation message, of the CLI's load step for ``sub`` on ``cfg``."""
     try:
-        if sub == "hysteresis-eval":
-            load_hysteresis_config(cfg)
-        else:
-            load_scenario(cfg, SUBCOMMAND_NEEDS[sub])
+        _load(sub, cfg)
     except ScenarioValidationError as exc:
         return str(exc)
     return "ok"
@@ -921,7 +929,7 @@ def single_fault_verdicts(stride=1):
     for i, (case, build) in enumerate(single_faults()):
         if i % stride == 0:
             cfg = build()
-            verdicts = {sub: load_verdict(cfg, sub) for sub in sorted(SUBCOMMAND_NEEDS)}
+            verdicts = {sub: load_verdict(cfg, sub) for sub in sorted(_SUBCOMMANDS)}
             same = len(set(verdicts.values())) == 1
             out[case] = next(iter(verdicts.values())) if same else verdicts
     return out
@@ -978,4 +986,4 @@ if __name__ == "__main__":
         differ = [case for case in verdicts if verdicts[case] != golden.get(case)]
         for case in differ:
             print(f"{case}\n  golden: {golden.get(case)}\n  now:    {verdicts[case]}")
-        print(f"{len(verdicts)} cases x {len(SUBCOMMAND_NEEDS)} subcommands, {len(differ)} differ")
+        print(f"{len(verdicts)} cases x {len(_SUBCOMMANDS)} subcommands, {len(differ)} differ")
