@@ -29,12 +29,13 @@ from .errors import InvalidConfigError, InvalidSignalError, ScenarioValidationEr
 from .evolution import solve_state
 from .hysteresis import PiecewiseLinearSignal, stop_evaluate
 from .scenario import (
+    _SCENARIO,
+    _integer,
     build_control_problem,
     load_hysteresis_config,
     load_scenario,
 )
 from .sensitivity import (
-    LinearizedProblem,
     fd_convergence_study,
     solve_sensitivity,
 )
@@ -180,9 +181,7 @@ def _hysteresis_eval(run, hyst_cfg):
 def _sensitivity(run, scn):
     base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                        scn.source, scn.solver)
-    problem = LinearizedProblem(base=base, direction=scn.direction,
-                                reaction=scn.reaction, hyst_cfg=scn.hyst_cfg)
-    record = solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver, keep_states=False)
+    record = solve_sensitivity(base, scn.direction, keep_states=False)
     run.emit("sensitivity.csv", _write_csv, "t,stop_derivative,S_zeta,norm_zeta",
              (record.times, record.stop_derivative, record.s_values, record.norms))
     if not record.derivative_is_exact:
@@ -190,9 +189,9 @@ def _sensitivity(run, scn):
 
 
 def _fd_check(run, scn):
-    study = fd_convergence_study(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
-                                 scn.source, scn.direction, scn.lambdas,
-                                 scn.solver)
+    base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
+                       scn.source, scn.solver)
+    study = fd_convergence_study(base, scn.direction, scn.lambdas)
     run.emit("fd_check.csv", _write_csv, "lambda,error", (study.lambdas, study.errors))
 
 
@@ -265,8 +264,9 @@ def _drive(args):
     _io("create output directory", args.out, os.makedirs, args.out, exist_ok=True)
     cfg, text = _read_config(args.config)
     loaded = _load(args.subcommand, cfg)
-    # the load step validated any seed the config holds
-    seed = cfg.get("seed") if args.seed is None else args.seed
+    # the load step validated any seed the config holds; --seed meets the same rule
+    seed = (cfg.get("seed") if args.seed is None
+            else _integer(args.seed, "--seed", _SCENARIO["seed"]))
     run = _Run(args)
     note = _SUBCOMMANDS[args.subcommand].handler(run, loaded)
     if note and not args.quiet:

@@ -20,6 +20,7 @@ where hysteresis switching makes J nonsmooth.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import EmptyBoundaryError, GridMismatchError, InvalidConfigError
 from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
 from .hysteresis import HysteresisConfig
-from .sensitivity import LinearizedProblem, _adjoint_sweep, solve_sensitivity
+from .sensitivity import _adjoint_sweep, solve_sensitivity
 from .spatial import SFunctional, SpatialDiscretization, _Stepper
 
 __all__ = [
@@ -64,9 +65,10 @@ class ControlSpec:
             raise InvalidConfigError(
                 f"control mode must be 'distributed' or 'boundary', got {self.mode!r}"
             )
-        if int(self.time_knots) < 1:
-            raise InvalidConfigError("time_knots must be at least 1")
-        object.__setattr__(self, "time_knots", int(self.time_knots))
+        knots = self.time_knots
+        if isinstance(knots, bool) or not isinstance(knots, numbers.Integral) or knots < 1:
+            raise InvalidConfigError(f"time_knots must be an integer of at least 1, got {knots!r}")
+        object.__setattr__(self, "time_knots", int(knots))
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise InvalidConfigError("coefficients must be a nonempty vector")
@@ -258,13 +260,7 @@ def _directional(problem, spec, direction, base, gram):
             f"{spec.coefficients.shape}"
         )
     h_src = apply_B(problem.disc, spec.with_coefficients(direction), problem.solver.times())
-    record = solve_sensitivity(
-        LinearizedProblem(
-            base=base, direction=h_src,
-            reaction=problem.reaction, hyst_cfg=problem.hyst_cfg,
-        ),
-        problem.disc, problem.sfun, problem.solver,
-    )
+    record = solve_sensitivity(base, h_src)
     dt = problem.solver.dt
     q = problem.disc.quadrature
     mis = base.states - problem.target
@@ -279,7 +275,7 @@ def _gradient(problem, spec, base, gram, stepper):
     and they form the gradient; elsewhere each takes one forward solve.
     """
     seed = problem.solver.dt * (base.states - problem.target) * problem.disc.quadrature
-    g_h = _adjoint_sweep(base, seed, problem.reaction, stepper, problem.solver)
+    g_h = _adjoint_sweep(base, seed, stepper)
     if g_h is None:
         basis = np.eye(spec.n_coefficients)
         return np.array([_directional(problem, spec, e, base, gram) for e in basis]), False
@@ -324,6 +320,12 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
     """
     if max_iters < 1:
         raise InvalidConfigError("max_iters must be at least 1")
+    if not 0.0 < initial_step < math.inf:
+        raise InvalidConfigError(f"initial_step must be positive and finite, got {initial_step}")
+    if not 0.0 < armijo_c1 < 1.0:
+        raise InvalidConfigError(f"armijo_c1 must lie in (0, 1), got {armijo_c1}")
+    if max_halvings < 0:
+        raise InvalidConfigError(f"max_halvings must be at least 0, got {max_halvings}")
     gram = control_gram(problem.disc, spec, problem.solver.times())
     stepper = _Stepper(problem.disc, problem.solver.dt, problem.sfun)  # for the adjoint
     history = []

@@ -33,7 +33,7 @@ from .errors import (
     NonsmoothPointError,
 )
 from .hysteresis import HysteresisConfig, PiecewiseLinearSignal, StopCursor
-from .spatial import _path_norms, _Stepper
+from .spatial import SFunctional, SpatialDiscretization, _path_norms, _Stepper
 
 __all__ = [
     "ReactionFunction",
@@ -448,12 +448,14 @@ class _NoPath:
 
 @dataclass
 class Trajectory:
-    """Discrete state path: fields y_k, hysteresis output z, and the source.
+    """Discrete state path: fields y_k, hysteresis output z, and the equation solved.
 
     ``states`` is the path, or a ``_NoPath`` when the solve kept none;
     ``norms`` holds the quadrature norm of every y_k either way.  ``source``
     is the source as given to the solve: a ``Source`` keeps its factors,
-    anything else is its float array.
+    anything else is its float array.  ``solve_state`` also records the
+    grid, S, reaction, hysteresis config and solver; every derivative at
+    this path reads its equation from them.
 
     ``stop_offsets`` stores the internal offset state w_k of the stop
     recursion at every step; the sensitivity solver replays branch decisions
@@ -467,7 +469,11 @@ class Trajectory:
     s_values: np.ndarray      # v_k = S y_k
     stop_offsets: np.ndarray  # w_k = z_k - v_k as carried by the recursion
     source: Source            # or a (N+1, m, n_nodes) array
+    disc: SpatialDiscretization
+    sfun: SFunctional
+    reaction: ReactionFunction
     hyst_cfg: HysteresisConfig
+    solver: SolverConfig
     picard_iterations: list = field(default_factory=list)  # per-slice sweep counts
 
 
@@ -648,7 +654,11 @@ def solve_state(disc, sfun, reaction, hyst_cfg, u, solver, keep_states=True) -> 
         s_values=s_values,
         stop_offsets=offsets,
         source=u,
+        disc=disc,
+        sfun=sfun,
+        reaction=reaction,
         hyst_cfg=hyst_cfg,
+        solver=solver,
         picard_iterations=sweeps,
     )
 
@@ -681,15 +691,14 @@ def picard_slice_iterate(disc, sfun, reaction, cursor, y_start, u_slice,
     return (ys, *channel, ratios)
 
 
-def boundedness_report(disc, traj: Trajectory, solver: SolverConfig) -> BoundednessReport:
+def boundedness_report(traj: Trajectory) -> BoundednessReport:
     """Ratio of the peak state norm to 1 + the source's time-quadrature norm.
 
     The state term reads the norms channel, so no state path is needed.
     """
-    dt = solver.dt
     max_state = traj.norms.max()
-    src_sq = sum(n ** 2 for n in _path_norms(disc, np.asarray(traj.source)).tolist())
-    src_norm = math.sqrt(dt * src_sq)
+    src_sq = sum(n ** 2 for n in _path_norms(traj.disc, np.asarray(traj.source)).tolist())
+    src_norm = math.sqrt(traj.solver.dt * src_sq)
     return BoundednessReport(
         max_state_norm=float(max_state),
         source_norm=float(src_norm),

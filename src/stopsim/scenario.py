@@ -230,7 +230,7 @@ _OPTIMIZER = {
     "max_iters": _Field(_integer, 100, minimum=1),
     "tol": _Field(_number, 1e-8, exclusive_minimum=0.0),
     "initial_step": _Field(_number, 1.0, exclusive_minimum=0.0),
-    "armijo_c1": _Field(_number, 1e-4, exclusive_minimum=0.0),
+    "armijo_c1": _Field(_number, 1e-4, exclusive_minimum=0.0, below=1),
     "max_halvings": _Field(_integer, 40, minimum=1),
 }
 _CONTROL = {"time_knots": _Field(_integer, minimum=1), "kappa": _POSITIVE,

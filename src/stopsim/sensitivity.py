@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import BlowupError, GridMismatchError, InvalidConfigError
 from .evolution import (
-    ReactionFunction,
     Source,
     Trajectory,
     _add_source,
@@ -42,43 +41,16 @@ from .evolution import (
     _integrate,
     solve_state,
 )
-from .hysteresis import INTERIOR, HysteresisConfig, _omega_step, branch_census
-from .spatial import _check_field, _path_norms, _Stepper
+from .hysteresis import INTERIOR, _omega_step, branch_census
+from .spatial import _path_norms, _Stepper
 
 __all__ = [
-    "LinearizedProblem",
     "SensitivityRecord",
     "FdStudy",
     "solve_sensitivity",
     "fd_convergence_study",
     "hadamard_perturbed_quotient",
 ]
-
-
-@dataclass(frozen=True)
-class LinearizedProblem:
-    """Base trajectory, perturbation direction, and the reaction derivative rule.
-
-    A ``Source`` direction is kept as its factors and checked on them.
-    """
-
-    base: Trajectory
-    direction: Source  # or a (N+1, m, n_nodes) array: the source direction h
-    reaction: ReactionFunction
-    hyst_cfg: HysteresisConfig
-
-    def __post_init__(self):
-        h = _as_path(self.direction)
-        if h.shape != self.base.states.shape:
-            raise GridMismatchError(
-                f"direction shape {h.shape} must match base states "
-                f"{self.base.states.shape}"
-            )
-        if not (h.is_finite() if isinstance(h, Source) else np.all(np.isfinite(h))):
-            raise InvalidConfigError("direction must be finite")
-        if self.hyst_cfg != self.base.hyst_cfg:
-            raise InvalidConfigError("hysteresis config differs from the base trajectory's")
-        object.__setattr__(self, "direction", h)
 
 
 @dataclass
@@ -94,23 +66,25 @@ class SensitivityRecord:
     picard_iterations: list = field(default_factory=list)  # per-slice sweep counts
 
 
-def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver,
-                      keep_states=True) -> SensitivityRecord:
-    """Integrate the linearized recursion along the base trajectory (keeping
-    the zeta path only with ``keep_states``, as ``solve_state``)."""
-    base = problem.base
-    n_steps = solver.n_steps
-    if base.states.shape[0] != n_steps + 1 or not np.array_equal(base.times, solver.times()):
-        raise GridMismatchError("base trajectory was not solved on this solver grid")
-    _check_field(disc, base.states[0], "base state")
+def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> SensitivityRecord:
+    """Integrate the linearized recursion of ``base``'s equation along it, in
+    the source direction ``direction`` (a ``Source`` or an (N+1, m, n_nodes)
+    array), keeping the zeta path only with ``keep_states``, as ``solve_state``."""
+    h = _as_path(direction)
+    if h.shape != base.states.shape:
+        raise GridMismatchError(
+            f"direction shape {h.shape} must match base states {base.states.shape}"
+        )
+    if not (h.is_finite() if isinstance(h, Source) else np.all(np.isfinite(h))):
+        raise InvalidConfigError("direction must be finite")
 
-    h = problem.direction
-    reaction = problem.reaction
+    solver, reaction = base.solver, base.reaction
+    n_steps = solver.n_steps
     wz = np.zeros(n_steps + 1)      # derivative of the stop output
     dv = np.zeros(n_steps + 1)      # S zeta
     omega = np.zeros(n_steps + 1)   # wz - dv; zero since zeta_0 = 0
-    stepper = _Stepper(disc, solver.dt, sfun)
-    branches = branch_census(problem.hyst_cfg, base.stop_offsets, base.s_values).steps.tolist()
+    stepper = _Stepper(base.disc, solver.dt, base.sfun)
+    branches = branch_census(base.hyst_cfg, base.stop_offsets, base.s_values).steps.tolist()
 
     def rhs(k, zk, out):
         reaction.directional(base.states[k], base.stop.values[k], zk, wz[k], out=out)
@@ -139,7 +113,7 @@ def solve_sensitivity(problem: LinearizedProblem, disc, sfun, solver,
     )
 
 
-def _adjoint_sweep(base: Trajectory, seed, reaction, stepper, solver):
+def _adjoint_sweep(base: Trajectory, seed, stepper):
     """Backward sweep of the direct linearized recursion along ``base``.
 
     Returns the source-shaped g with sum_k <g_k, h_k> = sum_k <seed_k, zeta_k>
@@ -150,17 +124,16 @@ def _adjoint_sweep(base: Trajectory, seed, reaction, stepper, solver):
     the base path; and where the reaction's directional derivative is not
     linear in the direction.  The scalar adjoint of omega passes through
     interior steps and resets at a bound, as omega itself does forward.  Each
-    step solves with ``stepper``'s transposed step (for the base's grid and
-    ``solver.dt``) from its buffer, which holds the adjoint of zeta.
+    step solves with ``stepper``'s transposed step (one built for the base's
+    grid, S and step) from its buffer, which holds the adjoint of zeta.
     """
     census = branch_census(base.hyst_cfg, base.stop_offsets, base.s_values)
-    states = base.states
+    states, reaction, solver = base.states, base.reaction, base.solver
     if (solver.scheme != "imex-euler" or census.tie
             or not reaction.directional_is_linear(states)):
         return None
     n_steps = solver.n_steps
     dt = solver.dt
-    _check_field(stepper.disc, states[0], "base state")
     z = base.stop.values[:, None, None]
     # the explicit step's partials, 1 + dt f_y and dt f_z, over the whole path
     gy = np.broadcast_to(1.0 + dt * reaction.directional(states, z, 1.0, 0.0), states.shape)
@@ -214,34 +187,25 @@ def _check_lambdas(lambdas):
     return lam
 
 
-def fd_convergence_study(disc, sfun, reaction, hyst_cfg, u, h, lambdas, solver) -> FdStudy:
-    """e(lambda) = max_k |(G(u + lambda h) - G(u))_k / lambda - zeta_k|_quad."""
-    return hadamard_perturbed_quotient(
-        disc, sfun, reaction, hyst_cfg, u, h, None, lambdas, solver
-    )
+def fd_convergence_study(base: Trajectory, h, lambdas) -> FdStudy:
+    """e(lambda) = max_k |(G(u + lambda h) - G(u))_k / lambda - zeta_k|_quad,
+    with G the equation ``base`` solved and u its source."""
+    return hadamard_perturbed_quotient(base, h, None, lambdas)
 
 
-def hadamard_perturbed_quotient(disc, sfun, reaction, hyst_cfg, u, h,
-                                remainder, lambdas, solver) -> FdStudy:
+def hadamard_perturbed_quotient(base: Trajectory, h, remainder, lambdas) -> FdStudy:
     """Like ``fd_convergence_study`` but perturbing with u + lambda h + r(lambda).
 
     ``remainder`` maps lambda to a source-shaped array with r(lambda)/lambda -> 0
     (or is None for the plain study).  Convergence of e(lambda) despite the
     remainder is what distinguishes the derivative from a directional limit.
-    ``u`` and ``h`` may be ``Source``s; the perturbed sources need their
-    dense paths, so the study forms them.
+    ``base`` must keep its path.  Its source and ``h`` may be ``Source``s;
+    the perturbed sources need their dense paths, so the study forms them.
     """
     lam = _check_lambdas(lambdas)
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(base.source, dtype=float)
     h = np.asarray(h, dtype=float)
-    if h.shape != u.shape:
-        raise GridMismatchError(f"direction shape {h.shape} must match source {u.shape}")
-
-    base = solve_state(disc, sfun, reaction, hyst_cfg, u, solver)
-    record = solve_sensitivity(
-        LinearizedProblem(base=base, direction=h, reaction=reaction, hyst_cfg=hyst_cfg),
-        disc, sfun, solver,
-    )
+    record = solve_sensitivity(base, h)  # checks h
 
     errors = np.empty(lam.size)
     u_pert = np.empty_like(u)  # u + s h (+ r), rebuilt for each lambda
@@ -256,10 +220,11 @@ def hadamard_perturbed_quotient(disc, sfun, reaction, hyst_cfg, u, h,
                 )
             u_pert += r
         # the quotient's error, formed in the perturbed path's own states
-        quot = solve_state(disc, sfun, reaction, hyst_cfg, u_pert, solver).states
+        quot = solve_state(base.disc, base.sfun, base.reaction, base.hyst_cfg,
+                           u_pert, base.solver).states
         quot -= base.states
         quot /= s
         quot -= record.states
-        errors[i] = _path_norms(disc, quot).max()
+        errors[i] = _path_norms(base.disc, quot).max()
 
     return FdStudy(lambdas=lam, errors=errors, record=record, base=base)

@@ -669,9 +669,11 @@ def fractional_power_diagnostic(
     of norm * t^theta * exp(-(1-gamma) t).  Finite and attained away from
     t -> 0 for a symmetric nonnegative operator.
     """
-    theta = float(theta)
+    theta, gamma = float(theta), float(gamma)
     if not 0.0 <= theta < 1.0:
         raise InvalidConfigError(f"theta must lie in [0, 1), got {theta}")
+    if not 0.0 < gamma < 1.0:
+        raise InvalidConfigError(f"gamma must lie in (0, 1), got {gamma}")
     if t_grid is None:
         t_grid = np.logspace(-3.0, 1.3, 400)
     t_grid = np.asarray(t_grid, dtype=float)

@@ -38,7 +38,7 @@ from stopsim import (
     stop_evaluate,
 )
 from stopsim.evolution import boundedness_report
-from stopsim.sensitivity import LinearizedProblem, solve_sensitivity
+from stopsim.sensitivity import solve_sensitivity
 from stopsim.spatial import evaluate_S
 
 from conftest import random_signal
@@ -246,9 +246,7 @@ def test_a04_directional_derivative_consistency():
                    for lam in lambdas):
                 continue
             accepted += 1
-            study = fd_convergence_study(
-                setup.disc, setup.sfun, setup.reaction, setup.hyst,
-                setup.u, setup.h, lambdas, setup.solver)
+            study = fd_convergence_study(base, setup.h, lambdas)
             assert np.all(np.diff(study.errors) < 0.0), (
                 f"draw {attempts}: quotient errors not strictly decreasing: "
                 f"{study.errors}")
@@ -367,7 +365,7 @@ def test_a06_state_bound_stable_under_sampling():
             u = amp * np.sin(om * t + phase)[:, None, None] \
                 * prof[None, None, :]
             traj = solve_state(disc, sfun, reaction, hyst, u, solver)
-            ratios.append(boundedness_report(disc, traj, solver).ratio)
+            ratios.append(boundedness_report(traj).ratio)
         ratios = np.array(ratios)
         c_half, c_full = ratios[:100].max(), ratios.max()
         assert np.isfinite(c_full)
@@ -396,10 +394,7 @@ def test_a07_linear_case_sensitivity_exactness():
         pert = solve_state(disc, sfun, reaction, hyst, u + h, solver)
         for traj in (base, pert):
             assert np.abs(traj.stop.values).max() < 99.0, "band saturated"
-        record = solve_sensitivity(
-            LinearizedProblem(base=base, direction=h, reaction=reaction,
-                              hyst_cfg=hyst),
-            disc, sfun, solver)
+        record = solve_sensitivity(base, h)
         num = max_state_norm(disc,
                              record.states - (pert.states - base.states))
         den = max_state_norm(disc, record.states)
@@ -410,9 +405,8 @@ def test_a08_vanishing_remainder_robustness():
     with verdict("A-08", "vanishing-remainder quotient robustness", 60.0):
         setup = SaturatingDraw(np.random.default_rng(20260815))
         lambdas = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
-        plain = fd_convergence_study(
-            setup.disc, setup.sfun, setup.reaction, setup.hyst,
-            setup.u, setup.h, lambdas, setup.solver)
+        base = setup.solve(setup.u)
+        plain = fd_convergence_study(base, setup.h, lambdas)
         assert np.all(np.diff(plain.errors) < 0.0)
 
         # remainder scale keeps the extra sqrt(lambda) tail below the plain
@@ -423,9 +417,7 @@ def test_a08_vanishing_remainder_robustness():
         extra = 1e-6 * np.cos(3 * np.pi * x)[None, None, :] \
             * np.ones((t.size, 1, 1))
         perturbed = hadamard_perturbed_quotient(
-            setup.disc, setup.sfun, setup.reaction, setup.hyst,
-            setup.u, setup.h, lambda lam: lam ** 1.5 * extra,
-            lambdas, setup.solver)
+            base, setup.h, lambda lam: lam ** 1.5 * extra, lambdas)
         assert np.all(np.diff(perturbed.errors) < 0.0)
         assert perturbed.errors[-1] <= 2.0 * plain.errors[-1], (
             f"final errors {perturbed.errors[-1]:.3e} vs "

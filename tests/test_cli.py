@@ -352,6 +352,14 @@ class TestValidationFailures:
         assert err.startswith("error:")
         assert "hysteresis.a" in err
 
+    def test_a_negative_seed_override_is_refused(self, tmp_path, capsys):
+        # --seed meets the schema's rule for a config's seed
+        rc = main(["simulate", "--config", "bundled:zero", "--seed", "-7",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed: must be at least 0\n"
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_unknown_bundled_scenario(self, tmp_path, capsys):
         rc = main(["simulate", "--config", "bundled:nope",
                    "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 from types import SimpleNamespace
 
@@ -169,6 +170,16 @@ class TestControlSpecValidation:
         with pytest.raises(InvalidConfigError):
             ControlSpec(mode="distributed", time_knots=1,
                         coefficients=np.array([1.0]))
+
+    @pytest.mark.parametrize("knots", [2.7, True, 2.0, "2"])
+    def test_time_knots_must_be_an_integer(self, disc_mixed, knots):
+        modes = sine_modes(disc_mixed, 2)
+        with pytest.raises(InvalidConfigError, match="time_knots must be an integer"):
+            ControlSpec(mode="distributed", time_knots=knots,
+                        coefficients=np.zeros(4), spatial_modes=modes)
+        spec = ControlSpec(mode="distributed", time_knots=np.int64(2),
+                           coefficients=np.zeros(4), spatial_modes=modes)
+        assert type(spec.time_knots) is int
 
     def test_with_coefficients_preserves_the_layout(self, disc_mixed):
         spec = ControlSpec(mode="distributed", time_knots=3,
@@ -409,6 +420,17 @@ class TestOptimize:
         problem, spec = affine_problem
         with pytest.raises(InvalidConfigError):
             optimize(problem, spec, max_iters=0)
+
+    @pytest.mark.parametrize("option, value", [
+        ("initial_step", 0.0), ("initial_step", -1.0), ("initial_step", math.inf),
+        ("initial_step", math.nan), ("max_halvings", -3), ("armijo_c1", 0.0),
+        ("armijo_c1", -1e-4), ("armijo_c1", 1.0), ("armijo_c1", 2.0), ("armijo_c1", math.nan),
+    ])
+    def test_rejects_a_line_search_the_schema_refuses(self, affine_problem, option, value):
+        problem, spec = affine_problem
+        with pytest.raises(InvalidConfigError, match=option) as excinfo:
+            optimize(problem, spec, **{option: value})
+        assert excinfo.value.exit_code == 2
 
 
 def stability_deviations(problem, spec, perturbed_coefficients):

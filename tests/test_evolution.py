@@ -537,8 +537,7 @@ class TestBoundednessReport:
     def test_a_trajectory_without_a_path_reports_alike(self):
         scn, kept = solve_scenario(STREAMED_SCENARIOS["saturating-2d"])
         _, streamed = solve_scenario(STREAMED_SCENARIOS["saturating-2d"], keep_states=False)
-        assert boundedness_report(scn.disc, streamed, scn.solver) \
-            == boundedness_report(scn.disc, kept, scn.solver)
+        assert boundedness_report(streamed) == boundedness_report(kept)
 
     def test_norms_equal_the_per_step_quadrature_norms(self, disc_mixed,
                                                        hyst_cfg,
@@ -547,7 +546,7 @@ class TestBoundednessReport:
         u = sine_source(disc_mixed, solver_short)
         traj = solve_state(disc_mixed, constant_sfun(disc_mixed),
                            saturating_reaction, hyst_cfg, u, solver_short)
-        report = boundedness_report(disc_mixed, traj, solver_short)
+        report = boundedness_report(traj)
         assert report.max_state_norm == max(quad_norm(disc_mixed, y)
                                             for y in traj.states)
         assert report.source_norm == np.sqrt(solver_short.dt * sum(
@@ -558,7 +557,7 @@ class TestBoundednessReport:
         traj = solve_state(disc_mixed, constant_sfun(disc_mixed), reaction,
                            hyst_cfg, zero_source(disc_mixed, solver_short),
                            solver_short)
-        report = boundedness_report(disc_mixed, traj, solver_short)
+        report = boundedness_report(traj)
         assert report.max_state_norm == 0.0
         assert report.source_norm == 0.0
         assert report.ratio == 0.0
@@ -569,15 +568,9 @@ class TestBoundednessReport:
         sfun = constant_sfun(disc_mixed)
         u = sine_source(disc_mixed, solver_short)
         r1 = boundedness_report(
-            disc_mixed,
-            solve_state(disc_mixed, sfun, reaction, hyst_cfg, u,
-                        solver_short),
-            solver_short)
+            solve_state(disc_mixed, sfun, reaction, hyst_cfg, u, solver_short))
         r10 = boundedness_report(
-            disc_mixed,
-            solve_state(disc_mixed, sfun, reaction, hyst_cfg, 10.0 * u,
-                        solver_short),
-            solver_short)
+            solve_state(disc_mixed, sfun, reaction, hyst_cfg, 10.0 * u, solver_short))
         assert r10.max_state_norm == pytest.approx(10 * r1.max_state_norm,
                                                    rel=1e-12)
         assert r10.source_norm == pytest.approx(10 * r1.source_norm,

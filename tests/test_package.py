@@ -2,9 +2,14 @@
 
 Each module's ``__all__`` is its surface, and ``stopsim.__all__`` is their
 concatenation; the names perfbench traces must stay where it looks them up.
+A solved path carries the equation it solved, so no entry point asks for
+both.
 """
 
 import importlib
+import inspect
+import os
+import re
 
 import pytest
 
@@ -31,7 +36,7 @@ SURFACE = {
     "ReactionFunction", "SolverConfig", "Source", "Trajectory", "BoundednessReport",
     "solve_state", "picard_slice_iterate", "boundedness_report",
     # sensitivity
-    "LinearizedProblem", "SensitivityRecord", "FdStudy", "solve_sensitivity",
+    "SensitivityRecord", "FdStudy", "solve_sensitivity",
     "fd_convergence_study", "hadamard_perturbed_quotient",
     # control
     "ControlSpec", "ControlProblem", "OptimizeResult", "apply_B", "control_gram",
@@ -77,3 +82,43 @@ def test_traced_function_exists_in_its_module(name):
     for attr in path:
         obj = getattr(obj, attr)
     assert callable(obj) and obj.__module__ == f"stopsim.{module}", name
+
+
+# the pieces of the equation a ``Trajectory`` records from its solve
+EQUATION = {"disc", "sfun", "reaction", "hyst_cfg", "solver"}
+
+
+def public_callables():
+    """Each callable public name, and each public method of a public class."""
+    for name in stopsim.__all__:
+        obj = getattr(stopsim, name)
+        if callable(obj):
+            yield name, obj
+        if isinstance(obj, type):
+            for attr in dir(obj):
+                if not attr.startswith("_") and callable(getattr(obj, attr)):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+
+
+def test_no_entry_point_takes_a_solved_path_and_its_equation():
+    at_a_path = set()
+    for name, obj in public_callables():
+        try:
+            params = set(inspect.signature(obj).parameters)
+        except (TypeError, ValueError):  # builtins without a signature
+            continue
+        if params & {"base", "traj"}:
+            at_a_path.add(name)
+            assert not params & EQUATION, (name, sorted(params & EQUATION))
+    assert {"solve_sensitivity", "fd_convergence_study", "hadamard_perturbed_quotient",
+            "boundedness_report"} <= at_a_path
+
+
+def test_the_readme_examples_run_in_order():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 4
+    namespace = {}  # each block reads what the blocks before it defined
+    for i, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)

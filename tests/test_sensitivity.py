@@ -12,7 +12,6 @@ from stopsim import (
     GridMismatchError,
     HysteresisConfig,
     InvalidConfigError,
-    LinearizedProblem,
     PiecewiseLinearSignal,
     ReactionFunction,
     SFunctional,
@@ -72,19 +71,15 @@ def saturating_setup(disc_mixed):
 def run_pair(setup, h):
     disc, sfun, reaction, hyst, u, solver = setup
     base = solve_state(disc, sfun, reaction, hyst, u, solver)
-    record = solve_sensitivity(
-        LinearizedProblem(base=base, direction=h, reaction=reaction,
-                          hyst_cfg=hyst),
-        disc, sfun, solver)
+    record = solve_sensitivity(base, h)
     return base, record
 
 
-def scenario_problem(name, keep_states=True):
+def scenario_base(name, keep_states=True):
     scn = load_scenario(STREAMED_SCENARIOS[name], needs=("state", "direction"))
     base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                        scn.source, scn.solver, keep_states=keep_states)
-    return scn, base, dict(direction=scn.direction, reaction=scn.reaction,
-                           hyst_cfg=scn.hyst_cfg)
+    return scn, base
 
 
 class TestStreamedSensitivity:
@@ -93,11 +88,9 @@ class TestStreamedSensitivity:
     @pytest.mark.parametrize("name", [name for name, cfg in STREAMED_SCENARIOS.items()
                                       if "direction" in cfg])
     def test_norms_are_the_path_norms_kept_or_not(self, name):
-        scn, base, rest = scenario_problem(name)
-        problem = LinearizedProblem(base=base, **rest)
-        kept = solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver)
-        streamed = solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver,
-                                     keep_states=False)
+        scn, base = scenario_base(name)
+        kept = solve_sensitivity(base, scn.direction)
+        streamed = solve_sensitivity(base, scn.direction, keep_states=False)
         np.testing.assert_array_equal(kept.norms, _path_norms(scn.disc, kept.states))
         for channel in ("norms", "stop_derivative", "s_values"):
             np.testing.assert_array_equal(getattr(streamed, channel), getattr(kept, channel))
@@ -106,10 +99,9 @@ class TestStreamedSensitivity:
             streamed.states[0]
 
     def test_a_base_without_a_path_is_refused(self):
-        scn, base, rest = scenario_problem("saturating", keep_states=False)
-        problem = LinearizedProblem(base=base, **rest)
+        scn, base = scenario_base("saturating", keep_states=False)
         with pytest.raises(InvalidConfigError, match="kept no path"):
-            solve_sensitivity(problem, scn.disc, scn.sfun, scn.solver)
+            solve_sensitivity(base, scn.direction)
 
 
 class TestLinearizedSolve:
@@ -133,10 +125,7 @@ class TestLinearizedSolve:
         base = solve_state(disc_mixed, sfun, reaction, hyst_cfg, u, solver)
         pert = solve_state(disc_mixed, sfun, reaction, hyst_cfg, u + h,
                            solver)
-        record = solve_sensitivity(
-            LinearizedProblem(base=base, direction=h, reaction=reaction,
-                              hyst_cfg=hyst_cfg),
-            disc_mixed, sfun, solver)
+        record = solve_sensitivity(base, h)
         assert np.abs(base.stop_offsets).max() < 1.0  # band never saturates
         np.testing.assert_allclose(record.states, pert.states - base.states,
                                    rtol=0.0, atol=1e-11)
@@ -192,15 +181,8 @@ class TestLinearizedSolve:
     def test_grid_mismatch_is_rejected(self, saturating_setup):
         disc, sfun, reaction, hyst, u, solver = saturating_setup
         base = solve_state(disc, sfun, reaction, hyst, u, solver)
-        other = SolverConfig(dt=0.02, t_final=0.5)
         with pytest.raises(GridMismatchError):
-            solve_sensitivity(
-                LinearizedProblem(base=base, direction=u[:26],
-                                  reaction=reaction, hyst_cfg=hyst),
-                disc, sfun, other)
-        with pytest.raises(GridMismatchError):
-            LinearizedProblem(base=base, direction=np.zeros((3, 2)),
-                              reaction=reaction, hyst_cfg=hyst)
+            solve_sensitivity(base, np.zeros((3, 2)))
 
     def test_non_finite_direction_is_rejected(self, saturating_setup):
         disc, sfun, reaction, hyst, u, solver = saturating_setup
@@ -209,8 +191,7 @@ class TestLinearizedSolve:
             h = np.zeros_like(u)
             h[3, 0, 4] = bad
             with pytest.raises(InvalidConfigError):
-                LinearizedProblem(base=base, direction=h, reaction=reaction,
-                                  hyst_cfg=hyst)
+                solve_sensitivity(base, h)
 
     @pytest.mark.parametrize("scheme, slice_length", [
         ("imex-euler", None),
@@ -227,11 +208,9 @@ class TestLinearizedSolve:
         sfun = constant_sfun(disc_mixed)
         u = np.zeros((solver.n_steps + 1, 1, disc_mixed.n_nodes))
         base = solve_state(disc_mixed, sfun, reaction, hyst_cfg, u, solver)
-        problem = LinearizedProblem(base=base, direction=np.full_like(u, 1e308),
-                                    reaction=reaction, hyst_cfg=hyst_cfg)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(BlowupError) as excinfo:
-            solve_sensitivity(problem, disc_mixed, sfun, solver)
+            solve_sensitivity(base, np.full_like(u, 1e308))
         assert excinfo.value.exit_code == 3
 
 
@@ -248,14 +227,8 @@ class TestPicardVariant:
 
         base_d = solve_state(disc_mixed, sfun, reaction, hyst, u, direct)
         base_s = solve_state(disc_mixed, sfun, reaction, hyst, u, sliced)
-        rec_d = solve_sensitivity(
-            LinearizedProblem(base=base_d, direction=h, reaction=reaction,
-                              hyst_cfg=hyst),
-            disc_mixed, sfun, direct)
-        rec_s = solve_sensitivity(
-            LinearizedProblem(base=base_s, direction=h, reaction=reaction,
-                              hyst_cfg=hyst),
-            disc_mixed, sfun, sliced)
+        rec_d = solve_sensitivity(base_d, h)
+        rec_s = solve_sensitivity(base_s, h)
         np.testing.assert_allclose(rec_s.states, rec_d.states,
                                    rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(rec_s.stop_derivative,
@@ -279,18 +252,11 @@ class TestPicardVariant:
         u = sine_source(disc_mixed, direct)
         h = pulse_direction(disc_mixed, direct)
         base = solve_state(disc_mixed, sfun, reaction, hyst, u, sliced)
-        rec = solve_sensitivity(
-            LinearizedProblem(base=base, direction=h, reaction=reaction,
-                              hyst_cfg=hyst),
-            disc_mixed, sfun, sliced)
+        rec = solve_sensitivity(base, h)
         assert len(base.picard_iterations) == n_slices
         assert len(rec.picard_iterations) == n_slices
         assert all(sweeps >= 1 for sweeps in rec.picard_iterations)
-        rec_d = solve_sensitivity(
-            LinearizedProblem(
-                base=solve_state(disc_mixed, sfun, reaction, hyst, u, direct),
-                direction=h, reaction=reaction, hyst_cfg=hyst),
-            disc_mixed, sfun, direct)
+        rec_d = solve_sensitivity(solve_state(disc_mixed, sfun, reaction, hyst, u, direct), h)
         np.testing.assert_allclose(rec.states, rec_d.states,
                                    rtol=0.0, atol=1e-9)
 
@@ -305,10 +271,7 @@ class TestPicardVariant:
             np.testing.assert_array_equal(base.stop_offsets[:-1],
                                           hyst.a - base.s_values[1:])
             for sign in (1.0, -1.0):
-                records[solver.scheme, sign] = solve_sensitivity(
-                    LinearizedProblem(base=base, direction=sign * h,
-                                      reaction=reaction, hyst_cfg=hyst),
-                    disc, sfun, solver)
+                records[solver.scheme, sign] = solve_sensitivity(base, sign * h)
         for sign in (1.0, -1.0):
             rec_d = records["imex-euler", sign]
             rec_s = records["picard-sliced", sign]
@@ -478,8 +441,7 @@ class TestInPlaceRules:
         assert base.picard_iterations == sweeps
 
         # the forward sensitivity, with the scalar stop-derivative rule
-        record = solve_sensitivity(LinearizedProblem(base=base, direction=h, reaction=reaction,
-                                                     hyst_cfg=hyst), disc, sfun, solver)
+        record = solve_sensitivity(base, h)
         wz, dv, omega = np.zeros((3, n + 1))
 
         def advance_zeta(k, zk):
@@ -500,7 +462,7 @@ class TestInPlaceRules:
 
         # the adjoint gradient, where the recursion is linear in the direction
         seed = dt * (base.states - 0.1) * q
-        grad = _adjoint_sweep(base, seed, reaction, _Stepper(disc, dt, sfun), solver)
+        grad = _adjoint_sweep(base, seed, _Stepper(disc, dt, sfun))
         census = branch_census(hyst, base.stop_offsets, base.s_values)
         linear = (scheme == "imex-euler" and not census.tie
                   and reaction.directional_is_linear(base.states))
@@ -532,7 +494,7 @@ class TestInPlaceRules:
             k = reference.value.args[0]
             message = f"adjoint became non-finite at step {k} (t={base.times[k]:.6g})"
             with pytest.raises(BlowupError, match=re.escape(message)):
-                _adjoint_sweep(base, seed, reaction, stepper, solver)
+                _adjoint_sweep(base, seed, stepper)
 
 
 class TestInPlaceSteps:
@@ -556,10 +518,7 @@ class TestInPlaceSteps:
         paths = []
         for solver in solvers:
             base = solve_state(disc, sfun, reaction, hyst, u, solver)
-            record = solve_sensitivity(
-                LinearizedProblem(base=base, direction=h, reaction=reaction,
-                                  hyst_cfg=hyst),
-                disc, sfun, solver)
+            record = solve_sensitivity(base, h)
             for states in (base.states, record.states):
                 for j in range(disc.n_components):
                     assert np.all(states[:, j, ~active_mask(disc, j)] == 0.0)
@@ -575,8 +534,8 @@ class TestFdStudy:
         disc, sfun, reaction, hyst, u, solver = saturating_setup
         h = pulse_direction(disc, solver)
         lambdas = np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
-        study = fd_convergence_study(disc, sfun, reaction, hyst, u, h,
-                                     lambdas, solver)
+        study = fd_convergence_study(solve_state(disc, sfun, reaction, hyst, u, solver),
+                                     h, lambdas)
         np.testing.assert_array_equal(study.lambdas, lambdas)
         assert np.all(np.diff(study.errors) < 0)
 
@@ -585,22 +544,18 @@ class TestFdStudy:
         disc, sfun, reaction, hyst, u, solver = saturating_setup
         h = pulse_direction(disc, solver)
         lambdas = np.array([1e-2, 1e-3, 1e-4])
-        plain = fd_convergence_study(disc, sfun, reaction, hyst, u, h,
-                                     lambdas, solver)
-        via_zero = hadamard_perturbed_quotient(
-            disc, sfun, reaction, hyst, u, h,
-            lambda lam: np.zeros_like(u), lambdas, solver)
+        base = solve_state(disc, sfun, reaction, hyst, u, solver)
+        plain = fd_convergence_study(base, h, lambdas)
+        via_zero = hadamard_perturbed_quotient(base, h, lambda lam: np.zeros_like(u), lambdas)
         np.testing.assert_array_equal(via_zero.errors, plain.errors)
 
     def test_quadratic_remainder_shares_the_limit(self, saturating_setup):
         disc, sfun, reaction, hyst, u, solver = saturating_setup
         h = pulse_direction(disc, solver)
         lambdas = np.array([1e-2, 1e-3, 1e-4])
-        plain = fd_convergence_study(disc, sfun, reaction, hyst, u, h,
-                                     lambdas, solver)
-        perturbed = hadamard_perturbed_quotient(
-            disc, sfun, reaction, hyst, u, h,
-            lambda lam: (lam ** 2) * h, lambdas, solver)
+        base = solve_state(disc, sfun, reaction, hyst, u, solver)
+        plain = fd_convergence_study(base, h, lambdas)
+        perturbed = hadamard_perturbed_quotient(base, h, lambda lam: (lam ** 2) * h, lambdas)
         assert np.all(np.diff(perturbed.errors) < 0)
         # r(lam) = lam^2 h shifts the quotient by at most lam * |dG h| to
         # first order, so the extra error is O(lam) on top of the plain one
@@ -620,7 +575,7 @@ class TestFdStudy:
         u = Source(2.0 * np.sin(4.0 * t), np.sin(np.pi * x)[None, :])
         h = Source(0.2 * ((t >= 0.1) & (t < 0.9)), np.sin(2.0 * np.pi * x)[None, :])
         study, peak = traced_peak(lambda: fd_convergence_study(
-            disc, sfun, reaction, hyst, u, h, np.array([1e-1, 1e-2, 1e-3]), solver))
+            solve_state(disc, sfun, reaction, hyst, u, solver), h, np.array([1e-1, 1e-2, 1e-3])))
         assert np.all(np.diff(study.errors) < 0)
         # the dense u and h, the perturbed source, and the base, sensitivity
         # and perturbed paths, with the solves' temporaries
@@ -629,23 +584,22 @@ class TestFdStudy:
     def test_lambda_sequence_is_validated(self, saturating_setup):
         disc, sfun, reaction, hyst, u, solver = saturating_setup
         h = pulse_direction(disc, solver)
+        base = solve_state(disc, sfun, reaction, hyst, u, solver)
         for bad in ([1e-2, 1e-2], [1e-3, 1e-2], [0.0, -1.0], []):
             with pytest.raises(InvalidConfigError):
-                fd_convergence_study(disc, sfun, reaction, hyst, u, h,
-                                     np.asarray(bad, dtype=float), solver)
+                fd_convergence_study(base, h, np.asarray(bad, dtype=float))
 
     def test_direction_shape_is_checked(self, saturating_setup):
         disc, sfun, reaction, hyst, u, solver = saturating_setup
+        base = solve_state(disc, sfun, reaction, hyst, u, solver)
         with pytest.raises(GridMismatchError):
-            fd_convergence_study(disc, sfun, reaction, hyst, u,
-                                 u[:, :, :3], np.array([1e-2, 1e-3]), solver)
+            fd_convergence_study(base, u[:, :, :3], np.array([1e-2, 1e-3]))
 
     def test_remainder_shape_is_checked(self, saturating_setup):
         disc, sfun, reaction, hyst, u, solver = saturating_setup
+        base = solve_state(disc, sfun, reaction, hyst, u, solver)
         with pytest.raises(GridMismatchError):
-            hadamard_perturbed_quotient(
-                disc, sfun, reaction, hyst, u, u,
-                lambda lam: np.zeros(3), np.array([1e-2, 1e-3]), solver)
+            hadamard_perturbed_quotient(base, u, lambda lam: np.zeros(3), np.array([1e-2, 1e-3]))
 
 
 class TestForcedTies:
@@ -660,8 +614,8 @@ class TestForcedTies:
         sfun, hyst, reaction, u, h = exact_tie_setup(disc)
         (solver,) = (s for s in TIE_SOLVERS if s.scheme == scheme)
         lambdas = np.array([1e-2, 1e-3, 1e-4])
-        study = fd_convergence_study(disc, sfun, reaction, hyst, u, sign * h,
-                                     lambdas, solver)
+        study = fd_convergence_study(solve_state(disc, sfun, reaction, hyst, u, solver),
+                                     sign * h, lambdas)
         base = study.base
         assert branch_census(hyst, base.stop_offsets, base.s_values).tie > 0
         assert np.all(study.errors[1:] * 5.0 <= study.errors[:-1])
@@ -714,10 +668,7 @@ class TestStopDerivativeRule:
                        SolverConfig(dt=0.5, t_final=5.0, scheme="picard-sliced",
                                     slice_length=1.5, picard_tol=1e-13)):
             base = solve_state(disc, sfun, reaction, hyst, u, solver)
-            record = solve_sensitivity(
-                LinearizedProblem(base=base, direction=np.broadcast_to(h, (11, 2, disc.n_nodes)),
-                                  reaction=reaction, hyst_cfg=hyst),
-                disc, sfun, solver)
+            record = solve_sensitivity(base, np.broadcast_to(h, (11, 2, disc.n_nodes)))
             omega, expected = 0.0, [0.0]
             for k in range(1, 11):
                 dv = record.s_values[k]
@@ -745,9 +696,6 @@ class TestTableReaction:
         solver = SolverConfig(dt=0.05, t_final=0.5)
         u = sine_source(disc_mixed, solver, amplitude=0.5)
         base = solve_state(disc_mixed, sfun, reaction, hyst_cfg, u, solver)
-        record = solve_sensitivity(
-            LinearizedProblem(base=base, direction=u, reaction=reaction,
-                              hyst_cfg=hyst_cfg),
-            disc_mixed, sfun, solver)
+        record = solve_sensitivity(base, u)
         assert not record.derivative_is_exact
         assert np.all(np.isfinite(record.states))

@@ -829,6 +829,11 @@ class TestFractionalPowerDiagnostic:
             fractional_power_diagnostic(disc_dirichlet, 0.5,
                                         t_grid=np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("gamma", [math.nan, 0.0, 1.0, -0.5, math.inf])
+    def test_rejects_a_gamma_outside_the_open_unit_interval(self, disc_dirichlet, gamma):
+        with pytest.raises(InvalidConfigError, match="gamma must lie in"):
+            fractional_power_diagnostic(disc_dirichlet, 0.5, gamma=gamma)
+
 
 class TestDomainValidation:
     def test_domain_spec_rejects_bad_inputs(self):
