@@ -68,11 +68,51 @@ def _as_float(z):
     return np.float64(z) if isinstance(z, float) else np.asarray(z, dtype=float)
 
 
-def _filled(out, f):
-    """``f``, or ``out`` holding it."""
-    if out is not None:
-        out[...] = f
-    return f if out is None else out
+def _catalog_kernels(kind, p):
+    """A catalog kind's ``value`` and ``directional`` kernels, each writing into ``out``."""
+    if kind == "linear":  # p0 + p1 y + p2 z
+        def value(y, z, out):
+            np.add(np.multiply(y, p[1], out=out), p[0], out=out)
+            out += p[2] * z
+
+        def directional(y, z, dy, dz, out):  # p1 dy + p2 dz, which reads neither y nor z
+            np.add(np.multiply(dy, p[1], out=out), p[2] * dz, out=out)
+    elif kind == "saturating":  # a1 tanh(r1 y) + a2 tanh(r2 z)
+        a1, r1, a2, r2 = p
+
+        def value(y, z, out):
+            np.tanh(np.multiply(y, r1, out=out), out=out)
+            out *= a1
+            out += a2 * np.tanh(r2 * z)
+
+        def directional(y, z, dy, dz, out):  # a1 r1 (1 - ty^2) dy + a2 r2 (1 - tz^2) dz
+            ty = np.tanh(np.multiply(y, r1, out=out), out=out)
+            np.subtract(1.0, np.multiply(ty, ty, out=out), out=out)
+            out *= a1 * r1
+            out *= dy
+            tz = np.tanh(r2 * z)
+            out += a2 * r2 * (1.0 - tz * tz) * dz
+    else:  # clip(rate y (1 - y / capacity), -cap, cap) + cz z
+        rate, capacity, cap, cz = p
+
+        def value(y, z, out):
+            np.clip(_logistic_inner(p, y), -cap, cap, out=out)
+            out += cz * z
+
+        def directional(y, z, dy, dz, out):
+            np.subtract(1.0, np.divide(np.multiply(y, 2.0, out=out), capacity, out=out), out=out)
+            out *= rate
+            out *= dy  # the inner derivative, then the clip's: one-sided at a cap, 0 beyond
+            x = _logistic_inner(p, y)
+            np.minimum(out, 0.0, out=out, where=x == cap)
+            np.maximum(out, 0.0, out=out, where=x == -cap)
+            np.copyto(out, 0.0, where=~(np.abs(x) <= cap))
+            out += cz * dz
+    return value, directional
+
+
+def _logistic_inner(p, y):
+    return p[0] * y * (1.0 - y / p[1])
 
 
 @dataclass(frozen=True)
@@ -119,6 +159,7 @@ class ReactionFunction:
             for a in (yg, zg, vals):
                 a.setflags(write=False)
             object.__setattr__(self, "table", (yg, zg, vals))
+            kernels = (lambda y, z, out: np.copyto(out, self._table_value(y, z)), self._table_directional)
         else:
             expected = len(_REACTION_PARAMS[self.kind])
             if len(params) != expected:
@@ -128,6 +169,8 @@ class ReactionFunction:
             if self.kind == "logistic-capped":
                 if params[1] <= 0 or params[2] <= 0:
                     raise InvalidConfigError("logistic capacity and cap must be positive")
+            kernels = _catalog_kernels(self.kind, params)
+        object.__setattr__(self, "_kernels", kernels)  # bound once, called by value and directional
 
         growth = self._default_growth() if self.growth_constant is None else float(self.growth_constant)
         if not math.isfinite(growth) or growth < 0:
@@ -193,10 +236,6 @@ class ReactionFunction:
                           np.asarray(z_grid, dtype=float),
                           np.asarray(values, dtype=float)))
 
-    def _logistic_inner(self, y):
-        rate, capacity = self.params[0], self.params[1]
-        return rate * y * (1.0 - y / capacity)
-
     def directional_is_linear(self, y):
         """Whether ``directional`` is linear in the direction at every entry of ``y``.
 
@@ -206,7 +245,7 @@ class ReactionFunction:
         direction.
         """
         if self.kind == "logistic-capped":
-            return not np.any(np.abs(self._logistic_inner(y)) == self.params[2])
+            return not np.any(np.abs(_logistic_inner(self.params, y)) == self.params[2])
         return self.kind != "user-table"
 
     @property
@@ -233,64 +272,8 @@ class ReactionFunction:
         return (v00 * (1 - ty) * (1 - tz) + v10 * ty * (1 - tz)
                 + v01 * (1 - ty) * tz + v11 * ty * tz)
 
-    def value(self, y, z, out=None):
-        """f(y, z) elementwise over ``y`` with scalar (or broadcast) ``z``, into ``out`` if given.
-
-        The z-part of a catalog kind is evaluated once, as a numpy scalar
-        when ``z`` is a scalar.
-        """
-        y = np.asarray(y, dtype=float)
-        p = self.params
-        if self.kind == "user-table":
-            return _filled(out, self._table_value(y, z))
-        z = _as_float(z)
-        out = np.empty_like(y) if out is None else out
-        if self.kind == "linear":  # p0 + p1 y + p2 z
-            np.add(np.multiply(y, p[1], out=out), p[0], out=out)
-            out += p[2] * z
-        elif self.kind == "saturating":  # a1 tanh(r1 y) + a2 tanh(r2 z)
-            np.tanh(np.multiply(y, p[1], out=out), out=out)
-            out *= p[0]
-            out += p[2] * np.tanh(p[3] * z)
-        else:
-            np.clip(self._logistic_inner(y), -p[2], p[2], out=out)
-            out += p[3] * z
-        return out
-
-    def directional(self, y, z, dy, dz, out=None):
-        """One-sided directional derivative f'[(y, z); (dy, dz)], into ``out`` if given.
-
-        Analytic for catalog kinds (right-sided at the logistic cap);
-        central finite differences with step 1e-6*(1+|y|+|z|) for tables.
-        """
-        y = np.asarray(y, dtype=float)
-        dy = np.asarray(dy, dtype=float)
-        p = self.params
-        if self.kind == "linear":  # p1 dy + p2 dz, which reads neither y nor z
-            return np.add(np.multiply(dy, p[1], out=out), p[2] * _as_float(dz), out=out)
-        if self.kind != "user-table":
-            dz = _as_float(dz)
-            out = np.empty(np.broadcast_shapes(y.shape, dy.shape)) if out is None else out
-        if self.kind == "saturating":  # a1 r1 (1 - ty^2) dy + a2 r2 (1 - tz^2) dz
-            ty = np.tanh(np.multiply(y, p[1], out=out), out=out)
-            np.subtract(1.0, np.multiply(ty, ty, out=out), out=out)
-            out *= p[0] * p[1]
-            out *= dy
-            tz = np.tanh(p[3] * _as_float(z))
-            out += p[2] * p[3] * (1.0 - tz * tz) * dz
-            return out
-        if self.kind == "logistic-capped":
-            rate, capacity, cap, cz = p
-            np.subtract(1.0, np.divide(np.multiply(y, 2.0, out=out), capacity, out=out), out=out)
-            out *= rate
-            out *= dy  # the inner derivative, then the clip's: one-sided at a cap, 0 beyond
-            x = self._logistic_inner(y)
-            np.minimum(out, 0.0, out=out, where=x == cap)
-            np.maximum(out, 0.0, out=out, where=x == -cap)
-            np.copyto(out, 0.0, where=~(np.abs(x) <= cap))
-            out += cz * dz
-            return out
-        # user-table: symmetric quotient along the direction, scale-normalized
+    def _table_directional(self, y, z, dy, dz, out):
+        """Symmetric quotient along the direction, scale-normalized, into ``out``."""
         z = np.broadcast_to(np.asarray(z, dtype=float), y.shape)
         dz = np.broadcast_to(np.asarray(dz, dtype=float), y.shape)
         scale = np.maximum(np.abs(dy), np.abs(dz))
@@ -298,8 +281,34 @@ class ReactionFunction:
         step = 1e-6 * (1.0 + np.abs(y) + np.abs(z)) / safe
         f_plus = self._table_value(y + step * dy, z + step * dz, "derivative")
         f_minus = self._table_value(y - step * dy, z - step * dz, "derivative")
-        quot = (f_plus - f_minus) / (2.0 * step)
-        return _filled(out, np.where(scale > 0, quot, 0.0))
+        np.copyto(out, np.where(scale > 0, (f_plus - f_minus) / (2.0 * step), 0.0))
+
+    def value(self, y, z, out=None):
+        """f(y, z) elementwise over ``y`` with scalar (or broadcast) ``z``, into ``out`` if given.
+
+        The z-part of a catalog kind is evaluated once.  Without ``out``, ``y``
+        and ``z`` are made floats (a float ``z`` a numpy scalar); with it, as
+        the step rules call it, they must be a float array and a float (array).
+        """
+        if out is None:
+            y, z = np.asarray(y, dtype=float), _as_float(z)
+            out = np.empty_like(y)
+        self._kernels[0](y, z, out)
+        return out
+
+    def directional(self, y, z, dy, dz, out=None):
+        """One-sided directional derivative f'[(y, z); (dy, dz)], into ``out`` if given.
+
+        Analytic for catalog kinds (right-sided at the logistic cap);
+        central finite differences with step 1e-6*(1+|y|+|z|) for tables.
+        Operands as in ``value``: ``dy`` like ``y`` and ``dz`` like ``z``.
+        """
+        if out is None:
+            y, dy = np.asarray(y, dtype=float), np.asarray(dy, dtype=float)
+            z, dz = _as_float(z), _as_float(dz)
+            out = np.empty(np.broadcast_shapes(y.shape, dy.shape))
+        self._kernels[1](y, z, dy, dz, out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -370,8 +379,8 @@ class SolverConfig:
 class Source:
     """A source path kept as its two factors: u_k = amplitude[k] * profile.
 
-    ``source[k]`` is step k's field, which the rules add row by row from the
-    factors; ``np.asarray(source)`` forms the dense (N+1, m, n_nodes) path
+    ``source[k]`` is step k's field, formed from the factors when a rule
+    adds it; ``np.asarray(source)`` forms the dense (N+1, m, n_nodes) path
     for the consumers that need it.
     ``component`` names the one component the source acts on (None: all of
     them).  The profile must be zero on the others, whose rows are +0.0
@@ -489,15 +498,6 @@ def _as_path(u):
     return u if isinstance(u, Source) else np.asarray(u, dtype=float)
 
 
-def _add_source(u, k, out):
-    """``out += u[k]``; a ``Source`` adds row by row from its factors (+0.0 off its component)."""
-    if not isinstance(u, Source):
-        out += u[k]
-        return
-    for j, row in enumerate(out):
-        row += u.amplitude[k] * u.profile[j] if u.component in (None, j) else 0.0
-
-
 def _check_source(disc, solver, u):
     u = _as_path(u)
     expected = (solver.n_steps + 1, disc.n_components, disc.n_nodes)
@@ -523,17 +523,20 @@ def _guard(y, k, t):
 # zero.  ``advance(k, y)`` guards y_k and records the scalar channel at step
 # k from y_k and the record of step k - 1, so a Picard sweep replays a slice
 # by calling it again, with nothing to restore.  ``_integrate`` counts steps
-# from the start of the run, so a guard names the absolute step.
+# from the start of the run, so a guard names the absolute step.  Rules and
+# loops bind what they call once per solve or window, never per step.
 
 
 def _march(stepper, fields, first, stop, rhs, advance):
     """Direct IMEX steps ``first`` to ``stop``, step k in row k mod the row count."""
-    rows, buf = fields.shape[0], stepper.buf
+    rows, buf, step = fields.shape[0], stepper.buf, stepper.step
+    y = fields[first % rows]
     for k in range(first, stop):
-        y, out = fields[k % rows], fields[(k + 1) % rows]
+        out = fields[(k + 1) % rows]
         rhs(k, y, buf)
-        stepper.step(y, out)
+        step(y, out)
         advance(k + 1, out)
+        y = out
 
 
 def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
@@ -547,17 +550,18 @@ def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
     iterate; then ``prev`` takes the update.  Returns the max-over-steps
     quadrature norm of each sweep's update.
     """
-    ns = fields.shape[0] - 1
+    ns, buf, step = fields.shape[0] - 1, stepper.buf, stepper.step
     prev = np.broadcast_to(fields[0], fields.shape).copy()
-    for i in range(1, ns + 1):
-        advance(first + i, prev[i])
+    ks, rows, prevs = range(first, first + ns + 1), list(fields), list(prev)
+    for k, y in zip(ks[1:], prevs[1:]):
+        advance(k, y)
     diffs = []
     for _ in range(max_iters):
-        for i in range(ns):
-            rhs(first + i, prev[i], stepper.buf)
-            stepper.step(fields[i], fields[i + 1])
-        for i in range(1, ns + 1):
-            advance(first + i, fields[i])
+        for k, at, y, out in zip(ks, prevs, rows, rows[1:]):
+            rhs(k, at, buf)
+            step(y, out)
+        for k, y in zip(ks[1:], rows[1:]):
+            advance(k, y)
         np.subtract(fields, prev, out=prev)
         diffs.append(float(_path_norms(stepper.disc, prev).max()))
         if diffs[-1] <= tol:
@@ -613,21 +617,21 @@ def _state_rules(stepper, reaction, cursor, u):
     Step 0 is where ``cursor`` stands.  Returns ``rhs``, ``advance`` and the
     stop values, stop offsets and S-samples they record.
     """
-    dt = stepper.dt
+    dt, value, S, stop = stepper.dt, reaction.value, stepper.S, cursor.advance
     zs, offsets, s_values = (np.empty(u.shape[0]) for _ in range(3))
     zs[0], offsets[0], s_values[0] = cursor.z, cursor.w, cursor.v
 
     def rhs(k, y, out):
-        reaction.value(y, zs[k], out=out)
-        _add_source(u, k, out)
+        value(y, zs[k], out)
+        out += u[k]
 
     def advance(k, y):
         yf = y.ravel()
         if not yf.dot(yf) <= _GUARD_SQ:
             _guard(y, k, k * dt)
-        s_values[k] = stepper.S(yf)
+        s_values[k] = v = S(yf)
         cursor.w = offsets[k - 1]
-        zs[k] = cursor.advance(s_values[k])
+        zs[k] = stop(v)
         offsets[k] = cursor.w
 
     return rhs, advance, (zs, offsets, s_values)

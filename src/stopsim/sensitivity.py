@@ -36,7 +36,6 @@ from .errors import BlowupError, GridMismatchError, InvalidConfigError
 from .evolution import (
     Source,
     Trajectory,
-    _add_source,
     _as_path,
     _integrate,
     solve_state,
@@ -78,27 +77,26 @@ def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> Sensitiv
     if not (h.is_finite() if isinstance(h, Source) else np.all(np.isfinite(h))):
         raise InvalidConfigError("direction must be finite")
 
-    solver, reaction = base.solver, base.reaction
+    solver, reaction, states, z = base.solver, base.reaction, base.states, base.stop.values
     n_steps = solver.n_steps
-    wz = np.zeros(n_steps + 1)      # derivative of the stop output
-    dv = np.zeros(n_steps + 1)      # S zeta
-    omega = np.zeros(n_steps + 1)   # wz - dv; zero since zeta_0 = 0
+    wz, dv, omega = np.zeros((3, n_steps + 1))  # d(stop output), S zeta, wz - dv; zeta_0 = 0
     stepper = _Stepper(base.disc, solver.dt, base.sfun)
     branches = branch_census(base.hyst_cfg, base.stop_offsets, base.s_values).steps.tolist()
+    directional, S, overflow = reaction.directional, stepper.S, []
 
     def rhs(k, zk, out):
-        reaction.directional(base.states[k], base.stop.values[k], zk, wz[k], out=out)
-        _add_source(h, k, out)
+        directional(states[k], z[k], zk, wz[k], out)
+        out += h[k]
 
     def advance(k, zk):
         zf = zk.ravel()
-        if not math.isfinite(zf.dot(zf)) and not np.all(np.isfinite(zk)):
-            raise BlowupError(
-                f"sensitivity became non-finite at step {k} (t={base.times[k]:.6g})"
-            )
-        dv[k] = stepper.S(zf)
-        omega[k] = _omega_step(branches[k - 1], omega[k - 1], dv[k])
-        wz[k] = omega[k] + dv[k]
+        if not math.isfinite(zf.dot(zf)):
+            overflow.append(_overflow("sensitivity", zk, k, base.times[k]))
+        if overflow and k == n_steps:
+            raise BlowupError(overflow[0])
+        dv[k] = d = S(zf)
+        omega[k] = o = _omega_step(branches[k - 1], omega[k - 1], d)
+        wz[k] = o + d
 
     zeta, norms, sweeps = _integrate(stepper, solver, rhs, advance, keep_states)
 
@@ -113,6 +111,14 @@ def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> Sensitiv
     )
 
 
+def _overflow(what, x, k, t):
+    """Guard step k (time t) of a linearized sweep where |x|^2 is not finite: a non-finite
+    entry stops it here, else the returned message stops it at its end."""
+    if not np.all(np.isfinite(x)):
+        raise BlowupError(f"{what} became non-finite at step {k} (t={t:.6g})")
+    return f"{what} overflowed at step {k} (t={t:.6g}): its squared norm is not finite"
+
+
 def _adjoint_sweep(base: Trajectory, seed, stepper):
     """Backward sweep of the direct linearized recursion along ``base``.
 
@@ -125,7 +131,8 @@ def _adjoint_sweep(base: Trajectory, seed, stepper):
     linear in the direction.  The scalar adjoint of omega passes through
     interior steps and resets at a bound, as omega itself does forward.  Each
     step solves with ``stepper``'s transposed step (one built for the base's
-    grid, S and step) from its buffer, which holds the adjoint of zeta.
+    grid, S and step) from its buffer, which holds the adjoint of zeta, into
+    row k of the result (Dirichlet nodes stay zero), scaled by dt at the end.
     """
     census = branch_census(base.hyst_cfg, base.stop_offsets, base.s_values)
     states, reaction, solver = base.states, base.reaction, base.solver
@@ -136,35 +143,33 @@ def _adjoint_sweep(base: Trajectory, seed, stepper):
     dt = solver.dt
     z = base.stop.values[:, None, None]
     # the explicit step's partials, 1 + dt f_y and dt f_z, over the whole path
-    gy = np.broadcast_to(1.0 + dt * reaction.directional(states, z, 1.0, 0.0), states.shape)
-    gz = np.broadcast_to(dt * reaction.directional(states, z, 0.0, 1.0), states.shape)
-    interior = census.steps == INTERIOR
+    gy = 1.0 + dt * reaction.directional(states, z, 1.0, 0.0)
+    gz = (dt * reaction.directional(states, z, 0.0, 1.0)).reshape(n_steps + 1, -1)
+    branches = census.steps.tolist()
     s_field = stepper.s_field  # S zeta = sum(s_field * zeta)
 
     grad = np.zeros_like(states)
-    x_bar = np.zeros_like(states[0])  # Dirichlet nodes stay zero
-    x_flat = x_bar.ravel()
-    scaled = np.empty_like(x_bar)  # s_field times a scalar
-    lam = stepper.buf  # adjoint of zeta_{k+1}
+    scaled = np.empty_like(states[0])  # s_field times a scalar
+    lam, adjoint, overflow = stepper.buf, stepper.adjoint, []  # lam: adjoint of zeta_{k+1}
     np.copyto(lam, seed[n_steps])
     mu = 0.0           # adjoint of omega_{k+1}
     for k in range(n_steps - 1, -1, -1):
-        if not interior[k]:  # omega_{k+1} = -S zeta_{k+1}
+        if branches[k] != INTERIOR:  # omega_{k+1} = -S zeta_{k+1}
             lam -= np.multiply(s_field, mu, out=scaled)
             mu = 0.0
-        stepper.adjoint(x_bar)
-        if not math.isfinite(x_flat.dot(x_flat)) and not np.all(np.isfinite(x_bar)):
-            raise BlowupError(
-                f"adjoint became non-finite at step {k} (t={base.times[k]:.6g})"
-            )
-        np.multiply(x_bar, dt, out=grad[k])
-        wz_bar = float(gz[k].ravel().dot(x_flat))  # wz_k = omega_k + S zeta_k
+        xf = adjoint(grad[k]).ravel()
+        if not math.isfinite(xf.dot(xf)):
+            overflow.append(_overflow("adjoint", xf, k, base.times[k]))
+        wz_bar = float(gz[k].dot(xf))  # wz_k = omega_k + S zeta_k
         mu += wz_bar
         if k:  # lam_0 is unused; the buffer keeps the last solve's for check
-            np.multiply(gy[k], x_bar, out=lam)
+            np.multiply(gy[k], grad[k], out=lam)
             lam += np.multiply(s_field, wz_bar, out=scaled)
             lam += seed[k]
-    stepper.check(x_bar)
+    if overflow:
+        raise BlowupError(overflow[0])
+    stepper.check(grad[0])
+    grad *= dt
     return grad
 
 

@@ -34,15 +34,15 @@ each solve writes into the box view of the destination.  D + dt L on a box
 is diagonal in the product of its per-axis generalized eigenbases (fast diagonalization), and
 each axis's basis is the sampled sines or cosines of the uniform grid,
 cached per axis.  So with NumPy alone a 1D solve is two dots
-(``_ProductSolve``), for every 1D box of at most ``AXIS_EIG_LIMIT`` nodes.
-On every 2D box whose axes are at most ``DENSE_EIG_LIMIT`` long, each axis
-transform folds the basis's mirror-paired modes (``_folded_basis``), the
-first stage of a fast sine/cosine transform: two half-size dense products
-and one add/sub butterfly.  A box with a longer axis, in 1D or 2D, solves
-with SuperLU, factored once per solve, the one solver that imports scipy
-and the one place that builds a sparse D + dt L (when it is built).
-``_Stepper.check`` measures the last step of every state, sensitivity and
-adjoint solve from the per-axis data.  The spectral diagnostic needs only
+(``_AxisSolve``), for every 1D box of at most ``AXIS_EIG_LIMIT`` nodes.
+On every 2D box whose axes are at most ``DENSE_EIG_LIMIT`` long
+(``_ProductSolve``), each axis transform folds the basis's mirror-paired
+modes (``_folded_basis``), the first stage of a fast sine/cosine transform:
+two half-size dense products and one add/sub butterfly.  A box with a
+longer axis, in 1D or 2D, solves with SuperLU, factored once per solve, the
+one solver that imports scipy and the one place that builds a sparse
+D + dt L (when it is built).  ``_Stepper.check`` measures the last step of
+every state, sensitivity and adjoint solve from the per-axis data.  The spectral diagnostic needs only
 the eigenvalues, each axis's closed form (``_axis_eigenvalues``) summed in
 2D, so it serves a box of any size.
 
@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import itemgetter
 
 import numpy as np
 
@@ -456,32 +457,45 @@ class _SuperLUSolve:
         np.multiply(self.w, self.lu.solve(v.ravel()).reshape(b.shape), out=b)
 
 
-class _ProductSolve:
-    """Solve of D + dt L for one component on a box, in a product eigenbasis.
+class _AxisSolve:
+    """Solve of D + dt L = R + dt d K for one component on a 1D box: with
+    K V = R V diag(lam) and V^T R V = I its inverse is V diag(s) V^T,
+    s = 1 / (1 + dt d lam).  A step is two dots, V (F v) with the forward
+    basis F = diag(s) V^T R, and the adjoint is the transposed pair,
+    F^T (V^T v).  The weights are powers of two, so folding them is exact.
+    """
 
-    On a 1D box D + dt L = R + dt d K, and with K V = R V diag(lam) and
-    V^T R V = I its inverse is V diag(s) V^T, s = 1 / (1 + dt d lam).  A step
-    is two dots, V (F v) with the forward basis F = diag(s) V^T R, and the
-    adjoint is the transposed pair, F^T (V^T v).  On a 2D box D + dt L =
-    Rx (x) Ry + dt d (Kx (x) Ry + Rx (x) Ky) is diagonal in Vx (x) Vy, with
-    scale 1 / (1 + dt d (lx_i + ly_j)).  A step transforms with the forward
-    bases Rx Vx and Ry Vy, scales and transforms back with Vx and Vy; the
-    adjoint swaps the two roles.  Each transform is folded by mirror pairs
-    (``_folded_basis``): two half-size products and a butterfly, through
-    two reused buffers, the scale in folded order.  The weights are powers
-    of two, so folding them into the bases is exact.
+    def __init__(self, comp: ComponentOperator, dt: float):
+        (axis,) = comp.axes
+        lam, v = axis.basis()
+        s = 1.0 / (1.0 + dt * comp.diffusion * lam)
+        self.fwd, self.back = np.ascontiguousarray((v.T * axis.weights) * s[:, None]), v
+        self._c = np.empty(s.size)  # the coefficients between the two dots
+
+    def step(self, v, b):
+        self.back.dot(self.fwd.dot(v, out=self._c), out=b)
+
+    def adjoint(self, v, b):
+        self.fwd.T.dot(self.back.T.dot(v, out=self._c), out=b)
+
+
+class _ProductSolve:
+    """Solve of D + dt L for one component on a 2D box, in a product eigenbasis.
+
+    D + dt L = Rx (x) Ry + dt d (Kx (x) Ry + Rx (x) Ky) is diagonal in
+    Vx (x) Vy (see ``_AxisSolve``), with scale 1 / (1 + dt d (lx_i + ly_j)).
+    A step transforms with the forward bases Rx Vx and Ry Vy, scales and
+    transforms back with Vx and Vy; the adjoint swaps the two roles.  Each
+    transform is folded by mirror pairs (``_folded_basis``): two half-size
+    products and a butterfly, through two reused buffers, the scale in
+    folded order.
     """
 
     def __init__(self, comp: ComponentOperator, dt: float):
         d = comp.diffusion
-        self.fwd = None
-        if len(comp.axes) == 1:
-            (axis,) = comp.axes
-            lam, v = axis.basis()
-            s = 1.0 / (1.0 + dt * d * lam)
-            self.fwd, self.back = np.ascontiguousarray((v.T * axis.weights) * s[:, None]), v
-            return
         (lx, *self.x), (ly, *self.y) = (axis.folded() for axis in comp.axes)
+        (vx, px), (vy, py) = self.x, self.y
+        self._bases = (px, py, vx, vy), (vx, vy, px, py)  # a step's, an adjoint's
         hx, hy = lx.size // 2, ly.size // 2
         # indexed (y half, x half, y mode, x mode) like the coefficients
         self.scale = 1.0 / (1.0 + dt * d * (lx.reshape(1, 2, 1, hx) + ly.reshape(2, 1, hy, 1)))
@@ -494,18 +508,10 @@ class _ProductSolve:
         self.x_halves = t[:self.xs.size].reshape(self.xs.shape)
 
     def step(self, v, b):
-        if self.fwd is not None:
-            self.back.dot(self.fwd.dot(v), out=b)
-        else:
-            (vx, px), (vy, py) = self.x, self.y
-            self._solve(v, b, px, py, vx, vy)
+        self._solve(v, b, *self._bases[0])
 
     def adjoint(self, v, b):
-        if self.fwd is not None:
-            self.fwd.T.dot(self.back.T.dot(v), out=b)
-        else:
-            (vx, px), (vy, py) = self.x, self.y
-            self._solve(v, b, vx, vy, px, py)
+        self._solve(v, b, *self._bases[1])
 
     def _solve(self, v, b, x_in, y_in, x_out, y_out):
         # Each transform: two half-size products of the even and the odd
@@ -533,15 +539,15 @@ class _ProductSolve:
 def _component_solver(disc: SpatialDiscretization, j: int, dt: float):
     """The solver of D + dt L for component ``j``.
 
-    A product eigenbasis (NumPy only) serves every box whose axes are at
-    most ``AXIS_EIG_LIMIT`` long in 1D and ``DENSE_EIG_LIMIT`` long in 2D;
-    a box with a longer axis takes SuperLU, which imports scipy.
+    An eigenbasis (NumPy only) serves every box whose axes are at most
+    ``AXIS_EIG_LIMIT`` long in 1D and ``DENSE_EIG_LIMIT`` long in 2D; a box
+    with a longer axis takes SuperLU, which imports scipy.
     """
     comp = disc.components[j]
     limit = AXIS_EIG_LIMIT if len(comp.box) == 1 else DENSE_EIG_LIMIT
     if max(k.stop - k.start for k in comp.box) > limit:
         return _SuperLUSolve(disc, j, dt)
-    return _ProductSolve(comp, dt)
+    return _AxisSolve(comp, dt) if len(comp.box) == 1 else _ProductSolve(comp, dt)
 
 
 class _Stepper:
@@ -554,44 +560,42 @@ class _Stepper:
     same factors serve).  Both write only the active nodes of ``out``, so its
     Dirichlet nodes keep what the caller put there (zero); ``out`` must be
     C-contiguous, as a row of a path array is.  ``buf`` keeps the last
-    right-hand side for ``check``.  ``S(y)`` is one dot with ``sfun``'s
-    weight times quadrature.
+    right-hand side for ``check``.  ``S(yf)`` of a flattened field
+    (``y.ravel()``) is one dot with ``sfun``'s weight times quadrature.
+    ``_plan`` binds each component's solver, box and view of ``buf`` once.
     """
 
     def __init__(self, disc: SpatialDiscretization, dt: float, sfun):
         self.disc, self.dt = disc, dt
         self._adjoint = False
-        self._grid = (disc.n_components,) + disc.domain.resolution
-        self._boxes = [(j, *comp.box) for j, comp in enumerate(disc.components)]
+        shape = (disc.n_components,) + disc.domain.resolution
         self.solvers = [_component_solver(disc, j, dt) for j in range(disc.n_components)]
         self.buf = disc.zero_field()
-        grid = self.buf.reshape(self._grid)
-        self._views = [grid[at] for at in self._boxes]
+        # the box of a field: basic slicing of it in 1D, of its grid shape in 2D
+        boxes = [itemgetter(at) if len(at) == 2 else (lambda y, at=at: y.reshape(shape)[at])
+                 for at in ((j, *comp.box) for j, comp in enumerate(disc.components))]
+        self._plan = [(solver.step, solver.adjoint, box, box(self.buf))
+                      for solver, box in zip(self.solvers, boxes)]
         self._weights = [comp.rel_weights.reshape(v.shape)
-                         for comp, v in zip(disc.components, self._views)]
+                         for comp, (*_, v) in zip(disc.components, self._plan)]
         # max(D + 2 dt diag L) bounds |D + dt L| in the max norm (see check)
         self._a_norms = [np.max(w + 2.0 * dt * comp.diagonal())
                          for comp, w in zip(disc.components, self._weights)]
         self.s_field = _check_field(disc, sfun.weight, "S weight") * disc.quadrature
-        self._s = self.s_field.ravel()
-
-    def S(self, y):
-        return self._s.dot(y.ravel())
+        self.S = self.s_field.ravel().dot
 
     def step(self, y, out):
         self.buf *= self.dt
         self.buf += y
         self._adjoint = False
-        grid = out.reshape(self._grid)
-        for at, solver, v in zip(self._boxes, self.solvers, self._views):
-            solver.step(v, grid[at])
+        for solve, _, box, v in self._plan:
+            solve(v, box(out))
         return out
 
     def adjoint(self, out):
         self._adjoint = True
-        grid = out.reshape(self._grid)
-        for at, solver, v in zip(self._boxes, self.solvers, self._views):
-            solver.adjoint(v, grid[at])
+        for _, solve, box, v in self._plan:
+            solve(v, box(out))
         return out
 
     def check(self, out):
@@ -609,12 +613,9 @@ class _Stepper:
         error above the module tolerance.
         """
         what = "adjoint step" if self._adjoint else "implicit step"
-        grid = out.reshape(self._grid)
-        for j, (at, comp, v, w, a_norm) in enumerate(zip(
-                self._boxes, self.disc.components, self._views, self._weights,
-                self._a_norms)):
-            s, b = grid[at], v
-            s, b = (s / w, b) if self._adjoint else (s, w * b)
+        for j, ((*_, box, v), comp, w, a_norm) in enumerate(zip(
+                self._plan, self.disc.components, self._weights, self._a_norms)):
+            s, b = (box(out) / w, v) if self._adjoint else (box(out), w * v)
             r = w * s + self.dt * comp.apply(s) - b
             denom = a_norm * np.max(np.abs(s)) + np.max(np.abs(b))
             residual = float(np.max(np.abs(r)) / max(denom, np.finfo(float).tiny))

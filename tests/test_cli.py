@@ -425,6 +425,24 @@ class TestValidationFailures:
         assert proc.stderr == ("error: sensitivity became non-finite at "
                                "step 2 (t=0.1)\n")
 
+    @pytest.mark.parametrize("solver", [None, PICARD], ids=["direct", "picard"])
+    def test_direction_overflowing_only_in_its_norm_names_the_step(self, tmp_path, solver):
+        # every product of the direction's factors is finite (the largest is
+        # 1e308 itself), and so is every sensitivity, but the squared norm of
+        # the first one is not: the run stops naming that step, with no
+        # traceback and no numpy warning
+        direction = {"kind": "constant", "value": 1e308,
+                     "profile": {"kind": "values", "values": [1.0] * 9}}
+        cfg = small_config(direction=direction, **({"solver": solver} if solver else {}))
+        path = write_config(tmp_path, cfg)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stopsim", "sensitivity", "--config", path,
+             "--out", str(tmp_path), "--quiet"],
+            capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: sensitivity overflowed at step 1 (t=0.05): "
+                               "its squared norm is not finite\n")
+
     def test_oversized_scenario_names_the_field(self, tmp_path, capsys):
         # the source alone would take (12000001, 1, 100001) float64 values,
         # several TiB, so it is refused before anything is allocated

@@ -3,6 +3,7 @@ import importlib.resources
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopsim import (
+    BlowupError,
     HysteresisConfig,
     InvalidConfigError,
-    NumericalFailureError,
     ScenarioValidationError,
     Source,
     apply_B,
@@ -348,9 +349,12 @@ class TestLowRankSources:
             solve_sensitivity(base, scn.direction)
         values[4] = 1.0  # the largest product is 1e308 itself
         scn = load_scenario(cfg, needs=("state", "direction"))
-        # accepted: its solve runs, and fails only numerically (exit 3)
+        # accepted: its solve runs, and fails only numerically (exit 3),
+        # naming the first step whose squared norm overflows
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalFailureError):
+                pytest.raises(BlowupError, match=re.escape(
+                    "sensitivity overflowed at step 1 (t=0.1): "
+                    "its squared norm is not finite")):
             solve_sensitivity(base, scn.direction)
 
     def test_profile_must_vanish_off_the_targeted_component(self):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from stopsim import (
     fractional_power_diagnostic,
     quad_norm,
 )
+from stopsim import spatial
 from stopsim.spatial import (
     AXIS_EIG_LIMIT,
     DENSE_EIG_LIMIT,
     SOLVER_RESIDUAL_TOL,
+    _AxisSolve,
     _path_norms,
     _ProductSolve,
     _Stepper,
@@ -303,16 +306,15 @@ def rel_diff(a, b):
 
 def superlu_stepper(disc, dt):
     """A stepper that solves every component with SuperLU, as the reference."""
-    stepper = new_stepper(disc, dt)
-    stepper.solvers = [_SuperLUSolve(disc, j, dt) for j in range(disc.n_components)]
-    return stepper
+    with mock.patch.object(spatial, "_component_solver", _SuperLUSolve):
+        return new_stepper(disc, dt)
 
 
 def stepper_with(disc, dt, solver):
-    """A stepper whose one component solves with ``solver(comp, dt)``."""
-    stepper = new_stepper(disc, dt)
-    stepper.solvers = [solver(disc.components[0], dt)]
-    return stepper
+    """A stepper whose components solve with ``solver(comp, dt)``."""
+    with mock.patch.object(spatial, "_component_solver",
+                           lambda disc, j, dt: solver(disc.components[j], dt)):
+        return new_stepper(disc, dt)
 
 
 def both_steps(stepper, y, f, x):
@@ -454,7 +456,7 @@ class TestOneDimensionalSolve:
             cases += [(n, labels, False), (n + 1, labels, True)]
         for n, labels, superlu in cases:
             (solver,) = new_stepper(one_d_disc(n, labels), 0.1).solvers
-            assert isinstance(solver, _ProductSolve) != superlu, (n, labels)
+            assert isinstance(solver, _AxisSolve) != superlu, (n, labels)
             assert isinstance(solver, _SuperLUSolve) == superlu, (n, labels)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -510,7 +512,7 @@ class TestAxisEigenbasis:
         rng = np.random.default_rng(43)
         y, f, x = (rng.standard_normal((1, n)) for _ in range(3))
         y[0, ~active_mask(disc)] = 0.0
-        ours = stepper_with(disc, dt, _ProductSolve)
+        ours = stepper_with(disc, dt, _AxisSolve)
         step, adjoint = both_steps(ours, y, f, x)
         ours.check(adjoint_of(ours, x, np.zeros_like(x)))
         ours.check(step_with(ours, y, f, np.zeros_like(y)))
@@ -577,9 +579,9 @@ class TestAxisEigenbasis:
 STEPPER_CASES = {
     "superlu-1d": (lambda: one_d_disc(AXIS_EIG_LIMIT + 2, ("dirichlet", "neumann")),
                    _SuperLUSolve),
-    "eigenbasis-1d": (lambda: one_d_disc(41, ("dirichlet", "neumann")), _ProductSolve),
-    "eigenbasis-1-node": (lambda: one_d_disc(3, ("dirichlet", "dirichlet")), _ProductSolve),
-    "eigenbasis-2-nodes": (lambda: one_d_disc(4, ("dirichlet", "dirichlet")), _ProductSolve),
+    "eigenbasis-1d": (lambda: one_d_disc(41, ("dirichlet", "neumann")), _AxisSolve),
+    "eigenbasis-1-node": (lambda: one_d_disc(3, ("dirichlet", "dirichlet")), _AxisSolve),
+    "eigenbasis-2-nodes": (lambda: one_d_disc(4, ("dirichlet", "dirichlet")), _AxisSolve),
     "product": (lambda: two_d_disc(("dirichlet", "neumann", "neumann", "dirichlet")),
                 _ProductSolve),
     "product-even-odd": (lambda: two_d_disc(("neumann", "neumann", "dirichlet", "neumann"),
@@ -621,8 +623,8 @@ class TestStepper:
         for _ in range(5):
             y = rng.standard_normal(shape)
             terms = (sfun.weight * disc.quadrature * y).ravel()
-            assert stepper.S(y) == evaluate_S(disc, sfun, y)
-            assert abs(stepper.S(y) - math.fsum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+            assert stepper.S(y.ravel()) == evaluate_S(disc, sfun, y)
+            assert abs(stepper.S(y.ravel()) - math.fsum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
     def test_s_weight_shape_is_checked(self, disc_mixed):
         with pytest.raises(GridMismatchError):
@@ -684,7 +686,7 @@ class TestStepResidualCheck:
     def test_stiff_eigenbasis_solve_passes_and_a_perturbed_one_is_refused(self, labels):
         disc = one_d_disc(AXIS_EIG_LIMIT + n_dirichlet(labels), labels, d=10.0)
         stepper = new_stepper(disc, 1.0)
-        assert isinstance(stepper.solvers[0], _ProductSolve)
+        assert isinstance(stepper.solvers[0], _AxisSolve)
         rng = np.random.default_rng(35)
         y, f, x = (rng.standard_normal((1, disc.n_nodes)) for _ in range(3))
         for what, solve in (("implicit step", lambda: step_with(stepper, y, f, np.zeros_like(y))),
