@@ -10,8 +10,8 @@ nodes, scaled by the boundary quadrature weight).  The reduced cost is
 with N the control Gram matrix in the mode-appropriate measure.  The
 optimizer's coordinate derivatives J'(c; e_i) come from one backward
 (adjoint) sweep of the linearized recursion wherever J'(c; .) is linear in
-the direction: the direct scheme, no exact stop tie on the base path and a
-reaction derivative linear in the direction.  Elsewhere they are assembled
+the direction: no exact stop tie on the base path and a reaction derivative
+linear in the direction, on either scheme.  Elsewhere they are assembled
 forward, one linearized solve per basis direction plus one more along the
 descent candidate, so the Armijo test uses the honest one-sided derivative
 where hysteresis switching makes J nonsmooth.
@@ -20,14 +20,13 @@ where hysteresis switching makes J nonsmooth.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import EmptyBoundaryError, GridMismatchError, InvalidConfigError
-from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
+from .evolution import ReactionFunction, SolverConfig, Trajectory, _positive_int, solve_state
 from .hysteresis import HysteresisConfig
 from .sensitivity import _adjoint_sweep, solve_sensitivity
 from .spatial import SFunctional, SpatialDiscretization, _Stepper
@@ -65,10 +64,7 @@ class ControlSpec:
             raise InvalidConfigError(
                 f"control mode must be 'distributed' or 'boundary', got {self.mode!r}"
             )
-        knots = self.time_knots
-        if isinstance(knots, bool) or not isinstance(knots, numbers.Integral) or knots < 1:
-            raise InvalidConfigError(f"time_knots must be an integer of at least 1, got {knots!r}")
-        object.__setattr__(self, "time_knots", int(knots))
+        object.__setattr__(self, "time_knots", _positive_int("time_knots", self.time_knots))
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise InvalidConfigError("coefficients must be a nonempty vector")
@@ -308,24 +304,23 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
     """Steepest descent on the reduced cost with Armijo backtracking.
 
     Each iteration takes the coordinate derivatives J'(c; e_i) as its
-    gradient.  Where J'(c; .) is linear in the direction (direct scheme, no
-    exact stop tie on the base path, a reaction derivative linear in the
-    direction) one adjoint sweep gives them, and the predicted decrease along
-    -grad is -grad . grad.  Elsewhere each takes one forward sensitivity
+    gradient.  Where J'(c; .) is linear in the direction (no exact stop tie
+    on the base path and a reaction derivative linear in the direction, on
+    either scheme) one adjoint sweep gives them, and the predicted decrease
+    along -grad is -grad . grad.  Elsewhere each takes one forward sensitivity
     solve, and the predicted decrease is the one-sided derivative along the
     candidate step itself, from one more solve.  The accepted trial's state
     solve is the next iteration's base.  A failed line search (or an
     ascent-only corner) reports status 'stalled' and returns the best
     iterate; accepted steps produce a non-increasing cost history.
     """
-    if max_iters < 1:
-        raise InvalidConfigError("max_iters must be at least 1")
-    if not 0.0 < initial_step < math.inf:
-        raise InvalidConfigError(f"initial_step must be positive and finite, got {initial_step}")
+    _positive_int("max_iters", max_iters)
+    _positive_int("max_halvings", max_halvings)
+    for name, value in (("tol", tol), ("initial_step", initial_step)):
+        if not 0.0 < value < math.inf:
+            raise InvalidConfigError(f"{name} must be positive and finite, got {value}")
     if not 0.0 < armijo_c1 < 1.0:
         raise InvalidConfigError(f"armijo_c1 must lie in (0, 1), got {armijo_c1}")
-    if max_halvings < 0:
-        raise InvalidConfigError(f"max_halvings must be at least 0, got {max_halvings}")
     gram = control_gram(problem.disc, spec, problem.solver.times())
     stepper = _Stepper(problem.disc, problem.solver.dt, problem.sfun)  # for the adjoint
     history = []

@@ -62,6 +62,13 @@ REACTION_KINDS = (*_REACTION_PARAMS, "user-table")
 SCHEMES = ("imex-euler", "picard-sliced")
 
 
+def _positive_int(name, value):
+    """``value`` as an int, refused unless it is an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 def _as_float(z):
     """A float ``z`` (numpy's float64 is one) as a numpy float, anything else as
     a float array."""
@@ -313,7 +320,7 @@ class ReactionFunction:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping configuration shared by state and sensitivity solves."""
+    """Time-stepping configuration; the Picard fields set the state solve's sweeps."""
 
     dt: float
     t_final: float
@@ -351,15 +358,13 @@ class SolverConfig:
                     f"slice_length={self.slice_length} must be a positive multiple of dt"
                 )
             object.__setattr__(self, "slice_length", s)
-        tol, iters = self.picard_tol, self.picard_max_iters
+        tol = self.picard_tol
         if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
                 or not math.isfinite(tol) or tol <= 0):
             raise InvalidConfigError(f"picard_tol must be positive and finite, got {tol!r}")
-        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
-            raise InvalidConfigError(
-                f"picard_max_iters must be an integer of at least 1, got {iters!r}")
         object.__setattr__(self, "picard_tol", float(tol))
-        object.__setattr__(self, "picard_max_iters", int(iters))
+        object.__setattr__(self, "picard_max_iters",
+                           _positive_int("picard_max_iters", self.picard_max_iters))
 
     @property
     def n_steps(self):
@@ -574,35 +579,35 @@ def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
     )
 
 
-def _integrate(stepper, solver, rhs, advance, keep):
-    """Run a solve's rules over the whole solver grid from a zero start.
+def _integrate(stepper, n_steps, rhs, advance, keep, picard=None):
+    """Run a solve's rules over ``n_steps`` steps from a zero start.
 
-    A window slides along the run: Picard slices of ``solver.slice_steps``
-    steps, or for the direct march the whole run (``keep``) or one step.
-    With ``keep`` the windows are rows of the (N+1)-row path; else the direct
-    march alternates two rows, and Picard slices share one buffer whose last
-    row carries into the next.  Each window adds its new rows' quadrature
-    norms to the norms channel.  The last step taken has its solve checked
-    against the module residual tolerance.  Returns the path (or ``_NoPath``
-    of its shape), the per-step norms, and each slice's sweep count.
+    A window slides along the run: the slices of ``picard``, the state
+    solve's Picard-sliced ``SolverConfig``, swept to its tolerance, or for
+    the direct march the whole run (``keep``) or one step.  With ``keep``
+    the windows are rows of the (N+1)-row path; else the direct march
+    alternates two rows, and Picard slices share one buffer whose last row
+    carries into the next.  Each window adds its new rows' quadrature norms
+    to the norms channel.  The last step taken has its solve checked against
+    the module residual tolerance.  Returns the path (or ``_NoPath`` of its
+    shape), the per-step norms, and each slice's sweep count.
     """
-    disc, n_steps = stepper.disc, solver.n_steps
+    disc = stepper.disc
     shape = (n_steps + 1, disc.n_components, disc.n_nodes)
-    direct = solver.scheme == "imex-euler"
-    span = (n_steps if keep else 1) if direct else min(n_steps, solver.slice_steps)
+    span = (n_steps if keep else 1) if picard is None else min(n_steps, picard.slice_steps)
     fields = np.zeros(shape if keep else (span + 1, *shape[1:]))
     norms = np.zeros(n_steps + 1)  # the zero start has norm 0
     sweeps = []
     for start in range(0, n_steps, span):
         stop = min(start + span, n_steps)
-        if direct:
+        if picard is None:
             _march(stepper, fields, start, stop, rhs, advance)
             new = fields[start + 1:stop + 1] if keep else fields[stop % 2:stop % 2 + 1]
         else:
             window = fields[start:stop + 1] if keep else fields[:stop - start + 1]
             sweeps.append(len(_sweep_slice(
                 stepper, window, start, rhs, advance,
-                solver.picard_tol, solver.picard_max_iters)))
+                picard.picard_tol, picard.picard_max_iters)))
             new = window[1:]
             if not keep:
                 fields[0] = window[-1]
@@ -647,7 +652,8 @@ def solve_state(disc, sfun, reaction, hyst_cfg, u, solver, keep_states=True) -> 
     cursor = StopCursor(hyst_cfg, 0.0)  # v_0 = S y_0 = 0
     stepper = _Stepper(disc, solver.dt, sfun)
     rhs, advance, (zs, offsets, s_values) = _state_rules(stepper, reaction, cursor, u)
-    states, norms, sweeps = _integrate(stepper, solver, rhs, advance, keep_states)
+    picard = solver if solver.scheme == "picard-sliced" else None
+    states, norms, sweeps = _integrate(stepper, solver.n_steps, rhs, advance, keep_states, picard)
 
     times = solver.times()
     return Trajectory(

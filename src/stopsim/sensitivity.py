@@ -11,13 +11,13 @@ one-sided clamp rule on the pair (v = S y, dv = S zeta).  Branch decisions
 are the census of the offset states stored on the base trajectory, so the
 linearization follows bitwise the same saturation pattern the base solve
 took.  Starting state is zeta_0 = 0: perturbing the source cannot move the
-fixed initial condition.  Both schemes run on the state solve's own driver,
-with the same Picard slices: at the converged base the sensitivity's sweep is
-the linearization of the state's, so it contracts wherever the state's does.
-Only the per-step rules differ.  Where the direct recursion is linear in h,
-one backward (adjoint) sweep gives sum_k <seed_k, zeta_k> as a linear form
-in h for a fixed weight field ``seed``; the optimizer takes its gradient from
-it.
+fixed initial condition.  With the branches fixed the recursion is explicit
+in zeta, so the solve is one direct march of the state solve's driver on
+either scheme: a Picard-sliced base is linearized at the path its sweeps
+converged to, and only the state solve sweeps slices.  Where the recursion is
+linear in h, one backward (adjoint) sweep gives sum_k <seed_k, zeta_k> as a
+linear form in h for a fixed weight field ``seed``; the optimizer takes its
+gradient from it.
 
 The finite-difference harnesses quantify how fast difference quotients of
 the full nonlinear solve approach zeta, optionally with an o(lambda)
@@ -28,7 +28,7 @@ this notion of derivative from a plain one-sided Gateaux limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,13 @@ class SensitivityRecord:
     stop_derivative: np.ndarray  # w_k = directional derivative of z_k
     s_values: np.ndarray         # S zeta_k
     derivative_is_exact: bool    # False when the reaction derivative is tabulated
-    picard_iterations: list = field(default_factory=list)  # per-slice sweep counts
 
 
 def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> SensitivityRecord:
     """Integrate the linearized recursion of ``base``'s equation along it, in
     the source direction ``direction`` (a ``Source`` or an (N+1, m, n_nodes)
-    array), keeping the zeta path only with ``keep_states``, as ``solve_state``."""
+    array), keeping the zeta path only with ``keep_states``, as ``solve_state``.
+    The march is direct on either scheme, so without the path it holds two rows."""
     h = _as_path(direction)
     if h.shape != base.states.shape:
         raise GridMismatchError(
@@ -98,7 +98,7 @@ def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> Sensitiv
         omega[k] = o = _omega_step(branches[k - 1], omega[k - 1], d)
         wz[k] = o + d
 
-    zeta, norms, sweeps = _integrate(stepper, solver, rhs, advance, keep_states)
+    zeta, norms, _ = _integrate(stepper, n_steps, rhs, advance, keep_states)
 
     return SensitivityRecord(
         times=base.times,
@@ -107,7 +107,6 @@ def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> Sensitiv
         stop_derivative=wz,
         s_values=dv,
         derivative_is_exact=reaction.derivative_is_exact,
-        picard_iterations=sweeps,
     )
 
 
@@ -124,20 +123,18 @@ def _adjoint_sweep(base: Trajectory, seed, stepper):
 
     Returns the source-shaped g with sum_k <g_k, h_k> = sum_k <seed_k, zeta_k>
     (plain sums over components and nodes) for every direction h, where zeta
-    is ``solve_sensitivity``'s path along h.  Returns None where that path is
-    not linear in h: on the Picard scheme, whose sensitivity is a fixed point
-    of the recursion only to the Picard tolerance; at an exact stop tie on
-    the base path; and where the reaction's directional derivative is not
-    linear in the direction.  The scalar adjoint of omega passes through
-    interior steps and resets at a bound, as omega itself does forward.  Each
-    step solves with ``stepper``'s transposed step (one built for the base's
-    grid, S and step) from its buffer, which holds the adjoint of zeta, into
-    row k of the result (Dirichlet nodes stay zero), scaled by dt at the end.
+    is ``solve_sensitivity``'s path along h, on either scheme.  Returns None
+    where that path is not linear in h: at an exact stop tie on the base path
+    and where the reaction's directional derivative is not linear in the
+    direction.  The scalar adjoint of omega passes through interior steps and
+    resets at a bound, as omega itself does forward.  Each step solves with
+    ``stepper``'s transposed step (one built for the base's grid, S and step)
+    from its buffer, which holds the adjoint of zeta, into row k of the
+    result (Dirichlet nodes stay zero), scaled by dt at the end.
     """
     census = branch_census(base.hyst_cfg, base.stop_offsets, base.s_values)
     states, reaction, solver = base.states, base.reaction, base.solver
-    if (solver.scheme != "imex-euler" or census.tie
-            or not reaction.directional_is_linear(states)):
+    if census.tie or not reaction.directional_is_linear(states):
         return None
     n_steps = solver.n_steps
     dt = solver.dt

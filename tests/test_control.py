@@ -393,7 +393,7 @@ class TestOptimize:
     def test_exhausted_line_search_reports_stalled(self, affine_problem):
         problem, spec = affine_problem
         result = optimize(problem, spec, max_iters=5,
-                          initial_step=1e12, max_halvings=0)
+                          initial_step=1e12, max_halvings=1)
         assert result.status == "stalled"
         np.testing.assert_array_equal(result.spec.coefficients,
                                       spec.coefficients)
@@ -422,8 +422,19 @@ class TestOptimize:
             optimize(problem, spec, max_iters=0)
 
     @pytest.mark.parametrize("option, value", [
+        ("max_iters", 2.5), ("max_iters", True),
+        ("tol", math.nan), ("tol", 0.0), ("tol", -1.0), ("tol", math.inf),
+    ])
+    def test_rejects_a_stopping_rule_the_schema_refuses(self, affine_problem, option, value):
+        problem, spec = affine_problem
+        with pytest.raises(InvalidConfigError, match=option) as excinfo:
+            optimize(problem, spec, **{option: value})
+        assert excinfo.value.exit_code == 2
+
+    @pytest.mark.parametrize("option, value", [
         ("initial_step", 0.0), ("initial_step", -1.0), ("initial_step", math.inf),
-        ("initial_step", math.nan), ("max_halvings", -3), ("armijo_c1", 0.0),
+        ("initial_step", math.nan), ("max_halvings", -3), ("max_halvings", 0),
+        ("max_halvings", 2.5), ("armijo_c1", 0.0),
         ("armijo_c1", -1e-4), ("armijo_c1", 1.0), ("armijo_c1", 2.0), ("armijo_c1", math.nan),
     ])
     def test_rejects_a_line_search_the_schema_refuses(self, affine_problem, option, value):
@@ -601,6 +612,15 @@ class TestAdjointGradient:
         assert reaction.directional_is_linear(base.states)
         self.assert_matches_forward(monkeypatch, problem, spec)
 
+    def test_picard_linear_quadratic(self, monkeypatch):
+        problem, spec, _ = bundled_problem(
+            "linear_quadratic", solver={"dt": 0.02, "t_final": 1.0,
+                                        "scheme": "picard-sliced", "slice_length": 0.1})
+        self.assert_matches_forward(monkeypatch, problem, spec)
+        sens = count_calls(monkeypatch, "solve_sensitivity")
+        result = optimize(problem, spec, max_iters=2)
+        assert result.status == "max-iterations" and sens == []
+
     def test_logistic_capped_at_its_cap_is_not_linear(self):
         reaction = ReactionFunction.logistic_capped(1.0, 2.0, 0.5, 0.6)
         assert reaction.directional_is_linear(np.array([0.1, 0.5, 3.0]))
@@ -667,22 +687,26 @@ class TestGradientPath:
             start = 2.0 * t
         assert len(states) == 1 + trials
 
-    def test_picard_linear_quadratic_stalls_at_its_gradient_floor(self):
-        # each Picard solve stops somewhere within picard_tol (default 1e-10),
-        # and below a gradient of about 2e-8 the Armijo test finds no
-        # decrease: the run stalls after 19 iterations at 2.08e-8
-        problem, spec, opts = bundled_problem(
+    def test_picard_linear_quadratic_converges_on_the_adjoint(self, monkeypatch):
+        # the sensitivity is the direct march along the Picard base, so the
+        # adjoint serves it and the run converges where the direct one does
+        direct, spec, opts = bundled_problem("linear_quadratic")
+        problem, _, _ = bundled_problem(
             "linear_quadratic", solver={"dt": 0.02, "t_final": 1.0,
                                         "scheme": "picard-sliced", "slice_length": 0.2})
+        reference = optimize(direct, spec, **opts)
+        sens = count_calls(monkeypatch, "solve_sensitivity")
         result = optimize(problem, spec, **opts)
-        assert result.status == "stalled"
-        assert 1e-8 <= result.history[-1][2] <= 1e-7
+        assert result.status == "converged" and sens == []
+        assert len(result.history) == len(reference.history) == 24
+        np.testing.assert_allclose(result.spec.coefficients, reference.spec.coefficients,
+                                   rtol=0.0, atol=1e-12)
+        assert reduced_cost(direct, result.spec) == pytest.approx(reference.cost, rel=1e-12)
+        # the Picard cost itself carries the state sweeps' tolerance (1e-10)
+        assert result.cost == pytest.approx(reference.cost, rel=1e-11)
 
-    @pytest.mark.parametrize("name, blocks", [
-        ("linear_quadratic", {"solver": {"dt": 0.02, "t_final": 1.0,
-                                         "scheme": "picard-sliced",
-                                         "slice_length": 0.1}}),
-        ("saturating", {
+    def test_tables_take_the_forward_path(self, monkeypatch):
+        problem, spec, _ = bundled_problem("saturating", **{
             "reaction": {"kind": "user-table",
                          "y_grid": [-4.0, -1.0, 0.0, 1.0, 4.0],
                          "z_grid": [-0.05, 0.0, 0.05],
@@ -693,11 +717,7 @@ class TestGradientPath:
             "control": {"mode": "distributed", "time_knots": 3,
                         "spatial_modes": {"kind": "sine", "count": 2},
                         "kappa": 0.01,
-                        "target": {"kind": "constant", "value": 0.3}}}),
-    ])
-    def test_picard_and_tables_take_the_forward_path(self, monkeypatch,
-                                                       name, blocks):
-        problem, spec, _ = bundled_problem(name, **blocks)
+                        "target": {"kind": "constant", "value": 0.3}}})
         n = spec.n_coefficients
         first = np.max(np.abs(forward_gradient(problem, spec)))
         sens = count_calls(monkeypatch, "solve_sensitivity")

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stopsim.control as control_module
 from stopsim import (
     BlowupError,
     BoundarySides,
+    ControlProblem,
+    ControlSpec,
     DomainSpec,
     GridMismatchError,
     HysteresisConfig,
@@ -19,6 +23,7 @@ from stopsim import (
     Source,
     assemble,
     branch_census,
+    control_gram,
     fd_convergence_study,
     hadamard_perturbed_quotient,
     load_scenario,
@@ -28,12 +33,14 @@ from stopsim import (
     stop_directional_derivative,
 )
 
+from stopsim.control import _gradient, _solve
 from stopsim.evolution import _state_rules
 from stopsim.hysteresis import INTERIOR, StopCursor
 from stopsim.sensitivity import _adjoint_sweep
 from stopsim.spatial import _path_norms, _Stepper
 
-from conftest import STREAMED_SCENARIOS, active_mask, box_41, constant_sfun, traced_peak
+from conftest import (STREAMED_SCENARIOS, active_mask, box_41, bundled_config, constant_sfun,
+                      traced_peak)
 from oracles import (
     reaction_directional_reference,
     reaction_value_reference,
@@ -94,7 +101,6 @@ class TestStreamedSensitivity:
         np.testing.assert_array_equal(kept.norms, _path_norms(scn.disc, kept.states))
         for channel in ("norms", "stop_derivative", "s_values"):
             np.testing.assert_array_equal(getattr(streamed, channel), getattr(kept, channel))
-        assert streamed.picard_iterations == kept.picard_iterations
         with pytest.raises(InvalidConfigError, match="kept no path"):
             streamed.states[0]
 
@@ -234,8 +240,8 @@ class TestPicardVariant:
         np.testing.assert_allclose(rec_s.stop_derivative,
                                    rec_d.stop_derivative,
                                    rtol=0.0, atol=1e-9)
-        assert len(rec_s.picard_iterations) == 5
-        assert rec_d.picard_iterations == []
+        assert len(base_s.picard_iterations) == 5
+        assert base_d.picard_iterations == []
 
     @pytest.mark.parametrize("slice_length, n_slices", [
         (0.3, 4),    # uneven tail slice
@@ -254,8 +260,7 @@ class TestPicardVariant:
         base = solve_state(disc_mixed, sfun, reaction, hyst, u, sliced)
         rec = solve_sensitivity(base, h)
         assert len(base.picard_iterations) == n_slices
-        assert len(rec.picard_iterations) == n_slices
-        assert all(sweeps >= 1 for sweeps in rec.picard_iterations)
+        assert all(sweeps >= 1 for sweeps in base.picard_iterations)
         rec_d = solve_sensitivity(solve_state(disc_mixed, sfun, reaction, hyst, u, direct), h)
         np.testing.assert_allclose(rec.states, rec_d.states,
                                    rtol=0.0, atol=1e-9)
@@ -284,6 +289,91 @@ class TestPicardVariant:
         minus = records["imex-euler", -1.0]
         assert not np.allclose(minus.stop_derivative, -plus.stop_derivative)
         assert not np.allclose(minus.states, -plus.states)
+
+    def test_a_picard_tie_base_takes_the_forward_path(self, monkeypatch):
+        disc = two_component_1d_disc()
+        sfun, hyst, reaction, u, _ = exact_tie_setup(disc)
+        solver = TIE_SOLVERS[1]
+        base = solve_state(disc, sfun, reaction, hyst, u, solver)
+        assert branch_census(hyst, base.stop_offsets, base.s_values).tie > 0
+        stepper = _Stepper(disc, solver.dt, sfun)
+        assert _adjoint_sweep(base, np.ones_like(base.states), stepper) is None
+        # a control on component 0 leaves S's plateau, and so the ties, in place
+        modes = np.zeros((2, 2, disc.n_nodes))
+        modes[:, 0] = np.sin([[np.pi], [2.0 * np.pi]] * disc.coords[:, 0])
+        spec = ControlSpec(mode="distributed", time_knots=2,
+                           coefficients=np.array([1.0, -0.5, 2.0, 0.5]), spatial_modes=modes)
+        problem = ControlProblem(disc=disc, sfun=sfun, reaction=reaction, hyst_cfg=hyst,
+                                 solver=solver, target=np.zeros_like(u), kappa=0.1)
+        calls = []
+        monkeypatch.setattr(control_module, "solve_sensitivity",
+                            lambda *args: calls.append(1) or solve_sensitivity(*args))
+        grad, linear = _gradient(problem, spec, _solve(problem, spec),
+                                 control_gram(disc, spec, solver.times()), stepper)
+        assert not linear and len(calls) == spec.n_coefficients
+        assert np.all(np.isfinite(grad))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("slice_length", [0.2, None])
+    @pytest.mark.parametrize("name", ["saturating", "linear_quadratic",
+                                      "neumann_conservation", "zero"])
+    def test_the_march_is_within_the_sweep_tolerance(self, name, slice_length, tol):
+        # the fixed point the slice-by-slice sweeps of the linearized recursion
+        # approach to their tolerance is the direct march along the same base
+        cfg = copy.deepcopy(bundled_config(name))
+        cfg.setdefault("direction", {"kind": "constant", "value": 0.1})
+        cfg["solver"].update(scheme="picard-sliced", picard_tol=tol)
+        if slice_length is not None:
+            cfg["solver"]["slice_length"] = slice_length
+        scn = load_scenario(cfg, needs=("state", "direction"))
+        solver = scn.solver
+        base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg, scn.source, solver)
+        record = solve_sensitivity(base, scn.direction)
+        swept, _, _ = reference_sensitivity(
+            base, scn.direction, allocating_rules(scn.reaction)[1],
+            (solver.slice_steps, solver.picard_tol, solver.picard_max_iters))
+        assert _path_norms(scn.disc, record.states - swept).max() <= 100 * tol
+
+    def test_a_streamed_solve_on_a_whole_run_slice_holds_two_rows(self):
+        disc = box_41()
+        hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
+        sfun = constant_sfun(disc, 0.6)
+        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        solver = SolverConfig(dt=0.005, t_final=1.0, scheme="picard-sliced")
+        t, x = solver.times(), disc.coords[:, 0]
+        u = Source(2.0 * np.sin(4.0 * t), np.sin(np.pi * x)[None, :])
+        h = Source(0.2 * ((t >= 0.1) & (t < 0.9)), np.sin(2.0 * np.pi * x)[None, :])
+        base = solve_state(disc, sfun, reaction, hyst, u, solver)
+        assert len(base.picard_iterations) == 1
+        record, peak = traced_peak(lambda: solve_sensitivity(base, h, keep_states=False))
+        np.testing.assert_array_equal(record.norms, solve_sensitivity(base, h).norms)
+        # two rows, the step's factors and per-step temporaries, where the
+        # one slice would be the whole 201-row path
+        assert peak <= 0.1 * base.states.nbytes
+
+
+class TestAdjointIdentity:
+    @pytest.mark.parametrize("scheme", [
+        {},
+        {"scheme": "picard-sliced", "slice_length": 0.2},    # ten-step slices
+        {"scheme": "picard-sliced"},                         # one whole-run slice
+    ], ids=["direct", "picard-sliced", "picard-whole-run"])
+    def test_the_gradient_pairs_with_the_forward_sensitivity(self, disc_mixed, scheme):
+        # <g, h> = <seed, zeta> for the adjoint g of any seed and any direction h
+        hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
+        sfun = constant_sfun(disc_mixed, 0.6)
+        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        solver = SolverConfig(dt=0.02, t_final=1.0, **scheme)
+        base = solve_state(disc_mixed, sfun, reaction, hyst, sine_source(disc_mixed, solver),
+                           solver)
+        census = branch_census(hyst, base.stop_offsets, base.s_values)
+        assert census.at_a + census.at_b >= 10 and census.tie == 0
+        rng = np.random.default_rng(27)
+        seed, h = rng.standard_normal((2, *base.states.shape))
+        g = _adjoint_sweep(base, seed, _Stepper(disc_mixed, solver.dt, sfun))
+        zeta = solve_sensitivity(base, h).states
+        lhs, rhs = float(np.sum(g * h)), float(np.sum(seed * zeta))
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 TIE_SOLVERS = (SolverConfig(dt=0.02, t_final=1.0),
@@ -389,6 +479,28 @@ def rule_source(disc, solver, kind, scale):
     return np.asarray(source) if kind == "dense" else source
 
 
+def reference_sensitivity(base, h, directional, slicing=None):
+    """zeta, its stop derivative w and S zeta along ``base`` in the direction
+    ``h``: ``reference_march`` of the allocating ``directional`` with the
+    scalar stop-derivative rule, direct or swept as ``slicing`` says."""
+    hyst, n = base.hyst_cfg, base.solver.n_steps
+    stepper = _Stepper(base.disc, base.solver.dt, base.sfun)
+    wz, dv, omega = np.zeros((3, n + 1))
+    dense_h = np.asarray(h)
+
+    def advance(k, zk):
+        dv[k] = stepper.S(zk.ravel())
+        omega[k] = stop_derivative_step(hyst.a, hyst.b, base.stop_offsets[k - 1],
+                                        base.s_values[k], omega[k - 1], dv[k])
+        wz[k] = omega[k] + dv[k]
+
+    zeta, _ = reference_march(
+        stepper, n,
+        lambda k, zk: directional(base.states[k], base.stop.values[k], zk, wz[k]) + dense_h[k],
+        advance, base.disc.quadrature, slicing)
+    return zeta, wz, dv
+
+
 class TestInPlaceRules:
     """Each rule writes into the stepper's buffer exactly what the allocating
     expression gives, and the solves match a march of those expressions."""
@@ -456,32 +568,18 @@ class TestInPlaceRules:
             assert ours.tobytes() == theirs.tobytes()
         assert base.picard_iterations == sweeps
 
-        # the forward sensitivity, with the scalar stop-derivative rule
+        # the forward sensitivity: the direct march on either scheme
         record = solve_sensitivity(base, h)
-        wz, dv, omega = np.zeros((3, n + 1))
-
-        def advance_zeta(k, zk):
-            dv[k] = stepper.S(zk.ravel())
-            omega[k] = stop_derivative_step(hyst.a, hyst.b, base.stop_offsets[k - 1],
-                                            base.s_values[k], omega[k - 1], dv[k])
-            wz[k] = omega[k] + dv[k]
-
-        dense_h = np.asarray(h)
-        zeta, zeta_sweeps = reference_march(
-            stepper, n,
-            lambda k, zk: directional(base.states[k], base.stop.values[k], zk, wz[k]) + dense_h[k],
-            advance_zeta, q, slicing)
+        zeta, wz, dv = reference_sensitivity(base, h, directional)
         assert record.states.tobytes() == zeta.tobytes()
         assert record.stop_derivative.tobytes() == wz.tobytes()
         assert record.s_values.tobytes() == dv.tobytes()
-        assert record.picard_iterations == zeta_sweeps
 
         # the adjoint gradient, where the recursion is linear in the direction
         seed = dt * (base.states - 0.1) * q
         grad = _adjoint_sweep(base, seed, _Stepper(disc, dt, sfun))
         census = branch_census(hyst, base.stop_offsets, base.s_values)
-        linear = (scheme == "imex-euler" and not census.tie
-                  and reaction.directional_is_linear(base.states))
+        linear = not census.tie and reaction.directional_is_linear(base.states)
         assert (grad is not None) == linear
         if linear:
             z = base.stop.values[:, None, None]
