@@ -19,14 +19,14 @@ where hysteresis switching makes J nonsmooth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyBoundaryError, GridMismatchError, InvalidConfigError
-from .evolution import ReactionFunction, SolverConfig, Trajectory, _positive_int, solve_state
+from .errors import (_INDEX, _POSITIVE, EmptyBoundaryError, GridMismatchError,
+                     InvalidConfigError, _checked, _Field, _integer, _number, _string)
+from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
 from .hysteresis import HysteresisConfig
 from .sensitivity import _adjoint_sweep, solve_sensitivity
 from .spatial import SFunctional, SpatialDiscretization, _Stepper
@@ -41,6 +41,17 @@ __all__ = [
     "reduced_cost_directional_derivative",
     "optimize",
 ]
+
+
+_SPEC = {"time_knots": _Field(_integer, minimum=1), "component": _INDEX}
+_KAPPA = _POSITIVE
+_OPTIMIZER = {
+    "max_iters": _Field(_integer, 100, minimum=1),
+    "tol": _Field(_number, 1e-8, exclusive_minimum=0.0),
+    "initial_step": _Field(_number, 1.0, exclusive_minimum=0.0),
+    "armijo_c1": _Field(_number, 1e-4, exclusive_minimum=0.0, below=1),
+    "max_halvings": _Field(_integer, 40, minimum=1),
+}
 
 
 @dataclass(frozen=True)
@@ -60,11 +71,9 @@ class ControlSpec:
     component: int = 0                # boundary only
 
     def __post_init__(self):
-        if self.mode not in ("distributed", "boundary"):
-            raise InvalidConfigError(
-                f"control mode must be 'distributed' or 'boundary', got {self.mode!r}"
-            )
-        object.__setattr__(self, "time_knots", _positive_int("time_knots", self.time_knots))
+        _string(self.mode, "mode", _Field(_string, choices=("distributed", "boundary")))
+        for name, value in _checked(_SPEC, vars(self)).items():
+            object.__setattr__(self, name, value)
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise InvalidConfigError("coefficients must be a nonempty vector")
@@ -89,8 +98,6 @@ class ControlSpec:
                     f"expected {self.time_knots * modes.shape[0]} coefficients "
                     f"(time_knots x n_modes), got {coeffs.size}"
                 )
-        else:
-            object.__setattr__(self, "component", int(self.component))
 
     def with_coefficients(self, coefficients) -> "ControlSpec":
         return ControlSpec(
@@ -119,7 +126,7 @@ def _time_profiles(time_knots, grid):
 
 
 def _boundary_data(disc, spec):
-    if spec.component < 0 or spec.component >= disc.n_components:
+    if spec.component >= disc.n_components:
         raise InvalidConfigError(f"control component {spec.component} out of range")
     comp = disc.components[spec.component]
     nodes = comp.neumann_nodes
@@ -210,10 +217,7 @@ class ControlProblem:
     kappa: float
 
     def __post_init__(self):
-        kappa = float(self.kappa)
-        if not math.isfinite(kappa) or kappa <= 0:
-            raise InvalidConfigError(f"kappa must be positive, got {kappa}")
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", _number(self.kappa, "kappa", _KAPPA))
         target = np.asarray(self.target, dtype=float)
         expected = (self.solver.n_steps + 1, self.disc.n_components, self.disc.n_nodes)
         if target.shape != expected:
@@ -314,13 +318,8 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
     ascent-only corner) reports status 'stalled' and returns the best
     iterate; accepted steps produce a non-increasing cost history.
     """
-    _positive_int("max_iters", max_iters)
-    _positive_int("max_halvings", max_halvings)
-    for name, value in (("tol", tol), ("initial_step", initial_step)):
-        if not 0.0 < value < math.inf:
-            raise InvalidConfigError(f"{name} must be positive and finite, got {value}")
-    if not 0.0 < armijo_c1 < 1.0:
-        raise InvalidConfigError(f"armijo_c1 must lie in (0, 1), got {armijo_c1}")
+    _checked(_OPTIMIZER, {"max_iters": max_iters, "tol": tol, "armijo_c1": armijo_c1,
+                          "initial_step": initial_step, "max_halvings": max_halvings})
     gram = control_gram(problem.disc, spec, problem.solver.times())
     stepper = _Stepper(problem.disc, problem.solver.dt, problem.sfun)  # for the adjoint
     history = []

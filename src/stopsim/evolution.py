@@ -20,18 +20,13 @@ agree to the Picard tolerance.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BlowupError,
-    GridMismatchError,
-    InvalidConfigError,
-    NonContractionError,
-    NonsmoothPointError,
-)
+from .errors import (_INDEX, _NUMBER, _POSITIVE, BlowupError, GridMismatchError,
+                     InvalidConfigError, NonContractionError, NonsmoothPointError, _checked,
+                     _Field, _integer, _number, _string)
 from .hysteresis import HysteresisConfig, PiecewiseLinearSignal, StopCursor
 from .spatial import SFunctional, SpatialDiscretization, _path_norms, _Stepper
 
@@ -53,20 +48,24 @@ _GUARD_SQ = (BLOWUP_GUARD / 2) ** 2
 _GROWTH_PROBE_SEED = 20260815
 _GROWTH_PROBE_COUNT = 512
 
-_REACTION_PARAMS = {  # each catalog reaction's parameter names, in ``params`` order
-    "linear": ("constant", "state", "hysteresis"),
-    "saturating": ("state_amplitude", "state_rate", "hysteresis_amplitude", "hysteresis_rate"),
-    "logistic-capped": ("rate", "capacity", "cap", "hysteresis"),
-}
+_REACTION_PARAMS = {  # each catalog reaction's parameters, in ``params`` order
+    kind: dict.fromkeys(names, _NUMBER) for kind, names in {
+        "linear": ("constant", "state", "hysteresis"),
+        "saturating": ("state_amplitude", "state_rate", "hysteresis_amplitude",
+                       "hysteresis_rate"),
+        "logistic-capped": ("rate", "capacity", "cap", "hysteresis"),
+    }.items()}
 REACTION_KINDS = (*_REACTION_PARAMS, "user-table")
+_GROWTH = _Field(_number, None, exclusive_minimum=0.0)  # None: derived from the parameters
 SCHEMES = ("imex-euler", "picard-sliced")
-
-
-def _positive_int(name, value):
-    """``value`` as an int, refused unless it is an integer of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidConfigError(f"{name} must be an integer of at least 1, got {value!r}")
-    return int(value)
+_SOLVER = {
+    "dt": _POSITIVE,
+    "t_final": _POSITIVE,
+    "scheme": _Field(_string, "imex-euler", choices=SCHEMES),
+    "slice_length": _Field(_number, None, exclusive_minimum=0.0),
+    "picard_tol": _Field(_number, 1e-10, exclusive_minimum=0.0),
+    "picard_max_iters": _Field(_integer, 60, minimum=1),
+}
 
 
 def _as_float(z):
@@ -138,13 +137,13 @@ class ReactionFunction:
     table: tuple = None  # (y_grid, z_grid, values) for kind user-table
 
     def __post_init__(self):
-        if self.kind not in REACTION_KINDS:
+        _string(self.kind, "kind", _Field(_string, choices=REACTION_KINDS))
+        names = _REACTION_PARAMS.get(self.kind, {})
+        if len(self.params) != len(names):
             raise InvalidConfigError(
-                f"reaction kind must be one of {REACTION_KINDS}, got {self.kind!r}"
+                f"{self.kind} reaction takes {len(names)} parameters, got {len(self.params)}"
             )
-        params = tuple(float(p) for p in self.params)
-        if not all(math.isfinite(p) for p in params):
-            raise InvalidConfigError("reaction parameters must be finite")
+        params = tuple(_checked(names, dict(zip(names, self.params))).values())
         object.__setattr__(self, "params", params)
 
         if self.kind == "user-table":
@@ -168,19 +167,17 @@ class ReactionFunction:
             object.__setattr__(self, "table", (yg, zg, vals))
             kernels = (lambda y, z, out: np.copyto(out, self._table_value(y, z)), self._table_directional)
         else:
-            expected = len(_REACTION_PARAMS[self.kind])
-            if len(params) != expected:
-                raise InvalidConfigError(
-                    f"{self.kind} reaction takes {expected} parameters, got {len(params)}"
-                )
             if self.kind == "logistic-capped":
                 if params[1] <= 0 or params[2] <= 0:
                     raise InvalidConfigError("logistic capacity and cap must be positive")
             kernels = _catalog_kernels(self.kind, params)
         object.__setattr__(self, "_kernels", kernels)  # bound once, called by value and directional
 
-        growth = self._default_growth() if self.growth_constant is None else float(self.growth_constant)
-        if not math.isfinite(growth) or growth < 0:
+        # a caller's growth constant follows ``_GROWTH``; the derived one is 0 for f = 0
+        growth = self.growth_constant
+        growth = self._default_growth() if growth is None else _number(
+            growth, "growth_constant", _GROWTH)
+        if not math.isfinite(growth):  # a saturating sum past the largest float
             raise InvalidConfigError("growth constant must be finite and nonnegative")
         object.__setattr__(self, "growth_constant", growth)
         self._probe_growth()
@@ -330,15 +327,10 @@ class SolverConfig:
     picard_max_iters: int = 60
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise InvalidConfigError(
-                f"scheme must be 'imex-euler' or 'picard-sliced', got {self.scheme!r}"
-            )
-        dt = float(self.dt)
-        t_final = float(self.t_final)
-        if not math.isfinite(dt) or dt <= 0:
-            raise InvalidConfigError(f"dt must be positive, got {dt}")
-        if not math.isfinite(t_final) or t_final < dt:
+        for name, value in _checked(_SOLVER, vars(self)).items():
+            object.__setattr__(self, name, value)
+        dt, t_final = self.dt, self.t_final
+        if t_final < dt:
             raise InvalidConfigError("t_final must be at least one step")
         n = t_final / dt
         if not n <= 2**53:  # past that, steps are not counted exactly
@@ -347,24 +339,12 @@ class SolverConfig:
             raise InvalidConfigError(
                 f"t_final={t_final} must be an integer multiple of dt={dt}"
             )
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t_final", t_final)
         if self.slice_length is not None:
-            s = float(self.slice_length)
-            k = s / dt
-            if (not math.isfinite(s) or s <= 0 or round(k) < 1
-                    or abs(k - round(k)) > 1e-9 * max(1.0, k)):
+            k = self.slice_length / dt
+            if round(k) < 1 or abs(k - round(k)) > 1e-9 * max(1.0, k):
                 raise InvalidConfigError(
                     f"slice_length={self.slice_length} must be a positive multiple of dt"
                 )
-            object.__setattr__(self, "slice_length", s)
-        tol = self.picard_tol
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not math.isfinite(tol) or tol <= 0):
-            raise InvalidConfigError(f"picard_tol must be positive and finite, got {tol!r}")
-        object.__setattr__(self, "picard_tol", float(tol))
-        object.__setattr__(self, "picard_max_iters",
-                           _positive_int("picard_max_iters", self.picard_max_iters))
 
     @property
     def n_steps(self):
@@ -405,7 +385,9 @@ class Source:
                                     f"got {amplitude.shape} and {profile.shape}")
         c = self.component
         if c is not None:
-            if not 0 <= c < profile.shape[0]:
+            c = _integer(c, "component", _INDEX)
+            object.__setattr__(self, "component", c)
+            if c >= profile.shape[0]:
                 raise InvalidConfigError(
                     f"source component must be in [0, {profile.shape[0]}), got {c}")
             if np.any(np.delete(profile, c, axis=0)):

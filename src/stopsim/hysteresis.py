@@ -33,12 +33,11 @@ pass reads it and carries omega through ``_omega_step``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidConfigError, InvalidSignalError
+from .errors import _NUMBER, GridMismatchError, InvalidConfigError, InvalidSignalError, _checked
 
 __all__ = [
     "PiecewiseLinearSignal",
@@ -90,6 +89,9 @@ class PiecewiseLinearSignal:
         return self.times.size
 
 
+_HYSTERESIS = {"a": _NUMBER, "b": _NUMBER, "z0": _NUMBER}
+
+
 @dataclass(frozen=True)
 class HysteresisConfig:
     """Characteristic interval [a, b] and initial state z0."""
@@ -99,10 +101,7 @@ class HysteresisConfig:
     z0: float
 
     def __post_init__(self):
-        for name in ("a", "b", "z0"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidConfigError(f"hysteresis {name} must be finite")
+        for name, value in _checked(_HYSTERESIS, vars(self)).items():
             object.__setattr__(self, name, value)
         if not self.a < self.b:
             raise InvalidConfigError(f"require a < b, got a={self.a}, b={self.b}")

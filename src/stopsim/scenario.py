@@ -5,12 +5,16 @@ diffusion, the S functional weight, the hysteresis bounds, the reaction
 term, the solver, and optionally a source, a perturbation direction, a
 control problem block, and diagnostic options.  Each block is declared
 once, as a table of ``_Field``s; a block with a ``kind`` (the control: a
-``mode``) has one table per kind.  The builders below the tables make the
-module objects and run the checks that span fields.  Validation reports
-every problem with the dotted path of the offending field (for example
-``hysteresis.a``) and never partially constructs a scenario.  A source or
-direction block becomes an ``evolution.Source``: its time amplitude and its
-spatial profile, never the dense (N+1, components, nodes) path.
+``mode``) has one table per kind.  A table of scalars that a constructor
+takes lives next to that constructor (``_SOLVER`` in ``evolution``,
+``_HYSTERESIS`` in ``hysteresis``, ...), which checks its arguments with the
+same ``_Field``s, so the library refuses what a scenario file refuses.  The
+builders below the tables make the module objects and run the checks that
+span fields.  Validation reports every problem with the dotted path of the
+offending field (for example ``hysteresis.a``) and never partially
+constructs a scenario.  A source or direction block becomes an
+``evolution.Source``: its time amplitude and its spatial profile, never the
+dense (N+1, components, nodes) path.
 """
 
 from __future__ import annotations
@@ -23,27 +27,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .control import ControlProblem, ControlSpec, apply_B
-from .errors import ScenarioValidationError
-from .evolution import (
-    _REACTION_PARAMS,
-    SCHEMES,
-    ReactionFunction,
-    SolverConfig,
-    Source,
-    solve_state,
-)
-from .hysteresis import HysteresisConfig
-from .spatial import (
-    _LABELS,
-    _SIDES_1D,
-    _SIDES_2D,
-    BoundarySides,
-    DomainSpec,
-    SFunctional,
-    SpatialDiscretization,
-    assemble,
-)
+from .control import _KAPPA, _OPTIMIZER, _SPEC, ControlProblem, ControlSpec, apply_B
+from .errors import (_ANY, _INDEX, _NUMBER, _REQUIRED, ScenarioValidationError, _axes, _fail,
+                     _Field, _integer, _number, _string)
+from .evolution import (_GROWTH, _REACTION_PARAMS, _SOLVER, ReactionFunction, SolverConfig,
+                        Source, solve_state)
+from .hysteresis import _HYSTERESIS, HysteresisConfig
+from .spatial import (_DOMAIN, _SIDES, _SIDES_1D, _SIDES_2D, _SPECTRUM, BoundarySides,
+                      DomainSpec, SFunctional, SpatialDiscretization, assemble)
 
 __all__ = [
     "Scenario",
@@ -56,11 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
-_REQUIRED = object()  # the default of a field that must be given
-
-
-def _fail(path, message):
-    raise ScenarioValidationError(path, message)
 
 
 def _join(path, key):
@@ -79,56 +65,11 @@ def _require(obj, key, path):
     return obj[key]
 
 
-class _Field(NamedTuple):
-    """One field of a block.  ``type`` is its checker (``_number``,
-    ``_integer``, ``_string``, ``_array``), or "any" or a nested table or
-    ``_Variants``, which its builder checks.  ``default`` is ``_REQUIRED``,
-    ``None`` (optional, left out when absent) or an absent field's value."""
-
-    type: object
-    default: object = _REQUIRED
-    minimum: float = None            # "must be at least"
-    exclusive_minimum: float = None  # "must be greater than"
-    below: float = None              # "must be less than"
-    choices: tuple = None
-
-
 class _Variants(NamedTuple):
     """A block whose ``key`` field names which of ``tables`` it follows."""
 
     key: str
     tables: dict
-
-
-def _number(value, path, f):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, "expected a number")
-    value = float(value)
-    if not math.isfinite(value):
-        _fail(path, "must be finite")
-    if f.minimum is not None and value < f.minimum:
-        _fail(path, f"must be at least {f.minimum}")
-    if f.exclusive_minimum is not None and value <= f.exclusive_minimum:
-        _fail(path, f"must be greater than {f.exclusive_minimum}")
-    if f.below is not None and value >= f.below:
-        _fail(path, f"must be less than {f.below}")
-    return value
-
-
-def _integer(value, path, f):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, "expected an integer")
-    if f.minimum is not None and value < f.minimum:
-        _fail(path, f"must be at least {f.minimum}")
-    return value
-
-
-def _string(value, path, f):
-    if not isinstance(value, str):
-        _fail(path, "expected a string")
-    if f.choices is not None and value not in f.choices:
-        _fail(path, f"must be one of {', '.join(f.choices)}")
-    return value
 
 
 def _array(value, path, f):
@@ -176,37 +117,12 @@ def _variant(cfg, path, variants):
     return _fields(cfg, path, {key: _ANY, **variants.tables[kind]})
 
 
-def _axes(value, path, dim, f, expected):
-    """One ``f`` per axis, from a list of ``dim`` entries."""
-    if not isinstance(value, list) or len(value) != dim:
-        _fail(path, f"expected {expected}")
-    return tuple(f.type(v, f"{path}[{i}]", f) for i, v in enumerate(value))
-
-
-_ANY = _Field("any")
-_NUMBER = _Field(_number)
-_POSITIVE = _Field(_number, exclusive_minimum=0.0)
 _ARRAY = _Field(_array)
-_INDEX = _Field(_integer, 0, minimum=0)  # a component, below the component count
-
-_DOMAIN = {"dimension": _Field(_integer), "extent": _ANY, "resolution": _ANY}
-_SIDES = {side: _Field(_string, choices=_LABELS) for side in _SIDES_2D}
-_HYSTERESIS = {"a": _NUMBER, "b": _NUMBER, "z0": _NUMBER}
-_GROWTH = _Field(_number, None, exclusive_minimum=0.0)
 _REACTIONS = _Variants("kind", {
-    **{kind: {**dict.fromkeys(names, _NUMBER), "growth_constant": _GROWTH}
-       for kind, names in _REACTION_PARAMS.items()},
+    **{kind: {**params, "growth_constant": _GROWTH} for kind, params in _REACTION_PARAMS.items()},
     "user-table": {"y_grid": _ARRAY, "z_grid": _ARRAY, "values": _ARRAY,
                    "growth_constant": _GROWTH},
 })
-_SOLVER = {
-    "dt": _POSITIVE,
-    "t_final": _POSITIVE,
-    "scheme": _Field(_string, None, choices=SCHEMES),
-    "slice_length": _Field(_number, None, exclusive_minimum=0.0),
-    "picard_tol": _Field(_number, None, exclusive_minimum=0.0),
-    "picard_max_iters": _Field(_integer, None, minimum=1),
-}
 _WEIGHTS = _Variants("kind", {"constant": {"value": _NUMBER}, "values": {"values": _ARRAY}})
 # a sine profile's ``mode`` is one integer for every axis, or a list of one per axis
 _PROFILES = _Variants("kind", {"constant": {}, "sine": {"mode": _ANY},
@@ -226,22 +142,13 @@ _MODES = _Variants("kind", {
 })
 _TARGETS = _Variants("kind", {"zero": {}, "constant": {"value": _NUMBER},
                               "from-control": {"coefficients": _ARRAY}})
-_OPTIMIZER = {
-    "max_iters": _Field(_integer, 100, minimum=1),
-    "tol": _Field(_number, 1e-8, exclusive_minimum=0.0),
-    "initial_step": _Field(_number, 1.0, exclusive_minimum=0.0),
-    "armijo_c1": _Field(_number, 1e-4, exclusive_minimum=0.0, below=1),
-    "max_halvings": _Field(_integer, 40, minimum=1),
-}
-_CONTROL = {"time_knots": _Field(_integer, minimum=1), "kappa": _POSITIVE,
+_CONTROL = {"time_knots": _SPEC["time_knots"], "kappa": _KAPPA,
             "coefficients": _Field(_array, None), "target": _Field(_TARGETS),
             "optimizer": _Field(_OPTIMIZER, {})}
 _CONTROLS = _Variants("mode", {"distributed": {**_CONTROL, "spatial_modes": _Field(_MODES)},
-                               "boundary": {**_CONTROL, "component": _INDEX}})
+                               "boundary": {**_CONTROL, "component": _SPEC["component"]}})
 _DIAGNOSTIC = {
-    "theta": _Field(_number, 0.5, minimum=0.0, below=1),
-    "gamma": _Field(_number, 0.5, exclusive_minimum=0.0, below=1),
-    "component": _INDEX,
+    **_SPECTRUM,  # theta, gamma, component
     "t_min": _Field(_number, 1e-3, exclusive_minimum=0.0),
     "t_max": _Field(_number, 20.0, exclusive_minimum=0.0),
     "t_count": _Field(_integer, 400, minimum=2),
@@ -297,9 +204,12 @@ class Scenario:
 
 
 def _build(path, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, any error it raises reported at ``path``."""
+    """``make(*args, **kwargs)``, any error it raises reported at ``path``: a
+    field's own (a ``ScenarioValidationError``) at that field of ``path``."""
     try:
         return make(*args, **kwargs)
+    except ScenarioValidationError as exc:
+        _fail(_join(path, exc.field_path), exc.reason)
     except Exception as exc:
         _fail(path, str(exc))
 
@@ -312,18 +222,6 @@ def _check_entries(values, n, path):
 def _check_component(component, disc, path):
     if component >= disc.n_components:
         _fail(path, f"must be less than {disc.n_components}")
-
-
-def _domain(cfg, path):
-    cfg = _fields(cfg, path, _DOMAIN)
-    dim = cfg["dimension"]
-    if dim not in (1, 2):
-        _fail(_join(path, "dimension"), "must be 1 or 2")
-    extent = _axes(cfg["extent"], _join(path, "extent"), dim, _POSITIVE,
-                   f"{dim} positive numbers")
-    res = _axes(cfg["resolution"], _join(path, "resolution"), dim, _Field(_integer, minimum=3),
-                f"{dim} integers")
-    return DomainSpec(dimension=dim, extent=extent, resolution=res)
 
 
 def _boundaries(cfg, dim, path):
@@ -537,7 +435,8 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
 
     spatial_needed = bool(needs & {"spatial", "state", "control", "direction"})
     if spatial_needed or "domain" in cfg:
-        domain = _domain(_require(cfg, "domain", ""), "domain")
+        domain = _build("domain", DomainSpec, **_fields(_require(cfg, "domain", ""), "domain",
+                                                        _DOMAIN))
         boundaries = _boundaries(_require(cfg, "boundaries", ""),
                                  domain.dimension, "boundaries")
         # assemble's peak in doubles per node (tracemalloc): 6 + 4 m in 1D, 9 + m in 2D

@@ -60,7 +60,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidConfigError, NumericalFailureError
+from .errors import (_ANY, _INDEX, GridMismatchError, InvalidConfigError,
+                     NumericalFailureError, _axes, _checked, _fail, _Field, _integer,
+                     _number, _string)
 
 __all__ = [
     "DomainSpec",
@@ -77,10 +79,17 @@ __all__ = [
 _SIDES_1D = ("left", "right")
 _SIDES_2D = ("left", "right", "bottom", "top")
 _LABELS = ("dirichlet", "neumann")
+_SIDES = {side: _Field(_string, choices=_LABELS) for side in _SIDES_2D}
 
 SOLVER_RESIDUAL_TOL = 1e-10  # backward-error bound for implicit solves
 DENSE_EIG_LIMIT = 500  # longest 2D box axis solved in its eigenbasis; SuperLU beyond
 AXIS_EIG_LIMIT = 128  # longest 1D box solved in its eigenbasis; SuperLU is faster beyond
+
+
+# extent and resolution hold one ``_AXIS`` field per axis
+_DOMAIN = {"dimension": _Field(_integer), "extent": _ANY, "resolution": _ANY}
+_AXIS = {"extent": _Field(_number, exclusive_minimum=0.0),
+         "resolution": _Field(_integer, minimum=3)}
 
 
 @dataclass(frozen=True)
@@ -92,20 +101,13 @@ class DomainSpec:
     resolution: tuple
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise InvalidConfigError(f"dimension must be 1 or 2, got {self.dimension}")
-        extent = tuple(float(e) for e in np.atleast_1d(np.asarray(self.extent, dtype=float)))
-        resolution = tuple(int(r) for r in np.atleast_1d(self.resolution))
-        if len(extent) != self.dimension or len(resolution) != self.dimension:
-            raise InvalidConfigError(
-                "extent and resolution must have one entry per dimension"
-            )
-        if any(not np.isfinite(e) or e <= 0 for e in extent):
-            raise InvalidConfigError("extents must be positive")
-        if any(r < 3 for r in resolution):
-            raise InvalidConfigError("resolution must be at least 3 nodes per axis")
-        object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "resolution", resolution)
+        dim = _integer(self.dimension, "dimension", _DOMAIN["dimension"])
+        if dim not in (1, 2):
+            _fail("dimension", "must be 1 or 2")
+        object.__setattr__(self, "dimension", dim)
+        for name, expected in (("extent", "positive numbers"), ("resolution", "integers")):
+            object.__setattr__(self, name, _axes(getattr(self, name), name, dim, _AXIS[name],
+                                                 f"{dim} {expected}"))
 
     @property
     def spacings(self):
@@ -126,12 +128,9 @@ class BoundarySides:
     top: str | None = None
 
     def __post_init__(self):
-        for side in _SIDES_2D:
-            label = getattr(self, side)
-            if label is not None and label not in _LABELS:
-                raise InvalidConfigError(
-                    f"boundary label for {side!r} must be one of {_LABELS}, got {label!r}"
-                )
+        for side, f in _SIDES.items():  # a 1D component has no bottom or top
+            if getattr(self, side) is not None:
+                _string(getattr(self, side), side, f)
 
     def labels(self, dimension):
         sides = _SIDES_1D if dimension == 1 else _SIDES_2D
@@ -655,6 +654,13 @@ class FractionalPowerReport:
         return self.t_grid[0] < self.t_at_sup < self.t_grid[-1]
 
 
+_SPECTRUM = {
+    "theta": _Field(_number, 0.5, minimum=0.0, below=1),
+    "gamma": _Field(_number, 0.5, exclusive_minimum=0.0, below=1),
+    "component": _INDEX,  # below the component count: ``_component_eigenvalues``
+}
+
+
 def fractional_power_diagnostic(
     disc: SpatialDiscretization,
     theta: float,
@@ -670,11 +676,8 @@ def fractional_power_diagnostic(
     of norm * t^theta * exp(-(1-gamma) t).  Finite and attained away from
     t -> 0 for a symmetric nonnegative operator.
     """
-    theta, gamma = float(theta), float(gamma)
-    if not 0.0 <= theta < 1.0:
-        raise InvalidConfigError(f"theta must lie in [0, 1), got {theta}")
-    if not 0.0 < gamma < 1.0:
-        raise InvalidConfigError(f"gamma must lie in (0, 1), got {gamma}")
+    theta, gamma, component = _checked(
+        _SPECTRUM, {"theta": theta, "gamma": gamma, "component": component}).values()
     if t_grid is None:
         t_grid = np.logspace(-3.0, 1.3, 400)
     t_grid = np.asarray(t_grid, dtype=float)

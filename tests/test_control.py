@@ -174,7 +174,7 @@ class TestControlSpecValidation:
     @pytest.mark.parametrize("knots", [2.7, True, 2.0, "2"])
     def test_time_knots_must_be_an_integer(self, disc_mixed, knots):
         modes = sine_modes(disc_mixed, 2)
-        with pytest.raises(InvalidConfigError, match="time_knots must be an integer"):
+        with pytest.raises(InvalidConfigError, match="time_knots: expected an integer"):
             ControlSpec(mode="distributed", time_knots=knots,
                         coefficients=np.zeros(4), spatial_modes=modes)
         spec = ControlSpec(mode="distributed", time_knots=np.int64(2),

@@ -942,7 +942,7 @@ class TestSingleFaults:
     """Every single fault's verdict is pinned in ``single_fault_verdicts.json``.
 
     ``python tests/test_scenario.py`` compares every case, not only the
-    stride tier-1 runs, and prints the ones that differ;
+    stride tier-1 runs, prints the ones that differ and exits 1 if any do;
     ``python tests/test_scenario.py --write`` rewrites the file."""
 
     def test_the_golden_file_names_every_case(self):
@@ -990,3 +990,4 @@ if __name__ == "__main__":
         for case in differ:
             print(f"{case}\n  golden: {golden.get(case)}\n  now:    {verdicts[case]}")
         print(f"{len(verdicts)} cases x {len(_SUBCOMMANDS)} subcommands, {len(differ)} differ")
+        sys.exit(1 if differ else 0)

@@ -138,12 +138,13 @@ class TestSpectrum:
         gram = vec.T @ np.diag(comp.rel_weights) @ vec
         np.testing.assert_allclose(gram, np.eye(comp.rel_weights.size), atol=1e-10)
 
-    @pytest.mark.parametrize("j", [-1, 2])
-    def test_component_index_outside_the_range_is_refused(self, j):
+    @pytest.mark.parametrize("j, refusal", [(-1, "^component: must be at least 0$"),
+                                            (2, r"\[0, 2\), got 2")])
+    def test_component_index_outside_the_range_is_refused(self, j, refusal):
         disc = two_d_disc(("dirichlet", "neumann", "neumann", "neumann"))
         with pytest.raises(InvalidConfigError, match=rf"\[0, 2\), got {j}"):
             _component_eigenvalues(disc, j)
-        with pytest.raises(InvalidConfigError, match=rf"\[0, 2\), got {j}"):
+        with pytest.raises(InvalidConfigError, match=refusal):
             fractional_power_diagnostic(disc, 0.5, component=j)
 
 
@@ -831,9 +832,11 @@ class TestFractionalPowerDiagnostic:
             fractional_power_diagnostic(disc_dirichlet, 0.5,
                                         t_grid=np.array([1.0, 0.5]))
 
-    @pytest.mark.parametrize("gamma", [math.nan, 0.0, 1.0, -0.5, math.inf])
-    def test_rejects_a_gamma_outside_the_open_unit_interval(self, disc_dirichlet, gamma):
-        with pytest.raises(InvalidConfigError, match="gamma must lie in"):
+    @pytest.mark.parametrize("gamma, rule", [
+        (math.nan, "finite"), (0.0, "greater than 0.0"), (1.0, "less than 1"),
+        (-0.5, "greater than 0.0"), (math.inf, "finite")])
+    def test_rejects_a_gamma_outside_the_open_unit_interval(self, disc_dirichlet, gamma, rule):
+        with pytest.raises(InvalidConfigError, match=f"^gamma: must be {rule}$"):
             fractional_power_diagnostic(disc_dirichlet, 0.5, gamma=gamma)
 
 
