@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (_INDEX, _POSITIVE, EmptyBoundaryError, GridMismatchError,
-                     InvalidConfigError, _checked, _Field, _integer, _number, _string)
+                     InvalidConfigError, _array, _checked, _Field, _integer, _number, _string)
 from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
 from .hysteresis import HysteresisConfig
 from .sensitivity import _adjoint_sweep, solve_sensitivity
@@ -74,18 +74,16 @@ class ControlSpec:
         _string(self.mode, "mode", _Field(_string, choices=("distributed", "boundary")))
         for name, value in _checked(_SPEC, vars(self)).items():
             object.__setattr__(self, name, value)
-        coeffs = np.asarray(self.coefficients, dtype=float)
+        coeffs = _array(self.coefficients, "coefficients")
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise InvalidConfigError("coefficients must be a nonempty vector")
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidConfigError("coefficients must be finite")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         if self.mode == "distributed":
             if self.spatial_modes is None:
                 raise InvalidConfigError("distributed control needs spatial_modes")
-            modes = np.asarray(self.spatial_modes, dtype=float)
+            modes = _array(self.spatial_modes, "spatial_modes")
             if modes.ndim != 3:
                 raise InvalidConfigError(
                     "spatial_modes must be an (n_modes, components, nodes) array"
@@ -218,7 +216,7 @@ class ControlProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", _number(self.kappa, "kappa", _KAPPA))
-        target = np.asarray(self.target, dtype=float)
+        target = _array(self.target, "target")
         expected = (self.solver.n_steps + 1, self.disc.n_components, self.disc.n_nodes)
         if target.shape != expected:
             raise GridMismatchError(

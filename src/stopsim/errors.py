@@ -1,4 +1,4 @@
-"""Exception hierarchy and scalar rules shared by all modules.
+"""Exception hierarchy and the value rules shared by all modules.
 
 Every error the CLI can surface carries an ``exit_code`` so the entry point
 maps failures without a parallel lookup table: 2 for anything wrong with
@@ -6,15 +6,19 @@ inputs or configuration, 3 for numerical failures, 4 for a Picard iteration
 that refuses to contract.
 
 A scalar parameter's rule is one ``_Field``, declared next to the code that
-takes the value.  The scenario schema and the library both check it with
-the checkers here, so a constructor refuses what a scenario file refuses,
-with the same wording under the parameter's own name (``dt: must be greater
-than 0.0``).
+takes the value; an array parameter's is ``_array``, and a rule that spans
+values is written once, in the constructor that takes them.  The scenario
+schema and the library both check with the checkers here, so a constructor
+refuses what a scenario file refuses, with the same wording under the
+parameter's own name (``dt: must be greater than 0.0``, ``a: must be
+strictly less than b``).
 """
 
 import math
 import numbers
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "StopsimError",
@@ -99,7 +103,7 @@ def _fail(path, message):
 
 class _Field(NamedTuple):
     """One field of a block.  ``type`` is its checker (``_number``,
-    ``_integer``, ``_string``, the scenario's ``_array``), or "any" or a
+    ``_integer``, ``_string``, ``_array``), or "any" or a
     nested table or ``_Variants``, which its builder checks.  ``default`` is
     ``_REQUIRED``, ``None`` (optional, left out when absent) or an absent
     field's value."""
@@ -115,7 +119,10 @@ class _Field(NamedTuple):
 def _number(value, path, f):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         _fail(path, "expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         _fail(path, "must be finite")
     if f.minimum is not None and value < f.minimum:
@@ -141,6 +148,31 @@ def _string(value, path, f):
     if f.choices is not None and value not in f.choices:
         _fail(path, f"must be one of {', '.join(f.choices)}")
     return value
+
+
+def _array(value, path, f=None):
+    """``value`` as a float array: a list, tuple or integer or float ndarray
+    whose entries are all finite numbers (no strings, booleans or nulls)."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            _fail(path, "expected an array of numbers")
+    elif not isinstance(value, (list, tuple)):
+        _fail(path, "expected an array")
+    else:
+        stack = [value]
+        while stack:
+            for x in stack.pop():
+                if isinstance(x, (list, tuple)):
+                    stack.append(x)
+                elif isinstance(x, bool) or not isinstance(x, numbers.Real):
+                    _fail(path, "expected an array of numbers")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged, too deep, or an int beyond float
+        _fail(path, "expected an array of numbers")
+    if not np.isfinite(arr).all():
+        _fail(path, "entries must be finite")
+    return arr
 
 
 def _axes(value, path, dim, f, expected):

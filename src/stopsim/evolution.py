@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (_INDEX, _NUMBER, _POSITIVE, BlowupError, GridMismatchError,
-                     InvalidConfigError, NonContractionError, NonsmoothPointError, _checked,
-                     _Field, _integer, _number, _string)
+                     InvalidConfigError, NonContractionError, NonsmoothPointError, _array,
+                     _checked, _Field, _integer, _number, _string)
 from .hysteresis import HysteresisConfig, PiecewiseLinearSignal, StopCursor
 from .spatial import SFunctional, SpatialDiscretization, _path_norms, _Stepper
 
@@ -149,9 +149,7 @@ class ReactionFunction:
         if self.kind == "user-table":
             if self.table is None:
                 raise InvalidConfigError("user-table reaction needs a table")
-            yg = np.asarray(self.table[0], dtype=float)
-            zg = np.asarray(self.table[1], dtype=float)
-            vals = np.asarray(self.table[2], dtype=float)
+            yg, zg, vals = map(_array, self.table, ("y_grid", "z_grid", "values"))
             if yg.ndim != 1 or zg.ndim != 1 or yg.size < 2 or zg.size < 2:
                 raise InvalidConfigError("table grids need at least two points each")
             if np.any(np.diff(yg) <= 0) or np.any(np.diff(zg) <= 0):
@@ -160,8 +158,6 @@ class ReactionFunction:
                 raise InvalidConfigError(
                     f"table values must have shape {(yg.size, zg.size)}, got {vals.shape}"
                 )
-            if not np.all(np.isfinite(vals)):
-                raise InvalidConfigError("table values must be finite")
             for a in (yg, zg, vals):
                 a.setflags(write=False)
             object.__setattr__(self, "table", (yg, zg, vals))
@@ -235,10 +231,7 @@ class ReactionFunction:
     @classmethod
     def from_table(cls, y_grid, z_grid, values, growth_constant=None):
         """Bilinear interpolation of tabulated f values; derivatives are approximate."""
-        return cls("user-table", (), growth_constant,
-                   table=(np.asarray(y_grid, dtype=float),
-                          np.asarray(z_grid, dtype=float),
-                          np.asarray(values, dtype=float)))
+        return cls("user-table", (), growth_constant, table=(y_grid, z_grid, values))
 
     def directional_is_linear(self, y):
         """Whether ``directional`` is linear in the direction at every entry of ``y``.
@@ -378,8 +371,7 @@ class Source:
     component: int = None
 
     def __post_init__(self):
-        amplitude = np.asarray(self.amplitude, dtype=float)
-        profile = np.asarray(self.profile, dtype=float)
+        amplitude, profile = _array(self.amplitude, "amplitude"), _array(self.profile, "profile")
         if amplitude.ndim != 1 or profile.ndim != 2:
             raise GridMismatchError(f"source needs a 1-D amplitude and a 2-D profile, "
                                     f"got {amplitude.shape} and {profile.shape}")

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _NUMBER, GridMismatchError, InvalidConfigError, InvalidSignalError, _checked
+from .errors import (_NUMBER, GridMismatchError, InvalidConfigError, InvalidSignalError,
+                     _checked, _fail)
 
 __all__ = [
     "PiecewiseLinearSignal",
@@ -104,11 +105,9 @@ class HysteresisConfig:
         for name, value in _checked(_HYSTERESIS, vars(self)).items():
             object.__setattr__(self, name, value)
         if not self.a < self.b:
-            raise InvalidConfigError(f"require a < b, got a={self.a}, b={self.b}")
-        if not (self.a <= self.z0 <= self.b):
-            raise InvalidConfigError(
-                f"z0={self.z0} must lie in [{self.a}, {self.b}]"
-            )
+            _fail("a", "must be strictly less than b")
+        if not self.a <= self.z0 <= self.b:
+            _fail("z0", f"must lie in [{self.a}, {self.b}]")
 
 
 class StopCursor:

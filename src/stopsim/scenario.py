@@ -8,13 +8,16 @@ once, as a table of ``_Field``s; a block with a ``kind`` (the control: a
 ``mode``) has one table per kind.  A table of scalars that a constructor
 takes lives next to that constructor (``_SOLVER`` in ``evolution``,
 ``_HYSTERESIS`` in ``hysteresis``, ...), which checks its arguments with the
-same ``_Field``s, so the library refuses what a scenario file refuses.  The
-builders below the tables make the module objects and run the checks that
-span fields.  Validation reports every problem with the dotted path of the
-offending field (for example ``hysteresis.a``) and never partially
-constructs a scenario.  A source or direction block becomes an
-``evolution.Source``: its time amplitude and its spatial profile, never the
-dense (N+1, components, nodes) path.
+same ``_Field``s and ``_array`` and holds the rules that span its values
+(``a`` below ``b``, one diffusion coefficient per component), so the library
+refuses what a scenario file refuses.  The builders below the tables make
+the module objects through those constructors and add only the checks that
+need the grid (shapes, component ranges, coefficient counts).  Validation
+reports every problem with the dotted path of the offending field (for
+example ``hysteresis.a``) and never partially constructs a scenario.  A
+source or direction block becomes an ``evolution.Source``: its time
+amplitude and its spatial profile, never the dense (N+1, components, nodes)
+path.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import _KAPPA, _OPTIMIZER, _SPEC, ControlProblem, ControlSpec, apply_B
-from .errors import (_ANY, _INDEX, _NUMBER, _REQUIRED, ScenarioValidationError, _axes, _fail,
-                     _Field, _integer, _number, _string)
+from .errors import (_ANY, _INDEX, _NUMBER, _REQUIRED, ScenarioValidationError, _array, _axes,
+                     _fail, _Field, _integer, _number, _string)
 from .evolution import (_GROWTH, _REACTION_PARAMS, _SOLVER, ReactionFunction, SolverConfig,
                         Source, solve_state)
 from .hysteresis import _HYSTERESIS, HysteresisConfig
+from .sensitivity import _check_lambdas
 from .spatial import (_DOMAIN, _SIDES, _SIDES_1D, _SIDES_2D, _SPECTRUM, BoundarySides,
                       DomainSpec, SFunctional, SpatialDiscretization, assemble)
 
@@ -70,25 +74,6 @@ class _Variants(NamedTuple):
 
     key: str
     tables: dict
-
-
-def _array(value, path, f):
-    if not isinstance(value, list):
-        _fail(path, "expected an array")
-    stack = [value]
-    while stack:  # every leaf a JSON number: no strings, booleans or nulls
-        for x in stack.pop():
-            if isinstance(x, list):
-                stack.append(x)
-            elif isinstance(x, bool) or not isinstance(x, (int, float)):
-                _fail(path, "expected an array of numbers")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (ValueError, OverflowError):  # ragged, too deep, or an int beyond float
-        _fail(path, "expected an array of numbers")
-    if not np.all(np.isfinite(arr)):
-        _fail(path, "entries must be finite")
-    return arr
 
 
 def _fields(cfg, path, spec):
@@ -153,7 +138,8 @@ _DIAGNOSTIC = {
     "t_max": _Field(_number, 20.0, exclusive_minimum=0.0),
     "t_count": _Field(_integer, 400, minimum=2),
 }
-# ``needs`` says which blocks are required; the arrays are checked after the grid
+# ``needs`` says which blocks are required; ``assemble`` and the fd study's
+# ``_check_lambdas`` check the two arrays, after the grid
 _SCENARIO = {
     "seed": _Field(_integer, None, minimum=0),
     "p": _Field(_number, None, minimum=1.0),
@@ -230,15 +216,6 @@ def _boundaries(cfg, dim, path):
     sides = {s: _SIDES[s] for s in (_SIDES_1D if dim == 1 else _SIDES_2D)}
     return [BoundarySides(**_fields(entry, f"{path}[{j}]", sides))
             for j, entry in enumerate(cfg)]
-
-
-def _hysteresis(cfg, path):
-    a, b, z0 = _fields(cfg, path, _HYSTERESIS).values()
-    if not a < b:
-        _fail(_join(path, "a"), f"must be strictly less than {_join(path, 'b')}")
-    if not (a <= z0 <= b):
-        _fail(_join(path, "z0"), f"must lie in [{a}, {b}]")
-    return HysteresisConfig(a=a, b=b, z0=z0)
 
 
 def _reaction(cfg, path):
@@ -337,12 +314,12 @@ def _field_source(cfg, disc, solver, path):
     profile = _spatial_profile(cfg["profile"], disc, _join(path, "profile"))
     component = cfg["component"]
     if component == "all":
-        return Source(amp, np.tile(profile, (disc.n_components, 1)))
+        return _build(path, Source, amp, np.tile(profile, (disc.n_components, 1)))
     component = _integer(component, _join(path, "component"), _INDEX)
     _check_component(component, disc, _join(path, "component"))
     profiles = np.zeros(shape[1:])
     profiles[component] = profile
-    return Source(amp, profiles, component)
+    return _build(path, Source, amp, profiles, component)
 
 
 def _spatial_modes(cfg, disc, path):
@@ -415,7 +392,7 @@ def load_hysteresis_config(cfg) -> HysteresisConfig:
     if cfg.keys() & _SCENARIO.keys():
         _require(cfg, "hysteresis", "")
         return load_scenario(cfg, needs=()).hyst_cfg
-    return _hysteresis(cfg, "hysteresis")
+    return _build("hysteresis", HysteresisConfig, **_fields(cfg, "hysteresis", _HYSTERESIS))
 
 
 def load_scenario(cfg, needs=("state",)) -> Scenario:
@@ -443,17 +420,13 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
         doubles = 7 + 4 * len(boundaries)
         _check_field_size(domain.resolution, "domain.resolution",
                           f"nodes per axis, {doubles} doubles per node", doubles)
-        diffusion = _array(_require(cfg, "diffusion", ""), "diffusion", _ARRAY)
-        if diffusion.ndim != 1 or diffusion.size != len(boundaries):
-            _fail("diffusion",
-                  f"expected {len(boundaries)} coefficients (one per component)")
-        if np.any(diffusion <= 0.0):
-            _fail("diffusion", "coefficients must be positive")
-        scn.disc = _build("domain", assemble, domain, boundaries, diffusion)
+        # assemble's field errors name top-level fields (``diffusion``)
+        scn.disc = _build("", assemble, domain, boundaries, _require(cfg, "diffusion", ""))
 
     state_needed = "state" in needs or "control" in needs
     if state_needed or "hysteresis" in cfg:
-        scn.hyst_cfg = _hysteresis(_require(cfg, "hysteresis", ""), "hysteresis")
+        hysteresis = _fields(_require(cfg, "hysteresis", ""), "hysteresis", _HYSTERESIS)
+        scn.hyst_cfg = _build("hysteresis", HysteresisConfig, **hysteresis)
     if state_needed or "solver" in cfg:
         scn.solver = _build("solver", SolverConfig,
                             **_fields(_require(cfg, "solver", ""), "solver", _SOLVER))
@@ -471,12 +444,7 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
                 _require(cfg, "direction", ""), scn.disc, scn.solver, "direction")
 
     if "lambdas" in cfg:
-        lam = _array(cfg["lambdas"], "lambdas", _ARRAY)
-        if lam.ndim != 1 or lam.size == 0:
-            _fail("lambdas", "expected a nonempty array of step sizes")
-        if np.any(lam <= 0.0) or np.any(np.diff(lam) >= 0.0):
-            _fail("lambdas", "must be positive and strictly decreasing")
-        scn.lambdas = tuple(float(x) for x in lam)
+        scn.lambdas = tuple(_build("", _check_lambdas, cfg["lambdas"]).tolist())
 
     if "control" in needs or "control" in cfg:
         if scn.disc is None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, GridMismatchError, InvalidConfigError
+from .errors import BlowupError, GridMismatchError, InvalidConfigError, _array, _fail
 from .evolution import (
     Source,
     Trajectory,
@@ -181,11 +181,11 @@ class FdStudy:
 
 
 def _check_lambdas(lambdas):
-    lam = np.asarray(lambdas, dtype=float)
+    lam = _array(lambdas, "lambdas")
     if lam.ndim != 1 or lam.size == 0:
-        raise InvalidConfigError("lambda sequence must be a nonempty 1-D array")
-    if np.any(lam <= 0) or np.any(np.diff(lam) >= 0):
-        raise InvalidConfigError("lambda sequence must be positive and strictly decreasing")
+        _fail("lambdas", "expected a nonempty array of step sizes")
+    if np.any(lam <= 0.0) or np.any(np.diff(lam) >= 0.0):
+        _fail("lambdas", "must be positive and strictly decreasing")
     return lam
 
 

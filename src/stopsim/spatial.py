@@ -61,7 +61,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (_ANY, _INDEX, GridMismatchError, InvalidConfigError,
-                     NumericalFailureError, _axes, _checked, _fail, _Field, _integer,
+                     NumericalFailureError, _array, _axes, _checked, _fail, _Field, _integer,
                      _number, _string)
 
 __all__ = [
@@ -253,15 +253,13 @@ def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization
     matching positive coefficients.
     """
     boundaries = tuple(boundaries)
-    diffusion = tuple(float(d) for d in np.atleast_1d(np.asarray(diffusion, dtype=float)))
-    if len(boundaries) != len(diffusion):
-        raise InvalidConfigError(
-            f"got {len(boundaries)} boundary specs but {len(diffusion)} diffusion coefficients"
-        )
     if not boundaries:
         raise InvalidConfigError("need at least one component")
-    if any(not np.isfinite(d) or d <= 0 for d in diffusion):
-        raise InvalidConfigError("diffusion coefficients must be positive")
+    diffusion = _array(diffusion, "diffusion")
+    if diffusion.ndim != 1 or diffusion.size != len(boundaries):
+        _fail("diffusion", f"expected {len(boundaries)} coefficients (one per component)")
+    if np.any(diffusion <= 0.0):
+        _fail("diffusion", "coefficients must be positive")
 
     dim, res, spacings = domain.dimension, domain.resolution, domain.spacings
     grids = np.meshgrid(*(np.arange(n) * h for n, h in zip(res, spacings)), indexing="ij")
@@ -275,7 +273,7 @@ def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization
     nodes = np.arange(domain.n_nodes).reshape(res)
 
     components = []
-    for sides, d in zip(boundaries, diffusion):
+    for sides, d in zip(boundaries, diffusion.tolist()):
         labels = sides.labels(dim)
         box = _active_box(labels, res)
         # one edge per Neumann side, in side order: a node on two Neumann
@@ -332,11 +330,9 @@ class SFunctional:
     weight: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weight, dtype=float)
+        w = _array(self.weight, "weight")
         if w.ndim != 2:
             raise InvalidConfigError("S weight must be a (components, nodes) array")
-        if not np.all(np.isfinite(w)):
-            raise InvalidConfigError("S weight must be finite")
         if not np.any(w != 0.0):
             raise InvalidConfigError("S weight must not be identically zero")
         w = w.copy()
@@ -680,7 +676,7 @@ def fractional_power_diagnostic(
         _SPECTRUM, {"theta": theta, "gamma": gamma, "component": component}).values()
     if t_grid is None:
         t_grid = np.logspace(-3.0, 1.3, 400)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _array(t_grid, "t_grid")
     if t_grid.ndim != 1 or t_grid.size < 2 or not np.all(t_grid > 0):
         raise InvalidConfigError("t_grid must be a 1-D array of positive times")
     if not np.all(np.diff(t_grid) > 0):

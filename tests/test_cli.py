@@ -326,6 +326,11 @@ REFUSED_INPUTS = {
                   "error: seed: expected an integer\n"),
     "eval-unknown-field": ("hysteresis-eval", {"seed": "not-a-seed", "bogus": 1},
                            "error: bogus: unknown field\n"),
+    # an integer past the float range where a number goes
+    "integer-dt": ("simulate", {"solver": {"dt": 10**400, "t_final": 0.5}},
+                   "error: solver.dt: must be finite\n"),
+    "integer-a": ("simulate", {"hysteresis": {"a": -10**400, "b": 0.1, "z0": 0.0}},
+                  "error: hysteresis.a: must be finite\n"),
     # a step count past 2**53, or infinite
     "dt-denormal": ("simulate", {"solver": {"dt": 5e-324, "t_final": 0.5}},
                     "error: solver: t_final=0.5 / dt=5e-324 is inf steps, over 2**53\n"),

@@ -6,11 +6,14 @@ load with the value in the parameter's place; the library's is a direct call
 of the constructor or entry point that takes it.  A refusal is an
 ``InvalidConfigError`` (exit code 2) whose message is the schema's, less the
 path of the block: ``dt: must be greater than 0.0`` for ``solver.dt``.
+Each array parameter is fed faulty arrays, and each rule that spans values
+its edge cases, in the same way.
 """
 
 import copy
 import dataclasses
 import inspect
+import json
 import math
 from typing import NamedTuple
 
@@ -18,18 +21,24 @@ import numpy as np
 import pytest
 
 from stopsim import (
+    BoundarySides,
     ControlSpec,
     DomainSpec,
     HysteresisConfig,
     InvalidConfigError,
     ReactionFunction,
     ScenarioValidationError,
+    SFunctional,
     SolverConfig,
     Source,
+    StopsimError,
+    assemble,
     build_control_problem,
+    fd_convergence_study,
     fractional_power_diagnostic,
     load_scenario,
     optimize,
+    solve_state,
 )
 from stopsim.control import _OPTIMIZER
 from stopsim.evolution import _SOLVER
@@ -239,3 +248,178 @@ def test_a_given_growth_constant_must_be_positive():
     # a derived constant past the largest float is refused
     with pytest.raises(InvalidConfigError, match="growth constant must be finite"):
         ReactionFunction.saturating(1e308, 1.0, 1e308, 1.0)
+
+
+def test_an_integer_past_the_float_range_is_not_finite():
+    with pytest.raises(InvalidConfigError) as info:
+        SolverConfig(dt=10**400, t_final=1.0)
+    assert str(info.value) == "dt: must be finite"
+    with pytest.raises(InvalidConfigError) as info:
+        HysteresisConfig(a=-(10**400), b=1.0, z0=0.0)
+    assert str(info.value) == "a: must be finite"
+
+
+# arrays: every array parameter beside the scenario array that the schema
+# checks in its place, in a scenario that holds one of each
+TABLE = {"kind": "user-table", "y_grid": [-10.0, 0.0, 10.0], "z_grid": [-1.0, 1.0],
+         "values": [[0.5, -0.5], [0.0, 0.2], [-0.5, 0.5]], "growth_constant": 2.0}
+MODES = [[[0.0, 1.0, 1.0, 1.0, 0.0]]]
+ARRAYS = {
+    **BASE,
+    "s_weight": {"kind": "values", "values": [[1.0] * 5]},
+    "reaction": TABLE,
+    "source": {"kind": "constant", "value": 1.0,
+               "profile": {"kind": "values", "values": [1.0] * 5}},
+    "control": {"mode": "distributed", "time_knots": 1, "kappa": 0.1,
+                "spatial_modes": {"kind": "values", "values": MODES}, "coefficients": [0.1],
+                "target": {"kind": "from-control", "coefficients": [0.1]}},
+    "lambdas": [0.1, 0.01],
+}
+TRAJ = solve_state(SCN.disc, SCN.sfun, SCN.reaction, SCN.hyst_cfg, SCN.source, SCN.solver)
+
+
+def diffusion(value):
+    return assemble(SCN.disc.domain, [BoundarySides("dirichlet", "neumann")], value)
+
+
+def fd_study(lambdas):
+    return fd_convergence_study(TRAJ, np.zeros_like(TRAJ.states), lambdas)
+
+
+def table(name, value):
+    grids = {key: TABLE[key] for key in ("y_grid", "z_grid", "values")}
+    return ReactionFunction.from_table(**{**grids, name: value}, growth_constant=2.0)
+
+
+class ArrayPair(NamedTuple):
+    name: str     # the library's parameter
+    call: object  # the library's call on a value for it
+    valid: list
+    path: tuple   # the array that the schema checks in its place, in ``ARRAYS``
+    shapes: str   # who refuses a wrong shape, below
+
+
+# a wrong shape is refused in the "same" words where the constructor holds the
+# shape rule, by "both" where the schema's rule needs the grid, and not tested
+# ("") where the length is the grid's and only a solve holds it
+ARRAY_PAIRS = [
+    ArrayPair("diffusion", diffusion, [1.0], ("diffusion",), "same"),
+    ArrayPair("weight", lambda v: SFunctional(weight=v), [[1.0] * 5],
+              ("s_weight", "values"), "both"),
+    ArrayPair("amplitude", lambda v: Source(v, np.ones((1, 5))), [1.0] * 11,
+              ("source", "profile", "values"), ""),
+    ArrayPair("profile", lambda v: Source(np.ones(11), v), [[1.0] * 5],
+              ("source", "profile", "values"), "both"),
+    *[ArrayPair(name, lambda v, name=name: table(name, v), TABLE[name], ("reaction", name),
+                "same") for name in ("y_grid", "z_grid", "values")],
+    ArrayPair("coefficients", lambda v: ControlSpec("distributed", 1, v, spatial_modes=MODES),
+              [0.1], ("control", "coefficients"), "both"),
+    ArrayPair("spatial_modes", lambda v: ControlSpec("distributed", 1, [0.1], spatial_modes=v),
+              MODES, ("control", "spatial_modes", "values"), "both"),
+    ArrayPair("target", lambda v: dataclasses.replace(PROBLEM, target=v),
+              PROBLEM.target.tolist(), ("control", "target", "coefficients"), "both"),
+    ArrayPair("lambdas", fd_study, [0.1, 0.01], ("lambdas",), "same"),
+    ArrayPair("t_grid", lambda v: fractional_power_diagnostic(SCN.disc, 0.5, t_grid=v),
+              [0.1, 1.0], ("lambdas",), ""),
+]
+
+
+def first_entry(value, entry):
+    """A copy of the nested list ``value`` with ``entry(x)`` for its first entry x."""
+    if isinstance(value, list):
+        return [first_entry(value[0], entry), *copy.deepcopy(value[1:])]
+    return entry(value)
+
+
+ENTRY_FAULTS = {
+    "nan": lambda v: first_entry(v, lambda x: math.nan),
+    "inf": lambda v: first_entry(v, lambda x: -math.inf),
+    "string": lambda v: first_entry(v, lambda x: "1"),
+    "True": lambda v: first_entry(v, lambda x: True),
+    "ragged": lambda v: [*copy.deepcopy(v), [copy.deepcopy(v[-1])]],  # an entry one level deeper
+    "number": lambda v: 1.0,
+}
+SHAPE_FAULTS = {"extra-dimension": lambda v: [v], "empty": lambda v: []}
+
+
+def json_at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def scenario_with(path, value):
+    cfg = copy.deepcopy(ARRAYS)
+    json_at(cfg, path[:-1])[path[-1]] = value
+    return cfg
+
+
+def verdicts(schema_cfg, call, value):
+    """The schema's and the library's refusal (or None); the library's must exit 2."""
+    try:
+        load_scenario(schema_cfg)
+        schema = None
+    except ScenarioValidationError as exc:
+        schema = exc
+    try:
+        call(copy.deepcopy(value))
+        library = None
+    except StopsimError as exc:
+        assert exc.exit_code == 2, exc
+        library = exc
+    return schema, library
+
+
+@pytest.mark.parametrize("pair", ARRAY_PAIRS, ids=lambda p: p.name)
+def test_both_accept_a_valid_array(pair):
+    assert verdicts(copy.deepcopy(ARRAYS), pair.call, pair.valid) == (None, None)
+
+
+@pytest.mark.parametrize("pair, fault", [
+    (pair, fault) for pair in ARRAY_PAIRS for fault in (*ENTRY_FAULTS, *SHAPE_FAULTS)
+    if pair.shapes or fault in ENTRY_FAULTS], ids=lambda x: getattr(x, "name", x))
+def test_the_library_refuses_the_arrays_the_schema_refuses(pair, fault):
+    scenario_value = json_at(ARRAYS, pair.path)
+    make = {**ENTRY_FAULTS, **SHAPE_FAULTS}[fault]
+    schema, library = verdicts(scenario_with(pair.path, make(scenario_value)), pair.call,
+                               make(pair.valid))
+    assert schema is not None and library is not None, (schema, library)
+    if fault in ENTRY_FAULTS:
+        # the array rule's words, under the library's name for the array
+        assert isinstance(library, ScenarioValidationError)
+        assert (library.field_path, library.reason) == (pair.name, schema.reason)
+    elif pair.shapes == "same":
+        block = ".".join(pair.path[:-1])
+        assert str(schema) in (str(library), f"{block}.{library}", f"{block}: {library}")
+
+
+# rules that span values: a block (or a top-level array), and the schema's verdict
+CROSS_FIELD = [
+    ("hysteresis", {"a": 1.0, "b": 1.0, "z0": 1.0}, "hysteresis.a: must be strictly less than b"),
+    ("hysteresis", {"a": 1.0, "b": -1.0, "z0": 0.0}, "hysteresis.a: must be strictly less than b"),
+    ("hysteresis", {"a": -1.0, "b": 1.0, "z0": 1.5}, "hysteresis.z0: must lie in [-1.0, 1.0]"),
+    ("hysteresis", {"a": -1.0, "b": 1.0, "z0": -1.5}, "hysteresis.z0: must lie in [-1.0, 1.0]"),
+    ("hysteresis", {"a": -1.0, "b": 1.0, "z0": 1.0}, None),  # z0 may sit on a bound
+    ("diffusion", [1.0, 1.0], "diffusion: expected 1 coefficients (one per component)"),
+    ("diffusion", [], "diffusion: expected 1 coefficients (one per component)"),
+    ("diffusion", [0.0], "diffusion: coefficients must be positive"),
+    ("diffusion", [-1.0], "diffusion: coefficients must be positive"),
+    ("lambdas", [0.1, 0.1], "lambdas: must be positive and strictly decreasing"),
+    ("lambdas", [0.01, 0.1], "lambdas: must be positive and strictly decreasing"),
+    ("lambdas", [0.1, 0.0], "lambdas: must be positive and strictly decreasing"),
+    ("lambdas", [0.1], None),
+]
+CROSS_CALLS = {"hysteresis": lambda b: HysteresisConfig(**b), "diffusion": diffusion,
+               "lambdas": fd_study}
+
+
+@pytest.mark.parametrize("path, value, expected", CROSS_FIELD,
+                         ids=[f"{p}-{json.dumps(v)}" for p, v, _ in CROSS_FIELD])
+def test_a_rule_over_values_is_the_constructors(path, value, expected):
+    schema, library = verdicts(scenario_with((path,), value), CROSS_CALLS[path], value)
+    assert (schema and str(schema)) == expected
+    if expected is None:
+        assert library is None, library
+    else:
+        assert isinstance(library, ScenarioValidationError)
+        assert expected in (str(library), f"{path}.{library}"), library

@@ -1,3 +1,4 @@
+import collections
 import copy
 import importlib.resources
 import json
@@ -942,8 +943,9 @@ class TestSingleFaults:
     """Every single fault's verdict is pinned in ``single_fault_verdicts.json``.
 
     ``python tests/test_scenario.py`` compares every case, not only the
-    stride tier-1 runs, prints the ones that differ and exits 1 if any do;
-    ``python tests/test_scenario.py --write`` rewrites the file."""
+    stride tier-1 runs, prints the ones that differ, then one line per
+    (golden verdict -> new verdict) pair with its count, and exits 1 if any
+    differ; ``python tests/test_scenario.py --write`` rewrites the file."""
 
     def test_the_golden_file_names_every_case(self):
         with open(SINGLE_FAULT_GOLDEN) as fh:
@@ -989,5 +991,9 @@ if __name__ == "__main__":
         differ = [case for case in verdicts if verdicts[case] != golden.get(case)]
         for case in differ:
             print(f"{case}\n  golden: {golden.get(case)}\n  now:    {verdicts[case]}")
+        changes = collections.Counter(
+            (json.dumps(golden.get(case)), json.dumps(verdicts[case])) for case in differ)
+        for (was, now), count in changes.most_common():
+            print(f"{count:5d} x {was} -> {now}")
         print(f"{len(verdicts)} cases x {len(_SUBCOMMANDS)} subcommands, {len(differ)} differ")
         sys.exit(1 if differ else 0)
