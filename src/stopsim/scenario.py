@@ -309,7 +309,10 @@ def _field_source(cfg, disc, solver, path):
             _fail(_join(path, "stop"), "must be greater than start")
         amp = np.where((times >= cfg["start"]) & (times < cfg["stop"]), cfg["value"], 0.0)
     else:
-        amp = cfg["amplitude"] * np.sin(cfg["omega"] * times)
+        phase = cfg["omega"] * times
+        if not np.all(np.isfinite(phase)):
+            _fail(_join(path, "omega"), "omega * t_final must be finite")
+        amp = cfg["amplitude"] * np.sin(phase)
 
     profile = _spatial_profile(cfg["profile"], disc, _join(path, "profile"))
     component = cfg["component"]

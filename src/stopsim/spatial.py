@@ -33,8 +33,9 @@ through per-component box views (basic slicing of the grid-shaped field);
 each solve writes into the box view of the destination.  D + dt L on a box
 is diagonal in the product of its per-axis generalized eigenbases (fast diagonalization), and
 each axis's basis is the sampled sines or cosines of the uniform grid,
-cached per axis.  So with NumPy alone a 1D solve is two dots
-(``_AxisSolve``), for every 1D box of at most ``AXIS_EIG_LIMIT`` nodes.
+cached per axis.  So with NumPy alone a 1D solve is one product with the
+matrix V diag(s) V^T R, formed once per solve, or with its transpose for the
+adjoint (``_AxisSolve``), for every 1D box of at most ``AXIS_EIG_LIMIT`` nodes.
 On every 2D box whose axes are at most ``DENSE_EIG_LIMIT`` long
 (``_ProductSolve``), each axis transform folds the basis's mirror-paired
 modes (``_folded_basis``), the first stage of a fast sine/cosine transform:
@@ -83,7 +84,11 @@ _SIDES = {side: _Field(_string, choices=_LABELS) for side in _SIDES_2D}
 
 SOLVER_RESIDUAL_TOL = 1e-10  # backward-error bound for implicit solves
 DENSE_EIG_LIMIT = 500  # longest 2D box axis solved in its eigenbasis; SuperLU beyond
-AXIS_EIG_LIMIT = 128  # longest 1D box solved in its eigenbasis; SuperLU is faster beyond
+# longest 1D box solved in its eigenbasis, SuperLU beyond.  One product beats
+# SuperLU's solve up to about 256 nodes and loses from about 320 (2 us against
+# 7.6 us at 128, one BLAS thread); no benchmark workload has a longer 1D box
+# than 61 nodes to show a gain from moving the limit.
+AXIS_EIG_LIMIT = 128
 
 
 # extent and resolution hold one ``_AXIS`` field per axis
@@ -455,23 +460,20 @@ class _SuperLUSolve:
 class _AxisSolve:
     """Solve of D + dt L = R + dt d K for one component on a 1D box: with
     K V = R V diag(lam) and V^T R V = I its inverse is V diag(s) V^T,
-    s = 1 / (1 + dt d lam).  A step is two dots, V (F v) with the forward
-    basis F = diag(s) V^T R, and the adjoint is the transposed pair,
-    F^T (V^T v).  The weights are powers of two, so folding them is exact.
+    s = 1 / (1 + dt d lam).  A step is one product with the matrix
+    M = V diag(s) V^T R, formed once, and the adjoint R V diag(s) V^T is its
+    transpose (D + dt L is symmetric).  The weights are powers of two, so
+    folding them is exact.
     """
 
     def __init__(self, comp: ComponentOperator, dt: float):
         (axis,) = comp.axes
         lam, v = axis.basis()
         s = 1.0 / (1.0 + dt * comp.diffusion * lam)
-        self.fwd, self.back = np.ascontiguousarray((v.T * axis.weights) * s[:, None]), v
-        self._c = np.empty(s.size)  # the coefficients between the two dots
-
-    def step(self, v, b):
-        self.back.dot(self.fwd.dot(v, out=self._c), out=b)
-
-    def adjoint(self, v, b):
-        self.fwd.T.dot(self.back.T.dot(v, out=self._c), out=b)
+        m = (v * s) @ (v.T * axis.weights)
+        # step(v, b) and adjoint(v, b) write M v and M^T v into b (the
+        # second argument of ndarray.dot is its output)
+        self.step, self.adjoint = m.dot, m.T.dot
 
 
 class _ProductSolve:

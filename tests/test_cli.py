@@ -309,6 +309,10 @@ REFUSED_INPUTS = {
     "huge-mode": ("simulate", {"source": {"kind": "constant", "value": 1.0, "profile": {
                       "kind": "sine", "mode": 10**400}}},
                   "error: source.profile.mode: mode numbers must be less than 2**53\n"),
+    # a phase omega * t past float range
+    "sine-phase": ("simulate", {"source": {"kind": "sine", "amplitude": 2.0, "omega": 1e300},
+                                "solver": {"dt": 1e10, "t_final": 2e10}},
+                   "error: source.omega: omega * t_final must be finite\n"),
     # array entries that are not numbers
     "string-lambdas": ("fd-check", {"lambdas": ["0.1", "0.01"],
                                     "direction": {"kind": "constant", "value": 0.1}},
