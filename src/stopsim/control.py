@@ -38,7 +38,6 @@ __all__ = [
     "apply_B",
     "control_gram",
     "reduced_cost",
-    "reduced_cost_directional_derivative",
     "optimize",
 ]
 
@@ -250,13 +249,8 @@ def reduced_cost(problem: ControlProblem, spec: ControlSpec) -> float:
 
 
 def _directional(problem, spec, direction, base, gram):
-    """One-sided derivative of J at ``spec`` along coefficient ``direction``."""
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != spec.coefficients.shape:
-        raise GridMismatchError(
-            f"direction shape {direction.shape} must match coefficients "
-            f"{spec.coefficients.shape}"
-        )
+    """J'(c; d) = sum_k dt <y_k - yd_k, zeta_k>_quad + kappa <c, N d>: the one-sided
+    derivative of J at ``spec``, on its state solve ``base``, along d = ``direction``."""
     h_src = apply_B(problem.disc, spec.with_coefficients(direction), problem.solver.times())
     record = solve_sensitivity(base, h_src)
     dt = problem.solver.dt
@@ -280,15 +274,6 @@ def _gradient(problem, spec, base, gram, stepper):
     c = spec.coefficients
     grad = _apply_B_transpose(problem.disc, spec, base.times, g_h)
     return grad + problem.kappa * (c @ gram), True
-
-
-def reduced_cost_directional_derivative(
-    problem: ControlProblem, spec: ControlSpec, direction
-) -> float:
-    """J'(c; d) = sum_k dt <y_k - yd_k, zeta_k>_quad + kappa <c, N d>."""
-    gram = control_gram(problem.disc, spec, problem.solver.times())
-    base = _solve(problem, spec)
-    return _directional(problem, spec, direction, base, gram)
 
 
 @dataclass

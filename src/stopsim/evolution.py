@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (_INDEX, _NUMBER, _POSITIVE, BlowupError, GridMismatchError,
                      InvalidConfigError, NonContractionError, NonsmoothPointError, _array,
-                     _checked, _Field, _integer, _number, _string)
+                     _checked, _fail, _Field, _integer, _number, _string)
 from .hysteresis import HysteresisConfig, PiecewiseLinearSignal, StopCursor
 from .spatial import SFunctional, SpatialDiscretization, _path_norms, _Stepper
 
@@ -45,8 +45,6 @@ BLOWUP_GUARD = 1e12  # abort when any node magnitude exceeds this
 # per step, a sum of squares at most this (one dot; false for a nan) clears
 # the guard with room for rounding; other states go to ``_guard``'s test
 _GUARD_SQ = (BLOWUP_GUARD / 2) ** 2
-_GROWTH_PROBE_SEED = 20260815
-_GROWTH_PROBE_COUNT = 512
 
 _REACTION_PARAMS = {  # each catalog reaction's parameters, in ``params`` order
     kind: dict.fromkeys(names, _NUMBER) for kind, names in {
@@ -56,7 +54,6 @@ _REACTION_PARAMS = {  # each catalog reaction's parameters, in ``params`` order
         "logistic-capped": ("rate", "capacity", "cap", "hysteresis"),
     }.items()}
 REACTION_KINDS = (*_REACTION_PARAMS, "user-table")
-_GROWTH = _Field(_number, None, exclusive_minimum=0.0)  # None: derived from the parameters
 SCHEMES = ("imex-euler", "picard-sliced")
 _SOLVER = {
     "dt": _POSITIVE,
@@ -123,32 +120,49 @@ def _logistic_inner(p, y):
 
 @dataclass(frozen=True)
 class ReactionFunction:
-    """Pointwise reaction f(y, z) from a small catalog, with declared bounds.
+    """Pointwise reaction f(y, z) of a catalog ``kind``, applied componentwise
+    with the shared hysteresis value.
 
-    ``growth_constant`` M must satisfy |f(y, z)| <= M (1 + |y| + |z|);
-    a randomized probe enforces the declaration at construction.  For
-    multi-component states the scalar rule is applied componentwise with the
-    shared hysteresis value.
+    ``params`` are the kind's parameters in ``_REACTION_PARAMS`` order:
+
+    - ``linear``: f = constant + state*y + hysteresis*z;
+    - ``saturating``: f = a1*tanh(r1*y) + a2*tanh(r2*z);
+    - ``logistic-capped``: f = clip(rate*y*(1 - y/capacity), -cap, cap) + hysteresis*z.
+
+    A ``user-table`` takes no parameters and a ``table`` (y_grid, z_grid,
+    values), interpolated bilinearly; its derivatives are approximate.  Every
+    kind grows at most linearly, |f(y, z)| <= M (1 + |y| + |z|) as the paper's
+    well-posedness result assumes, with M = max(|constant|, |state|,
+    |hysteresis|), |a1| + |a2|, max(cap, |hysteresis|) or max |values|.
     """
 
     kind: str
     params: tuple = ()
-    growth_constant: float = None
-    table: tuple = None  # (y_grid, z_grid, values) for kind user-table
+    table: tuple = None  # (y_grid, z_grid, values), for kind user-table only
 
     def __post_init__(self):
         _string(self.kind, "kind", _Field(_string, choices=REACTION_KINDS))
         names = _REACTION_PARAMS.get(self.kind, {})
-        if len(self.params) != len(names):
+        try:
+            params = tuple(self.params)
+        except TypeError:
+            _fail("params", "expected a sequence of numbers")
+        if len(params) != len(names):
             raise InvalidConfigError(
-                f"{self.kind} reaction takes {len(names)} parameters, got {len(self.params)}"
+                f"{self.kind} reaction takes {len(names)} parameters, got {len(params)}"
             )
-        params = tuple(_checked(names, dict(zip(names, self.params))).values())
+        params = tuple(_checked(names, dict(zip(names, params))).values())
         object.__setattr__(self, "params", params)
 
-        if self.kind == "user-table":
-            if self.table is None:
-                raise InvalidConfigError("user-table reaction needs a table")
+        if self.kind != "user-table":
+            if self.table is not None:
+                _fail("table", f"a {self.kind} reaction takes none")
+            if self.kind == "logistic-capped" and (params[1] <= 0 or params[2] <= 0):
+                raise InvalidConfigError("logistic capacity and cap must be positive")
+            kernels = _catalog_kernels(self.kind, params)
+        else:
+            if not isinstance(self.table, (tuple, list)) or len(self.table) != 3:
+                _fail("table", "expected (y_grid, z_grid, values)")
             yg, zg, vals = map(_array, self.table, ("y_grid", "z_grid", "values"))
             if yg.ndim != 1 or zg.ndim != 1 or yg.size < 2 or zg.size < 2:
                 raise InvalidConfigError("table grids need at least two points each")
@@ -162,76 +176,7 @@ class ReactionFunction:
                 a.setflags(write=False)
             object.__setattr__(self, "table", (yg, zg, vals))
             kernels = (lambda y, z, out: np.copyto(out, self._table_value(y, z)), self._table_directional)
-        else:
-            if self.kind == "logistic-capped":
-                if params[1] <= 0 or params[2] <= 0:
-                    raise InvalidConfigError("logistic capacity and cap must be positive")
-            kernels = _catalog_kernels(self.kind, params)
         object.__setattr__(self, "_kernels", kernels)  # bound once, called by value and directional
-
-        # a caller's growth constant follows ``_GROWTH``; the derived one is 0 for f = 0
-        growth = self.growth_constant
-        growth = self._default_growth() if growth is None else _number(
-            growth, "growth_constant", _GROWTH)
-        if not math.isfinite(growth):  # a saturating sum past the largest float
-            raise InvalidConfigError("growth constant must be finite and nonnegative")
-        object.__setattr__(self, "growth_constant", growth)
-        self._probe_growth()
-
-    def _default_growth(self):
-        p = self.params
-        if self.kind == "linear":
-            return max(abs(p[0]), abs(p[1]), abs(p[2]))
-        if self.kind == "saturating":
-            return abs(p[0]) + abs(p[2])
-        if self.kind == "logistic-capped":
-            return max(p[2], abs(p[3]))
-        yg, zg, vals = self.table
-        return float(np.max(np.abs(vals)))
-
-    def _probe_growth(self):
-        rng = np.random.default_rng(_GROWTH_PROBE_SEED)
-        if self.kind == "user-table":
-            yg, zg, _ = self.table
-            ys = rng.uniform(yg[0], yg[-1], _GROWTH_PROBE_COUNT)
-            zs = rng.uniform(zg[0], zg[-1], _GROWTH_PROBE_COUNT)
-        else:
-            ys = rng.uniform(-20.0, 20.0, _GROWTH_PROBE_COUNT)
-            zs = rng.uniform(-20.0, 20.0, _GROWTH_PROBE_COUNT)
-        vals = np.abs(self.value(ys, zs))
-        bound = self.growth_constant * (1.0 + np.abs(ys) + np.abs(zs))
-        slack = 1e-12 * (1.0 + bound)
-        if np.any(vals > bound + slack):
-            k = int(np.argmax(vals - bound))
-            raise InvalidConfigError(
-                f"declared growth constant {self.growth_constant} violated at "
-                f"y={ys[k]:.6g}, z={zs[k]:.6g}: |f|={vals[k]:.6g} > {bound[k]:.6g}"
-            )
-
-    # --- catalog ---------------------------------------------------------
-
-    @classmethod
-    def linear(cls, constant, state, hysteresis, growth_constant=None):
-        """f(y, z) = constant + state*y + hysteresis*z."""
-        return cls("linear", (constant, state, hysteresis), growth_constant)
-
-    @classmethod
-    def saturating(cls, state_amplitude, state_rate, hysteresis_amplitude,
-                   hysteresis_rate, growth_constant=None):
-        """f(y, z) = a1*tanh(r1*y) + a2*tanh(r2*z)."""
-        return cls("saturating",
-                   (state_amplitude, state_rate, hysteresis_amplitude, hysteresis_rate),
-                   growth_constant)
-
-    @classmethod
-    def logistic_capped(cls, rate, capacity, cap, hysteresis, growth_constant=None):
-        """f(y, z) = clip(rate*y*(1 - y/capacity), -cap, cap) + hysteresis*z."""
-        return cls("logistic-capped", (rate, capacity, cap, hysteresis), growth_constant)
-
-    @classmethod
-    def from_table(cls, y_grid, z_grid, values, growth_constant=None):
-        """Bilinear interpolation of tabulated f values; derivatives are approximate."""
-        return cls("user-table", (), growth_constant, table=(y_grid, z_grid, values))
 
     def directional_is_linear(self, y):
         """Whether ``directional`` is linear in the direction at every entry of ``y``.

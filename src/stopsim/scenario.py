@@ -22,7 +22,6 @@ path.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -33,8 +32,7 @@ import numpy as np
 from .control import _KAPPA, _OPTIMIZER, _SPEC, ControlProblem, ControlSpec, apply_B
 from .errors import (_ANY, _INDEX, _NUMBER, _REQUIRED, ScenarioValidationError, _array, _axes,
                      _fail, _Field, _integer, _number, _string)
-from .evolution import (_GROWTH, _REACTION_PARAMS, _SOLVER, ReactionFunction, SolverConfig,
-                        Source, solve_state)
+from .evolution import _REACTION_PARAMS, _SOLVER, ReactionFunction, SolverConfig, Source, solve_state
 from .hysteresis import _HYSTERESIS, HysteresisConfig
 from .sensitivity import _check_lambdas
 from .spatial import (_DOMAIN, _SIDES, _SIDES_1D, _SIDES_2D, _SPECTRUM, BoundarySides,
@@ -46,7 +44,6 @@ __all__ = [
     "load_scenario",
     "load_hysteresis_config",
     "build_control_problem",
-    "loads",
     "DEFAULT_LAMBDAS",
 ]
 
@@ -104,10 +101,7 @@ def _variant(cfg, path, variants):
 
 _ARRAY = _Field(_array)
 _REACTIONS = _Variants("kind", {
-    **{kind: {**params, "growth_constant": _GROWTH} for kind, params in _REACTION_PARAMS.items()},
-    "user-table": {"y_grid": _ARRAY, "z_grid": _ARRAY, "values": _ARRAY,
-                   "growth_constant": _GROWTH},
-})
+    **_REACTION_PARAMS, "user-table": {"y_grid": _ARRAY, "z_grid": _ARRAY, "values": _ARRAY}})
 _WEIGHTS = _Variants("kind", {"constant": {"value": _NUMBER}, "values": {"values": _ARRAY}})
 # a sine profile's ``mode`` is one integer for every axis, or a list of one per axis
 _PROFILES = _Variants("kind", {"constant": {}, "sine": {"mode": _ANY},
@@ -220,11 +214,11 @@ def _boundaries(cfg, dim, path):
 
 def _reaction(cfg, path):
     cfg = _variant(cfg, path, _REACTIONS)
-    kind, growth = cfg.pop("kind"), cfg.pop("growth_constant", None)
-    # the remaining values are the kind's parameters, in table order
+    kind = cfg.pop("kind")
+    # the remaining values are the kind's parameters (a table's arrays), in table order
     if kind == "user-table":
-        return _build(path, ReactionFunction.from_table, *cfg.values(), growth)
-    return _build(path, ReactionFunction, kind, tuple(cfg.values()), growth)
+        return _build(path, ReactionFunction, kind, table=tuple(cfg.values()))
+    return _build(path, ReactionFunction, kind, tuple(cfg.values()))
 
 
 def _s_weight(cfg, disc, path):
@@ -488,11 +482,3 @@ def build_control_problem(scn: Scenario):
                              target=target, kappa=setup.kappa)
     return problem, setup.spec, dict(setup.optimizer)
 
-
-def loads(text: str, needs=("state",)) -> Scenario:
-    """Parse scenario JSON text and validate per ``needs``."""
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioValidationError("", f"invalid JSON: {exc}") from exc
-    return load_scenario(cfg, needs)

@@ -178,12 +178,9 @@ def solver_short():
 
 @pytest.fixture
 def linear_reaction():
-    return ReactionFunction.linear(constant=0.0, state=-0.5, hysteresis=0.3)
+    return ReactionFunction("linear", (0.0, -0.5, 0.3))
 
 
 @pytest.fixture
 def saturating_reaction():
-    return ReactionFunction.saturating(
-        state_amplitude=-0.7, state_rate=1.1,
-        hysteresis_amplitude=0.8, hysteresis_rate=0.9,
-    )
+    return ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))

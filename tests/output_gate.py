@@ -17,6 +17,12 @@ largest |value|, over all its columns (each CSV column, the payload of
 headers, shapes and artifact lists are compared exactly.  Exits 1 when an exit
 code, stdout, stderr or a non-numeric field differs, or a relative difference
 exceeds R (default 0, byte identity).
+
+Under R > 0, ``fd_check.csv``'s ``error`` column is compared row by row: at
+small lambda a quotient error is round-off over lambda, so each row may move
+by R max|e_old| + 1e3 eps (1 + max|y|) / lambda, with max|y| the largest
+finite entry of the same input's ``simulate`` ``state.bin`` (old tree),
+which runs first.
 """
 
 import argparse
@@ -128,8 +134,33 @@ def _relative_difference(old, new):
     return worst
 
 
-def _compare(old_dir, new_dir, label, rtol):
-    """Print one line per artifact; return whether all are within ``rtol``."""
+def _fd_table_within(old, new, rtol, y_max):
+    """Whether an ``fd_check.csv`` table is within ``rtol``: the same lambdas and
+    non-finite entries, and each finite ``error`` row within rtol max|e_old|
+    plus the round-off of a quotient at its lambda, 1e3 eps (1 + y_max) / lambda."""
+    if (not np.array_equal(old["lambda"], new["lambda"])
+            or _relative_difference(old, new) == math.inf):
+        return False
+    e_old, e_new = old["error"], new["error"]
+    finite = np.isfinite(e_old)
+    bound = (rtol * np.max(np.abs(e_old[finite]), initial=0.0)
+             + 1e3 * np.finfo(float).eps * (1.0 + y_max) / old["lambda"])
+    return bool(np.all((np.abs(e_new - e_old) <= bound)[finite]))
+
+
+def _state_max(out_dir):
+    """The largest finite |y| of ``out_dir``'s ``state.bin``, 0 without one."""
+    path = os.path.join(out_dir, "state.bin")
+    if not os.path.isfile(path):
+        return 0.0
+    with open(path, "rb") as fh:
+        y = _parse("state.bin", fh.read())[1]["state"]
+    return float(np.max(np.abs(y[np.isfinite(y)]), initial=0.0))
+
+
+def _compare(old_dir, new_dir, label, rtol, y_max=0.0):
+    """Print one line per artifact; return whether all are within ``rtol``
+    (``fd_check.csv`` row by row, with ``y_max`` the input's largest |y|)."""
     names = sorted(os.listdir(old_dir))
     if names != sorted(os.listdir(new_dir)):
         print(f"{label}: artifacts {names} != {sorted(os.listdir(new_dir))}")
@@ -149,7 +180,10 @@ def _compare(old_dir, new_dir, label, rtol):
             ok = False
             continue
         rel = _relative_difference(old_cols, new_cols)
-        within = rel <= rtol
+        if rtol and name == "fd_check.csv":
+            within = _fd_table_within(old_cols, new_cols, rtol, y_max)
+        else:
+            within = rel <= rtol
         print(f"{label} {name}: {rel:.3g}{'' if within else ' FAIL'}")
         ok = ok and within
     return ok
@@ -168,7 +202,9 @@ def main(argv=None):
         ok = True
         shared = os.path.join(work, "out")  # one path for both trees, as messages may name it
         kept = [os.path.join(work, side) for side in ("old", "new")]
+        y_max = {}  # input -> largest |y| of its simulate run, which comes first
         for label, run_argv in runs:
+            name = label.rsplit(" ", 1)[0]
             results = []
             for src, where in zip((old_src, new_src), kept):
                 results.append(_run(src, run_argv, shared, work))
@@ -179,7 +215,9 @@ def main(argv=None):
                 print(f"{label}: {', '.join(what)} differ: {results[0]!r} != {results[1]!r}")
                 ok = False
             elif all(os.path.isdir(where) for where in kept):
-                ok = _compare(*kept, label, args.rtol) and ok
+                if run_argv[0] == "simulate":
+                    y_max[name] = _state_max(kept[0])
+                ok = _compare(*kept, label, args.rtol, y_max.get(name, 0.0)) and ok
             for where in kept:
                 shutil.rmtree(where, ignore_errors=True)
     finally:

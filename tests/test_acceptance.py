@@ -8,6 +8,7 @@ package commits to, not knobs.
 
 import contextlib
 import importlib.resources
+import json
 import sys
 import time
 
@@ -30,7 +31,7 @@ from stopsim import (
     fd_convergence_study,
     fractional_power_diagnostic,
     hadamard_perturbed_quotient,
-    loads,
+    load_scenario,
     optimize,
     quad_norm,
     solve_state,
@@ -88,8 +89,8 @@ def signal(times, values):
 
 
 def bundled(name):
-    return importlib.resources.files("stopsim.scenarios").joinpath(
-        f"{name}.json").read_text()
+    return json.loads(importlib.resources.files("stopsim.scenarios").joinpath(
+        f"{name}.json").read_text())
 
 
 def max_state_norm(disc, fields):
@@ -112,9 +113,9 @@ class SaturatingDraw:
             [BoundarySides(left=left, right=right)],
             [float(rng.uniform(0.5, 1.5))])
         self.sfun = SFunctional(weight=np.full((1, n), rng.uniform(0.4, 0.8)))
-        self.reaction = ReactionFunction.saturating(
+        self.reaction = ReactionFunction("saturating", (
             -float(rng.uniform(0.6, 1.2)), float(rng.uniform(1.0, 1.8)),
-            float(rng.uniform(0.6, 1.2)), float(rng.uniform(1.0, 1.8)))
+            float(rng.uniform(0.6, 1.2)), float(rng.uniform(1.0, 1.8))))
         half = float(rng.uniform(0.02, 0.08))
         self.hyst = HysteresisConfig(a=-half, b=half, z0=0.0)
         self.solver = SolverConfig(dt=0.02, t_final=1.0)
@@ -293,7 +294,7 @@ def test_a05_solver_convergence_orders():
 
         sfun = SFunctional(weight=np.full((1, n), 0.5))
         c_z = 0.6
-        reaction = ReactionFunction.linear(0.2, -0.8, c_z)
+        reaction = ReactionFunction("linear", (0.2, -0.8, c_z))
         hyst = HysteresisConfig(a=-1e6, b=1e6, z0=0.1)
         s_phi = float(evaluate_S(disc, sfun, phi[None, :]))
 
@@ -319,7 +320,7 @@ def test_a05_solver_convergence_orders():
 
         # steady manufactured solution sin(pi x); the long implicit run
         # lands on the discrete steady state, so only the spatial error is left
-        quiet = ReactionFunction.linear(0.0, 0.0, 0.0)
+        quiet = ReactionFunction("linear", (0.0, 0.0, 0.0))
         sp_errors = []
         for nn in (11, 21, 41, 81):
             d2 = assemble(
@@ -347,7 +348,7 @@ def test_a06_state_bound_stable_under_sampling():
             DomainSpec(dimension=1, extent=(1.0,), resolution=(n,)),
             [BoundarySides(left="dirichlet", right="neumann")], [0.8])
         sfun = SFunctional(weight=np.full((1, n), 0.5))
-        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
         hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
         solver = SolverConfig(dt=0.02, t_final=1.0)
         t = solver.times()
@@ -380,7 +381,7 @@ def test_a07_linear_case_sensitivity_exactness():
             DomainSpec(dimension=1, extent=(1.0,), resolution=(n,)),
             [BoundarySides(left="dirichlet", right="neumann")], [1.0])
         sfun = SFunctional(weight=np.full((1, n), 0.5))
-        reaction = ReactionFunction.linear(0.1, -0.6, 0.4)
+        reaction = ReactionFunction("linear", (0.1, -0.6, 0.4))
         hyst = HysteresisConfig(a=-100.0, b=100.0, z0=0.0)
         solver = SolverConfig(dt=0.01, t_final=1.0)
         t = solver.times()
@@ -426,7 +427,7 @@ def test_a08_vanishing_remainder_robustness():
 
 def test_a09_optimizer_against_normal_equations():
     with verdict("A-09", "optimizer against normal equations", 180.0):
-        scn = loads(bundled("linear_quadratic"), needs=("state", "control"))
+        scn = load_scenario(bundled("linear_quadratic"), needs=("state", "control"))
         problem, spec, _ = build_control_problem(scn)
 
         def solve(coefficients):
@@ -479,7 +480,7 @@ def test_a10_semigroup_smoothing_diagnostic():
 
 def test_a11_neumann_mass_conservation():
     with verdict("A-11", "pure-Neumann mass conservation", 10.0):
-        scn = loads(bundled("neumann_conservation"))
+        scn = load_scenario(bundled("neumann_conservation"))
         traj = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                            scn.source, scn.solver)
         mass = traj.states[:, 0, :] @ scn.disc.quadrature

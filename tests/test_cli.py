@@ -21,7 +21,7 @@ from stopsim import spatial
 from stopsim.cli import _SUBCOMMANDS, _build_parser, _load, _write_csv, main, read_signal_csv
 
 from conftest import traced_peak
-from test_scenario import single_faults
+from test_scenario import TABLE_PICARD, single_faults
 
 
 def package_env():
@@ -348,6 +348,10 @@ REFUSED_INPUTS = {
                                    "target": {"kind": "zero"},
                                    "spatial_modes": {"kind": "nonsense"}}},
                                "error: control.spatial_modes: unknown field\n"),
+    # no declared growth bound: every reaction kind grows at most linearly
+    "growth-constant": ("simulate", {"reaction": {"kind": "linear", "constant": 0.0, "state": -0.5,
+                                                  "hysteresis": 0.3, "growth_constant": 2.0}},
+                        "error: reaction.growth_constant: unknown field\n"),
 }
 
 
@@ -405,6 +409,16 @@ class TestValidationFailures:
         rc = main(["simulate", "--config", path, "--out", str(tmp_path)])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1e15, 1e300])
+    def test_a_table_past_the_guard_blows_up(self, value, tmp_path, capsys):
+        # a table entry this large is a valid reaction; the run's own guard stops it
+        cfg = copy.deepcopy(TABLE_PICARD)
+        cfg["reaction"]["values"][1][0] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: state blew up at step 1"), err
 
     def test_lipschitz_constant_is_an_unknown_field(self, tmp_path, capsys):
         cfg = small_config()

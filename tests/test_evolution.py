@@ -47,7 +47,7 @@ def sine_source(disc, solver, amplitude=2.0, omega=4.0):
 
 class TestReactionCatalog:
     def test_linear_value_and_derivative(self):
-        f = ReactionFunction.linear(0.3, -0.5, 0.8)
+        f = ReactionFunction("linear", (0.3, -0.5, 0.8))
         y = np.array([0.0, 1.0, -2.0])
         np.testing.assert_allclose(f.value(y, 0.5),
                                    0.3 - 0.5 * y + 0.8 * 0.5, rtol=1e-15)
@@ -56,7 +56,7 @@ class TestReactionCatalog:
         assert f.derivative_is_exact
 
     def test_saturating_value_and_directional_vs_quotient(self):
-        f = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        f = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
         rng = np.random.default_rng(30)
         y = rng.uniform(-2, 2, 50)
         z, dy, dz = 0.4, rng.uniform(-1, 1, 50), -0.6
@@ -70,7 +70,7 @@ class TestReactionCatalog:
                                    rtol=1e-6, atol=1e-9)
 
     def test_logistic_capped_value_matches_clip(self):
-        f = ReactionFunction.logistic_capped(4.0, 2.0, 1.5, 0.6)
+        f = ReactionFunction("logistic-capped", (4.0, 2.0, 1.5, 0.6))
         rng = np.random.default_rng(31)
         y = rng.uniform(-1, 3, 100)
         inner = 4.0 * y * (1.0 - y / 2.0)
@@ -81,7 +81,7 @@ class TestReactionCatalog:
     def test_logistic_capped_one_sided_at_the_cap(self):
         # at y = 0.5 the uncapped value is exactly 1.5 = cap and its slope
         # along +y is 2, so the one-sided rule keeps only the inward move
-        f = ReactionFunction.logistic_capped(4.0, 2.0, 1.5, 0.6)
+        f = ReactionFunction("logistic-capped", (4.0, 2.0, 1.5, 0.6))
         y = np.array([0.5])
         up = f.directional(y, 0.0, np.array([1.0]), 0.0)
         down = f.directional(y, 0.0, np.array([-1.0]), 0.0)
@@ -94,7 +94,7 @@ class TestReactionCatalog:
         yg = np.linspace(-2.0, 2.0, 5)
         zg = np.linspace(-1.0, 1.0, 3)
         vals = 2.0 * yg[:, None] - zg[None, :] + 3.0
-        f = ReactionFunction.from_table(yg, zg, vals)
+        f = ReactionFunction("user-table", table=(yg, zg, vals))
         assert not f.derivative_is_exact
         rng = np.random.default_rng(32)
         y = rng.uniform(-1.9, 1.9, 40)
@@ -107,15 +107,25 @@ class TestReactionCatalog:
     def test_table_rejects_probes_outside_domain(self):
         yg = np.linspace(-1.0, 1.0, 3)
         zg = np.linspace(-1.0, 1.0, 3)
-        f = ReactionFunction.from_table(yg, zg, np.zeros((3, 3)))
+        f = ReactionFunction("user-table", table=(yg, zg, np.zeros((3, 3))))
         with pytest.raises(NonsmoothPointError):
             f.value(np.array([1.5]), 0.0)
         with pytest.raises(NonsmoothPointError):
             f.directional(np.array([1.0 - 1e-9]), 0.0, np.array([1.0]), 0.0)
 
-    def test_growth_probe_rejects_false_declarations(self):
-        with pytest.raises(InvalidConfigError):
-            ReactionFunction.linear(0.0, 0.5, 0.3, growth_constant=0.001)
+    @pytest.mark.parametrize("kind, params, table, message", [
+        ("user-table", (), ([0.0, 1.0], [0.0, 1.0]), "table: expected (y_grid, z_grid, values)"),
+        ("user-table", (), ([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), [1.0]),
+         "table: expected (y_grid, z_grid, values)"),
+        ("user-table", (), None, "table: expected (y_grid, z_grid, values)"),
+        ("linear", (0.0, 0.5, 0.3), ([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2))),
+         "table: a linear reaction takes none"),
+        ("linear", 5, None, "params: expected a sequence of numbers"),
+    ], ids=["two-arrays", "four-arrays", "no-table", "table-on-linear", "scalar-params"])
+    def test_malformed_arguments_name_the_parameter(self, kind, params, table, message):
+        with pytest.raises(InvalidConfigError) as info:
+            ReactionFunction(kind, params, table)
+        assert str(info.value) == message
 
     def test_construction_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -123,13 +133,11 @@ class TestReactionCatalog:
         with pytest.raises(InvalidConfigError):
             ReactionFunction("linear", (1.0,))
         with pytest.raises(InvalidConfigError):
-            ReactionFunction.logistic_capped(1.0, -2.0, 1.0, 0.0)
+            ReactionFunction("logistic-capped", (1.0, -2.0, 1.0, 0.0))
         with pytest.raises(InvalidConfigError):
-            ReactionFunction.from_table([0.0, 1.0], [0.0, 1.0],
-                                        [[0.0, 1.0]])
+            ReactionFunction("user-table", table=([0.0, 1.0], [0.0, 1.0], [[0.0, 1.0]]))
         with pytest.raises(InvalidConfigError):
-            ReactionFunction.from_table([0.0, 0.0], [0.0, 1.0],
-                                        np.zeros((2, 2)))
+            ReactionFunction("user-table", table=([0.0, 0.0], [0.0, 1.0], np.zeros((2, 2))))
 
 
 def zero_d_value(f, y, z):
@@ -160,9 +168,9 @@ class TestReactionZPart:
     """The z-part evaluated once as a numpy scalar gives the 0-d array results."""
 
     @pytest.mark.parametrize("f", [
-        ReactionFunction.linear(0.3, -0.5, 0.8),
-        ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9),
-        ReactionFunction.logistic_capped(4.0, 2.0, 1.5, 0.6),
+        ReactionFunction("linear", (0.3, -0.5, 0.8)),
+        ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9)),
+        ReactionFunction("logistic-capped", (4.0, 2.0, 1.5, 0.6)),
     ], ids=lambda f: f.kind)
     def test_bitwise_equal_to_zero_d_arrays(self, f):
         rng = np.random.default_rng(36)
@@ -237,7 +245,7 @@ class TestSolverConfig:
 class TestStateSolve:
     def test_zero_data_stays_exactly_zero(self, disc_mixed, hyst_cfg,
                                           solver_short):
-        reaction = ReactionFunction.linear(0.0, 0.0, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 0.0, 0.0))
         traj = solve_state(disc_mixed, constant_sfun(disc_mixed), reaction,
                            hyst_cfg, zero_source(disc_mixed, solver_short),
                            solver_short)
@@ -255,7 +263,7 @@ class TestStateSolve:
         profile = np.sin(np.pi * x) + 0.3 * x
         u = np.broadcast_to(
             profile, (solver.n_steps + 1, 1, x.size)).copy()
-        reaction = ReactionFunction.linear(0.0, 0.0, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 0.0, 0.0))
         traj = solve_state(disc_dirichlet, constant_sfun(disc_dirichlet),
                            reaction, hyst_cfg, u, solver)
         A, active = generator_dense_1d(21, 1.0, 1.0, "dirichlet", "dirichlet")
@@ -356,7 +364,7 @@ class TestStateSolve:
                 advance(2, z)
 
     def test_blowup_raises(self, disc_mixed, hyst_cfg):
-        reaction = ReactionFunction.linear(0.0, 50.0, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 50.0, 0.0))
         solver = SolverConfig(dt=0.1, t_final=5.0)
         u = np.ones((solver.n_steps + 1, 1, disc_mixed.n_nodes))
         with pytest.raises(BlowupError):
@@ -373,7 +381,7 @@ class TestConvergenceSmoke:
             [1.0],
         )
         wide = HysteresisConfig(a=-5.0, b=5.0, z0=0.0)
-        reaction = ReactionFunction.linear(0.5, -1.0, 0.8)
+        reaction = ReactionFunction("linear", (0.5, -1.0, 0.8))
         sfun = constant_sfun(disc)
         x = disc.coords[:, 0]
         profile = x * (1.0 - x)
@@ -393,7 +401,7 @@ class TestConvergenceSmoke:
 
     def test_spatial_order_is_near_two(self, hyst_cfg):
         from stopsim import BoundarySides, DomainSpec, assemble
-        reaction = ReactionFunction.linear(0.0, 0.0, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 0.0, 0.0))
         errs = []
         for n in (11, 21, 41):
             disc = assemble(
@@ -416,7 +424,7 @@ class TestPicardScheme:
     def scenario(self, disc):
         hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
         sfun = constant_sfun(disc, 0.6)
-        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
         return hyst, sfun, reaction
 
     def test_fixed_point_matches_direct_scheme(self, disc_mixed):
@@ -449,7 +457,7 @@ class TestPicardScheme:
             self, disc_mixed):
         hyst = HysteresisConfig(a=-0.5, b=0.5, z0=0.0)
         sfun = constant_sfun(disc_mixed, 0.6)
-        reaction = ReactionFunction.linear(0.0, -3.0, 0.5)
+        reaction = ReactionFunction("linear", (0.0, -3.0, 0.5))
         dt = 0.02
         u = sine_source(disc_mixed, SolverConfig(dt=dt, t_final=1.0))
 
@@ -480,7 +488,7 @@ class TestPicardScheme:
 
     def test_blowup_in_a_later_slice_names_the_absolute_step(
             self, disc_mixed, hyst_cfg):
-        reaction = ReactionFunction.linear(0.0, 24.0, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 24.0, 0.0))
         solver = SolverConfig(dt=0.05, t_final=3.0, scheme="picard-sliced",
                               slice_length=0.5)
         u = np.ones((solver.n_steps + 1, 1, disc_mixed.n_nodes))
@@ -495,7 +503,7 @@ class TestPicardScheme:
         assert "slice" not in message
 
     def test_non_contraction_raises(self, disc_mixed, hyst_cfg):
-        reaction = ReactionFunction.linear(0.0, 50.0, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 50.0, 0.0))
         solver = SolverConfig(dt=0.05, t_final=1.0, scheme="picard-sliced",
                               picard_tol=1e-12, picard_max_iters=3)
         u = np.ones((solver.n_steps + 1, 1, disc_mixed.n_nodes))
@@ -553,7 +561,7 @@ class TestBoundednessReport:
             quad_norm(disc_mixed, uk) ** 2 for uk in u))
 
     def test_zero_run_reports_zero(self, disc_mixed, hyst_cfg, solver_short):
-        reaction = ReactionFunction.linear(0.0, 0.0, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 0.0, 0.0))
         traj = solve_state(disc_mixed, constant_sfun(disc_mixed), reaction,
                            hyst_cfg, zero_source(disc_mixed, solver_short),
                            solver_short)
@@ -564,7 +572,7 @@ class TestBoundednessReport:
 
     def test_linear_scaling_of_the_ingredients(self, disc_mixed, hyst_cfg,
                                                solver_short):
-        reaction = ReactionFunction.linear(0.0, 0.0, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 0.0, 0.0))
         sfun = constant_sfun(disc_mixed)
         u = sine_source(disc_mixed, solver_short)
         r1 = boundedness_report(

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from output_gate import _parse, _relative_difference
+from output_gate import _compare, _fd_table_within, _parse, _relative_difference
 
 
 def test_csv_columns_are_scaled_by_their_own_largest_value():
@@ -31,3 +31,23 @@ def test_state_bin_header_is_exact_and_non_finite_entries_must_match():
     assert same_nan == 0.0
     moved = _parse("state.bin", header + np.array([0.0, 1.0, 3.0, 2.0]).tobytes())
     assert _relative_difference(old[1], moved[1]) == np.inf
+
+
+FD_OLD = b"lambda,error\n0.1,0.01\n1e-08,2.86e-08\n"
+FD_ROUND_OFF = b"lambda,error\n0.1,0.01\n1e-08,6.47e-09\n"  # round-off over lambda moved
+FD_TRUNCATION = b"lambda,error\n0.1,0.010001\n1e-08,2.86e-08\n"  # a truncation row moved
+
+
+def test_fd_error_rows_may_move_by_round_off_over_lambda():
+    old = _parse("fd_check.csv", FD_OLD)[1]
+    assert _fd_table_within(old, _parse("fd_check.csv", FD_ROUND_OFF)[1], 1e-12, 1.0)
+    assert not _fd_table_within(old, _parse("fd_check.csv", FD_TRUNCATION)[1], 1e-12, 1.0)
+
+
+def test_fd_tables_are_byte_identical_by_default(tmp_path):
+    for side, data in (("old", FD_OLD), ("new", FD_ROUND_OFF)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "fd_check.csv").write_bytes(data)
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    assert not _compare(old, new, "fd", 0.0, 1.0)
+    assert _compare(old, new, "fd", 1e-12, 1.0)

@@ -40,10 +40,10 @@ SURFACE = {
     "fd_convergence_study", "hadamard_perturbed_quotient",
     # control
     "ControlSpec", "ControlProblem", "OptimizeResult", "apply_B", "control_gram",
-    "reduced_cost", "reduced_cost_directional_derivative", "optimize",
+    "reduced_cost", "optimize",
     # scenario
     "Scenario", "ControlSetup", "load_scenario", "load_hysteresis_config",
-    "build_control_problem", "loads", "DEFAULT_LAMBDAS",
+    "build_control_problem", "DEFAULT_LAMBDAS",
 }
 
 # the functions perfbench's layer table names (ROADMAP item 1, "Traced names")

@@ -62,8 +62,7 @@ PROBLEM, SPEC, _ = build_control_problem(SCN)
 
 
 def reaction(block):
-    params = tuple(v for k, v in block.items() if k not in ("kind", "growth_constant"))
-    return ReactionFunction(block["kind"], params, block.get("growth_constant"))
+    return ReactionFunction(block["kind"], tuple(v for k, v in block.items() if k != "kind"))
 
 
 def control(block):
@@ -123,8 +122,6 @@ PAIRS = [
          (1,)),
     *[Pair("reaction", block, (name,)) for block in (LINEAR, SATURATING, LOGISTIC)
       for name in block if name != "kind"],
-    Pair("reaction", {**LINEAR, "growth_constant": 2.0}, ("growth_constant",), (0.0,),
-         optional=True),
     Pair("domain", BASE["domain"], ("dimension",), (1, 2)),
     Pair("domain", BASE["domain"], ("extent", 0), (0.0,)),
     Pair("domain", BASE["domain"], ("resolution", 0), (3,)),
@@ -190,7 +187,7 @@ def test_the_library_refuses_what_the_schema_refuses(pair):
         else:
             # the schema's message less the block's path: a field's own rule
             # starts with the parameter's name, a rule over the block (a
-            # kind's parameters, the growth probe) with the rule
+            # kind's parameters) with the rule
             assert schema in (f"{pair.path}.{library}", f"{pair.path}: {library}"), (
                 value, schema, library)
 
@@ -239,17 +236,6 @@ def test_integer_parameters_are_never_truncated_or_coerced(call, message):
     assert str(info.value) == message
 
 
-def test_a_given_growth_constant_must_be_positive():
-    with pytest.raises(InvalidConfigError) as info:
-        ReactionFunction.linear(0.0, 0.0, 0.0, growth_constant=0)
-    assert str(info.value) == "growth_constant: must be greater than 0.0"
-    # the derived constant of the zero reaction is 0, which no caller gave
-    assert ReactionFunction.linear(0.0, 0.0, 0.0).growth_constant == 0.0
-    # a derived constant past the largest float is refused
-    with pytest.raises(InvalidConfigError, match="growth constant must be finite"):
-        ReactionFunction.saturating(1e308, 1.0, 1e308, 1.0)
-
-
 def test_an_integer_past_the_float_range_is_not_finite():
     with pytest.raises(InvalidConfigError) as info:
         SolverConfig(dt=10**400, t_final=1.0)
@@ -262,7 +248,7 @@ def test_an_integer_past_the_float_range_is_not_finite():
 # arrays: every array parameter beside the scenario array that the schema
 # checks in its place, in a scenario that holds one of each
 TABLE = {"kind": "user-table", "y_grid": [-10.0, 0.0, 10.0], "z_grid": [-1.0, 1.0],
-         "values": [[0.5, -0.5], [0.0, 0.2], [-0.5, 0.5]], "growth_constant": 2.0}
+         "values": [[0.5, -0.5], [0.0, 0.2], [-0.5, 0.5]]}
 MODES = [[[0.0, 1.0, 1.0, 1.0, 0.0]]]
 ARRAYS = {
     **BASE,
@@ -288,7 +274,7 @@ def fd_study(lambdas):
 
 def table(name, value):
     grids = {key: TABLE[key] for key in ("y_grid", "z_grid", "values")}
-    return ReactionFunction.from_table(**{**grids, name: value}, growth_constant=2.0)
+    return ReactionFunction("user-table", table=tuple({**grids, name: value}.values()))
 
 
 class ArrayPair(NamedTuple):

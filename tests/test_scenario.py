@@ -23,7 +23,6 @@ from stopsim import (
     build_control_problem,
     load_hysteresis_config,
     load_scenario,
-    loads,
     solve_sensitivity,
     solve_state,
 )
@@ -571,7 +570,7 @@ class TestReactionParsing:
         expect_error(cfg, "reaction.hysteresis")
         cfg["reaction"] = {"kind": "linear", "constant": 0.0, "state": -0.5,
                            "hysteresis": 0.3, "growth_constant": -1.0}
-        expect_error(cfg, "reaction.growth_constant")
+        expect_error(cfg, "reaction.growth_constant: unknown field")
 
 
 class TestNeedsTokens:
@@ -597,13 +596,8 @@ class TestNeedsTokens:
 
 
 class TestTextEntryPoints:
-    def test_loads_rejects_bad_json(self):
-        with pytest.raises(ScenarioValidationError) as err:
-            loads("{not json")
-        assert "invalid JSON" in str(err.value)
-
     def test_loads_round_trip(self):
-        scn = loads(json.dumps(base_scenario()))
+        scn = load_scenario(json.loads(json.dumps(base_scenario())))
         assert scn.solver.n_steps == 5
 
     def test_hysteresis_config_accepts_both_shapes(self):
@@ -655,7 +649,7 @@ TABLE_PICARD = {
     "s_weight": {"kind": "values", "values": [[0.2, 0.4, 0.6, 0.4, 0.2]]},
     "hysteresis": {"a": -0.2, "b": 0.3, "z0": 0.1},
     "reaction": {"kind": "user-table", "y_grid": [-10.0, 0.0, 10.0], "z_grid": [-1.0, 1.0],
-                 "values": [[0.5, -0.5], [0.0, 0.2], [-0.5, 0.5]], "growth_constant": 2.0},
+                 "values": [[0.5, -0.5], [0.0, 0.2], [-0.5, 0.5]]},
     "solver": {"dt": 0.05, "t_final": 0.2, "scheme": "picard-sliced", "slice_length": 0.1,
                "picard_tol": 1e-9, "picard_max_iters": 30},
     "source": {"kind": "sine", "amplitude": 1.0, "omega": 3.0, "component": 0,

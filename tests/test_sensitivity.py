@@ -69,7 +69,7 @@ def pulse_direction(disc, solver, value=0.2, mode=2):
 def saturating_setup(disc_mixed):
     hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
     sfun = constant_sfun(disc_mixed, 0.6)
-    reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+    reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
     solver = SolverConfig(dt=0.02, t_final=1.0)
     u = sine_source(disc_mixed, solver)
     return disc_mixed, sfun, reaction, hyst, u, solver
@@ -124,7 +124,7 @@ class TestLinearizedSolve:
         # for affine f and a wide band the map u -> y is affine, so the
         # linearization must reproduce G(u + h) - G(u) to rounding
         sfun = constant_sfun(disc_mixed, 0.5)
-        reaction = ReactionFunction.linear(0.4, -0.6, 0.3)
+        reaction = ReactionFunction("linear", (0.4, -0.6, 0.3))
         solver = SolverConfig(dt=0.02, t_final=1.0)
         u = sine_source(disc_mixed, solver)
         h = pulse_direction(disc_mixed, solver, value=0.5)
@@ -208,7 +208,7 @@ class TestLinearizedSolve:
             self, disc_mixed, hyst_cfg, scheme, slice_length):
         # a finite direction whose sensitivity overflows: both schemes must
         # stop with the blow-up error (exit code 3), never return inf/nan
-        reaction = ReactionFunction.linear(0.0, 50.0, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 50.0, 0.0))
         solver = SolverConfig(dt=0.02, t_final=1.0, scheme=scheme,
                               slice_length=slice_length)
         sfun = constant_sfun(disc_mixed)
@@ -224,7 +224,7 @@ class TestPicardVariant:
     def test_matches_the_direct_recursion(self, disc_mixed):
         hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
         sfun = constant_sfun(disc_mixed, 0.6)
-        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
         direct = SolverConfig(dt=0.02, t_final=1.0)
         sliced = SolverConfig(dt=0.02, t_final=1.0, scheme="picard-sliced",
                               slice_length=0.2, picard_tol=1e-13)
@@ -251,7 +251,7 @@ class TestPicardVariant:
                                            n_slices):
         hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
         sfun = constant_sfun(disc_mixed, 0.6)
-        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
         direct = SolverConfig(dt=0.02, t_final=1.0)
         sliced = SolverConfig(dt=0.02, t_final=1.0, scheme="picard-sliced",
                               slice_length=slice_length, picard_tol=1e-13)
@@ -338,7 +338,7 @@ class TestPicardVariant:
         disc = box_41()
         hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
         sfun = constant_sfun(disc, 0.6)
-        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
         solver = SolverConfig(dt=0.005, t_final=1.0, scheme="picard-sliced")
         t, x = solver.times(), disc.coords[:, 0]
         u = Source(2.0 * np.sin(4.0 * t), np.sin(np.pi * x)[None, :])
@@ -362,7 +362,7 @@ class TestAdjointIdentity:
         # <g, h> = <seed, zeta> for the adjoint g of any seed and any direction h
         hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
         sfun = constant_sfun(disc_mixed, 0.6)
-        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
         solver = SolverConfig(dt=0.02, t_final=1.0, **scheme)
         base = solve_state(disc_mixed, sfun, reaction, hyst, sine_source(disc_mixed, solver),
                            solver)
@@ -394,7 +394,7 @@ def exact_tie_setup(disc):
     weight[1] = 0.5
     sfun = SFunctional(weight=weight)
     hyst = HysteresisConfig(a=0.0, b=0.1, z0=0.0)
-    reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+    reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
     t = TIE_SOLVERS[0].times()
     x = disc.coords[:, 0] / disc.domain.extent[0]
     u = np.zeros((t.size, 2, disc.n_nodes))
@@ -442,16 +442,17 @@ RULE_DISCS = {
 
 def _table_reaction():
     yg, zg = np.linspace(-10.0, 10.0, 21), np.linspace(-1.0, 1.0, 5)
-    return ReactionFunction.from_table(yg, zg, np.tanh(yg)[:, None] * (1.0 - zg[None, :] ** 2))
+    return ReactionFunction("user-table",
+                            table=(yg, zg, np.tanh(yg)[:, None] * (1.0 - zg[None, :] ** 2)))
 
 
 RULE_REACTIONS = {
-    "linear": ReactionFunction.linear(0.3, -0.5, 0.8),
+    "linear": ReactionFunction("linear", (0.3, -0.5, 0.8)),
     # f is -0.0 wherever y and z are +0.0
-    "negative-zero": ReactionFunction.linear(-0.0, -1.0, -0.5),
-    "saturating": ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9),
+    "negative-zero": ReactionFunction("linear", (-0.0, -1.0, -0.5)),
+    "saturating": ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9)),
     # 4 y (1 - y / 2) is the cap 2.0 exactly at y = 1
-    "logistic-capped": ReactionFunction.logistic_capped(4.0, 2.0, 2.0, 0.6),
+    "logistic-capped": ReactionFunction("logistic-capped", (4.0, 2.0, 2.0, 0.6)),
     "user-table": _table_reaction(),
 }
 
@@ -591,7 +592,7 @@ class TestInPlaceRules:
 
     def test_a_non_finite_adjoint_names_the_reference_step(self):
         disc = two_component_1d_disc()
-        reaction = ReactionFunction.linear(0.0, 1e200, 0.0)
+        reaction = ReactionFunction("linear", (0.0, 1e200, 0.0))
         hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
         sfun = constant_sfun(disc, 0.6)
         solver = SolverConfig(dt=0.05, t_final=0.5)
@@ -619,7 +620,7 @@ class TestInPlaceSteps:
         disc = two_component_2d_disc() if two_d else disc_mixed
         hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
         sfun = constant_sfun(disc, 0.6)
-        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
         tol = 1e-11
         solvers = [SolverConfig(dt=0.02, t_final=0.6, **kw) for kw in (
             {},
@@ -681,7 +682,7 @@ class TestFdStudy:
         disc = box_41()
         hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.0)
         sfun = constant_sfun(disc, 0.6)
-        reaction = ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9)
+        reaction = ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9))
         solver = SolverConfig(dt=0.005, t_final=1.0)
         t = solver.times()
         x = disc.coords[:, 0]
@@ -768,8 +769,8 @@ class TestStopDerivativeRule:
         (a, b), c, saturating, plateau, source, rates = case
         disc = two_component_1d_disc()
         hyst = HysteresisConfig(a=a, b=b, z0=0.0)
-        reaction = (ReactionFunction.saturating(-0.7, 1.1, 0.8, 0.9) if saturating
-                    else ReactionFunction.linear(c, -2.0, 0.0))
+        reaction = (ReactionFunction("saturating", (-0.7, 1.1, 0.8, 0.9)) if saturating
+                    else ReactionFunction("linear", (c, -2.0, 0.0)))
         weight = np.full((2, disc.n_nodes), 0.5)
         if plateau:
             weight[0] = 0.0
@@ -805,7 +806,7 @@ class TestTableReaction:
         yg = np.linspace(-5.0, 5.0, 21)
         zg = np.linspace(-2.0, 2.0, 9)
         vals = 0.3 * yg[:, None] + 0.1 * zg[None, :]
-        reaction = ReactionFunction.from_table(yg, zg, vals)
+        reaction = ReactionFunction("user-table", table=(yg, zg, vals))
         sfun = constant_sfun(disc_mixed, 0.5)
         solver = SolverConfig(dt=0.05, t_final=0.5)
         u = sine_source(disc_mixed, solver, amplitude=0.5)
