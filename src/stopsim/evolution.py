@@ -45,6 +45,7 @@ BLOWUP_GUARD = 1e12  # abort when any node magnitude exceeds this
 # per step, a sum of squares at most this (one dot; false for a nan) clears
 # the guard with room for rounding; other states go to ``_guard``'s test
 _GUARD_SQ = (BLOWUP_GUARD / 2) ** 2
+_WINDOW_BYTES = 65536  # a direct march without a path holds rows that fit this, one at least
 
 _REACTION_PARAMS = {  # each catalog reaction's parameters, in ``params`` order
     kind: dict.fromkeys(names, _NUMBER) for kind, names in {
@@ -138,7 +139,8 @@ class ReactionFunction:
 
     kind: str
     params: tuple = ()
-    table: tuple = None  # (y_grid, z_grid, values), for kind user-table only
+    table: tuple = field(default=None, compare=False)  # (y_grid, z_grid, values), user-table only
+    _table_bytes: tuple = field(default=None, init=False, repr=False)  # what == and hash() see
 
     def __post_init__(self):
         _string(self.kind, "kind", _Field(_string, choices=REACTION_KINDS))
@@ -175,6 +177,7 @@ class ReactionFunction:
             for a in (yg, zg, vals):
                 a.setflags(write=False)
             object.__setattr__(self, "table", (yg, zg, vals))
+            object.__setattr__(self, "_table_bytes", tuple((a.shape, a.tobytes()) for a in self.table))
             kernels = (lambda y, z, out: np.copyto(out, self._table_value(y, z)), self._table_directional)
         object.__setattr__(self, "_kernels", kernels)  # bound once, called by value and directional
 
@@ -446,21 +449,19 @@ def _guard(y, k, t):
 # into the active nodes of the window row ``out``, whose Dirichlet nodes are
 # zero.  ``advance(k, y)`` guards y_k and records the scalar channel at step
 # k from y_k and the record of step k - 1, so a Picard sweep replays a slice
-# by calling it again, with nothing to restore.  ``_integrate`` counts steps
-# from the start of the run, so a guard names the absolute step.  Rules and
-# loops bind what they call once per solve or window, never per step.
+# by calling it again, with nothing to restore.  Both loops fill a window
+# whose row 0 holds step ``first``; ``_integrate`` counts steps from the start
+# of the run, so a guard names the absolute step.  Rules and loops bind what
+# they call once per solve or window, never per step.
 
 
-def _march(stepper, fields, first, stop, rhs, advance):
-    """Direct IMEX steps ``first`` to ``stop``, step k in row k mod the row count."""
-    rows, buf, step = fields.shape[0], stepper.buf, stepper.step
-    y = fields[first % rows]
-    for k in range(first, stop):
-        out = fields[(k + 1) % rows]
+def _march(stepper, window, first, rhs, advance):
+    """Direct IMEX steps from ``window[0]``, step ``first``, into ``window[1:]``."""
+    buf, step, rows = stepper.buf, stepper.step, list(window)
+    for k, y, out in zip(range(first, first + len(rows)), rows, rows[1:]):
         rhs(k, y, buf)
         step(y, out)
         advance(k + 1, out)
-        y = out
 
 
 def _sweep_slice(stepper, fields, first, rhs, advance, tol, max_iters):
@@ -503,35 +504,34 @@ def _integrate(stepper, n_steps, rhs, advance, keep, picard=None):
 
     A window slides along the run: the slices of ``picard``, the state
     solve's Picard-sliced ``SolverConfig``, swept to its tolerance, or for
-    the direct march the whole run (``keep``) or one step.  With ``keep``
-    the windows are rows of the (N+1)-row path; else the direct march
-    alternates two rows, and Picard slices share one buffer whose last row
-    carries into the next.  Each window adds its new rows' quadrature norms
-    to the norms channel.  The last step taken has its solve checked against
-    the module residual tolerance.  Returns the path (or ``_NoPath`` of its
-    shape), the per-step norms, and each slice's sweep count.
+    the direct march the whole run (``keep``) or the steps whose rows fit
+    ``_WINDOW_BYTES`` (one at least).  With ``keep`` the windows are rows of
+    the (N+1)-row path; else they share one buffer whose last row carries
+    into the next window's row 0.  Each window adds its new rows' quadrature
+    norms to the norms channel, and the last step has its solve checked
+    against the module residual tolerance.  Returns the path (or ``_NoPath``
+    of its shape), the per-step norms, and each slice's sweep count.
     """
     disc = stepper.disc
     shape = (n_steps + 1, disc.n_components, disc.n_nodes)
-    span = (n_steps if keep else 1) if picard is None else min(n_steps, picard.slice_steps)
+    direct = n_steps if keep else max(1, _WINDOW_BYTES // (8 * shape[1] * shape[2]))
+    span = min(n_steps, direct if picard is None else picard.slice_steps)
     fields = np.zeros(shape if keep else (span + 1, *shape[1:]))
     norms = np.zeros(n_steps + 1)  # the zero start has norm 0
     sweeps = []
     for start in range(0, n_steps, span):
         stop = min(start + span, n_steps)
+        window = fields[start:stop + 1] if keep else fields[:stop - start + 1]
         if picard is None:
-            _march(stepper, fields, start, stop, rhs, advance)
-            new = fields[start + 1:stop + 1] if keep else fields[stop % 2:stop % 2 + 1]
+            _march(stepper, window, start, rhs, advance)
         else:
-            window = fields[start:stop + 1] if keep else fields[:stop - start + 1]
             sweeps.append(len(_sweep_slice(
                 stepper, window, start, rhs, advance,
                 picard.picard_tol, picard.picard_max_iters)))
-            new = window[1:]
-            if not keep:
-                fields[0] = window[-1]
-        norms[start + 1:stop + 1] = _path_norms(disc, new)
-    stepper.check(new[-1])
+        norms[start + 1:stop + 1] = _path_norms(disc, window[1:])
+        if not keep:
+            fields[0] = window[-1]
+    stepper.check(window[-1])
     return (fields if keep else _NoPath(shape)), norms, sweeps
 
 

@@ -68,7 +68,7 @@ def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> Sensitiv
     """Integrate the linearized recursion of ``base``'s equation along it, in
     the source direction ``direction`` (a ``Source`` or an (N+1, m, n_nodes)
     array), keeping the zeta path only with ``keep_states``, as ``solve_state``.
-    The march is direct on either scheme, so without the path it holds two rows."""
+    The march is direct on either scheme, so without the path it holds one 64 KiB window."""
     h = _as_path(direction)
     if h.shape != base.states.shape:
         raise GridMismatchError(

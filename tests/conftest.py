@@ -79,16 +79,36 @@ def bundled_config(name):
     return json.loads((root / f"{name}.json").read_text())
 
 
+def _saturating(resolution, t_final=None):
+    """``saturating`` on a box of ``resolution`` nodes (2-D with two sizes),
+    up to ``t_final`` if given."""
+    cfg = bundled_config("saturating")
+    if len(resolution) == 2:
+        cfg["domain"] = {"dimension": 2, "extent": [1.0, 1.0]}
+        cfg["boundaries"] = [{"left": "dirichlet", "right": "neumann",
+                              "bottom": "dirichlet", "top": "neumann"}]
+    cfg["domain"]["resolution"] = list(resolution)
+    if t_final is not None:
+        cfg["solver"]["t_final"] = t_final
+    return cfg
+
+
 def _streamed_scenarios():
-    """Name -> config: the bundled scenarios, a 2-D copy of ``saturating``
-    and a two-component box, each also on the Picard scheme in 5-step slices."""
+    """Name -> config: the bundled scenarios, copies of ``saturating`` and a
+    two-component box, each also on the Picard scheme in 5-step slices.
+
+    A direct march that keeps no path steps in windows of 64 KiB of rows.
+    The copies of ``saturating`` give it windows of 19 rows on a 25x17 box
+    (60 steps: three full and a tail of 3), of 40 rows at 201 nodes (a full
+    one and a tail of 20), a run of one step, and rows over 64 KiB (91x91
+    nodes), which take one step per window.
+    """
     plain = {name: bundled_config(name) for name in
              ("saturating", "linear_quadratic", "neumann_conservation", "zero")}
-    grid = copy.deepcopy(plain["saturating"])
-    grid["domain"] = {"dimension": 2, "extent": [1.0, 1.0], "resolution": [25, 17]}
-    grid["boundaries"] = [{"left": "dirichlet", "right": "neumann",
-                           "bottom": "dirichlet", "top": "neumann"}]
-    plain["saturating-2d"] = grid
+    plain["saturating-2d"] = _saturating((25, 17))
+    plain["saturating-201-nodes"] = _saturating((201,))
+    plain["saturating-one-step"] = _saturating((25,), t_final=0.02)
+    plain["saturating-91x91"] = _saturating((91, 91), t_final=0.06)
     plain["two-component"] = {
         "domain": {"dimension": 2, "extent": [1.0, 0.7], "resolution": [7, 5]},
         "boundaries": [{"left": "dirichlet", "right": "neumann",

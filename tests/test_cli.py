@@ -7,6 +7,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import stopsim
 from stopsim import (
@@ -761,6 +763,67 @@ class TestHysteresisEval:
         with pytest.raises(Exception) as err:
             read_signal_csv(path)
         assert "expected two numbers" in str(err.value)
+
+
+HEADERS = ("t,v", " t , v ", "t,v,w", "time,value", "T,V", "v,t", "t;v", "")
+TOKENS = ("nan", "-nan", "inf", "-inf", "1e999", "-1e999", "1e-400", "", " ", "x", "0x1",
+          "1_0", "+.5", "1,5", "\u00e9")
+
+
+@st.composite
+def signal_bytes(draw):
+    """The bytes of a signal file: a header variant, then rows of finite
+    numbers, special tokens or junk in one to three columns, times
+    increasing or not, blank and padded lines, and maybe bytes that are not
+    UTF-8.  Each deviation from a well-formed file is drawn rarely, so that
+    many files are read whole."""
+    rarely = st.integers(0, 9).map(lambda n: n == 9)
+    token = st.sampled_from(TOKENS)
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    lines = [draw(st.sampled_from(HEADERS)) if draw(rarely) else "t,v"]
+    for i in range(draw(st.integers(0, 8))):
+        row = [draw(token) if draw(rarely) else repr(0.25 * i),
+               draw(token) if draw(rarely) else draw(number)]
+        if draw(rarely):
+            row.pop()
+        elif draw(rarely):
+            row.append(draw(token))
+        pad = draw(st.sampled_from(("", " ", "\t")))
+        lines.append(pad + draw(st.sampled_from((",", " , ", ", "))).join(row) + pad)
+        if draw(rarely):
+            lines.append(draw(st.sampled_from(("", "  "))))
+    text = draw(st.sampled_from(("\n", "\r\n"))).join(lines) + draw(st.sampled_from(("\n", "")))
+    data = text.encode("utf-8")
+    if draw(rarely):  # a byte that starts no UTF-8 sequence, or a cut-off one
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from((b"\xff", b"\xc3", b"\x80"))) + data[cut:]
+    return data
+
+
+class TestSignalFuzz:
+    """Whatever a signal file holds, ``hysteresis-eval`` writes its table or
+    refuses the file with one error line, and never ends in a traceback."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=signal_bytes())
+    @example(data=b"t,v\n0,1e999\n1,0\n")
+    @example(data=b"t,v\n0,1e308\n1,-1e308\n")
+    @example(data=b"t,v\n1,0\n0,1\n")
+    @example(data=b"t,v\n0,nan\n")
+    def test_a_signal_file_is_evaluated_or_refused_in_one_line(self, tmp_path, capsys, data):
+        signal, table = tmp_path / "signal.csv", tmp_path / "hysteresis.csv"
+        signal.write_bytes(data)
+        table.unlink(missing_ok=True)
+        config = write_config(tmp_path, {"a": -1.0, "b": 1.0, "z0": 0.0}, name="hyst.json")
+        rc = main(["hysteresis-eval", "--config", config, "--input", str(signal),
+                   "--out", str(tmp_path), "--quiet"])
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err == "" and table.is_file()
+        else:
+            assert rc == 2
+            assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 class TestSensitivityAndFdCheck:

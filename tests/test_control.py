@@ -33,7 +33,7 @@ from stopsim import (
 from stopsim.control import _directional, _gradient, _solve, _tracking_term
 from stopsim.spatial import _path_norms, _Stepper
 
-from conftest import constant_sfun
+from conftest import bundled_config, constant_sfun
 from oracles import normal_equation_coefficients, response_model, s_operator_norm
 
 
@@ -723,3 +723,39 @@ class TestGradientPath:
         assert result.status == "max-iterations"
         assert len(sens) == 2 * (n + 1)
         assert result.history[0][2] == first
+
+
+class TestStalledClampingRows:
+    """The clamping copy of ``linear_quadratic`` (stop band [-0.02, 0.02],
+    target coefficients times 20) as it stands under refinement.  It
+    converges at the bundled grid; at h/4, and at h/2 with dt/2, it stalls
+    just above its tol of 1e-9, every iteration from about the 31st on
+    leaving J and the gradient as they were, until ``max_iters``."""
+
+    @staticmethod
+    def clamping(resolution=31, dt=0.02):
+        cfg = bundled_config("linear_quadratic")
+        cfg["domain"]["resolution"] = [resolution]
+        cfg["solver"]["dt"] = dt
+        cfg["hysteresis"].update(a=-0.02, b=0.02)
+        target = cfg["control"]["target"]
+        target["coefficients"] = [20.0 * c for c in target["coefficients"]]
+        return build_control_problem(load_scenario(cfg, needs=("state", "control")))
+
+    def test_the_bundled_grid_converges(self):
+        problem, spec, opts = self.clamping()
+        result = optimize(problem, spec, **opts)
+        assert result.status == "converged" and len(result.history) == 26
+
+    @pytest.mark.parametrize("resolution, dt, grad_inf, cost", [
+        (121, 0.02, 1.252e-9, 0.1848005866),
+        (61, 0.01, 2.358e-9, 0.1837350262),
+    ], ids=["h/4", "h/2-dt/2"])
+    def test_a_refined_grid_stalls_above_tol(self, resolution, dt, grad_inf, cost):
+        problem, spec, opts = self.clamping(resolution, dt)
+        result = optimize(problem, spec, **opts)
+        assert result.status == "max-iterations" and len(result.history) == opts["max_iters"] == 400
+        _, costs, grads, _ = np.array(result.history[40:]).T
+        assert np.all(costs == costs[0]) and np.all(grads == grads[0])
+        assert grads[0] > opts["tol"] and grads[0] == pytest.approx(grad_inf, rel=1e-3)
+        assert costs[0] == pytest.approx(cost, abs=1e-10)

@@ -21,7 +21,7 @@ from stopsim import (
     solve_state,
 )
 
-from stopsim.evolution import BLOWUP_GUARD, _state_rules
+from stopsim.evolution import _WINDOW_BYTES, BLOWUP_GUARD, _state_rules
 from stopsim.spatial import _path_norms, _Stepper
 
 from conftest import STREAMED_SCENARIOS, box_41, constant_sfun, traced_peak
@@ -112,6 +112,20 @@ class TestReactionCatalog:
             f.value(np.array([1.5]), 0.0)
         with pytest.raises(NonsmoothPointError):
             f.directional(np.array([1.0 - 1e-9]), 0.0, np.array([1.0]), 0.0)
+
+    def test_every_kind_compares_and_hashes_by_value(self):
+        yg, zg, vals = np.linspace(-1.0, 1.0, 3), np.array([0.0, 1.0]), np.arange(6.0).reshape(3, 2)
+        table = ReactionFunction("user-table", table=(yg, zg, vals))
+        same = ReactionFunction("user-table", table=(list(yg), list(zg), vals.tolist()))
+        assert table == same and hash(table) == hash(same)
+        assert table != ReactionFunction("user-table", table=(yg, zg, vals + 1.0))
+        kinds = [("linear", (0.0, -0.5, 0.3)), ("saturating", (-0.7, 1.1, 0.8, 0.9)),
+                 ("logistic-capped", (1.0, 2.0, 0.5, 0.1))]
+        catalog = [ReactionFunction(kind, params) for kind, params in kinds]
+        for f, (kind, params) in zip(catalog, kinds):
+            again = ReactionFunction(kind, list(params))
+            assert f == again and hash(f) == hash(again) and f != table
+        assert len({table, same, *catalog}) == 4
 
     @pytest.mark.parametrize("kind, params, table, message", [
         ("user-table", (), ([0.0, 1.0], [0.0, 1.0]), "table: expected (y_grid, z_grid, values)"),
@@ -532,6 +546,23 @@ class TestStreamedSolve:
         np.testing.assert_array_equal(streamed.stop.values, kept.stop.values)
         assert streamed.picard_iterations == kept.picard_iterations
         assert streamed.states.shape == kept.states.shape
+
+    @pytest.mark.parametrize("scheme", [{}, {"scheme": "picard-sliced", "slice_length": 0.5}],
+                             ids=["direct", "picard"])
+    def test_a_blowup_in_a_later_window_names_the_kept_runs_step(self, scheme):
+        disc = box_41()
+        hyst = HysteresisConfig(a=-1.0, b=1.0, z0=0.0)
+        reaction = ReactionFunction("linear", (0.0, 24.0, 0.0))
+        solver = SolverConfig(dt=0.05, t_final=3.0, **scheme)
+        u = np.ones((solver.n_steps + 1, 1, disc.n_nodes))
+        messages = []
+        for keep in (True, False):
+            with pytest.raises(BlowupError) as excinfo:
+                solve_state(disc, constant_sfun(disc), reaction, hyst, u, solver, keep)
+            messages.append(str(excinfo.value))
+        assert messages[1] == messages[0]
+        step = int(re.match(r"state blew up at step (\d+) ", messages[0]).group(1))
+        assert step > _WINDOW_BYTES // disc.n_nodes // 8  # past the first streamed window
 
     def test_a_trajectory_without_a_path_refuses_reads_by_name(self):
         _, traj = solve_scenario(STREAMED_SCENARIOS["saturating"], keep_states=False)

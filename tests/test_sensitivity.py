@@ -34,7 +34,7 @@ from stopsim import (
 )
 
 from stopsim.control import _gradient, _solve
-from stopsim.evolution import _state_rules
+from stopsim.evolution import _WINDOW_BYTES, _state_rules
 from stopsim.hysteresis import INTERIOR, StopCursor
 from stopsim.sensitivity import _adjoint_sweep
 from stopsim.spatial import _path_norms, _Stepper
@@ -103,6 +103,26 @@ class TestStreamedSensitivity:
             np.testing.assert_array_equal(getattr(streamed, channel), getattr(kept, channel))
         with pytest.raises(InvalidConfigError, match="kept no path"):
             streamed.states[0]
+
+    def test_an_overflow_in_a_later_window_names_the_kept_runs_step(self):
+        # each sensitivity is finite, but from the direction's onset at step
+        # 10 its squared norm is not; the kept march holds the run, the
+        # streamed one windows of 4 steps
+        disc = box_41()
+        solver = SolverConfig(dt=0.05, t_final=1.0)
+        u = np.zeros((solver.n_steps + 1, 1, disc.n_nodes))
+        base = solve_state(disc, constant_sfun(disc), ReactionFunction("linear", (0.0, -0.5, 0.3)),
+                           HysteresisConfig(a=-1.0, b=1.0, z0=0.0), u, solver)
+        h = Source(1e156 * (solver.times() >= 0.5), np.ones((1, disc.n_nodes)))
+        messages = []
+        for keep in (True, False):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(BlowupError) as excinfo:
+                solve_sensitivity(base, h, keep)
+            messages.append(str(excinfo.value))
+        assert messages[1] == messages[0]
+        step = int(re.match(r"sensitivity overflowed at step (\d+) ", messages[0]).group(1))
+        assert step > _WINDOW_BYTES // disc.n_nodes // 8 == 4
 
     def test_a_base_without_a_path_is_refused(self):
         scn, base = scenario_base("saturating", keep_states=False)
