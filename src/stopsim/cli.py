@@ -102,12 +102,11 @@ def _read_config(config_arg):
     """Config JSON text and parsed dict, resolving ``bundled:`` names."""
     if config_arg.startswith(_BUNDLED_PREFIX):
         name = config_arg[len(_BUNDLED_PREFIX):]
-        res = resources.files("stopsim").joinpath("scenarios", name + ".json")
-        try:
-            text = res.read_text(encoding="utf-8")
-        except OSError:
-            raise ScenarioValidationError(
-                "", f"unknown bundled scenario {name!r}") from None
+        # a name is one of the files shipped, never a path
+        shipped = resources.files("stopsim").joinpath("scenarios")
+        if name + ".json" not in {entry.name for entry in shipped.iterdir()}:
+            raise ScenarioValidationError("", f"unknown bundled scenario {name!r}")
+        text = shipped.joinpath(name + ".json").read_text(encoding="utf-8")
     else:
         text = _io("read config file", config_arg, Path(config_arg).read_text, encoding="utf-8")
     try:

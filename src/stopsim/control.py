@@ -25,11 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (_INDEX, _POSITIVE, EmptyBoundaryError, GridMismatchError,
-                     InvalidConfigError, _array, _checked, _Field, _integer, _number, _string)
+                     InvalidConfigError, _array, _check_entries, _checked, _Field, _integer,
+                     _number, _string)
 from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
 from .hysteresis import HysteresisConfig
 from .sensitivity import _adjoint_sweep, solve_sensitivity
-from .spatial import SFunctional, SpatialDiscretization, _Stepper
+from .spatial import SFunctional, SpatialDiscretization, _component, _Stepper
 
 __all__ = [
     "ControlSpec",
@@ -90,11 +91,7 @@ class ControlSpec:
             modes = modes.copy()
             modes.setflags(write=False)
             object.__setattr__(self, "spatial_modes", modes)
-            if coeffs.size != self.time_knots * modes.shape[0]:
-                raise InvalidConfigError(
-                    f"expected {self.time_knots * modes.shape[0]} coefficients "
-                    f"(time_knots x n_modes), got {coeffs.size}"
-                )
+            _check_entries(coeffs, self.time_knots * modes.shape[0], "coefficients")
 
     def with_coefficients(self, coefficients) -> "ControlSpec":
         return ControlSpec(
@@ -122,25 +119,28 @@ def _time_profiles(time_knots, grid):
     return profiles
 
 
-def _boundary_data(disc, spec):
-    if spec.component >= disc.n_components:
-        raise InvalidConfigError(f"control component {spec.component} out of range")
-    comp = disc.components[spec.component]
-    nodes = comp.neumann_nodes
-    if nodes.size == 0:
-        raise EmptyBoundaryError(
-            f"component {spec.component} has no Neumann boundary nodes to control"
-        )
-    return nodes, comp.surface_weights
+def _boundary_data(disc, component):
+    """The Neumann boundary nodes of ``component`` and their surface weights;
+    a component without any is refused."""
+    comp = _component(disc, component)
+    if comp.neumann_nodes.size == 0:
+        raise EmptyBoundaryError("component", "component has no Neumann boundary nodes to control")
+    return comp.neumann_nodes, comp.surface_weights
 
 
-def _distributed_modes(disc, spec):
-    modes = spec.spatial_modes
-    if modes.shape[1:] != (disc.n_components, disc.n_nodes):
-        raise GridMismatchError(
-            f"spatial modes shaped {modes.shape[1:]} do not fit the grid "
-            f"({disc.n_components}, {disc.n_nodes})"
-        )
+def _boundary_basis(disc, spec):
+    """``_boundary_data`` of a boundary spec, which holds one coefficient per
+    time knot and boundary node."""
+    nodes, surface = _boundary_data(disc, spec.component)
+    _check_entries(spec.coefficients, spec.time_knots * nodes.size, "coefficients")
+    return nodes, surface
+
+
+def _grid_modes(disc, modes):
+    """``modes`` if they are shaped (n_modes, m, n_nodes) on ``disc``."""
+    shape = (disc.n_components, disc.n_nodes)
+    if modes.ndim != 3 or modes.shape[1:] != shape:
+        raise GridMismatchError(f"expected shape (n_modes, {shape[0]}, {shape[1]})")
     return modes
 
 
@@ -154,16 +154,11 @@ def apply_B(disc, spec: ControlSpec, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     profiles = _time_profiles(spec.time_knots, times.tobytes())
     if spec.mode == "distributed":
-        modes = _distributed_modes(disc, spec)
+        modes = _grid_modes(disc, spec.spatial_modes)
         c = spec.coefficients.reshape(spec.time_knots, modes.shape[0])
         return ((profiles.T @ c) @ modes.reshape(modes.shape[0], -1)).reshape(
             times.size, *modes.shape[1:])
-    nodes, surface = _boundary_data(disc, spec)
-    if spec.coefficients.size != spec.time_knots * nodes.size:
-        raise InvalidConfigError(
-            f"expected {spec.time_knots * nodes.size} coefficients "
-            f"(time_knots x Neumann nodes), got {spec.coefficients.size}"
-        )
+    nodes, surface = _boundary_basis(disc, spec)
     c = spec.coefficients.reshape(spec.time_knots, nodes.size)
     g = profiles.T @ c  # control values per (time, boundary node)
     u = np.zeros((times.size, disc.n_components, disc.n_nodes))
@@ -175,10 +170,10 @@ def _apply_B_transpose(disc, spec: ControlSpec, times, g) -> np.ndarray:
     """Transpose of ``apply_B``: sum_k <(B e_i)_k, g_k> for every coefficient i."""
     profiles = _time_profiles(spec.time_knots, np.asarray(times, dtype=float).tobytes())
     if spec.mode == "distributed":
-        modes = _distributed_modes(disc, spec)
+        modes = _grid_modes(disc, spec.spatial_modes)
         flat = modes.reshape(modes.shape[0], -1)
         return (profiles @ (g.reshape(g.shape[0], -1) @ flat.T)).ravel()
-    nodes, surface = _boundary_data(disc, spec)
+    nodes, surface = _boundary_basis(disc, spec)
     return ((profiles @ g[:, spec.component, nodes]) * surface).ravel()
 
 
@@ -193,10 +188,10 @@ def control_gram(disc, spec: ControlSpec, times) -> np.ndarray:
     profiles = _time_profiles(spec.time_knots, times.tobytes())
     t_gram = dt * (profiles @ profiles.T)
     if spec.mode == "distributed":
-        modes = _distributed_modes(disc, spec)
+        modes = _grid_modes(disc, spec.spatial_modes)
         s_gram = np.einsum("smi,tmi,i->st", modes, modes, disc.quadrature)
     else:
-        _, surface = _boundary_data(disc, spec)
+        _, surface = _boundary_basis(disc, spec)
         s_gram = np.diag(surface)
     return np.kron(t_gram, s_gram)
 

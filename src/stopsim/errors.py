@@ -11,7 +11,10 @@ values is written once, in the constructor that takes them.  The scenario
 schema and the library both check with the checkers here, so a constructor
 refuses what a scenario file refuses, with the same wording under the
 parameter's own name (``dt: must be greater than 0.0``, ``a: must be
-strictly less than b``).
+strictly less than b``).  A rule that needs the grid is written once where
+the library reads the grid: ``spatial._component`` (a component index),
+``control._boundary_data`` (Neumann nodes to control), ``control._grid_modes``
+and ``spatial._s_field`` (two shapes) and ``_check_entries`` here (counts).
 """
 
 import math
@@ -64,10 +67,8 @@ class ScenarioValidationError(InvalidConfigError):
         super().__init__(f"{field_path}: {message}" if field_path else message)
 
 
-class EmptyBoundaryError(StopsimError):
-    """Boundary control requested but no component has Neumann boundary nodes."""
-
-    exit_code = 2
+class EmptyBoundaryError(ScenarioValidationError):
+    """A boundary control names a component with no Neumann boundary nodes."""
 
 
 class NumericalFailureError(StopsimError):
@@ -173,6 +174,12 @@ def _array(value, path, f=None):
     if not np.isfinite(arr).all():
         _fail(path, "entries must be finite")
     return arr
+
+
+def _check_entries(values, n, path):
+    """The count rule: ``values`` must be a vector of ``n`` entries."""
+    if values.shape != (n,):
+        _fail(path, f"expected {n} entries, got shape {values.shape}")
 
 
 def _axes(value, path, dim, f, expected):

@@ -338,7 +338,11 @@ def stop_concatenate(
 
     tail_values = v_tail.values
     stop_tail, offsets = _stop_path(cfg, prefix.resume_offset, tail_values)
-    play_tail = (tail_values[1:] - stop_tail) + prefix.play_offset
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        play_tail = (tail_values[1:] - stop_tail) + prefix.play_offset
+    if not np.isfinite(play_tail).all():  # finite inputs whose difference overflows
+        t = float(v_tail.times[1 + np.argmin(np.isfinite(play_tail))])
+        raise InvalidSignalError(f"play v - stop + (z0 - v0) is not finite from t = {t!r}")
 
     times = np.concatenate([prefix.stop.times, v_tail.times[1:]])
     stop = np.concatenate([prefix.stop.values, stop_tail])

@@ -11,13 +11,15 @@ takes lives next to that constructor (``_SOLVER`` in ``evolution``,
 same ``_Field``s and ``_array`` and holds the rules that span its values
 (``a`` below ``b``, one diffusion coefficient per component), so the library
 refuses what a scenario file refuses.  The builders below the tables make
-the module objects through those constructors and add only the checks that
-need the grid (shapes, component ranges, coefficient counts).  Validation
-reports every problem with the dotted path of the offending field (for
-example ``hysteresis.a``) and never partially constructs a scenario.  A
-source or direction block becomes an ``evolution.Source``: its time
-amplitude and its spatial profile, never the dense (N+1, components, nodes)
-path.
+the module objects through those constructors and report the library's grid
+rules (see ``errors``) through ``_build`` at the field's path.  The rules a
+file alone has are a pulse's start below its stop, the ``omega`` range,
+``t_min`` below ``t_max``, ``alpha`` below 1/2 with a control block, the
+sine-mode range, a constant S weight's nonzero value, and the size guards.
+Validation reports every problem with the dotted path of the offending field
+(for example ``hysteresis.a``) and never partially constructs a scenario.  A
+source or direction block becomes an ``evolution.Source``: its time amplitude
+and its spatial profile, never the dense (N+1, components, nodes) path.
 """
 
 from __future__ import annotations
@@ -29,14 +31,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .control import _KAPPA, _OPTIMIZER, _SPEC, ControlProblem, ControlSpec, apply_B
+from .control import (_KAPPA, _OPTIMIZER, _SPEC, ControlProblem, ControlSpec, _boundary_data,
+                      _grid_modes, apply_B)
 from .errors import (_ANY, _INDEX, _NUMBER, _REQUIRED, ScenarioValidationError, _array, _axes,
-                     _fail, _Field, _integer, _number, _string)
+                     _check_entries, _fail, _Field, _integer, _number, _string)
 from .evolution import _REACTION_PARAMS, _SOLVER, ReactionFunction, SolverConfig, Source, solve_state
 from .hysteresis import _HYSTERESIS, HysteresisConfig
 from .sensitivity import _check_lambdas
 from .spatial import (_DOMAIN, _SIDES, _SIDES_1D, _SIDES_2D, _SPECTRUM, BoundarySides,
-                      DomainSpec, SFunctional, SpatialDiscretization, assemble)
+                      DomainSpec, SFunctional, SpatialDiscretization, _component, _s_field,
+                      assemble)
 
 __all__ = [
     "Scenario",
@@ -194,16 +198,6 @@ def _build(path, make, *args, **kwargs):
         _fail(path, str(exc))
 
 
-def _check_entries(values, n, path):
-    if values.shape != (n,):
-        _fail(path, f"expected {n} entries, got shape {values.shape}")
-
-
-def _check_component(component, disc, path):
-    if component >= disc.n_components:
-        _fail(path, f"must be less than {disc.n_components}")
-
-
 def _boundaries(cfg, dim, path):
     if not isinstance(cfg, list) or not cfg:
         _fail(path, "expected a nonempty array of per-component side labels")
@@ -223,15 +217,13 @@ def _reaction(cfg, path):
 
 def _s_weight(cfg, disc, path):
     cfg = _variant(cfg, path, _WEIGHTS)
-    shape = (disc.n_components, disc.n_nodes)
     if cfg["kind"] == "constant":
         if cfg["value"] == 0.0:
             _fail(_join(path, "value"), "must be nonzero")
-        weight = np.full(shape, cfg["value"])
+        weight = np.full((disc.n_components, disc.n_nodes), cfg["value"])
     else:
         weight = cfg["values"]
-        if weight.shape != shape:
-            _fail(_join(path, "values"), f"expected shape {shape}, got {weight.shape}")
+        _build(_join(path, "values"), _s_field, disc, weight)
     return _build(path, SFunctional, weight=weight)
 
 
@@ -312,8 +304,7 @@ def _field_source(cfg, disc, solver, path):
     component = cfg["component"]
     if component == "all":
         return _build(path, Source, amp, np.tile(profile, (disc.n_components, 1)))
-    component = _integer(component, _join(path, "component"), _INDEX)
-    _check_component(component, disc, _join(path, "component"))
+    _build(path, _component, disc, component)
     profiles = np.zeros(shape[1:])
     profiles[component] = profile
     return _build(path, Source, amp, profiles, component)
@@ -321,14 +312,11 @@ def _field_source(cfg, disc, solver, path):
 
 def _spatial_modes(cfg, disc, path):
     cfg = _variant(cfg, path, _MODES)
-    shape = (disc.n_components, disc.n_nodes)
     if cfg["kind"] == "values":
-        modes = cfg["values"]
-        if modes.ndim != 3 or modes.shape[1:] != shape:
-            _fail(_join(path, "values"), f"expected shape (n_modes, {shape[0]}, {shape[1]})")
-        return modes
+        return _build(_join(path, "values"), _grid_modes, disc, cfg["values"])
+    shape = (disc.n_components, disc.n_nodes)
     component = cfg["component"]
-    _check_component(component, disc, _join(path, "component"))
+    _build(path, _component, disc, component)
     if cfg["kind"] == "constant":
         modes = np.zeros((1, *shape))
         modes[0, component, :] = 1.0
@@ -348,11 +336,7 @@ def _control(cfg, disc, path):
         component, n_spatial = 0, modes.shape[0]
     else:
         modes, component = None, cfg["component"]
-        _check_component(component, disc, _join(path, "component"))
-        n_spatial = disc.components[component].neumann_nodes.size
-        if n_spatial == 0:
-            _fail(_join(path, "component"),
-                  "component has no Neumann boundary nodes to control")
+        n_spatial = _build(path, _boundary_data, disc, component)[0].size
 
     n_coeff = cfg["time_knots"] * n_spatial
     _check_field_size((n_coeff,), _join(path, "time_knots"), "coefficients")
@@ -374,7 +358,7 @@ def _control(cfg, disc, path):
 def _diagnostic(cfg, disc, path):
     out = _fields(cfg, path, _DIAGNOSTIC)
     if disc is not None:
-        _check_component(out["component"], disc, _join(path, "component"))
+        _build(path, _component, disc, out["component"])
     if out["t_max"] <= out["t_min"]:
         _fail(_join(path, "t_max"), "must be greater than t_min")
     _check_field_size((out["t_count"],), _join(path, "t_count"), "times")

@@ -251,6 +251,15 @@ class SpatialDiscretization:
         return np.zeros((self.n_components, self.n_nodes))
 
 
+def _component(disc: SpatialDiscretization, j):
+    """Component ``j`` of ``disc``: the one rule for a component index, which
+    is refused outside ``range(n_components)``, not wrapped."""
+    j = _integer(j, "component", _INDEX)
+    if j >= disc.n_components:
+        _fail("component", f"must be less than {disc.n_components}")
+    return disc.components[j]
+
+
 def assemble(domain: DomainSpec, boundaries, diffusion) -> SpatialDiscretization:
     """Assemble per-component operators, quadrature, and boundary data.
 
@@ -345,13 +354,17 @@ class SFunctional:
         object.__setattr__(self, "weight", w)
 
 
+def _s_field(disc: SpatialDiscretization, weight):
+    """The S weight times the quadrature; the one rule for the weight's shape."""
+    shape = (disc.n_components, disc.n_nodes)
+    if weight.shape != shape:
+        raise GridMismatchError(f"expected shape {shape}, got {weight.shape}")
+    return weight * disc.quadrature
+
+
 def evaluate_S(disc: SpatialDiscretization, sfun: SFunctional, y) -> float:
     y = _check_field(disc, y)
-    if sfun.weight.shape != y.shape:
-        raise GridMismatchError(
-            f"S weight shape {sfun.weight.shape} does not match field shape {y.shape}"
-        )
-    return float((sfun.weight * disc.quadrature).ravel() @ y.ravel())
+    return float(_s_field(disc, sfun.weight).ravel() @ y.ravel())
 
 
 def _axis_eigenvalues(n: int, h: float, start: int, stop: int):
@@ -578,7 +591,7 @@ class _Stepper:
         # max(D + 2 dt diag L) bounds |D + dt L| in the max norm (see check)
         self._a_norms = [np.max(w + 2.0 * dt * comp.diagonal())
                          for comp, w in zip(disc.components, self._weights)]
-        self.s_field = _check_field(disc, sfun.weight, "S weight") * disc.quadrature
+        self.s_field = _s_field(disc, sfun.weight)
         self.S = self.s_field.ravel().dot
 
     def step(self, y, out):
@@ -625,11 +638,8 @@ class _Stepper:
 def _component_eigenvalues(disc: SpatialDiscretization, j: int):
     """Eigenvalues of the realized generator D^{-1} L of component ``j``: d lam
     in 1D and the sums d (lx_i + ly_j) in 2D, unsorted, from the per-axis
-    closed form, with no eigenvectors.  An index outside
-    ``range(n_components)`` is refused, not wrapped."""
-    if not 0 <= j < disc.n_components:
-        raise InvalidConfigError(f"component must lie in [0, {disc.n_components}), got {j}")
-    comp = disc.components[j]
+    closed form, with no eigenvectors (``_component`` checks ``j``)."""
+    comp = _component(disc, j)
     lams = [_axis_eigenvalues(a.n, a.h, a.keep.start, a.keep.stop)[0] for a in comp.axes]
     if len(lams) == 1:
         return comp.diffusion * lams[0]
@@ -655,7 +665,7 @@ class FractionalPowerReport:
 _SPECTRUM = {
     "theta": _Field(_number, 0.5, minimum=0.0, below=1),
     "gamma": _Field(_number, 0.5, exclusive_minimum=0.0, below=1),
-    "component": _INDEX,  # below the component count: ``_component_eigenvalues``
+    "component": _INDEX,  # below the component count: ``_component``
 }
 
 

@@ -381,6 +381,13 @@ class TestValidationFailures:
         assert rc == 2
         assert "unknown bundled scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../scenarios/zero", "./zero", "zero.json", ""])
+    def test_only_shipped_scenarios_are_bundled(self, name, tmp_path, capsys):
+        rc = main(["simulate", "--config", f"bundled:{name}", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown bundled scenario {name!r}\n"
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path)])
@@ -748,6 +755,18 @@ class TestHysteresisEval:
                    "--input", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert "expected header 't,v'" in capsys.readouterr().err
+
+    def test_a_play_overflow_names_the_play(self, tmp_path, capsys):
+        # both entries are finite; the play overflows at t = 1
+        path = tmp_path / "sig.csv"
+        path.write_text("t,v\n0,1e308\n1,-1e308\n")
+        cfg_path = write_config(tmp_path, {"a": -1.0, "b": 1.0, "z0": 0.0}, name="hyst.json")
+        rc = main(["hysteresis-eval", "--config", cfg_path,
+                   "--input", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: play v - stop + (z0 - v0) is not finite from t = 1.0\n")
+        assert not (tmp_path / "hysteresis.csv").exists()
 
     def test_signal_parser_details(self, tmp_path):
         path = tmp_path / "sig.csv"

@@ -725,34 +725,64 @@ class TestGradientPath:
         assert result.history[0][2] == first
 
 
-class TestStalledClampingRows:
-    """The clamping copy of ``linear_quadratic`` (stop band [-0.02, 0.02],
-    target coefficients times 20) as it stands under refinement.  It
-    converges at the bundled grid; at h/4, and at h/2 with dt/2, it stalls
-    just above its tol of 1e-9, every iteration from about the 31st on
-    leaving J and the gradient as they were, until ``max_iters``."""
-
-    @staticmethod
-    def clamping(resolution=31, dt=0.02):
-        cfg = bundled_config("linear_quadratic")
-        cfg["domain"]["resolution"] = [resolution]
-        cfg["solver"]["dt"] = dt
+def linear_quadratic(resolution=31, dt=0.02, clamping=False, picard=False):
+    """``linear_quadratic`` on ``resolution`` nodes with step ``dt``; its
+    clamping copy has stop band [-0.02, 0.02] and target coefficients times
+    20, its Picard copy slices of length 0.2."""
+    cfg = bundled_config("linear_quadratic")
+    cfg["domain"]["resolution"] = [resolution]
+    cfg["solver"]["dt"] = dt
+    if picard:
+        cfg["solver"].update(scheme="picard-sliced", slice_length=0.2)
+    if clamping:
         cfg["hysteresis"].update(a=-0.02, b=0.02)
         target = cfg["control"]["target"]
         target["coefficients"] = [20.0 * c for c in target["coefficients"]]
-        return build_control_problem(load_scenario(cfg, needs=("state", "control")))
+    return build_control_problem(load_scenario(cfg, needs=("state", "control")))
+
+
+@pytest.mark.parametrize("clamping, picard", [(False, False), (True, False), (False, True)],
+                         ids=["imex", "imex-clamping", "picard"])
+def test_discrete_optima_converge_at_first_order_in_dt(clamping, picard):
+    # J* at dt, dt/2, dt/4 and dt/8: the gaps between neighbours halve
+    # (observed orders 1.09-1.16) and so do the coefficient differences (in
+    # norm, ratios 0.51-0.53); the bounds are order 0.9 and ratio 0.6.  The
+    # Picard copy of the clamping row stalls (``TestStalledClampingRows``).
+    results = []
+    for k in range(4):
+        problem, spec, opts = linear_quadratic(dt=0.02 / 2**k, clamping=clamping, picard=picard)
+        results.append(optimize(problem, spec, **opts))
+    assert all(r.status == "converged" for r in results)
+    gaps = -np.diff([r.cost for r in results])
+    assert np.all(gaps > 0) and np.all(np.log2(gaps[:-1] / gaps[1:]) >= 0.9)
+    steps = np.linalg.norm(np.diff([r.spec.coefficients for r in results], axis=0), axis=1)
+    assert np.all(steps[1:] <= 0.6 * steps[:-1])
+
+
+class TestStalledClampingRows:
+    """The clamping copy of ``linear_quadratic`` (see ``linear_quadratic``) as
+    it stands under refinement.  It converges at the bundled grid; at h/4,
+    and at h/2 with dt/2, it stalls just above its tol of 1e-9, every
+    iteration from about the 31st on leaving J and the gradient as they
+    were, until ``max_iters``.  Its Picard copy stalls at the bundled grid
+    too, from iteration 30, where the direct copy converges."""
+
+    @staticmethod
+    def clamping(resolution=31, dt=0.02, picard=False):
+        return linear_quadratic(resolution, dt, clamping=True, picard=picard)
 
     def test_the_bundled_grid_converges(self):
         problem, spec, opts = self.clamping()
         result = optimize(problem, spec, **opts)
         assert result.status == "converged" and len(result.history) == 26
 
-    @pytest.mark.parametrize("resolution, dt, grad_inf, cost", [
-        (121, 0.02, 1.252e-9, 0.1848005866),
-        (61, 0.01, 2.358e-9, 0.1837350262),
-    ], ids=["h/4", "h/2-dt/2"])
-    def test_a_refined_grid_stalls_above_tol(self, resolution, dt, grad_inf, cost):
-        problem, spec, opts = self.clamping(resolution, dt)
+    @pytest.mark.parametrize("resolution, dt, picard, grad_inf, cost", [
+        (121, 0.02, False, 1.252e-9, 0.1848005866),
+        (61, 0.01, False, 2.358e-9, 0.1837350262),
+        (31, 0.02, True, 1.261e-9, 0.1850791343),
+    ], ids=["h/4", "h/2-dt/2", "picard"])
+    def test_a_refined_grid_stalls_above_tol(self, resolution, dt, picard, grad_inf, cost):
+        problem, spec, opts = self.clamping(resolution, dt, picard)
         result = optimize(problem, spec, **opts)
         assert result.status == "max-iterations" and len(result.history) == opts["max_iters"] == 400
         _, costs, grads, _ = np.array(result.history[40:]).T

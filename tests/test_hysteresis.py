@@ -499,6 +499,16 @@ class TestValidation:
         with pytest.raises(InvalidConfigError):
             stop_concatenate(prefix, signal([1.0, 2.0], [0.5, 1.0]), other_cfg)
 
+    @pytest.mark.parametrize("values, t", [([1e308, -1e308], 1.0),
+                                           ([1e308, 1e308, 0.0, -1e308, 0.0], 3.0)])
+    def test_a_play_that_overflows_is_refused_at_its_first_time(self, hyst_cfg, values, t):
+        # every entry is finite; the play v - stop + (z0 - v0) is not
+        sig = signal(np.arange(len(values), dtype=float), values)
+        with pytest.raises(InvalidSignalError) as info:
+            stop_evaluate(sig, hyst_cfg)
+        assert str(info.value) == f"play v - stop + (z0 - v0) is not finite from t = {t}"
+        assert info.value.exit_code == 2
+
     def test_signal_arrays_are_read_only(self, hyst_cfg):
         sig = signal([0.0, 1.0], [0.0, 0.5])
         with pytest.raises(ValueError):

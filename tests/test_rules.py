@@ -24,6 +24,8 @@ from stopsim import (
     BoundarySides,
     ControlSpec,
     DomainSpec,
+    EmptyBoundaryError,
+    GridMismatchError,
     HysteresisConfig,
     InvalidConfigError,
     ReactionFunction,
@@ -32,8 +34,11 @@ from stopsim import (
     SolverConfig,
     Source,
     StopsimError,
+    apply_B,
     assemble,
     build_control_problem,
+    control_gram,
+    evaluate_S,
     fd_convergence_study,
     fractional_power_diagnostic,
     load_scenario,
@@ -409,3 +414,79 @@ def test_a_rule_over_values_is_the_constructors(path, value, expected):
     else:
         assert isinstance(library, ScenarioValidationError)
         assert expected in (str(library), f"{path}.{library}"), library
+
+
+
+# rules that need the grid: a scenario's faulty value, the field the load
+# names and its reason, and the library entries that take the value
+DIRICHLET = assemble(SCN.disc.domain, [BoundarySides("dirichlet", "dirichlet")], [1.0])
+TIMES = SCN.solver.times()
+
+
+def boundary(component=0, coefficients=(0.1,)):
+    return ControlSpec("boundary", 1, list(coefficients), component=component)
+
+
+def controls(disc, spec):
+    """The control entries that take a grid and a spec."""
+    return [lambda: apply_B(disc, spec, TIMES), lambda: control_gram(disc, spec, TIMES)]
+
+
+def s_entries(weight):
+    sfun = SFunctional(weight=weight)
+    return [lambda: solve_state(SCN.disc, sfun, SCN.reaction, SCN.hyst_cfg, SCN.source,
+                                SCN.solver),
+            lambda: evaluate_S(SCN.disc, sfun, SCN.disc.zero_field())]
+
+
+class GridRule(NamedTuple):
+    base: dict      # ``BASE`` or ``ARRAYS``
+    edits: dict     # path (a tuple) -> value, the faulty one and what it needs
+    field: str      # the path the load names
+    reason: str
+    error: type     # the library's class
+    entries: list   # the library's calls on the faulty value
+
+
+GRID_RULES = {
+    "component": GridRule(
+        BASE, {("diagnostic", "component"): 1}, "diagnostic.component", "must be less than 1",
+        ScenarioValidationError,
+        [lambda: fractional_power_diagnostic(SCN.disc, 0.5, component=1),
+         *controls(SCN.disc, boundary(component=1))]),
+    "neumann-nodes": GridRule(
+        BASE, {("boundaries",): [{"left": "dirichlet", "right": "dirichlet"}]},
+        "control.component", "component has no Neumann boundary nodes to control",
+        EmptyBoundaryError, controls(DIRICHLET, boundary())),
+    "modes-shape": GridRule(
+        ARRAYS, {("control", "spatial_modes", "values"): [[[0.0, 1.0, 1.0, 0.0]]]},
+        "control.spatial_modes.values", "expected shape (n_modes, 1, 5)", GridMismatchError,
+        controls(SCN.disc, ControlSpec("distributed", 1, [0.1], spatial_modes=np.ones((1, 1, 4))))),
+    "boundary-count": GridRule(
+        BASE, {("control", "coefficients"): [0.1, 0.2]}, "control.coefficients",
+        "expected 1 entries, got shape (2,)", ScenarioValidationError,
+        controls(SCN.disc, boundary(coefficients=(0.1, 0.2)))),
+    "distributed-count": GridRule(
+        ARRAYS, {("control", "coefficients"): [0.1, 0.2]}, "control.coefficients",
+        "expected 1 entries, got shape (2,)", ScenarioValidationError,
+        [lambda: ControlSpec("distributed", 1, [0.1, 0.2], spatial_modes=MODES)]),
+    "s-weight-shape": GridRule(
+        BASE, {("s_weight",): {"kind": "values", "values": [[1.0] * 4]}}, "s_weight.values",
+        "expected shape (1, 5), got (1, 4)", GridMismatchError, s_entries(np.ones((1, 4)))),
+}
+
+
+@pytest.mark.parametrize("rule", GRID_RULES.values(), ids=GRID_RULES)
+def test_a_grid_rule_is_the_librarys(rule):
+    cfg = copy.deepcopy(rule.base)
+    for path, value in rule.edits.items():
+        json_at(cfg, path[:-1])[path[-1]] = copy.deepcopy(value)
+    with pytest.raises(ScenarioValidationError) as info:
+        load_scenario(cfg)
+    assert str(info.value) == f"{rule.field}: {rule.reason}"
+    for entry in rule.entries:
+        with pytest.raises(rule.error) as info:
+            entry()
+        # a field's rule names the library's parameter, a shape rule only its reason
+        assert info.value.exit_code == 2
+        assert getattr(info.value, "reason", str(info.value)) == rule.reason

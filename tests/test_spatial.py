@@ -139,10 +139,10 @@ class TestSpectrum:
         np.testing.assert_allclose(gram, np.eye(comp.rel_weights.size), atol=1e-10)
 
     @pytest.mark.parametrize("j, refusal", [(-1, "^component: must be at least 0$"),
-                                            (2, r"\[0, 2\), got 2")])
+                                            (2, "^component: must be less than 2$")])
     def test_component_index_outside_the_range_is_refused(self, j, refusal):
         disc = two_d_disc(("dirichlet", "neumann", "neumann", "neumann"))
-        with pytest.raises(InvalidConfigError, match=rf"\[0, 2\), got {j}"):
+        with pytest.raises(InvalidConfigError, match=refusal):
             _component_eigenvalues(disc, j)
         with pytest.raises(InvalidConfigError, match=refusal):
             fractional_power_diagnostic(disc, 0.5, component=j)
