@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (_INDEX, _POSITIVE, EmptyBoundaryError, GridMismatchError,
                      InvalidConfigError, _array, _check_entries, _checked, _Field, _integer,
                      _number, _string)
-from .evolution import ReactionFunction, SolverConfig, Trajectory, solve_state
+from .evolution import ReactionFunction, SolverConfig, Trajectory, _path, solve_state
 from .hysteresis import HysteresisConfig
 from .sensitivity import _adjoint_sweep, solve_sensitivity
 from .spatial import SFunctional, SpatialDiscretization, _component, _Stepper
@@ -108,11 +108,10 @@ class ControlSpec:
 
 
 @lru_cache(maxsize=8)
-def _time_profiles(time_knots, grid):
-    """Hat-function values on the solver grid, given as its float64 bytes (a
-    single knot means constant 1); read-only and cached, so an optimizer run
-    forms them once."""
-    times = np.frombuffer(grid)
+def _time_profiles(time_knots, solver):
+    """Hat-function values on ``solver``'s time grid (a single knot means
+    constant 1); read-only and cached, so an optimizer run forms them once."""
+    times = solver.times()
     knots = np.linspace(times[0], times[-1], time_knots)
     profiles = np.array([np.interp(times, knots, e) for e in np.eye(time_knots)])
     profiles.setflags(write=False)
@@ -144,31 +143,30 @@ def _grid_modes(disc, modes):
     return modes
 
 
-def apply_B(disc, spec: ControlSpec, times) -> np.ndarray:
-    """Expand control coefficients into a time-sampled source field.
+def apply_B(disc, spec: ControlSpec, solver: SolverConfig) -> np.ndarray:
+    """Expand control coefficients into the source field on ``solver``'s time grid.
 
     Distributed mode sums coefficient-weighted spatial modes; boundary mode
     places coefficient x surface-quadrature-weight values on the Neumann
     nodes of the chosen component (weight 1 at an interval end).
     """
-    times = np.asarray(times, dtype=float)
-    profiles = _time_profiles(spec.time_knots, times.tobytes())
+    profiles = _time_profiles(spec.time_knots, solver)
     if spec.mode == "distributed":
         modes = _grid_modes(disc, spec.spatial_modes)
         c = spec.coefficients.reshape(spec.time_knots, modes.shape[0])
         return ((profiles.T @ c) @ modes.reshape(modes.shape[0], -1)).reshape(
-            times.size, *modes.shape[1:])
+            -1, *modes.shape[1:])
     nodes, surface = _boundary_basis(disc, spec)
     c = spec.coefficients.reshape(spec.time_knots, nodes.size)
     g = profiles.T @ c  # control values per (time, boundary node)
-    u = np.zeros((times.size, disc.n_components, disc.n_nodes))
+    u = np.zeros((g.shape[0], disc.n_components, disc.n_nodes))
     u[:, spec.component, nodes] = g * surface
     return u
 
 
-def _apply_B_transpose(disc, spec: ControlSpec, times, g) -> np.ndarray:
+def _apply_B_transpose(disc, spec: ControlSpec, solver, g) -> np.ndarray:
     """Transpose of ``apply_B``: sum_k <(B e_i)_k, g_k> for every coefficient i."""
-    profiles = _time_profiles(spec.time_knots, np.asarray(times, dtype=float).tobytes())
+    profiles = _time_profiles(spec.time_knots, solver)
     if spec.mode == "distributed":
         modes = _grid_modes(disc, spec.spatial_modes)
         flat = modes.reshape(modes.shape[0], -1)
@@ -177,16 +175,15 @@ def _apply_B_transpose(disc, spec: ControlSpec, times, g) -> np.ndarray:
     return ((profiles @ g[:, spec.component, nodes]) * surface).ravel()
 
 
-def control_gram(disc, spec: ControlSpec, times) -> np.ndarray:
-    """Gram matrix N of the basis in the control measure, time-quadrature dt.
+def control_gram(disc, spec: ControlSpec, solver: SolverConfig) -> np.ndarray:
+    """Gram matrix N of the basis in the control measure, time-quadrature
+    ``solver.dt`` on its grid.
 
     Distributed: spatial factor = quadrature inner products of the modes.
     Boundary: spatial factor = diag(surface weights) on control values.
     """
-    times = np.asarray(times, dtype=float)
-    dt = times[1] - times[0]
-    profiles = _time_profiles(spec.time_knots, times.tobytes())
-    t_gram = dt * (profiles @ profiles.T)
+    profiles = _time_profiles(spec.time_knots, solver)
+    t_gram = solver.dt * (profiles @ profiles.T)
     if spec.mode == "distributed":
         modes = _grid_modes(disc, spec.spatial_modes)
         s_gram = np.einsum("smi,tmi,i->st", modes, modes, disc.quadrature)
@@ -210,17 +207,12 @@ class ControlProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", _number(self.kappa, "kappa", _KAPPA))
-        target = _array(self.target, "target")
-        expected = (self.solver.n_steps + 1, self.disc.n_components, self.disc.n_nodes)
-        if target.shape != expected:
-            raise GridMismatchError(
-                f"target must have shape {expected}, got {target.shape}"
-            )
-        object.__setattr__(self, "target", target)
+        target = _path(self.disc, self.solver, self.target, "target")
+        object.__setattr__(self, "target", np.asarray(target))
 
 
 def _solve(problem: ControlProblem, spec: ControlSpec) -> Trajectory:
-    u = apply_B(problem.disc, spec, problem.solver.times())
+    u = apply_B(problem.disc, spec, problem.solver)
     return solve_state(
         problem.disc, problem.sfun, problem.reaction, problem.hyst_cfg, u, problem.solver
     )
@@ -239,14 +231,14 @@ def _cost_of(problem, spec, traj, gram):
 
 def reduced_cost(problem: ControlProblem, spec: ControlSpec) -> float:
     """J(c): solves the state equation and evaluates the tracking cost."""
-    gram = control_gram(problem.disc, spec, problem.solver.times())
+    gram = control_gram(problem.disc, spec, problem.solver)
     return _cost_of(problem, spec, _solve(problem, spec), gram)
 
 
 def _directional(problem, spec, direction, base, gram):
     """J'(c; d) = sum_k dt <y_k - yd_k, zeta_k>_quad + kappa <c, N d>: the one-sided
     derivative of J at ``spec``, on its state solve ``base``, along d = ``direction``."""
-    h_src = apply_B(problem.disc, spec.with_coefficients(direction), problem.solver.times())
+    h_src = apply_B(problem.disc, spec.with_coefficients(direction), problem.solver)
     record = solve_sensitivity(base, h_src)
     dt = problem.solver.dt
     q = problem.disc.quadrature
@@ -267,7 +259,7 @@ def _gradient(problem, spec, base, gram, stepper):
         basis = np.eye(spec.n_coefficients)
         return np.array([_directional(problem, spec, e, base, gram) for e in basis]), False
     c = spec.coefficients
-    grad = _apply_B_transpose(problem.disc, spec, base.times, g_h)
+    grad = _apply_B_transpose(problem.disc, spec, problem.solver, g_h)
     return grad + problem.kappa * (c @ gram), True
 
 
@@ -298,7 +290,7 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
     """
     _checked(_OPTIMIZER, {"max_iters": max_iters, "tol": tol, "armijo_c1": armijo_c1,
                           "initial_step": initial_step, "max_halvings": max_halvings})
-    gram = control_gram(problem.disc, spec, problem.solver.times())
+    gram = control_gram(problem.disc, spec, problem.solver)
     stepper = _Stepper(problem.disc, problem.solver.dt, problem.sfun)  # for the adjoint
     history = []
     step = float(initial_step)

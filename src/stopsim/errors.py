@@ -14,7 +14,8 @@ parameter's own name (``dt: must be greater than 0.0``, ``a: must be
 strictly less than b``).  A rule that needs the grid is written once where
 the library reads the grid: ``spatial._component`` (a component index),
 ``control._boundary_data`` (Neumann nodes to control), ``control._grid_modes``
-and ``spatial._s_field`` (two shapes) and ``_check_entries`` here (counts).
+and ``spatial._s_field`` (two shapes), ``evolution._path`` (a time path on the
+solver's grid) and ``_check_entries`` here (counts).
 """
 
 import math

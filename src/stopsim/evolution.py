@@ -11,6 +11,9 @@ explicitly:
 with z advanced by the stop recursion after each step.  The source u is a
 dense (N+1, m, n_nodes) path or a ``Source``, kept as a time amplitude times
 a spatial profile; the rules only add u[k], so both take the same code.
+Every time path a solve or its derivatives take (source, direction,
+remainder, control target) passes one rule, ``_path``: shaped on the
+solver's grid, every entry finite.
 The Picard-sliced scheme solves the same recursion slice by slice as a fixed
 point: each sweep freezes reaction and hysteresis at the previous iterate, so
 the fixed point satisfies the IMEX recursion exactly and the two schemes
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (_INDEX, _NUMBER, _POSITIVE, BlowupError, GridMismatchError,
+from .errors import (_NUMBER, _POSITIVE, BlowupError, GridMismatchError,
                      InvalidConfigError, NonContractionError, NonsmoothPointError, _array,
                      _checked, _fail, _Field, _integer, _number, _string)
 from .hysteresis import HysteresisConfig, PiecewiseLinearSignal, StopCursor
@@ -307,32 +310,18 @@ class Source:
 
     ``source[k]`` is step k's field, formed from the factors when a rule
     adds it; ``np.asarray(source)`` forms the dense (N+1, m, n_nodes) path
-    for the consumers that need it.
-    ``component`` names the one component the source acts on (None: all of
-    them).  The profile must be zero on the others, whose rows are +0.0
-    whatever the amplitude's sign, as when the targeted rows are written into
-    zeros; so both forms are bitwise the path a scenario once built densely.
+    for the consumers that need it.  A source on one component is a profile
+    whose other rows are zero.
     """
 
     amplitude: np.ndarray  # (N+1,)
     profile: np.ndarray    # (m, n_nodes)
-    component: int = None
 
     def __post_init__(self):
         amplitude, profile = _array(self.amplitude, "amplitude"), _array(self.profile, "profile")
         if amplitude.ndim != 1 or profile.ndim != 2:
             raise GridMismatchError(f"source needs a 1-D amplitude and a 2-D profile, "
                                     f"got {amplitude.shape} and {profile.shape}")
-        c = self.component
-        if c is not None:
-            c = _integer(c, "component", _INDEX)
-            object.__setattr__(self, "component", c)
-            if c >= profile.shape[0]:
-                raise InvalidConfigError(
-                    f"source component must be in [0, {profile.shape[0]}), got {c}")
-            if np.any(np.delete(profile, c, axis=0)):
-                raise InvalidConfigError(
-                    f"source profile must be zero off component {c}")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "profile", profile)
 
@@ -342,12 +331,12 @@ class Source:
 
     def __getitem__(self, k):
         """The field at step ``k``."""
-        return self._field(self.amplitude[k])
+        return self.amplitude[k] * self.profile
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a Source has no dense array to share")
-        u = self._field(self.amplitude[:, None, None])
+        u = self.amplitude[:, None, None] * self.profile
         return u if dtype is None else u.astype(dtype, copy=False)
 
     def is_finite(self):
@@ -359,15 +348,6 @@ class Source:
         """
         return math.isfinite(float(np.abs(self.amplitude).max())
                              * float(np.abs(self.profile).max()))
-
-    def _field(self, amp):
-        """``amp * profile`` on the targeted rows and +0.0 on the others."""
-        if self.component is None:
-            return amp * self.profile
-        rows = slice(self.component, self.component + 1)
-        u = np.zeros(np.broadcast_shapes(np.shape(amp), self.profile.shape))
-        np.multiply(amp, self.profile[rows], out=u[..., rows, :])
-        return u
 
 
 class _NoPath:
@@ -420,22 +400,29 @@ class BoundednessReport:
     ratio: float         # max_state_norm / (1 + source_norm)
 
 
-def _as_path(u):
-    """``u`` as the solves read it: a ``Source`` as it is, else a float array."""
-    return u if isinstance(u, Source) else np.asarray(u, dtype=float)
+def _path(disc, solver, u, name):
+    """``u``, a time path that a solve takes under ``name``, on ``solver``'s grid.
 
-
-def _check_source(disc, solver, u):
-    u = _as_path(u)
+    A ``Source`` is returned as it is, anything else as a float array; a
+    path that is not shaped (N+1, m, n_nodes) or holds a non-finite entry
+    (a ``Source``'s read from its factors) is refused.
+    """
+    dense = not isinstance(u, Source)
+    if dense:
+        u = _array(u, name)  # refuses a non-finite entry
     expected = (solver.n_steps + 1, disc.n_components, disc.n_nodes)
     if u.shape != expected:
-        raise GridMismatchError(f"source must have shape {expected}, got {u.shape}")
+        raise GridMismatchError(f"{name} must have shape {expected}, got {u.shape}")
+    if not (dense or u.is_finite()):
+        _fail(name, "entries must be finite")
     return u
 
 
 def _guard(y, k, t):
-    if not np.abs(y).max() <= BLOWUP_GUARD:  # also true when y holds a nan
-        peak = np.max(np.abs(y[np.isfinite(y)])) if np.any(np.isfinite(y)) else math.inf
+    if not np.isfinite(y).all():
+        raise BlowupError(f"state became non-finite at step {k} (t={t:.6g})")
+    peak = np.abs(y).max()
+    if peak > BLOWUP_GUARD:
         raise BlowupError(
             f"state blew up at step {k} (t={t:.6g}): magnitude {peak:.3e} "
             f"exceeds guard {BLOWUP_GUARD:.1e} or is not finite"
@@ -567,7 +554,7 @@ def solve_state(disc, sfun, reaction, hyst_cfg, u, solver, keep_states=True) -> 
     Without ``keep_states`` the solve holds a few state rows at a time and
     keeps no path; the trajectory still has every per-step channel.
     """
-    u = _check_source(disc, solver, u)
+    u = _path(disc, solver, u, "source")
     cursor = StopCursor(hyst_cfg, 0.0)  # v_0 = S y_0 = 0
     stepper = _Stepper(disc, solver.dt, sfun)
     rhs, advance, (zs, offsets, s_values) = _state_rules(stepper, reaction, cursor, u)

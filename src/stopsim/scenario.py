@@ -33,8 +33,9 @@ import numpy as np
 
 from .control import (_KAPPA, _OPTIMIZER, _SPEC, ControlProblem, ControlSpec, _boundary_data,
                       _grid_modes, apply_B)
-from .errors import (_ANY, _INDEX, _NUMBER, _REQUIRED, ScenarioValidationError, _array, _axes,
-                     _check_entries, _fail, _Field, _integer, _number, _string)
+from .errors import (_ANY, _INDEX, _NUMBER, _REQUIRED, InvalidConfigError,
+                     ScenarioValidationError, _array, _axes, _check_entries, _fail, _Field,
+                     _integer, _number, _string)
 from .evolution import _REACTION_PARAMS, _SOLVER, ReactionFunction, SolverConfig, Source, solve_state
 from .hysteresis import _HYSTERESIS, HysteresisConfig
 from .sensitivity import _check_lambdas
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+_NEEDS = ("spatial", "state", "direction", "lambdas", "control", "diagnostic")
 
 
 def _join(path, key):
@@ -302,12 +304,11 @@ def _field_source(cfg, disc, solver, path):
 
     profile = _spatial_profile(cfg["profile"], disc, _join(path, "profile"))
     component = cfg["component"]
-    if component == "all":
-        return _build(path, Source, amp, np.tile(profile, (disc.n_components, 1)))
-    _build(path, _component, disc, component)
-    profiles = np.zeros(shape[1:])
-    profiles[component] = profile
-    return _build(path, Source, amp, profiles, component)
+    if component != "all":
+        _build(path, _component, disc, component)
+    profiles = np.zeros(shape[1:])  # a source on one component is zero on the others
+    profiles[slice(None) if component == "all" else component] = profile
+    return _build(path, Source, amp, profiles)
 
 
 def _spatial_modes(cfg, disc, path):
@@ -384,6 +385,12 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
     'diagnostic'.  Everything present in the file is validated; ``needs``
     only controls which blocks are required to be present.
     """
+    if isinstance(needs, str):
+        raise InvalidConfigError(f"needs must be a sequence of tokens, got the string {needs!r}")
+    for token in needs:
+        if token not in _NEEDS:
+            raise InvalidConfigError(f"needs: unknown token {token!r}, "
+                                     f"expected one of {', '.join(_NEEDS)}")
     cfg = _fields(cfg, "", _SCENARIO)
     needs = frozenset(needs)
     if "control" in cfg and cfg.get("alpha", 0.0) >= 0.5:
@@ -456,8 +463,8 @@ def build_control_problem(scn: Scenario):
     elif setup.target_kind == "constant":
         target = np.full(shape, setup.target_value)
     else:
-        u_d = apply_B(scn.disc, setup.spec.with_coefficients(
-            setup.target_coefficients), scn.solver.times())
+        u_d = apply_B(scn.disc, setup.spec.with_coefficients(setup.target_coefficients),
+                      scn.solver)
         traj = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                            u_d, scn.solver)
         target = traj.states

@@ -32,14 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, GridMismatchError, InvalidConfigError, _array, _fail
-from .evolution import (
-    Source,
-    Trajectory,
-    _as_path,
-    _integrate,
-    solve_state,
-)
+from .errors import BlowupError, _array, _fail
+from .evolution import Trajectory, _integrate, _path, solve_state
 from .hysteresis import INTERIOR, _omega_step, branch_census
 from .spatial import _path_norms, _Stepper
 
@@ -69,15 +63,8 @@ def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> Sensitiv
     the source direction ``direction`` (a ``Source`` or an (N+1, m, n_nodes)
     array), keeping the zeta path only with ``keep_states``, as ``solve_state``.
     The march is direct on either scheme, so without the path it holds one 64 KiB window."""
-    h = _as_path(direction)
-    if h.shape != base.states.shape:
-        raise GridMismatchError(
-            f"direction shape {h.shape} must match base states {base.states.shape}"
-        )
-    if not (h.is_finite() if isinstance(h, Source) else np.all(np.isfinite(h))):
-        raise InvalidConfigError("direction must be finite")
-
     solver, reaction, states, z = base.solver, base.reaction, base.states, base.stop.values
+    h = _path(base.disc, solver, direction, "direction")
     n_steps = solver.n_steps
     wz, dv, omega = np.zeros((3, n_steps + 1))  # d(stop output), S zeta, wz - dv; zeta_0 = 0
     stepper = _Stepper(base.disc, solver.dt, base.sfun)
@@ -205,9 +192,8 @@ def hadamard_perturbed_quotient(base: Trajectory, h, remainder, lambdas) -> FdSt
     the perturbed sources need their dense paths, so the study forms them.
     """
     lam = _check_lambdas(lambdas)
-    u = np.asarray(base.source, dtype=float)
-    h = np.asarray(h, dtype=float)
-    record = solve_sensitivity(base, h)  # checks h
+    record = solve_sensitivity(base, h)  # checks h before its dense path is formed
+    u, h = np.asarray(base.source, dtype=float), np.asarray(h, dtype=float)
 
     errors = np.empty(lam.size)
     u_pert = np.empty_like(u)  # u + s h (+ r), rebuilt for each lambda
@@ -215,12 +201,7 @@ def hadamard_perturbed_quotient(base: Trajectory, h, remainder, lambdas) -> FdSt
         np.multiply(h, s, out=u_pert)
         u_pert += u
         if remainder is not None:
-            r = np.asarray(remainder(s), dtype=float)
-            if r.shape != u.shape:
-                raise GridMismatchError(
-                    f"remainder shape {r.shape} must match source {u.shape}"
-                )
-            u_pert += r
+            u_pert += _path(base.disc, base.solver, remainder(s), "remainder")
         # the quotient's error, formed in the perturbed path's own states
         quot = solve_state(base.disc, base.sfun, base.reaction, base.hyst_cfg,
                            u_pert, base.solver).states

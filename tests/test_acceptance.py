@@ -431,12 +431,11 @@ def test_a09_optimizer_against_normal_equations():
         problem, spec, _ = build_control_problem(scn)
 
         def solve(coefficients):
-            u = apply_B(problem.disc, spec.with_coefficients(coefficients),
-                        problem.solver.times())
+            u = apply_B(problem.disc, spec.with_coefficients(coefficients), problem.solver)
             return solve_state(problem.disc, problem.sfun, problem.reaction,
                                problem.hyst_cfg, u, problem.solver).states
 
-        gram = control_gram(problem.disc, spec, problem.solver.times())
+        gram = control_gram(problem.disc, spec, problem.solver)
         oracle = normal_equation_coefficients(problem, spec, solve, gram)
         assert spec.coefficients.size <= 20
 

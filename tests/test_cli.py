@@ -62,8 +62,7 @@ UNIT_CONTROL = {"mode": "distributed", "time_knots": 1,
                 "kappa": 0.1, "target": {"kind": "constant", "value": 1.0}}
 OVERFLOW = ("error: state blew up at step 9 (t=0.45): magnitude 1.418e+13 "
             "exceeds guard 1.0e+12 or is not finite\n")
-NAN = ("error: state blew up at step 2 (t=0.1): magnitude 0.000e+00 "
-       "exceeds guard 1.0e+12 or is not finite\n")
+NAN = "error: state became non-finite at step 2 (t=0.1)\n"
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -510,7 +509,29 @@ class TestValidationFailures:
         path = write_config(tmp_path, small_config(direction=direction))
         rc = main(["sensitivity", "--config", path, "--out", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr().err == "error: direction must be finite\n"
+        assert capsys.readouterr().err == "error: direction: entries must be finite\n"
+
+    def test_source_overflowing_in_its_products_exits_two(self, tmp_path, capsys):
+        # each factor is finite, but 1e308 * 10.0 is not
+        values = [1.0] * 9
+        values[4] = 10.0
+        source = {"kind": "constant", "value": 1e308,
+                  "profile": {"kind": "values", "values": values}}
+        path = write_config(tmp_path, small_config(source=source))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: source: entries must be finite\n"
+
+    def test_a_non_finite_state_is_not_given_a_magnitude(self, tmp_path, capsys):
+        # a valid scenario whose state overflows to inf and then nan at step 2
+        cfg = json.loads(resources.files("stopsim").joinpath(
+            "scenarios", "saturating.json").read_text())
+        cfg["reaction"] = {"kind": "linear", "constant": 0.0, "state": 1e300,
+                           "hysteresis": 0.0}
+        cfg["source"] = BIG_SOURCE
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "error: state became non-finite at step 2 (t=0.04)\n")
 
     def test_non_finite_adjoint_leaves_only_the_error_line(self, tmp_path):
         cfg = small_config(

@@ -48,7 +48,7 @@ def sine_modes(disc, count):
 
 def directional(problem, spec, direction):
     """J'(c; d) on ``optimize``'s forward path: ``_directional`` at the state solve of ``spec``."""
-    gram = control_gram(problem.disc, spec, problem.solver.times())
+    gram = control_gram(problem.disc, spec, problem.solver)
     return _directional(problem, spec, direction, _solve(problem, spec), gram)
 
 
@@ -63,8 +63,7 @@ def affine_problem(disc_mixed):
     reaction = ReactionFunction("linear", (0.0, -0.5, 0.3))
     hyst = HysteresisConfig(a=-50.0, b=50.0, z0=0.0)
     c_true = np.array([0.8, -0.3, 0.5, 0.2, -0.4, 0.6])
-    u_true = apply_B(disc_mixed, spec.with_coefficients(c_true),
-                     solver.times())
+    u_true = apply_B(disc_mixed, spec.with_coefficients(c_true), solver)
     target = solve_state(disc_mixed, sfun, reaction, hyst, u_true,
                          solver).states
     problem = ControlProblem(disc=disc_mixed, sfun=sfun, reaction=reaction,
@@ -73,10 +72,14 @@ def affine_problem(disc_mixed):
     return problem, spec
 
 
+def unit_interval(n):
+    """The solver whose time grid is n points on [0, 1]."""
+    return SolverConfig(dt=1.0 / (n - 1), t_final=1.0)
+
+
 def affine_solver(problem, spec):
     def solve(coefficients):
-        u = apply_B(problem.disc, spec.with_coefficients(coefficients),
-                    problem.solver.times())
+        u = apply_B(problem.disc, spec.with_coefficients(coefficients), problem.solver)
         return solve_state(problem.disc, problem.sfun, problem.reaction,
                            problem.hyst_cfg, u, problem.solver).states
     return solve
@@ -87,8 +90,7 @@ class TestApplyB:
         spec = ControlSpec(
             mode="distributed", time_knots=1, coefficients=np.array([0.7]),
             spatial_modes=np.ones((1, 1, disc_mixed.n_nodes)))
-        times = np.linspace(0.0, 1.0, 11)
-        u = apply_B(disc_mixed, spec, times)
+        u = apply_B(disc_mixed, spec, unit_interval(11))
         np.testing.assert_array_equal(u, np.full((11, 1, 17), 0.7))
 
     def test_time_hats_are_a_partition_of_unity(self, disc_mixed):
@@ -96,7 +98,7 @@ class TestApplyB:
         spec = ControlSpec(mode="distributed", time_knots=4,
                            coefficients=np.full(4, 0.3),
                            spatial_modes=modes)
-        u = apply_B(disc_mixed, spec, np.linspace(0.0, 1.0, 21))
+        u = apply_B(disc_mixed, spec, unit_interval(21))
         np.testing.assert_allclose(u, np.full_like(u, 0.3), rtol=1e-14)
 
     def test_time_hats_interpolate_their_knots(self, disc_mixed):
@@ -104,14 +106,14 @@ class TestApplyB:
         spec = ControlSpec(mode="distributed", time_knots=3,
                            coefficients=np.array([1.0, 0.0, 0.0]),
                            spatial_modes=modes)
-        u = apply_B(disc_mixed, spec, np.linspace(0.0, 1.0, 5))
+        u = apply_B(disc_mixed, spec, unit_interval(5))
         np.testing.assert_allclose(u[:, 0, 0], [1.0, 0.5, 0.0, 0.0, 0.0],
                                    rtol=1e-15)
 
     def test_boundary_unit_coefficient_in_1d(self, disc_mixed):
         spec = ControlSpec(mode="boundary", time_knots=1,
                            coefficients=np.array([1.0]))
-        u = apply_B(disc_mixed, spec, np.linspace(0.0, 1.0, 6))
+        u = apply_B(disc_mixed, spec, unit_interval(6))
         expected = np.zeros((6, 1, 17))
         expected[:, 0, 16] = 1.0
         np.testing.assert_array_equal(u, expected)
@@ -125,7 +127,7 @@ class TestApplyB:
         )
         coeffs = np.array([1.0, 2.0, 3.0, 4.0])
         spec = ControlSpec(mode="boundary", time_knots=1, coefficients=coeffs)
-        u = apply_B(disc, spec, np.linspace(0.0, 1.0, 3))
+        u = apply_B(disc, spec, unit_interval(3))
         hy = 1.5 / 5
         expected = np.zeros((3, 1, 42))
         expected[:, 0, [37, 38, 39, 40]] = coeffs * hy
@@ -135,25 +137,25 @@ class TestApplyB:
         spec = ControlSpec(mode="boundary", time_knots=1,
                            coefficients=np.array([1.0]))
         with pytest.raises(EmptyBoundaryError):
-            apply_B(disc_dirichlet, spec, np.linspace(0.0, 1.0, 3))
+            apply_B(disc_dirichlet, spec, unit_interval(3))
         with pytest.raises(InvalidConfigError):
             apply_B(disc_dirichlet,
                     ControlSpec(mode="boundary", time_knots=1,
                                 coefficients=np.array([1.0]), component=2),
-                    np.linspace(0.0, 1.0, 3))
+                    unit_interval(3))
 
     def test_boundary_coefficient_count_is_checked(self, disc_mixed):
         spec = ControlSpec(mode="boundary", time_knots=2,
                            coefficients=np.array([1.0, 2.0, 3.0]))
         with pytest.raises(InvalidConfigError):
-            apply_B(disc_mixed, spec, np.linspace(0.0, 1.0, 3))
+            apply_B(disc_mixed, spec, unit_interval(3))
 
     def test_distributed_modes_must_fit_the_grid(self, disc_mixed):
         spec = ControlSpec(mode="distributed", time_knots=1,
                            coefficients=np.array([1.0]),
                            spatial_modes=np.ones((1, 1, 5)))
         with pytest.raises(GridMismatchError):
-            apply_B(disc_mixed, spec, np.linspace(0.0, 1.0, 3))
+            apply_B(disc_mixed, spec, unit_interval(3))
 
 
 class TestControlSpecValidation:
@@ -200,15 +202,13 @@ class TestControlSpecValidation:
 class TestControlGram:
     def test_distributed_gram_matches_brute_force(self, affine_problem):
         problem, spec = affine_problem
-        times = problem.solver.times()
-        gram = control_gram(problem.disc, spec, times)
+        gram = control_gram(problem.disc, spec, problem.solver)
         n = spec.n_coefficients
         fields = []
         for i in range(n):
             e = np.zeros(n)
             e[i] = 1.0
-            fields.append(apply_B(problem.disc, spec.with_coefficients(e),
-                                  times))
+            fields.append(apply_B(problem.disc, spec.with_coefficients(e), problem.solver))
         dt = problem.solver.dt
         brute = np.empty((n, n))
         for i in range(n):
@@ -225,7 +225,7 @@ class TestControlGram:
         solver = SolverConfig(dt=0.1, t_final=1.0)
         spec = ControlSpec(mode="boundary", time_knots=2,
                            coefficients=np.zeros(2))
-        gram = control_gram(disc_mixed, spec, solver.times())
+        gram = control_gram(disc_mixed, spec, solver)
         t = solver.times()
         knots = np.linspace(0.0, 1.0, 2)
         profiles = np.stack([np.interp(t, knots, [1.0, 0.0]),
@@ -240,7 +240,7 @@ class TestControlGram:
                            coefficients=np.array([1.0]),
                            spatial_modes=np.ones((1, 1, 5)))
         with pytest.raises(GridMismatchError):
-            control_gram(problem.disc, spec, problem.solver.times())
+            control_gram(problem.disc, spec, problem.solver)
         with pytest.raises(GridMismatchError):
             reduced_cost(problem, spec)
         with pytest.raises(GridMismatchError):
@@ -289,7 +289,7 @@ class TestReducedCost:
         problem, spec = affine_problem
         solve = affine_solver(problem, spec)
         M, b, const = response_model(problem, spec, solve)
-        gram = control_gram(problem.disc, spec, problem.solver.times())
+        gram = control_gram(problem.disc, spec, problem.solver)
         rng = np.random.default_rng(40)
         for _ in range(4):
             c = rng.uniform(-1.0, 1.0, spec.n_coefficients)
@@ -317,7 +317,7 @@ class TestDirectionalDerivative:
         problem, spec = affine_problem
         solve = affine_solver(problem, spec)
         M, b, _ = response_model(problem, spec, solve)
-        gram = control_gram(problem.disc, spec, problem.solver.times())
+        gram = control_gram(problem.disc, spec, problem.solver)
         rng = np.random.default_rng(41)
         c = rng.uniform(-1.0, 1.0, spec.n_coefficients)
         at_c = spec.with_coefficients(c)
@@ -365,7 +365,7 @@ class TestOptimize:
     def test_reaches_the_normal_equation_solution(self, affine_problem):
         problem, spec = affine_problem
         solve = affine_solver(problem, spec)
-        gram = control_gram(problem.disc, spec, problem.solver.times())
+        gram = control_gram(problem.disc, spec, problem.solver)
         oracle = normal_equation_coefficients(problem, spec, solve, gram)
 
         result = optimize(problem, spec, max_iters=400, tol=1e-9)
@@ -381,7 +381,7 @@ class TestOptimize:
     def test_returns_immediately_at_a_flat_point(self, affine_problem):
         problem, spec = affine_problem
         solve = affine_solver(problem, spec)
-        gram = control_gram(problem.disc, spec, problem.solver.times())
+        gram = control_gram(problem.disc, spec, problem.solver)
         oracle = normal_equation_coefficients(problem, spec, solve, gram)
         result = optimize(problem, spec.with_coefficients(oracle),
                           max_iters=10, tol=1e-3)
@@ -402,7 +402,7 @@ class TestOptimize:
     def test_stronger_regularization_shrinks_the_control(self,
                                                          affine_problem):
         problem, spec = affine_problem
-        gram = control_gram(problem.disc, spec, problem.solver.times())
+        gram = control_gram(problem.disc, spec, problem.solver)
         norms = []
         for kappa in (0.01, 1.0):
             scaled = ControlProblem(
@@ -535,7 +535,7 @@ class TestAdjointGradient:
     """The adjoint sweep against one forward sensitivity solve per coefficient."""
 
     def assert_matches_forward(self, monkeypatch, problem, spec):
-        gram = control_gram(problem.disc, spec, problem.solver.times())
+        gram = control_gram(problem.disc, spec, problem.solver)
         base = control_module._solve(problem, spec)
         calls = count_calls(monkeypatch, "solve_sensitivity")
         stepper = _Stepper(problem.disc, problem.solver.dt, problem.sfun)
@@ -645,7 +645,7 @@ def tie_problem():
     hyst = HysteresisConfig(a=-0.05, b=0.05, z0=0.05)
     c_target = np.array([0.5, -0.4, 0.3, 0.2, 0.6, -0.2,
                          -0.5, 0.1, 0.4, 0.3, -0.3, 0.2])
-    u_target = apply_B(disc, spec.with_coefficients(c_target), solver.times())
+    u_target = apply_B(disc, spec.with_coefficients(c_target), solver)
     sfun = constant_sfun(disc, 0.6)
     target = solve_state(disc, sfun, reaction, hyst, u_target, solver).states
     problem = ControlProblem(disc=disc, sfun=sfun, reaction=reaction,

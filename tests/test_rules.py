@@ -41,12 +41,15 @@ from stopsim import (
     evaluate_S,
     fd_convergence_study,
     fractional_power_diagnostic,
+    hadamard_perturbed_quotient,
     load_scenario,
     optimize,
+    solve_sensitivity,
     solve_state,
 )
 from stopsim.control import _OPTIMIZER
 from stopsim.evolution import _SOLVER
+from stopsim.spatial import _component
 
 # every block valid; a pair's block replaces the one at its path
 BASE = {
@@ -85,7 +88,7 @@ CALLS = {  # the library's call on a block
     "control.optimizer": lambda b: optimize(PROBLEM, SPEC, **b),
     "diagnostic": lambda b: fractional_power_diagnostic(
         SCN.disc, b.get("theta", 0.5), gamma=b.get("gamma", 0.5), component=b.get("component", 0)),
-    "source": lambda b: Source(np.ones(11), np.ones((1, 5)), component=b.get("component")),
+    "source": lambda b: _component(SCN.disc, b.get("component", 0)),
 }
 
 
@@ -226,15 +229,11 @@ def test_the_tables_hold_the_library_defaults():
      "component: must be at least 0"),
     (lambda: ControlSpec("boundary", 1, np.zeros(1), component="0"),
      "component: expected an integer"),
-    (lambda: Source(np.ones(3), np.ones((2, 4)), component=1.5),
-     "component: expected an integer"),
-    (lambda: Source(np.ones(3), np.ones((2, 4)), component=True),
-     "component: expected an integer"),
     (lambda: fractional_power_diagnostic(SCN.disc, 0.5, component=0.0),
      "component: expected an integer"),
 ], ids=["DomainSpec-resolution-5.7", "DomainSpec-dimension-True", "ControlSpec-component-1.7",
-        "ControlSpec-component--1", "ControlSpec-component-str", "Source-component-1.5",
-        "Source-component-True", "fractional_power_diagnostic-component-0.0"])
+        "ControlSpec-component--1", "ControlSpec-component-str",
+        "fractional_power_diagnostic-component-0.0"])
 def test_integer_parameters_are_never_truncated_or_coerced(call, message):
     with pytest.raises(InvalidConfigError) as info:
         call()
@@ -420,7 +419,6 @@ def test_a_rule_over_values_is_the_constructors(path, value, expected):
 # rules that need the grid: a scenario's faulty value, the field the load
 # names and its reason, and the library entries that take the value
 DIRICHLET = assemble(SCN.disc.domain, [BoundarySides("dirichlet", "dirichlet")], [1.0])
-TIMES = SCN.solver.times()
 
 
 def boundary(component=0, coefficients=(0.1,)):
@@ -429,7 +427,7 @@ def boundary(component=0, coefficients=(0.1,)):
 
 def controls(disc, spec):
     """The control entries that take a grid and a spec."""
-    return [lambda: apply_B(disc, spec, TIMES), lambda: control_gram(disc, spec, TIMES)]
+    return [lambda: apply_B(disc, spec, SCN.solver), lambda: control_gram(disc, spec, SCN.solver)]
 
 
 def s_entries(weight):
@@ -490,3 +488,59 @@ def test_a_grid_rule_is_the_librarys(rule):
         # a field's rule names the library's parameter, a shape rule only its reason
         assert info.value.exit_code == 2
         assert getattr(info.value, "reason", str(info.value)) == rule.reason
+
+
+# the one rule for a time path on the solver's grid: each entry that takes one,
+# by the path's name there, and the faults it refuses
+PATH_SHAPE = (SCN.solver.n_steps + 1, 1, SCN.disc.n_nodes)
+PATH_ENTRIES = {
+    "source": [lambda u: solve_state(SCN.disc, SCN.sfun, SCN.reaction, SCN.hyst_cfg, u,
+                                     SCN.solver)],
+    "direction": [lambda u: solve_sensitivity(TRAJ, u),
+                  lambda u: fd_convergence_study(TRAJ, u, [0.1])],
+    "remainder": [lambda u: hadamard_perturbed_quotient(
+        TRAJ, np.zeros(PATH_SHAPE), lambda s: u, [0.1])],
+    "target": [lambda u: dataclasses.replace(PROBLEM, target=u)],
+}
+
+
+def nan_path():
+    u = np.zeros(PATH_SHAPE)
+    u[3, 0, 2] = math.nan
+    return u
+
+
+def overflowing_source():
+    """Finite factors whose product overflows: 1e308 * 10."""
+    amplitude = np.ones(PATH_SHAPE[0])
+    amplitude[3] = 1e308
+    return Source(amplitude, np.full(PATH_SHAPE[1:], 10.0))
+
+
+PATH_FAULTS = {  # the faulty path, the library's class and its message after the name
+    "shape": (lambda: np.zeros((PATH_SHAPE[0] - 1, *PATH_SHAPE[1:])), GridMismatchError,
+              f" must have shape {PATH_SHAPE}, got {(PATH_SHAPE[0] - 1, *PATH_SHAPE[1:])}"),
+    "nan": (nan_path, ScenarioValidationError, ": entries must be finite"),
+    "overflowing-source": (overflowing_source, ScenarioValidationError,
+                           ": entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("fault", PATH_FAULTS)
+@pytest.mark.parametrize("name", PATH_ENTRIES)
+def test_a_time_path_is_refused_under_its_name(name, fault):
+    make, error, message = PATH_FAULTS[fault]
+    for entry in PATH_ENTRIES[name]:
+        with pytest.raises(error) as info:
+            entry(make())
+        assert info.value.exit_code == 2
+        assert str(info.value) == name + message
+
+
+@pytest.mark.parametrize("name", PATH_ENTRIES)
+def test_a_time_path_is_taken_dense_or_as_factors(name):
+    amplitude = np.linspace(0.0, 1e-3, PATH_SHAPE[0])
+    profile = np.full(PATH_SHAPE[1:], 0.5)
+    for u in (Source(amplitude, profile), amplitude[:, None, None] * profile):
+        for entry in PATH_ENTRIES[name]:
+            entry(u)

@@ -240,7 +240,7 @@ def dense_field(amp, profile, targets, shape):
     return u
 
 
-# negative amplitudes, so untargeted rows would read -0.0 if formed as amp * 0.0
+# negative amplitudes, so untargeted rows read -0.0 where a dense build writes +0.0
 SOURCE_KINDS = {
     "zero": ({"kind": "zero"}, None),
     "constant": ({"kind": "constant", "value": -1.5}, lambda t: np.full(t.size, -1.5)),
@@ -249,6 +249,13 @@ SOURCE_KINDS = {
     "sine": ({"kind": "sine", "amplitude": -2.0, "omega": 4.0},
              lambda t: -2.0 * np.sin(4.0 * t)),
 }
+
+
+def zeros_written(source):
+    """A ``Source``'s dense path with each nonzero profile row's products
+    written into zeros, so every other row is +0.0."""
+    targets = np.flatnonzero(np.any(source.profile, axis=1))
+    return dense_field(source.amplitude, source.profile[targets[0]], targets, source.shape)
 
 
 def same_bits(a, b):
@@ -280,11 +287,15 @@ class TestLowRankSources:
             targets = (0, 1) if component == "all" else (component,)
         expected = dense_field(amp_t, profile, targets, source.shape)
         assert source.shape == (t.size, 2, scn.disc.n_nodes)
-        assert same_bits(np.asarray(source), expected)
-        assert all(same_bits(source[k], expected[k]) for k in range(t.size))
-        if component != "all" and kind != "zero":
-            # the amplitude is negative somewhere, yet the other component is +0.0
-            assert not np.signbit(np.asarray(source)[:, 1 - component]).any()
+        # the targeted rows bitwise; the others are zero, of either sign
+        rows = list(targets)
+        others = [c for c in range(2) if c not in targets]
+        dense = np.asarray(source)
+        assert same_bits(dense[:, rows], expected[:, rows])
+        assert np.all(dense[:, others] == 0.0)
+        for k in range(t.size):
+            assert same_bits(source[k][rows], expected[k][rows])
+            assert same_bits(source[k], dense[k])
 
     @pytest.mark.parametrize("scheme", ["imex-euler", "picard-sliced"])
     @pytest.mark.parametrize("component", ["all", 1])
@@ -298,17 +309,20 @@ class TestLowRankSources:
         scn = load_scenario(cfg, needs=("state", "direction"))
         args = (scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg)
         runs = []
-        for as_given in (lambda s: s, np.asarray):
+        # the factors, their dense product (-0.0 on an untargeted row where the
+        # amplitude is negative), and the products written into zeros (+0.0)
+        for as_given in (lambda s: s, np.asarray, zeros_written):
             base = solve_state(*args, as_given(scn.source), scn.solver)
             runs.append((base, solve_sensitivity(base, as_given(scn.direction))))
-        (base, record), (dense_base, dense_record) = runs
+        (base, record), *dense_runs = runs
         assert isinstance(base.source, Source)
-        for name in ("states", "s_values", "stop_offsets"):
-            assert same_bits(getattr(base, name), getattr(dense_base, name)), name
-        assert same_bits(base.stop.values, dense_base.stop.values)
-        assert base.picard_iterations == dense_base.picard_iterations
-        for name in ("states", "stop_derivative", "s_values"):
-            assert same_bits(getattr(record, name), getattr(dense_record, name)), name
+        for dense_base, dense_record in dense_runs:
+            for name in ("states", "s_values", "stop_offsets"):
+                assert same_bits(getattr(base, name), getattr(dense_base, name)), name
+            assert same_bits(base.stop.values, dense_base.stop.values)
+            assert base.picard_iterations == dense_base.picard_iterations
+            for name in ("states", "stop_derivative", "s_values"):
+                assert same_bits(getattr(record, name), getattr(dense_record, name)), name
         assert np.any(record.states != 0.0)
 
     def test_loading_and_solving_allocate_no_second_path(self):
@@ -345,7 +359,7 @@ class TestLowRankSources:
         assert np.all(np.isfinite(scn.direction.profile))
         base = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                            scn.source, scn.solver)
-        with pytest.raises(InvalidConfigError, match="direction must be finite"):
+        with pytest.raises(InvalidConfigError, match="direction: entries must be finite"):
             solve_sensitivity(base, scn.direction)
         values[4] = 1.0  # the largest product is 1e308 itself
         scn = load_scenario(cfg, needs=("state", "direction"))
@@ -356,13 +370,6 @@ class TestLowRankSources:
                     "sensitivity overflowed at step 1 (t=0.1): "
                     "its squared norm is not finite")):
             solve_sensitivity(base, scn.direction)
-
-    def test_profile_must_vanish_off_the_targeted_component(self):
-        Source(np.ones(3), [[1.0, 2.0], [0.0, 0.0]], component=0)
-        with pytest.raises(InvalidConfigError, match="zero off component 1"):
-            Source(np.ones(3), [[1.0, 2.0], [0.0, 0.0]], component=1)
-        with pytest.raises(InvalidConfigError, match="component"):
-            Source(np.ones(3), [[1.0, 2.0]], component=1)
 
     def test_control_target_is_size_checked_without_allocating(self, monkeypatch):
         cfg = base_scenario()
@@ -518,8 +525,7 @@ class TestControlParsing:
                                     "coefficients": [0.5, 0.1]}
         scn = load_scenario(cfg, needs=("state", "control"))
         problem, spec, _ = build_control_problem(scn)
-        u_d = apply_B(scn.disc, spec.with_coefficients(
-            np.array([0.5, 0.1])), scn.solver.times())
+        u_d = apply_B(scn.disc, spec.with_coefficients(np.array([0.5, 0.1])), scn.solver)
         ref = solve_state(scn.disc, scn.sfun, scn.reaction, scn.hyst_cfg,
                           u_d, scn.solver)
         np.testing.assert_array_equal(problem.target, ref.states)
@@ -593,6 +599,17 @@ class TestNeedsTokens:
         cfg = base_scenario()
         cfg["lambdas"] = [1e-3, 1e-2]
         expect_error(cfg, "lambdas", needs=("state",))
+
+    @pytest.mark.parametrize("needs, named", [
+        (("sate",), "'sate'"), ("state", "'state'"), (("state", "control", 1), "1")])
+    def test_a_string_or_an_unknown_token_is_refused(self, needs, named):
+        # without the source block, a loose reading would load it with source=None
+        cfg = bundled("saturating")
+        del cfg["source"]
+        with pytest.raises(InvalidConfigError) as info:
+            load_scenario(cfg, needs=needs)
+        assert named in str(info.value) and not isinstance(info.value, ScenarioValidationError)
+        expect_error(cfg, "source: required field is missing", needs=("state",))
 
 
 class TestTextEntryPoints:

@@ -329,7 +329,7 @@ class TestPicardVariant:
         monkeypatch.setattr(control_module, "solve_sensitivity",
                             lambda *args: calls.append(1) or solve_sensitivity(*args))
         grad, linear = _gradient(problem, spec, _solve(problem, spec),
-                                 control_gram(disc, spec, solver.times()), stepper)
+                                 control_gram(disc, spec, solver), stepper)
         assert not linear and len(calls) == spec.n_coefficients
         assert np.all(np.isfinite(grad))
 
@@ -495,8 +495,7 @@ def rule_source(disc, solver, kind, scale):
     profile[last] = np.cos(np.pi * x)
     if kind != "component":
         profile[:last] = np.sin(np.pi * x)
-    source = Source(scale * np.sin(4.0 * solver.times()), profile,
-                    last if kind == "component" else None)
+    source = Source(scale * np.sin(4.0 * solver.times()), profile)
     return np.asarray(source) if kind == "dense" else source
 
 
@@ -550,7 +549,7 @@ class TestInPlaceRules:
         profile = np.zeros((2, disc.n_nodes))
         for j in ((0, 1) if component is None else (component,)):
             profile[j] = np.sin((j + 1) * np.pi * disc.coords[:, 0])
-        source = Source(np.array([1.5, -0.0, 0.0, -2.0]), profile, component)
+        source = Source(np.array([1.5, -0.0, 0.0, -2.0]), profile)
         dense = np.asarray(source)
         for k in range(4):
             for fill in (-0.0, 0.0, 0.25):
