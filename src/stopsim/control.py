@@ -284,9 +284,10 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
     along -grad is -grad . grad.  Elsewhere each takes one forward sensitivity
     solve, and the predicted decrease is the one-sided derivative along the
     candidate step itself, from one more solve.  The accepted trial's state
-    solve is the next iteration's base.  A failed line search (or an
-    ascent-only corner) reports status 'stalled' and returns the best
-    iterate; accepted steps produce a non-increasing cost history.
+    solve is the next iteration's base.  A null step, whose J equals the
+    current J (say c - t*grad rounds to c), fails the line search, so every
+    accepted step lowers J strictly and the result is the last iterate.  A
+    failed line search, or an ascent-only corner, reports status 'stalled'.
     """
     _checked(_OPTIMIZER, {"max_iters": max_iters, "tol": tol, "armijo_c1": armijo_c1,
                           "initial_step": initial_step, "max_halvings": max_halvings})
@@ -296,46 +297,34 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
     step = float(initial_step)
     base = _solve(problem, spec)
     cost = _cost_of(problem, spec, base, gram)
-    best_spec, best_cost = spec, cost
-    status = "max-iterations"
 
     for it in range(max_iters):
         grad, linear = _gradient(problem, spec, base, gram, stepper)
         grad_inf = float(np.max(np.abs(grad)))
-
         if grad_inf <= tol:
-            history.append((it, cost, grad_inf, 0.0))
-            status = "converged"
             break
 
-        if linear:
-            predicted = -float(grad @ grad)
-        else:
-            predicted = _directional(problem, spec, -grad, base, gram)
+        predicted = -float(grad @ grad) if linear else _directional(problem, spec, -grad, base, gram)
         if predicted >= 0.0:
-            history.append((it, cost, grad_inf, 0.0))
-            status = "stalled"
             break
 
-        accepted = None
         t = step
         for _ in range(max_halvings + 1):
             trial = spec.with_coefficients(spec.coefficients - t * grad)
             trial_base = _solve(problem, trial)
             trial_cost = _cost_of(problem, trial, trial_base, gram)
-            if trial_cost <= cost + armijo_c1 * t * predicted:
-                accepted = (trial, trial_base, trial_cost, t)
+            accepted = trial_cost < cost and trial_cost <= cost + armijo_c1 * t * predicted
+            if accepted or trial_cost == cost:  # a null step ends the search
                 break
             t *= 0.5
-        if accepted is None:
-            history.append((it, cost, grad_inf, 0.0))
-            status = "stalled"
+        if not accepted:
             break
-
-        spec, base, cost, t = accepted
-        if cost < best_cost:
-            best_spec, best_cost = spec, cost
+        spec, base, cost = trial, trial_base, trial_cost
         history.append((it, cost, grad_inf, t))
         step = 2.0 * t
+    else:
+        return OptimizeResult(spec=spec, cost=cost, history=history, status="max-iterations")
 
-    return OptimizeResult(spec=best_spec, cost=best_cost, history=history, status=status)
+    history.append((it, cost, grad_inf, 0.0))
+    status = "converged" if grad_inf <= tol else "stalled"
+    return OptimizeResult(spec=spec, cost=cost, history=history, status=status)

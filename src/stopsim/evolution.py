@@ -425,7 +425,7 @@ def _guard(y, k, t):
     if peak > BLOWUP_GUARD:
         raise BlowupError(
             f"state blew up at step {k} (t={t:.6g}): magnitude {peak:.3e} "
-            f"exceeds guard {BLOWUP_GUARD:.1e} or is not finite"
+            f"exceeds guard {BLOWUP_GUARD:.1e}"
         )
 
 
