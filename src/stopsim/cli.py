@@ -1,11 +1,12 @@
 """Command line entry point.
 
 Each subcommand is declared once, in ``_SUBCOMMANDS``; one driver runs it and
-writes a ``manifest.json`` (config hash, seed, artifact list) into the output
-directory.  Files are written atomically (temp file, then rename) and floats
-are serialized with 17 significant digits, so identical config and seed give
-byte-identical artifacts.  Exit codes: 0 success, 2 validation, an unreadable
-input or an unwritable output, 3 numerical failure, 4 non-contraction.
+writes a ``manifest.json`` (config hash, the config's seed, artifact list)
+into the output directory.  Files are written atomically (temp file, then
+rename) and floats are serialized with 17 significant digits, so an identical
+config gives byte-identical artifacts.  Exit codes: 0 success, 2 validation,
+an unreadable input or an unwritable output, 3 numerical failure, 4
+non-contraction.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from .control import optimize as run_optimize
 from .errors import InvalidConfigError, InvalidSignalError, ScenarioValidationError, StopsimError
 from .evolution import solve_state
 from .hysteresis import PiecewiseLinearSignal, stop_evaluate
-from .scenario import (
-    _SCENARIO,
-    _integer,
-    build_control_problem,
-    load_hysteresis_config,
-    load_scenario,
-)
+from .scenario import build_control_problem, load_hysteresis_config, load_scenario
 from .sensitivity import (
     fd_convergence_study,
     solve_sensitivity,
@@ -263,9 +258,6 @@ def _drive(args):
     _io("create output directory", args.out, os.makedirs, args.out, exist_ok=True)
     cfg, text = _read_config(args.config)
     loaded = _load(args.subcommand, cfg)
-    # the load step validated any seed the config holds; --seed meets the same rule
-    seed = (cfg.get("seed") if args.seed is None
-            else _integer(args.seed, "--seed", _SCENARIO["seed"]))
     run = _Run(args)
     note = _SUBCOMMANDS[args.subcommand].handler(run, loaded)
     if note and not args.quiet:
@@ -274,7 +266,7 @@ def _drive(args):
         "subcommand": args.subcommand,
         "config": args.config,
         "config_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "seed": seed,
+        "seed": cfg.get("seed"),  # the load step validated it
         "artifacts": list(run.artifacts),
         "package_version": __version__,
     })
@@ -295,8 +287,6 @@ def _build_parser():
                         help="scenario JSON path, or bundled:NAME")
     common.add_argument("--out", default=".",
                         help="output directory (default: current directory)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed recorded in the manifest")
     common.add_argument("--quiet", action="store_true",
                         help="suppress informational output")
 

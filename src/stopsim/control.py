@@ -24,9 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (_INDEX, _POSITIVE, EmptyBoundaryError, GridMismatchError,
-                     InvalidConfigError, _array, _check_entries, _checked, _Field, _integer,
-                     _number, _string)
+from .errors import (_INDEX, _POSITIVE, BlowupError, EmptyBoundaryError, GridMismatchError,
+                     InvalidConfigError, _array, _check_entries, _checked, _fail, _Field,
+                     _integer, _number, _string)
 from .evolution import ReactionFunction, SolverConfig, Trajectory, _path, solve_state
 from .hysteresis import HysteresisConfig
 from .sensitivity import _adjoint_sweep, solve_sensitivity
@@ -49,9 +49,9 @@ _OPTIMIZER = {
     "max_iters": _Field(_integer, 100, minimum=1),
     "tol": _Field(_number, 1e-8, exclusive_minimum=0.0),
     "initial_step": _Field(_number, 1.0, exclusive_minimum=0.0),
-    "armijo_c1": _Field(_number, 1e-4, exclusive_minimum=0.0, below=1),
-    "max_halvings": _Field(_integer, 40, minimum=1),
 }
+_ARMIJO_C1 = 1e-4   # the sufficient-decrease fraction of the predicted decrease
+_MAX_HALVINGS = 40  # bounds the line search where t would take ~1075 halvings to underflow
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ControlSpec:
     time_knots: int
     coefficients: np.ndarray
     spatial_modes: np.ndarray = None  # distributed only
-    component: int = 0                # boundary only
+    component: int = 0                # boundary only; a distributed spec keeps 0
 
     def __post_init__(self):
         _string(self.mode, "mode", _Field(_string, choices=("distributed", "boundary")))
@@ -80,18 +80,21 @@ class ControlSpec:
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        if self.mode == "distributed":
-            if self.spatial_modes is None:
-                raise InvalidConfigError("distributed control needs spatial_modes")
-            modes = _array(self.spatial_modes, "spatial_modes")
-            if modes.ndim != 3:
-                raise InvalidConfigError(
-                    "spatial_modes must be an (n_modes, components, nodes) array"
-                )
-            modes = modes.copy()
-            modes.setflags(write=False)
-            object.__setattr__(self, "spatial_modes", modes)
-            _check_entries(coeffs, self.time_knots * modes.shape[0], "coefficients")
+        if self.mode == "boundary":
+            if self.spatial_modes is not None:
+                _fail("spatial_modes", "a boundary control takes none")
+            return
+        if self.component != 0:
+            _fail("component", "a distributed control takes none")
+        if self.spatial_modes is None:
+            raise InvalidConfigError("distributed control needs spatial_modes")
+        modes = _array(self.spatial_modes, "spatial_modes")
+        if modes.ndim != 3:
+            raise InvalidConfigError("spatial_modes must be an (n_modes, components, nodes) array")
+        modes = modes.copy()
+        modes.setflags(write=False)
+        object.__setattr__(self, "spatial_modes", modes)
+        _check_entries(coeffs, self.time_knots * modes.shape[0], "coefficients")
 
     def with_coefficients(self, coefficients) -> "ControlSpec":
         return ControlSpec(
@@ -273,8 +276,7 @@ class OptimizeResult:
 
 def optimize(problem: ControlProblem, spec: ControlSpec, *,
              max_iters: int = 100, tol: float = 1e-8,
-             armijo_c1: float = 1e-4, initial_step: float = 1.0,
-             max_halvings: int = 40) -> OptimizeResult:
+             initial_step: float = 1.0) -> OptimizeResult:
     """Steepest descent on the reduced cost with Armijo backtracking.
 
     Each iteration takes the coordinate derivatives J'(c; e_i) as its
@@ -284,13 +286,16 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
     along -grad is -grad . grad.  Elsewhere each takes one forward sensitivity
     solve, and the predicted decrease is the one-sided derivative along the
     candidate step itself, from one more solve.  The accepted trial's state
-    solve is the next iteration's base.  A null step, whose J equals the
-    current J (say c - t*grad rounds to c), fails the line search, so every
-    accepted step lowers J strictly and the result is the last iterate.  A
-    failed line search, or an ascent-only corner, reports status 'stalled'.
+    solve is the next iteration's base.  Each iteration's first trial step is
+    twice the last accepted one (``initial_step`` at the start), and each
+    failed trial halves it, at most ``_MAX_HALVINGS`` times.  A trial fails
+    unless J drops by ``_ARMIJO_C1`` of the predicted decrease; one whose
+    state solve blows up fails like a rise in J.  A null step, whose J equals
+    the current J (say c - t*grad rounds to c), fails the line search, so
+    every accepted step lowers J strictly and the result is the last iterate.
+    A failed line search, or an ascent-only corner, reports status 'stalled'.
     """
-    _checked(_OPTIMIZER, {"max_iters": max_iters, "tol": tol, "armijo_c1": armijo_c1,
-                          "initial_step": initial_step, "max_halvings": max_halvings})
+    _checked(_OPTIMIZER, {"max_iters": max_iters, "tol": tol, "initial_step": initial_step})
     gram = control_gram(problem.disc, spec, problem.solver)
     stepper = _Stepper(problem.disc, problem.solver.dt, problem.sfun)  # for the adjoint
     history = []
@@ -309,11 +314,15 @@ def optimize(problem: ControlProblem, spec: ControlSpec, *,
             break
 
         t = step
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = spec.with_coefficients(spec.coefficients - t * grad)
-            trial_base = _solve(problem, trial)
-            trial_cost = _cost_of(problem, trial, trial_base, gram)
-            accepted = trial_cost < cost and trial_cost <= cost + armijo_c1 * t * predicted
+            try:
+                trial_base = _solve(problem, trial)
+            except BlowupError:
+                trial_cost = np.inf
+            else:
+                trial_cost = _cost_of(problem, trial, trial_base, gram)
+            accepted = trial_cost < cost and trial_cost <= cost + _ARMIJO_C1 * t * predicted
             if accepted or trial_cost == cost:  # a null step ends the search
                 break
             t *= 0.5

@@ -14,8 +14,8 @@ refuses what a scenario file refuses.  The builders below the tables make
 the module objects through those constructors and report the library's grid
 rules (see ``errors``) through ``_build`` at the field's path.  The rules a
 file alone has are a pulse's start below its stop, the ``omega`` range,
-``t_min`` below ``t_max``, ``alpha`` below 1/2 with a control block, the
-sine-mode range, a constant S weight's nonzero value, and the size guards.
+``t_min`` below ``t_max``, the sine-mode range, a constant S weight's
+nonzero value, and the size guards.
 Validation reports every problem with the dotted path of the offending field
 (for example ``hysteresis.a``) and never partially constructs a scenario.  A
 source or direction block becomes an ``evolution.Source``: its time amplitude
@@ -142,8 +142,6 @@ _DIAGNOSTIC = {
 # ``_check_lambdas`` check the two arrays, after the grid
 _SCENARIO = {
     "seed": _Field(_integer, None, minimum=0),
-    "p": _Field(_number, None, minimum=1.0),
-    "alpha": _Field(_number, None, exclusive_minimum=0.0),
     "domain": _Field(_DOMAIN, None),
     "boundaries": _Field("any", None),  # a nonempty list of _SIDES tables
     "diffusion": _Field("any", None),
@@ -176,7 +174,6 @@ class Scenario:
     """Validated scenario with constructed module objects."""
 
     seed: int = None
-    metadata: dict = field(default_factory=dict)
     disc: SpatialDiscretization = None
     sfun: SFunctional = None
     reaction: ReactionFunction = None
@@ -393,10 +390,7 @@ def load_scenario(cfg, needs=("state",)) -> Scenario:
                                      f"expected one of {', '.join(_NEEDS)}")
     cfg = _fields(cfg, "", _SCENARIO)
     needs = frozenset(needs)
-    if "control" in cfg and cfg.get("alpha", 0.0) >= 0.5:
-        _fail("alpha", "must be less than 1/2 when a control block is present")
-    scn = Scenario(seed=cfg.get("seed"),
-                   metadata={key: cfg[key] for key in ("p", "alpha") if key in cfg})
+    scn = Scenario(seed=cfg.get("seed"))
 
     spatial_needed = bool(needs & {"spatial", "state", "control", "direction"})
     if spatial_needed or "domain" in cfg:

@@ -69,7 +69,7 @@ def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> Sensitiv
     wz, dv, omega = np.zeros((3, n_steps + 1))  # d(stop output), S zeta, wz - dv; zeta_0 = 0
     stepper = _Stepper(base.disc, solver.dt, base.sfun)
     branches = branch_census(base.hyst_cfg, base.stop_offsets, base.s_values).steps.tolist()
-    directional, S, overflow = reaction.directional, stepper.S, []
+    directional, S = reaction.directional, stepper.S
 
     def rhs(k, zk, out):
         directional(states[k], z[k], zk, wz[k], out)
@@ -78,9 +78,7 @@ def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> Sensitiv
     def advance(k, zk):
         zf = zk.ravel()
         if not math.isfinite(zf.dot(zf)):
-            overflow.append(_overflow("sensitivity", zk, k, base.times[k]))
-        if overflow and k == n_steps:
-            raise BlowupError(overflow[0])
+            _overflow("sensitivity", k, base.times[k])
         dv[k] = d = S(zf)
         omega[k] = o = _omega_step(branches[k - 1], omega[k - 1], d)
         wz[k] = o + d
@@ -97,12 +95,9 @@ def solve_sensitivity(base: Trajectory, direction, keep_states=True) -> Sensitiv
     )
 
 
-def _overflow(what, x, k, t):
-    """Guard step k (time t) of a linearized sweep where |x|^2 is not finite: a non-finite
-    entry stops it here, else the returned message stops it at its end."""
-    if not np.all(np.isfinite(x)):
-        raise BlowupError(f"{what} became non-finite at step {k} (t={t:.6g})")
-    return f"{what} overflowed at step {k} (t={t:.6g}): its squared norm is not finite"
+def _overflow(what, k, t):
+    """Stop a linearized sweep at step k (time t), where its |x|^2 is not finite."""
+    raise BlowupError(f"{what} overflowed at step {k} (t={t:.6g}): its squared norm is not finite")
 
 
 def _adjoint_sweep(base: Trajectory, seed, stepper):
@@ -134,7 +129,7 @@ def _adjoint_sweep(base: Trajectory, seed, stepper):
 
     grad = np.zeros_like(states)
     scaled = np.empty_like(states[0])  # s_field times a scalar
-    lam, adjoint, overflow = stepper.buf, stepper.adjoint, []  # lam: adjoint of zeta_{k+1}
+    lam, adjoint = stepper.buf, stepper.adjoint  # lam: adjoint of zeta_{k+1}
     np.copyto(lam, seed[n_steps])
     mu = 0.0           # adjoint of omega_{k+1}
     for k in range(n_steps - 1, -1, -1):
@@ -143,15 +138,13 @@ def _adjoint_sweep(base: Trajectory, seed, stepper):
             mu = 0.0
         xf = adjoint(grad[k]).ravel()
         if not math.isfinite(xf.dot(xf)):
-            overflow.append(_overflow("adjoint", xf, k, base.times[k]))
+            _overflow("adjoint", k, base.times[k])
         wz_bar = float(gz[k].dot(xf))  # wz_k = omega_k + S zeta_k
         mu += wz_bar
         if k:  # lam_0 is unused; the buffer keeps the last solve's for check
             np.multiply(gy[k], grad[k], out=lam)
             lam += np.multiply(s_field, wz_bar, out=scaled)
             lam += seed[k]
-    if overflow:
-        raise BlowupError(overflow[0])
     stepper.check(grad[0])
     grad *= dt
     return grad

@@ -319,7 +319,7 @@ def reference_adjoint(stepper, seed, gy, gz, interior, s_field, dt):
     buffer at every step.  ``gy`` and ``gz`` are the explicit step's partials
     1 + dt f_y and dt f_z per step, ``interior[k]`` whether step k + 1 leaves
     the stop's offset inside its band.  Raises FloatingPointError naming the
-    first step whose solve is not finite."""
+    first step whose solve has a squared norm that is not finite."""
     n_steps = seed.shape[0] - 1
     grad = np.zeros_like(seed)
     x_bar = np.zeros_like(seed[0])
@@ -331,7 +331,7 @@ def reference_adjoint(stepper, seed, gy, gz, interior, s_field, dt):
             mu = 0.0
         stepper.buf[...] = lam
         stepper.adjoint(x_bar)
-        if not np.all(np.isfinite(x_bar)):
+        if not np.isfinite(np.sum(x_bar * x_bar)):
             raise FloatingPointError(k)
         grad[k] = x_bar * dt
         wz_bar = float(gz[k].ravel() @ x_bar.ravel())

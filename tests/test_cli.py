@@ -246,31 +246,29 @@ class TestSimulate:
         assert (tmp_path / "plain" / "trajectory.csv").read_bytes() \
             == (tmp_path / "snap" / "trajectory.csv").read_bytes()
 
-    def test_seed_override_and_scenario_seed(self, tmp_path):
-        path = write_config(tmp_path, small_config())
-        main(["simulate", "--config", path, "--out", str(tmp_path / "x"),
-              "--quiet"])
-        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
-        assert manifest["seed"] == 3
-        main(["simulate", "--config", path, "--out", str(tmp_path / "y"),
-              "--seed", "7", "--quiet"])
-        manifest = json.loads((tmp_path / "y" / "manifest.json").read_text())
-        assert manifest["seed"] == 7
+    def test_the_manifest_records_the_scenario_seed(self, tmp_path):
+        unseeded = small_config()
+        del unseeded["seed"]
+        for sub, cfg, seed in (("x", small_config(), 3), ("y", unseeded, None)):
+            path = write_config(tmp_path, cfg)
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / sub),
+                         "--quiet"]) == 0
+            manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
+            assert manifest["seed"] == seed
 
     def test_consecutive_calls_share_the_parser_but_no_state(self, tmp_path, capsys):
         cfg = small_config(direction={"kind": "constant", "value": 0.1,
                                       "profile": {"kind": "sine", "mode": 1}})
         path = write_config(tmp_path, cfg)
-        runs = [(["simulate", "--snapshot", "--seed", "7", "--quiet"],
-                 7, ["trajectory.csv", "state.bin"]),
-                (["sensitivity", "--quiet"], 3, ["sensitivity.csv"]),
-                (["simulate"], 3, ["trajectory.csv"])]
-        for k, (argv, seed, artifacts) in enumerate(runs):
+        runs = [(["simulate", "--snapshot", "--quiet"], ["trajectory.csv", "state.bin"]),
+                (["sensitivity", "--quiet"], ["sensitivity.csv"]),
+                (["simulate"], ["trajectory.csv"])]
+        for k, (argv, artifacts) in enumerate(runs):
             out = tmp_path / f"run{k}"
             assert main(argv + ["--config", path, "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["subcommand"] == argv[0]
-            assert manifest["seed"] == seed
+            assert manifest["seed"] == 3
             assert manifest["artifacts"] == artifacts
             assert sorted(p.name for p in out.iterdir()) == sorted(artifacts + ["manifest.json"])
         assert capsys.readouterr().out.count("wrote") == 2  # only the last run speaks
@@ -366,12 +364,13 @@ class TestValidationFailures:
         assert err.startswith("error:")
         assert "hysteresis.a" in err
 
-    def test_a_negative_seed_override_is_refused(self, tmp_path, capsys):
-        # --seed meets the schema's rule for a config's seed
-        rc = main(["simulate", "--config", "bundled:zero", "--seed", "-7",
-                   "--out", str(tmp_path)])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: --seed: must be at least 0\n"
+    def test_there_is_no_seed_flag(self, tmp_path, capsys):
+        # the manifest records the scenario's own seed; no flag overrides it
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--config", "bundled:zero", "--seed", "7",
+                  "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     def test_unknown_bundled_scenario(self, tmp_path, capsys):
@@ -453,8 +452,8 @@ class TestValidationFailures:
              "--out", str(tmp_path), "--quiet"],
             capture_output=True, text=True, env=package_env())
         assert proc.returncode == 3
-        assert proc.stderr == ("error: sensitivity became non-finite at "
-                               "step 2 (t=0.1)\n")
+        assert proc.stderr == ("error: sensitivity overflowed at step 1 (t=0.05): "
+                               "its squared norm is not finite\n")
 
     @pytest.mark.parametrize("solver", [None, PICARD], ids=["direct", "picard"])
     def test_direction_overflowing_only_in_its_norm_names_the_step(self, tmp_path, solver):
@@ -548,7 +547,7 @@ class TestValidationFailures:
              "--out", str(tmp_path), "--quiet"],
             capture_output=True, text=True, env=package_env())
         assert proc.returncode == 3
-        assert proc.stderr.startswith("error: adjoint became non-finite at step")
+        assert proc.stderr.startswith("error: adjoint overflowed at step")
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("subcommand,overrides,message", [
@@ -559,10 +558,10 @@ class TestValidationFailures:
         ("sensitivity", {"state": 50.0, "source": {"kind": "zero"},
                          "direction": {"kind": "constant", "value": 1e308},
                          "solver": PICARD},
-         "error: sensitivity became non-finite at step 2 (t=0.1)\n"),
+         "error: sensitivity overflowed at step 1 (t=0.05): its squared norm is not finite\n"),
         ("optimize", {"state": 1e200, "source": {"kind": "zero"},
                       "control": UNIT_CONTROL},
-         "error: adjoint became non-finite at step 7 (t=0.35)\n"),
+         "error: adjoint overflowed at step 8 (t=0.4): its squared norm is not finite\n"),
     ], ids=["overflow", "overflow-picard", "nan", "nan-picard",
             "sensitivity-picard", "adjoint"])
     def test_numerical_failure_names_its_step(self, tmp_path, capsys,

@@ -8,6 +8,7 @@ import pytest
 
 import stopsim.control as control_module
 from stopsim import (
+    BlowupError,
     BoundarySides,
     ControlProblem,
     ControlSpec,
@@ -18,6 +19,7 @@ from stopsim import (
     InvalidConfigError,
     ReactionFunction,
     SFunctional,
+    ScenarioValidationError,
     SolverConfig,
     apply_B,
     assemble,
@@ -177,6 +179,21 @@ class TestControlSpecValidation:
         with pytest.raises(InvalidConfigError):
             ControlSpec(mode="distributed", time_knots=1,
                         coefficients=np.array([1.0]))
+
+    def test_a_field_of_the_other_mode_is_refused(self, disc_mixed):
+        modes = sine_modes(disc_mixed, 1)
+        with pytest.raises(ScenarioValidationError) as err:
+            ControlSpec(mode="boundary", time_knots=1, coefficients=np.ones(1),
+                        spatial_modes=modes)
+        assert str(err.value) == "spatial_modes: a boundary control takes none"
+        with pytest.raises(ScenarioValidationError) as err:
+            ControlSpec(mode="distributed", time_knots=1, coefficients=np.ones(1),
+                        spatial_modes=modes, component=3)
+        assert str(err.value) == "component: a distributed control takes none"
+        # the default component is no choice: with_coefficients passes it on
+        spec = ControlSpec(mode="distributed", time_knots=1, coefficients=np.ones(1),
+                           spatial_modes=modes, component=0)
+        assert spec.with_coefficients(np.zeros(1)).component == 0
 
     @pytest.mark.parametrize("knots", [2.7, True, 2.0, "2"])
     def test_time_knots_must_be_an_integer(self, disc_mixed, knots):
@@ -389,10 +406,10 @@ class TestOptimize:
         assert len(result.history) == 1
         assert result.history[0][3] == 0.0
 
-    def test_exhausted_line_search_reports_stalled(self, affine_problem):
+    def test_exhausted_line_search_reports_stalled(self, affine_problem, monkeypatch):
         problem, spec = affine_problem
-        result = optimize(problem, spec, max_iters=5,
-                          initial_step=1e12, max_halvings=1)
+        monkeypatch.setattr(control_module, "_MAX_HALVINGS", 1)
+        result = optimize(problem, spec, max_iters=5, initial_step=1e12)
         assert result.status == "stalled"
         np.testing.assert_array_equal(result.spec.coefficients,
                                       spec.coefficients)
@@ -430,17 +447,38 @@ class TestOptimize:
             optimize(problem, spec, **{option: value})
         assert excinfo.value.exit_code == 2
 
+    @pytest.mark.parametrize("step", [1e16, 1e18])
+    def test_a_trial_that_blows_up_fails_like_a_rise_in_j(self, affine_problem, step):
+        # the first trials' states pass the guard and blow up; each halving after them raises J
+        problem, spec = affine_problem
+        grad, _ = _gradient(problem, spec, _solve(problem, spec),
+                            control_gram(problem.disc, spec, problem.solver),
+                            _Stepper(problem.disc, problem.solver.dt, problem.sfun))
+        with pytest.raises(BlowupError):
+            _solve(problem, spec.with_coefficients(spec.coefficients - step * grad))
+        result = optimize(problem, spec, max_iters=5, initial_step=step)
+        assert result.status == "stalled"
+        assert len(result.history) == 1
+        np.testing.assert_array_equal(result.spec.coefficients, spec.coefficients)
+        assert result.cost == reduced_cost(problem, spec)
+
     @pytest.mark.parametrize("option, value", [
         ("initial_step", 0.0), ("initial_step", -1.0), ("initial_step", math.inf),
-        ("initial_step", math.nan), ("max_halvings", -3), ("max_halvings", 0),
-        ("max_halvings", 2.5), ("armijo_c1", 0.0),
-        ("armijo_c1", -1e-4), ("armijo_c1", 1.0), ("armijo_c1", 2.0), ("armijo_c1", math.nan),
+        ("initial_step", math.nan),
     ])
     def test_rejects_a_line_search_the_schema_refuses(self, affine_problem, option, value):
         problem, spec = affine_problem
         with pytest.raises(InvalidConfigError, match=option) as excinfo:
             optimize(problem, spec, **{option: value})
         assert excinfo.value.exit_code == 2
+
+    @pytest.mark.parametrize("option, value", [("armijo_c1", 1e-4), ("max_halvings", 40)])
+    def test_the_line_search_constants_are_no_keywords(self, affine_problem, option, value):
+        # they are module constants at these values; no setting reaches them
+        problem, spec = affine_problem
+        assert getattr(control_module, f"_{option.upper()}") == value
+        with pytest.raises(TypeError, match=option):
+            optimize(problem, spec, **{option: value})
 
 
 def stability_deviations(problem, spec, perturbed_coefficients):

@@ -72,7 +72,6 @@ class TestBundledScenarios:
         assert scn.control.spec.mode == "distributed"
         assert scn.control.spec.n_coefficients == 6
         assert scn.control.target_kind == "from-control"
-        assert scn.metadata["alpha"] < 0.5
 
     def test_saturating_scenario_loads(self):
         scn = load_scenario(bundled("saturating"),
@@ -482,27 +481,25 @@ class TestControlParsing:
         cfg = base_scenario()
         cfg["control"] = self.control_block()
         scn = load_scenario(cfg, needs=("state", "control"))
-        assert scn.control.optimizer == {
-            "max_iters": 100, "tol": 1e-8, "initial_step": 1.0,
-            "armijo_c1": 1e-4, "max_halvings": 40}
+        assert scn.control.optimizer == {"max_iters": 100, "tol": 1e-8, "initial_step": 1.0}
         cfg["control"]["optimizer"] = {"max_iters": 7, "tol": 1e-5}
         scn = load_scenario(cfg, needs=("state", "control"))
         assert scn.control.optimizer["max_iters"] == 7
         assert scn.control.optimizer["tol"] == 1e-5
-        assert scn.control.optimizer["max_halvings"] == 40
+        assert scn.control.optimizer["initial_step"] == 1.0
         cfg["control"]["optimizer"] = {"surprise": 1}
         expect_error(cfg, "control.optimizer.surprise",
                      needs=("state", "control"))
 
-    def test_alpha_interacts_with_control(self):
+    @pytest.mark.parametrize("path", [("p",), ("alpha",), ("control", "optimizer", "armijo_c1"),
+                                      ("control", "optimizer", "max_halvings")], ids=".".join)
+    def test_a_setting_that_changes_no_result_is_an_unknown_field(self, path):
         cfg = base_scenario()
-        cfg["alpha"] = 0.75
-        assert load_scenario(cfg).metadata["alpha"] == 0.75
         cfg["control"] = self.control_block()
-        expect_error(cfg, "alpha", needs=("state", "control"))
-        cfg["alpha"] = 0.25
-        scn = load_scenario(cfg, needs=("state", "control"))
-        assert scn.metadata["alpha"] == 0.25
+        cfg["control"]["optimizer"] = {}
+        json_at(cfg, path[:-1])[path[-1]] = 0.25
+        err = expect_error(cfg, f"{'.'.join(path)}: unknown field", needs=("state", "control"))
+        assert err.exit_code == 2
 
     def test_build_control_problem_targets(self):
         cfg = base_scenario()
@@ -676,12 +673,9 @@ TABLE_PICARD = {
     "control": {"mode": "distributed", "time_knots": 2,
                 "spatial_modes": {"kind": "values", "values": [[[0.0, 1.0, 1.0, 1.0, 0.0]]]},
                 "coefficients": [0.1, -0.1], "kappa": 0.05, "target": {"kind": "zero"},
-                "optimizer": {"max_iters": 3, "tol": 1e-6, "initial_step": 0.5,
-                              "armijo_c1": 1e-3, "max_halvings": 8}},
+                "optimizer": {"max_iters": 3, "tol": 1e-6, "initial_step": 0.5}},
     "diagnostic": {"theta": 0.5, "gamma": 0.25, "component": 0, "t_min": 0.01,
                    "t_max": 2.0, "t_count": 10},
-    "alpha": 0.25,
-    "p": 2.0,
     "seed": 5,
 }
 LOGISTIC_CONSTANT = {
@@ -950,13 +944,39 @@ def single_fault_verdicts(stride=1):
     return out
 
 
+def golden_delta(verdicts, golden):
+    """The golden keys that no case produces, the cases the file lacks, and
+    the cases whose verdict differs from the file's."""
+    stale = [case for case in golden if case not in verdicts]
+    missing = [case for case in verdicts if case not in golden]
+    differ = [case for case in verdicts if case in golden and verdicts[case] != golden[case]]
+    return stale, missing, differ
+
+
+def golden_report(verdicts, golden):
+    """The standalone check's lines, and whether it fails."""
+    stale, missing, differ = golden_delta(verdicts, golden)
+    lines = [f"{case}\n  golden: {golden[case]}\n  now:    {verdicts[case]}" for case in differ]
+    changes = collections.Counter(
+        (json.dumps(golden[case]), json.dumps(verdicts[case])) for case in differ)
+    lines += [f"{count:5d} x {was} -> {now}" for (was, now), count in changes.most_common()]
+    lines += [f"no case produces the golden key {case!r}" for case in stale]
+    lines += [f"the golden file lacks the case {case!r}" for case in missing]
+    extra = f", {len(stale)} stale, {len(missing)} missing" if stale or missing else ""
+    lines.append(f"{len(verdicts)} cases x {len(_SUBCOMMANDS)} subcommands, "
+                 f"{len(differ)} differ{extra}")
+    return lines, bool(differ or stale or missing)
+
+
 class TestSingleFaults:
     """Every single fault's verdict is pinned in ``single_fault_verdicts.json``.
 
     ``python tests/test_scenario.py`` compares every case, not only the
     stride tier-1 runs, prints the ones that differ, then one line per
-    (golden verdict -> new verdict) pair with its count, and exits 1 if any
-    differ; ``python tests/test_scenario.py --write`` rewrites the file."""
+    (golden verdict -> new verdict) pair with its count, then each golden
+    key that no case produces and each case the file lacks, and exits 1 if
+    there is any; ``python tests/test_scenario.py --write`` prints how many
+    keys it removes, adds and changes, then rewrites the file."""
 
     def test_the_golden_file_names_every_case(self):
         with open(SINGLE_FAULT_GOLDEN) as fh:
@@ -968,6 +988,41 @@ class TestSingleFaults:
             golden = json.load(fh)
         for case, verdict in single_fault_verdicts(SINGLE_FAULT_STRIDE).items():
             assert verdict == golden[case], case
+
+
+class TestGoldenReport:
+    """The standalone check fails on a stale golden key, a case the file
+    lacks and a changed verdict alike."""
+
+    GOLDEN = {"a": "ok", "b": "b: must be positive"}
+
+    def test_a_matching_file_passes(self):
+        lines, failed = golden_report(dict(self.GOLDEN), self.GOLDEN)
+        assert not failed
+        assert lines == [f"2 cases x {len(_SUBCOMMANDS)} subcommands, 0 differ"]
+
+    def test_a_stale_golden_key_fails(self):
+        lines, failed = golden_report({"a": "ok"}, self.GOLDEN)
+        assert failed
+        assert lines == ["no case produces the golden key 'b'",
+                         f"1 cases x {len(_SUBCOMMANDS)} subcommands, 0 differ, 1 stale, 0 missing"]
+
+    def test_a_case_the_file_lacks_fails(self):
+        lines, failed = golden_report({**self.GOLDEN, "c": "ok"}, self.GOLDEN)
+        assert failed
+        assert lines == ["the golden file lacks the case 'c'",
+                         f"3 cases x {len(_SUBCOMMANDS)} subcommands, 0 differ, 0 stale, 1 missing"]
+
+    def test_a_changed_verdict_fails(self):
+        lines, failed = golden_report({"a": "ok", "b": "ok"}, self.GOLDEN)
+        assert failed
+        assert lines == ["b\n  golden: b: must be positive\n  now:    ok",
+                         '    1 x "b: must be positive" -> "ok"',
+                         f"2 cases x {len(_SUBCOMMANDS)} subcommands, 1 differ"]
+
+    def test_the_delta_counts_removed_added_and_changed_keys(self):
+        verdicts = {"b": "ok", "c": "ok", "d": "ok"}
+        assert golden_delta(verdicts, self.GOLDEN) == (["a"], ["c", "d"], ["b"])
 
 
 class TestArrayEntries:
@@ -991,20 +1046,16 @@ class TestArrayEntries:
 
 if __name__ == "__main__":
     verdicts = single_fault_verdicts()
+    with open(SINGLE_FAULT_GOLDEN) as fh:
+        golden = json.load(fh)
     if sys.argv[1:] == ["--write"]:
+        stale, missing, differ = golden_delta(verdicts, golden)
+        print(f"{len(stale)} removed, {len(missing)} added, {len(differ)} changed")
         lines = (f"{json.dumps(case)}: {json.dumps(v, allow_nan=False)}"
                  for case, v in verdicts.items())
         with open(SINGLE_FAULT_GOLDEN, "w") as fh:
             fh.write("{\n" + ",\n".join(lines) + "\n}\n")
     else:
-        with open(SINGLE_FAULT_GOLDEN) as fh:
-            golden = json.load(fh)
-        differ = [case for case in verdicts if verdicts[case] != golden.get(case)]
-        for case in differ:
-            print(f"{case}\n  golden: {golden.get(case)}\n  now:    {verdicts[case]}")
-        changes = collections.Counter(
-            (json.dumps(golden.get(case)), json.dumps(verdicts[case])) for case in differ)
-        for (was, now), count in changes.most_common():
-            print(f"{count:5d} x {was} -> {now}")
-        print(f"{len(verdicts)} cases x {len(_SUBCOMMANDS)} subcommands, {len(differ)} differ")
-        sys.exit(1 if differ else 0)
+        lines, failed = golden_report(verdicts, golden)
+        print("\n".join(lines))
+        sys.exit(1 if failed else 0)

@@ -124,6 +124,31 @@ class TestStreamedSensitivity:
         step = int(re.match(r"sensitivity overflowed at step (\d+) ", messages[0]).group(1))
         assert step > _WINDOW_BYTES // disc.n_nodes // 8 == 4
 
+    @pytest.mark.parametrize("keep", [True, False], ids=["kept", "streamed"])
+    def test_the_sweep_stops_at_its_first_overflowing_step(self, monkeypatch, keep):
+        # from the direction's onset each step scales zeta by ~dt * 1e200: its
+        # squared norm overflows one step before its entries do, and the sweep
+        # solves no step after that
+        disc = box_41()
+        solver = SolverConfig(dt=0.05, t_final=1.0)
+        u = np.zeros((solver.n_steps + 1, 1, disc.n_nodes))
+        base = solve_state(disc, constant_sfun(disc), ReactionFunction("linear", (0.0, 1e200, 0.0)),
+                           HysteresisConfig(a=-1.0, b=1.0, z0=0.0), u, solver)
+        h = Source(1.0 * (solver.times() >= 0.5), np.ones((1, disc.n_nodes)))
+        calls, directional = [], ReactionFunction.directional
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            return directional(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReactionFunction, "directional", counted)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BlowupError) as excinfo:
+            solve_sensitivity(base, h, keep)
+        assert str(excinfo.value) == ("sensitivity overflowed at step 12 (t=0.6): "
+                                      "its squared norm is not finite")
+        assert len(calls) == 12 < solver.n_steps
+
     def test_a_base_without_a_path_is_refused(self):
         scn, base = scenario_base("saturating", keep_states=False)
         with pytest.raises(InvalidConfigError, match="kept no path"):
@@ -626,7 +651,8 @@ class TestInPlaceRules:
                                   np.zeros(seed.shape), census.steps == INTERIOR,
                                   stepper.s_field, solver.dt)
             k = reference.value.args[0]
-            message = f"adjoint became non-finite at step {k} (t={base.times[k]:.6g})"
+            message = (f"adjoint overflowed at step {k} (t={base.times[k]:.6g}): "
+                       "its squared norm is not finite")
             with pytest.raises(BlowupError, match=re.escape(message)):
                 _adjoint_sweep(base, seed, stepper)
 
